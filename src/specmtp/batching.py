@@ -167,16 +167,14 @@ def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
     return _finish(tokens, positions, gate, labels, allow_lists, anchors, prev, [])
 
 
-def build_quadratic_inference_input(
-    verified, speculated, mask_ids, cover_reject_first: bool = True
-) -> MaskedBatch:
-    """verified + [s_1, masks] + ... + [s_k, masks], one block per chain token.
+def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
+    """verified + [masks] + [s_1, masks] + ... + [s_k, masks].
 
     Chain token s_j sees the verified prefix and s_1..s_j, never a mask.
     Mask m_l of the block anchored at chain token c sees verified, the
-    chain through c, and m_1..m_l of its own block only. With
-    cover_reject_first an extra block is anchored at the last verified
-    token, so even a first-token rejection leaves fresh speculation.
+    chain through c, and m_1..m_l of its own block only. The first block
+    is anchored at the last verified token, so even a first-token
+    rejection leaves fresh speculation.
     """
     verified = list(verified)
     speculated = list(speculated)
@@ -204,8 +202,7 @@ def build_quadratic_inference_input(
             anchors.append(anchor_row)
             allow_lists.append(visible + list(range(start, start + l)))
 
-    if cover_reject_first:
-        emit_block(n_ver - 1, n_ver - 1, list(range(n_ver)))
+    emit_block(n_ver - 1, n_ver - 1, list(range(n_ver)))
 
     for j, tok in enumerate(speculated, start=1):
         row = len(tokens)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +17,11 @@ MAGIC = b"SMTP"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 
-_CONFIG_FIELDS = [
-    ("vocab_size", int),
-    ("d_model", int),
-    ("n_layers", int),
-    ("n_heads", int),
-    ("d_ff", int),
-    ("k_masks", int),
-    ("lora_rank", int),
-    ("max_position", int),
-    ("tie_unembedding", bool),
-    ("train_mask_embeddings", bool),
-]
+# Header keys config.<name>; every ModelConfig field is an int.
+_CONFIG_FIELDS = tuple(f.name for f in fields(ModelConfig))
+# Removed options whose one supported value was on. Files written before
+# the removal still carry them, at "1".
+_LEGACY_ON_KEYS = ("config.tie_unembedding", "config.train_mask_embeddings")
 
 
 class CheckpointError(IOError):
@@ -54,9 +48,8 @@ def save_checkpoint(
 ) -> None:
     """Serialize model (and sampler, when present) with meta key-values."""
     kv: dict[str, str] = {}
-    for name, typ in _CONFIG_FIELDS:
-        value = getattr(model.config, name)
-        kv[f"config.{name}"] = str(int(value)) if typ is bool else str(value)
+    for name in _CONFIG_FIELDS:
+        kv[f"config.{name}"] = str(getattr(model.config, name))
     kv["sampler"] = "1" if sampler is not None else "0"
     for k, v in (extra_meta or {}).items():
         kv[f"meta.{k}"] = str(v)
@@ -106,12 +99,15 @@ class _Reader:
 
 
 def _config_from_kv(kv: dict[str, str]) -> ModelConfig:
+    for key in _LEGACY_ON_KEYS:
+        if kv.get(key, "1") != "1":
+            raise CheckpointError(f"{key} = {kv[key]} is no longer supported")
     args = {}
-    for name, typ in _CONFIG_FIELDS:
+    for name in _CONFIG_FIELDS:
         key = f"config.{name}"
         if key not in kv:
             raise CheckpointError(f"checkpoint header missing {key}")
-        args[name] = bool(int(kv[key])) if typ is bool else typ(kv[key])
+        args[name] = int(kv[key])
     return ModelConfig(**args)
 
 
@@ -137,7 +133,7 @@ def load_checkpoint(
     if expected_config is not None and config != expected_config:
         diffs = [
             f"{name}: expected {getattr(expected_config, name)}, found {getattr(config, name)}"
-            for name, _ in _CONFIG_FIELDS
+            for name in _CONFIG_FIELDS
             if getattr(expected_config, name) != getattr(config, name)
         ]
         raise CheckpointError("config mismatch: " + "; ".join(diffs))

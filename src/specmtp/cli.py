@@ -10,13 +10,16 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .decoding import future_rank_probe, greedy_autoregressive, speculative_decode
 from .training import (
+    MODEL_FIELDS,
     CorpusSpec,
     DivergenceError,
     TrainConfig,
@@ -45,32 +48,38 @@ class VerificationFailure(RuntimeError):
 # Config file: [section] + key = value, every key defaulted, unknown keys fatal
 # -----------------------------------------------------------------------------
 
-_SECTIONS = {
-    "corpus": [
-        ("task", str), ("size", int), ("seed", int), ("seq_len", int),
-        ("period", int), ("alphabet", str), ("digits", int), ("path", str),
-    ],
-    "model": [
-        ("d_model", int), ("n_layers", int), ("n_heads", int), ("d_ff", int),
-        ("k_masks", int), ("lora_rank", int), ("max_position", int),
-        ("tie_unembedding", bool), ("train_mask_embeddings", bool),
-    ],
-    "train": [
-        ("learning_rate", float), ("warmup_steps", int), ("total_steps", int),
-        ("batch_size", int), ("weight_decay", float), ("beta1", float),
-        ("beta2", float), ("adam_eps", float), ("seed", int),
-        ("pretrain_steps", int), ("pretrain_lr", float),
-        ("eval_every", int), ("eval_prompts", int), ("eval_prompt_len", int),
-        ("eval_max_steps", int), ("divergence_factor", float),
-        ("divergence_patience", int),
-    ],
-    "loss": [
-        ("base", float), ("sampler", float), ("lcm", float),
-        ("use_sampler", bool), ("gated", bool), ("sampler_prev_source", str),
-    ],
-}
 
-_LOSS_FIELDS = {"base": "loss_base", "sampler": "loss_sampler", "lcm": "loss_lcm"}
+def _config_sections() -> dict[str, dict[str, tuple[str, type]]]:
+    """[section] -> key -> (dataclass field, type), read off the dataclasses.
+
+    [corpus] is CorpusSpec; [model] is the ModelConfig sizes TrainConfig
+    repeats; [loss] is the loss_* weights without their prefix plus the
+    sampler and gate switches; [train] is every other TrainConfig field.
+    """
+    corpus_types = get_type_hints(CorpusSpec)
+    types = get_type_hints(TrainConfig)
+    sections = {
+        "corpus": {f.name: (f.name, corpus_types[f.name]) for f in fields(CorpusSpec)},
+        "model": {},
+        "train": {},
+        "loss": {},
+    }
+    for f in fields(TrainConfig):
+        if f.name == "corpus":
+            continue
+        if f.name in MODEL_FIELDS:
+            section, key = "model", f.name
+        elif f.name.startswith("loss_"):
+            section, key = "loss", f.name[len("loss_") :]
+        elif f.name in ("use_sampler", "gated"):
+            section, key = "loss", f.name
+        else:
+            section, key = "train", f.name
+        sections[section][key] = (f.name, types[f.name])
+    return sections
+
+
+_SECTIONS = _config_sections()
 
 
 def _parse_value(raw: str, typ):
@@ -106,16 +115,11 @@ def parse_config_text(text: str) -> TrainConfig:
         if section is None:
             raise UsageError(f"line {lineno}: key outside any [section]")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        schema = dict(_SECTIONS[section])
-        if key not in schema:
+        if key not in _SECTIONS[section]:
             raise UsageError(f"line {lineno}: unknown key {key!r} in [{section}]")
-        value = _parse_value(raw, schema[key])
-        if section == "corpus":
-            corpus_kwargs[key] = value
-        elif section == "loss":
-            cfg_kwargs[_LOSS_FIELDS.get(key, key)] = value
-        else:
-            cfg_kwargs[key] = value
+        name, typ = _SECTIONS[section][key]
+        kwargs = corpus_kwargs if section == "corpus" else cfg_kwargs
+        kwargs[name] = _parse_value(raw, typ)
     try:
         return TrainConfig(corpus=CorpusSpec(**corpus_kwargs), **cfg_kwargs)
     except (TypeError, ValueError) as exc:
@@ -125,15 +129,11 @@ def parse_config_text(text: str) -> TrainConfig:
 def render_config(cfg: TrainConfig) -> str:
     """Inverse of parse_config_text with every key resolved."""
     lines = []
-    for section, fields in _SECTIONS.items():
+    for section, keys in _SECTIONS.items():
+        owner = cfg.corpus if section == "corpus" else cfg
         lines.append(f"[{section}]")
-        for key, typ in fields:
-            if section == "corpus":
-                value = getattr(cfg.corpus, key)
-            elif section == "loss":
-                value = getattr(cfg, _LOSS_FIELDS.get(key, key))
-            else:
-                value = getattr(cfg, key)
+        for key, (name, typ) in keys.items():
+            value = getattr(owner, name)
             if typ is bool:
                 value = "true" if value else "false"
             lines.append(f"{key} = {value}")

@@ -26,22 +26,6 @@ STRATEGIES = ("linear", "quadratic")
 
 
 @dataclass
-class StepTrace:
-    accepted: int
-    emitted: int
-    speculation_source: str  # "masks", "override", or "none"
-
-
-@dataclass
-class DecodeState:
-    verified: list[int]
-    speculated: list[int] = field(default_factory=list)
-    steps: int = 0
-    generated: int = 0
-    trace: list[StepTrace] = field(default_factory=list)
-
-
-@dataclass
 class AcceptanceStats:
     generated: int  # G: tokens added beyond the prompt
     steps: int  # T: forward passes
@@ -103,15 +87,15 @@ def speculative_decode(
     strategy: str = "quadratic",
     max_steps: int = 100,
     eos: int | None = None,
-    cover_reject_first: bool = True,
     speculation_override=None,
 ) -> tuple[list[int], AcceptanceStats]:
     """Decode up to max_steps forward passes; each pass emits 1..k_eval+1 tokens.
 
     Without a sampler, mask rows fall back to their base-head argmax.
-    speculation_override(state, last_token, block_logits, block_hidden)
-    replaces the speculation source (hook for adversarial-speculation
-    tests; exactness holds for any speculation whatsoever).
+    speculation_override(verified, last_token, block_logits, block_hidden)
+    replaces the speculation source; verified is the token list so far,
+    ending with last_token (hook for adversarial-speculation tests;
+    exactness holds for any speculation whatsoever).
     """
     cfg = model.config
     if strategy not in STRATEGIES:
@@ -119,30 +103,27 @@ def speculative_decode(
     if not 1 <= k_eval <= cfg.k_masks:
         raise ValueError(f"k_eval must be in 1..{cfg.k_masks}")
     mask_ids = cfg.mask_ids[:k_eval]
-    state = DecodeState(verified=[int(t) for t in prompt])
-    if not state.verified:
+    verified = [int(t) for t in prompt]
+    if not verified:
         raise ValueError("prompt must be nonempty")
+    speculated: list[int] = []
     stats = AcceptanceStats(generated=0, steps=0)
 
     for _ in range(max_steps):
-        n_ver = len(state.verified)
-        if not state.speculated:
-            batch = build_linear_inference_input(state.verified, [], mask_ids)
+        n_ver = len(verified)
+        if not speculated:
+            batch = build_linear_inference_input(verified, [], mask_ids)
         elif strategy == "linear":
-            batch = build_linear_inference_input(state.verified, state.speculated, mask_ids)
+            batch = build_linear_inference_input(verified, speculated, mask_ids)
         else:
-            batch = build_quadratic_inference_input(
-                state.verified, state.speculated, mask_ids, cover_reject_first
-            )
+            batch = build_quadratic_inference_input(verified, speculated, mask_ids)
         out = _run(model, batch)
         logits = out.logits.data
-
-        #
 
         chain_rows = [r for r in np.flatnonzero(batch.gate == 0) if r >= n_ver]
         preds = [int(np.argmax(logits[n_ver - 1]))]
         preds += [int(np.argmax(logits[r])) for r in chain_rows]
-        accepted, emitted = verify_speculated(preds, state.speculated)
+        accepted, emitted = verify_speculated(preds, speculated)
 
         anchor_row = n_ver - 1 if accepted == 0 else chain_rows[accepted - 1]
         block = batch.block_rows(anchor_row)
@@ -151,43 +132,32 @@ def speculative_decode(
         stats.histogram[accepted] = stats.histogram.get(accepted, 0) + 1
 
         hit_eos = False
-        appended = 0
         for tok in emitted:
-            state.verified.append(tok)
-            appended += 1
+            verified.append(tok)
+            stats.generated += 1
             if eos is not None and tok == eos:
                 hit_eos = True
                 break
-        stats.generated += appended
-        state.generated = stats.generated
-        state.steps = stats.steps
-
         if hit_eos:
-            state.trace.append(StepTrace(accepted, appended, "none"))
-            state.speculated = []
             break
 
-        source = "none"
         if speculation_override is not None:
-            state.speculated = [
+            speculated = [
                 int(t)
-                for t in speculation_override(state, emitted[-1], logits[block], out.hidden.data[block])
+                for t in speculation_override(verified, emitted[-1], logits[block], out.hidden.data[block])
             ]
-            source = "override"
         elif block.size:
             if sampler is not None:
                 zs = [Tensor(out.hidden.data[r]) for r in block]
-                state.speculated = sampler_chain(
+                speculated = sampler_chain(
                     sampler, model.unembed, model.embedding_table(), emitted[-1], zs
                 )
             else:
-                state.speculated = [int(np.argmax(logits[r])) for r in block]
-            source = "masks"
+                speculated = [int(np.argmax(logits[r])) for r in block]
         else:
-            state.speculated = []
-        state.trace.append(StepTrace(accepted, appended, source))
+            speculated = []
 
-    return state.verified, stats
+    return verified, stats
 
 
 def future_rank_probe(model: ModelBundle, prompt, true_future, k: int) -> list[int]:
@@ -198,6 +168,8 @@ def future_rank_probe(model: ModelBundle, prompt, true_future, k: int) -> list[i
     prompt end (the immediate next token belongs to the prompt's own last
     row), so true_future[0] should be the second upcoming token.
     """
+    if not 1 <= k <= model.config.k_masks:
+        raise ValueError(f"k must be in 1..{model.config.k_masks}")
     true_future = [int(t) for t in true_future]
     if len(true_future) > k:
         raise ValueError("more future tokens than masks")

@@ -7,8 +7,6 @@ detached, so only the mask representations move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import (
@@ -26,16 +24,6 @@ from .tensor import (
 )
 from .batching import MaskedBatch
 from .sampler import SamplerHead, sampler_logits_rows
-
-
-@dataclass
-class LossReport:
-    base_ce: float
-    sampler_ce: float
-    lcm: float
-    total: float
-    n_ntp: int  # labeled regular rows contributing to the averages
-    n_mtp: int  # labeled mask rows
 
 
 def base_and_sampler_ce(
@@ -102,16 +90,3 @@ def ntp_only_ce(batch: MaskedBatch, base_logits: Tensor) -> Tensor:
     labels[batch.gate == 1] = IGNORE_ID
     return cross_entropy(base_logits, labels)
 
-
-def make_report(
-    batch: MaskedBatch, base_ce: Tensor, sampler_ce: Tensor, lcm: Tensor, total: Tensor
-) -> LossReport:
-    labeled = batch.base_labels != IGNORE_ID
-    return LossReport(
-        base_ce=base_ce.item(),
-        sampler_ce=sampler_ce.item(),
-        lcm=lcm.item(),
-        total=total.item(),
-        n_ntp=int((labeled & (batch.gate == 0)).sum()),
-        n_mtp=int((labeled & (batch.gate == 1)).sum()),
-    )

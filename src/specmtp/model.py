@@ -38,7 +38,7 @@ LORA_ALPHA_OVER_RANK = 2.0  # constant adapter multiplier (alpha = 2r)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Sizes and switches. The vocabulary reserves its top k_masks ids for
+    """Model sizes. The vocabulary reserves its top k_masks ids for
     the mask tokens; BOS/EOS/PAD are ordinary ids below them."""
 
     vocab_size: int
@@ -49,8 +49,6 @@ class ModelConfig:
     k_masks: int = 4
     lora_rank: int = 8
     max_position: int = 512
-    tie_unembedding: bool = True
-    train_mask_embeddings: bool = True
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -110,7 +108,7 @@ class ModelBundle:
 
     config: ModelConfig
     embed_base: Tensor  # (V - k, d) frozen
-    embed_mask: Tensor  # (k, d) trainable by default
+    embed_mask: Tensor  # (k, d) trainable
     layers: list[LayerWeights]
     final_ln_gain: Tensor
     final_ln_bias: Tensor
@@ -194,7 +192,7 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     )
     embed_mask = Tensor(
         _draw(derive_rng(seed, "embed.mask"), 0.02, (c.k_masks, d)),
-        requires_grad=c.train_mask_embeddings,
+        requires_grad=True,
         name="embed.mask",
     )
     layers = []
@@ -214,10 +212,7 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
                 ln2_bias=Tensor(np.zeros(d, dtype=default_dtype())),
             )
         )
-    if c.tie_unembedding:
-        unembed_data = np.concatenate([embed_base.data, embed_mask.data], axis=0).copy()
-    else:
-        unembed_data = _draw(derive_rng(seed, "unembed"), 0.02, (c.vocab_size, d))
+    unembed_data = np.concatenate([embed_base.data, embed_mask.data], axis=0).copy()
     return ModelBundle(
         config=c,
         embed_base=embed_base,

@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data)
 
@@ -396,11 +393,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """table (V, d) gathered at integer ids -> (len(ids), d)."""
-    return take_rows(table, np.asarray(ids, dtype=np.int64))
-
-
 def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
     """Copy of base with delta added at (unique) row indices idx."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -499,15 +491,6 @@ def sum_all(x: Tensor) -> Tensor:
 
     def bw(g, shape=x.data.shape, dtype=x.data.dtype):
         return (np.full(shape, g, dtype=dtype),)
-
-    return _record(out, (x,), bw)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.data.dtype))
-
-    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
-        return (np.full(shape, g / x.data.size, dtype=dtype),)
 
     return _record(out, (x,), bw)
 

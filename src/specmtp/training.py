@@ -10,7 +10,7 @@ gate is honored.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -235,8 +235,16 @@ def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
 # -----------------------------------------------------------------------------
 
 
+# The ModelConfig fields that TrainConfig repeats: every one but the
+# vocabulary size, which the corpus charset decides.
+MODEL_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+
+
 @dataclass
 class TrainConfig:
+    """Every knob of a training run. The config file's sections and key
+    order are read off these fields (see cli.py)."""
+
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
     d_model: int = 64
     n_layers: int = 2
@@ -245,8 +253,6 @@ class TrainConfig:
     k_masks: int = 4
     lora_rank: int = 8
     max_position: int = 512
-    tie_unembedding: bool = True
-    train_mask_embeddings: bool = True
 
     learning_rate: float = 2e-4
     warmup_steps: int = 200
@@ -257,50 +263,38 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-
-    loss_base: float = 1.0
-    loss_sampler: float = 1.0
-    loss_lcm: float = 1.0
-    use_sampler: bool = True
-    gated: bool = True  # False: adapters on every row (the ablation mode)
-    sampler_prev_source: str = "gold"
-
-    eval_every: int = 0  # 0 disables periodic acceptance evals
-    eval_prompts: int = 4
-    eval_prompt_len: int = 8
-    eval_max_steps: int = 8
-
     # Acceptance measures agreement with the frozen base path, so the base
     # must be competent at the task before it is frozen. pretrain_steps > 0
     # fits all base weights on the plain causal objective first.
     pretrain_steps: int = 0
     pretrain_lr: float = 3e-3
 
+    loss_base: float = 1.0
+    loss_sampler: float = 1.0
+    loss_lcm: float = 1.0
+    use_sampler: bool = True
+    gated: bool = True  # False: adapters on every row (the ablation mode)
+
+    eval_every: int = 0  # 0 disables periodic acceptance evals
+    eval_prompts: int = 4
+    eval_prompt_len: int = 8
+    eval_max_steps: int = 8
+
     divergence_factor: float = 10.0
     divergence_patience: int = 50
 
     def __post_init__(self):
+        if self.total_steps < 1 or self.batch_size < 1:
+            raise ValueError("total_steps and batch_size must be >= 1")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.sampler_prev_source != "gold":
-            raise ValueError(
-                "only gold (teacher-forced) sampler conditioning is implemented"
-            )
 
     def model_config(self, charset: str) -> ModelConfig:
         return ModelConfig(
             vocab_size=len(charset) + 3 + self.k_masks,
-            d_model=self.d_model,
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_ff=self.d_ff,
-            k_masks=self.k_masks,
-            lora_rank=self.lora_rank,
-            max_position=self.max_position,
-            tie_unembedding=self.tie_unembedding,
-            train_mask_embeddings=self.train_mask_embeddings,
+            **{name: getattr(self, name) for name in MODEL_FIELDS},
         )
 
     @property

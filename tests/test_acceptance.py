@@ -153,8 +153,8 @@ def test_criterion_5_rate_bounds(trained_full, dominance_rates):
     cfg = trained_full.model.config
     stream = greedy_autoregressive(trained_full.model, [cfg.first_mask_id - 1], 30)
 
-    def always_wrong(state, last_token, block_logits, block_hidden):
-        pos = len(state.verified)
+    def always_wrong(verified, last_token, block_logits, block_hidden):
+        pos = len(verified)
         truth = stream[pos] if pos < len(stream) else 0
         return [(truth + 1) % cfg.first_mask_id]
 

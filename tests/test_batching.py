@@ -95,11 +95,7 @@ def test_linear_input_rejects_excess_speculation():
 
 
 def test_quadratic_layout_k1():
-    batch = build_quadratic_inference_input([1, 2], [3], np.array([5]), cover_reject_first=False)
-    assert batch.tokens.tolist() == [1, 2, 3, 5]
-    assert allowed_set(batch, 2) == {0, 1, 2}
-    assert allowed_set(batch, 3) == {0, 1, 2, 3}
-    batch = build_quadratic_inference_input([1, 2], [3], np.array([5]), cover_reject_first=True)
+    batch = build_quadratic_inference_input([1, 2], [3], np.array([5]))
     assert batch.tokens.tolist() == [1, 2, 5, 3, 5]
     # Pre-block mask and chain block never see each other.
     assert allowed_set(batch, 2) == {0, 1, 2}
@@ -109,31 +105,33 @@ def test_quadratic_layout_k1():
 
 def test_quadratic_layout_k3_frozen_attention():
     verified = [1, 2, 3, 4]
-    batch = build_quadratic_inference_input(
-        verified, [7, 8, 9], np.array([10, 11, 12]), cover_reject_first=False
-    )
-    assert batch.size == 4 + 3 + 9
-    # Block 2's m_1 (row 9): all verified rows, s_1 (row 4), s_2 (row 8), itself.
-    assert batch.tokens[8:10].tolist() == [8, 10]
-    assert allowed_set(batch, 9) == {0, 1, 2, 3, 4, 8, 9}
+    batch = build_quadratic_inference_input(verified, [7, 8, 9], np.array([10, 11, 12]))
+    assert batch.size == 4 + 3 + 3 + 9
+    # The first block (rows 4-6) extends the last verified row; s_1 (row 7)
+    # never sees it.
+    assert allowed_set(batch, 6) == {0, 1, 2, 3, 4, 5, 6}
+    assert allowed_set(batch, 7) == {0, 1, 2, 3, 7}
+    # Block 2's m_1 (row 12): all verified rows, s_1 (row 7), s_2 (row 11), itself.
+    assert batch.tokens[11:13].tolist() == [8, 10]
+    assert allowed_set(batch, 12) == {0, 1, 2, 3, 7, 11, 12}
     # Positions: s_j continues the count; block masks continue their anchor.
-    assert batch.position_ids.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 5, 6, 7, 8, 6, 7, 8, 9]
+    assert batch.position_ids.tolist() == [
+        0, 1, 2, 3, 4, 5, 6, 4, 5, 6, 7, 5, 6, 7, 8, 6, 7, 8, 9
+    ]
 
 
 def test_quadratic_attention_is_lower_triangular_and_block_isolated():
     rng = np.random.default_rng(1)
-    for cover in (False, True):
-        batch = build_quadratic_inference_input(
-            rng.integers(0, 5, size=6).tolist(), [1, 2, 3], np.array([10, 11, 12]), cover
-        )
-        assert not np.triu(batch.attention_allowed, 1).any()
-        assert batch.attention_allowed.diagonal().all()
-        mask_rows = batch.mtp_rows
-        for r in mask_rows:
-            others = [m for m in mask_rows if batch.block_anchor[m] != batch.block_anchor[r]]
-            assert not batch.attention_allowed[r, others].any()
-        expected = 6 + 3 + 9 + (3 if cover else 0)
-        assert batch.size == expected
+    batch = build_quadratic_inference_input(
+        rng.integers(0, 5, size=6).tolist(), [1, 2, 3], np.array([10, 11, 12])
+    )
+    assert not np.triu(batch.attention_allowed, 1).any()
+    assert batch.attention_allowed.diagonal().all()
+    mask_rows = batch.mtp_rows
+    for r in mask_rows:
+        others = [m for m in mask_rows if batch.block_anchor[m] != batch.block_anchor[r]]
+        assert not batch.attention_allowed[r, others].any()
+    assert batch.size == 6 + 3 + 9 + 3
 
 
 def test_quadratic_rejects_wrong_speculation_length():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -91,3 +93,25 @@ def test_trainability_flags_restored(tmp_path):
     loaded, loaded_sampler, _ = load_checkpoint(path)
     assert {n for n, _ in loaded.trainable_params()} == {n for n, _ in model.trainable_params()}
     assert len(loaded_sampler.trainable_params()) == 6
+
+
+def test_legacy_switch_keys_load_only_when_on(tmp_path):
+    # Files written before the unembedding-tying and mask-row-training
+    # switches were removed still carry them in the header.
+    model, sampler = make_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path)
+    blob = path.read_bytes()
+    (count,) = struct.unpack_from("<I", blob, 8)  # header pairs follow the count
+    legacy = tmp_path / "legacy.ckpt"
+    for key in ("config.tie_unembedding", "config.train_mask_embeddings"):
+        for value in ("1", "0"):
+            pair = b"".join(struct.pack("<H", len(s)) + s.encode() for s in (key, value))
+            legacy.write_bytes(blob[:8] + struct.pack("<I", count + 1) + pair + blob[12:])
+            if value == "0":
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(legacy)
+                continue
+            loaded, _, _ = load_checkpoint(legacy)
+            for (name, a), (_, b) in zip(model.named_params(), loaded.named_params()):
+                assert np.array_equal(a.data, b.data), name

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -16,7 +17,7 @@ from specmtp.cli import (
 )
 from specmtp.model import init_model
 from specmtp.sampler import init_sampler
-from specmtp.training import checkpoint_meta
+from specmtp.training import CorpusSpec, TrainConfig, checkpoint_meta
 
 TINY_CONFIG = """
 [corpus]
@@ -41,6 +42,54 @@ warmup_steps = 0
 batch_size = 2
 learning_rate = 0.001
 pretrain_steps = 4
+"""
+
+# Every CorpusSpec and TrainConfig key, each away from its default.
+ALL_KEYS_CONFIG = """
+[corpus]
+task = arithmetic
+size = 10
+seed = 3
+seq_len = 20
+period = 3
+alphabet = xyz
+digits = 3
+path = notes.txt
+
+[model]
+d_model = 24
+n_layers = 3
+n_heads = 3
+d_ff = 48
+k_masks = 3
+lora_rank = 2
+max_position = 64
+
+[train]
+learning_rate = 0.005
+warmup_steps = 5
+total_steps = 50
+batch_size = 3
+weight_decay = 0.1
+beta1 = 0.8
+beta2 = 0.99
+adam_eps = 1e-06
+seed = 7
+pretrain_steps = 10
+pretrain_lr = 0.01
+eval_every = 5
+eval_prompts = 2
+eval_prompt_len = 6
+eval_max_steps = 4
+divergence_factor = 5.0
+divergence_patience = 9
+
+[loss]
+base = 0.5
+sampler = 0.25
+lcm = 2.0
+use_sampler = false
+gated = false
 """
 
 
@@ -78,6 +127,14 @@ def test_config_roundtrip():
     again = parse_config_text(render_config(cfg))
     assert again == cfg
 
+    full = parse_config_text(ALL_KEYS_CONFIG)
+    default = TrainConfig()
+    for f in fields(CorpusSpec):
+        assert getattr(full.corpus, f.name) != getattr(default.corpus, f.name), f.name
+    for f in fields(TrainConfig):
+        assert getattr(full, f.name) != getattr(default, f.name), f.name
+    assert parse_config_text(render_config(full)) == full
+
 
 def test_config_unknown_key_is_fatal():
     with pytest.raises(UsageError):
@@ -86,6 +143,10 @@ def test_config_unknown_key_is_fatal():
         parse_config_text("[optimizer]\nlr = 0.1\n")
     with pytest.raises(UsageError):
         parse_config_text("[loss]\nuse_sampler = maybe\n")
+    with pytest.raises(UsageError):
+        parse_config_text("[train]\ntotal_steps = 0\nwarmup_steps = 0\n")
+    with pytest.raises(UsageError):
+        parse_config_text("[train]\nbatch_size = 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +247,15 @@ def test_probe_command(trained_ckpt, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "median rank" in out
+
+
+def test_probe_k_beyond_masks_is_usage_error(untrained_ckpt, capsys):
+    code = main(
+        ["probe", "--ckpt", str(untrained_ckpt), "--prompt", "abcd", "--future", "abc",
+         "--k", "5"]
+    )
+    assert code == EXIT_USAGE
+    assert "k must be in 1..4" in capsys.readouterr().err
 
 
 def test_verify_untrained_checkpoint_exit_zero(untrained_ckpt, capsys):

@@ -86,23 +86,13 @@ def test_speculative_exactness_untrained_models():
                 assert 1.0 <= acceptance_rate(stats) <= k_eval + 1
 
 
-def test_speculative_exactness_with_cover_disabled():
-    model = make_model(7)
-    prompt = [1, 2, 3]
-    out, _ = speculative_decode(
-        model, None, prompt, 3, "quadratic", max_steps=8, cover_reject_first=False
-    )
-    ref = greedy_autoregressive(model, prompt, len(out) - len(prompt))
-    assert out == ref
-
-
 def test_adversarial_speculation_rate_exactly_one():
     model = make_model(3)
     prompt = [2, 4]
     stream = greedy_autoregressive(model, prompt, 40)
 
-    def always_wrong(state, last_token, block_logits, block_hidden):
-        pos = len(state.verified)
+    def always_wrong(verified, last_token, block_logits, block_hidden):
+        pos = len(verified)
         truth = stream[pos] if pos < len(stream) else 0
         return [(truth + 1) % CFG.first_mask_id]
 
@@ -119,8 +109,8 @@ def test_always_right_speculation_hits_upper_bound():
     k = 3
     stream = greedy_autoregressive(model, prompt, 60)
 
-    def oracle(state, last_token, block_logits, block_hidden):
-        pos = len(state.verified)
+    def oracle(verified, last_token, block_logits, block_hidden):
+        pos = len(verified)
         return stream[pos : pos + k]
 
     out, stats = speculative_decode(
@@ -146,8 +136,8 @@ def test_eos_truncates_inside_a_step():
     stream = greedy_autoregressive(model, prompt, 30)
     eos = stream[len(prompt) + 2]  # third generated token
 
-    def oracle(state, last_token, block_logits, block_hidden):
-        pos = len(state.verified)
+    def oracle(verified, last_token, block_logits, block_hidden):
+        pos = len(verified)
         return stream[pos : pos + 3]
 
     ref = greedy_autoregressive(model, prompt, 30, eos=eos)
@@ -217,13 +207,14 @@ def test_future_rank_probe_bounds():
     assert all(1 <= r <= CFG.vocab_size for r in ranks)
     with pytest.raises(ValueError):
         future_rank_probe(model, [1], [1, 2], 1)
+    with pytest.raises(ValueError):
+        future_rank_probe(model, [1, 2], [3], CFG.k_masks + 1)
 
 
 def test_per_step_emitted_length_bounds():
     model = make_model(25)
     k = 3
     out, stats = speculative_decode(model, None, [1, 2], k, "quadratic", max_steps=8)
-    # DecodeState trace is internal; recount from the histogram instead:
-    # every step emits accepted + 1 and accepted <= k.
+    # Every step emits accepted + 1 and accepted <= k.
     assert all(0 <= a <= k for a in stats.histogram)
     assert stats.generated == sum((a + 1) * n for a, n in stats.histogram.items())
