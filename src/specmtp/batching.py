@@ -2,9 +2,19 @@
 
 A training batch interleaves a block of mask tokens after every
 loss-bearing input token, so one pass answers "what comes after prefix i"
-for every i at once. Attention is restricted so that regular rows never
-see a mask row, which keeps their outputs identical to a plain causal
-pass, and so that mask blocks never see each other.
+for every i at once. Every layout here is a token list plus a gate
+(1 on mask rows), and one visibility rule gives all of them their
+positions, anchors and attention:
+
+- each mask block directly follows the regular row it extends (its anchor);
+- a regular row sees every earlier regular row and itself, never a mask;
+- a mask row sees every regular row up to its anchor, plus its own block
+  up to and including itself;
+- a row's position is the count of regular rows before its anchor, plus
+  its 1-based index in the block (0 on the anchor itself).
+
+So regular rows compute exactly what a plain causal pass computes, and
+mask blocks never see each other.
 """
 
 from __future__ import annotations
@@ -56,20 +66,27 @@ class MaskedBatch:
         return np.flatnonzero(self.block_anchor == anchor_row)
 
 
-def _finish(tokens, positions, gate, labels, allow_lists, anchors, prev, lcm_pairs):
-    t_len = len(tokens)
-    allowed = np.zeros((t_len, t_len), dtype=bool)
-    for i, cols in enumerate(allow_lists):
-        allowed[i, cols] = True
+def _layout(tokens, gate) -> MaskedBatch:
+    """Apply the module's visibility rule to a token list and its gate.
+
+    Row 0 must be regular. Labels and previous tokens come back unset
+    (IGNORE_ID / NO_TOKEN) and lcm_pairs empty.
+    """
+    gate = np.asarray(gate, dtype=np.int8)
+    regular = gate == 0
+    rows = np.arange(gate.shape[0])
+    block = np.cumsum(regular)
+    anchor = np.flatnonzero(regular)[block - 1]
+    allowed = np.tril(regular[None, :] | (block[:, None] == block[None, :]))
     return MaskedBatch(
         tokens=np.asarray(tokens, dtype=np.int64),
-        position_ids=np.asarray(positions, dtype=np.int64),
-        gate=np.asarray(gate, dtype=np.int8),
-        base_labels=np.asarray(labels, dtype=np.int64),
+        position_ids=block - 1 + rows - anchor,
+        gate=gate,
+        base_labels=np.full(rows.shape, IGNORE_ID, dtype=np.int64),
         attention_allowed=allowed,
-        block_anchor=np.asarray(anchors, dtype=np.int64),
-        lcm_pairs=lcm_pairs,
-        prev_token=np.asarray(prev, dtype=np.int64),
+        block_anchor=np.where(regular, NO_ANCHOR, anchor),
+        lcm_pairs=[],
+        prev_token=np.full(rows.shape, NO_TOKEN, dtype=np.int64),
     )
 
 
@@ -80,7 +97,9 @@ def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
     carry a next-token label and (if it is not the last token) spawns a
     mask block. Labels: row of x_i predicts x_(i+1); mask m_j of the block
     after x_i predicts x_(i+1+j); IGNORE where the target does not exist
-    or the loss is off.
+    or the loss is off. prev_token is x_i on the row of x_i and x_(i+j) on
+    m_j (NO_TOKEN past the end). lcm_pairs couples m_j after x_i with the
+    row of x_(i+j), which shares its target, when both labels are live.
     """
     seq = np.asarray(seq, dtype=np.int64)
     flags = np.asarray(loss_flags, dtype=np.int64)
@@ -93,50 +112,30 @@ def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
     if k < 1:
         raise ValueError("need at least one mask id")
 
-    tokens, positions, gate, labels, prev, anchors = [], [], [], [], [], []
-    allow_lists: list[list[int]] = []
-    ntp_row = np.zeros(n + 1, dtype=np.int64)  # 1-based token index -> row
-    lcm_pairs: list[tuple[int, int]] = []
-    mask_row_of: dict[tuple[int, int], int] = {}  # (block i, j) -> row
-
-    for i in range(1, n + 1):  # 1-based over tokens
-        row = len(tokens)
-        ntp_row[i] = row
-        tokens.append(seq[i - 1])
-        positions.append(i - 1)
+    tokens: list[int] = []
+    gate: list[int] = []
+    for p in range(n):
+        tokens.append(seq[p])
         gate.append(0)
-        has_label = i < n and flags[i - 1] == 1
-        labels.append(seq[i] if has_label else IGNORE_ID)
-        prev.append(seq[i - 1])
-        anchors.append(NO_ANCHOR)
-        allow_lists.append([ntp_row[t] for t in range(1, i + 1)])
+        if flags[p] == 1 and p < n - 1:
+            tokens.extend(mask_ids)
+            gate.extend([1] * k)
+    batch = _layout(tokens, gate)
 
-        if flags[i - 1] == 1 and i < n:
-            block_start = len(tokens)
-            for j in range(1, k + 1):
-                mrow = len(tokens)
-                mask_row_of[(i, j)] = mrow
-                tokens.append(mask_ids[j - 1])
-                positions.append((i - 1) + j)
-                gate.append(1)
-                target = i + 1 + j  # 1-based index of the predicted token
-                labels.append(seq[target - 1] if target <= n else IGNORE_ID)
-                prev.append(seq[i + j - 1] if i + j <= n else NO_TOKEN)
-                anchors.append(ntp_row[i])
-                allow_lists.append(
-                    [ntp_row[t] for t in range(1, i + 1)]
-                    + list(range(block_start, mrow + 1))
-                )
-
-    # Consistency couples: mask m_j after x_i shares its target with the
-    # regular row of x_(i+j); pair them when both rows carry a live label.
-    for (i, j), mrow in sorted(mask_row_of.items()):
-        if i + j <= n:
-            arow = int(ntp_row[i + j])
-            if labels[mrow] != IGNORE_ID and labels[arow] != IGNORE_ID:
-                lcm_pairs.append((mrow, arow))
-
-    return _finish(tokens, positions, gate, labels, allow_lists, anchors, prev, lcm_pairs)
+    # A row at position p predicts x[p+1] and follows x[p] (0-based).
+    for row, (p, g) in enumerate(zip(batch.position_ids.tolist(), gate)):
+        if p + 1 < n and (g == 1 or flags[p] == 1):
+            batch.base_labels[row] = seq[p + 1]
+        if p < n:
+            batch.prev_token[row] = seq[p]
+    # A mask row shares its target with the regular row at its position.
+    labels, ntp_rows = batch.base_labels, batch.ntp_rows
+    for row in batch.mtp_rows.tolist():
+        if labels[row] != IGNORE_ID:
+            arow = int(ntp_rows[batch.position_ids[row]])
+            if labels[arow] != IGNORE_ID:
+                batch.lcm_pairs.append((row, arow))
+    return batch
 
 
 def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
@@ -155,16 +154,7 @@ def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
         raise ValueError("more speculated tokens than masks")
 
     real = verified + speculated
-    tokens = real + list(mask_ids)
-    t_len = len(tokens)
-    positions = list(range(t_len))
-    gate = [0] * len(real) + [1] * k
-    labels = [IGNORE_ID] * t_len
-    prev = [NO_TOKEN] * t_len
-    last_real = len(real) - 1
-    anchors = [NO_ANCHOR] * len(real) + [last_real] * k
-    allow_lists = [list(range(i + 1)) for i in range(t_len)]
-    return _finish(tokens, positions, gate, labels, allow_lists, anchors, prev, [])
+    return _layout(real + list(mask_ids), [0] * len(real) + [1] * k)
 
 
 def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
@@ -185,51 +175,15 @@ def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBat
     if len(speculated) != k:
         raise ValueError(f"quadratic layout needs exactly {k} speculated tokens")
 
-    n_ver = len(verified)
-    tokens = list(verified)
-    positions = list(range(n_ver))
-    gate = [0] * n_ver
-    anchors = [NO_ANCHOR] * n_ver
-    allow_lists = [list(range(i + 1)) for i in range(n_ver)]
-    chain_rows = [n_ver - 1]  # chain position 0 is the last verified token
-
-    def emit_block(anchor_row: int, anchor_pos: int, visible: list[int]):
-        start = len(tokens)
-        for l in range(1, k + 1):
-            tokens.append(mask_ids[l - 1])
-            positions.append(anchor_pos + l)
-            gate.append(1)
-            anchors.append(anchor_row)
-            allow_lists.append(visible + list(range(start, start + l)))
-
-    emit_block(n_ver - 1, n_ver - 1, list(range(n_ver)))
-
-    for j, tok in enumerate(speculated, start=1):
-        row = len(tokens)
-        tokens.append(tok)
-        positions.append(n_ver - 1 + j)
-        gate.append(0)
-        anchors.append(NO_ANCHOR)
-        allow_lists.append(list(range(n_ver)) + chain_rows[1:] + [row])
-        chain_rows.append(row)
-        emit_block(row, n_ver - 1 + j, list(range(n_ver)) + chain_rows[1:])
-
-    labels = [IGNORE_ID] * len(tokens)
-    prev = [NO_TOKEN] * len(tokens)
-    return _finish(tokens, positions, gate, labels, allow_lists, anchors, prev, [])
+    tokens = verified + list(mask_ids)
+    gate = [0] * len(verified) + [1] * k
+    for tok in speculated:
+        tokens += [tok] + list(mask_ids)
+        gate += [0] + [1] * k
+    return _layout(tokens, gate)
 
 
 def causal_rows(tokens) -> MaskedBatch:
     """Plain causal layout over real tokens: the reference configuration."""
     tokens = list(tokens)
-    t_len = len(tokens)
-    return _finish(
-        tokens,
-        list(range(t_len)),
-        [0] * t_len,
-        [IGNORE_ID] * t_len,
-        [list(range(i + 1)) for i in range(t_len)],
-        [NO_ANCHOR] * t_len,
-        [NO_TOKEN] * t_len,
-        [],
-    )
+    return _layout(tokens, [0] * len(tokens))

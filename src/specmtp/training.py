@@ -117,6 +117,10 @@ class CorpusSpec:
     digits: int = 2  # arithmetic task
     path: str = ""  # file task
 
+    def __post_init__(self):
+        if self.size < 1 or self.period < 1:
+            raise ValueError("corpus size and period must be >= 1")
+
     def charset(self) -> str:
         if self.task == "pattern":
             return self.alphabet

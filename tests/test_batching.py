@@ -3,6 +3,7 @@ import pytest
 
 from specmtp.batching import (
     NO_ANCHOR,
+    NO_TOKEN,
     build_linear_inference_input,
     build_quadratic_inference_input,
     build_training_batch,
@@ -137,6 +138,78 @@ def test_quadratic_attention_is_lower_triangular_and_block_isolated():
 def test_quadratic_rejects_wrong_speculation_length():
     with pytest.raises(ValueError):
         build_quadratic_inference_input([1], [2], np.array([5, 6]))
+
+
+def _check_visibility(batch):
+    """Walk the rows and check the visibility rule with plain sets."""
+    regular_seen: list[int] = []
+    anchor, block = None, []
+    for r in range(batch.size):
+        seen = allowed_set(batch, r)
+        assert max(seen) == r  # sees itself, never a later row
+        if batch.gate[r] == 0:
+            assert seen == set(regular_seen) | {r}
+            assert batch.position_ids[r] == len(regular_seen)
+            assert batch.block_anchor[r] == NO_ANCHOR
+            regular_seen.append(r)
+            anchor, block = r, []
+        else:
+            block.append(r)
+            assert seen == set(regular_seen) | set(block)
+            assert batch.block_anchor[r] == anchor
+            assert batch.position_ids[r] == batch.position_ids[anchor] + len(block)
+
+
+def test_random_layouts_follow_the_visibility_rule():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        masks = np.arange(40, 40 + k)
+        mask_block = masks.tolist()
+
+        n = int(rng.integers(2, 12))
+        seq = rng.integers(0, 30, size=n).tolist()
+        flags = rng.integers(0, 2, size=n).tolist()
+        batch = build_training_batch(seq, flags, masks)
+        _check_visibility(batch)
+        expect_tokens, rows = [], {}  # rows[(i, j)]: row of m_j after x_i; j = 0 is x_i
+        for i in range(1, n + 1):
+            rows[(i, 0)] = len(expect_tokens)
+            expect_tokens.append(seq[i - 1])
+            if flags[i - 1] == 1 and i < n:
+                for j in range(1, k + 1):
+                    rows[(i, j)] = len(expect_tokens)
+                    expect_tokens.append(mask_block[j - 1])
+        assert batch.tokens.tolist() == expect_tokens
+        labels = [IGNORE_ID] * batch.size
+        prev = [NO_TOKEN] * batch.size
+        for (i, j), r in rows.items():
+            live = i + 1 + j <= n and (j > 0 or flags[i - 1] == 1)
+            labels[r] = seq[i + j] if live else IGNORE_ID
+            prev[r] = seq[i + j - 1] if i + j <= n else NO_TOKEN
+        assert batch.base_labels.tolist() == labels
+        assert batch.prev_token.tolist() == prev
+        pairs = [
+            (r, rows[(i + j, 0)]) for (i, j), r in sorted(rows.items())
+            if j > 0 and labels[r] != IGNORE_ID and labels[rows[(i + j, 0)]] != IGNORE_ID
+        ]
+        assert batch.lcm_pairs == pairs
+
+        verified = rng.integers(0, 30, size=int(rng.integers(1, 10))).tolist()
+        spec = rng.integers(0, 30, size=int(rng.integers(0, k + 1))).tolist()
+        linear = build_linear_inference_input(verified, spec, masks)
+        assert linear.tokens.tolist() == verified + spec + mask_block
+        spec = rng.integers(0, 30, size=k).tolist()
+        quadratic = build_quadratic_inference_input(verified, spec, masks)
+        chain = [tok for s in spec for tok in [s] + mask_block]
+        assert quadratic.tokens.tolist() == verified + mask_block + chain
+        causal = causal_rows(verified + spec)
+        assert not causal.gate.any()
+        for batch in (linear, quadratic, causal):
+            _check_visibility(batch)
+            assert np.all(batch.base_labels == IGNORE_ID)
+            assert np.all(batch.prev_token == NO_TOKEN)
+            assert batch.lcm_pairs == []
 
 
 # ---------------------------------------------------------------------------

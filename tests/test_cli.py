@@ -147,6 +147,10 @@ def test_config_unknown_key_is_fatal():
         parse_config_text("[train]\ntotal_steps = 0\nwarmup_steps = 0\n")
     with pytest.raises(UsageError):
         parse_config_text("[train]\nbatch_size = 0\n")
+    with pytest.raises(UsageError):
+        parse_config_text("[corpus]\nsize = 0\n")
+    with pytest.raises(UsageError):
+        parse_config_text("[corpus]\nperiod = 0\n")
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +171,15 @@ def test_gen_data_arithmetic_recompute(tmp_path):
         lhs, ans = body.split("=")
         a, b = lhs.split("+")
         assert int(a) + int(b) == int(ans)
+
+
+@pytest.mark.parametrize("flag", ["--size", "--period"])
+def test_gen_data_zero_size_or_period_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "corpus.json"
+    code = main(["gen-data", "--task", "pattern", flag, "0", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "size and period must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_run_dir_and_reproducible_metrics(tmp_path, capsys):
