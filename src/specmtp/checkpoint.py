@@ -107,8 +107,16 @@ def _config_from_kv(kv: dict[str, str]) -> ModelConfig:
         key = f"config.{name}"
         if key not in kv:
             raise CheckpointError(f"checkpoint header missing {key}")
-        args[name] = int(kv[key])
-    return ModelConfig(**args)
+        try:
+            args[name] = int(kv[key])
+        except ValueError:
+            raise CheckpointError(f"checkpoint header {key} = {kv[key]!r} is not an integer") from None
+    # The payload digest does not cover the header, so a bad size here means
+    # a corrupt file, not a usage error.
+    try:
+        return ModelConfig(**args)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from exc
 
 
 def load_checkpoint(

@@ -172,6 +172,8 @@ def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: 
         if not prompts:
             raise UsageError(f"no prompts in {suite}")
         return prompts[:count] if count else prompts
+    if count < 1:
+        raise UsageError("--prompts must be >= 1 for a generated suite")
     if suite == "random":
         for _ in range(count):
             chars = rng.integers(0, len(vocab.charset), size=prompt_len)

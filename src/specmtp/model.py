@@ -51,8 +51,14 @@ class ModelConfig:
     max_position: int = 512
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError("n_heads must be >= 1")
+        if self.d_model < 2 or self.d_model % 2:
+            raise ValueError("d_model must be a positive even number")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.max_position < 1:
+            raise ValueError("max_position must be >= 1")
         if self.k_masks < 1:
             raise ValueError("k_masks must be >= 1")
         if self.lora_rank < 0:

@@ -3,13 +3,22 @@
 Small on purpose: 1-D/2-D float arrays, a handful of ops sufficient for a
 decoder-only transformer, and an explicit tape. No broadcasting beyond
 row-wise bias/gain. Float32 by default, float64 for gradient checking via
-`precision("float64")`.
+`precision("float64")`. The default dtype and the active tape are held per
+context, so each thread has its own.
+
+Every value is checked once, where it is made. `Tensor(...)` takes data
+from outside the engine and rejects NaN and +inf (-inf is the softmax
+exclusion sentinel). Op outputs skip that scan (`_out`): an op that
+computes values rejects a non-finite output and names itself; one that
+only moves checked values (transpose, reshape, take_rows, col_slice,
+concat_cols, concat_rows, detach) checks nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -23,30 +32,28 @@ class NumericsError(ValueError):
 # -----------------------------------------------------------------------------
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
-_default_dtype = np.float32
+_default_dtype: ContextVar[type] = ContextVar("default_dtype", default=np.float32)
 
 
 def set_default_dtype(name: str) -> None:
-    global _default_dtype
     if name not in _DTYPES:
         raise NumericsError(f"unsupported dtype {name!r}")
-    _default_dtype = _DTYPES[name]
+    _default_dtype.set(_DTYPES[name])
 
 
 def default_dtype() -> type:
-    return _default_dtype
+    return _default_dtype.get()
 
 
 @contextmanager
 def precision(name: str):
     """Temporarily switch the default dtype ('float32' or 'float64')."""
-    global _default_dtype
-    saved = _default_dtype
+    saved = _default_dtype.get()
     set_default_dtype(name)
     try:
         yield
     finally:
-        _default_dtype = saved
+        _default_dtype.set(saved)
 
 
 def derive_rng(master_seed: int, name: str) -> np.random.Generator:
@@ -78,14 +85,12 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(_default_dtype.get())
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
         self._node = False
-        # -inf is admitted at construction: it is the explicit exclusion
-        # sentinel for softmax inputs. NaN and +inf are always errors.
         if np.isnan(arr).any() or np.isposinf(arr).any():
             raise NumericsError("NaN or +inf in tensor init")
 
@@ -109,7 +114,7 @@ class Tape:
 
     Use as a context manager around forward code; ops executed while the
     tape is active are recorded when any input is tracked. One tape per
-    thread of execution.
+    context (each thread has its own).
     """
 
     def __init__(self):
@@ -119,23 +124,27 @@ class Tape:
         return len(self._entries)
 
     def __enter__(self) -> "Tape":
-        global _active_tape
-        if _active_tape is not None:
+        if _active_tape.get() is not None:
             raise NumericsError("nested tapes are not supported")
-        _active_tape = self
+        _active_tape.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _active_tape
-        _active_tape = None
+        _active_tape.set(None)
 
 
-_active_tape: Tape | None = None
+_active_tape: ContextVar[Tape | None] = ContextVar("active_tape", default=None)
 
 
-def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def _out(data, op: str = "") -> Tensor:
+    """An op's output, made without `Tensor.__init__`'s scan. `op` names an
+    op that computed `data`; one that only moves checked values passes none."""
+    data = np.asarray(data)
+    if op and not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by {op}")
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out.name, out._node = data, None, False, "", False
+    return out
 
 
 def _tracked(t) -> bool:
@@ -149,7 +158,7 @@ def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     pass `g` itself through to at most one input; all other returned arrays
     must be freshly allocated.
     """
-    tape = _active_tape
+    tape = _active_tape.get()
     if tape is not None and any(_tracked(t) for t in inputs):
         tape._entries.append((out, inputs, backward_fn))
         out._node = True
@@ -201,8 +210,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a (m, p) @ b (p, n) -> (m, n)."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise NumericsError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
+    out = _out(a.data @ b.data, "matmul")
 
     def bw(g, ad=a.data, bd=b.data):
         return g @ bd.T, ad.T @ g
@@ -214,8 +222,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """x (T, in) @ w.T for w (out, in) -> (T, out)."""
     if x.data.shape[1] != w.data.shape[1]:
         raise NumericsError(f"linear shape mismatch {x.shape} x {w.shape}")
-    out = Tensor(x.data @ w.data.T)
-    _check_finite(out.data, "linear")
+    out = _out(x.data @ w.data.T, "linear")
 
     def bw(g, xd=x.data, wd=w.data):
         return g @ wd, g.T @ xd
@@ -224,7 +231,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    out = Tensor(np.ascontiguousarray(x.data.T))
+    out = _out(np.ascontiguousarray(x.data.T))
 
     def bw(g):
         return (np.ascontiguousarray(g.T),)
@@ -233,7 +240,7 @@ def transpose(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape))
+    out = _out(x.data.reshape(shape))
 
     def bw(g, s=x.data.shape):
         return (g.reshape(s),)
@@ -244,8 +251,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; b may be a 1-D row bias against 2-D a."""
     _check_rowwise(a, b, "add")
-    out = Tensor(a.data + b.data)
-    _check_finite(out.data, "add")
+    out = _out(a.data + b.data, "add")
 
     def bw(g, bshape=b.data.shape):
         gb = g.sum(axis=0) if g.ndim == 2 and len(bshape) == 1 else g.copy()
@@ -256,8 +262,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_rowwise(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
+    out = _out(a.data - b.data, "sub")
 
     def bw(g, bshape=b.data.shape):
         gb = g.sum(axis=0) if g.ndim == 2 and len(bshape) == 1 else g.copy()
@@ -270,8 +275,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of equal-shape tensors."""
     if a.data.shape != b.data.shape:
         raise NumericsError(f"mul shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data)
-    _check_finite(out.data, "mul")
+    out = _out(a.data * b.data, "mul")
 
     def bw(g, ad=a.data, bd=b.data):
         return g * bd, g * ad
@@ -280,8 +284,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-    _check_finite(out.data, "scale")
+    out = _out(x.data * c, "scale")
 
     def bw(g, c=c):
         return (g * c,)
@@ -301,8 +304,7 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     xd = x.data
     s = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-    out = Tensor(x.data * s)
-    _check_finite(out.data, "silu")
+    out = _out(x.data * s, "silu")
 
     def bw(g, xd=x.data, s=s):
         return (g * (s + xd * s * (1.0 - s)),)
@@ -318,8 +320,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = x.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    _check_finite(out.data, "layer_norm")
+    out = _out(xhat * gain.data + bias.data, "layer_norm")
 
     def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=x.data.shape[1]):
         dxhat = g * gd
@@ -339,11 +340,8 @@ def _softmax_core(xd: np.ndarray, allowed: np.ndarray | None):
     else:
         masked = np.where(allowed, xd, -np.inf)
     m = masked.max(axis=-1, keepdims=True)
-    if not np.all(np.isfinite(m)):
-        raise NumericsError("softmax row with no admissible entries")
     e = np.exp(masked - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return p
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_rows(x: Tensor) -> Tensor:
@@ -351,8 +349,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     xd = x.data
     excluded = np.isneginf(xd)
     p = _softmax_core(xd, ~excluded if excluded.any() else None)
-    out = Tensor(p)
-    _check_finite(out.data, "softmax_rows")
+    out = _out(p, "softmax_rows")
 
     def bw(g, p=p):
         return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
@@ -369,8 +366,7 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     if allowed.shape != x.data.shape:
         raise NumericsError("masked_softmax_rows mask shape mismatch")
     p = _softmax_core(x.data, allowed.astype(bool))
-    out = Tensor(p)
-    _check_finite(out.data, "masked_softmax_rows")
+    out = _out(p, "masked_softmax_rows")
 
     def bw(g, p=p):
         return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
@@ -383,7 +379,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
         raise NumericsError("take_rows index out of range")
-    out = Tensor(x.data[idx])
+    out = _out(x.data[idx])
 
     def bw(g, idx=idx, shape=x.data.shape, dtype=x.data.dtype):
         gx = np.zeros(shape, dtype=dtype)
@@ -400,8 +396,7 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
         raise NumericsError("row_scatter_add shape mismatch")
     out_data = base.data.copy()
     out_data[idx] += delta.data
-    out = Tensor(out_data)
-    _check_finite(out.data, "row_scatter_add")
+    out = _out(out_data, "row_scatter_add")
 
     def bw(g, idx=idx):
         return g, g[idx].copy()
@@ -410,7 +405,7 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
 
 
 def col_slice(x: Tensor, j0: int, j1: int) -> Tensor:
-    out = Tensor(x.data[:, j0:j1].copy())
+    out = _out(x.data[:, j0:j1].copy())
 
     def bw(g, j0=j0, j1=j1, shape=x.data.shape, dtype=x.data.dtype):
         gx = np.zeros(shape, dtype=dtype)
@@ -421,7 +416,7 @@ def col_slice(x: Tensor, j0: int, j1: int) -> Tensor:
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    out = _out(np.concatenate([p.data for p in parts], axis=1))
     widths = [p.data.shape[1] for p in parts]
 
     def bw(g, widths=widths):
@@ -435,7 +430,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    out = _out(np.concatenate([p.data for p in parts], axis=0))
     heights = [p.data.shape[0] for p in parts]
 
     def bw(g, heights=heights):
@@ -466,14 +461,13 @@ def cross_entropy(logits: Tensor, labels, ignore_id: int = IGNORE_ID) -> Tensor:
         if picked.min() < 0 or picked.max() >= logits.data.shape[1]:
             raise NumericsError("cross_entropy label out of range")
     else:
-        return Tensor(np.zeros((), dtype=logits.data.dtype))
+        return _out(np.zeros((), dtype=logits.data.dtype))
     rows = np.flatnonzero(valid)
     ld = logits.data[rows]
     m = ld.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(ld - m).sum(axis=1))
     losses = lse - ld[np.arange(rows.size), labels[rows]]
-    out = Tensor(np.asarray(losses.mean(), dtype=logits.data.dtype))
-    _check_finite(out.data, "cross_entropy")
+    out = _out(np.asarray(losses.mean(), dtype=logits.data.dtype), "cross_entropy")
 
     def bw(g, ld=ld, rows=rows, picked=labels[rows], shape=logits.data.shape):
         p = np.exp(ld - ld.max(axis=1, keepdims=True))
@@ -487,7 +481,7 @@ def cross_entropy(logits: Tensor, labels, ignore_id: int = IGNORE_ID) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.data.dtype))
+    out = _out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all")
 
     def bw(g, shape=x.data.shape, dtype=x.data.dtype):
         return (np.full(shape, g, dtype=dtype),)
@@ -497,7 +491,7 @@ def sum_all(x: Tensor) -> Tensor:
 
 def mean_axis1(x: Tensor) -> Tensor:
     """Row means: (T, d) -> (T,)."""
-    out = Tensor(x.data.mean(axis=1))
+    out = _out(x.data.mean(axis=1), "mean_axis1")
 
     def bw(g, shape=x.data.shape, dtype=x.data.dtype):
         return (np.repeat(g[:, None] / shape[1], shape[1], axis=1).astype(dtype),)
@@ -510,7 +504,7 @@ def dot_const(x: Tensor, w: np.ndarray) -> Tensor:
     w = np.asarray(w, dtype=x.data.dtype)
     if w.shape != x.data.shape:
         raise NumericsError("dot_const shape mismatch")
-    out = Tensor(np.asarray(x.data @ w, dtype=x.data.dtype))
+    out = _out(np.asarray(x.data @ w, dtype=x.data.dtype), "dot_const")
 
     def bw(g, w=w):
         return (g * w,)
@@ -520,7 +514,7 @@ def dot_const(x: Tensor, w: np.ndarray) -> Tensor:
 
 def detach(x: Tensor) -> Tensor:
     """Copy of x cut out of the graph; gradients stop here."""
-    return Tensor(x.data)
+    return _out(x.data)
 
 
 # -----------------------------------------------------------------------------

@@ -294,6 +294,9 @@ class TrainConfig:
             raise ValueError("warmup_steps must not exceed total_steps")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        # Building the ModelConfig checks the model sizes. The charset only
+        # adds to vocab_size, whose check any charset passes, so none is read.
+        self.model_config("")
 
     def model_config(self, charset: str) -> ModelConfig:
         return ModelConfig(

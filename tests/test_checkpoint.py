@@ -5,6 +5,7 @@ import pytest
 
 from specmtp.batching import causal_rows
 from specmtp.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from specmtp.cli import EXIT_IO, main
 from specmtp.model import ModelConfig, forward, init_model
 from specmtp.sampler import init_sampler
 
@@ -115,3 +116,20 @@ def test_legacy_switch_keys_load_only_when_on(tmp_path):
             loaded, _, _ = load_checkpoint(legacy)
             for (name, a), (_, b) in zip(model.named_params(), loaded.named_params()):
                 assert np.array_equal(a.data, b.data), name
+
+
+@pytest.mark.parametrize("value", ["xx", "15"])
+def test_corrupt_header_value_is_checkpoint_error(tmp_path, capsys, value):
+    # The payload digest does not cover the header, so only the header
+    # parse can catch a bad model size.
+    model, sampler = make_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path, extra_meta={"charset": "abcdefgh"})
+    field = b"".join(struct.pack("<H", len(s)) + s.encode() for s in ("config.d_model", "16"))
+    blob = path.read_bytes()
+    assert blob.count(field) == 1
+    path.write_bytes(blob.replace(field, field[:-2] + value.encode()))
+    with pytest.raises(CheckpointError, match="d_model"):
+        load_checkpoint(path)
+    assert main(["decode", "--ckpt", str(path), "--prompt", "ab"]) == EXIT_IO
+    assert "d_model" in capsys.readouterr().err

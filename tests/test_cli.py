@@ -151,6 +151,14 @@ def test_config_unknown_key_is_fatal():
         parse_config_text("[corpus]\nsize = 0\n")
     with pytest.raises(UsageError):
         parse_config_text("[corpus]\nperiod = 0\n")
+    for model, field in (
+        ("n_heads = 0", "n_heads"),
+        ("d_model = 0", "d_model"),
+        ("d_model = 15\nn_heads = 3", "d_model"),
+        ("max_position = 0", "max_position"),
+    ):
+        with pytest.raises(UsageError, match=field):
+            parse_config_text(f"[model]\n{model}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +286,13 @@ def test_verify_untrained_checkpoint_exit_zero(untrained_ckpt, capsys):
     )
     assert code == EXIT_OK
     assert "match greedy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_empty_generated_suite_is_usage_error(untrained_ckpt, capsys, command):
+    code = main([command, "--ckpt", str(untrained_ckpt), "--suite", "random", "--prompts", "0"])
+    assert code == EXIT_USAGE
+    assert "--prompts must be >= 1" in capsys.readouterr().err
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

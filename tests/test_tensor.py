@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from specmtp.tensor import (
     softmax_rows,
     sum_all,
 )
+
+BIG = np.finfo(np.float64).max
 
 
 def test_matmul_identity():
@@ -241,6 +245,92 @@ def test_finite_diff_catches_corrupted_gradient():
 def test_nan_rejected():
     with pytest.raises(NumericsError):
         Tensor(np.array([np.nan]))
+
+
+def _big(*shape):
+    return Tensor(np.full(shape, BIG))
+
+
+# Each op that computes values, fed inputs whose result is not finite.
+# Softmax and silu cannot overflow: a softmax row with nothing admissible
+# comes out NaN, and so does silu of -inf.
+OVERFLOWS = {
+    "matmul": lambda: tz.matmul(_big(1, 2), _big(2, 1)),
+    "linear": lambda: tz.linear(_big(1, 2), _big(3, 2)),
+    "add": lambda: tz.add(_big(2, 2), _big(2)),
+    "sub": lambda: tz.sub(_big(2, 2), Tensor(np.full((2, 2), -BIG))),
+    "mul": lambda: tz.mul(_big(2, 2), _big(2, 2)),
+    "scale": lambda: tz.scale(_big(2, 2), 2.0),
+    "silu": lambda: tz.silu(Tensor(np.full((1, 2), -np.inf))),
+    "layer_norm": lambda: tz.layer_norm(Tensor([[1.0, -1.0]]), _big(2), _big(2)),
+    "softmax_rows": lambda: tz.softmax_rows(Tensor(np.full((2, 3), -np.inf))),
+    "masked_softmax_rows": lambda: tz.masked_softmax_rows(
+        Tensor(np.zeros((2, 3))), np.array([[True, False, False], [False] * 3])
+    ),
+    "row_scatter_add": lambda: tz.row_scatter_add(_big(3, 2), np.array([1]), _big(1, 2)),
+    "cross_entropy": lambda: tz.cross_entropy(Tensor([[BIG, -BIG]]), np.array([1])),
+    "sum_all": lambda: tz.sum_all(_big(2, 2)),
+    "mean_axis1": lambda: tz.mean_axis1(_big(2, 2)),
+    "dot_const": lambda: tz.dot_const(_big(2), np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+def test_computing_op_rejects_non_finite_output_by_name(op):
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {op}$"):
+        OVERFLOWS[op]()
+
+
+def test_neg_inf_moves_unchecked_but_is_never_computed_on():
+    # -inf is the exclusion sentinel: ops that move it pass it through,
+    # softmax gives it weight exactly 0, and a computing op rejects it.
+    leaf = Tensor([[0.0, -np.inf], [1.0, 2.0]])
+    moved = tz.take_rows(tz.transpose(leaf), np.array([1, 0]))
+    assert np.array_equal(moved.data, [[-np.inf, 2.0], [0.0, 1.0]])
+    p = softmax_rows(moved)
+    assert p.data[0, 0] == 0.0
+    assert p.data[0, 1] == 1.0
+    with pytest.raises(NumericsError, match="produced by sum_all$"):
+        sum_all(leaf)
+
+
+def test_tape_and_precision_are_per_thread():
+    # Two threads each hold their own dtype and their own open tape at the
+    # same time; neither sees the other's.
+    barrier = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def work(dtype):
+        try:
+            with precision(dtype):
+                barrier.wait()
+                with Tape() as tape:
+                    barrier.wait()
+                    w = Tensor([[1, 2], [3, 4]], requires_grad=True)
+                    loss = sum_all(tz.mul(w, w))
+                    seen = tz.default_dtype()
+                    barrier.wait()
+                backward(tape, loss)
+            results[dtype] = (seen, w.data.dtype, len(tape), w.grad)
+        except Exception as exc:  # reported below, from the main thread
+            barrier.abort()
+            results[dtype] = exc
+
+    threads = [threading.Thread(target=work, args=(d,)) for d in ("float32", "float64")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for dtype in ("float32", "float64"):
+        if isinstance(results[dtype], Exception):
+            raise results[dtype]
+        seen, data_dtype, entries, grad = results[dtype]
+        assert seen is getattr(np, dtype)
+        assert data_dtype == getattr(np, dtype)
+        assert entries == 2
+        assert np.array_equal(grad, [[2, 4], [6, 8]])
+    assert tz.default_dtype() is np.float32
 
 
 def test_derive_rng_deterministic_and_name_sensitive():
