@@ -163,6 +163,8 @@ def _load(ckpt_path: str):
 def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: int):
     """Prompt id-lists for bench/verify. `suite` is random, pattern,
     arithmetic, or a path to a text file with one prompt per line."""
+    if count < 0:
+        raise UsageError("--prompts must be >= 0")
     rng = derive_rng(seed, f"suite.{suite}")
     prompts = []
     if Path(suite).is_file():

@@ -17,15 +17,14 @@ from .tensor import (
     NumericsError,
     Tensor,
     add,
-    concat_cols,
     concat_rows,
-    col_slice,
     default_dtype,
     derive_rng,
     layer_norm,
     linear,
     masked_softmax_rows,
     matmul,
+    reshape,
     row_scatter_add,
     scale,
     silu,
@@ -57,6 +56,8 @@ class ModelConfig:
             raise ValueError("d_model must be a positive even number")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.d_ff < 1:
+            raise ValueError("d_ff must be >= 1")
         if self.max_position < 1:
             raise ValueError("max_position must be >= 1")
         if self.k_masks < 1:
@@ -291,21 +292,16 @@ def forward(
 
     head_dim = c.d_model // c.n_heads
     inv_sqrt = 1.0 / np.sqrt(head_dim)
+    split = (t_len, c.n_heads, head_dim)
     for lw in model.layers:
         h = layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q = gated_lora_apply(lw.attn_q, h, gate)
-        k = gated_lora_apply(lw.attn_k, h, gate)
-        v = gated_lora_apply(lw.attn_v, h, gate)
-        heads = []
-        for hi in range(c.n_heads):
-            j0, j1 = hi * head_dim, (hi + 1) * head_dim
-            qh = col_slice(q, j0, j1)
-            kh = col_slice(k, j0, j1)
-            vh = col_slice(v, j0, j1)
-            scores = scale(matmul(qh, transpose(kh)), inv_sqrt)
-            weights = masked_softmax_rows(scores, allowed)
-            heads.append(matmul(weights, vh))
-        attn = gated_lora_apply(lw.attn_o, concat_cols(heads), gate)
+        # Every head at once: q and v as (H, T, d_h), k as (H, d_h, T).
+        q = transpose(reshape(gated_lora_apply(lw.attn_q, h, gate), split), (1, 0, 2))
+        k = transpose(reshape(gated_lora_apply(lw.attn_k, h, gate), split), (1, 2, 0))
+        v = transpose(reshape(gated_lora_apply(lw.attn_v, h, gate), split), (1, 0, 2))
+        weights = masked_softmax_rows(scale(matmul(q, k), inv_sqrt), allowed)
+        heads = reshape(transpose(matmul(weights, v), (1, 0, 2)), (t_len, c.d_model))
+        attn = gated_lora_apply(lw.attn_o, heads, gate)
         x = add(x, attn)
         h2 = layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         ff = gated_lora_apply(lw.ff_out, silu(gated_lora_apply(lw.ff_in, h2, gate)), gate)

@@ -1,17 +1,20 @@
 """Dense tensors with reverse-mode autodiff.
 
-Small on purpose: 1-D/2-D float arrays, a handful of ops sufficient for a
-decoder-only transformer, and an explicit tape. No broadcasting beyond
-row-wise bias/gain. Float32 by default, float64 for gradient checking via
-`precision("float64")`. The default dtype and the active tape are held per
-context, so each thread has its own.
+Small on purpose: 1-D to 3-D float arrays, a handful of ops sufficient for
+a decoder-only transformer, and an explicit tape. No broadcasting beyond
+row-wise bias/gain. Attention runs every head in one pass, so `matmul`
+(H, m, p) @ (H, p, n), `transpose` (any axes), `reshape` and
+`masked_softmax_rows` (one (T, T) mask per (H, T, T) stack) take stacked
+operands. An op's output keeps its inputs' dtype: float32 by default,
+float64 for gradient checking via `precision("float64")`. The default
+dtype and the active tape are held per context, so each thread has its own.
 
 Every value is checked once, where it is made. `Tensor(...)` takes data
 from outside the engine and rejects NaN and +inf (-inf is the softmax
 exclusion sentinel). Op outputs skip that scan (`_out`): an op that
 computes values rejects a non-finite output and names itself; one that
-only moves checked values (transpose, reshape, take_rows, col_slice,
-concat_cols, concat_rows, detach) checks nothing.
+only moves checked values (transpose, reshape, take_rows, concat_cols,
+concat_rows, detach) checks nothing.
 """
 
 from __future__ import annotations
@@ -207,13 +210,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (m, p) @ b (p, n) -> (m, n)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """a (m, p) @ b (p, n) -> (m, n), or stacked a (H, m, p) @ b (H, p, n)
+    -> (H, m, n)."""
+    ad, bd = a.data, b.data
+    same_stack = ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]
+    if ad.ndim not in (2, 3) or not same_stack or ad.shape[-1] != bd.shape[-2]:
         raise NumericsError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    out = _out(a.data @ b.data, "matmul")
+    out = _out(ad @ bd, "matmul")
 
-    def bw(g, ad=a.data, bd=b.data):
-        return g @ bd.T, ad.T @ g
+    def bw(g, ad=ad, bd=bd):
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _record(out, (a, b), bw)
 
@@ -230,11 +236,14 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _record(out, (x, w), bw)
 
 
-def transpose(x: Tensor) -> Tensor:
-    out = _out(np.ascontiguousarray(x.data.T))
+def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute x's axes; with no `axes`, reverse them (the 2-D transpose)."""
+    if axes is not None and sorted(axes) != list(range(x.data.ndim)):
+        raise NumericsError(f"transpose axes {axes} do not permute {x.shape}")
+    out = _out(np.ascontiguousarray(x.data.transpose(axes)))
 
-    def bw(g):
-        return (np.ascontiguousarray(g.T),)
+    def bw(g, inverse=None if axes is None else tuple(np.argsort(axes))):
+        return (np.ascontiguousarray(g.transpose(inverse)),)
 
     return _record(out, (x,), bw)
 
@@ -284,6 +293,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(x: Tensor, c: float) -> Tensor:
+    """x * c. `c` is taken as a Python float, so the output keeps x's dtype."""
+    c = float(c)
     out = _out(x.data * c, "scale")
 
     def bw(g, c=c):
@@ -360,10 +371,11 @@ def softmax_rows(x: Tensor) -> Tensor:
 def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     """Softmax over the `allowed` entries of each row; others get exactly 0.
 
-    `allowed` is a constant boolean array, same shape as x. Excluded
-    positions receive zero probability and zero gradient.
+    `allowed` is a constant boolean array shaped like x's last two axes;
+    for stacked (H, T, T) scores one (T, T) mask applies to every block.
+    Excluded positions receive zero probability and zero gradient.
     """
-    if allowed.shape != x.data.shape:
+    if allowed.shape != x.data.shape[-2:]:
         raise NumericsError("masked_softmax_rows mask shape mismatch")
     p = _softmax_core(x.data, allowed.astype(bool))
     out = _out(p, "masked_softmax_rows")
@@ -402,17 +414,6 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
         return g, g[idx].copy()
 
     return _record(out, (base, delta), bw)
-
-
-def col_slice(x: Tensor, j0: int, j1: int) -> Tensor:
-    out = _out(x.data[:, j0:j1].copy())
-
-    def bw(g, j0=j0, j1=j1, shape=x.data.shape, dtype=x.data.dtype):
-        gx = np.zeros(shape, dtype=dtype)
-        gx[:, j0:j1] = g
-        return (gx,)
-
-    return _record(out, (x,), bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

@@ -156,6 +156,7 @@ def test_config_unknown_key_is_fatal():
         ("d_model = 0", "d_model"),
         ("d_model = 15\nn_heads = 3", "d_model"),
         ("max_position = 0", "max_position"),
+        ("d_ff = 0", "d_ff"),
     ):
         with pytest.raises(UsageError, match=field):
             parse_config_text(f"[model]\n{model}\n")
@@ -293,6 +294,17 @@ def test_empty_generated_suite_is_usage_error(untrained_ckpt, capsys, command):
     code = main([command, "--ckpt", str(untrained_ckpt), "--suite", "random", "--prompts", "0"])
     assert code == EXIT_USAGE
     assert "--prompts must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_negative_prompt_count_is_usage_error(untrained_ckpt, tmp_path, capsys, command):
+    # For a file suite the count must not act as a slice bound (-1 = all but the last).
+    suite = tmp_path / "prompts.txt"
+    suite.write_text("abcd\nbcda\ncdab\n", encoding="utf-8")
+    for name in (str(suite), "random"):
+        code = main([command, "--ckpt", str(untrained_ckpt), "--suite", name, "--prompts", "-1"])
+        assert code == EXIT_USAGE
+        assert "--prompts must be >= 0" in capsys.readouterr().err
 
 
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):

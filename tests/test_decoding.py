@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,40 @@ def test_speculative_exactness_untrained_models():
                 assert out == ref
                 assert stats.generated == len(out) - len(prompt)
                 assert 1.0 <= acceptance_rate(stats) <= k_eval + 1
+
+
+def test_two_decodes_in_two_threads_match_each_alone():
+    # Both threads start decoding at the same moment (numpy releases the
+    # GIL inside its kernels, so the passes interleave for real).
+    model = make_model(5)
+    runs = {"linear": [1, 2, 3], "quadratic": [4, 5, 6, 7, 8]}
+
+    def decode(strategy):
+        return speculative_decode(model, None, runs[strategy], 3, strategy, max_steps=12)[0]
+
+    alone = {s: decode(s) for s in runs}
+    barrier = threading.Barrier(2, timeout=30)
+    results = {}
+
+    def work(strategy):
+        try:
+            barrier.wait()
+            results[strategy] = decode(strategy)
+        except Exception as exc:  # reported below, from the main thread
+            barrier.abort()
+            results[strategy] = exc
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in runs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert results.keys() == alone.keys()
+    for strategy, out in results.items():
+        if isinstance(out, Exception):
+            raise out
+        assert out == alone[strategy]
 
 
 def test_adversarial_speculation_rate_exactly_one():

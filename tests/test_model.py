@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from specmtp.batching import build_training_batch, causal_rows
+from specmtp.batching import (
+    build_linear_inference_input,
+    build_quadratic_inference_input,
+    build_training_batch,
+    causal_rows,
+)
 from specmtp.model import ModelConfig, forward, gated_lora_apply, init_model
-from specmtp.tensor import NumericsError, Tensor, precision
+from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
 
 
 CFG = dict(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32, k_masks=3, max_position=64)
@@ -182,3 +187,28 @@ def test_padded_tail_permutation_is_invisible():
     tokens2 = np.array([1, 2, 3, 10, 9])
     b = forward(model, tokens2, [0, 1, 2, 3, 4], allowed, gate).logits.data[:3]
     assert np.array_equal(a, b)
+
+
+LAYOUTS = {
+    "causal": lambda ids: causal_rows([1, 2, 3, 4]),
+    "linear": lambda ids: build_linear_inference_input([1, 2, 3], [4, 5], ids),
+    "quadratic": lambda ids: build_quadratic_inference_input([1, 2], [3, 4, 5], ids),
+    "training": lambda ids: build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), ids),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_float32_weights_stay_float32(layout):
+    # One NumPy float64 constant in the pass (NumPy 2 promotion) would
+    # turn every later activation and gradient into float64.
+    model = make_model(rank=4, seed=5)
+    randomize_adapters(model)
+    batch = LAYOUTS[layout](model.config.mask_ids)
+    with Tape() as tape:
+        out = run_batch(model, batch)
+        loss = cross_entropy(out.logits, np.zeros(batch.size, dtype=np.int64))
+    backward(tape, loss)
+    assert out.hidden.data.dtype == np.float32
+    assert out.logits.data.dtype == np.float32
+    grads = [t.grad for _, t in model.trainable_params() if t.grad is not None]
+    assert all(g.dtype == np.float32 for g in grads)

@@ -51,6 +51,62 @@ def test_matmul_gradients_match_finite_differences():
     assert err < 1e-6
 
 
+# The attention path runs every head in one pass on stacked (H, ...) operands.
+STACKED_LOSSES = {
+    "matmul": lambda a, b, _: sum_all(silu(matmul(a, b))),
+    "transpose": lambda a, _, w: sum_all(tz.mul(tz.transpose(a, (1, 2, 0)), Tensor(w))),
+    "masked_softmax_rows": lambda a, _, w: sum_all(
+        tz.mul(masked_softmax_rows(matmul(a, tz.transpose(a, (0, 2, 1))), np.tri(3, dtype=bool)), Tensor(w))
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(STACKED_LOSSES))
+def test_stacked_op_gradients_match_finite_differences(op):
+    with precision("float64"):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 4, 5)), requires_grad=True)
+        w = rng.normal(size=(3, 4, 2) if op == "transpose" else (2, 3, 3))
+        params = [a, b] if op == "matmul" else [a]
+        err = finite_diff_check(lambda: STACKED_LOSSES[op](a, b, w), params)
+    assert err < 1e-6
+
+
+def test_stacked_ops_equal_their_per_block_ops():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4, 3))
+    allowed = np.tri(3, dtype=bool)
+    prod = matmul(Tensor(a), Tensor(b))
+    p = masked_softmax_rows(prod, allowed)
+    for h in range(2):
+        block = matmul(Tensor(a[h]), Tensor(b[h]))
+        assert np.array_equal(prod.data[h], block.data)
+        assert np.array_equal(p.data[h], masked_softmax_rows(block, allowed).data)
+
+
+MISMATCHES = {
+    "matmul_stack_sizes": lambda: matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5)))),
+    "matmul_3d_2d": lambda: matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))),
+    "matmul_2d_3d": lambda: matmul(Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 5, 3)))),
+    "mask_not_t_by_t": lambda: masked_softmax_rows(Tensor(np.zeros((2, 3, 3))), np.ones((2, 3), dtype=bool)),
+    "mask_stacked": lambda: masked_softmax_rows(Tensor(np.zeros((2, 3, 3))), np.ones((2, 3, 3), dtype=bool)),
+    "transpose_axes": lambda: tz.transpose(Tensor(np.zeros((2, 3, 4))), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_stacked_shape_mismatch_is_numerics_error(case):
+    with pytest.raises(NumericsError):
+        MISMATCHES[case]()
+
+
+def test_scale_keeps_input_dtype():
+    # A float64 scalar must not promote float32 data (NumPy 2 promotion).
+    x = Tensor(np.ones((2, 3), dtype=np.float32))
+    assert tz.scale(x, np.float64(0.25)).data.dtype == np.float32
+
+
 def test_softmax_uniform():
     p = softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
     assert np.allclose(p.data, 1.0 / 3.0, atol=1e-7)
