@@ -4,12 +4,23 @@ no matter what the adapters contain.
 Every linear layer computes W x_t and adds the rank-r correction only on
 rows the gate selects. Gate-off rows are returned untouched, so a model
 stuffed with arbitrary adapter values is bit-identical to a rank-0 model
-wherever the gate is off."""
+wherever the gate is off. Exits 1 if any printed claim is false."""
+
+import sys
 
 import numpy as np
 
 from specmtp import ModelConfig, build_training_batch, forward, gated_lora_apply, init_model
 from specmtp.tensor import Tensor
+
+failed = []
+
+
+def claim(text: str, holds) -> None:
+    print(f"{text}: {bool(holds)}")
+    if not holds:
+        failed.append(text)
+
 
 CFG = dict(vocab_size=14, d_model=16, n_layers=2, n_heads=2, d_ff=32, k_masks=3)
 
@@ -29,7 +40,7 @@ same_base = all(
     for n, t in reference.named_params()
     if not n.endswith((".A", ".B"))
 )
-print("frozen base tensors identical across ranks:", same_base)
+claim("frozen base tensors identical across ranks", same_base)
 
 # One layer, mixed gate: gate-0 rows untouched, gate-1 rows corrected.
 lin = adapted.layers[0].attn_q
@@ -37,8 +48,8 @@ x = Tensor(np.random.default_rng(1).normal(size=(4, 16)).astype(np.float32))
 gate = np.array([0, 1, 0, 1])
 out = gated_lora_apply(lin, x, gate)
 base = x.data @ lin.W.data.T
-print("gate-0 rows bitwise equal to W x:", bool(np.array_equal(out.data[[0, 2]], base[[0, 2]])))
-print("gate-1 rows moved by the adapter:", float(np.abs(out.data[[1, 3]] - base[[1, 3]]).max()) > 0)
+claim("gate-0 rows bitwise equal to W x", np.array_equal(out.data[[0, 2]], base[[0, 2]]))
+claim("gate-1 rows moved by the adapter", np.abs(out.data[[1, 3]] - base[[1, 3]]).max() > 0)
 
 # Whole model: a masked batch keeps regular rows inside a gate-0 world,
 # so their logits match the rank-0 model exactly.
@@ -47,9 +58,13 @@ batch = build_training_batch(seq, np.ones(8, dtype=int), adapted.config.mask_ids
 got = forward(adapted, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
 ref = forward(reference, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
 rows = batch.ntp_rows
-print(
-    "regular-row logits bitwise equal to the rank-0 model:",
-    bool(np.array_equal(got.logits.data[rows], ref.logits.data[rows])),
+claim(
+    "regular-row logits bitwise equal to the rank-0 model",
+    np.array_equal(got.logits.data[rows], ref.logits.data[rows]),
 )
-print("mask-row logits differ (that is the point):",
-      float(np.abs(got.logits.data[batch.mtp_rows] - ref.logits.data[batch.mtp_rows]).max()) > 0)
+claim(
+    "mask-row logits differ (that is the point)",
+    np.abs(got.logits.data[batch.mtp_rows] - ref.logits.data[batch.mtp_rows]).max() > 0,
+)
+if failed:
+    sys.exit(f"false claims: {failed}")

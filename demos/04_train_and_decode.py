@@ -2,7 +2,10 @@
 adapters + mask rows + sampler, then decode the same prompt three ways.
 
 The three decodes emit identical text; what changes is how many forward
-passes it takes. Takes roughly half a minute on a laptop."""
+passes it takes. Takes roughly half a minute on a laptop. Exits 1 if a
+speculative decode does not match greedy."""
+
+import sys
 
 import numpy as np
 
@@ -42,11 +45,14 @@ print("\nprompt:", vocab.decode(prompt))
 greedy_out = greedy_autoregressive(result.model, prompt, 16)
 print("greedy     :", vocab.decode(greedy_out[len(prompt):]), "(1 token per forward pass)")
 
+mismatched = []
 for strategy in ("linear", "quadratic"):
     out, stats = speculative_decode(result.model, result.sampler, prompt, 4, strategy, max_steps=16)
     same = out[: len(greedy_out)] == greedy_out[: len(out)]
     print(f"{strategy:<11}: {vocab.decode(out[len(prompt):len(prompt)+16])} "
           f"(rate {stats.rate:.2f} tokens/pass, matches greedy: {same})")
+    if not same:
+        mismatched.append(strategy)
 
 print("\nacceptance by mask budget (quadratic, 12 held-out prompts):")
 prompts = [seq[:9].tolist() for seq, _ in generate_corpus(
@@ -57,3 +63,6 @@ for k_eval in range(1, 5):
         _, stats = speculative_decode(result.model, result.sampler, p, k_eval, "quadratic", max_steps=8)
         rates.append(stats.rate)
     print(f"  k={k_eval}: mean rate {np.mean(rates):.2f} (ceiling {k_eval + 1})")
+
+if mismatched:
+    sys.exit(f"speculative output differs from greedy: {mismatched}")

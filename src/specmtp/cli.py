@@ -258,7 +258,9 @@ def cmd_decode(args) -> int:
         max_steps=args.max_steps, eos=vocab.eos,
     )
     print(vocab.decode(out[len(prompt):]))
-    print(f"tokens={stats.generated} steps={stats.steps} rate={stats.rate:.4f}")
+    # No step runs when the prompt leaves no room below max_position.
+    rate = f"{stats.rate:.4f}" if stats.steps else "n/a"
+    print(f"tokens={stats.generated} steps={stats.steps} rate={rate}")
     return EXIT_OK
 
 

@@ -20,7 +20,6 @@ from .batching import (
 )
 from .model import ModelBundle, forward
 from .sampler import SamplerHead, sampler_chain
-from .tensor import Tensor
 
 STRATEGIES = ("linear", "quadratic")
 
@@ -47,13 +46,29 @@ def _run(model: ModelBundle, batch):
     return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
 
 
-def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | None = None) -> list[int]:
-    """One token per full-prefix forward pass; the correctness baseline."""
+def _check_prompt(model: ModelBundle, prompt) -> list[int]:
     tokens = [int(t) for t in prompt]
     if not tokens:
         raise ValueError("prompt must be nonempty")
+    if len(tokens) > model.config.max_position:
+        raise ValueError(
+            f"prompt of {len(tokens)} tokens exceeds max_position {model.config.max_position}"
+        )
+    return tokens
+
+
+def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | None = None) -> list[int]:
+    """One token per full-prefix forward pass; the correctness baseline.
+
+    Stops early when the next pass would need a position id at or past
+    max_position; a prompt longer than max_position is rejected.
+    """
+    tokens = _check_prompt(model, prompt)
     for _ in range(max_new):
-        out = _run(model, causal_rows(tokens))
+        batch = causal_rows(tokens)
+        if batch.position_ids.max() >= model.config.max_position:
+            break
+        out = _run(model, batch)
         nxt = int(np.argmax(out.logits.data[-1]))
         tokens.append(nxt)
         if eos is not None and nxt == eos:
@@ -91,6 +106,9 @@ def speculative_decode(
 ) -> tuple[list[int], AcceptanceStats]:
     """Decode up to max_steps forward passes; each pass emits 1..k_eval+1 tokens.
 
+    Stops early when the next layout's highest position id would reach
+    max_position; the output is still a prefix of greedy decoding's. A
+    prompt longer than max_position is rejected.
     Without a sampler, mask rows fall back to their base-head argmax.
     speculation_override(verified, last_token, block_logits, block_hidden)
     replaces the speculation source; verified is the token list so far,
@@ -103,9 +121,7 @@ def speculative_decode(
     if not 1 <= k_eval <= cfg.k_masks:
         raise ValueError(f"k_eval must be in 1..{cfg.k_masks}")
     mask_ids = cfg.mask_ids[:k_eval]
-    verified = [int(t) for t in prompt]
-    if not verified:
-        raise ValueError("prompt must be nonempty")
+    verified = _check_prompt(model, prompt)
     speculated: list[int] = []
     stats = AcceptanceStats(generated=0, steps=0)
 
@@ -117,16 +133,15 @@ def speculative_decode(
             batch = build_linear_inference_input(verified, speculated, mask_ids)
         else:
             batch = build_quadratic_inference_input(verified, speculated, mask_ids)
+        if batch.position_ids.max() >= cfg.max_position:
+            break
         out = _run(model, batch)
         logits = out.logits.data
 
-        chain_rows = [r for r in np.flatnonzero(batch.gate == 0) if r >= n_ver]
-        preds = [int(np.argmax(logits[n_ver - 1]))]
-        preds += [int(np.argmax(logits[r])) for r in chain_rows]
-        accepted, emitted = verify_speculated(preds, speculated)
-
-        anchor_row = n_ver - 1 if accepted == 0 else chain_rows[accepted - 1]
-        block = batch.block_rows(anchor_row)
+        # The last verified row, then each speculated token's row.
+        chain_rows = n_ver - 1 + np.flatnonzero(batch.gate[n_ver - 1 :] == 0)
+        accepted, emitted = verify_speculated(logits[chain_rows].argmax(axis=1), speculated)
+        block = batch.block_rows(int(chain_rows[accepted]))
 
         stats.steps += 1
         stats.histogram[accepted] = stats.histogram.get(accepted, 0) + 1
@@ -148,12 +163,12 @@ def speculative_decode(
             ]
         elif block.size:
             if sampler is not None:
-                zs = [Tensor(out.hidden.data[r]) for r in block]
                 speculated = sampler_chain(
-                    sampler, model.unembed, model.embedding_table(), emitted[-1], zs
+                    sampler, model.unembed, model.embedding_table(), emitted[-1],
+                    out.hidden.data[block],
                 )
             else:
-                speculated = [int(np.argmax(logits[r])) for r in block]
+                speculated = logits[block].argmax(axis=1).tolist()
         else:
             speculated = []
 

@@ -4,6 +4,12 @@ Rows whose gate is 0 follow the frozen base weights exactly; rows whose
 gate is 1 additionally go through the rank-r adapter path. Attention is
 driven by an explicit allowed-set matrix so excluded keys get exactly
 zero weight, which is what makes the gate-off guarantee bitwise.
+
+`forward` has two paths and the tape picks one. Under an active `Tape`
+it runs the autodiff ops (training, and the test oracle); with no tape
+it runs the same array helpers in the same order on plain arrays, checks
+the layout and the gate once per batch, and wraps only `hidden` and
+`logits` as Tensors. Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -16,20 +22,31 @@ import numpy as np
 from .tensor import (
     NumericsError,
     Tensor,
+    _out,
+    active_tape,
     add,
+    add_data,
     concat_rows,
     default_dtype,
     derive_rng,
     layer_norm,
+    layer_norm_data,
     linear,
+    linear_data,
+    masked_softmax_data,
     masked_softmax_rows,
     matmul,
+    matmul_data,
     reshape,
     row_scatter_add,
+    row_scatter_add_data,
     scale,
+    scale_data,
     silu,
+    silu_data,
     take_rows,
     transpose,
+    transpose_data,
 )
 
 LORA_ALPHA_OVER_RANK = 2.0  # constant adapter multiplier (alpha = 2r)
@@ -232,6 +249,13 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     )
 
 
+def _check_gate(gate: np.ndarray, t_len: int) -> None:
+    if gate.shape != (t_len,):
+        raise NumericsError("gate length does not match row count")
+    if not np.isin(gate, (0, 1)).all():
+        raise NumericsError("gate entries must be 0 or 1")
+
+
 def gated_lora_apply(layer: GatedLoraLinear, x: Tensor, gate: np.ndarray) -> Tensor:
     """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1.
 
@@ -239,10 +263,7 @@ def gated_lora_apply(layer: GatedLoraLinear, x: Tensor, gate: np.ndarray) -> Ten
     bit-identical to the plain frozen linear.
     """
     gate = np.asarray(gate)
-    if gate.shape != (x.data.shape[0],):
-        raise NumericsError("gate length does not match row count")
-    if not np.isin(gate, (0, 1)).all():
-        raise NumericsError("gate entries must be 0 or 1")
+    _check_gate(gate, x.data.shape[0])
     base = linear(x, layer.W)
     rows = np.flatnonzero(gate)
     if layer.A is None or rows.size == 0:
@@ -250,6 +271,15 @@ def gated_lora_apply(layer: GatedLoraLinear, x: Tensor, gate: np.ndarray) -> Ten
     xr = take_rows(x, rows)
     delta = scale(matmul(matmul(xr, layer.A), layer.B), LORA_ALPHA_OVER_RANK)
     return row_scatter_add(base, rows, delta)
+
+
+def _gated_lora_data(layer: GatedLoraLinear, xd: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`gated_lora_apply` on arrays, for the checked gate's 1-rows `rows`."""
+    base = linear_data(xd, layer.W.data)
+    if layer.A is None or rows.size == 0:
+        return base
+    delta = matmul_data(matmul_data(xd[rows], layer.A.data), layer.B.data)
+    return row_scatter_add_data(base, rows, scale_data(delta, LORA_ALPHA_OVER_RANK))
 
 
 class ForwardResult(NamedTuple):
@@ -268,7 +298,8 @@ def forward(
 
     attention_allowed[i, j] == 1 admits key j for query i; it must be
     lower-triangular with a full diagonal. Excluded keys get exactly zero
-    attention weight.
+    attention weight. With no active tape the pass runs on plain arrays
+    (`_forward_data`), with the same result.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -286,6 +317,8 @@ def forward(
         raise NumericsError("token id out of range")
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
+    if active_tape() is None:
+        return _forward_data(model, tokens, position_ids, allowed, gate)
 
     table = model.embedding_table()
     x = add(take_rows(table, tokens), Tensor(model.pos_table[position_ids]))
@@ -310,3 +343,33 @@ def forward(
     hidden = layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     logits = linear(hidden, model.unembed)
     return ForwardResult(hidden=hidden, logits=logits)
+
+
+def _forward_data(model, tokens, position_ids, allowed, gate) -> ForwardResult:
+    """The taped pass's ops, in its order, on plain arrays. The gate is
+    checked here once, where the taped pass checks it in every adapter."""
+    c = model.config
+    t_len = tokens.shape[0]
+    _check_gate(gate, t_len)
+    rows = np.flatnonzero(gate)
+
+    x = add_data(model.embedding_table().data[tokens], model.pos_table[position_ids])
+
+    head_dim = c.d_model // c.n_heads
+    inv_sqrt = 1.0 / np.sqrt(head_dim)
+    split = (t_len, c.n_heads, head_dim)
+    for lw in model.layers:
+        h = layer_norm_data(x, lw.ln1_gain.data, lw.ln1_bias.data)[0]
+        q = transpose_data(_gated_lora_data(lw.attn_q, h, rows).reshape(split), (1, 0, 2))
+        k = transpose_data(_gated_lora_data(lw.attn_k, h, rows).reshape(split), (1, 2, 0))
+        v = transpose_data(_gated_lora_data(lw.attn_v, h, rows).reshape(split), (1, 0, 2))
+        weights = masked_softmax_data(scale_data(matmul_data(q, k), inv_sqrt), allowed)
+        heads = transpose_data(matmul_data(weights, v), (1, 0, 2)).reshape(t_len, c.d_model)
+        x = add_data(x, _gated_lora_data(lw.attn_o, heads, rows))
+        h2 = layer_norm_data(x, lw.ln2_gain.data, lw.ln2_bias.data)[0]
+        ff_in = silu_data(_gated_lora_data(lw.ff_in, h2, rows))[0]
+        x = add_data(x, _gated_lora_data(lw.ff_out, ff_in, rows))
+
+    hidden = layer_norm_data(x, model.final_ln_gain.data, model.final_ln_bias.data)[0]
+    logits = linear_data(hidden, model.unembed.data)
+    return ForwardResult(hidden=_out(hidden), logits=_out(logits))

@@ -4,6 +4,12 @@ Each block is linear -> SiLU -> LayerNorm. The input is the previous
 token's embedding concatenated with the current hidden state; the output
 feature goes through the shared frozen unembedding, so the head adds no
 vocabulary-sized weights of its own.
+
+`sampler_logits_rows` is the batched, differentiable head that training
+uses. `sampler_logits` is the one-position decode head: it runs the same
+array helpers on plain arrays (the hidden row may be a bare array) and
+wraps only the logits, with the same bytes as the batched head. So the
+decode-time chain makes no Tensors.
 """
 
 from __future__ import annotations
@@ -14,13 +20,16 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _out,
     concat_cols,
     default_dtype,
     derive_rng,
     layer_norm,
+    layer_norm_data,
     linear,
-    reshape,
+    linear_data,
     silu,
+    silu_data,
     take_rows,
 )
 
@@ -84,14 +93,20 @@ def sampler_logits_rows(
 
 
 def sampler_logits(
-    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_token: int, z: Tensor
+    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_token: int, z
 ) -> Tensor:
-    """Logits (V,) for one position, conditioned on prev_token and z (d,)."""
+    """Logits (V,) for one position, conditioned on prev_token and the
+    hidden row z (d,): a Tensor or a plain array. Not differentiable;
+    training uses sampler_logits_rows."""
     if prev_token < 0 or prev_token >= embeddings.data.shape[0]:
         raise ValueError(f"prev_token {prev_token} outside the vocabulary")
-    z2 = reshape(z, (1, z.data.shape[-1]))
-    out = sampler_logits_rows(head, unembed, embeddings, np.array([prev_token]), z2)
-    return reshape(out, (out.data.shape[1],))
+    zd = z.data if isinstance(z, Tensor) else np.asarray(z)
+    h = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
+    blocks = ((head.l1, head.ln1_gain, head.ln1_bias), (head.l2, head.ln2_gain, head.ln2_bias))
+    for w, gain, bias in blocks:
+        h = layer_norm_data(silu_data(linear_data(h, w.data))[0], gain.data, bias.data)[0]
+    logits = linear_data(h, unembed.data)
+    return _out(logits.reshape(logits.shape[1]))
 
 
 def sampler_chain(
@@ -99,7 +114,8 @@ def sampler_chain(
 ) -> list[int]:
     """Greedy left-to-right pick: each step conditions on the previous pick.
 
-    Ties break to the lowest token id (np.argmax convention).
+    zs holds one hidden row per position: Tensors, or the rows of one
+    array. Ties break to the lowest token id (np.argmax convention).
     """
     if len(zs) == 0:
         raise ValueError("sampler_chain needs at least one hidden state")

@@ -15,6 +15,13 @@ exclusion sentinel). Op outputs skip that scan (`_out`): an op that
 computes values rejects a non-finite output and names itself; one that
 only moves checked values (transpose, reshape, take_rows, concat_cols,
 concat_rows, detach) checks nothing.
+
+The forward math of the ops that inference uses is written once, as an
+array helper (`matmul_data`, `layer_norm_data`, ...) that takes and
+returns plain arrays and does the op's shape and finiteness checks. The
+`Tensor` op calls its helper and records the backward; an untaped pass
+(`active_tape()` is None) calls the helpers directly. So the two paths
+give the same bytes by construction.
 """
 
 from __future__ import annotations
@@ -139,12 +146,25 @@ class Tape:
 _active_tape: ContextVar[Tape | None] = ContextVar("active_tape", default=None)
 
 
+def active_tape() -> Tape | None:
+    """The tape recording in this context, or None: then no gradient can be
+    taken, and `forward` runs on plain arrays."""
+    return _active_tape.get()
+
+
+def _finite(data: np.ndarray, op: str) -> np.ndarray:
+    """`data` as it is, once it holds no NaN or +-inf; otherwise name `op`."""
+    if not np.isfinite(data).all():
+        raise NumericsError(f"non-finite values produced by {op}")
+    return data
+
+
 def _out(data, op: str = "") -> Tensor:
     """An op's output, made without `Tensor.__init__`'s scan. `op` names an
     op that computed `data`; one that only moves checked values passes none."""
     data = np.asarray(data)
-    if op and not np.isfinite(data).all():
-        raise NumericsError(f"non-finite values produced by {op}")
+    if op:
+        _finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out.requires_grad, out.name, out._node = data, None, False, "", False
     return out
@@ -209,14 +229,19 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # -----------------------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a (m, p) @ b (p, n) -> (m, n), or stacked a (H, m, p) @ b (H, p, n)
+def matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """ad (m, p) @ bd (p, n) -> (m, n), or stacked (H, m, p) @ (H, p, n)
     -> (H, m, n)."""
-    ad, bd = a.data, b.data
     same_stack = ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]
     if ad.ndim not in (2, 3) or not same_stack or ad.shape[-1] != bd.shape[-2]:
-        raise NumericsError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    out = _out(ad @ bd, "matmul")
+        raise NumericsError(f"matmul shape mismatch {ad.shape} x {bd.shape}")
+    return _finite(ad @ bd, "matmul")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Tensor form of `matmul_data`."""
+    ad, bd = a.data, b.data
+    out = _out(matmul_data(ad, bd))
 
     def bw(g, ad=ad, bd=bd):
         return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
@@ -224,11 +249,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def linear_data(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    """xd (T, in) @ wd.T for wd (out, in) -> (T, out)."""
+    if xd.shape[1] != wd.shape[1]:
+        raise NumericsError(f"linear shape mismatch {xd.shape} x {wd.shape}")
+    return _finite(xd @ wd.T, "linear")
+
+
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x (T, in) @ w.T for w (out, in) -> (T, out)."""
-    if x.data.shape[1] != w.data.shape[1]:
-        raise NumericsError(f"linear shape mismatch {x.shape} x {w.shape}")
-    out = _out(x.data @ w.data.T, "linear")
+    """Tensor form of `linear_data`."""
+    out = _out(linear_data(x.data, w.data))
 
     def bw(g, xd=x.data, wd=w.data):
         return g @ wd, g.T @ xd
@@ -236,11 +266,17 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _record(out, (x, w), bw)
 
 
+def transpose_data(xd: np.ndarray, axes: tuple[int, ...] | None = None) -> np.ndarray:
+    """Contiguous copy of xd with its axes permuted; with no `axes`, reversed
+    (the 2-D transpose)."""
+    if axes is not None and sorted(axes) != list(range(xd.ndim)):
+        raise NumericsError(f"transpose axes {axes} do not permute {xd.shape}")
+    return np.ascontiguousarray(xd.transpose(axes))
+
+
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Permute x's axes; with no `axes`, reverse them (the 2-D transpose)."""
-    if axes is not None and sorted(axes) != list(range(x.data.ndim)):
-        raise NumericsError(f"transpose axes {axes} do not permute {x.shape}")
-    out = _out(np.ascontiguousarray(x.data.transpose(axes)))
+    """Tensor form of `transpose_data`."""
+    out = _out(transpose_data(x.data, axes))
 
     def bw(g, inverse=None if axes is None else tuple(np.argsort(axes))):
         return (np.ascontiguousarray(g.transpose(inverse)),)
@@ -257,10 +293,21 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _record(out, (x,), bw)
 
 
+def _check_rowwise(ad: np.ndarray, bd: np.ndarray, op: str) -> None:
+    ok = ad.shape == bd.shape or (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0])
+    if not ok:
+        raise NumericsError(f"{op} shape mismatch {ad.shape} vs {bd.shape}")
+
+
+def add_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    """Elementwise add; bd may be a 1-D row bias against 2-D ad."""
+    _check_rowwise(ad, bd, "add")
+    return _finite(ad + bd, "add")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may be a 1-D row bias against 2-D a."""
-    _check_rowwise(a, b, "add")
-    out = _out(a.data + b.data, "add")
+    """Tensor form of `add_data`."""
+    out = _out(add_data(a.data, b.data))
 
     def bw(g, bshape=b.data.shape):
         gb = g.sum(axis=0) if g.ndim == 2 and len(bshape) == 1 else g.copy()
@@ -270,7 +317,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_rowwise(a, b, "sub")
+    _check_rowwise(a.data, b.data, "sub")
     out = _out(a.data - b.data, "sub")
 
     def bw(g, bshape=b.data.shape):
@@ -292,10 +339,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def scale_data(xd: np.ndarray, c: float) -> np.ndarray:
+    """xd * c. `c` is taken as a Python float, so the output keeps xd's dtype."""
+    return _finite(xd * float(c), "scale")
+
+
 def scale(x: Tensor, c: float) -> Tensor:
-    """x * c. `c` is taken as a Python float, so the output keeps x's dtype."""
+    """Tensor form of `scale_data`."""
     c = float(c)
-    out = _out(x.data * c, "scale")
+    out = _out(scale_data(x.data, c))
 
     def bw(g, c=c):
         return (g * c,)
@@ -303,19 +355,17 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def _check_rowwise(a: Tensor, b: Tensor, op: str) -> None:
-    ok = a.data.shape == b.data.shape or (
-        a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
-    )
-    if not ok:
-        raise NumericsError(f"{op} shape mismatch {a.shape} vs {b.shape}")
+def silu_data(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * sigmoid(x), sigmoid(x)); the sigmoid is kept for the backward."""
+    e = np.exp(-np.abs(xd))
+    s = np.where(xd >= 0, 1.0, e) / (1.0 + e)
+    return _finite(xd * s, "silu"), s
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    xd = x.data
-    s = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))), np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd))))
-    out = _out(x.data * s, "silu")
+    """Tensor form of `silu_data`."""
+    y, s = silu_data(x.data)
+    out = _out(y)
 
     def bw(g, xd=x.data, s=s):
         return (g * (s + xd * s * (1.0 - s)),)
@@ -323,17 +373,28 @@ def silu(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row zero mean / unit variance, then affine. x (T, d)."""
-    if x.data.ndim != 2:
+def layer_norm_data(
+    xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row zero mean / unit variance, then affine; xd (T, d). Returns
+    (output, normalised rows, 1 / std), the last two for the backward."""
+    if xd.ndim != 2:
         raise NumericsError("layer_norm expects a 2-D input")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
+    # The same bytes as xd.mean and xd.var, without their Python wrappers.
+    d = xd.shape[1]
+    xc = xd - np.add.reduce(xd, axis=1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = _out(xhat * gain.data + bias.data, "layer_norm")
+    xhat = xc * inv
+    return _finite(xhat * gain + bias, "layer_norm"), xhat, inv
 
-    def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=x.data.shape[1]):
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Tensor form of `layer_norm_data`."""
+    y, xhat, inv = layer_norm_data(x.data, gain.data, bias.data, eps)
+    out = _out(y)
+
+    def bw(g, xhat=xhat, inv=inv, gd=gain.data):
         dxhat = g * gd
         dx = inv * (
             dxhat
@@ -368,17 +429,22 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
+def masked_softmax_data(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Softmax over the `allowed` entries of each row; others get exactly 0.
 
-    `allowed` is a constant boolean array shaped like x's last two axes;
+    `allowed` is a constant boolean array shaped like xd's last two axes;
     for stacked (H, T, T) scores one (T, T) mask applies to every block.
-    Excluded positions receive zero probability and zero gradient.
     """
-    if allowed.shape != x.data.shape[-2:]:
+    if allowed.shape != xd.shape[-2:]:
         raise NumericsError("masked_softmax_rows mask shape mismatch")
-    p = _softmax_core(x.data, allowed.astype(bool))
-    out = _out(p, "masked_softmax_rows")
+    return _finite(_softmax_core(xd, np.asarray(allowed, dtype=bool)), "masked_softmax_rows")
+
+
+def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
+    """Tensor form of `masked_softmax_data`. Excluded positions receive
+    zero probability and zero gradient."""
+    p = masked_softmax_data(x.data, allowed)
+    out = _out(p)
 
     def bw(g, p=p):
         return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
@@ -401,14 +467,19 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
+def row_scatter_add_data(base: np.ndarray, idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Copy of base with delta added at (unique) row indices idx."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if delta.data.shape != (idx.size, base.data.shape[1]):
+    if delta.shape != (idx.size, base.shape[1]):
         raise NumericsError("row_scatter_add shape mismatch")
-    out_data = base.data.copy()
-    out_data[idx] += delta.data
-    out = _out(out_data, "row_scatter_add")
+    out = base.copy()
+    out[idx] += delta
+    return _finite(out, "row_scatter_add")
+
+
+def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
+    """Tensor form of `row_scatter_add_data`."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = _out(row_scatter_add_data(base.data, idx, delta.data))
 
     def bw(g, idx=idx):
         return g, g[idx].copy()

@@ -93,15 +93,24 @@ gated = false
 """
 
 
-@pytest.fixture(scope="module")
-def untrained_ckpt(tmp_path_factory):
-    cfg = pattern_config(total_steps=1, pretrain_steps=0, warmup_steps=0)
+def _untrained_ckpt(tmp_path_factory, **over):
+    cfg = pattern_config(total_steps=1, pretrain_steps=0, warmup_steps=0, **over)
     vocab = cfg.corpus.vocab(cfg.k_masks)
     model = init_model(cfg.model_config(vocab.charset), 0)
     sampler = init_sampler(cfg.d_model, 1)
     path = tmp_path_factory.mktemp("ckpt") / "untrained.ckpt"
     save_checkpoint(model, sampler, path, extra_meta=checkpoint_meta(cfg, vocab))
     return path
+
+
+@pytest.fixture(scope="module")
+def untrained_ckpt(tmp_path_factory):
+    return _untrained_ckpt(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def short_context_ckpt(tmp_path_factory):
+    return _untrained_ckpt(tmp_path_factory, max_position=16)
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +296,37 @@ def test_verify_untrained_checkpoint_exit_zero(untrained_ckpt, capsys):
     )
     assert code == EXIT_OK
     assert "match greedy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--prompt", "ab", "--strategy", "greedy", "--max-new", "20"],
+        ["decode", "--prompt", "ab", "--strategy", "linear", "--max-steps", "20"],
+        ["decode", "--prompt", "ab", "--strategy", "quadratic", "--max-steps", "20"],
+        ["decode", "--prompt", "abcdabcdabcdab", "--strategy", "quadratic"],
+        ["verify", "--suite", "random", "--prompts", "4", "--prompt-len", "2", "--max-steps", "20"],
+    ],
+)
+def test_decoding_up_to_max_position_exits_zero(short_context_ckpt, capsys, argv):
+    # max_position 16: decoding stops at the position limit instead of
+    # failing partway. A 15-token prompt leaves no room for one quadratic step.
+    assert main(argv[:1] + ["--ckpt", str(short_context_ckpt)] + argv[1:]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--prompt", "abcdabcdabcdabcd", "--strategy", "greedy"],
+        ["decode", "--prompt", "abcdabcdabcdabcd", "--strategy", "quadratic"],
+        ["verify", "--suite", "random", "--prompts", "2", "--prompt-len", "16"],
+    ],
+)
+def test_prompt_longer_than_max_position_is_usage_error(short_context_ckpt, capsys, argv):
+    # With its leading BOS, a 16-character prompt is 17 tokens: past max_position 16.
+    assert main(argv[:1] + ["--ckpt", str(short_context_ckpt)] + argv[1:]) == EXIT_USAGE
+    assert "exceeds max_position" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

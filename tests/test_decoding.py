@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from specmtp.decoding import (
     verify_speculated,
 )
 from specmtp.model import ModelConfig, init_model
+from specmtp.sampler import init_sampler
 
 CFG = ModelConfig(
     vocab_size=15, d_model=16, n_layers=2, n_heads=2, d_ff=32, k_masks=3,
@@ -19,8 +21,8 @@ CFG = ModelConfig(
 )
 
 
-def make_model(seed, randomize=True):
-    model = init_model(CFG, seed)
+def make_model(seed, randomize=True, config=CFG):
+    model = init_model(config, seed)
     if randomize:
         rng = np.random.default_rng(seed + 1000)
         for lw in model.layers:
@@ -254,3 +256,39 @@ def test_per_step_emitted_length_bounds():
     # Every step emits accepted + 1 and accepted <= k.
     assert all(0 <= a <= k for a in stats.histogram)
     assert stats.generated == sum((a + 1) * n for a, n in stats.histogram.items())
+
+
+SHORT = replace(CFG, max_position=16)
+
+
+def test_greedy_stops_at_max_position():
+    # The last pass over 16 tokens uses positions 0..15; the next would need 16.
+    out = greedy_autoregressive(make_model(3, config=SHORT), [1, 2, 3], 20)
+    assert len(out) == SHORT.max_position + 1
+    # Positions are absolute, so the same weights with a longer table agree.
+    assert out == greedy_autoregressive(make_model(3), [1, 2, 3], 20)[: len(out)]
+
+
+@pytest.mark.parametrize("with_sampler", [False, True])
+@pytest.mark.parametrize("strategy", ["linear", "quadratic"])
+def test_speculative_stops_at_max_position(strategy, with_sampler):
+    model = make_model(3, config=SHORT)
+    sampler = init_sampler(CFG.d_model, 4) if with_sampler else None
+    out, stats = speculative_decode(model, sampler, [1, 2, 3], CFG.k_masks, strategy, max_steps=20)
+    assert stats.steps < 20
+    # It stopped only once the verified tokens, at most k_masks speculated
+    # ones and a mask block could no longer fit.
+    assert len(out) + 2 * CFG.k_masks > SHORT.max_position
+    assert out == greedy_autoregressive(model, [1, 2, 3], 20)[: len(out)]
+
+
+def test_prompt_longer_than_max_position_is_rejected():
+    model = make_model(3, config=SHORT)
+    long_prompt = [1] * (SHORT.max_position + 1)
+    with pytest.raises(ValueError, match="exceeds max_position"):
+        greedy_autoregressive(model, long_prompt, 5)
+    for strategy in ("linear", "quadratic"):
+        with pytest.raises(ValueError, match="exceeds max_position"):
+            speculative_decode(model, None, long_prompt, CFG.k_masks, strategy)
+    # A prompt that fills the context exactly still gets one greedy pass.
+    assert len(greedy_autoregressive(model, long_prompt[1:], 5)) == SHORT.max_position + 1

@@ -212,3 +212,73 @@ def test_float32_weights_stay_float32(layout):
     assert out.logits.data.dtype == np.float32
     grads = [t.grad for _, t in model.trainable_params() if t.grad is not None]
     assert all(g.dtype == np.float32 for g in grads)
+
+
+# ---------------------------------------------------------------------------
+# Untaped inference: with no tape, forward runs on plain arrays. The taped
+# pass is the oracle, byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def random_layout(kind, rng, mask_ids):
+    n = int(rng.integers(2, 30))
+    real = rng.integers(0, CFG["vocab_size"] - CFG["k_masks"], size=n).tolist()
+    k = len(mask_ids)
+    if kind == "causal":
+        return causal_rows(real)
+    if kind == "linear":
+        return build_linear_inference_input(real, real[: int(rng.integers(0, k + 1))], mask_ids)
+    if kind == "quadratic":
+        return build_quadratic_inference_input(real, real[:k], mask_ids)
+    return build_training_batch(real, rng.integers(0, 2, size=n), mask_ids)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_untaped_forward_is_bitwise_taped_forward(dtype, layout):
+    with precision(dtype):
+        model = make_model(rank=4, seed=6, n_heads=4)
+        randomize_adapters(model, seed=6)
+        rng = np.random.default_rng(6)
+        model.embed_mask.data = rng.normal(0, 1.0, model.embed_mask.data.shape).astype(dtype)
+        for _ in range(10):
+            batch = random_layout(layout, rng, model.config.mask_ids)
+            untaped = run_batch(model, batch)
+            with Tape():
+                taped = run_batch(model, batch)
+            for got, want in ((untaped.hidden, taped.hidden), (untaped.logits, taped.logits)):
+                assert isinstance(got, Tensor)
+                assert got.data.dtype == want.data.dtype == np.dtype(dtype)
+                assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [([0, 2, 0], "gate entries must be 0 or 1"), ([0, 1], "gate length does not match row count")],
+)
+def test_untaped_forward_rejects_bad_gate_like_taped(gate, message):
+    model = make_model()
+    batch = causal_rows([1, 2, 3])
+    args = (model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+    with pytest.raises(NumericsError, match=message):
+        forward(*args)
+    with Tape(), pytest.raises(NumericsError, match=message):
+        forward(*args)
+
+
+@pytest.mark.parametrize(
+    "weight, op",
+    [("layers.0.attn.q.A", "matmul"), ("layers.1.attn.v.W", "layer_norm")],
+)
+def test_untaped_forward_names_the_overflowing_op(weight, op):
+    model = make_model(rank=4, seed=7)
+    randomize_adapters(model)
+    params = dict(model.named_params())
+    params[weight].data = params[weight].data * np.float32(3e37)
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    args = (model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match=f"produced by {op}$"):
+            forward(*args)
+        with Tape(), pytest.raises(NumericsError, match=f"produced by {op}$"):
+            forward(*args)

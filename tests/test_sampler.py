@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler, sampler_chain, sampler_features, sampler_logits
-from specmtp.tensor import Tensor, cross_entropy, finite_diff_check, precision
+from specmtp.tensor import Tape, Tensor, cross_entropy, finite_diff_check, precision
 from specmtp.sampler import sampler_logits_rows
 
 D = 16
@@ -94,3 +95,35 @@ def test_features_width_matches_model_dim():
     _, head = setup()
     x = Tensor(np.zeros((2, 2 * D)))
     assert sampler_features(head, x).data.shape == (2, D)
+
+
+def test_prev_token_outside_vocabulary_is_rejected():
+    model, head = setup()
+    z = np.zeros(D, dtype=np.float32)
+    for prev in (-1, CFG.vocab_size):
+        with pytest.raises(ValueError, match="outside the vocabulary"):
+            sampler_logits(head, model.unembed, model.embedding_table(), prev, z)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_untaped_chain_equals_taped_argmax_chain(dtype):
+    # With no tape the chain runs on plain hidden rows; the taped batched
+    # head is the oracle, logits byte for byte and picks exactly.
+    with precision(dtype):
+        model, head = setup()
+        emb = model.embedding_table()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            zs = rng.normal(size=(4, D)).astype(dtype)
+            seed_token = int(rng.integers(0, CFG.vocab_size))
+            got = sampler_chain(head, model.unembed, emb, seed_token, zs)
+            prev, expect = seed_token, []
+            for z in zs:
+                with Tape():
+                    taped = sampler_logits_rows(head, model.unembed, emb, [prev], Tensor(z[None]))
+                untaped = sampler_logits(head, model.unembed, emb, prev, z)
+                assert untaped.data.dtype == taped.data.dtype
+                assert untaped.data.tobytes() == taped.data[0].tobytes()
+                prev = int(np.argmax(taped.data[0]))
+                expect.append(prev)
+            assert got == expect
