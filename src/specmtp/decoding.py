@@ -106,9 +106,9 @@ def speculative_decode(
 ) -> tuple[list[int], AcceptanceStats]:
     """Decode up to max_steps forward passes; each pass emits 1..k_eval+1 tokens.
 
-    Stops early when the next layout's highest position id would reach
-    max_position; the output is still a prefix of greedy decoding's. A
-    prompt longer than max_position is rejected.
+    Once a speculative layout would reach max_position, each step runs
+    greedy's causal layout instead, so decoding stops where greedy does,
+    with the same tokens. A prompt longer than max_position is rejected.
     Without a sampler, mask rows fall back to their base-head argmax.
     speculation_override(verified, last_token, block_logits, block_hidden)
     replaces the speculation source; verified is the token list so far,
@@ -134,7 +134,12 @@ def speculative_decode(
         else:
             batch = build_quadratic_inference_input(verified, speculated, mask_ids)
         if batch.position_ids.max() >= cfg.max_position:
-            break
+            # No room left to speculate: take greedy's own step, which
+            # emits one exact token.
+            speculated = []
+            batch = causal_rows(verified)
+            if batch.position_ids.max() >= cfg.max_position:
+                break
         out = _run(model, batch)
         logits = out.logits.data
 

@@ -5,11 +5,13 @@ gate is 1 additionally go through the rank-r adapter path. Attention is
 driven by an explicit allowed-set matrix so excluded keys get exactly
 zero weight, which is what makes the gate-off guarantee bitwise.
 
-`forward` has two paths and the tape picks one. Under an active `Tape`
-it runs the autodiff ops (training, and the test oracle); with no tape
-it runs the same array helpers in the same order on plain arrays, checks
-the layout and the gate once per batch, and wraps only `hidden` and
-`logits` as Tensors. Both give the same bytes.
+`forward` checks the layout and the gate once per batch, then has two
+paths and the tape picks one. Under an active `Tape` it runs the autodiff
+ops (training, and the test oracle): `gated_lora_apply` per adapter, one
+fused `lora_delta` each, and per layer `attention_scores`,
+`masked_softmax_rows` and `attention_context`. With no tape it runs the
+same array helpers in the same order on plain arrays, and wraps only
+`hidden` and `logits` as Tensors. Both give the same bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .tensor import (
     active_tape,
     add,
     add_data,
+    attention_context,
+    attention_context_data,
+    attention_scores,
+    attention_scores_data,
     concat_rows,
     default_dtype,
     derive_rng,
@@ -33,20 +39,13 @@ from .tensor import (
     layer_norm_data,
     linear,
     linear_data,
+    lora_delta,
+    lora_delta_data,
     masked_softmax_data,
     masked_softmax_rows,
-    matmul,
-    matmul_data,
-    reshape,
-    row_scatter_add,
-    row_scatter_add_data,
-    scale,
-    scale_data,
     silu,
     silu_data,
     take_rows,
-    transpose,
-    transpose_data,
 )
 
 LORA_ALPHA_OVER_RANK = 2.0  # constant adapter multiplier (alpha = 2r)
@@ -256,30 +255,37 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
         raise NumericsError("gate entries must be 0 or 1")
 
 
-def gated_lora_apply(layer: GatedLoraLinear, x: Tensor, gate: np.ndarray) -> Tensor:
-    """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1.
+def gated_lora_apply(
+    layer: GatedLoraLinear,
+    x: Tensor,
+    gate: np.ndarray,
+    rows: np.ndarray | None = None,
+    residual: Tensor | None = None,
+) -> Tensor:
+    """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1,
+    plus residual_t when a residual is given.
 
-    Gate-0 rows are returned untouched (no add of a zero), so they are
-    bit-identical to the plain frozen linear.
+    `rows` are the gate's 1-rows when the caller has checked the gate
+    already (`forward` does, once per pass); otherwise the gate is checked
+    here. Gate-0 rows are returned untouched (no add of a zero), so they
+    are bit-identical to the plain frozen linear.
     """
-    gate = np.asarray(gate)
-    _check_gate(gate, x.data.shape[0])
+    if rows is None:
+        gate = np.asarray(gate)
+        _check_gate(gate, x.data.shape[0])
+        rows = np.flatnonzero(gate)
     base = linear(x, layer.W)
-    rows = np.flatnonzero(gate)
-    if layer.A is None or rows.size == 0:
-        return base
-    xr = take_rows(x, rows)
-    delta = scale(matmul(matmul(xr, layer.A), layer.B), LORA_ALPHA_OVER_RANK)
-    return row_scatter_add(base, rows, delta)
+    if layer.A is not None and rows.size:
+        return lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual)
+    return base if residual is None else add(residual, base)
 
 
 def _gated_lora_data(layer: GatedLoraLinear, xd: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`gated_lora_apply` on arrays, for the checked gate's 1-rows `rows`."""
+    """`gated_lora_apply` on arrays, for a checked gate's 1-rows `rows`."""
     base = linear_data(xd, layer.W.data)
     if layer.A is None or rows.size == 0:
         return base
-    delta = matmul_data(matmul_data(xd[rows], layer.A.data), layer.B.data)
-    return row_scatter_add_data(base, rows, scale_data(delta, LORA_ALPHA_OVER_RANK))
+    return lora_delta_data(base, xd, layer.A.data, layer.B.data, rows, LORA_ALPHA_OVER_RANK)[0]
 
 
 class ForwardResult(NamedTuple):
@@ -317,54 +323,37 @@ def forward(
         raise NumericsError("token id out of range")
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
+    _check_gate(gate, t_len)
+    rows = np.flatnonzero(gate)
     if active_tape() is None:
-        return _forward_data(model, tokens, position_ids, allowed, gate)
+        return _forward_data(model, tokens, position_ids, allowed, rows)
 
-    table = model.embedding_table()
-    x = add(take_rows(table, tokens), Tensor(model.pos_table[position_ids]))
-
-    head_dim = c.d_model // c.n_heads
-    inv_sqrt = 1.0 / np.sqrt(head_dim)
-    split = (t_len, c.n_heads, head_dim)
+    x = add(take_rows(model.embedding_table(), tokens), Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        # Every head at once: q and v as (H, T, d_h), k as (H, d_h, T).
-        q = transpose(reshape(gated_lora_apply(lw.attn_q, h, gate), split), (1, 0, 2))
-        k = transpose(reshape(gated_lora_apply(lw.attn_k, h, gate), split), (1, 2, 0))
-        v = transpose(reshape(gated_lora_apply(lw.attn_v, h, gate), split), (1, 0, 2))
-        weights = masked_softmax_rows(scale(matmul(q, k), inv_sqrt), allowed)
-        heads = reshape(transpose(matmul(weights, v), (1, 0, 2)), (t_len, c.d_model))
-        attn = gated_lora_apply(lw.attn_o, heads, gate)
-        x = add(x, attn)
+        q, k, v = (gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        weights = masked_softmax_rows(attention_scores(q, k, c.n_heads), allowed)
+        heads = attention_context(weights, v)
+        x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
         h2 = layer_norm(x, lw.ln2_gain, lw.ln2_bias)
-        ff = gated_lora_apply(lw.ff_out, silu(gated_lora_apply(lw.ff_in, h2, gate)), gate)
-        x = add(x, ff)
+        ff = silu(gated_lora_apply(lw.ff_in, h2, gate, rows))
+        x = gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
 
     hidden = layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     logits = linear(hidden, model.unembed)
     return ForwardResult(hidden=hidden, logits=logits)
 
 
-def _forward_data(model, tokens, position_ids, allowed, gate) -> ForwardResult:
-    """The taped pass's ops, in its order, on plain arrays. The gate is
-    checked here once, where the taped pass checks it in every adapter."""
+def _forward_data(model, tokens, position_ids, allowed, rows) -> ForwardResult:
+    """The taped pass's ops, in its order, on plain arrays; `rows` are the
+    checked gate's 1-rows."""
     c = model.config
-    t_len = tokens.shape[0]
-    _check_gate(gate, t_len)
-    rows = np.flatnonzero(gate)
-
     x = add_data(model.embedding_table().data[tokens], model.pos_table[position_ids])
-
-    head_dim = c.d_model // c.n_heads
-    inv_sqrt = 1.0 / np.sqrt(head_dim)
-    split = (t_len, c.n_heads, head_dim)
     for lw in model.layers:
         h = layer_norm_data(x, lw.ln1_gain.data, lw.ln1_bias.data)[0]
-        q = transpose_data(_gated_lora_data(lw.attn_q, h, rows).reshape(split), (1, 0, 2))
-        k = transpose_data(_gated_lora_data(lw.attn_k, h, rows).reshape(split), (1, 2, 0))
-        v = transpose_data(_gated_lora_data(lw.attn_v, h, rows).reshape(split), (1, 0, 2))
-        weights = masked_softmax_data(scale_data(matmul_data(q, k), inv_sqrt), allowed)
-        heads = transpose_data(matmul_data(weights, v), (1, 0, 2)).reshape(t_len, c.d_model)
+        q, k, v = (_gated_lora_data(g, h, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        weights = masked_softmax_data(attention_scores_data(q, k, c.n_heads)[0], allowed)
+        heads = attention_context_data(weights, v)[0]
         x = add_data(x, _gated_lora_data(lw.attn_o, heads, rows))
         h2 = layer_norm_data(x, lw.ln2_gain.data, lw.ln2_bias.data)[0]
         ff_in = silu_data(_gated_lora_data(lw.ff_in, h2, rows))[0]

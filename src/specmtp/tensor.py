@@ -22,11 +22,24 @@ returns plain arrays and does the op's shape and finiteness checks. The
 `Tensor` op calls its helper and records the backward; an untaped pass
 (`active_tape()` is None) calls the helpers directly. So the two paths
 give the same bytes by construction.
+
+Three fused ops record one tape entry where a chain of elementary ops
+would record several: `lora_delta` (a gated adapter's rank-r correction,
+for take_rows -> matmul -> matmul -> scale -> row_scatter_add, and
+optionally the residual add after it), `attention_scores` (the heads'
+scaled q k^T, for reshape/transpose x2 -> matmul -> scale) and
+`attention_context` (weights times values, for reshape/transpose ->
+matmul -> transpose -> reshape). The masked softmax between the two
+attention ops stays `masked_softmax_rows`. Each fused op runs its
+chain's array helpers in order and its backward applies the chain's
+backward expressions in reverse, so values and gradients are byte-equal
+to the chain's. The elementary ops are their oracle in the tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -394,14 +407,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y, xhat, inv = layer_norm_data(x.data, gain.data, bias.data, eps)
     out = _out(y)
 
-    def bw(g, xhat=xhat, inv=inv, gd=gain.data):
+    def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=xhat.shape[1]):
         dxhat = g * gd
+        # The same bytes as .mean(axis=1) and .sum(axis=0), without their
+        # Python wrappers.
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(dxhat, axis=1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d)
         )
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
 
     return _record(out, (x, gain, bias), bw)
 
@@ -485,6 +500,131 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
         return g, g[idx].copy()
 
     return _record(out, (base, delta), bw)
+
+
+# -----------------------------------------------------------------------------
+# Fused ops: one tape entry for a chain of the ops above. The forward calls
+# the chain's array helpers in the chain's order, so an overflow names the
+# step that made it, as the chain does; the backward applies each step's
+# own backward expression in reverse. Outputs and gradients are byte-equal
+# to the chain's, which is their test oracle.
+# -----------------------------------------------------------------------------
+
+
+def lora_delta_data(
+    base: np.ndarray, xd: np.ndarray, ad: np.ndarray, bd: np.ndarray, rows: np.ndarray, c: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """base + scatter(rows, ((xd[rows] @ ad) @ bd) * c), for unique in-range
+    `rows` of xd (T, in) and base (T, out); ad (in, r), bd (r, out). Returns
+    (output, xd[rows], xd[rows] @ ad), the last two for the backward."""
+    if xd.ndim != 2 or base.ndim != 2 or xd.shape[0] != base.shape[0]:
+        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
+    xr = xd[rows]
+    h = matmul_data(xr, ad)
+    return row_scatter_add_data(base, rows, scale_data(matmul_data(h, bd), c)), xr, h
+
+
+def lora_delta(
+    base: Tensor,
+    x: Tensor,
+    a: Tensor,
+    b: Tensor,
+    rows: np.ndarray,
+    c: float,
+    residual: Tensor | None = None,
+) -> Tensor:
+    """Tensor form of `lora_delta_data`: the chain take_rows -> matmul ->
+    matmul -> scale -> row_scatter_add as one op. With a `residual`, the
+    chain's trailing add(residual, .) is part of the op too."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0]):
+        raise NumericsError("lora_delta row index out of range")
+    c = float(c)
+    y, xr, h = lora_delta_data(base.data, x.data, a.data, b.data, rows, c)
+    inputs = (base, x, a, b)
+    if residual is not None:
+        y = add_data(residual.data, y)
+        inputs += (residual,)
+    out = _out(y)
+
+    def bw(g, rows=rows, xr=xr, h=h, ad=a.data, bd=b.data, shape=x.data.shape, dtype=x.data.dtype):
+        gd = g[rows] * c
+        gh = gd @ bd.swapaxes(-1, -2)
+        gxr = gh @ ad.swapaxes(-1, -2)
+        gx = np.zeros(shape, dtype=dtype)
+        gx[rows] += gxr  # take_rows' np.add.at, for unique rows
+        grads = (g, gx, xr.swapaxes(-1, -2) @ gh, h.swapaxes(-1, -2) @ gd)
+        # add's backward: the residual takes g, the chain below a copy.
+        return grads if residual is None else (g.copy(),) + grads[1:] + (g,)
+
+    return _record(out, inputs, bw)
+
+
+def _split_heads(xd: np.ndarray, n_heads: int, axes: tuple[int, int, int]) -> np.ndarray:
+    """(T, D) -> (T, H, D / H) permuted by `axes`, as a contiguous copy."""
+    t_len, d = xd.shape
+    return transpose_data(xd.reshape(t_len, n_heads, d // n_heads), axes)
+
+
+def _join_heads(g: np.ndarray, axes: tuple[int, int, int], shape: tuple[int, int]) -> np.ndarray:
+    """Inverse of `_split_heads` for a gradient: `axes` is the inverse
+    permutation, `shape` the (T, D) of the split input."""
+    return np.ascontiguousarray(g.transpose(axes)).reshape(shape)
+
+
+def attention_scores_data(
+    qd: np.ndarray, kd: np.ndarray, n_heads: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled dot-product scores of every head: (T, D) queries and keys,
+    split into n_heads heads of D / n_heads columns, give (H, T, T)
+    q k^T / sqrt(D / n_heads). Returns (scores, q as (H, T, d_h), k as
+    (H, d_h, T)), the last two for the backward."""
+    if n_heads < 1 or qd.ndim != 2 or kd.shape != qd.shape or qd.shape[1] % n_heads:
+        raise NumericsError(f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads")
+    q = _split_heads(qd, n_heads, (1, 0, 2))
+    k = _split_heads(kd, n_heads, (1, 2, 0))
+    return scale_data(matmul_data(q, k), 1.0 / math.sqrt(qd.shape[1] // n_heads)), q, k
+
+
+def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
+    """Tensor form of `attention_scores_data`: the chain reshape/transpose
+    x2 -> matmul -> scale as one op."""
+    s, qh, kh = attention_scores_data(q.data, k.data, n_heads)
+    out = _out(s)
+    c = 1.0 / math.sqrt(qh.shape[2])
+
+    def bw(g, qh=qh, kh=kh, shape=q.data.shape):
+        gs = g * c
+        gq = gs @ kh.swapaxes(-1, -2)
+        gk = qh.swapaxes(-1, -2) @ gs
+        return _join_heads(gq, (1, 0, 2), shape), _join_heads(gk, (2, 0, 1), shape)
+
+    return _record(out, (q, k), bw)
+
+
+def attention_context_data(pd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights pd (H, T, T) times (T, D) values split into H heads,
+    the heads joined back to (T, D). Returns (output, v as (H, T, d_h)),
+    the last for the backward."""
+    ok = pd.ndim == 3 and vd.ndim == 2 and pd.shape[0] >= 1 and pd.shape[1:] == (vd.shape[0],) * 2
+    if not ok or vd.shape[1] % pd.shape[0]:
+        raise NumericsError(f"attention_context shape mismatch {pd.shape} x {vd.shape}")
+    v = _split_heads(vd, pd.shape[0], (1, 0, 2))
+    return transpose_data(matmul_data(pd, v), (1, 0, 2)).reshape(vd.shape), v
+
+
+def attention_context(p: Tensor, v: Tensor) -> Tensor:
+    """Tensor form of `attention_context_data`: the chain reshape/transpose
+    -> matmul -> transpose -> reshape as one op."""
+    y, vh = attention_context_data(p.data, v.data)
+    out = _out(y)
+    n_heads, t_len, head_dim = vh.shape
+
+    def bw(g, pd=p.data, vh=vh, shape=v.data.shape):
+        go = np.ascontiguousarray(g.reshape(t_len, n_heads, head_dim).transpose((1, 0, 2)))
+        return go @ vh.swapaxes(-1, -2), _join_heads(pd.swapaxes(-1, -2) @ go, (1, 0, 2), shape)
+
+    return _record(out, (p, v), bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

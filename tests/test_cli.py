@@ -310,9 +310,26 @@ def test_verify_untrained_checkpoint_exit_zero(untrained_ckpt, capsys):
 )
 def test_decoding_up_to_max_position_exits_zero(short_context_ckpt, capsys, argv):
     # max_position 16: decoding stops at the position limit instead of
-    # failing partway. A 15-token prompt leaves no room for one quadratic step.
+    # failing partway. A 15-token prompt leaves no room to speculate, so its
+    # steps take greedy's causal layout.
     assert main(argv[:1] + ["--ckpt", str(short_context_ckpt)] + argv[1:]) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_bench_on_prompt_with_no_room_to_speculate_exits_zero(short_context_ckpt, tmp_path, capsys):
+    # With its BOS, a 14-character prompt is 15 tokens: no k = 4 speculative
+    # layout fits in max_position 16, so every step is greedy's causal one.
+    suite = tmp_path / "long_prompt.txt"
+    suite.write_text("abcdabcdabcdab\n", encoding="utf-8")
+    out = tmp_path / "bench.csv"
+    argv = ["bench", "--ckpt", str(short_context_ckpt), "--suite", str(suite),
+            "--k-range", "4", "--strategies", "quadratic", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["k_eval"] == "4"
+    assert 1.0 <= float(fields["rate_mean"]) <= 4 + 1
 
 
 @pytest.mark.parametrize(

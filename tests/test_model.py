@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from chains import attention_chain, lora_chain
 
 from specmtp.batching import (
     build_linear_inference_input,
@@ -7,7 +8,10 @@ from specmtp.batching import (
     build_training_batch,
     causal_rows,
 )
-from specmtp.model import ModelConfig, forward, gated_lora_apply, init_model
+from specmtp import tensor as tz
+from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
+from specmtp.model import LORA_ALPHA_OVER_RANK, ModelConfig, _check_gate, forward, gated_lora_apply, init_model
+from specmtp.sampler import init_sampler
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
 
 
@@ -282,3 +286,110 @@ def test_untaped_forward_names_the_overflowing_op(weight, op):
             forward(*args)
         with Tape(), pytest.raises(NumericsError, match=f"produced by {op}$"):
             forward(*args)
+
+
+# ---------------------------------------------------------------------------
+# Taped training pass: one fused lora_delta per adapter, and per layer
+# the fused attention_scores and attention_context around the softmax. The
+# chain of elementary ops they replace is the oracle, byte for byte,
+# forward and backward.
+# ---------------------------------------------------------------------------
+
+
+def chain_lora(layer, x, gate):
+    """gated_lora_apply with its adapter delta as the elementary chain."""
+    gate = np.asarray(gate)
+    _check_gate(gate, x.data.shape[0])
+    base = tz.linear(x, layer.W)
+    rows = np.flatnonzero(gate)
+    if rows.size == 0:
+        return base
+    return lora_chain(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK)
+
+
+def chain_forward(model, batch, gate=None):
+    """The taped forward with every fused op written as its elementary chain."""
+    c = model.config
+    gate = batch.gate if gate is None else gate
+    x = tz.add(
+        tz.take_rows(model.embedding_table(), batch.tokens), Tensor(model.pos_table[batch.position_ids])
+    )
+    for lw in model.layers:
+        h = tz.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
+        q, k, v = (chain_lora(g, h, gate) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        heads = attention_chain(q, k, v, batch.attention_allowed, c.n_heads)
+        x = tz.add(x, chain_lora(lw.attn_o, heads, gate))
+        h2 = tz.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
+        x = tz.add(x, chain_lora(lw.ff_out, tz.silu(chain_lora(lw.ff_in, h2, gate)), gate))
+    hidden = tz.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
+    return hidden, tz.linear(hidden, model.unembed)
+
+
+def taped_training_pass(model, sampler, batch, run):
+    """hidden, logits and every trainable gradient of one training loss."""
+    params = model.trainable_params() + sampler.trainable_params()
+    for _, t in params:
+        t.grad = None
+    with Tape() as tape:
+        hidden, logits = run()
+        base, samp = base_and_sampler_ce(
+            batch, hidden, logits, sampler, model.unembed, model.embedding_table()
+        )
+        loss = total_loss(base, samp, lcm_loss(hidden, batch.lcm_pairs))
+    backward(tape, loss)
+    return hidden.data, logits.data, {n: t.grad for n, t in params}, len(tape)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_taped_forward_is_bytewise_its_elementary_chain(dtype):
+    with precision(dtype):
+        model = make_model(rank=4, seed=8)
+        randomize_adapters(model, seed=8)
+        sampler = init_sampler(CFG["d_model"], 8)
+        rng = np.random.default_rng(8)
+        model.embed_mask.data = rng.normal(0, 1.0, model.embed_mask.data.shape).astype(dtype)
+        b_grads = []
+        for _ in range(8):
+            batch = random_layout("training", rng, model.config.mask_ids)
+            fused = taped_training_pass(model, sampler, batch, lambda: run_batch(model, batch))
+            chain = taped_training_pass(model, sampler, batch, lambda: chain_forward(model, batch))
+            for got, want in zip(fused[:2], chain[:2]):
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.tobytes() == want.tobytes()
+            assert fused[2].keys() == chain[2].keys()
+            for name, got in fused[2].items():
+                want = chain[2][name]
+                assert (got is None) == (want is None), name
+                if got is not None:
+                    assert got.dtype == np.dtype(dtype), name
+                    assert got.tobytes() == want.tobytes(), name
+            assert fused[3] < chain[3]
+            b_grads += [g for n, g in fused[2].items() if n.endswith(".B") and g is not None]
+        assert any(g.any() for g in b_grads)
+
+
+def test_training_forward_records_one_entry_per_fused_op():
+    # The embedding (table concat, lookup, position add), then 2 layers of:
+    # 2 layer norms, 6 adapters (a linear plus a lora_delta each, the
+    # residual adds inside the attn.o and ff.out deltas), attention scores,
+    # softmax and context, and silu; then the final norm and the unembedding.
+    model = make_model(rank=4, seed=9)
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    with Tape() as tape:
+        run_batch(model, batch)
+    assert len(tape) == 3 + 2 * (2 + 6 * 2 + 3 + 1) + 2
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [([0, 2, 0], "gate entries must be 0 or 1"), ([0, 1], "gate length does not match row count")],
+)
+def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
+    model = make_model()
+    batch = causal_rows([1, 2, 3])
+    with Tape(), pytest.raises(NumericsError, match=message):
+        forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+    with Tape(), pytest.raises(NumericsError, match=message):
+        chain_forward(model, batch, gate)
+    with Tape(), pytest.raises(NumericsError, match=message):
+        gated_lora_apply(model.layers[0].attn_q, Tensor(np.ones((3, CFG["d_model"]))), gate)

@@ -1,7 +1,9 @@
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
+from chains import attention_chain, context_chain, lora_chain, scores_chain
 
 from specmtp import tensor as tz
 from specmtp.tensor import (
@@ -328,12 +330,19 @@ OVERFLOWS = {
     "sum_all": lambda: tz.sum_all(_big(2, 2)),
     "mean_axis1": lambda: tz.mean_axis1(_big(2, 2)),
     "dot_const": lambda: tz.dot_const(_big(2), np.ones(2)),
+    "lora_delta": lambda: tz.lora_delta(_big(2, 2), _big(2, 2), _big(2, 1), _big(1, 2), np.array([1]), 1.0),
+    "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1),
+    "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2)),
 }
+# A fused op runs its chain's array helpers, so the step that made the
+# value names itself, as it would in the chain.
+FUSED_STEP = {"lora_delta": "matmul", "attention_scores": "matmul", "attention_context": "matmul"}
 
 
 @pytest.mark.parametrize("op", sorted(OVERFLOWS))
 def test_computing_op_rejects_non_finite_output_by_name(op):
-    with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {op}$"):
+    name = FUSED_STEP.get(op, op)
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {name}$"):
         OVERFLOWS[op]()
 
 
@@ -414,3 +423,170 @@ def test_row_scatter_add_untouched_rows_bitwise():
     delta = Tensor(np.ones((2, 3)))
     out = tz.row_scatter_add(base, np.array([1, 4]), delta)
     assert np.array_equal(out.data[[0, 2, 3]], base.data[[0, 2, 3]])
+
+
+# ---------------------------------------------------------------------------
+# Fused ops: one tape entry each, byte-equal to the chain of elementary ops
+# they replace, which stays their oracle.
+# ---------------------------------------------------------------------------
+
+
+T_ROWS = 6
+ROW_SETS = {
+    "subset": np.array([1, 2, 4]),
+    "all": np.arange(T_ROWS),
+    "none": np.array([], dtype=np.int64),
+}
+
+
+def random_allowed(rng, t_len):
+    """Causal with random holes, the diagonal always kept."""
+    return np.tril(rng.random((t_len, t_len)) > 0.4) | np.eye(t_len, dtype=bool)
+
+
+def fused_case(op, case, dtype, seed=12):
+    """(fused fn, chain fn, input leaves, loss weights) on random inputs."""
+    rng = np.random.default_rng(seed)
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    if op == "lora_delta":
+        rows_name, residual = case
+        rows = ROW_SETS[rows_name]
+
+        def fused(*t):  # base, x, a, b, then the residual if any
+            return tz.lora_delta(*t[:4], rows, 2.0, *t[4:])
+
+        def chain(*t):
+            return lora_chain(*t[:4], rows, 2.0, *t[4:])
+
+        inputs = [leaf(T_ROWS, 5), leaf(T_ROWS, 4), leaf(4, 3), leaf(3, 5)]
+        if residual:
+            inputs.append(leaf(T_ROWS, 5))
+        shape = (T_ROWS, 5)
+    elif op == "attention_scores":
+        fused, chain = partial(tz.attention_scores, n_heads=2), partial(scores_chain, n_heads=2)
+        inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
+        shape = (2, T_ROWS, T_ROWS)
+    else:
+        # Rows of attention weights: a softmax over a random causal mask.
+        allowed = random_allowed(rng, T_ROWS)
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2, T_ROWS, T_ROWS))), allowed).data
+        fused, chain = tz.attention_context, context_chain
+        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS, 4)]
+        shape = (T_ROWS, 4)
+    return fused, chain, inputs, rng.normal(size=shape).astype(dtype)
+
+
+FUSED_CASES = [
+    pytest.param("lora_delta", (rows, residual), id=f"lora_delta-{rows}" + ("-residual" if residual else ""))
+    for rows in sorted(ROW_SETS)
+    for residual in (False, True)
+] + [pytest.param(op, None, id=op) for op in ("attention_scores", "attention_context")]
+
+
+@pytest.mark.parametrize("op, case", FUSED_CASES)
+def test_fused_op_gradients_match_finite_differences(op, case):
+    with precision("float64"):
+        fused, _, inputs, w = fused_case(op, case, np.float64)
+        err = finite_diff_check(lambda: sum_all(mulw(fused(*inputs), w)), inputs)
+    assert err < 1e-6
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("op, case", FUSED_CASES)
+def test_fused_op_is_bytewise_its_chain(op, case, dtype):
+    results = []
+    for side in ("fused", "chain"):
+        fused_fn, chain_fn, inputs, w = fused_case(op, case, np.dtype(dtype))
+        with Tape() as tape:
+            out = (fused_fn if side == "fused" else chain_fn)(*inputs)
+            loss = sum_all(mulw(out, w))
+        backward(tape, loss)
+        results.append((out, inputs, len(tape)))
+    (fused, f_inputs, f_len), (chain, c_inputs, c_len) = results
+    assert f_len == 3 and c_len > 3  # one entry, plus mul and sum_all
+    assert fused.data.dtype == chain.data.dtype == np.dtype(dtype)
+    assert fused.data.tobytes() == chain.data.tobytes()
+    for f, c in zip(f_inputs, c_inputs):
+        assert f.grad.dtype == c.grad.dtype == np.dtype(dtype)
+        assert f.grad.tobytes() == c.grad.tobytes()
+
+
+def test_attention_ops_are_bytewise_the_attention_chain():
+    # The three ops the model runs per layer, against the whole chain.
+    rng = np.random.default_rng(13)
+    allowed = random_allowed(rng, T_ROWS)
+    q, k, v = (Tensor(rng.normal(size=(T_ROWS, 4)).astype(np.float32), requires_grad=True) for _ in range(3))
+    w = rng.normal(size=(T_ROWS, 4)).astype(np.float32)
+    runs = []
+    for fn in (
+        lambda: tz.attention_context(masked_softmax_rows(tz.attention_scores(q, k, 2), allowed), v),
+        lambda: attention_chain(q, k, v, allowed, 2),
+    ):
+        for t in (q, k, v):
+            t.grad = None
+        with Tape() as tape:
+            out = fn()
+            loss = sum_all(mulw(out, w))
+        backward(tape, loss)
+        runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
+    assert runs[0] == runs[1]
+
+
+def _lora_overflow(step):
+    # Inputs whose first non-finite value appears at `step` of the chain.
+    x, a, b = np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2))
+    base, c, residual = np.zeros((2, 2)), 1.0, np.zeros((2, 2))
+    if step == "matmul":
+        a = np.full((2, 1), BIG)
+    elif step == "scale":
+        c = BIG
+    elif step == "row_scatter_add":
+        base = np.full((2, 2), BIG)
+        b = np.full((1, 2), BIG / 4)
+    else:
+        residual = base = np.full((2, 2), BIG)
+    return [Tensor(t) for t in (base, x, a, b)], np.array([0]), c, Tensor(residual)
+
+
+@pytest.mark.parametrize("step", ["matmul", "scale", "row_scatter_add", "add"])
+def test_lora_delta_overflow_names_the_same_step_as_its_chain(step):
+    inputs, rows, c, residual = _lora_overflow(step)
+    for fn in (tz.lora_delta, lora_chain):
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
+            fn(*inputs, rows, c, residual)
+
+
+def _t(*shape):
+    return Tensor(np.zeros(shape))
+
+
+FUSED_MISMATCHES = {
+    "lora_x_not_2d": lambda: tz.lora_delta(_t(3, 2), _t(3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_base_rows": lambda: tz.lora_delta(_t(4, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_a_rows": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(2, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_b_rows": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(2, 2), np.array([0]), 1.0),
+    "lora_b_cols": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 3), np.array([0]), 1.0),
+    "lora_row_range": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([3]), 1.0),
+    "lora_negative_row": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([-1]), 1.0),
+    "lora_residual_shape": lambda: tz.lora_delta(
+        _t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
+    ),
+    "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2),
+    "scores_not_2d": lambda: tz.attention_scores(_t(2, 3, 4), _t(2, 3, 4), 2),
+    "scores_heads_split": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 3),
+    "scores_no_heads": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 0),
+    "context_p_not_3d": lambda: tz.attention_context(_t(3, 3), _t(3, 4)),
+    "context_p_not_t_by_t": lambda: tz.attention_context(_t(2, 3, 2), _t(3, 4)),
+    "context_v_rows": lambda: tz.attention_context(_t(2, 3, 3), _t(2, 4)),
+    "context_heads_split": lambda: tz.attention_context(_t(3, 3, 3), _t(3, 4)),
+    "context_no_heads": lambda: tz.attention_context(_t(0, 3, 3), _t(3, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FUSED_MISMATCHES))
+def test_fused_op_shape_mismatch_is_numerics_error(case):
+    with pytest.raises(NumericsError):
+        FUSED_MISMATCHES[case]()
