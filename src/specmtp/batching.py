@@ -15,11 +15,16 @@ positions, anchors and attention:
 
 So regular rows compute exactly what a plain causal pass computes, and
 mask blocks never see each other.
+
+Every sequence of a built-in corpus has the same length and loss flags,
+so all of them share one training layout. `build_training_stack` builds
+it once per corpus and gives tokens, labels and previous tokens a leading
+sequence axis; a training step selects its sequences from that stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +43,9 @@ class MaskedBatch:
     rows). lcm_pairs lists (mask_row, anchor_row) couples whose hidden
     states are pulled together by the consistency loss. prev_token holds
     the gold token that precedes each row's target (for the sampler).
+
+    In a stack of sequences that share the layout, tokens, base_labels
+    and prev_token are (N, T); every other field is the shared (T,) one.
     """
 
     tokens: np.ndarray
@@ -51,7 +59,22 @@ class MaskedBatch:
 
     @property
     def size(self) -> int:
-        return int(self.tokens.shape[0])
+        return int(self.tokens.shape[-1])
+
+    @property
+    def labeled_rows(self) -> np.ndarray:
+        """Rows with a live label, one set for every sequence of a stack."""
+        return np.flatnonzero(self.base_labels.reshape(-1, self.size)[0] != IGNORE_ID)
+
+    def select(self, picks) -> "MaskedBatch":
+        """Sequences of a stack: an index array gives a smaller stack, an
+        int one sequence's batch."""
+        return replace(
+            self,
+            tokens=self.tokens[picks],
+            base_labels=self.base_labels[picks],
+            prev_token=self.prev_token[picks],
+        )
 
     @property
     def ntp_rows(self) -> np.ndarray:
@@ -136,6 +159,40 @@ def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
             if labels[arow] != IGNORE_ID:
                 batch.lcm_pairs.append((row, arow))
     return batch
+
+
+def build_training_stack(corpus, mask_ids) -> MaskedBatch:
+    """`build_training_batch` for every (seq, loss_flags) pair of a corpus.
+
+    The sequences must share their length and loss flags, so that they
+    share one layout: positions, gate, attention and lcm_pairs are built
+    once, and tokens, base_labels and prev_token are (N, T), row b of each
+    equal to sequence b's own batch. A ValueError names the first
+    sequence whose length or flags differ from sequence 0's.
+    """
+    corpus = list(corpus)
+    if not corpus:
+        raise ValueError("cannot stack an empty corpus")
+    seq0, flags0 = corpus[0]
+    for i, (seq, flags) in enumerate(corpus[1:], start=1):
+        if len(seq) != len(seq0):
+            raise ValueError(
+                f"sequence {i} has {len(seq)} tokens and sequence 0 has {len(seq0)}: "
+                "a training stack needs one length"
+            )
+        if not np.array_equal(flags, flags0):
+            raise ValueError(f"sequence {i} has other loss flags than sequence 0: a training stack needs one layout")
+    layout = build_training_batch(seq0, flags0, mask_ids)
+    seqs = np.stack([np.asarray(seq, dtype=np.int64) for seq, _ in corpus])
+    n = seqs.shape[1]
+    # Row r of every sequence holds that sequence's token at position p (a
+    # mask id on mask rows), predicts its token p + 1 and follows token p.
+    pos = layout.position_ids
+    at, after = np.minimum(pos, n - 1), np.minimum(pos + 1, n - 1)
+    layout.tokens = np.where(layout.gate == 0, seqs[:, at], layout.tokens)
+    layout.base_labels = np.where(layout.base_labels != IGNORE_ID, seqs[:, after], IGNORE_ID)
+    layout.prev_token = np.where(layout.prev_token != NO_TOKEN, seqs[:, at], NO_TOKEN)
+    return layout
 
 
 def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:

@@ -124,8 +124,9 @@ def load_checkpoint(
 ) -> tuple[ModelBundle, SamplerHead | None, dict[str, str]]:
     """Rebuild the bundle (and sampler, if saved). Returns stripped meta too.
 
-    The payload digest is verified before any tensor is accepted. When
-    expected_config is given, a field-by-field diff is raised on mismatch.
+    The payload digest is verified before any tensor is accepted, and a
+    tensor holding NaN or +-inf is rejected by name. When expected_config
+    is given, a field-by-field diff is raised on mismatch.
     """
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
@@ -178,6 +179,10 @@ def load_checkpoint(
             raise CheckpointError(
                 f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}"
             )
+        # The digest only proves the bytes are the ones saved; assigning to
+        # .data skips the check a Tensor makes of outside data.
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name} holds NaN or infinite values")
         tensor.data = arr
     if loaded:
         raise CheckpointError(f"unexpected tensors in checkpoint: {sorted(loaded)}")

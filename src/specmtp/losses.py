@@ -3,6 +3,10 @@
 The consistency term pulls each mask row's hidden state toward the hidden
 state of the regular row that shares its target. The anchor side is
 detached, so only the mask representations move.
+
+Each loss takes one sequence's batch or a stack of sequences that share
+the layout (`build_training_stack`); over a stack it is a vector with one
+entry per sequence, each with that sequence's own bytes.
 """
 
 from __future__ import annotations
@@ -41,16 +45,14 @@ def base_and_sampler_ce(
     is a constant zero.
     """
     base = cross_entropy(base_logits, batch.base_labels)
-    if sampler is None:
-        return base, Tensor(np.zeros((), dtype=base_logits.data.dtype))
-    rows = np.flatnonzero(batch.base_labels != IGNORE_ID)
-    if rows.size == 0:
-        return base, Tensor(np.zeros((), dtype=base_logits.data.dtype))
-    prev_ids = batch.prev_token[rows]
+    rows = batch.labeled_rows
+    if sampler is None or rows.size == 0:
+        return base, Tensor(np.zeros(base.data.shape, dtype=base_logits.data.dtype))
+    prev_ids = batch.prev_token[..., rows]
     if (prev_ids < 0).any():
         raise ValueError("labeled row without a preceding gold token")
     logits = sampler_logits_rows(sampler, unembed, embeddings, prev_ids, take_rows(hidden, rows))
-    samp = cross_entropy(logits, batch.base_labels[rows])
+    samp = cross_entropy(logits, batch.base_labels[..., rows])
     return base, samp
 
 
@@ -62,7 +64,7 @@ def lcm_loss(hidden: Tensor, lcm_pairs: list[tuple[int, int]]) -> Tensor:
     into the regular-row representations.
     """
     if not lcm_pairs:
-        return Tensor(np.zeros((), dtype=hidden.data.dtype))
+        return Tensor(np.zeros(hidden.data.shape[:-2], dtype=hidden.data.dtype))
     mask_rows = np.array([p[0] for p in lcm_pairs], dtype=np.int64)
     anchor_rows = np.array([p[1] for p in lcm_pairs], dtype=np.int64)
     anchors = detach(take_rows(hidden, anchor_rows))
@@ -87,6 +89,6 @@ def ntp_only_ce(batch: MaskedBatch, base_logits: Tensor) -> Tensor:
     """Cross-entropy restricted to labeled regular rows (the quality metric
     that must stay flat while the adapters train)."""
     labels = batch.base_labels.copy()
-    labels[batch.gate == 1] = IGNORE_ID
+    labels[..., batch.gate == 1] = IGNORE_ID
     return cross_entropy(base_logits, labels)
 

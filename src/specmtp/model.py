@@ -5,8 +5,12 @@ gate is 1 additionally go through the rank-r adapter path. Attention is
 driven by an explicit allowed-set matrix so excluded keys get exactly
 zero weight, which is what makes the gate-off guarantee bitwise.
 
-`forward` checks the layout and the gate once per batch, then has two
-paths and the tape picks one. Under an active `Tape` it runs the autodiff
+`forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
+that share one layout: positions, attention mask and gate are (T,)-shaped
+and shared, and hidden and logits get the leading axis. A stack runs every
+op once, on stacked operands, with each sequence's bytes (see tensor.py).
+It checks the layout and the gate once per batch, then has two paths and
+the tape picks one. Under an active `Tape` it runs the autodiff
 ops (training, and the test oracle): `gated_lora_apply` per adapter, one
 fused `lora_delta` each, and per layer `attention_scores`,
 `masked_softmax_rows` and `attention_context`. With no tape it runs the
@@ -272,7 +276,7 @@ def gated_lora_apply(
     """
     if rows is None:
         gate = np.asarray(gate)
-        _check_gate(gate, x.data.shape[0])
+        _check_gate(gate, x.data.shape[-2])
         rows = np.flatnonzero(gate)
     base = linear(x, layer.W)
     if layer.A is not None and rows.size:
@@ -289,8 +293,8 @@ def _gated_lora_data(layer: GatedLoraLinear, xd: np.ndarray, rows: np.ndarray) -
 
 
 class ForwardResult(NamedTuple):
-    hidden: Tensor  # (T, d) last-layer states after the final norm
-    logits: Tensor  # (T, V)
+    hidden: Tensor  # (..., T, d) last-layer states after the final norm
+    logits: Tensor  # (..., T, V)
 
 
 def forward(
@@ -302,6 +306,7 @@ def forward(
 ) -> ForwardResult:
     """One pass over an arbitrary token/position/attention layout.
 
+    tokens are (T,), or (B, T) for B sequences sharing the layout.
     attention_allowed[i, j] == 1 admits key j for query i; it must be
     lower-triangular with a full diagonal. Excluded keys get exactly zero
     attention weight. With no active tape the pass runs on plain arrays
@@ -311,7 +316,7 @@ def forward(
     tokens = np.asarray(tokens, dtype=np.int64)
     position_ids = np.asarray(position_ids, dtype=np.int64)
     gate = np.asarray(gate)
-    t_len = tokens.shape[0]
+    t_len = tokens.shape[-1]
     allowed = np.asarray(attention_allowed).astype(bool)
     if allowed.shape != (t_len, t_len):
         raise NumericsError("attention_allowed must be T x T")

@@ -1,13 +1,19 @@
 """Dense tensors with reverse-mode autodiff.
 
-Small on purpose: 1-D to 3-D float arrays, a handful of ops sufficient for
-a decoder-only transformer, and an explicit tape. No broadcasting beyond
-row-wise bias/gain. Attention runs every head in one pass, so `matmul`
-(H, m, p) @ (H, p, n), `transpose` (any axes), `reshape` and
-`masked_softmax_rows` (one (T, T) mask per (H, T, T) stack) take stacked
-operands. An op's output keeps its inputs' dtype: float32 by default,
-float64 for gradient checking via `precision("float64")`. The default
-dtype and the active tape are held per context, so each thread has its own.
+Small on purpose: float arrays, a handful of ops sufficient for a
+decoder-only transformer, and an explicit tape. An op is written for its
+core shape, (T, d) rows for most, and takes any leading axes on its row
+inputs: the heads of attention, and the sequences of a training stack,
+which share one layout. A weight (linear, adapter factors, norm gain and
+bias, a row bias, a position table) is shared by every leading index. Its
+gradient is formed per leading index and summed last index first: the
+order in which a tape with one pass per sequence would accumulate it, so
+a stacked pass gives every sequence, and every weight, the bytes of the
+per-sequence passes. Matmuls stay stacked calls, never flattened to
+B * T rows, because a flattened product rounds differently. An op's
+output keeps its inputs' dtype: float32 by default, float64 for gradient
+checking via `precision("float64")`. The default dtype and the active
+tape are held per context, so each thread has its own.
 
 Every value is checked once, where it is made. `Tensor(...)` takes data
 from outside the engine and rejects NaN and +inf (-inf is the softmax
@@ -187,6 +193,19 @@ def _tracked(t) -> bool:
     return isinstance(t, Tensor) and (t.requires_grad or t._node)
 
 
+def _sum_lead(g: np.ndarray, ndim: int) -> np.ndarray:
+    """The gradient of a weight with `ndim` axes from g, its per-sequence
+    gradients over g's leading axes: summed from the last sequence to the
+    first, as the per-sequence tape would add them."""
+    if g.ndim == ndim:
+        return g
+    per_seq = g.reshape((-1,) + g.shape[g.ndim - ndim :])
+    acc = per_seq[-1].copy()
+    for gi in per_seq[-2::-1]:
+        acc += gi
+    return acc
+
+
 def _record(out: Tensor, inputs: tuple, backward_fn) -> Tensor:
     """Append an op to the active tape if any input participates in the graph.
 
@@ -243,17 +262,20 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 def matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """ad (m, p) @ bd (p, n) -> (m, n), or stacked (H, m, p) @ (H, p, n)
-    -> (H, m, n)."""
-    same_stack = ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]
-    if ad.ndim not in (2, 3) or not same_stack or ad.shape[-1] != bd.shape[-2]:
+    """ad (..., m, p) @ bd (..., p, n) -> (..., m, n) over the same leading
+    axes, or over ad's alone for a 2-D bd shared by every leading index."""
+    shared_or_same = bd.ndim == 2 or ad.shape[:-2] == bd.shape[:-2]
+    if ad.ndim < 2 or bd.ndim < 2 or not shared_or_same or ad.shape[-1] != bd.shape[-2]:
         raise NumericsError(f"matmul shape mismatch {ad.shape} x {bd.shape}")
     return _finite(ad @ bd, "matmul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor form of `matmul_data`."""
+    """Tensor form of `matmul_data` for operands with the same leading axes
+    (a shared 2-D operand is the business of `lora_delta`)."""
     ad, bd = a.data, b.data
+    if ad.ndim != bd.ndim:
+        raise NumericsError(f"matmul shape mismatch {ad.shape} x {bd.shape}")
     out = _out(matmul_data(ad, bd))
 
     def bw(g, ad=ad, bd=bd):
@@ -263,18 +285,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear_data(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
-    """xd (T, in) @ wd.T for wd (out, in) -> (T, out)."""
-    if xd.shape[1] != wd.shape[1]:
+    """xd (..., T, in) @ wd.T for wd (out, in) -> (..., T, out)."""
+    if xd.shape[-1] != wd.shape[1]:
         raise NumericsError(f"linear shape mismatch {xd.shape} x {wd.shape}")
     return _finite(xd @ wd.T, "linear")
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """Tensor form of `linear_data`."""
+    """Tensor form of `linear_data`. A frozen w gets no gradient formed."""
     out = _out(linear_data(x.data, w.data))
 
     def bw(g, xd=x.data, wd=w.data):
-        return g @ wd, g.T @ xd
+        gw = _sum_lead(g.swapaxes(-1, -2) @ xd, 2) if _tracked(w) else None
+        return g @ wd, gw
 
     return _record(out, (x, w), bw)
 
@@ -307,13 +330,25 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def _check_rowwise(ad: np.ndarray, bd: np.ndarray, op: str) -> None:
-    ok = ad.shape == bd.shape or (ad.ndim == 2 and bd.ndim == 1 and ad.shape[1] == bd.shape[0])
+    """bd is ad's shape, or a trailing part of it shared by every leading
+    index: a row bias (d,), or a (T, d) table added to every sequence."""
+    ok = ad.shape == bd.shape or (1 <= bd.ndim < ad.ndim and ad.shape[ad.ndim - bd.ndim :] == bd.shape)
     if not ok:
         raise NumericsError(f"{op} shape mismatch {ad.shape} vs {bd.shape}")
 
 
+def _shared_grad(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of an operand of `shape` that `_check_rowwise` admitted:
+    a row bias sums each sequence's rows, then the sequences are summed."""
+    if g.shape == shape:
+        return g.copy()
+    if len(shape) == 1:
+        g = np.add.reduce(g, axis=-2)
+    return _sum_lead(g, len(shape))
+
+
 def add_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
-    """Elementwise add; bd may be a 1-D row bias against 2-D ad."""
+    """Elementwise add; bd may be shared by ad's leading rows (`_check_rowwise`)."""
     _check_rowwise(ad, bd, "add")
     return _finite(ad + bd, "add")
 
@@ -323,8 +358,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = _out(add_data(a.data, b.data))
 
     def bw(g, bshape=b.data.shape):
-        gb = g.sum(axis=0) if g.ndim == 2 and len(bshape) == 1 else g.copy()
-        return g, gb
+        return g, _shared_grad(g, bshape)
 
     return _record(out, (a, b), bw)
 
@@ -334,8 +368,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _out(a.data - b.data, "sub")
 
     def bw(g, bshape=b.data.shape):
-        gb = g.sum(axis=0) if g.ndim == 2 and len(bshape) == 1 else g.copy()
-        return g, -gb
+        return g, -_shared_grad(g, bshape)
 
     return _record(out, (a, b), bw)
 
@@ -389,14 +422,15 @@ def silu(x: Tensor) -> Tensor:
 def layer_norm_data(
     xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row zero mean / unit variance, then affine; xd (T, d). Returns
-    (output, normalised rows, 1 / std), the last two for the backward."""
-    if xd.ndim != 2:
-        raise NumericsError("layer_norm expects a 2-D input")
+    """Per-row zero mean / unit variance, then affine; xd (..., T, d).
+    Returns (output, normalised rows, 1 / std), the last two for the
+    backward."""
+    if xd.ndim < 2:
+        raise NumericsError("layer_norm expects rows of at least 2-D input")
     # The same bytes as xd.mean and xd.var, without their Python wrappers.
-    d = xd.shape[1]
-    xc = xd - np.add.reduce(xd, axis=1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
+    d = xd.shape[-1]
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return _finite(xhat * gain + bias, "layer_norm"), xhat, inv
@@ -407,16 +441,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     y, xhat, inv = layer_norm_data(x.data, gain.data, bias.data, eps)
     out = _out(y)
 
-    def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=xhat.shape[1]):
+    def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=xhat.shape[-1]):
         dxhat = g * gd
-        # The same bytes as .mean(axis=1) and .sum(axis=0), without their
+        # The same bytes as .mean(axis=-1) and .sum(axis=-2), without their
         # Python wrappers.
         dx = inv * (
             dxhat
-            - np.add.reduce(dxhat, axis=1, keepdims=True) / d
-            - xhat * (np.add.reduce(dxhat * xhat, axis=1, keepdims=True) / d)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         )
-        return dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
+        ggain = _sum_lead(np.add.reduce(g * xhat, axis=-2), 1) if _tracked(gain) else None
+        gbias = _sum_lead(np.add.reduce(g, axis=-2), 1) if _tracked(bias) else None
+        return dx, ggain, gbias
 
     return _record(out, (x, gain, bias), bw)
 
@@ -468,26 +504,41 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows by integer index; backward scatter-adds."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.data.shape[0]):
-        raise NumericsError("take_rows index out of range")
-    out = _out(x.data[idx])
+    """Gather rows x[..., idx, :] by integer index; backward scatter-adds.
 
-    def bw(g, idx=idx, shape=x.data.shape, dtype=x.data.dtype):
-        gx = np.zeros(shape, dtype=dtype)
-        np.add.at(gx, idx, g)
-        return (gx,)
+    Rows of x (..., T, d) by a 1-D idx keep x's leading axes. A 2-D table
+    x (V, d) looked up by a stacked idx (..., R) gives (..., R, d): one
+    lookup per sequence, so the table's gradient is summed per sequence
+    first and then over the sequences, last first.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    xd = x.data
+    if xd.ndim < 2 or (idx.ndim > 1 and xd.ndim > 2):
+        raise NumericsError(f"take_rows cannot index {xd.shape} by {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= xd.shape[-2]):
+        raise NumericsError("take_rows index out of range")
+    out = _out(xd.take(idx, axis=-2))
+
+    def bw(g, idx=idx, shape=xd.shape, dtype=xd.dtype):
+        if idx.ndim < 2:
+            gx = np.zeros(shape, dtype=dtype)
+            np.add.at(gx, (..., idx, slice(None)), g)
+            return (gx,)
+        per_seq = idx.reshape(-1, idx.shape[-1])
+        n = per_seq.shape[0]
+        gx = np.zeros((n,) + shape, dtype=dtype)
+        np.add.at(gx, (np.arange(n)[:, None], per_seq), g.reshape(n, idx.shape[-1], shape[-1]))
+        return (_sum_lead(gx, 2),)
 
     return _record(out, (x,), bw)
 
 
 def row_scatter_add_data(base: np.ndarray, idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Copy of base with delta added at (unique) row indices idx."""
-    if delta.shape != (idx.size, base.shape[1]):
+    """Copy of base (..., T, d) with delta added at (unique) row indices idx."""
+    if base.ndim < 2 or delta.shape != base.shape[:-2] + (idx.size, base.shape[-1]):
         raise NumericsError("row_scatter_add shape mismatch")
     out = base.copy()
-    out[idx] += delta
+    out[..., idx, :] += delta
     return _finite(out, "row_scatter_add")
 
 
@@ -497,7 +548,7 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
     out = _out(row_scatter_add_data(base.data, idx, delta.data))
 
     def bw(g, idx=idx):
-        return g, g[idx].copy()
+        return g, g.take(idx, axis=-2)
 
     return _record(out, (base, delta), bw)
 
@@ -514,12 +565,13 @@ def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
 def lora_delta_data(
     base: np.ndarray, xd: np.ndarray, ad: np.ndarray, bd: np.ndarray, rows: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """base + scatter(rows, ((xd[rows] @ ad) @ bd) * c), for unique in-range
-    `rows` of xd (T, in) and base (T, out); ad (in, r), bd (r, out). Returns
-    (output, xd[rows], xd[rows] @ ad), the last two for the backward."""
-    if xd.ndim != 2 or base.ndim != 2 or xd.shape[0] != base.shape[0]:
+    """base + scatter(rows, ((xd[..., rows, :] @ ad) @ bd) * c), for unique
+    in-range `rows` of xd (..., T, in) and base (..., T, out); ad (in, r)
+    and bd (r, out) are shared by every leading index. Returns (output,
+    xd[..., rows, :], that @ ad), the last two for the backward."""
+    if xd.ndim < 2 or base.shape[:-1] != xd.shape[:-1]:
         raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
-    xr = xd[rows]
+    xr = xd.take(rows, axis=-2)
     h = matmul_data(xr, ad)
     return row_scatter_add_data(base, rows, scale_data(matmul_data(h, bd), c)), xr, h
 
@@ -537,53 +589,54 @@ def lora_delta(
     matmul -> scale -> row_scatter_add as one op. With a `residual`, the
     chain's trailing add(residual, .) is part of the op too."""
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0]):
+    xd = x.data
+    if rows.size and xd.ndim >= 2 and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
         raise NumericsError("lora_delta row index out of range")
     c = float(c)
-    y, xr, h = lora_delta_data(base.data, x.data, a.data, b.data, rows, c)
+    y, xr, h = lora_delta_data(base.data, xd, a.data, b.data, rows, c)
     inputs = (base, x, a, b)
     if residual is not None:
         y = add_data(residual.data, y)
         inputs += (residual,)
     out = _out(y)
 
-    def bw(g, rows=rows, xr=xr, h=h, ad=a.data, bd=b.data, shape=x.data.shape, dtype=x.data.dtype):
-        gd = g[rows] * c
+    def bw(g, rows=rows, xr=xr, h=h, ad=a.data, bd=b.data, shape=xd.shape, dtype=xd.dtype):
+        gd = g.take(rows, axis=-2) * c
         gh = gd @ bd.swapaxes(-1, -2)
         gxr = gh @ ad.swapaxes(-1, -2)
         gx = np.zeros(shape, dtype=dtype)
-        gx[rows] += gxr  # take_rows' np.add.at, for unique rows
-        grads = (g, gx, xr.swapaxes(-1, -2) @ gh, h.swapaxes(-1, -2) @ gd)
+        gx[..., rows, :] += gxr  # take_rows' np.add.at, for unique rows
+        ga = _sum_lead(xr.swapaxes(-1, -2) @ gh, 2) if _tracked(a) else None
+        gb = _sum_lead(h.swapaxes(-1, -2) @ gd, 2) if _tracked(b) else None
         # add's backward: the residual takes g, the chain below a copy.
-        return grads if residual is None else (g.copy(),) + grads[1:] + (g,)
+        return (g, gx, ga, gb) if residual is None else (g.copy(), gx, ga, gb, g)
 
     return _record(out, inputs, bw)
 
 
-def _split_heads(xd: np.ndarray, n_heads: int, axes: tuple[int, int, int]) -> np.ndarray:
-    """(T, D) -> (T, H, D / H) permuted by `axes`, as a contiguous copy."""
-    t_len, d = xd.shape
-    return transpose_data(xd.reshape(t_len, n_heads, d // n_heads), axes)
+def _heads(xd: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., T, D) -> a (..., H, T, D / H) view: the columns split into heads."""
+    return xd.reshape(xd.shape[:-1] + (n_heads, xd.shape[-1] // n_heads)).swapaxes(-3, -2)
 
 
-def _join_heads(g: np.ndarray, axes: tuple[int, int, int], shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of `_split_heads` for a gradient: `axes` is the inverse
-    permutation, `shape` the (T, D) of the split input."""
-    return np.ascontiguousarray(g.transpose(axes)).reshape(shape)
+def _join_heads(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_heads` for a gradient g (..., H, T, D / H): `shape` is
+    the (..., T, D) of the split input."""
+    return np.ascontiguousarray(g.swapaxes(-3, -2)).reshape(shape)
 
 
 def attention_scores_data(
     qd: np.ndarray, kd: np.ndarray, n_heads: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled dot-product scores of every head: (T, D) queries and keys,
-    split into n_heads heads of D / n_heads columns, give (H, T, T)
-    q k^T / sqrt(D / n_heads). Returns (scores, q as (H, T, d_h), k as
-    (H, d_h, T)), the last two for the backward."""
-    if n_heads < 1 or qd.ndim != 2 or kd.shape != qd.shape or qd.shape[1] % n_heads:
+    """Scaled dot-product scores of every head: (..., T, D) queries and
+    keys, split into n_heads heads of D / n_heads columns, give (..., H, T,
+    T) q k^T / sqrt(D / n_heads). Returns (scores, q as (..., H, T, d_h), k
+    as (..., H, d_h, T)), the last two for the backward."""
+    if n_heads < 1 or qd.ndim < 2 or kd.shape != qd.shape or qd.shape[-1] % n_heads:
         raise NumericsError(f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads")
-    q = _split_heads(qd, n_heads, (1, 0, 2))
-    k = _split_heads(kd, n_heads, (1, 2, 0))
-    return scale_data(matmul_data(q, k), 1.0 / math.sqrt(qd.shape[1] // n_heads)), q, k
+    q = np.ascontiguousarray(_heads(qd, n_heads))
+    k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
+    return scale_data(matmul_data(q, k), 1.0 / math.sqrt(qd.shape[-1] // n_heads)), q, k
 
 
 def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
@@ -591,26 +644,32 @@ def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
     x2 -> matmul -> scale as one op."""
     s, qh, kh = attention_scores_data(q.data, k.data, n_heads)
     out = _out(s)
-    c = 1.0 / math.sqrt(qh.shape[2])
+    c = 1.0 / math.sqrt(qh.shape[-1])
 
     def bw(g, qh=qh, kh=kh, shape=q.data.shape):
         gs = g * c
         gq = gs @ kh.swapaxes(-1, -2)
         gk = qh.swapaxes(-1, -2) @ gs
-        return _join_heads(gq, (1, 0, 2), shape), _join_heads(gk, (2, 0, 1), shape)
+        return _join_heads(gq, shape), _join_heads(gk.swapaxes(-1, -2), shape)
 
     return _record(out, (q, k), bw)
 
 
 def attention_context_data(pd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights pd (H, T, T) times (T, D) values split into H heads,
-    the heads joined back to (T, D). Returns (output, v as (H, T, d_h)),
-    the last for the backward."""
-    ok = pd.ndim == 3 and vd.ndim == 2 and pd.shape[0] >= 1 and pd.shape[1:] == (vd.shape[0],) * 2
-    if not ok or vd.shape[1] % pd.shape[0]:
+    """Attention weights pd (..., H, T, T) times (..., T, D) values split
+    into H heads, the heads joined back to (..., T, D). Returns (output, v
+    as (..., H, T, d_h)), the last for the backward."""
+    ok = (
+        vd.ndim >= 2
+        and pd.ndim == vd.ndim + 1
+        and pd.shape[-3] >= 1
+        and pd.shape[:-3] == vd.shape[:-2]
+        and pd.shape[-2:] == (vd.shape[-2],) * 2
+    )
+    if not ok or vd.shape[-1] % pd.shape[-3]:
         raise NumericsError(f"attention_context shape mismatch {pd.shape} x {vd.shape}")
-    v = _split_heads(vd, pd.shape[0], (1, 0, 2))
-    return transpose_data(matmul_data(pd, v), (1, 0, 2)).reshape(vd.shape), v
+    v = np.ascontiguousarray(_heads(vd, pd.shape[-3]))
+    return _join_heads(matmul_data(pd, v), vd.shape), v
 
 
 def attention_context(p: Tensor, v: Tensor) -> Tensor:
@@ -618,23 +677,23 @@ def attention_context(p: Tensor, v: Tensor) -> Tensor:
     -> matmul -> transpose -> reshape as one op."""
     y, vh = attention_context_data(p.data, v.data)
     out = _out(y)
-    n_heads, t_len, head_dim = vh.shape
 
     def bw(g, pd=p.data, vh=vh, shape=v.data.shape):
-        go = np.ascontiguousarray(g.reshape(t_len, n_heads, head_dim).transpose((1, 0, 2)))
-        return go @ vh.swapaxes(-1, -2), _join_heads(pd.swapaxes(-1, -2) @ go, (1, 0, 2), shape)
+        go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
+        return go @ vh.swapaxes(-1, -2), _join_heads(pd.swapaxes(-1, -2) @ go, shape)
 
     return _record(out, (p, v), bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    out = _out(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.data.shape[1] for p in parts]
+    """Join (..., T, w_i) parts along their last axis."""
+    out = _out(np.concatenate([p.data for p in parts], axis=-1))
+    widths = [p.data.shape[-1] for p in parts]
 
     def bw(g, widths=widths):
         pieces, j = [], 0
         for w in widths:
-            pieces.append(g[:, j : j + w].copy())
+            pieces.append(g[..., j : j + w].copy())
             j += w
         return tuple(pieces)
 
@@ -661,35 +720,59 @@ IGNORE_ID = -1
 def cross_entropy(logits: Tensor, labels, ignore_id: int = IGNORE_ID) -> Tensor:
     """Mean -log softmax(logits)[label] over rows whose label != ignore_id.
 
-    Returns scalar 0 (with no gradient flow) when every row is ignored.
-    Labels outside [0, V) other than the sentinel are an error.
+    logits (..., R, V) and labels (..., R) give one mean per sequence, of
+    shape (...); every sequence must ignore the same rows. Returns 0 (with
+    no gradient flow) when every row is ignored. Labels outside [0, V)
+    other than the sentinel are an error.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
-        raise NumericsError("cross_entropy expects (R, V) logits and (R,) labels")
+    lg = logits.data
+    if lg.ndim < 2 or labels.shape != lg.shape[:-1]:
+        raise NumericsError("cross_entropy expects (..., R, V) logits and (..., R) labels")
     valid = labels != ignore_id
-    if valid.any():
-        picked = labels[valid]
-        if picked.min() < 0 or picked.max() >= logits.data.shape[1]:
-            raise NumericsError("cross_entropy label out of range")
-    else:
-        return _out(np.zeros((), dtype=logits.data.dtype))
-    rows = np.flatnonzero(valid)
-    ld = logits.data[rows]
-    m = ld.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(ld - m).sum(axis=1))
-    losses = lse - ld[np.arange(rows.size), labels[rows]]
-    out = _out(np.asarray(losses.mean(), dtype=logits.data.dtype), "cross_entropy")
+    if not valid.any():
+        return _out(np.zeros(labels.shape[:-1], dtype=lg.dtype))
+    first = valid.reshape(-1, labels.shape[-1])[0]
+    if not (valid == first).all():
+        raise NumericsError("cross_entropy: the sequences ignore different rows")
+    rows = np.flatnonzero(first)
+    picked = labels.take(rows, axis=-1)
+    if picked.min() < 0 or picked.max() >= lg.shape[-1]:
+        raise NumericsError("cross_entropy label out of range")
+    # take() keeps every array C-ordered, so each row reduces as it would alone.
+    ld = lg.take(rows, axis=-2)
+    at = (np.arange(picked.size), picked.reshape(-1))
+    m = ld.max(axis=-1, keepdims=True)
+    lse = m[..., 0] + np.log(np.exp(ld - m).sum(axis=-1))
+    losses = lse - ld.reshape(-1, lg.shape[-1])[at].reshape(lse.shape)
+    out = _out(np.asarray(losses.mean(axis=-1), dtype=lg.dtype), "cross_entropy")
 
-    def bw(g, ld=ld, rows=rows, picked=labels[rows], shape=logits.data.shape):
-        p = np.exp(ld - ld.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        p[np.arange(rows.size), picked] -= 1.0
+    def bw(g, ld=ld, rows=rows, at=at, shape=lg.shape):
+        p = np.exp(ld - ld.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        p.reshape(-1, shape[-1])[at] -= 1.0
         gx = np.zeros(shape, dtype=ld.dtype)
-        gx[rows] = p * (g / rows.size)
+        gx[..., rows, :] = p * (g / rows.size)[..., None, None]
         return (gx,)
 
     return _record(out, (logits,), bw)
+
+
+def fold_add(x: Tensor) -> Tensor:
+    """((x[0] + x[1]) + x[2]) + ... over a 1-D x: the sum a chain of `add`s
+    gives, one sequence's loss after another (np.sum adds in another order).
+    Every entry's gradient is the output's."""
+    if x.data.ndim != 1 or x.data.shape[0] < 1:
+        raise NumericsError(f"fold_add expects a nonempty 1-D tensor, got {x.data.shape}")
+    acc = x.data[0]
+    for v in x.data[1:]:
+        acc = acc + v
+    out = _out(np.asarray(acc, dtype=x.data.dtype), "fold_add")
+
+    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
+        return (np.full(shape, g, dtype=dtype),)
+
+    return _record(out, (x,), bw)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -702,24 +785,26 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_axis1(x: Tensor) -> Tensor:
-    """Row means: (T, d) -> (T,)."""
-    out = _out(x.data.mean(axis=1), "mean_axis1")
+    """Row means: (..., T, d) -> (..., T)."""
+    out = _out(x.data.mean(axis=-1), "mean_axis1")
 
     def bw(g, shape=x.data.shape, dtype=x.data.dtype):
-        return (np.repeat(g[:, None] / shape[1], shape[1], axis=1).astype(dtype),)
+        return (np.repeat(g[..., None] / shape[-1], shape[-1], axis=-1).astype(dtype),)
 
     return _record(out, (x,), bw)
 
 
 def dot_const(x: Tensor, w: np.ndarray) -> Tensor:
-    """Weighted sum of a 1-D tensor with constant weights -> scalar."""
+    """Weighted sum of x (..., P) with constant weights w (P,) -> (...).
+    Each row is its own (1, P) @ (P, 1) product: the bytes of the 1-D dot,
+    which a (..., P) @ (P,) matrix-vector product does not give."""
     w = np.asarray(w, dtype=x.data.dtype)
-    if w.shape != x.data.shape:
+    if x.data.ndim < 1 or w.shape != x.data.shape[-1:]:
         raise NumericsError("dot_const shape mismatch")
-    out = _out(np.asarray(x.data @ w, dtype=x.data.dtype), "dot_const")
+    out = _out(np.asarray((x.data[..., None, :] @ w[:, None])[..., 0, 0], dtype=x.data.dtype), "dot_const")
 
     def bw(g, w=w):
-        return (g * w,)
+        return (g[..., None] * w,)
 
     return _record(out, (x,), bw)
 

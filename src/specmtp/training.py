@@ -5,31 +5,35 @@ head ever receive updates; the base transformer stays frozen. The loop
 logs one comma-separated metrics record per step and tracks the regular
 next-token loss on a frozen probe batch, which must not move while the
 gate is honored.
+
+A step's sequences go through one taped forward, one set of loss ops and
+one backward, stacked on a leading axis (`build_training_stack`). Losses,
+metrics and gradients are byte-identical to a loop with one pass per
+sequence, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .batching import MaskedBatch, build_training_batch, causal_rows
+from .batching import MaskedBatch, build_training_stack, causal_rows
 from .checkpoint import save_checkpoint
 from .decoding import speculative_decode
 from .losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
 from .model import ModelBundle, ModelConfig, forward, init_model
 from .sampler import SamplerHead, init_sampler
 from .tensor import (
-    IGNORE_ID,
     NumericsError,
     Tape,
     Tensor,
-    add,
     backward,
     cross_entropy,
     derive_rng,
+    fold_add,
     scale,
 )
 
@@ -347,26 +351,25 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
             base_params.append((name, t))
     opt = AdamW(base_params, weight_decay=0.0)
 
-    batches = []
-    for seq, flags in corpus:
-        b = causal_rows(seq)
-        labels = np.full(len(seq), IGNORE_ID, dtype=np.int64)
-        live = np.flatnonzero(flags[:-1] == 1)
-        labels[live] = seq[live + 1]
-        b.base_labels = labels
-        batches.append(b)
+    # The causal objective: the regular rows of the training stack, which
+    # carry each flagged token's next-token label, without the mask blocks.
+    stack = build_training_stack(corpus, mcfg.mask_ids)
+    rows = stack.ntp_rows
+    causal = replace(
+        causal_rows(stack.tokens[0, rows]),
+        tokens=stack.tokens[:, rows],
+        base_labels=stack.base_labels[:, rows],
+        prev_token=stack.prev_token[:, rows],
+    )
 
     order_rng = derive_rng(config.seed, "pretrain.order")
     for step in range(config.pretrain_steps):
-        picks = order_rng.integers(0, len(batches), size=config.batch_size)
+        picks = order_rng.integers(0, len(corpus), size=config.batch_size)
+        batch = causal.select(picks)
         with Tape() as tape:
-            acc = None
-            for si in picks:
-                batch = batches[si]
-                out = _forward_batch(model, batch, gated=True)
-                loss = cross_entropy(out.logits, batch.base_labels)
-                acc = loss if acc is None else add(acc, loss)
-            loss = scale(acc, 1.0 / config.batch_size)
+            out = _forward_batch(model, batch, gated=True)
+            losses = cross_entropy(out.logits, batch.base_labels)
+            loss = scale(fold_add(losses), 1.0 / config.batch_size)
         backward(tape, loss)
         opt.step(warmup_lr(step, config.pretrain_lr, min(50, config.pretrain_steps // 10)))
         opt.zero_grad()
@@ -382,9 +385,7 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
 def clone_base_with_rank(base: ModelBundle, rank: int, seed: int) -> ModelBundle:
     """Fresh fine-tuning bundle around an existing frozen base: new adapters
     at the requested rank, new random mask rows, base weights copied."""
-    from dataclasses import replace as dc_replace
-
-    cfg = dc_replace(base.config, lora_rank=rank)
+    cfg = replace(base.config, lora_rank=rank)
     model = init_model(cfg, seed)
     fresh = dict(model.named_params())
     for name, t in base.named_params():
@@ -447,8 +448,8 @@ def train(
         weight_decay=config.weight_decay,
     )
 
-    batches = [build_training_batch(seq, flags, mcfg.mask_ids) for seq, flags in corpus]
-    probe = batches[0]
+    stack = build_training_stack(corpus, mcfg.mask_ids)
+    probe = stack.select(0)
     probe_initial = _probe_ntp_logits(model, probe, config.gated)
 
     log_file = None
@@ -466,7 +467,7 @@ def train(
         for step in range(config.total_steps):
             t0 = time.perf_counter()
             lr_t = warmup_lr(step, config.learning_rate, config.warmup_steps)
-            picks = order_rng.integers(0, len(batches), size=config.batch_size)
+            picks = order_rng.integers(0, len(corpus), size=config.batch_size)
             inv = 1.0 / config.batch_size
 
             try:
@@ -474,22 +475,7 @@ def train(
                 # numpy warning on the way there is just noise.
                 with np.errstate(over="ignore", invalid="ignore"):
                     with Tape() as tape:
-                        acc = None
-                        comp = [0.0, 0.0, 0.0]
-                        for si in picks:
-                            batch = batches[si]
-                            out = _forward_batch(model, batch, config.gated)
-                            base, samp = base_and_sampler_ce(
-                                batch, out.hidden, out.logits, sampler,
-                                model.unembed, model.embedding_table(),
-                            )
-                            lcm = lcm_loss(out.hidden, batch.lcm_pairs)
-                            seq_total = total_loss(base, samp, lcm, config.loss_weights)
-                            acc = seq_total if acc is None else add(acc, seq_total)
-                            comp[0] += base.item()
-                            comp[1] += samp.item()
-                            comp[2] += lcm.item()
-                        step_loss = scale(acc, inv)
+                        step_loss, comp = stacked_loss(model, sampler, stack.select(picks), config)
                     backward(tape, step_loss)
                     opt.step(lr_t)
                     opt.zero_grad()
@@ -549,6 +535,31 @@ def train(
         probe_ntp_logits_final=probe_final,
         eval_history=eval_history,
     )
+
+
+def stacked_loss(
+    model: ModelBundle, sampler: SamplerHead | None, batch: MaskedBatch, config: TrainConfig
+) -> tuple[Tensor, list[float]]:
+    """One step's loss over a stack of B sequences: the mean of their
+    totals, and the base, sampler and lcm terms each summed over them (the
+    metric columns before the mean).
+
+    Every term is a (B,) vector with each sequence's own bytes. The totals
+    are summed in sequence order and each metric term one sequence at a
+    time, as a loop over the sequences would add them.
+    """
+    out = _forward_batch(model, batch, config.gated)
+    base, samp = base_and_sampler_ce(
+        batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
+    )
+    lcm = lcm_loss(out.hidden, batch.lcm_pairs)
+    totals = total_loss(base, samp, lcm, config.loss_weights)
+    n_seqs = totals.data.shape[0]
+    comp = [0.0, 0.0, 0.0]
+    for b in range(n_seqs):
+        for i, term in enumerate((base, samp, lcm)):
+            comp[i] += float(term.data[b])
+    return scale(fold_add(totals), 1.0 / n_seqs), comp
 
 
 def _ntp_probe_value(model, probe, config) -> float:

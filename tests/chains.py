@@ -1,10 +1,13 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
-replace. Each is the fused op's oracle: values and gradients must match
-it byte for byte."""
+replace, and the per-sequence training loop that the stacked training
+step replaces. Each is its replacement's oracle: values and gradients
+must match it byte for byte."""
 
 import numpy as np
 
 from specmtp import tensor as tz
+from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
+from specmtp.model import forward
 
 
 def lora_chain(base, x, a, b, rows, c, residual=None):
@@ -35,3 +38,43 @@ def context_chain(p, v):
 def attention_chain(q, k, v, allowed, n_heads):
     """The multi-head attention core, (T, D) q, k, v -> (T, D)."""
     return context_chain(tz.masked_softmax_rows(scores_chain(q, k, n_heads), allowed), v)
+
+
+def per_sequence_step(model, sampler, batches, picks, config):
+    """One training step as a loop with one taped pass per sequence, the
+    stacked step's oracle: forward, losses and total per sequence, the
+    totals chained by `add`, their mean differentiated. Returns the loss
+    Tensor and the base, sampler and lcm terms summed over the sequences."""
+    with tz.Tape() as tape:
+        acc = None
+        comp = [0.0, 0.0, 0.0]
+        for si in picks:
+            batch = batches[si]
+            gate = batch.gate if config.gated else np.ones(batch.size, dtype=np.int8)
+            out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+            base, samp = base_and_sampler_ce(
+                batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
+            )
+            lcm = lcm_loss(out.hidden, batch.lcm_pairs)
+            seq_total = total_loss(base, samp, lcm, config.loss_weights)
+            acc = seq_total if acc is None else tz.add(acc, seq_total)
+            comp[0] += base.item()
+            comp[1] += samp.item()
+            comp[2] += lcm.item()
+        loss = tz.scale(acc, 1.0 / len(picks))
+    tz.backward(tape, loss)
+    return loss, comp
+
+
+def per_sequence_pretrain_step(model, batches, picks):
+    """One `pretrain_base` step with one taped causal pass per sequence."""
+    with tz.Tape() as tape:
+        acc = None
+        for si in picks:
+            batch = batches[si]
+            out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+            loss = tz.cross_entropy(out.logits, batch.base_labels)
+            acc = loss if acc is None else tz.add(acc, loss)
+        loss = tz.scale(acc, 1.0 / len(picks))
+    tz.backward(tape, loss)
+    return loss

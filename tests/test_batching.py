@@ -7,6 +7,7 @@ from specmtp.batching import (
     build_linear_inference_input,
     build_quadratic_inference_input,
     build_training_batch,
+    build_training_stack,
     causal_rows,
 )
 from specmtp.model import ModelConfig, forward, init_model
@@ -284,3 +285,70 @@ def test_deleting_a_block_leaves_other_rows_unchanged():
             model, batch.tokens[keep], batch.position_ids[keep], sub, batch.gate[keep]
         ).logits.data
         assert np.max(np.abs(got - full[keep])) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Training stacks: one layout per corpus, a leading sequence axis on tokens,
+# labels and previous tokens.
+# ---------------------------------------------------------------------------
+
+SHARED_FIELDS = ("position_ids", "gate", "attention_allowed", "block_anchor", "lcm_pairs")
+
+
+def _assert_stack_is_its_sequences(stack, corpus, mask_ids):
+    assert stack.tokens.shape == stack.base_labels.shape == stack.prev_token.shape == (len(corpus), stack.size)
+    for b, (seq, flags) in enumerate(corpus):
+        alone = build_training_batch(seq, flags, mask_ids)
+        one = stack.select(b)
+        for name in ("tokens", "base_labels", "prev_token") + SHARED_FIELDS:
+            assert np.array_equal(getattr(one, name), getattr(alone, name)), (b, name)
+        assert np.array_equal(one.labeled_rows, np.flatnonzero(alone.base_labels != IGNORE_ID))
+
+
+def test_training_stack_is_every_sequence_batch():
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        flags = rng.integers(0, 2, size=n)
+        corpus = [(rng.integers(0, 5, size=n), flags) for _ in range(int(rng.integers(1, 5)))]
+        stack = build_training_stack(corpus, MASKS2)
+        _assert_stack_is_its_sequences(stack, corpus, MASKS2)
+        picks = rng.integers(0, len(corpus), size=3)
+        assert np.array_equal(stack.select(picks).tokens, stack.tokens[picks])
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ([([0, 1, 2], [1, 1, 1]), ([0, 1], [1, 1])], "sequence 1 has 2 tokens and sequence 0 has 3"),
+        (
+            [([0, 1, 2], [1, 1, 1]), ([2, 1, 0], [1, 1, 1]), ([0, 1, 2], [1, 0, 1])],
+            "sequence 2 has other loss flags than sequence 0",
+        ),
+        ([], "empty corpus"),
+    ],
+)
+def test_training_stack_rejects_sequences_of_another_layout(corpus, message):
+    with pytest.raises(ValueError, match=message):
+        build_training_stack(corpus, MASKS2)
+
+
+@pytest.mark.parametrize("task", ["pattern", "arithmetic", "file"])
+def test_every_corpus_task_has_one_training_layout(task, tmp_path):
+    from specmtp.training import CorpusSpec, generate_corpus
+
+    doc = tmp_path / "doc.txt"
+    doc.write_text("the quick brown fox jumps over the lazy dog. " * 4)
+    spec = {
+        "pattern": CorpusSpec(task="pattern", size=24, seed=5, seq_len=13, period=5),
+        "arithmetic": CorpusSpec(task="arithmetic", size=24, seed=5, digits=2),
+        "file": CorpusSpec(task="file", size=24, seed=5, seq_len=11, path=str(doc)),
+    }[task]
+    corpus = generate_corpus(spec, 2)
+    mask_ids = np.array([len(spec.charset()) + 3, len(spec.charset()) + 4])
+    layouts = set()
+    for seq, flags in corpus:
+        batch = build_training_batch(seq, flags, mask_ids)
+        layouts.add((batch.position_ids.tobytes(), batch.gate.tobytes(), tuple(batch.lcm_pairs)))
+    assert len(layouts) == 1
+    _assert_stack_is_its_sequences(build_training_stack(corpus, mask_ids), corpus, mask_ids)

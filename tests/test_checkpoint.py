@@ -133,3 +133,18 @@ def test_corrupt_header_value_is_checkpoint_error(tmp_path, capsys, value):
         load_checkpoint(path)
     assert main(["decode", "--ckpt", str(path), "--prompt", "ab"]) == EXIT_IO
     assert "d_model" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_tensor_is_checkpoint_error(tmp_path, capsys, value):
+    # Such a file has a valid digest; without the check, decode and verify
+    # failed mid-pass with "non-finite values produced by linear".
+    model, sampler = make_pair()
+    model.layers[0].attn_q.W.data[1, 2] = value
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path, extra_meta={"charset": "abcdefgh"})
+    with pytest.raises(CheckpointError, match=r"layers\.0\.attn\.q\.W"):
+        load_checkpoint(path)
+    for argv in (["decode", "--prompt", "ab"], ["verify", "--suite", "random", "--prompts", "2"]):
+        assert main(argv[:1] + ["--ckpt", str(path)] + argv[1:]) == EXIT_IO
+        assert "layers.0.attn.q.W" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from chains import attention_chain, lora_chain
@@ -6,6 +8,7 @@ from specmtp.batching import (
     build_linear_inference_input,
     build_quadratic_inference_input,
     build_training_batch,
+    build_training_stack,
     causal_rows,
 )
 from specmtp import tensor as tz
@@ -393,3 +396,49 @@ def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
         chain_forward(model, batch, gate)
     with Tape(), pytest.raises(NumericsError, match=message):
         gated_lora_apply(model.layers[0].attn_q, Tensor(np.ones((3, CFG["d_model"]))), gate)
+
+
+# ---------------------------------------------------------------------------
+# Stacked forward: B sequences that share one layout in one pass, each with
+# the bytes of its own pass.
+# ---------------------------------------------------------------------------
+
+
+def random_stack(rng, mask_ids, n_seqs=4):
+    """A training stack of n_seqs random sequences sharing length and flags."""
+    n = int(rng.integers(3, 12))
+    flags = rng.integers(0, 2, size=n)
+    flags[0] = 1
+    seqs = rng.integers(0, CFG["vocab_size"] - CFG["k_masks"], size=(n_seqs, n))
+    return build_training_stack([(s, flags) for s in seqs], mask_ids)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stacked_forward_is_bytewise_the_per_sequence_forwards(dtype, taped):
+    with precision(dtype):
+        model = make_model(rank=4, seed=10, n_heads=4)
+        randomize_adapters(model, seed=10)
+        rng = np.random.default_rng(10)
+        model.embed_mask.data = rng.normal(0, 1.0, model.embed_mask.data.shape).astype(dtype)
+        for _ in range(6):
+            stack = random_stack(rng, model.config.mask_ids)
+            with Tape() if taped else contextlib.nullcontext():
+                out = run_batch(model, stack)
+                singles = [run_batch(model, stack.select(b)) for b in range(stack.tokens.shape[0])]
+            for field in ("hidden", "logits"):
+                got = getattr(out, field).data
+                want = np.stack([getattr(s, field).data for s in singles])
+                assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
+    # The count of test_training_forward_records_one_entry_per_fused_op.
+    model = make_model(rank=4, seed=9)
+    stack = random_stack(np.random.default_rng(9), model.config.mask_ids)
+    assert stack.tokens.shape[0] == 4
+    for batch in (stack, stack.select(0)):
+        with Tape() as tape:
+            run_batch(model, batch)
+        assert len(tape) == 3 + 2 * (2 + 6 * 2 + 3 + 1) + 2

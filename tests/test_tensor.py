@@ -575,7 +575,7 @@ FUSED_MISMATCHES = {
         _t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
     ),
     "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2),
-    "scores_not_2d": lambda: tz.attention_scores(_t(2, 3, 4), _t(2, 3, 4), 2),
+    "scores_below_2d": lambda: tz.attention_scores(_t(4), _t(4), 2),
     "scores_heads_split": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 3),
     "scores_no_heads": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 0),
     "context_p_not_3d": lambda: tz.attention_context(_t(3, 3), _t(3, 4)),
@@ -590,3 +590,144 @@ FUSED_MISMATCHES = {
 def test_fused_op_shape_mismatch_is_numerics_error(case):
     with pytest.raises(NumericsError):
         FUSED_MISMATCHES[case]()
+
+
+# ---------------------------------------------------------------------------
+# Stacked ops: a leading sequence axis gives every sequence the bytes of the
+# op run on that sequence alone, in the output and in every gradient. A
+# weight shared by the sequences gets the gradient of a tape with one pass
+# per sequence, their losses chained by `add`.
+# ---------------------------------------------------------------------------
+
+N_SEQ = 3
+ROWS = np.array([1, 2, 4])
+SEQ_IDX = np.array([[0, 2, 2, 5], [1, 1, 3, 0], [5, 4, 0, 0]])  # a lookup per sequence
+CE_LABELS = np.array([[2, -1, 0, 6, 1], [5, -1, 6, 6, 0], [0, -1, 3, 2, 4]])
+
+
+def _stacked_cases(rng, dtype):
+    """op -> (run, inputs): run(tensors, s) applies the op, s slicing any
+    per-sequence constant (slice(None) for the stack, b for sequence b);
+    inputs are (array, stacked) pairs."""
+    def arr(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    x = (arr(N_SEQ, T_ROWS, 4), True)
+    allowed = random_allowed(rng, T_ROWS)
+    return {
+        "take_rows": (lambda t, s: tz.take_rows(t[0], np.array([3, 0, 3])), [x]),
+        "take_rows_lookup": (lambda t, s: tz.take_rows(t[0], SEQ_IDX[s]), [(arr(7, 4), False)]),
+        "add_table": (lambda t, s: tz.add(*t), [x, (arr(T_ROWS, 4), False)]),
+        "add_row_bias": (lambda t, s: tz.add(*t), [x, (arr(4), False)]),
+        "sub": (lambda t, s: tz.sub(*t), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
+        "mul": (lambda t, s: tz.mul(*t), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
+        "scale": (lambda t, s: tz.scale(t[0], 0.3), [x]),
+        "silu": (lambda t, s: tz.silu(t[0]), [x]),
+        "layer_norm": (lambda t, s: tz.layer_norm(*t), [x, (arr(4), False), (arr(4), False)]),
+        "linear": (lambda t, s: tz.linear(*t), [x, (arr(3, 4), False)]),
+        "matmul": (lambda t, s: tz.matmul(*t), [(arr(N_SEQ, 2, T_ROWS, 3), True), (arr(N_SEQ, 2, 3, 5), True)]),
+        "row_scatter_add": (lambda t, s: tz.row_scatter_add(t[0], ROWS, t[1]), [x, (arr(N_SEQ, 3, 4), True)]),
+        "lora_delta": (
+            lambda t, s: tz.lora_delta(*t, ROWS, 2.0),
+            [(arr(N_SEQ, T_ROWS, 5), True), x, (arr(4, 3), False), (arr(3, 5), False)],
+        ),
+        "lora_delta_residual": (
+            lambda t, s: tz.lora_delta(*t[:4], ROWS, 2.0, t[4]),
+            [(arr(N_SEQ, T_ROWS, 5), True), x, (arr(4, 3), False), (arr(3, 5), False), (arr(N_SEQ, T_ROWS, 5), True)],
+        ),
+        "attention_scores": (lambda t, s: tz.attention_scores(*t, 2), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
+        "masked_softmax_rows": (
+            lambda t, s: tz.masked_softmax_rows(t[0], allowed), [(arr(N_SEQ, 2, T_ROWS, T_ROWS), True)]
+        ),
+        "attention_context": (lambda t, s: tz.attention_context(*t), [(arr(N_SEQ, 2, T_ROWS, T_ROWS), True), x]),
+        "concat_cols": (lambda t, s: tz.concat_cols(list(t)), [x, (arr(N_SEQ, T_ROWS, 2), True)]),
+        "mean_axis1": (lambda t, s: tz.mean_axis1(t[0]), [x]),
+        "dot_const": (lambda t, s: tz.dot_const(t[0], np.arange(1.0, 5.0)), [(arr(N_SEQ, 4), True)]),
+        "cross_entropy": (lambda t, s: tz.cross_entropy(t[0], CE_LABELS[s]), [(arr(N_SEQ, 5, 7), True)]),
+    }
+
+
+STACKED_OPS = sorted(_stacked_cases(np.random.default_rng(0), np.float64))
+
+
+def _run_stacked(op, dtype):
+    """Outputs and gradients of one stacked pass and of the per-sequence passes."""
+    rng = np.random.default_rng(15)
+    run, inputs = _stacked_cases(rng, dtype)[op]
+    leaves = [Tensor(a, requires_grad=True) for a, _ in inputs]
+    with Tape() as tape:
+        out = run(leaves, slice(None))
+        out_w = rng.normal(size=out.data.shape).astype(dtype)
+        loss = sum_all(mulw(out, out_w))
+    backward(tape, loss)
+    stacked = (out.data, [t.grad for t in leaves])
+
+    shared = [Tensor(a, requires_grad=True) if not st else None for a, st in inputs]
+    per_seq = [[Tensor(a[b], requires_grad=True) for b in range(N_SEQ)] if st else None for a, st in inputs]
+    outs = []
+    with Tape() as tape:
+        acc = None
+        for b in range(N_SEQ):
+            t = [sh if sh is not None else ps[b] for sh, ps in zip(shared, per_seq)]
+            out_b = run(t, b)
+            outs.append(out_b.data)
+            loss_b = sum_all(mulw(out_b, out_w[b]))
+            acc = loss_b if acc is None else tz.add(acc, loss_b)
+    backward(tape, acc)
+    grads = [sh.grad if sh is not None else np.stack([t.grad for t in ps]) for sh, ps in zip(shared, per_seq)]
+    return stacked, (np.stack(outs), grads)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("op", STACKED_OPS)
+def test_stacked_op_gives_each_sequence_its_own_bytes(op, dtype):
+    (out, grads), (want_out, want_grads) = _run_stacked(op, np.dtype(dtype))
+    assert out.dtype == want_out.dtype == np.dtype(dtype)
+    assert out.shape == want_out.shape and out.tobytes() == want_out.tobytes()
+    for got, want in zip(grads, want_grads):
+        assert got.dtype == np.dtype(dtype) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op", STACKED_OPS)
+def test_stacked_op_gradients_match_finite_differences_over_sequences(op):
+    with precision("float64"):
+        rng = np.random.default_rng(16)
+        run, inputs = _stacked_cases(rng, np.float64)[op]
+        leaves = [Tensor(a, requires_grad=True) for a, _ in inputs]
+        w = rng.normal(size=run(leaves, slice(None)).data.shape)
+        err = finite_diff_check(lambda: sum_all(mulw(run(leaves, slice(None)), w)), leaves)
+    assert err < 1e-5
+
+
+def test_fold_add_is_the_chain_of_adds():
+    x = np.float32([0.1, 1e8, -1e8, 0.3, 7.0, 1e-3, 2.5, -0.7, 1.1])
+    leaf = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        total = tz.fold_add(leaf)
+        loss = tz.scale(total, 0.25)
+    backward(tape, loss)
+    chain = Tensor(x[0])
+    for v in x[1:]:
+        chain = tz.add(chain, Tensor(v))
+    assert total.data.tobytes() == chain.data.tobytes()
+    assert total.data.tobytes() != np.float32(x.sum()).tobytes()  # np.sum adds in another order
+    assert np.array_equal(leaf.grad, np.full(9, 0.25, dtype=np.float32))
+    with pytest.raises(NumericsError):
+        tz.fold_add(Tensor(np.zeros((2, 2))))
+
+
+STACKED_MISMATCHES = {
+    "take_rows_stacked_by_stacked": lambda: tz.take_rows(_t(2, 3, 4), np.zeros((2, 2), dtype=int)),
+    "cross_entropy_ignores_differ": lambda: tz.cross_entropy(_t(2, 3, 4), np.array([[0, -1, 1], [0, 1, -1]])),
+    "lora_stacks_differ": lambda: tz.lora_delta(_t(2, 3, 2), _t(3, 3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
+    "scores_stacks_differ": lambda: tz.attention_scores(_t(2, 3, 4), _t(3, 3, 4), 2),
+    "context_stacks_differ": lambda: tz.attention_context(_t(2, 2, 3, 3), _t(3, 3, 4)),
+    "add_not_trailing": lambda: tz.add(_t(2, 3, 4), _t(2, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_MISMATCHES))
+def test_stacked_shape_mismatch_is_numerics_error_too(case):
+    with pytest.raises(NumericsError):
+        STACKED_MISMATCHES[case]()

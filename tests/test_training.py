@@ -3,12 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from chains import per_sequence_pretrain_step, per_sequence_step
 from conftest import pattern_config
-from specmtp.batching import build_training_batch
+from specmtp.batching import build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward, init_model
 from specmtp.sampler import init_sampler
-from specmtp.tensor import Tape, backward, finite_diff_check, precision
+from specmtp.tensor import Tape, backward, derive_rng, finite_diff_check, precision
 from specmtp.training import (
     AdamW,
     CorpusSpec,
@@ -17,8 +18,16 @@ from specmtp.training import (
     Vocab,
     adamw_step,
     generate_corpus,
+    pretrain_base,
+    stacked_loss,
     train,
+    warmup_lr,
 )
+
+# What pretrain_base fits besides every `.W`.
+PRETRAINED = {"embed.base", "unembed", "final_ln.gain", "final_ln.bias"} | {
+    f"layers.{i}.{ln}.{p}" for i in range(2) for ln in ("ln1", "ln2") for p in ("gain", "bias")
+}
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +291,94 @@ def test_future_rank_probe_improves_with_finetuning(arithmetic_models):
         before_ranks += future_rank_probe(base, prompt, future, 4)
         after_ranks += future_rank_probe(result.model, prompt, future, 4)
     assert np.median(after_ranks) < np.median(before_ranks)
+
+
+# ---------------------------------------------------------------------------
+# Stacked step: one taped pass over the step's sequences, byte-identical to
+# the per-sequence loop in chains.py
+# ---------------------------------------------------------------------------
+
+
+def _oracle_corpus(task, tmp_path):
+    if task == "pattern":
+        return CorpusSpec(task="pattern", size=6, seed=3, seq_len=8, period=3)
+    if task == "arithmetic":
+        return CorpusSpec(task="arithmetic", size=6, seed=3, digits=1)
+    doc = tmp_path / "doc.txt"
+    doc.write_text("the quick brown fox jumps over the lazy dog. " * 3)
+    return CorpusSpec(task="file", size=6, seed=3, seq_len=9, path=str(doc))
+
+
+def _two_steps(cfg, corpus, stacked):
+    """Losses, metric terms, gradients and AdamW state of two steps on a
+    model with non-zero adapters, by the stacked step or by the oracle."""
+    mcfg = cfg.model_config(cfg.corpus.charset())
+    model = init_model(mcfg, 4)
+    sampler = init_sampler(cfg.d_model, 5)
+    rng = np.random.default_rng(4)
+    for lw in model.layers:
+        for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
+            g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
+    params = model.trainable_params() + sampler.trainable_params()
+    opt = AdamW(params, weight_decay=cfg.weight_decay)
+    stack = build_training_stack(corpus, mcfg.mask_ids)
+    batches = [build_training_batch(seq, flags, mcfg.mask_ids) for seq, flags in corpus]
+    order = np.random.default_rng(11)
+    record = []
+    for _ in range(2):
+        picks = order.integers(0, len(corpus), size=cfg.batch_size)
+        if stacked:
+            with Tape() as tape:
+                loss, comp = stacked_loss(model, sampler, stack.select(picks), cfg)
+            backward(tape, loss)
+        else:
+            loss, comp = per_sequence_step(model, sampler, batches, picks, cfg)
+        record.append((loss.data.dtype, loss.data.tobytes(), comp))
+        record.append({n: t.grad.tobytes() for n, t in params if t.grad is not None})
+        opt.step(1e-2)
+        opt.zero_grad()
+        record.append([(opt.m[n].tobytes(), opt.v[n].tobytes(), t.data.tobytes()) for n, t in params])
+    return record
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("task", ["pattern", "arithmetic", "file"])
+def test_stacked_steps_are_bytewise_the_per_sequence_loop(task, dtype, tmp_path):
+    with precision(dtype):
+        cfg = tiny_config(
+            corpus=_oracle_corpus(task, tmp_path), d_model=16, n_heads=2, d_ff=32, k_masks=3,
+            lora_rank=4, batch_size=4,
+        )
+        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+        stacked = _two_steps(cfg, corpus, stacked=True)
+        oracle = _two_steps(cfg, corpus, stacked=False)
+    assert stacked[0][0] == np.dtype(dtype)
+    assert len(stacked[1]) == len(stacked[2]) > 20  # every adapter factor, mask rows, sampler
+    assert stacked == oracle
+
+
+def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
+    cfg = tiny_config(
+        corpus=CorpusSpec(task="arithmetic", size=6, seed=3, digits=1), d_model=16, n_heads=2,
+        d_ff=32, k_masks=3, lora_rank=4, batch_size=3, pretrain_steps=2,
+    )
+    stacked = pretrain_base(cfg)
+    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+    base = [(n, t) for n, t in model.named_params() if n.endswith(".W") or n in PRETRAINED]
+    for _, t in model.named_params():
+        t.requires_grad = any(t is b for _, b in base)
+    opt = AdamW(base, weight_decay=0.0)
+    batches = []
+    for seq, flags in corpus:
+        batch = causal_rows(seq)
+        live = np.flatnonzero(flags[:-1] == 1)
+        batch.base_labels[live] = seq[live + 1]
+        batches.append(batch)
+    order = derive_rng(cfg.seed, "pretrain.order")
+    for step in range(cfg.pretrain_steps):
+        per_sequence_pretrain_step(model, batches, order.integers(0, len(batches), size=cfg.batch_size))
+        opt.step(warmup_lr(step, cfg.pretrain_lr, min(50, cfg.pretrain_steps // 10)))
+        opt.zero_grad()
+    for (name, got), (_, want) in zip(stacked.named_params(), model.named_params()):
+        assert got.data.tobytes() == want.data.tobytes(), name
