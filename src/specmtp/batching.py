@@ -100,7 +100,9 @@ def _layout(tokens, gate) -> MaskedBatch:
     rows = np.arange(gate.shape[0])
     block = np.cumsum(regular)
     anchor = np.flatnonzero(regular)[block - 1]
-    allowed = np.tril(regular[None, :] | (block[:, None] == block[None, :]))
+    allowed = block[:, None] == block[None, :]
+    allowed |= regular
+    allowed &= rows[:, None] >= rows
     return MaskedBatch(
         tokens=np.asarray(tokens, dtype=np.int64),
         position_ids=block - 1 + rows - anchor,

@@ -292,6 +292,17 @@ def _gated_lora_data(layer: GatedLoraLinear, xd: np.ndarray, rows: np.ndarray) -
     return lora_delta_data(base, xd, layer.A.data, layer.B.data, rows, LORA_ALPHA_OVER_RANK)[0]
 
 
+def _attends_ahead(allowed: np.ndarray) -> bool:
+    """Whether some row of a (T, T) `allowed` admits a key after itself.
+    Row i's later keys are one run of the flattened matrix, from just past
+    its diagonal to the end of its row. `reduceat` ORs each run and each
+    span between two runs; [::2] keeps the runs. O(T) memory."""
+    t_len = allowed.shape[0]
+    rows = np.arange(t_len - 1)
+    runs = np.stack([rows * (t_len + 1) + 1, (rows + 1) * t_len], axis=1).ravel()
+    return bool(np.logical_or.reduceat(allowed.ravel(), runs)[::2].any())
+
+
 class ForwardResult(NamedTuple):
     hidden: Tensor  # (..., T, d) last-layer states after the final norm
     logits: Tensor  # (..., T, V)
@@ -317,10 +328,10 @@ def forward(
     position_ids = np.asarray(position_ids, dtype=np.int64)
     gate = np.asarray(gate)
     t_len = tokens.shape[-1]
-    allowed = np.asarray(attention_allowed).astype(bool)
+    allowed = np.asarray(attention_allowed).astype(bool, copy=False)
     if allowed.shape != (t_len, t_len):
         raise NumericsError("attention_allowed must be T x T")
-    if np.triu(allowed, 1).any():
+    if _attends_ahead(allowed):
         raise NumericsError("attention to future rows is not allowed")
     if not allowed.diagonal().all():
         raise NumericsError("every row must attend to itself")

@@ -40,6 +40,14 @@ attention ops stays `masked_softmax_rows`. Each fused op runs its
 chain's array helpers in order and its backward applies the chain's
 backward expressions in reverse, so values and gradients are byte-equal
 to the chain's. The elementary ops are their oracle in the tests.
+
+The attention steps over (..., H, T, T) cells (the scores, the masked
+softmax and its backward) each allocate one float array of that size, and
+do their other steps in place on it, never in an input; a forward's
+finiteness check adds one boolean array. An in-place step is the same
+IEEE operation on the same values, so the bytes do not change.
+`attention_scores` scales its product in place and checks it once, under
+the name `matmul`, the only step of its chain that can overflow.
 """
 
 from __future__ import annotations
@@ -457,31 +465,60 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _record(out, (x, gain, bias), bw)
 
 
-def _softmax_core(xd: np.ndarray, allowed: np.ndarray | None):
+# The bits of -inf as the signed integer of each float's width.
+_NEG_INF_BITS = {
+    np.dtype(f): (i, np.array(-np.inf, f).view(i)[()])
+    for f, i in ((np.float32, np.int32), (np.float64, np.int64))
+}
+
+
+def _exclude(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of xd with every cell outside `allowed` set to -inf,
+    bit for bit `np.where(allowed, xd, -np.inf)`: on the integer view, xor
+    with the bits of -inf, multiply by `allowed` (1 or 0), xor again. An
+    allowed cell gets its own bits back (NaN and -0.0 included), an excluded
+    one the bits of -inf. NumPy vectorises these integer ops; its masked
+    select and masked copy over a broadcast mask run several times slower."""
+    bits, neg_inf = _NEG_INF_BITS[xd.dtype]
+    x = np.bitwise_xor(xd.view(bits), neg_inf, order="C")
+    x *= allowed
+    x ^= neg_inf
+    return x.view(xd.dtype)
+
+
+def _softmax_core(xd: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis (over the `allowed` cells, when given).
+    One new array the size of xd; the max shift, exp and division run in
+    place on it, the same operations on the same values as out-of-place."""
     if allowed is None:
-        masked = xd
+        x = xd - xd.max(axis=-1, keepdims=True)
     else:
-        masked = np.where(allowed, xd, -np.inf)
-    m = masked.max(axis=-1, keepdims=True)
-    e = np.exp(masked - m)
-    return e / e.sum(axis=-1, keepdims=True)
+        x = _exclude(xd, allowed)
+        x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """p * (g - (p * g).sum(-1)) in one new array, leaving g and p as they are."""
+    d = p * g
+    s = d.sum(axis=-1, keepdims=True)
+    np.subtract(g, s, out=d)
+    d *= p
+    return d
 
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-stochastic softmax. -inf entries are exact exclusions (weight 0)."""
-    xd = x.data
-    excluded = np.isneginf(xd)
-    p = _softmax_core(xd, ~excluded if excluded.any() else None)
+    p = _softmax_core(x.data, None)
     out = _out(p, "softmax_rows")
-
-    def bw(g, p=p):
-        return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
-
-    return _record(out, (x,), bw)
+    return _record(out, (x,), lambda g, p=p: (_softmax_backward(g, p),))
 
 
 def masked_softmax_data(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Softmax over the `allowed` entries of each row; others get exactly 0.
+    """Softmax over the `allowed` entries of each row; others get exactly 0,
+    whatever they hold (NaN and +-inf included).
 
     `allowed` is a constant boolean array shaped like xd's last two axes;
     for stacked (H, T, T) scores one (T, T) mask applies to every block.
@@ -496,11 +533,7 @@ def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
     zero probability and zero gradient."""
     p = masked_softmax_data(x.data, allowed)
     out = _out(p)
-
-    def bw(g, p=p):
-        return (p * (g - (p * g).sum(axis=-1, keepdims=True)),)
-
-    return _record(out, (x,), bw)
+    return _record(out, (x,), lambda g, p=p: (_softmax_backward(g, p),))
 
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -636,7 +669,12 @@ def attention_scores_data(
         raise NumericsError(f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads")
     q = np.ascontiguousarray(_heads(qd, n_heads))
     k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
-    return scale_data(matmul_data(q, k), 1.0 / math.sqrt(qd.shape[-1] // n_heads)), q, k
+    # matmul_data's product, scaled in place and checked once: a factor
+    # 1 / sqrt(d_h) <= 1 cannot make a finite value non-finite, so a
+    # non-finite score can only come from the product.
+    s = q @ k
+    s *= 1.0 / math.sqrt(q.shape[-1])
+    return _finite(s, "matmul"), q, k
 
 
 def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:

@@ -362,6 +362,9 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
         prev_token=stack.prev_token[:, rows],
     )
 
+    # The mask rows are fitted later: untracked here, they get no gradient
+    # through the embedding table's concat.
+    model.embed_mask.requires_grad = False
     order_rng = derive_rng(config.seed, "pretrain.order")
     for step in range(config.pretrain_steps):
         picks = order_rng.integers(0, len(corpus), size=config.batch_size)
@@ -379,6 +382,7 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
     for _, t in base_params:
         t.requires_grad = False
         t.grad = None
+    model.embed_mask.requires_grad = True
     return model
 
 

@@ -1,7 +1,8 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
-replace, and the per-sequence training loop that the stacked training
-step replaces. Each is its replacement's oracle: values and gradients
-must match it byte for byte."""
+replace, the out-of-place softmax that the in-place one replaces, and the
+per-sequence training loop that the stacked training step replaces. Each
+is its replacement's oracle: values and gradients must match it byte for
+byte."""
 
 import numpy as np
 
@@ -38,6 +39,20 @@ def context_chain(p, v):
 def attention_chain(q, k, v, allowed, n_heads):
     """The multi-head attention core, (T, D) q, k, v -> (T, D)."""
     return context_chain(tz.masked_softmax_rows(scores_chain(q, k, n_heads), allowed), v)
+
+
+def softmax_chain(xd, allowed=None):
+    """The softmax over the last axis written out of place, one new array
+    per step: np.where, then max, exp and divide."""
+    masked = xd if allowed is None else np.where(allowed, xd, -np.inf)
+    m = masked.max(axis=-1, keepdims=True)
+    e = np.exp(masked - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward_chain(g, p):
+    """The softmax backward written out of place."""
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
 
 
 def per_sequence_step(model, sampler, batches, picks, config):

@@ -9,6 +9,7 @@ from specmtp.batching import (
     build_training_batch,
     build_training_stack,
     causal_rows,
+    _layout,
 )
 from specmtp.model import ModelConfig, forward, init_model
 from specmtp.tensor import IGNORE_ID, precision
@@ -211,6 +212,19 @@ def test_random_layouts_follow_the_visibility_rule():
             assert np.all(batch.base_labels == IGNORE_ID)
             assert np.all(batch.prev_token == NO_TOKEN)
             assert batch.lcm_pairs == []
+
+
+def test_layout_allowed_is_the_lower_triangle_of_the_visibility_rule():
+    rng = np.random.default_rng(17)
+    for t_len in list(range(1, 6)) + [int(n) for n in rng.integers(6, 80, size=40)]:
+        gate = (rng.random(t_len) < 0.6).astype(np.int8)
+        gate[0] = 0
+        regular = gate == 0
+        block = np.cumsum(regular)
+        want = np.tril(regular[None, :] | (block[:, None] == block[None, :]))
+        got = _layout(np.zeros(t_len), gate).attention_allowed
+        assert got.dtype == want.dtype == bool
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -170,14 +170,45 @@ def test_forward_rejects_bad_layouts():
     ok = np.ones((2, 2), dtype=bool)
     with pytest.raises(NumericsError):
         forward(model, [1, 2], [0, 600], ok, [0, 0])  # position beyond table
-    bad = np.array([[1, 1], [1, 1]])
-    bad[0, 1] = 1
     with pytest.raises(NumericsError):
         forward(model, [1, 2], [0, 1], np.triu(np.ones((2, 2), dtype=bool)), [0, 0])
     no_diag = np.tril(np.ones((2, 2), dtype=bool))
     no_diag[1, 1] = False
     with pytest.raises(NumericsError):
         forward(model, [1, 2], [0, 1], no_diag, [0, 0])
+
+
+def _quadratic_allowed(model):
+    """A 22-row quadratic layout's attention: causal with holes."""
+    batch = build_quadratic_inference_input([1, 2, 3, 4, 5, 6, 7], [8, 9, 10], model.config.mask_ids)
+    return batch, batch.attention_allowed.copy()
+
+
+# Rows of the 22-row layout: the first, a middle one and the last with a
+# later row to attend to; the later key is the next row or the last.
+AHEAD = {"first-next": (0, 1), "first-last": (0, 21), "middle": (11, 12), "last": (20, 21)}
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("cell", sorted(AHEAD))
+def test_forward_rejects_attention_to_a_later_row(cell, taped):
+    model = make_model()
+    batch, allowed = _quadratic_allowed(model)
+    allowed[AHEAD[cell]] = True
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericsError, match="^attention to future rows is not allowed$"):
+            forward(model, batch.tokens, batch.position_ids, allowed, batch.gate)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("row", [0, 11, 21])
+def test_forward_rejects_a_row_that_does_not_attend_to_itself(row, taped):
+    model = make_model()
+    batch, allowed = _quadratic_allowed(model)
+    allowed[row, row] = False
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericsError, match="^every row must attend to itself$"):
+            forward(model, batch.tokens, batch.position_ids, allowed, batch.gate)
 
 
 def test_padded_tail_permutation_is_invisible():

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from chains import attention_chain, context_chain, lora_chain, scores_chain
+from chains import attention_chain, context_chain, lora_chain, scores_chain, softmax_backward_chain, softmax_chain
 
 from specmtp import tensor as tz
 from specmtp.tensor import (
@@ -146,6 +146,88 @@ def test_masked_softmax_matches_excluding_keys():
         cols = np.flatnonzero(allowed[i])
         ref = softmax_rows(Tensor(x[i : i + 1, cols])).data[0]
         assert np.array_equal(p.data[i, cols], ref)
+
+
+def _scores_with_edge_values(rng, shape, dtype):
+    """Random scores holding -0.0, +0.0 and -inf (in allowed cells too),
+    with rows whose allowed maximum is +0.0 and rows where it is -0.0."""
+    x = rng.normal(size=shape).astype(dtype)
+    for value, share in ((-0.0, 0.15), (0.0, 0.1), (-np.inf, 0.05)):
+        x[rng.random(shape) < share] = value
+    rows = x.reshape(-1, shape[-2], shape[-1])
+    for block in rows:
+        i = int(rng.integers(shape[-2]))
+        block[i] = -np.abs(block[i])  # max -0.0: the diagonal is always allowed
+        block[i, i] = -0.0
+        j = int(rng.integers(shape[-2]))
+        block[j] = -np.abs(block[j])
+        block[j, j] = 0.0  # max +0.0, next to -0.0 entries
+        block[j, 0] = -0.0
+    # Every row keeps one finite allowed cell: the diagonal.
+    diag = np.broadcast_to(np.eye(shape[-1], dtype=bool), shape)
+    x[diag & np.isinf(x)] = 1.5
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_softmax_is_bytewise_the_out_of_place_chain(dtype):
+    rng = np.random.default_rng(21)
+    for t_len in (1, 2, 7, 33):
+        allowed = random_allowed(rng, t_len)
+        for shape in ((t_len, t_len), (3, 2, t_len, t_len)):
+            x = _scores_with_edge_values(rng, shape, dtype)
+            for mask in (allowed, None):
+                p = tz._softmax_core(x, mask)
+                want = softmax_chain(x, mask)
+                assert p.dtype == want.dtype == dtype
+                assert p.tobytes() == want.tobytes()
+                g = _scores_with_edge_values(rng, shape, dtype)
+                g[np.isinf(g)] = 0.25
+                assert tz._softmax_backward(g, p).tobytes() == softmax_backward_chain(g, p).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_masked_softmax_gives_excluded_cells_zero_whatever_they_hold(fill, dtype):
+    # Exclusion replaces a cell; it does not add to it (NaN - inf is NaN).
+    rng = np.random.default_rng(22)
+    allowed = random_allowed(rng, 6)
+    clean = rng.normal(size=(2, 6, 6)).astype(dtype)
+    x = clean.copy()
+    x[:, ~allowed] = fill
+    want = tz.masked_softmax_data(clean, allowed)
+    got = tz.masked_softmax_data(x, allowed)
+    leaf = Tensor(clean)
+    leaf.data = x  # Tensor() itself rejects NaN and +inf
+    taped = masked_softmax_rows(leaf, allowed).data
+    for p in (got, taped):
+        assert p.dtype == dtype
+        assert np.all(p[:, ~allowed] == 0.0)
+        assert p.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_attention_ops_leave_their_inputs_unchanged(dtype):
+    # Forward and backward of scores, masked softmax and context write only
+    # into arrays they allocate: not into an input, an output already handed
+    # on, or the incoming gradient.
+    rng = np.random.default_rng(23)
+    allowed = random_allowed(rng, T_ROWS)
+    with precision(dtype):
+        q, k, v = (Tensor(rng.normal(size=(2, T_ROWS, 4)), requires_grad=True) for _ in range(3))
+        with Tape() as tape:
+            s = tz.attention_scores(q, k, 2)
+            p = masked_softmax_rows(s, allowed)
+            tz.attention_context(p, v)
+    arrays = [q.data, k.data, v.data, s.data, p.data, allowed]
+    before = [a.tobytes() for a in arrays]
+    assert len(tape) == 3
+    for out, _, backward_fn in reversed(tape._entries):
+        g = rng.normal(size=out.data.shape).astype(out.data.dtype)
+        g_before = g.tobytes()
+        backward_fn(g)
+        assert g.tobytes() == g_before
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_softmax_gradient():

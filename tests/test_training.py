@@ -357,6 +357,14 @@ def test_stacked_steps_are_bytewise_the_per_sequence_loop(task, dtype, tmp_path)
     assert stacked == oracle
 
 
+def test_pretrain_leaves_the_mask_rows_trainable_and_without_gradient():
+    # The mask rows are not fitted during pretraining, so no backward may
+    # form a gradient for them through the embedding table.
+    model = pretrain_base(pattern_config(pretrain_steps=3))
+    assert model.embed_mask.grad is None
+    assert model.embed_mask.requires_grad
+
+
 def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
     cfg = tiny_config(
         corpus=CorpusSpec(task="arithmetic", size=6, seed=3, digits=1), d_model=16, n_heads=2,
