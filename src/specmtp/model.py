@@ -15,7 +15,10 @@ ops (training, and the test oracle): `gated_lora_apply` per adapter, one
 fused `lora_delta` each, and per layer `attention_scores`,
 `masked_softmax_rows` and `attention_context`. With no tape it runs the
 same array helpers in the same order on plain arrays, and wraps only
-`hidden` and `logits` as Tensors. Both give the same bytes.
+`hidden` and `logits` as Tensors. Both give the same bytes. Either path
+runs with per-op finiteness scans off and scans its attention scores and
+logits; a failed scan replays the untaped pass with per-op scans on to
+name the op (`scanned_once` in tensor.py).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .tensor import (
     lora_delta_data,
     masked_softmax_data,
     masked_softmax_rows,
+    scanned_once,
     silu,
     silu_data,
     take_rows,
@@ -255,7 +259,7 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
 def _check_gate(gate: np.ndarray, t_len: int) -> None:
     if gate.shape != (t_len,):
         raise NumericsError("gate length does not match row count")
-    if not np.isin(gate, (0, 1)).all():
+    if not ((gate == 0) | (gate == 1)).all():
         raise NumericsError("gate entries must be 0 or 1")
 
 
@@ -321,13 +325,15 @@ def forward(
     attention_allowed[i, j] == 1 admits key j for query i; it must be
     lower-triangular with a full diagonal. Excluded keys get exactly zero
     attention weight. With no active tape the pass runs on plain arrays
-    (`_forward_data`), with the same result.
+    (`_forward_data`), with the same result. An empty layout is an error.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
     position_ids = np.asarray(position_ids, dtype=np.int64)
     gate = np.asarray(gate)
     t_len = tokens.shape[-1]
+    if tokens.size == 0:
+        raise NumericsError(f"empty layout: tokens of shape {tokens.shape} give no rows")
     allowed = np.asarray(attention_allowed).astype(bool, copy=False)
     if allowed.shape != (t_len, t_len):
         raise NumericsError("attention_allowed must be T x T")
@@ -335,15 +341,28 @@ def forward(
         raise NumericsError("attention to future rows is not allowed")
     if not allowed.diagonal().all():
         raise NumericsError("every row must attend to itself")
+    if position_ids.shape != (t_len,):
+        raise NumericsError("position_ids must hold one position per row")
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
         raise NumericsError("token id out of range")
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
     _check_gate(gate, t_len)
     rows = np.flatnonzero(gate)
-    if active_tape() is None:
+
+    def replay():
         return _forward_data(model, tokens, position_ids, allowed, rows)
 
+    def taped():
+        return _forward_taped(model, tokens, position_ids, allowed, gate, rows)
+
+    fast = replay if active_tape() is None else taped
+    return scanned_once(fast, replay, lambda out: out.logits.data)
+
+
+def _forward_taped(model, tokens, position_ids, allowed, gate, rows) -> ForwardResult:
+    """The pass as autodiff ops; `rows` are the checked gate's 1-rows."""
+    c = model.config
     x = add(take_rows(model.embedding_table(), tokens), Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = layer_norm(x, lw.ln1_gain, lw.ln1_bias)

@@ -28,6 +28,7 @@ from .tensor import (
     layer_norm_data,
     linear,
     linear_data,
+    scanned_once,
     silu,
     silu_data,
     take_rows,
@@ -101,11 +102,15 @@ def sampler_logits(
     if prev_token < 0 or prev_token >= embeddings.data.shape[0]:
         raise ValueError(f"prev_token {prev_token} outside the vocabulary")
     zd = z.data if isinstance(z, Tensor) else np.asarray(z)
-    h = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
-    blocks = ((head.l1, head.ln1_gain, head.ln1_bias), (head.l2, head.ln2_gain, head.ln2_bias))
-    for w, gain, bias in blocks:
-        h = layer_norm_data(silu_data(linear_data(h, w.data))[0], gain.data, bias.data)[0]
-    logits = linear_data(h, unembed.data)
+
+    def run():
+        h = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
+        blocks = ((head.l1, head.ln1_gain, head.ln1_bias), (head.l2, head.ln2_gain, head.ln2_bias))
+        for w, gain, bias in blocks:
+            h = layer_norm_data(silu_data(linear_data(h, w.data))[0], gain.data, bias.data)[0]
+        return linear_data(h, unembed.data)
+
+    logits = scanned_once(run, run)
     return _out(logits.reshape(logits.shape[1]))
 
 

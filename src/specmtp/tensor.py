@@ -12,15 +12,35 @@ a stacked pass gives every sequence, and every weight, the bytes of the
 per-sequence passes. Matmuls stay stacked calls, never flattened to
 B * T rows, because a flattened product rounds differently. An op's
 output keeps its inputs' dtype: float32 by default, float64 for gradient
-checking via `precision("float64")`. The default dtype and the active
-tape are held per context, so each thread has its own.
+checking via `precision("float64")`. The default dtype, the active tape
+and the per-op scan switch are held per context, so each thread has its
+own.
 
-Every value is checked once, where it is made. `Tensor(...)` takes data
-from outside the engine and rejects NaN and +inf (-inf is the softmax
-exclusion sentinel). Op outputs skip that scan (`_out`): an op that
-computes values rejects a non-finite output and names itself; one that
-only moves checked values (transpose, reshape, take_rows, concat_cols,
-concat_rows, detach) checks nothing.
+`Tensor(...)` takes data from outside the engine and rejects NaN and +inf
+(-inf is the softmax exclusion sentinel). Op outputs skip that scan
+(`_out`): an op that computes values rejects a non-finite output and
+names itself; one that only moves checked values (transpose, reshape,
+take_rows, concat_cols, concat_rows, detach) checks nothing.
+
+A pass (`forward`, `sampler_logits`) scans its scores and logits, not
+every op's output. It runs through `scanned_once`: per-op scans off,
+numpy's floating-point errors noted but not reported, then one scan of
+the logits. `attention_scores_data` scans its scores in every run. A
+failed scan replays the pass on arrays with per-op scans on, under the
+caller's errstate, to name the op that overflowed: it raises the error,
+and gives the warnings, of a pass checked op by op. A noted error that
+the caller's errstate reports is replayed too, since it may have left a
+finite output (layer_norm's variance can overflow to inf, which
+normalises its row to 0). This is exact because:
+- every other computing op of a pass (matmul and linear, the adds,
+  layer_norm, silu, the LoRA scatter) turns a non-finite input row into a
+  non-finite output row, all the way to the logits;
+- `@` forms every product, so 0 * inf = NaN: a non-finite value row
+  reaches every context row, even through attention weights that are
+  exactly 0 (tested: a BLAS that skipped zero operands would fail);
+- the softmax can absorb a non-finite score (-inf in an allowed cell gets
+  weight 0, an excluded cell is dropped), hence the scores scan; and the
+  softmax of finite scores with a full diagonal is finite.
 
 The forward math of the ops that inference uses is written once, as an
 array helper (`matmul_data`, `layer_norm_data`, ...) that takes and
@@ -43,10 +63,10 @@ to the chain's. The elementary ops are their oracle in the tests.
 
 The attention steps over (..., H, T, T) cells (the scores, the masked
 softmax and its backward) each allocate one float array of that size, and
-do their other steps in place on it, never in an input; a forward's
-finiteness check adds one boolean array. An in-place step is the same
-IEEE operation on the same values, so the bytes do not change.
-`attention_scores` scales its product in place and checks it once, under
+do their other steps in place on it, never in an input; the scores scan
+adds one boolean array. An in-place step is the same IEEE operation on
+the same values, so the bytes do not change.
+`attention_scores` scales its product in place and scans it once, under
 the name `matmul`, the only step of its chain that can overflow.
 """
 
@@ -179,11 +199,52 @@ def active_tape() -> Tape | None:
     return _active_tape.get()
 
 
-def _finite(data: np.ndarray, op: str) -> np.ndarray:
+def _scan(data: np.ndarray, op: str) -> np.ndarray:
     """`data` as it is, once it holds no NaN or +-inf; otherwise name `op`."""
     if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by {op}")
     return data
+
+
+# False while `scanned_once` runs a pass's fast run: per-op scans are off.
+_scan_per_op: ContextVar[bool] = ContextVar("scan_per_op", default=True)
+
+
+def _finite(data: np.ndarray, op: str) -> np.ndarray:
+    """An op's output scan (`_scan`), skipped in a pass's fast run."""
+    return _scan(data, op) if _scan_per_op.get() else data
+
+
+# numpy's names for its floating-point errors: as its error callback gives
+# them, and as keys of np.geterr().
+_ERRSTATE_KEY = {"divide by zero": "divide", "overflow": "over", "underflow": "under", "invalid value": "invalid"}
+
+
+def scanned_once(fast, replay, logits_of=None):
+    """Run a pass with one finiteness scan, of its logits, in place of one
+    per op. `fast()` runs with per-op scans off and numpy's floating-point
+    errors noted, not reported; its result (or `logits_of(result)`) is then
+    scanned once. If that scan or a scores scan fails, or numpy noted an
+    error that the caller's errstate reports, `replay()`, the same pass on
+    arrays, runs with per-op scans on under the caller's errstate: it
+    raises the NumericsError of the op that overflowed, and gives the
+    warnings, that a pass checked per op gives. Otherwise (or when the
+    replay only warned) the fast result is returned."""
+    noted = []
+    token = _scan_per_op.set(False)
+    try:
+        with np.errstate(all="call", call=lambda err, flag: noted.append(err)):
+            out = fast()
+            clean = bool(np.isfinite(out if logits_of is None else logits_of(out)).all())
+    except NumericsError:
+        clean = False
+    finally:
+        _scan_per_op.reset(token)
+    if not clean or any(np.geterr()[_ERRSTATE_KEY[err]] != "ignore" for err in noted):
+        replay()
+    if not clean:
+        raise NumericsError("non-finite values that no per-op scan finds")
+    return out
 
 
 def _out(data, op: str = "") -> Tensor:
@@ -671,10 +732,11 @@ def attention_scores_data(
     k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
     # matmul_data's product, scaled in place and checked once: a factor
     # 1 / sqrt(d_h) <= 1 cannot make a finite value non-finite, so a
-    # non-finite score can only come from the product.
+    # non-finite score can only come from the product. The scan runs in a
+    # fast run too: the softmax can absorb a non-finite score.
     s = q @ k
     s *= 1.0 / math.sqrt(q.shape[-1])
-    return _finite(s, "matmul"), q, k
+    return _scan(s, "matmul"), q, k
 
 
 def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:

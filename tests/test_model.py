@@ -178,6 +178,19 @@ def test_forward_rejects_bad_layouts():
         forward(model, [1, 2], [0, 1], no_diag, [0, 0])
 
 
+@pytest.mark.parametrize("taped", [False, True])
+def test_forward_rejects_an_empty_layout(taped):
+    model = make_model()
+    causal3 = np.tril(np.ones((3, 3), dtype=bool))
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0,\) give no rows$"):
+            forward(model, [], [], np.zeros((0, 0), dtype=bool), [])
+        with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0, 3\) give no rows$"):
+            forward(model, np.zeros((0, 3), dtype=np.int64), [0, 1, 2], causal3, [0, 0, 0])
+        with pytest.raises(NumericsError, match="^position_ids must hold one position per row$"):
+            forward(model, [1, 2, 3], [], causal3, [0, 0, 0])
+
+
 def _quadratic_allowed(model):
     """A 22-row quadratic layout's attention: causal with holes."""
     batch = build_quadratic_inference_input([1, 2, 3, 4, 5, 6, 7], [8, 9, 10], model.config.mask_ids)
@@ -302,6 +315,38 @@ def test_untaped_forward_rejects_bad_gate_like_taped(gate, message):
         forward(*args)
     with Tape(), pytest.raises(NumericsError, match=message):
         forward(*args)
+
+
+# Gates of every dtype a caller may pass, with entries inside and outside
+# {0, 1}; lists go through np.asarray as in `forward`.
+GATES = {
+    "int8": [np.array(g, dtype=np.int8) for g in ([0, 1, 0], [1, 1], [0, 2, 1], [-1, 0], [127, 1])],
+    "int64": [np.array(g, dtype=np.int64) for g in ([0, 0, 1], [2, 0], [-1, 1], [2**40, 1])],
+    "bool": [np.array(g, dtype=bool) for g in ([True, False], [False, False], [True])],
+    "float": [
+        np.array(g, dtype=f)
+        for f in (np.float32, np.float64)
+        for g in ([0.0, 1.0], [-0.0, 1.0], [0.5, 1.0], [np.nan, 0.0], [np.inf, 1.0], [-1.0, 0.0], [2.0, 1.0], [1.0 + 1e-7, 0.0])
+    ],
+    "list": [np.asarray(g) for g in ([0, True, 1], [True, 2], [0.5, True], [False, 1.0])],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GATES))
+def test_gate_check_accepts_exactly_what_isin_accepts(kind):
+    verdicts = set()
+    for gate in GATES[kind]:
+        want = bool(np.isin(gate, (0, 1)).all())
+        try:
+            _check_gate(gate, gate.shape[0])
+        except NumericsError as e:
+            assert str(e) == "gate entries must be 0 or 1"
+            got = False
+        else:
+            got = True
+        assert got == want, (kind, gate)
+        verdicts.add(got)
+    assert verdicts == ({True} if kind == "bool" else {True, False})
 
 
 @pytest.mark.parametrize(
