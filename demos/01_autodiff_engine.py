@@ -4,16 +4,17 @@ finite-difference oracle that every gradient in this package answers to."""
 import numpy as np
 
 from specmtp import Tape, Tensor, backward, finite_diff_check, precision
-from specmtp.tensor import cross_entropy, linear, matmul, silu, softmax_rows, sum_all
+from specmtp.tensor import cross_entropy, linear, masked_softmax_rows, silu
 
 # Plain forward math looks like numpy with an extra wrapper.
-a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-b = Tensor([[0.0], [1.0]])
-print("a @ b =", matmul(a, b).data.ravel())
+x = Tensor([[1.0, 2.0], [3.0, 4.0]])
+w = Tensor([[0.0, 1.0]])
+print("x @ w.T =", linear(x, w).data.ravel())
 
-p = softmax_rows(Tensor([[0.0, 0.0, 0.0], [-np.inf, 0.0, 0.0]]))
+allowed = np.array([[True, True, True], [False, True, True]])
+p = masked_softmax_rows(Tensor(np.zeros((2, 3))), allowed)
 print("softmax rows:", np.round(p.data, 3))
-print("(-inf marks an excluded key: its probability is exactly", p.data[1, 0], ")")
+print("(a key outside `allowed` is excluded: its probability is exactly", p.data[1, 0], ")")
 
 # Gradients: run the forward under a tape, then walk it backwards.
 w = Tensor(np.random.default_rng(0).normal(size=(3, 2)), requires_grad=True)
@@ -37,7 +38,9 @@ with precision("float64"):
 print("finite-difference agreement, max rel err:", f"{err:.2e}")
 
 # A constant loss leaves every gradient untouched.
+before = w.grad.copy()
 with Tape() as tape:
-    flat = sum_all(Tensor(np.zeros(())))
+    flat = Tensor(np.zeros(()))
 backward(tape, flat)
+assert np.array_equal(w.grad, before)
 print("constant loss -> no gradients, as expected")

@@ -9,50 +9,47 @@ zero weight, which is what makes the gate-off guarantee bitwise.
 that share one layout: positions, attention mask and gate are (T,)-shaped
 and shared, and hidden and logits get the leading axis. A stack runs every
 op once, on stacked operands, with each sequence's bytes (see tensor.py).
-It checks the layout and the gate once per batch, then has two paths and
-the tape picks one. Under an active `Tape` it runs the autodiff
-ops (training, and the test oracle): `gated_lora_apply` per adapter, one
-fused `lora_delta` each, and per layer `attention_scores`,
-`masked_softmax_rows` and `attention_context`. With no tape it runs the
-same array helpers in the same order on plain arrays, and wraps only
-`hidden` and `logits` as Tensors. Both give the same bytes. Either path
-runs with per-op finiteness scans off and scans its attention scores and
-logits; a failed scan replays the untaped pass with per-op scans on to
-name the op (`scanned_once` in tensor.py).
+It checks the layout and the gate once per batch, then runs the pass,
+written once (`_pass`) over an op namespace that the tape picks. Under an
+active `Tape` that is the autodiff ops (training, and the test oracle):
+`gated_lora_apply` per adapter, one fused `lora_delta` each, and per layer
+`attention_scores`, `masked_softmax_rows` and `attention_context`. With no
+tape it is their array helpers (`ArrayOps`): the same math in the same
+order on plain arrays, with only `hidden` and `logits` wrapped as Tensors,
+so both give the same bytes. Either runs with per-op finiteness scans off
+and scans its attention scores and logits; a failed scan replays the pass
+on arrays with per-op scans on to name the op (`scanned_once` in
+tensor.py).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+# The autodiff ops below are also the taped pass's namespace (`_TAPED`):
+# the pass looks them up as attributes of this module.
 from .tensor import (
+    ArrayOps,
     NumericsError,
     Tensor,
     _out,
     active_tape,
     add,
-    add_data,
     attention_context,
-    attention_context_data,
     attention_scores,
-    attention_scores_data,
     concat_rows,
     default_dtype,
     derive_rng,
     layer_norm,
-    layer_norm_data,
     linear,
-    linear_data,
     lora_delta,
-    lora_delta_data,
-    masked_softmax_data,
     masked_softmax_rows,
     scanned_once,
     silu,
-    silu_data,
     take_rows,
 )
 
@@ -265,35 +262,41 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
 
 def gated_lora_apply(
     layer: GatedLoraLinear,
-    x: Tensor,
+    x: Tensor | np.ndarray,
     gate: np.ndarray,
     rows: np.ndarray | None = None,
-    residual: Tensor | None = None,
-) -> Tensor:
+    residual: Tensor | np.ndarray | None = None,
+) -> Tensor | np.ndarray:
     """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1,
     plus residual_t when a residual is given.
 
-    `rows` are the gate's 1-rows when the caller has checked the gate
-    already (`forward` does, once per pass); otherwise the gate is checked
-    here. Gate-0 rows are returned untouched (no add of a zero), so they
-    are bit-identical to the plain frozen linear.
+    x and the residual are Tensors, run through the autodiff ops, or plain
+    arrays, run through their array helpers (`ArrayOps`). `rows` are the
+    gate's 1-rows when the caller has checked the gate already (`forward`
+    does, once per pass); otherwise the gate is checked here. Gate-0 rows
+    are returned untouched (no add of a zero), so they are bit-identical to
+    the plain frozen linear.
     """
     if rows is None:
         gate = np.asarray(gate)
-        _check_gate(gate, x.data.shape[-2])
+        _check_gate(gate, x.shape[-2])
         rows = np.flatnonzero(gate)
-    base = linear(x, layer.W)
+    ops = _TAPED if isinstance(x, Tensor) else ArrayOps
+    base = ops.linear(x, layer.W)
     if layer.A is not None and rows.size:
-        return lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual)
-    return base if residual is None else add(residual, base)
+        return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual)
+    return base if residual is None else ops.add(residual, base)
 
 
-def _gated_lora_data(layer: GatedLoraLinear, xd: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`gated_lora_apply` on arrays, for a checked gate's 1-rows `rows`."""
-    base = linear_data(xd, layer.W.data)
-    if layer.A is None or rows.size == 0:
-        return base
-    return lora_delta_data(base, xd, layer.A.data, layer.B.data, rows, LORA_ALPHA_OVER_RANK)[0]
+# The pass's two op namespaces. The taped one is this module, so the pass
+# looks `gated_lora_apply` and `masked_softmax_rows` up here at call time
+# (perfbench times the taped pass by replacing them). The untaped one adds
+# the adapter, which takes arrays too, to the array helpers.
+_TAPED = sys.modules[__name__]
+
+
+class _Arrays(ArrayOps):
+    gated_lora_apply = staticmethod(gated_lora_apply)
 
 
 def _attends_ahead(allowed: np.ndarray) -> bool:
@@ -324,8 +327,8 @@ def forward(
     tokens are (T,), or (B, T) for B sequences sharing the layout.
     attention_allowed[i, j] == 1 admits key j for query i; it must be
     lower-triangular with a full diagonal. Excluded keys get exactly zero
-    attention weight. With no active tape the pass runs on plain arrays
-    (`_forward_data`), with the same result. An empty layout is an error.
+    attention weight. With no active tape the pass runs on plain arrays,
+    with the same result. An empty layout is an error.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -350,50 +353,32 @@ def forward(
     _check_gate(gate, t_len)
     rows = np.flatnonzero(gate)
 
-    def replay():
-        return _forward_data(model, tokens, position_ids, allowed, rows)
+    def run(ops):
+        return _pass(ops, model, tokens, position_ids, allowed, gate, rows)
 
-    def taped():
-        return _forward_taped(model, tokens, position_ids, allowed, gate, rows)
+    def fast():
+        if active_tape() is None:
+            return ForwardResult(*map(_out, run(_Arrays)))
+        return ForwardResult(*run(_TAPED))
 
-    fast = replay if active_tape() is None else taped
-    return scanned_once(fast, replay, lambda out: out.logits.data)
+    return scanned_once(fast, lambda: run(_Arrays), lambda out: out.logits.data)
 
 
-def _forward_taped(model, tokens, position_ids, allowed, gate, rows) -> ForwardResult:
-    """The pass as autodiff ops; `rows` are the checked gate's 1-rows."""
+def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
+    """The pass over op namespace `ops`, the autodiff ops (`_TAPED`) or
+    their array helpers (`_Arrays`); `rows` are the checked gate's 1-rows.
+    Returns (hidden, logits) as the namespace's values."""
     c = model.config
-    x = add(take_rows(model.embedding_table(), tokens), Tensor(model.pos_table[position_ids]))
+    x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
-        h = layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q, k, v = (gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        weights = masked_softmax_rows(attention_scores(q, k, c.n_heads), allowed)
-        heads = attention_context(weights, v)
-        x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
-        h2 = layer_norm(x, lw.ln2_gain, lw.ln2_bias)
-        ff = silu(gated_lora_apply(lw.ff_in, h2, gate, rows))
-        x = gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
+        h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
+        q, k, v = (ops.gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        weights = ops.masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
+        heads = ops.attention_context(weights, v)
+        x = ops.gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
+        h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
+        ff = ops.silu(ops.gated_lora_apply(lw.ff_in, h2, gate, rows))
+        x = ops.gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
 
-    hidden = layer_norm(x, model.final_ln_gain, model.final_ln_bias)
-    logits = linear(hidden, model.unembed)
-    return ForwardResult(hidden=hidden, logits=logits)
-
-
-def _forward_data(model, tokens, position_ids, allowed, rows) -> ForwardResult:
-    """The taped pass's ops, in its order, on plain arrays; `rows` are the
-    checked gate's 1-rows."""
-    c = model.config
-    x = add_data(model.embedding_table().data[tokens], model.pos_table[position_ids])
-    for lw in model.layers:
-        h = layer_norm_data(x, lw.ln1_gain.data, lw.ln1_bias.data)[0]
-        q, k, v = (_gated_lora_data(g, h, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        weights = masked_softmax_data(attention_scores_data(q, k, c.n_heads)[0], allowed)
-        heads = attention_context_data(weights, v)[0]
-        x = add_data(x, _gated_lora_data(lw.attn_o, heads, rows))
-        h2 = layer_norm_data(x, lw.ln2_gain.data, lw.ln2_bias.data)[0]
-        ff_in = silu_data(_gated_lora_data(lw.ff_in, h2, rows))[0]
-        x = add_data(x, _gated_lora_data(lw.ff_out, ff_in, rows))
-
-    hidden = layer_norm_data(x, model.final_ln_gain.data, model.final_ln_bias.data)[0]
-    logits = linear_data(hidden, model.unembed.data)
-    return ForwardResult(hidden=_out(hidden), logits=_out(logits))
+    hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
+    return hidden, ops.linear(hidden, model.unembed)

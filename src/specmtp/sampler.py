@@ -5,11 +5,12 @@ token's embedding concatenated with the current hidden state; the output
 feature goes through the shared frozen unembedding, so the head adds no
 vocabulary-sized weights of its own.
 
-`sampler_logits_rows` is the batched, differentiable head that training
-uses. `sampler_logits` is the one-position decode head: it runs the same
-array helpers on plain arrays (the hidden row may be a bare array) and
-wraps only the logits, with the same bytes as the batched head. So the
-decode-time chain makes no Tensors.
+The two blocks are written once, in `sampler_features`, over an op
+namespace. `sampler_logits_rows`, the batched head that training uses,
+runs them as autodiff ops. `sampler_logits`, the one-position decode head,
+runs them as the ops' array helpers (`ArrayOps`) on plain arrays (the
+hidden row may be a bare array) and wraps only the logits, with the same
+bytes as the batched head. So the decode-time chain makes no Tensors.
 """
 
 from __future__ import annotations
@@ -18,21 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    _out,
-    concat_cols,
-    default_dtype,
-    derive_rng,
-    layer_norm,
-    layer_norm_data,
-    linear,
-    linear_data,
-    scanned_once,
-    silu,
-    silu_data,
-    take_rows,
-)
+from . import tensor
+from .tensor import ArrayOps, Tensor, _out, concat_cols, default_dtype, derive_rng, linear, scanned_once, take_rows
 
 
 @dataclass
@@ -77,10 +65,12 @@ def init_sampler(d_model: int, seed: int) -> SamplerHead:
     )
 
 
-def sampler_features(head: SamplerHead, x: Tensor) -> Tensor:
-    """x (R, 2d) -> (R, d) through the two blocks."""
-    h = layer_norm(silu(linear(x, head.l1)), head.ln1_gain, head.ln1_bias)
-    return layer_norm(silu(linear(h, head.l2)), head.ln2_gain, head.ln2_bias)
+def sampler_features(head: SamplerHead, x, ops):
+    """x (R, 2d) -> (R, d) through the two blocks, over op namespace `ops`:
+    the autodiff ops (`specmtp.tensor`), or their array helpers (`ArrayOps`)
+    for a plain-array x."""
+    h = ops.layer_norm(ops.silu(ops.linear(x, head.l1)), head.ln1_gain, head.ln1_bias)
+    return ops.layer_norm(ops.silu(ops.linear(h, head.l2)), head.ln2_gain, head.ln2_bias)
 
 
 def sampler_logits_rows(
@@ -89,7 +79,7 @@ def sampler_logits_rows(
     """Batched head: prev-token embeddings joined with hiddens -> (R, V)."""
     prev_ids = np.asarray(prev_ids, dtype=np.int64)
     e_prev = take_rows(embeddings, prev_ids)
-    feats = sampler_features(head, concat_cols([e_prev, z_rows]))
+    feats = sampler_features(head, concat_cols([e_prev, z_rows]), tensor)
     return linear(feats, unembed)
 
 
@@ -104,11 +94,8 @@ def sampler_logits(
     zd = z.data if isinstance(z, Tensor) else np.asarray(z)
 
     def run():
-        h = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
-        blocks = ((head.l1, head.ln1_gain, head.ln1_bias), (head.l2, head.ln2_gain, head.ln2_bias))
-        for w, gain, bias in blocks:
-            h = layer_norm_data(silu_data(linear_data(h, w.data))[0], gain.data, bias.data)[0]
-        return linear_data(h, unembed.data)
+        x = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
+        return ArrayOps.linear(sampler_features(head, x, ArrayOps), unembed)
 
     logits = scanned_once(run, run)
     return _out(logits.reshape(logits.shape[1]))

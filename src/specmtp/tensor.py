@@ -19,8 +19,8 @@ own.
 `Tensor(...)` takes data from outside the engine and rejects NaN and +inf
 (-inf is the softmax exclusion sentinel). Op outputs skip that scan
 (`_out`): an op that computes values rejects a non-finite output and
-names itself; one that only moves checked values (transpose, reshape,
-take_rows, concat_cols, concat_rows, detach) checks nothing.
+names itself; one that only moves checked values (take_rows, concat_cols,
+concat_rows, detach) checks nothing.
 
 A pass (`forward`, `sampler_logits`) scans its scores and logits, not
 every op's output. It runs through `scanned_once`: per-op scans off,
@@ -29,12 +29,12 @@ the logits. `attention_scores_data` scans its scores in every run. A
 failed scan replays the pass on arrays with per-op scans on, under the
 caller's errstate, to name the op that overflowed: it raises the error,
 and gives the warnings, of a pass checked op by op. A noted error that
-the caller's errstate reports is replayed too, since it may have left a
-finite output (layer_norm's variance can overflow to inf, which
-normalises its row to 0). This is exact because:
+the caller's errstate reports is replayed too, so the caller gets its
+warnings. This is exact because:
 - every other computing op of a pass (matmul and linear, the adds,
   layer_norm, silu, the LoRA scatter) turns a non-finite input row into a
-  non-finite output row, all the way to the logits;
+  non-finite output row, all the way to the logits; layer_norm also turns
+  a finite row whose variance overflows into a NaN row;
 - `@` forms every product, so 0 * inf = NaN: a non-finite value row
   reaches every context row, even through attention weights that are
   exactly 0 (tested: a BLAS that skipped zero operands would fail);
@@ -42,12 +42,13 @@ normalises its row to 0). This is exact because:
   weight 0, an excluded cell is dropped), hence the scores scan; and the
   softmax of finite scores with a full diagonal is finite.
 
-The forward math of the ops that inference uses is written once, as an
-array helper (`matmul_data`, `layer_norm_data`, ...) that takes and
-returns plain arrays and does the op's shape and finiteness checks. The
-`Tensor` op calls its helper and records the backward; an untaped pass
-(`active_tape()` is None) calls the helpers directly. So the two paths
-give the same bytes by construction.
+The forward math of the ops that a pass uses is written once, as an array
+helper (`linear_data`, `layer_norm_data`, ...) that takes and returns
+plain arrays and does the op's shape and finiteness checks. The `Tensor`
+op calls its helper and records the backward. A pass is written once too,
+over an op namespace: the autodiff ops when a tape is active, `ArrayOps`
+(the helpers under the ops' names) when none is. So its taped and untaped
+runs give the same bytes by construction.
 
 Three fused ops record one tape entry where a chain of elementary ops
 would record several: `lora_delta` (a gated adapter's rank-r correction,
@@ -59,7 +60,7 @@ matmul -> transpose -> reshape). The masked softmax between the two
 attention ops stays `masked_softmax_rows`. Each fused op runs its
 chain's array helpers in order and its backward applies the chain's
 backward expressions in reverse, so values and gradients are byte-equal
-to the chain's. The elementary ops are their oracle in the tests.
+to the chain's. The chains, in the tests, are their oracle.
 
 The attention steps over (..., H, T, T) cells (the scores, the masked
 softmax and its backward) each allocate one float array of that size, and
@@ -339,20 +340,6 @@ def matmul_data(ad: np.ndarray, bd: np.ndarray) -> np.ndarray:
     return _finite(ad @ bd, "matmul")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor form of `matmul_data` for operands with the same leading axes
-    (a shared 2-D operand is the business of `lora_delta`)."""
-    ad, bd = a.data, b.data
-    if ad.ndim != bd.ndim:
-        raise NumericsError(f"matmul shape mismatch {ad.shape} x {bd.shape}")
-    out = _out(matmul_data(ad, bd))
-
-    def bw(g, ad=ad, bd=bd):
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
-
-    return _record(out, (a, b), bw)
-
-
 def linear_data(xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
     """xd (..., T, in) @ wd.T for wd (out, in) -> (..., T, out)."""
     if xd.shape[-1] != wd.shape[1]:
@@ -369,33 +356,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         return g @ wd, gw
 
     return _record(out, (x, w), bw)
-
-
-def transpose_data(xd: np.ndarray, axes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Contiguous copy of xd with its axes permuted; with no `axes`, reversed
-    (the 2-D transpose)."""
-    if axes is not None and sorted(axes) != list(range(xd.ndim)):
-        raise NumericsError(f"transpose axes {axes} do not permute {xd.shape}")
-    return np.ascontiguousarray(xd.transpose(axes))
-
-
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Tensor form of `transpose_data`."""
-    out = _out(transpose_data(x.data, axes))
-
-    def bw(g, inverse=None if axes is None else tuple(np.argsort(axes))):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
-
-    return _record(out, (x,), bw)
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = _out(x.data.reshape(shape))
-
-    def bw(g, s=x.data.shape):
-        return (g.reshape(s),)
-
-    return _record(out, (x,), bw)
 
 
 def _check_rowwise(ad: np.ndarray, bd: np.ndarray, op: str) -> None:
@@ -500,7 +460,9 @@ def layer_norm_data(
     d = xd.shape[-1]
     xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    # var - var is +0.0 for a finite variance, so inv keeps its bytes; a
+    # variance that overflowed to inf makes its row NaN, not the bias.
+    inv = 1.0 / np.sqrt(var + eps) + (var - var)
     xhat = xc * inv
     return _finite(xhat * gain + bias, "layer_norm"), xhat, inv
 
@@ -547,15 +509,12 @@ def _exclude(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return x.view(xd.dtype)
 
 
-def _softmax_core(xd: np.ndarray, allowed: np.ndarray | None) -> np.ndarray:
-    """Softmax over the last axis (over the `allowed` cells, when given).
-    One new array the size of xd; the max shift, exp and division run in
-    place on it, the same operations on the same values as out-of-place."""
-    if allowed is None:
-        x = xd - xd.max(axis=-1, keepdims=True)
-    else:
-        x = _exclude(xd, allowed)
-        x -= x.max(axis=-1, keepdims=True)
+def _softmax_core(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Softmax over the `allowed` cells of the last axis. One new array the
+    size of xd; the max shift, exp and division run in place on it, the same
+    operations on the same values as out-of-place."""
+    x = _exclude(xd, allowed)
+    x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
@@ -568,13 +527,6 @@ def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     np.subtract(g, s, out=d)
     d *= p
     return d
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-stochastic softmax. -inf entries are exact exclusions (weight 0)."""
-    p = _softmax_core(x.data, None)
-    out = _out(p, "softmax_rows")
-    return _record(out, (x,), lambda g, p=p: (_softmax_backward(g, p),))
 
 
 def masked_softmax_data(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
@@ -634,17 +586,6 @@ def row_scatter_add_data(base: np.ndarray, idx: np.ndarray, delta: np.ndarray) -
     out = base.copy()
     out[..., idx, :] += delta
     return _finite(out, "row_scatter_add")
-
-
-def row_scatter_add(base: Tensor, idx: np.ndarray, delta: Tensor) -> Tensor:
-    """Tensor form of `row_scatter_add_data`."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _out(row_scatter_add_data(base.data, idx, delta.data))
-
-    def bw(g, idx=idx):
-        return g, g.take(idx, axis=-2)
-
-    return _record(out, (base, delta), bw)
 
 
 # -----------------------------------------------------------------------------
@@ -785,6 +726,29 @@ def attention_context(p: Tensor, v: Tensor) -> Tensor:
     return _record(out, (p, v), bw)
 
 
+class ArrayOps:
+    """The array helpers under their ops' names, for a pass written once
+    over an op namespace and run with no tape. Activations are plain arrays;
+    weights stay Tensors and are read through `.data`; each returns the op's
+    output array. So the untaped pass runs each op's own forward math, and
+    gives the taped pass's bytes. `Tensor` leaves an input a plain array."""
+
+    Tensor = staticmethod(np.asarray)
+    add = staticmethod(add_data)
+    take_rows = staticmethod(lambda table, idx: table.data.take(idx, axis=-2))
+    linear = staticmethod(lambda x, w: linear_data(x, w.data))
+    silu = staticmethod(lambda x: silu_data(x)[0])
+    layer_norm = staticmethod(lambda x, gain, bias: layer_norm_data(x, gain.data, bias.data)[0])
+    attention_scores = staticmethod(lambda q, k, n_heads: attention_scores_data(q, k, n_heads)[0])
+    masked_softmax_rows = staticmethod(masked_softmax_data)
+    attention_context = staticmethod(lambda p, v: attention_context_data(p, v)[0])
+
+    @staticmethod
+    def lora_delta(base, x, a, b, rows, c, residual=None):
+        y = lora_delta_data(base, x, a.data, b.data, rows, c)[0]
+        return y if residual is None else add_data(residual, y)
+
+
 def concat_cols(parts: list[Tensor]) -> Tensor:
     """Join (..., T, w_i) parts along their last axis."""
     out = _out(np.concatenate([p.data for p in parts], axis=-1))
@@ -868,15 +832,6 @@ def fold_add(x: Tensor) -> Tensor:
     for v in x.data[1:]:
         acc = acc + v
     out = _out(np.asarray(acc, dtype=x.data.dtype), "fold_add")
-
-    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
-        return (np.full(shape, g, dtype=dtype),)
-
-    return _record(out, (x,), bw)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = _out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all")
 
     def bw(g, shape=x.data.shape, dtype=x.data.dtype):
         return (np.full(shape, g, dtype=dtype),)

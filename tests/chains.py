@@ -2,38 +2,84 @@
 replace, the out-of-place softmax that the in-place one replaces, and the
 per-sequence training loop that the stacked training step replaces. Each
 is its replacement's oracle: values and gradients must match it byte for
-byte."""
+byte. The elementary ops that only these chains and the tests use are
+written here too, on the engine's helpers and tape."""
 
 import numpy as np
+from conftest import run_batch
 
 from specmtp import tensor as tz
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward
+from specmtp.tensor import NumericsError, _out, _record
+
+
+def matmul(a, b):
+    """Tensor form of `matmul_data` for operands with the same leading axes."""
+    ad, bd = a.data, b.data
+    if ad.ndim != bd.ndim:
+        raise NumericsError(f"matmul shape mismatch {ad.shape} x {bd.shape}")
+    out = _out(tz.matmul_data(ad, bd))
+    return _record(out, (a, b), lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
+
+
+def transpose(x, axes=None):
+    """Contiguous copy of x with its axes permuted; with no `axes`, reversed
+    (the 2-D transpose)."""
+    if axes is not None and sorted(axes) != list(range(x.data.ndim)):
+        raise NumericsError(f"transpose axes {axes} do not permute {x.data.shape}")
+    out = _out(np.ascontiguousarray(x.data.transpose(axes)))
+    inverse = None if axes is None else tuple(np.argsort(axes))
+    return _record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+
+
+def reshape(x, shape):
+    out = _out(x.data.reshape(shape))
+    return _record(out, (x,), lambda g, s=x.data.shape: (g.reshape(s),))
+
+
+def row_scatter_add(base, idx, delta):
+    """Tensor form of `row_scatter_add_data`."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = _out(tz.row_scatter_add_data(base.data, idx, delta.data))
+    return _record(out, (base, delta), lambda g: (g, g.take(idx, axis=-2)))
+
+
+def softmax_rows(x):
+    """Row-stochastic softmax: the masked softmax with every cell allowed,
+    so -inf entries are exact exclusions (weight 0)."""
+    p = tz._softmax_core(x.data, np.ones(x.data.shape[-1:], dtype=bool))
+    return _record(_out(p, "softmax_rows"), (x,), lambda g: (tz._softmax_backward(g, p),))
+
+
+def sum_all(x):
+    out = _out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all")
+    return _record(out, (x,), lambda g, d=x.data: (np.full(d.shape, g, dtype=d.dtype),))
 
 
 def lora_chain(base, x, a, b, rows, c, residual=None):
     """lora_delta as take_rows -> matmul -> matmul -> scale ->
     row_scatter_add, then add(residual, .) when a residual is given."""
-    delta = tz.scale(tz.matmul(tz.matmul(tz.take_rows(x, rows), a), b), c)
-    out = tz.row_scatter_add(base, rows, delta)
+    delta = tz.scale(matmul(matmul(tz.take_rows(x, rows), a), b), c)
+    out = row_scatter_add(base, rows, delta)
     return out if residual is None else tz.add(residual, out)
 
 
 def _split_heads(x, n_heads, axes):
     t_len, d = x.shape
-    return tz.transpose(tz.reshape(x, (t_len, n_heads, d // n_heads)), axes)
+    return transpose(reshape(x, (t_len, n_heads, d // n_heads)), axes)
 
 
 def scores_chain(q, k, n_heads):
     """attention_scores as reshape/transpose x2 -> matmul -> scale."""
     qh, kh = _split_heads(q, n_heads, (1, 0, 2)), _split_heads(k, n_heads, (1, 2, 0))
-    return tz.scale(tz.matmul(qh, kh), 1.0 / np.sqrt(q.shape[1] // n_heads))
+    return tz.scale(matmul(qh, kh), 1.0 / np.sqrt(q.shape[1] // n_heads))
 
 
 def context_chain(p, v):
     """attention_context as reshape/transpose -> matmul -> transpose -> reshape."""
     vh = _split_heads(v, p.shape[0], (1, 0, 2))
-    return tz.reshape(tz.transpose(tz.matmul(p, vh), (1, 0, 2)), v.shape)
+    return reshape(transpose(matmul(p, vh), (1, 0, 2)), v.shape)
 
 
 def attention_chain(q, k, v, allowed, n_heads):
@@ -87,7 +133,7 @@ def per_sequence_pretrain_step(model, batches, picks):
         acc = None
         for si in picks:
             batch = batches[si]
-            out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+            out = run_batch(model, batch)
             loss = tz.cross_entropy(out.logits, batch.base_labels)
             acc = loss if acc is None else tz.add(acc, loss)
         loss = tz.scale(acc, 1.0 / len(picks))

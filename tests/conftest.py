@@ -4,6 +4,7 @@ base and handed out as a fresh clone."""
 
 import pytest
 
+from specmtp.model import forward
 from specmtp.training import (
     CorpusSpec,
     TrainConfig,
@@ -38,6 +39,11 @@ def pattern_config(**over) -> TrainConfig:
     )
     base.update(over)
     return TrainConfig(**base)
+
+
+def run_batch(model, batch):
+    """`forward` over a MaskedBatch's layout."""
+    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
 
 
 def heldout_prompts(count=12, prompt_len=9, seed=99):

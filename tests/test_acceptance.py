@@ -7,11 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import finetune, heldout_prompts, pattern_config
+from conftest import finetune, heldout_prompts, pattern_config, run_batch
 from specmtp.batching import build_linear_inference_input, build_training_batch, causal_rows
 from specmtp.decoding import greedy_autoregressive, speculative_decode
 from specmtp.losses import lcm_loss, base_and_sampler_ce, total_loss
-from specmtp.model import ModelConfig, forward, init_model
+from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
 from specmtp.tensor import Tape, Tensor, backward, finite_diff_check, precision
 from specmtp.training import generate_corpus, train
@@ -29,10 +29,6 @@ def _randomize(model, seed, scale=0.3):
             g.B.data = rng.normal(0, scale, g.B.data.shape).astype(g.B.data.dtype)
 
 
-def _fwd(model, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
-
-
 def test_criterion_1_gate_invariance():
     t0 = time.perf_counter()
     base_cfg = dict(vocab_size=14, d_model=16, n_layers=2, n_heads=2, d_ff=32,
@@ -45,8 +41,8 @@ def test_criterion_1_gate_invariance():
         n = int(rng.integers(2, 10))
         seq = rng.integers(0, 14 - 3, size=n)
         batch = build_training_batch(seq, np.ones(n, dtype=int), model.config.mask_ids)
-        got = _fwd(model, batch)
-        ref = _fwd(reference, batch)
+        got = run_batch(model, batch)
+        ref = run_batch(reference, batch)
         rows = batch.ntp_rows
         assert np.array_equal(got.logits.data[rows], ref.logits.data[rows]), f"trial {trial}"
     elapsed = time.perf_counter() - t0
@@ -71,9 +67,9 @@ def test_criterion_2_masked_batch_oracle_equivalence():
             flags[0] = 1
             mask_ids = cfg.mask_ids[:k]
             batch = build_training_batch(seq, flags, mask_ids)
-            out = _fwd(model, batch)
+            out = run_batch(model, batch)
 
-            plain = _fwd(model, causal_rows(seq)).logits.data
+            plain = run_batch(model, causal_rows(seq)).logits.data
             diff = np.max(np.abs(out.logits.data[batch.ntp_rows] - plain))
             worst_ntp = max(worst_ntp, diff)
             assert diff < 1e-6, f"trial {trial}: ntp rows diverged by {diff}"
@@ -83,7 +79,7 @@ def test_criterion_2_masked_batch_oracle_equivalence():
                 if rows.size == 0:
                     continue
                 solo = build_linear_inference_input(seq[:idx], [], mask_ids)
-                ref = _fwd(model, solo).logits.data[idx:]
+                ref = run_batch(model, solo).logits.data[idx:]
                 diff = np.max(np.abs(out.logits.data[rows] - ref))
                 worst_block = max(worst_block, diff)
                 assert diff < 1e-6, f"trial {trial}: block {idx} diverged by {diff}"
@@ -236,7 +232,7 @@ def test_criterion_8_gradient_integrity():
         batch = build_training_batch(*corpus[0], mcfg.mask_ids)
 
         def f():
-            out = _fwd(model, batch)
+            out = run_batch(model, batch)
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
             )

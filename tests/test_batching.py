@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import run_batch
 
 from specmtp.batching import (
     NO_ANCHOR,
@@ -246,10 +247,6 @@ def _random_model_with_adapters(seed, vocab=12, k=3):
     return model
 
 
-def _fwd(model, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
-
-
 def test_ntp_rows_reproduce_plain_causal_forward():
     with precision("float64"):
         for seed in range(20):
@@ -260,8 +257,8 @@ def test_ntp_rows_reproduce_plain_causal_forward():
             flags = rng.integers(0, 2, size=n)
             flags[0] = 1
             batch = build_training_batch(seq, flags, model.config.mask_ids)
-            got = _fwd(model, batch).logits.data[batch.ntp_rows]
-            ref = _fwd(model, causal_rows(seq)).logits.data
+            got = run_batch(model, batch).logits.data[batch.ntp_rows]
+            ref = run_batch(model, causal_rows(seq)).logits.data
             assert np.max(np.abs(got - ref)) < 1e-6
 
 
@@ -273,12 +270,12 @@ def test_mask_blocks_reproduce_standalone_prompts():
             n = int(rng.integers(3, 9))
             seq = rng.integers(0, model.config.first_mask_id, size=n)
             batch = build_training_batch(seq, np.ones(n, dtype=int), model.config.mask_ids)
-            out = _fwd(model, batch)
+            out = run_batch(model, batch)
             for i in range(1, n):  # block after x_i exists for i < n
                 arow = np.flatnonzero((batch.gate == 0))[i - 1]
                 rows = batch.block_rows(arow)
                 solo = build_linear_inference_input(seq[:i], [], model.config.mask_ids)
-                solo_out = _fwd(model, solo)
+                solo_out = run_batch(model, solo)
                 got = out.logits.data[rows]
                 ref = solo_out.logits.data[i:]
                 assert np.max(np.abs(got - ref)) < 1e-6
@@ -289,7 +286,7 @@ def test_deleting_a_block_leaves_other_rows_unchanged():
         model = _random_model_with_adapters(123)
         seq = np.array([1, 2, 3, 4, 5])
         batch = build_training_batch(seq, np.ones(5, dtype=int), model.config.mask_ids)
-        full = _fwd(model, batch).logits.data
+        full = run_batch(model, batch).logits.data
         # Drop the block anchored at the second token.
         arow = np.flatnonzero(batch.gate == 0)[1]
         drop = batch.block_rows(arow)

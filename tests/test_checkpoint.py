@@ -2,11 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from conftest import run_batch
 
 from specmtp.batching import causal_rows
 from specmtp.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from specmtp.cli import EXIT_IO, main
-from specmtp.model import ModelConfig, forward, init_model
+from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
 
 CFG = ModelConfig(vocab_size=13, d_model=16, n_layers=1, n_heads=2, d_ff=32, k_masks=2, lora_rank=3)
@@ -37,8 +38,8 @@ def test_loaded_model_replays_probe_logits_exactly(tmp_path):
     save_checkpoint(model, sampler, path)
     loaded, _, _ = load_checkpoint(path)
     batch = causal_rows([1, 2, 3, 4, 5])
-    a = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
-    b = forward(loaded, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    a = run_batch(model, batch)
+    b = run_batch(loaded, batch)
     assert np.array_equal(a.logits.data, b.logits.data)
 
 

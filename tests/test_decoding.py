@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_batch
 
 from specmtp.decoding import (
     AcceptanceStats,
@@ -230,10 +231,9 @@ def test_future_rank_probe_rank_one_for_argmax():
     model = make_model(21)
     prompt = [1, 2, 3]
     from specmtp.batching import build_linear_inference_input
-    from specmtp.model import forward
 
     batch = build_linear_inference_input(prompt, [], CFG.mask_ids[:2])
-    out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    out = run_batch(model, batch)
     best = [int(np.argmax(out.logits.data[len(prompt) + j])) for j in range(2)]
     ranks = future_rank_probe(model, prompt, best, 2)
     assert ranks == [1, 1]

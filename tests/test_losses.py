@@ -1,8 +1,9 @@
 import numpy as np
+from conftest import run_batch
 
 from specmtp.batching import build_training_batch
 from specmtp.losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
-from specmtp.model import ModelConfig, forward, init_model
+from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
 from specmtp.tensor import IGNORE_ID, Tape, Tensor, backward, precision
 
@@ -19,10 +20,6 @@ def setup(seed=0):
     return model, head
 
 
-def run(model, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
-
-
 def test_all_ignored_labels_give_zero_losses():
     model, head = setup()
     batch = build_training_batch([1, 2, 3], [0, 0, 0], CFG.mask_ids)
@@ -30,7 +27,7 @@ def test_all_ignored_labels_give_zero_losses():
     for p in params:
         p.zero_grad()
     with Tape() as tape:
-        out = run(model, batch)
+        out = run_batch(model, batch)
         base, samp = base_and_sampler_ce(
             batch, out.hidden, out.logits, head, model.unembed, model.embedding_table()
         )
@@ -55,7 +52,7 @@ def test_losses_match_independent_row_loop():
         seq = rng.integers(0, CFG.first_mask_id, size=7)
         flags = np.array([1, 0, 1, 1, 1, 0, 1])
         batch = build_training_batch(seq, flags, CFG.mask_ids)
-        out = run(model, batch)
+        out = run_batch(model, batch)
         base, samp = base_and_sampler_ce(
             batch, out.hidden, out.logits, head, model.unembed, model.embedding_table()
         )
@@ -153,7 +150,7 @@ def test_total_loss_weights():
 def test_ntp_only_ce_ignores_mask_rows():
     model, head = setup(9)
     batch = build_training_batch([1, 2, 3, 4], [1, 1, 1, 1], CFG.mask_ids)
-    out = run(model, batch)
+    out = run_batch(model, batch)
     val = ntp_only_ce(batch, out.logits)
     rows = [r for r in batch.ntp_rows if batch.base_labels[r] != IGNORE_ID]
     expect = []
@@ -176,7 +173,7 @@ def test_ntp_ce_has_exactly_zero_adapter_gradient():
         seq = rng.integers(0, CFG.first_mask_id, size=6)
         batch = build_training_batch(seq, np.ones(6, dtype=int), CFG.mask_ids)
         with Tape() as tape:
-            out = run(model, batch)
+            out = run_batch(model, batch)
             loss = ntp_only_ce(batch, out.logits)
         backward(tape, loss)
         adapters = [t for n, t in model.trainable_params() if n.endswith((".A", ".B"))]
@@ -187,6 +184,6 @@ def test_ntp_ce_has_exactly_zero_adapter_gradient():
         orig = probe.data[0, 0]
         for sign in (1.0, -1.0):
             probe.data[0, 0] = orig + sign * eps
-            out2 = run(model, batch)
+            out2 = run_batch(model, batch)
             assert ntp_only_ce(batch, out2.logits).item() == loss.item()
         probe.data[0, 0] = orig

@@ -3,6 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 from chains import attention_chain, lora_chain
+from conftest import run_batch
 
 from specmtp.batching import (
     build_linear_inference_input,
@@ -31,10 +32,6 @@ def randomize_adapters(model, seed=99):
         for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
             g.A.data = rng.normal(0, 0.3, g.A.data.shape).astype(g.A.data.dtype)
             g.B.data = rng.normal(0, 0.3, g.B.data.shape).astype(g.B.data.dtype)
-
-
-def run_batch(model, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from specmtp import tensor as tz
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler, sampler_chain, sampler_features, sampler_logits
-from specmtp.tensor import Tape, Tensor, cross_entropy, finite_diff_check, precision
+from specmtp.tensor import ArrayOps, Tape, Tensor, cross_entropy, finite_diff_check, precision
 from specmtp.sampler import sampler_logits_rows
 
 D = 16
@@ -94,7 +95,8 @@ def test_chain_purity_resume_mid_chain():
 def test_features_width_matches_model_dim():
     _, head = setup()
     x = Tensor(np.zeros((2, 2 * D)))
-    assert sampler_features(head, x).data.shape == (2, D)
+    assert sampler_features(head, x, tz).data.shape == (2, D)
+    assert sampler_features(head, x.data, ArrayOps).shape == (2, D)
 
 
 def test_prev_token_outside_vocabulary_is_rejected():

@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import run_batch
 
 import specmtp.model as model_mod
 import specmtp.sampler as sampler_mod
@@ -90,7 +91,7 @@ def compare(subject, model, head, batch, zs, monkeypatch, what):
 def test_every_injected_overflow_gives_what_per_op_checks_give(layout, injection, monkeypatch):
     model, head = make_model()
     batch = LAYOUTS[layout]
-    zs = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate).hidden.data
+    zs = run_batch(model, batch).hidden.data
     weights = model.named_params() + head.named_params()
     seen = collections.Counter()
     for name, w in weights:
@@ -110,11 +111,34 @@ def test_every_injected_overflow_gives_what_per_op_checks_give(layout, injection
                 if kind == "raised":
                     break
         w.data = clean
-    # Every path meets failures; a scaled embedding also overflows inside
-    # layer_norm with a finite output, which only warns.
+    # Every path meets failures, and none ends in a finite result with only
+    # warnings: a variance that overflows inside layer_norm raises too.
     assert all(seen[subject, "raised"] for subject in SUBJECTS), seen
-    if injection == "scaled":
-        assert seen["untaped", "warned"] and seen["taped", "warned"], seen
+    assert not any(kind == "warned" for _, kind in seen), seen
+
+
+VARIANCE_OVERFLOW = "non-finite values produced by layer_norm"
+
+
+@pytest.mark.parametrize("errstate", ["default", "training"])
+@pytest.mark.parametrize("subject", SUBJECTS)
+def test_a_variance_overflow_raises_naming_layer_norm(subject, errstate):
+    # An embedding scaled by 1e24 stays finite through the embedding sum,
+    # but its rows' deviations overflow xc * xc in the first layer_norm
+    # (the sampler head's first layer_norm, for the chain).
+    model, head = make_model()
+    batch = LAYOUTS["causal"]
+    zs = run_batch(model, batch).hidden.data
+    model.embed_base.data = model.embed_base.data * np.float32(1e24)
+    # Training runs its step under over="ignore", invalid="ignore".
+    quiet = dict(over="ignore", invalid="ignore") if errstate == "training" else {}
+    with np.errstate(**quiet):
+        error, seen, _ = outcome(lambda: run_subject(subject, model, head, batch, zs))
+    assert error == VARIANCE_OVERFLOW
+    assert seen == ([] if quiet else [
+        ("RuntimeWarning", "overflow encountered in multiply"),
+        ("RuntimeWarning", "invalid value encountered in subtract"),
+    ])
 
 
 def causal_allowed(t_len):
@@ -158,7 +182,7 @@ def test_a_clean_pass_scans_only_its_scores(monkeypatch):
     monkeypatch.setattr(tz, "_scan", lambda data, op: scanned.append(op) or scan(data, op))
     for taped in (False, True):
         with Tape() if taped else contextlib.nullcontext():
-            forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+            run_batch(model, batch)
     assert scanned == ["matmul"] * (2 * CFG.n_layers)
     scanned.clear()
     sampler_chain(head, model.unembed, model.embedding_table(), 0, np.ones((3, CFG.d_model), np.float32))
@@ -169,20 +193,34 @@ def test_a_clean_pass_scans_only_its_scores(monkeypatch):
 
 
 def overflowing_layer_norm():
-    # xc * xc overflows, so the variance is inf and every row normalises to
-    # 0: a finite output, and an overflow warning, from a finite input.
+    # xc * xc overflows, so the variance is inf: the row comes out NaN, not
+    # its bias, from a finite input.
     x = np.array([[1e20, -1e20, 0.0]], dtype=np.float32)
     return tz.layer_norm_data(x, np.ones(3, np.float32), np.full(3, 0.5, np.float32))[0]
 
 
-def test_an_overflow_with_a_finite_result_warns_as_per_op_checks_do():
+def test_a_variance_overflow_is_named_as_per_op_checks_name_it():
     got = outcome(lambda: tz.scanned_once(overflowing_layer_norm, overflowing_layer_norm))
     want = outcome(overflowing_layer_norm)
-    assert got[1] == want[1] == [("RuntimeWarning", "overflow encountered in multiply")]
+    assert got[0] == want[0] == VARIANCE_OVERFLOW
+    assert got[1] == want[1]
+    assert tz._scan_per_op.get()
+
+
+def overflow_to_zero():
+    # exp overflows to inf and 1 / inf is 0: a finite output, and an
+    # overflow warning, from a finite input.
+    return 1.0 / np.exp(np.array([100.0], dtype=np.float32))
+
+
+def test_an_overflow_with_a_finite_result_warns_as_per_op_checks_do():
+    got = outcome(lambda: tz.scanned_once(overflow_to_zero, overflow_to_zero))
+    want = outcome(overflow_to_zero)
+    assert got[1] == want[1] == [("RuntimeWarning", "overflow encountered in exp")]
     assert got[0] is want[0] is None
     assert got[2].tobytes() == want[2].tobytes()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        tz.scanned_once(overflowing_layer_norm, overflowing_layer_norm)
+        tz.scanned_once(overflow_to_zero, overflow_to_zero)
     assert tz._scan_per_op.get()
 
 

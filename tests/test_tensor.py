@@ -3,7 +3,19 @@ from functools import partial
 
 import numpy as np
 import pytest
-from chains import attention_chain, context_chain, lora_chain, scores_chain, softmax_backward_chain, softmax_chain
+from chains import (
+    attention_chain,
+    context_chain,
+    lora_chain,
+    matmul,
+    row_scatter_add,
+    scores_chain,
+    softmax_backward_chain,
+    softmax_chain,
+    softmax_rows,
+    sum_all,
+    transpose,
+)
 
 from specmtp import tensor as tz
 from specmtp.tensor import (
@@ -17,11 +29,8 @@ from specmtp.tensor import (
     layer_norm,
     linear,
     masked_softmax_rows,
-    matmul,
     precision,
     silu,
-    softmax_rows,
-    sum_all,
 )
 
 BIG = np.finfo(np.float64).max
@@ -56,9 +65,9 @@ def test_matmul_gradients_match_finite_differences():
 # The attention path runs every head in one pass on stacked (H, ...) operands.
 STACKED_LOSSES = {
     "matmul": lambda a, b, _: sum_all(silu(matmul(a, b))),
-    "transpose": lambda a, _, w: sum_all(tz.mul(tz.transpose(a, (1, 2, 0)), Tensor(w))),
+    "transpose": lambda a, _, w: sum_all(tz.mul(transpose(a, (1, 2, 0)), Tensor(w))),
     "masked_softmax_rows": lambda a, _, w: sum_all(
-        tz.mul(masked_softmax_rows(matmul(a, tz.transpose(a, (0, 2, 1))), np.tri(3, dtype=bool)), Tensor(w))
+        tz.mul(masked_softmax_rows(matmul(a, transpose(a, (0, 2, 1))), np.tri(3, dtype=bool)), Tensor(w))
     ),
 }
 
@@ -93,7 +102,7 @@ MISMATCHES = {
     "matmul_2d_3d": lambda: matmul(Tensor(np.zeros((4, 5))), Tensor(np.zeros((2, 5, 3)))),
     "mask_not_t_by_t": lambda: masked_softmax_rows(Tensor(np.zeros((2, 3, 3))), np.ones((2, 3), dtype=bool)),
     "mask_stacked": lambda: masked_softmax_rows(Tensor(np.zeros((2, 3, 3))), np.ones((2, 3, 3), dtype=bool)),
-    "transpose_axes": lambda: tz.transpose(Tensor(np.zeros((2, 3, 4))), (0, 0, 1)),
+    "transpose_axes": lambda: transpose(Tensor(np.zeros((2, 3, 4))), (0, 0, 1)),
 }
 
 
@@ -177,7 +186,8 @@ def test_in_place_softmax_is_bytewise_the_out_of_place_chain(dtype):
         for shape in ((t_len, t_len), (3, 2, t_len, t_len)):
             x = _scores_with_edge_values(rng, shape, dtype)
             for mask in (allowed, None):
-                p = tz._softmax_core(x, mask)
+                # With no mask, the in-place core runs with every cell allowed.
+                p = tz._softmax_core(x, np.ones_like(allowed) if mask is None else mask)
                 want = softmax_chain(x, mask)
                 assert p.dtype == want.dtype == dtype
                 assert p.tobytes() == want.tobytes()
@@ -395,7 +405,7 @@ def _big(*shape):
 # Softmax and silu cannot overflow: a softmax row with nothing admissible
 # comes out NaN, and so does silu of -inf.
 OVERFLOWS = {
-    "matmul": lambda: tz.matmul(_big(1, 2), _big(2, 1)),
+    "matmul": lambda: matmul(_big(1, 2), _big(2, 1)),
     "linear": lambda: tz.linear(_big(1, 2), _big(3, 2)),
     "add": lambda: tz.add(_big(2, 2), _big(2)),
     "sub": lambda: tz.sub(_big(2, 2), Tensor(np.full((2, 2), -BIG))),
@@ -403,13 +413,13 @@ OVERFLOWS = {
     "scale": lambda: tz.scale(_big(2, 2), 2.0),
     "silu": lambda: tz.silu(Tensor(np.full((1, 2), -np.inf))),
     "layer_norm": lambda: tz.layer_norm(Tensor([[1.0, -1.0]]), _big(2), _big(2)),
-    "softmax_rows": lambda: tz.softmax_rows(Tensor(np.full((2, 3), -np.inf))),
+    "softmax_rows": lambda: softmax_rows(Tensor(np.full((2, 3), -np.inf))),
     "masked_softmax_rows": lambda: tz.masked_softmax_rows(
         Tensor(np.zeros((2, 3))), np.array([[True, False, False], [False] * 3])
     ),
-    "row_scatter_add": lambda: tz.row_scatter_add(_big(3, 2), np.array([1]), _big(1, 2)),
+    "row_scatter_add": lambda: row_scatter_add(_big(3, 2), np.array([1]), _big(1, 2)),
     "cross_entropy": lambda: tz.cross_entropy(Tensor([[BIG, -BIG]]), np.array([1])),
-    "sum_all": lambda: tz.sum_all(_big(2, 2)),
+    "sum_all": lambda: sum_all(_big(2, 2)),
     "mean_axis1": lambda: tz.mean_axis1(_big(2, 2)),
     "dot_const": lambda: tz.dot_const(_big(2), np.ones(2)),
     "lora_delta": lambda: tz.lora_delta(_big(2, 2), _big(2, 2), _big(2, 1), _big(1, 2), np.array([1]), 1.0),
@@ -432,7 +442,7 @@ def test_neg_inf_moves_unchecked_but_is_never_computed_on():
     # -inf is the exclusion sentinel: ops that move it pass it through,
     # softmax gives it weight exactly 0, and a computing op rejects it.
     leaf = Tensor([[0.0, -np.inf], [1.0, 2.0]])
-    moved = tz.take_rows(tz.transpose(leaf), np.array([1, 0]))
+    moved = tz.take_rows(transpose(leaf), np.array([1, 0]))
     assert np.array_equal(moved.data, [[-np.inf, 2.0], [0.0, 1.0]])
     p = softmax_rows(moved)
     assert p.data[0, 0] == 0.0
@@ -503,7 +513,7 @@ def test_take_rows_backward_scatter():
 def test_row_scatter_add_untouched_rows_bitwise():
     base = Tensor(np.random.default_rng(11).normal(size=(5, 3)))
     delta = Tensor(np.ones((2, 3)))
-    out = tz.row_scatter_add(base, np.array([1, 4]), delta)
+    out = row_scatter_add(base, np.array([1, 4]), delta)
     assert np.array_equal(out.data[[0, 2, 3]], base.data[[0, 2, 3]])
 
 
@@ -707,8 +717,8 @@ def _stacked_cases(rng, dtype):
         "silu": (lambda t, s: tz.silu(t[0]), [x]),
         "layer_norm": (lambda t, s: tz.layer_norm(*t), [x, (arr(4), False), (arr(4), False)]),
         "linear": (lambda t, s: tz.linear(*t), [x, (arr(3, 4), False)]),
-        "matmul": (lambda t, s: tz.matmul(*t), [(arr(N_SEQ, 2, T_ROWS, 3), True), (arr(N_SEQ, 2, 3, 5), True)]),
-        "row_scatter_add": (lambda t, s: tz.row_scatter_add(t[0], ROWS, t[1]), [x, (arr(N_SEQ, 3, 4), True)]),
+        "matmul": (lambda t, s: matmul(*t), [(arr(N_SEQ, 2, T_ROWS, 3), True), (arr(N_SEQ, 2, 3, 5), True)]),
+        "row_scatter_add": (lambda t, s: row_scatter_add(t[0], ROWS, t[1]), [x, (arr(N_SEQ, 3, 4), True)]),
         "lora_delta": (
             lambda t, s: tz.lora_delta(*t, ROWS, 2.0),
             [(arr(N_SEQ, T_ROWS, 5), True), x, (arr(4, 3), False), (arr(3, 5), False)],

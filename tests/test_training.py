@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chains import per_sequence_pretrain_step, per_sequence_step
-from conftest import pattern_config
+from conftest import pattern_config, run_batch
 from specmtp.batching import build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward, init_model
@@ -152,7 +152,7 @@ def test_trainable_partition_is_exact():
     sampler = init_sampler(cfg.d_model, 1)
     batch = build_training_batch(*corpus[0], mcfg.mask_ids)
     with Tape() as tape:
-        out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+        out = run_batch(model, batch)
         base, samp = base_and_sampler_ce(
             batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
         )
