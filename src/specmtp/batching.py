@@ -116,61 +116,28 @@ def _layout(tokens, gate) -> MaskedBatch:
 
 
 def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
-    """Interleave a k-mask block after every loss-bearing token of seq.
-
-    seq: token ids x_1..x_n (n >= 2). loss_flags[i] == 1 makes row x_(i+1)
-    carry a next-token label and (if it is not the last token) spawns a
-    mask block. Labels: row of x_i predicts x_(i+1); mask m_j of the block
-    after x_i predicts x_(i+1+j); IGNORE where the target does not exist
-    or the loss is off. prev_token is x_i on the row of x_i and x_(i+j) on
-    m_j (NO_TOKEN past the end). lcm_pairs couples m_j after x_i with the
-    row of x_(i+j), which shares its target, when both labels are live.
-    """
-    seq = np.asarray(seq, dtype=np.int64)
-    flags = np.asarray(loss_flags, dtype=np.int64)
-    mask_ids = np.asarray(mask_ids, dtype=np.int64)
-    n, k = seq.shape[0], mask_ids.shape[0]
-    if n < 2:
-        raise ValueError("sequence must have at least 2 tokens")
-    if flags.shape != (n,):
-        raise ValueError("loss_flags length must match the sequence")
-    if k < 1:
-        raise ValueError("need at least one mask id")
-
-    tokens: list[int] = []
-    gate: list[int] = []
-    for p in range(n):
-        tokens.append(seq[p])
-        gate.append(0)
-        if flags[p] == 1 and p < n - 1:
-            tokens.extend(mask_ids)
-            gate.extend([1] * k)
-    batch = _layout(tokens, gate)
-
-    # A row at position p predicts x[p+1] and follows x[p] (0-based).
-    for row, (p, g) in enumerate(zip(batch.position_ids.tolist(), gate)):
-        if p + 1 < n and (g == 1 or flags[p] == 1):
-            batch.base_labels[row] = seq[p + 1]
-        if p < n:
-            batch.prev_token[row] = seq[p]
-    # A mask row shares its target with the regular row at its position.
-    labels, ntp_rows = batch.base_labels, batch.ntp_rows
-    for row in batch.mtp_rows.tolist():
-        if labels[row] != IGNORE_ID:
-            arow = int(ntp_rows[batch.position_ids[row]])
-            if labels[arow] != IGNORE_ID:
-                batch.lcm_pairs.append((row, arow))
-    return batch
+    """One sequence's training layout: the one-sequence training stack."""
+    return build_training_stack([(seq, loss_flags)], mask_ids).select(0)
 
 
 def build_training_stack(corpus, mask_ids) -> MaskedBatch:
-    """`build_training_batch` for every (seq, loss_flags) pair of a corpus.
+    """Interleave a k-mask block after every loss-bearing token, for every
+    (seq, loss_flags) pair of a corpus.
 
-    The sequences must share their length and loss flags, so that they
-    share one layout: positions, gate, attention and lcm_pairs are built
-    once, and tokens, base_labels and prev_token are (N, T), row b of each
-    equal to sequence b's own batch. A ValueError names the first
-    sequence whose length or flags differ from sequence 0's.
+    seq holds token ids (n >= 2); loss_flags[p] == 1 gives the row of
+    seq[p] a next-token label and, unless p is the last position, a mask
+    block. The sequences must share their length and loss flags, so that
+    they share one layout: positions, gate, attention and lcm_pairs are
+    built once, and tokens, base_labels and prev_token are (N, T), row b
+    of each sequence b's own. A ValueError names the first sequence whose
+    length or flags differ from sequence 0's.
+
+    A row at position p holds seq[p] (a mask id on mask rows). It is
+    labelled seq[p + 1] iff p + 1 < n and it is a mask row or
+    flags[p] == 1 (IGNORE_ID otherwise). Its previous token is seq[p] iff
+    p < n (NO_TOKEN otherwise). A labelled mask row pairs in lcm_pairs
+    with the regular row at its position, which shares its target, when
+    that row is labelled too.
     """
     corpus = list(corpus)
     if not corpus:
@@ -184,16 +151,37 @@ def build_training_stack(corpus, mask_ids) -> MaskedBatch:
             )
         if not np.array_equal(flags, flags0):
             raise ValueError(f"sequence {i} has other loss flags than sequence 0: a training stack needs one layout")
-    layout = build_training_batch(seq0, flags0, mask_ids)
     seqs = np.stack([np.asarray(seq, dtype=np.int64) for seq, _ in corpus])
-    n = seqs.shape[1]
-    # Row r of every sequence holds that sequence's token at position p (a
-    # mask id on mask rows), predicts its token p + 1 and follows token p.
-    pos = layout.position_ids
+    flags = np.asarray(flags0, dtype=np.int64)
+    mask_ids = np.asarray(mask_ids, dtype=np.int64)
+    n, k = seqs.shape[1], mask_ids.shape[0]
+    if n < 2:
+        raise ValueError("sequence must have at least 2 tokens")
+    if flags.shape != (n,):
+        raise ValueError("loss_flags length must match the sequence")
+    if k < 1:
+        raise ValueError("need at least one mask id")
+
+    tokens: list[int] = []
+    gate: list[int] = []
+    for p in range(n):
+        tokens.append(seqs[0, p])
+        gate.append(0)
+        if flags[p] == 1 and p < n - 1:
+            tokens.extend(mask_ids)
+            gate.extend([1] * k)
+    layout = _layout(tokens, gate)
+
+    pos, regular = layout.position_ids, layout.gate == 0
     at, after = np.minimum(pos, n - 1), np.minimum(pos + 1, n - 1)
-    layout.tokens = np.where(layout.gate == 0, seqs[:, at], layout.tokens)
-    layout.base_labels = np.where(layout.base_labels != IGNORE_ID, seqs[:, after], IGNORE_ID)
-    layout.prev_token = np.where(layout.prev_token != NO_TOKEN, seqs[:, at], NO_TOKEN)
+    labelled = (pos + 1 < n) & (~regular | (flags[at] == 1))
+    layout.tokens = np.where(regular, seqs[:, at], layout.tokens)
+    layout.base_labels = np.where(labelled, seqs[:, after], IGNORE_ID)
+    layout.prev_token = np.where(pos < n, seqs[:, at], NO_TOKEN)
+    mask_rows = np.flatnonzero(labelled & ~regular)
+    partners = layout.ntp_rows[pos[mask_rows]]
+    live = labelled[partners]
+    layout.lcm_pairs = list(zip(mask_rows[live].tolist(), partners[live].tolist()))
     return layout
 
 

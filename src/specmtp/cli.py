@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
-from .decoding import future_rank_probe, greedy_autoregressive, speculative_decode
+from .decoding import STRATEGIES, future_rank_probe, greedy_autoregressive, speculative_decode
 from .training import (
     MODEL_FIELDS,
     CorpusSpec,
@@ -334,12 +334,17 @@ def bench_csv(rows) -> str:
 
 
 def cmd_bench(args) -> int:
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise UsageError(f"--strategies names no strategy (choose from {', '.join(STRATEGIES)})")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise UsageError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(STRATEGIES)})")
     model, sampler, vocab, meta = _load(args.ckpt)
     k_lo, _, k_hi = args.k_range.partition("-")
     ks = list(range(int(k_lo), int(k_hi or k_lo) + 1))
     if not ks or ks[-1] > model.config.k_masks:
         raise UsageError(f"k range must stay within 1..{model.config.k_masks}")
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)
     rows = _bench_rows(
         model, sampler, vocab, meta, prompts,

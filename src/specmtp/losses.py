@@ -65,16 +65,12 @@ def lcm_loss(hidden: Tensor, lcm_pairs: list[tuple[int, int]]) -> Tensor:
     """
     if not lcm_pairs:
         return Tensor(np.zeros(hidden.data.shape[:-2], dtype=hidden.data.dtype))
-    mask_rows = np.array([p[0] for p in lcm_pairs], dtype=np.int64)
-    anchor_rows = np.array([p[1] for p in lcm_pairs], dtype=np.int64)
+    mask_rows, anchor_rows = np.array(lcm_pairs, dtype=np.int64).T
     anchors = detach(take_rows(hidden, anchor_rows))
-    mtp = take_rows(hidden, mask_rows)
-    per_pair = mean_axis1(mul(sub(mtp, anchors), sub(mtp, anchors)))
-    counts: dict[int, int] = {}
-    for a in anchor_rows:
-        counts[int(a)] = counts.get(int(a), 0) + 1
-    n_anchors = len(counts)
-    weights = np.array([1.0 / (n_anchors * counts[int(a)]) for a in anchor_rows])
+    d = sub(take_rows(hidden, mask_rows), anchors)
+    per_pair = mean_axis1(mul(d, d))
+    _, anchor_of, counts = np.unique(anchor_rows, return_inverse=True, return_counts=True)
+    weights = 1.0 / (counts.size * counts[anchor_of])
     return dot_const(per_pair, weights)
 
 

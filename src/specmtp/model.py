@@ -10,16 +10,17 @@ that share one layout: positions, attention mask and gate are (T,)-shaped
 and shared, and hidden and logits get the leading axis. A stack runs every
 op once, on stacked operands, with each sequence's bytes (see tensor.py).
 It checks the layout and the gate once per batch, then runs the pass,
-written once (`_pass`) over an op namespace that the tape picks. Under an
-active `Tape` that is the autodiff ops (training, and the test oracle):
-`gated_lora_apply` per adapter, one fused `lora_delta` each, and per layer
-`attention_scores`, `masked_softmax_rows` and `attention_context`. With no
-tape it is their array helpers (`ArrayOps`): the same math in the same
-order on plain arrays, with only `hidden` and `logits` wrapped as Tensors,
-so both give the same bytes. Either runs with per-op finiteness scans off
-and scans its attention scores and logits; a failed scan replays the pass
-on arrays with per-op scans on to name the op (`scanned_once` in
-tensor.py).
+written once (`_pass`) over an op namespace that the tape picks. Under
+an active `Tape` that is the autodiff ops (training, and the test
+oracle): one fused `lora_delta` per adapter, and per layer
+`attention_scores`, `masked_softmax_rows` and `attention_context`. With
+no tape it is their array helpers (`ArrayOps`): the same math in the
+same order on plain arrays, with only `hidden` and `logits` wrapped as
+Tensors, so both give the same bytes. On both, every adapter goes
+through `gated_lora_apply`, which runs the ops matching its input.
+Either runs with per-op finiteness scans off and scans its attention
+scores and logits; a failed scan replays the pass on arrays with per-op
+scans on to name the op (`scanned_once` in tensor.py).
 """
 
 from __future__ import annotations
@@ -288,15 +289,10 @@ def gated_lora_apply(
     return base if residual is None else ops.add(residual, base)
 
 
-# The pass's two op namespaces. The taped one is this module, so the pass
-# looks `gated_lora_apply` and `masked_softmax_rows` up here at call time
-# (perfbench times the taped pass by replacing them). The untaped one adds
-# the adapter, which takes arrays too, to the array helpers.
+# The taped pass's op namespace is this module, so the pass looks
+# `masked_softmax_rows` up here at call time (perfbench times the taped pass
+# by replacing it). The untaped one is `ArrayOps`.
 _TAPED = sys.modules[__name__]
-
-
-class _Arrays(ArrayOps):
-    gated_lora_apply = staticmethod(gated_lora_apply)
 
 
 def _attends_ahead(allowed: np.ndarray) -> bool:
@@ -358,27 +354,29 @@ def forward(
 
     def fast():
         if active_tape() is None:
-            return ForwardResult(*map(_out, run(_Arrays)))
+            return ForwardResult(*map(_out, run(ArrayOps)))
         return ForwardResult(*run(_TAPED))
 
-    return scanned_once(fast, lambda: run(_Arrays), lambda out: out.logits.data)
+    return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
 def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`_TAPED`) or
-    their array helpers (`_Arrays`); `rows` are the checked gate's 1-rows.
+    their array helpers (`ArrayOps`); `rows` are the checked gate's 1-rows.
+    Every adapter goes through this module's `gated_lora_apply`, looked up
+    at call time on both paths; it picks the ops matching its input.
     Returns (hidden, logits) as the namespace's values."""
     c = model.config
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q, k, v = (ops.gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        q, k, v = (gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
         weights = ops.masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
         heads = ops.attention_context(weights, v)
-        x = ops.gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
+        x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
-        ff = ops.silu(ops.gated_lora_apply(lw.ff_in, h2, gate, rows))
-        x = ops.gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
+        ff = ops.silu(gated_lora_apply(lw.ff_in, h2, gate, rows))
+        x = gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     return hidden, ops.linear(hidden, model.unembed)

@@ -1,6 +1,7 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
-replace, the out-of-place softmax that the in-place one replaces, and the
-per-sequence training loop that the stacked training step replaces. Each
+replace, the out-of-place softmax that the in-place one replaces, the
+per-sequence training loop that the stacked training step replaces, and
+the pair-by-pair consistency loss that `lcm_loss` replaces. Each
 is its replacement's oracle: values and gradients must match it byte for
 byte. The elementary ops that only these chains and the tests use are
 written here too, on the engine's helpers and tape."""
@@ -99,6 +100,24 @@ def softmax_chain(xd, allowed=None):
 def softmax_backward_chain(g, p):
     """The softmax backward written out of place."""
     return p * (g - (p * g).sum(axis=-1, keepdims=True))
+
+
+def lcm_chain(hidden, lcm_pairs):
+    """lcm_loss with its gap formed twice and its anchor weights counted
+    pair by pair in a dict."""
+    if not lcm_pairs:
+        return tz.Tensor(np.zeros(hidden.data.shape[:-2], dtype=hidden.data.dtype))
+    mask_rows = np.array([p[0] for p in lcm_pairs], dtype=np.int64)
+    anchor_rows = np.array([p[1] for p in lcm_pairs], dtype=np.int64)
+    anchors = tz.detach(tz.take_rows(hidden, anchor_rows))
+    mtp = tz.take_rows(hidden, mask_rows)
+    per_pair = tz.mean_axis1(tz.mul(tz.sub(mtp, anchors), tz.sub(mtp, anchors)))
+    counts: dict[int, int] = {}
+    for a in anchor_rows:
+        counts[int(a)] = counts.get(int(a), 0) + 1
+    n_anchors = len(counts)
+    weights = np.array([1.0 / (n_anchors * counts[int(a)]) for a in anchor_rows])
+    return tz.dot_const(per_pair, weights)
 
 
 def per_sequence_step(model, sampler, batches, picks, config):

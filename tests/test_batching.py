@@ -163,6 +163,34 @@ def _check_visibility(batch):
             assert batch.position_ids[r] == batch.position_ids[anchor] + len(block)
 
 
+def _check_training_rows(batch, seq, flags, mask_block):
+    """Walk one sequence's training rows and check tokens, labels, previous
+    tokens and lcm_pairs against the rule of `build_training_stack`."""
+    n, k = len(seq), len(mask_block)
+    expect_tokens, rows = [], {}  # rows[(i, j)]: row of m_j after x_i; j = 0 is x_i
+    for i in range(1, n + 1):
+        rows[(i, 0)] = len(expect_tokens)
+        expect_tokens.append(seq[i - 1])
+        if flags[i - 1] == 1 and i < n:
+            for j in range(1, k + 1):
+                rows[(i, j)] = len(expect_tokens)
+                expect_tokens.append(mask_block[j - 1])
+    assert batch.tokens.tolist() == expect_tokens
+    labels = [IGNORE_ID] * batch.size
+    prev = [NO_TOKEN] * batch.size
+    for (i, j), r in rows.items():
+        live = i + 1 + j <= n and (j > 0 or flags[i - 1] == 1)
+        labels[r] = seq[i + j] if live else IGNORE_ID
+        prev[r] = seq[i + j - 1] if i + j <= n else NO_TOKEN
+    assert batch.base_labels.tolist() == labels
+    assert batch.prev_token.tolist() == prev
+    pairs = [
+        (r, rows[(i + j, 0)]) for (i, j), r in sorted(rows.items())
+        if j > 0 and labels[r] != IGNORE_ID and labels[rows[(i + j, 0)]] != IGNORE_ID
+    ]
+    assert batch.lcm_pairs == pairs
+
+
 def test_random_layouts_follow_the_visibility_rule():
     rng = np.random.default_rng(7)
     for _ in range(60):
@@ -175,28 +203,15 @@ def test_random_layouts_follow_the_visibility_rule():
         flags = rng.integers(0, 2, size=n).tolist()
         batch = build_training_batch(seq, flags, masks)
         _check_visibility(batch)
-        expect_tokens, rows = [], {}  # rows[(i, j)]: row of m_j after x_i; j = 0 is x_i
-        for i in range(1, n + 1):
-            rows[(i, 0)] = len(expect_tokens)
-            expect_tokens.append(seq[i - 1])
-            if flags[i - 1] == 1 and i < n:
-                for j in range(1, k + 1):
-                    rows[(i, j)] = len(expect_tokens)
-                    expect_tokens.append(mask_block[j - 1])
-        assert batch.tokens.tolist() == expect_tokens
-        labels = [IGNORE_ID] * batch.size
-        prev = [NO_TOKEN] * batch.size
-        for (i, j), r in rows.items():
-            live = i + 1 + j <= n and (j > 0 or flags[i - 1] == 1)
-            labels[r] = seq[i + j] if live else IGNORE_ID
-            prev[r] = seq[i + j - 1] if i + j <= n else NO_TOKEN
-        assert batch.base_labels.tolist() == labels
-        assert batch.prev_token.tolist() == prev
-        pairs = [
-            (r, rows[(i + j, 0)]) for (i, j), r in sorted(rows.items())
-            if j > 0 and labels[r] != IGNORE_ID and labels[rows[(i + j, 0)]] != IGNORE_ID
-        ]
-        assert batch.lcm_pairs == pairs
+        _check_training_rows(batch, seq, flags, mask_block)
+
+        corpus = [(rng.integers(0, 30, size=n).tolist(), flags) for _ in range(int(rng.integers(1, 5)))]
+        stack = build_training_stack(corpus, masks)
+        assert stack.tokens.shape == stack.base_labels.shape == stack.prev_token.shape == (len(corpus), stack.size)
+        for b, (seq_b, _) in enumerate(corpus):
+            one = stack.select(b)
+            _check_visibility(one)
+            _check_training_rows(one, seq_b, flags, mask_block)
 
         verified = rng.integers(0, 30, size=int(rng.integers(1, 10))).tolist()
         spec = rng.integers(0, 30, size=int(rng.integers(0, k + 1))).tolist()
@@ -311,6 +326,8 @@ def _assert_stack_is_its_sequences(stack, corpus, mask_ids):
     for b, (seq, flags) in enumerate(corpus):
         alone = build_training_batch(seq, flags, mask_ids)
         one = stack.select(b)
+        _check_visibility(one)
+        _check_training_rows(one, list(seq), list(flags), list(mask_ids))
         for name in ("tokens", "base_labels", "prev_token") + SHARED_FIELDS:
             assert np.array_equal(getattr(one, name), getattr(alone, name)), (b, name)
         assert np.array_equal(one.labeled_rows, np.flatnonzero(alone.base_labels != IGNORE_ID))

@@ -364,6 +364,27 @@ def test_negative_prompt_count_is_usage_error(untrained_ckpt, tmp_path, capsys, 
         assert "--prompts must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "strategies, message",
+    [
+        (",", "names no strategy"),
+        ("", "names no strategy"),
+        (" , ", "names no strategy"),
+        ("beam", "unknown strategy 'beam'"),
+        ("linear,beam", "unknown strategy 'beam'"),
+    ],
+)
+def test_bench_strategy_list_is_checked_before_decoding(untrained_ckpt, capsys, monkeypatch, strategies, message):
+    def no_decode(*args, **kwargs):
+        raise AssertionError("bench decoded before checking --strategies")
+
+    monkeypatch.setattr("specmtp.cli.speculative_decode", no_decode)
+    argv = ["bench", "--ckpt", str(untrained_ckpt), "--suite", "random", "--prompts", "2",
+            "--strategies", strategies]
+    assert main(argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["decode", "--ckpt", str(tmp_path / "nope.ckpt"), "--prompt", "ab"]) == EXIT_IO
     assert main(["frobnicate"]) == EXIT_USAGE

@@ -1,11 +1,13 @@
 import numpy as np
+import pytest
+from chains import lcm_chain
 from conftest import run_batch
 
 from specmtp.batching import build_training_batch
 from specmtp.losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
-from specmtp.tensor import IGNORE_ID, Tape, Tensor, backward, precision
+from specmtp.tensor import IGNORE_ID, Tape, Tensor, backward, dot_const, precision
 
 CFG = ModelConfig(vocab_size=12, d_model=16, n_layers=1, n_heads=2, d_ff=32, k_masks=2, lora_rank=4)
 
@@ -136,6 +138,51 @@ def test_lcm_anchor_averaging_skips_empty_anchors():
     # (0-2)^2=4), anchor 3 one pair (0-5)^2=25; mean over anchors = (4+25)/2.
     val = lcm_loss(hidden, [(0, 1), (2, 1), (0, 3)]).item()
     assert abs(val - (4.0 + 25.0) / 2.0) < 1e-6
+
+
+def _lcm_value_and_grad(loss_fn, data, pairs):
+    hidden = Tensor(data.copy(), requires_grad=True)
+    with Tape() as tape:
+        loss = loss_fn(hidden, pairs)
+        # A stack's per-sequence losses meet in one scalar with unequal weights.
+        scalar = loss if loss.data.ndim == 0 else dot_const(loss, np.arange(1.0, loss.data.shape[0] + 1))
+    backward(tape, scalar)
+    return loss.data, hidden.grad
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_lcm_loss_is_bytewise_its_chain(dtype):
+    rng = np.random.default_rng(31)
+    cases = [
+        ((5, 3), [(0, 2), (1, 2), (3, 2)]),
+        ((5, 3), [(4, 1)]),
+        ((5, 3), []),
+        ((3, 5, 3), [(0, 4), (2, 4)]),
+        ((2, 5, 3), []),
+        # 5 anchors, one with 7 pairs: 1 / (5 * 7) is not 1 / 5 / 7 in float64.
+        ((16, 4), [(8 + i, 0) for i in range(7)] + [(12 + i, 1 + i) for i in range(4)]),
+    ]
+    for _ in range(100):
+        t_len = int(rng.integers(2, 40))
+        n_pairs = int(rng.integers(1, 20))
+        # Anchors from the first few rows or from all of them, so that some
+        # repeat and the anchor counts vary.
+        anchors = rng.integers(0, int(rng.integers(1, t_len + 1)), size=n_pairs)
+        pairs = list(zip(rng.integers(0, t_len, size=n_pairs).tolist(), anchors.tolist()))
+        lead = () if rng.random() < 0.5 else (int(rng.integers(1, 4)),)
+        cases.append((lead + (t_len, int(rng.integers(1, 9))), pairs))
+    with precision(dtype):
+        for shape, pairs in cases:
+            data = rng.normal(size=shape).astype(dtype)
+            got, got_grad = _lcm_value_and_grad(lcm_loss, data, pairs)
+            want, want_grad = _lcm_value_and_grad(lcm_chain, data, pairs)
+            assert got.dtype == want.dtype == np.dtype(dtype)
+            assert got.shape == want.shape == shape[:-2]
+            assert got.tobytes() == want.tobytes(), (shape, pairs)
+            if pairs:
+                assert got_grad.tobytes() == want_grad.tobytes(), (shape, pairs)
+            else:
+                assert got_grad is None and want_grad is None
 
 
 def test_total_loss_weights():

@@ -300,6 +300,29 @@ def test_untaped_forward_is_bitwise_taped_forward(dtype, layout):
                 assert got.data.tobytes() == want.data.tobytes()
 
 
+def test_both_passes_call_the_module_gated_lora_apply(monkeypatch):
+    # A replacement of specmtp.model.gated_lora_apply (a profiler's, say)
+    # sees every adapter of the untaped pass as well as the taped one.
+    import specmtp.model as model_mod
+
+    calls = []
+    original = model_mod.gated_lora_apply
+
+    def recording(layer, x, *args, **kwargs):
+        calls.append(isinstance(x, Tensor))
+        return original(layer, x, *args, **kwargs)
+
+    monkeypatch.setattr(model_mod, "gated_lora_apply", recording)
+    model = make_model(rank=4)
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    run_batch(model, batch)
+    assert calls == [False] * 6 * CFG["n_layers"]
+    calls.clear()
+    with Tape():
+        run_batch(model, batch)
+    assert calls == [True] * 6 * CFG["n_layers"]
+
+
 @pytest.mark.parametrize(
     "gate, message",
     [([0, 2, 0], "gate entries must be 0 or 1"), ([0, 1], "gate length does not match row count")],
