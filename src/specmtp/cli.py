@@ -160,6 +160,13 @@ def _load(ckpt_path: str):
     return model, sampler, vocab, meta
 
 
+def _check_max_steps(max_steps: int) -> None:
+    """bench and verify report on decoded steps: with none, bench has no
+    acceptance rate and verify compares no token."""
+    if max_steps < 1:
+        raise UsageError("--max-steps must be >= 1")
+
+
 def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: int):
     """Prompt id-lists for bench/verify. `suite` is random, pattern,
     arithmetic, or a path to a text file with one prompt per line."""
@@ -340,6 +347,7 @@ def cmd_bench(args) -> int:
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise UsageError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(STRATEGIES)})")
+    _check_max_steps(args.max_steps)
     model, sampler, vocab, meta = _load(args.ckpt)
     k_lo, _, k_hi = args.k_range.partition("-")
     ks = list(range(int(k_lo), int(k_hi or k_lo) + 1))
@@ -374,6 +382,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_max_steps(args.max_steps)
     model, sampler, vocab, _ = _load(args.ckpt)
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)
     checked = 0

@@ -186,14 +186,25 @@ def future_rank_probe(model: ModelBundle, prompt, true_future, k: int) -> list[i
 
     The j-th appended mask forecasts the token j+1 positions past the
     prompt end (the immediate next token belongs to the prompt's own last
-    row), so true_future[0] should be the second upcoming token.
+    row), so true_future[0] should be the second upcoming token. The
+    prompt and its k masks must fit below max_position.
     """
-    if not 1 <= k <= model.config.k_masks:
-        raise ValueError(f"k must be in 1..{model.config.k_masks}")
+    cfg = model.config
+    if not 1 <= k <= cfg.k_masks:
+        raise ValueError(f"k must be in 1..{cfg.k_masks}")
+    prompt = _check_prompt(model, prompt)
+    if len(prompt) + k > cfg.max_position:
+        raise ValueError(
+            f"prompt of {len(prompt)} tokens leaves no room for {k} masks "
+            f"below max_position {cfg.max_position}"
+        )
     true_future = [int(t) for t in true_future]
     if len(true_future) > k:
         raise ValueError("more future tokens than masks")
-    batch = build_linear_inference_input(list(prompt), [], model.config.mask_ids[:k])
+    bad = [t for t in true_future if not 0 <= t < cfg.vocab_size]
+    if bad:
+        raise ValueError(f"future token {bad[0]} outside the vocabulary of {cfg.vocab_size} ids")
+    batch = build_linear_inference_input(prompt, [], cfg.mask_ids[:k])
     logits = _run(model, batch).logits.data
     ranks = []
     for j, tok in enumerate(true_future):

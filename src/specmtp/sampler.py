@@ -7,10 +7,19 @@ vocabulary-sized weights of its own.
 
 The two blocks are written once, in `sampler_features`, over an op
 namespace. `sampler_logits_rows`, the batched head that training uses,
-runs them as autodiff ops. `sampler_logits`, the one-position decode head,
-runs them as the ops' array helpers (`ArrayOps`) on plain arrays (the
-hidden row may be a bare array) and wraps only the logits, with the same
-bytes as the batched head. So the decode-time chain makes no Tensors.
+runs them as autodiff ops. `sampler_logits`, the decode head, runs them as
+the ops' array helpers (`ArrayOps`) on plain arrays, over every pair of a
+hidden row and a previous token at once, and wraps only the logits: the
+same bytes as the batched head over the same rows. So decoding makes no
+Tensors.
+
+Sampler table. The head sees the previous token only through its
+embedding row, so `sampler_chain` runs the head once per step over every
+(position, previous token) pair and reads its k picks off the resulting
+(k, V) argmax table, starting from the seed token; it does not run k
+one-row passes, each waiting for the last pick. The table scans the logits
+of every cell once, so a non-finite logit in any cell, on the chain or
+off it, raises `NumericsError` naming the op that overflowed.
 """
 
 from __future__ import annotations
@@ -84,21 +93,30 @@ def sampler_logits_rows(
 
 
 def sampler_logits(
-    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_token: int, z
+    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_tokens, zs
 ) -> Tensor:
-    """Logits (V,) for one position, conditioned on prev_token and the
-    hidden row z (d,): a Tensor or a plain array. Not differentiable;
-    training uses sampler_logits_rows."""
-    if prev_token < 0 or prev_token >= embeddings.data.shape[0]:
-        raise ValueError(f"prev_token {prev_token} outside the vocabulary")
-    zd = z.data if isinstance(z, Tensor) else np.asarray(z)
+    """Logits for every pair of a hidden row in zs (..., d), a Tensor or a
+    plain array, and a previous token id in prev_tokens (an id or an array
+    of ids): shape zs.shape[:-1] + shape(prev_tokens) + (V,). The pairs run
+    as the rows [E[prev] | z] of one (n_z * n_p, 2d) array, z-major, so the
+    result has the bytes of `sampler_logits_rows` over those rows. Not
+    differentiable; training uses sampler_logits_rows."""
+    prev = np.asarray(prev_tokens, dtype=np.int64)
+    emb = embeddings.data
+    outside = (prev < 0) | (prev >= emb.shape[0])
+    if outside.any():
+        raise ValueError(f"prev_token {prev[outside].flat[0]} outside the vocabulary")
+    zd = zs.data if isinstance(zs, Tensor) else np.asarray(zs)
+    d, n_p = zd.shape[-1], prev.size
 
     def run():
-        x = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
-        return ArrayOps.linear(sampler_features(head, x, ArrayOps), unembed)
+        x = np.empty((zd.size // d, n_p, emb.shape[1] + d), dtype=np.result_type(emb, zd))
+        x[..., :-d] = emb.take(prev.ravel(), axis=0)
+        x[..., -d:] = zd.reshape(-1, 1, d)
+        return ArrayOps.linear(sampler_features(head, x.reshape(-1, x.shape[-1]), ArrayOps), unembed)
 
     logits = scanned_once(run, run)
-    return _out(logits.reshape(logits.shape[1]))
+    return _out(logits.reshape(zd.shape[:-1] + prev.shape + logits.shape[-1:]))
 
 
 def sampler_chain(
@@ -107,14 +125,21 @@ def sampler_chain(
     """Greedy left-to-right pick: each step conditions on the previous pick.
 
     zs holds one hidden row per position: Tensors, or the rows of one
-    array. Ties break to the lowest token id (np.argmax convention).
+    array. One head run gives the picks for every (position, previous
+    token) pair; the chain looks its picks up from seed_token. Ties break
+    to the lowest token id (np.argmax convention).
     """
     if len(zs) == 0:
         raise ValueError("sampler_chain needs at least one hidden state")
+    vocab = embeddings.data.shape[0]
+    if not 0 <= seed_token < vocab:
+        raise ValueError(f"seed_token {seed_token} outside the vocabulary")
+    if not isinstance(zs, np.ndarray):
+        zs = np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in zs])
+    table = sampler_logits(head, unembed, embeddings, np.arange(vocab), zs).data.argmax(axis=-1)
     out: list[int] = []
     prev = seed_token
-    for z in zs:
-        logits = sampler_logits(head, unembed, embeddings, prev, z)
-        prev = int(np.argmax(logits.data))
+    for picks in table:
+        prev = int(picks[prev])
         out.append(prev)
     return out

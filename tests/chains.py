@@ -1,7 +1,9 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
 replace, the out-of-place softmax that the in-place one replaces, the
-per-sequence training loop that the stacked training step replaces, and
-the pair-by-pair consistency loss that `lcm_loss` replaces. Each
+per-sequence training loop that the stacked training step replaces,
+the pair-by-pair consistency loss that `lcm_loss` replaces, and the
+serial sampler chain, one one-row head pass per position, that the
+sampler table replaces. Each
 is its replacement's oracle: values and gradients must match it byte for
 byte. The elementary ops that only these chains and the tests use are
 written here too, on the engine's helpers and tape."""
@@ -12,7 +14,8 @@ from conftest import run_batch
 from specmtp import tensor as tz
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward
-from specmtp.tensor import NumericsError, _out, _record
+from specmtp.sampler import sampler_features
+from specmtp.tensor import ArrayOps, NumericsError, _out, _record, scanned_once
 
 
 def matmul(a, b):
@@ -158,3 +161,30 @@ def per_sequence_pretrain_step(model, batches, picks):
         loss = tz.scale(acc, 1.0 / len(picks))
     tz.backward(tape, loss)
     return loss
+
+
+def one_position_logits(head, unembed, embeddings, prev_token, z):
+    """Sampler logits (V,) for one previous token and one hidden row (d,),
+    run as a one-row pass: the scalar `sampler_logits`'s oracle."""
+    if prev_token < 0 or prev_token >= embeddings.data.shape[0]:
+        raise ValueError(f"prev_token {prev_token} outside the vocabulary")
+    zd = z.data if isinstance(z, tz.Tensor) else np.asarray(z)
+
+    def run():
+        x = np.concatenate([embeddings.data[[prev_token]], zd.reshape(1, zd.shape[-1])], axis=1)
+        return ArrayOps.linear(sampler_features(head, x, ArrayOps), unembed)
+
+    logits = scanned_once(run, run)
+    return _out(logits.reshape(logits.shape[1]))
+
+
+def serial_sampler_chain(head, unembed, embeddings, seed_token, zs):
+    """The sampler chain as k one-row head passes, each conditioned on the
+    pick before it. Returns the picks and each pass's logits (V,)."""
+    picks, rows, prev = [], [], seed_token
+    for z in zs:
+        logits = one_position_logits(head, unembed, embeddings, prev, z).data
+        prev = int(np.argmax(logits))
+        picks.append(prev)
+        rows.append(logits)
+    return picks, rows

@@ -385,6 +385,28 @@ def test_bench_strategy_list_is_checked_before_decoding(untrained_ckpt, capsys, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_no_decode_steps_is_usage_error(untrained_ckpt, capsys, monkeypatch, command, steps):
+    # With no step bench has no acceptance rate and verify compares no
+    # token: both stop before the checkpoint loads.
+    def no_load(path):
+        raise AssertionError(f"{command} loaded the checkpoint before checking --max-steps")
+
+    monkeypatch.setattr("specmtp.cli._load", no_load)
+    argv = [command, "--ckpt", str(untrained_ckpt), "--prompts", "2", "--max-steps", steps]
+    assert main(argv) == EXIT_USAGE
+    assert "--max-steps must be >= 1" in capsys.readouterr().err
+
+
+def test_probe_prompt_without_room_for_its_masks_is_usage_error(short_context_ckpt, capsys):
+    # With its BOS, a 12-character prompt is 13 tokens: inside max_position
+    # 16, but 4 masks after it are not.
+    code = main(["probe", "--ckpt", str(short_context_ckpt), "--prompt", "abcdabcdabcd", "--future", "ab"])
+    assert code == EXIT_USAGE
+    assert "prompt of 13 tokens leaves no room for 4 masks below max_position 16" in capsys.readouterr().err
+
+
 def test_exit_codes_for_bad_invocations(tmp_path, capsys):
     assert main(["decode", "--ckpt", str(tmp_path / "nope.ckpt"), "--prompt", "ab"]) == EXIT_IO
     assert main(["frobnicate"]) == EXIT_USAGE

@@ -292,3 +292,18 @@ def test_prompt_longer_than_max_position_is_rejected():
             speculative_decode(model, None, long_prompt, CFG.k_masks, strategy)
     # A prompt that fills the context exactly still gets one greedy pass.
     assert len(greedy_autoregressive(model, long_prompt[1:], 5)) == SHORT.max_position + 1
+
+
+def test_future_rank_probe_checks_its_prompt_and_ids():
+    model = make_model(3, config=SHORT)
+    # 14 tokens fit max_position 16, but not with 3 masks after them.
+    with pytest.raises(ValueError, match="prompt of 14 tokens leaves no room for 3 masks below max_position 16"):
+        future_rank_probe(model, [1] * 14, [2], 3)
+    assert len(future_rank_probe(model, [1] * 13, [2], 3)) == 1
+    with pytest.raises(ValueError, match="exceeds max_position"):
+        future_rank_probe(model, [1] * 17, [2], 1)
+    with pytest.raises(ValueError, match="prompt must be nonempty"):
+        future_rank_probe(model, [], [2], 1)
+    for bad in (CFG.vocab_size, -1):
+        with pytest.raises(ValueError, match=f"future token {bad} outside the vocabulary of 15 ids"):
+            future_rank_probe(model, [1, 2], [3, bad], 2)

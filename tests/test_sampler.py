@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from chains import one_position_logits, serial_sampler_chain
 
 from specmtp import tensor as tz
 from specmtp.model import ModelConfig, init_model
@@ -129,3 +130,142 @@ def test_untaped_chain_equals_taped_argmax_chain(dtype):
                 prev = int(np.argmax(taped.data[0]))
                 expect.append(prev)
             assert got == expect
+
+
+def random_head(dtype, seed):
+    """The setup head with random norm gains and biases, so its logits are
+    not all near zero."""
+    model, head = setup()
+    rng = np.random.default_rng(seed)
+    for t in (head.ln1_gain, head.ln1_bias, head.ln2_gain, head.ln2_bias):
+        t.data = rng.normal(0.0, 2.0, t.data.shape).astype(dtype)
+    return model, head
+
+
+def draw_zs(rng, k, dtype):
+    """k hidden rows about as large as the embedding rows, so the previous
+    token moves the picks at about half of the positions."""
+    return rng.normal(0.0, 0.05, size=(k, D)).astype(dtype)
+
+
+def taped_rows(head, model, prev_ids, z_rows):
+    with Tape():
+        return sampler_logits_rows(head, model.unembed, model.embedding_table(), prev_ids, Tensor(z_rows)).data
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_table_is_bytewise_the_taped_rows(dtype):
+    # Every (hidden row, previous token) pair of the table is one row of a
+    # z-major (n_z * n_p, 2d) batch: taped sampler_logits_rows over the
+    # same rows is its byte oracle, for any shape of ids and rows.
+    with precision(dtype):
+        model, head = random_head(dtype, 7)
+        emb, V = model.embedding_table(), CFG.vocab_size
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            k = int(rng.integers(1, 5))
+            zs = draw_zs(rng, k, dtype)
+            for prev in (np.arange(V), rng.integers(0, V, size=3), rng.integers(0, V, size=(2, 3))):
+                got = sampler_logits(head, model.unembed, emb, prev, zs).data
+                assert got.shape == (k,) + prev.shape + (V,)
+                want = taped_rows(head, model, np.tile(prev.ravel(), k), np.repeat(zs, prev.size, axis=0))
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            # One row, one id: the result loses those axes, not the bytes.
+            got = sampler_logits(head, model.unembed, emb, np.arange(V), zs[0]).data
+            assert got.shape == (V, V)
+            assert got.tobytes() == taped_rows(head, model, np.arange(V), np.repeat(zs[:1], V, axis=0)).tobytes()
+            got = sampler_logits(head, model.unembed, emb, 5, zs).data
+            assert got.shape == (k, V)
+            assert got.tobytes() == taped_rows(head, model, np.full(k, 5), zs).tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_chain_picks_are_lookups_in_the_taped_table(dtype):
+    with precision(dtype):
+        model, head = random_head(dtype, 9)
+        emb, V = model.embedding_table(), CFG.vocab_size
+        rng = np.random.default_rng(10)
+        varied = 0
+        for _ in range(30):
+            k = int(rng.integers(1, 5))
+            zs = draw_zs(rng, k, dtype)
+            table = taped_rows(head, model, np.tile(np.arange(V), k), np.repeat(zs, V, axis=0))
+            picks = table.reshape(k, V, V).argmax(axis=-1)
+            varied += sum(len(set(row)) > 1 for row in picks)
+            prev = int(rng.integers(0, V))
+            got = sampler_chain(head, model.unembed, emb, prev, zs)
+            expect = []
+            for j in range(k):
+                prev = int(picks[j, prev])
+                expect.append(prev)
+            assert got == expect
+        # The lookups matter: at these positions the pick depends on the
+        # previous token.
+        assert varied > 10
+
+
+# A table row and the same pair's one-row pass may differ in their last
+# bits (BLAS sums a (k * V)-row product in another order than a 1-row one).
+# Within ROUNDING_ULPS * eps * max|logit| of each other per row, their
+# argmax can differ only where the top two logits lie within twice that.
+ROUNDING_ULPS = 32
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_chain_equals_the_serial_chain_away_from_near_ties(dtype):
+    # The serial chain, one one-row pass per position, is the oracle for
+    # the picks: equal up to the first position whose top-two margin is
+    # within the rounding gap. No case of these 300 falls under the gap.
+    with precision(dtype):
+        eps = np.finfo(dtype).eps
+        model, head = random_head(dtype, 11)
+        emb, V = model.embedding_table(), CFG.vocab_size
+        rng = np.random.default_rng(12)
+        near_ties = 0
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            zs = draw_zs(rng, k, dtype)
+            seed_token = int(rng.integers(0, V))
+            table = sampler_logits(head, model.unembed, emb, np.arange(V), zs).data
+            serial, rows = serial_sampler_chain(head, model.unembed, emb, seed_token, zs)
+            got = sampler_chain(head, model.unembed, emb, seed_token, zs)
+            prev = seed_token
+            for j, one in enumerate(rows):
+                bound = ROUNDING_ULPS * eps * np.abs(one).max()
+                assert np.abs(table[j, prev] - one).max() <= bound
+                runner_up, top = np.sort(one)[-2:]
+                if top - runner_up <= 2 * bound:
+                    near_ties += 1
+                    break
+                assert got[j] == serial[j]
+                prev = serial[j]
+        assert near_ties == 0, f"{near_ties} of 300 chains meet a near-tie"
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_scalar_logits_keep_the_one_row_bytes(dtype):
+    # One id and one (d,) row run as the one-row pass they always were.
+    with precision(dtype):
+        model, head = random_head(dtype, 13)
+        emb = model.embedding_table()
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            z = draw_zs(rng, 1, dtype)[0]
+            prev = int(rng.integers(0, CFG.vocab_size))
+            for zz in (z, Tensor(z)):
+                got = sampler_logits(head, model.unembed, emb, prev, zz).data
+                want = one_position_logits(head, model.unembed, emb, prev, zz).data
+                assert got.shape == (CFG.vocab_size,)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def test_chain_rejects_a_seed_token_outside_the_vocabulary():
+    model, head = setup()
+    zs = np.zeros((2, D), dtype=np.float32)
+    for seed_token in (-1, CFG.vocab_size):
+        with pytest.raises(ValueError, match=f"seed_token {seed_token} outside the vocabulary"):
+            sampler_chain(head, model.unembed, model.embedding_table(), seed_token, zs)
+    with pytest.raises(ValueError, match=f"prev_token {CFG.vocab_size} outside the vocabulary"):
+        sampler_logits(head, model.unembed, model.embedding_table(), [0, CFG.vocab_size, -1], zs)

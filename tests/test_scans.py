@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from chains import serial_sampler_chain
 from conftest import run_batch
 
 import specmtp.model as model_mod
@@ -307,3 +308,19 @@ def test_matmul_forms_every_product_so_zero_times_inf_is_nan(shape, bad, dtype):
         expected[hit + (slice(None), 3)] = True
     assert np.isnan(out[expected]).all()
     assert np.isfinite(out[~expected]).all()
+
+
+def test_an_overflow_off_the_chain_raises_naming_the_op(monkeypatch):
+    # The table scans every (position, previous token) cell, not only the
+    # cells the chain reads. An embedding row that no chain step conditions
+    # on, scaled by 1e24, overflows only its own cells, in the head's first
+    # layer_norm: the serial chain never reads them, the table raises.
+    model, head = make_model()
+    zs = run_batch(model, LAYOUTS["causal"]).hidden.data[:3]
+    picks, _ = serial_sampler_chain(head, model.unembed, model.embedding_table(), 0, zs)
+    off_chain = next(v for v in range(CFG.first_mask_id) if v not in [0] + picks[:-1])
+    model.embed_base.data[off_chain] *= np.float32(1e24)
+    assert serial_sampler_chain(head, model.unembed, model.embedding_table(), 0, zs)[0] == picks
+    error, _, _ = outcome(lambda: run_subject("sampler_chain", model, head, None, zs))
+    assert error == VARIANCE_OVERFLOW
+    assert compare("sampler_chain", model, head, None, zs, monkeypatch, "an off-chain overflow") == "raised"
