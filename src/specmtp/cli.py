@@ -167,6 +167,19 @@ def _check_max_steps(max_steps: int) -> None:
         raise UsageError("--max-steps must be >= 1")
 
 
+def _k_range(raw: str) -> tuple[int, int]:
+    """`--k-range` as "lo-hi" or "k": integers with 1 <= lo <= hi. The
+    upper bound, the checkpoint's k_masks, is checked once it loads."""
+    lo, _, hi = raw.partition("-")
+    try:
+        lo, hi = int(lo), int(hi or lo)
+    except ValueError:
+        raise UsageError(f"--k-range {raw!r} is not lo-hi in integers") from None
+    if not 1 <= lo <= hi:
+        raise UsageError(f"--k-range {raw!r} must have 1 <= lo <= hi")
+    return lo, hi
+
+
 def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: int):
     """Prompt id-lists for bench/verify. `suite` is random, pattern,
     arithmetic, or a path to a text file with one prompt per line."""
@@ -348,11 +361,11 @@ def cmd_bench(args) -> int:
     if unknown:
         raise UsageError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(STRATEGIES)})")
     _check_max_steps(args.max_steps)
+    k_lo, k_hi = _k_range(args.k_range)
     model, sampler, vocab, meta = _load(args.ckpt)
-    k_lo, _, k_hi = args.k_range.partition("-")
-    ks = list(range(int(k_lo), int(k_hi or k_lo) + 1))
-    if not ks or ks[-1] > model.config.k_masks:
-        raise UsageError(f"k range must stay within 1..{model.config.k_masks}")
+    if k_hi > model.config.k_masks:
+        raise UsageError(f"--k-range {args.k_range!r} must stay within 1..{model.config.k_masks}")
+    ks = list(range(k_lo, k_hi + 1))
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)
     rows = _bench_rows(
         model, sampler, vocab, meta, prompts,
@@ -370,6 +383,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if not args.future:
+        raise UsageError("--future must name at least one token")
     model, _, vocab, _ = _load(args.ckpt)
     prompt = vocab.encode(args.prompt).tolist()
     future = vocab.encode(args.future, add_bos=False).tolist()

@@ -17,7 +17,11 @@ oracle): one fused `lora_delta` per adapter, and per layer
 no tape it is their array helpers (`ArrayOps`): the same math in the
 same order on plain arrays, with only `hidden` and `logits` wrapped as
 Tensors, so both give the same bytes. On both, every adapter goes
-through `gated_lora_apply`, which runs the ops matching its input.
+through `gated_lora_apply`, which runs the ops matching its input. On
+arrays, a layer's q, k and v, which read one input, gather their gated
+rows once and run their low-rank products as one stacked product
+(`SharedInput`); each slice has its own `lora_delta`'s bytes, so the
+taped pass, which runs one `lora_delta` per adapter, gives the same.
 Either runs with per-op finiteness scans off and scans its attention
 scores and logits; a failed scan replays the pass on arrays with per-op
 scans on to name the op (`scanned_once` in tensor.py).
@@ -48,6 +52,7 @@ from .tensor import (
     layer_norm,
     linear,
     lora_delta,
+    lora_deltas_data,
     masked_softmax_rows,
     scanned_once,
     silu,
@@ -261,12 +266,38 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
         raise NumericsError("gate entries must be 0 or 1")
 
 
+class SharedInput:
+    """Adapters that read one input `x`, with the checked gate's 1-rows
+    `rows` (a layer's q, k and v read its first norm's output). On arrays,
+    the first of them that `gated_lora_apply` runs forms the low-rank
+    corrections of all of them as one stacked product
+    (`lora_deltas_data`), and each adapter puts its own slice. A taped
+    pass ignores it, so each adapter records its own `lora_delta`."""
+
+    __slots__ = ("layers", "x", "rows", "_deltas")
+
+    def __init__(self, layers: tuple[GatedLoraLinear, ...], x, rows: np.ndarray):
+        self.layers, self.x, self.rows, self._deltas = layers, x, rows, None
+
+    def delta(self, layer: GatedLoraLinear) -> np.ndarray:
+        """`layer`'s scaled correction at `rows`. Taken once: the put
+        overwrites it."""
+        if self._deltas is None:
+            stacked = lora_deltas_data(
+                self.x, [g.A.data for g in self.layers], [g.B.data for g in self.layers],
+                self.rows, LORA_ALPHA_OVER_RANK,
+            )
+            self._deltas = {id(g): d for g, d in zip(self.layers, stacked)}
+        return self._deltas.pop(id(layer))
+
+
 def gated_lora_apply(
     layer: GatedLoraLinear,
     x: Tensor | np.ndarray,
     gate: np.ndarray,
     rows: np.ndarray | None = None,
     residual: Tensor | np.ndarray | None = None,
+    shared: SharedInput | None = None,
 ) -> Tensor | np.ndarray:
     """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1,
     plus residual_t when a residual is given.
@@ -274,9 +305,11 @@ def gated_lora_apply(
     x and the residual are Tensors, run through the autodiff ops, or plain
     arrays, run through their array helpers (`ArrayOps`). `rows` are the
     gate's 1-rows when the caller has checked the gate already (`forward`
-    does, once per pass); otherwise the gate is checked here. Gate-0 rows
-    are returned untouched (no add of a zero), so they are bit-identical to
-    the plain frozen linear.
+    does, once per pass); otherwise the gate is checked here. On arrays, a
+    `shared` group that holds `layer`, x and rows supplies the correction
+    from its stacked product; its slices have the bytes of the per-adapter
+    `lora_delta`. Gate-0 rows are returned untouched (no add of a zero), so
+    they are bit-identical to the plain frozen linear.
     """
     if rows is None:
         gate = np.asarray(gate)
@@ -284,9 +317,11 @@ def gated_lora_apply(
         rows = np.flatnonzero(gate)
     ops = _TAPED if isinstance(x, Tensor) else ArrayOps
     base = ops.linear(x, layer.W)
-    if layer.A is not None and rows.size:
+    if layer.A is None or not rows.size:
+        return base if residual is None else ops.add(residual, base)
+    if shared is None or ops is _TAPED:
         return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual)
-    return base if residual is None else ops.add(residual, base)
+    return ops.lora_put(base, rows, shared.delta(layer), residual)
 
 
 # The taped pass's op namespace is this module, so the pass looks
@@ -370,7 +405,8 @@ def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q, k, v = (gated_lora_apply(g, h, gate, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        qkv = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), h, rows)
+        q, k, v = (gated_lora_apply(g, h, gate, rows, shared=qkv) for g in qkv.layers)
         weights = ops.masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
         heads = ops.attention_context(weights, v)
         x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)

@@ -61,6 +61,13 @@ attention ops stays `masked_softmax_rows`. Each fused op runs its
 chain's array helpers in order and its backward applies the chain's
 backward expressions in reverse, so values and gradients are byte-equal
 to the chain's. The chains, in the tests, are their oracle.
+`lora_delta` scales its product in place and puts d + base[rows] into a
+copy of base (`lora_put_data`), the chain's sums, since IEEE addition
+commutes. Adapters that read one input form their corrections in one
+stacked product (`lora_deltas_data`, on arrays only): the rows gathered
+once, the factors stacked per call, and one batched matmul per side, whose
+slices have each adapter's own bytes. A concatenated (in, n r) product
+would not.
 
 The attention steps over (..., H, T, T) cells (the scores, the masked
 softmax and its backward) each allocate one float array of that size, and
@@ -431,9 +438,12 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def silu_data(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x * sigmoid(x), sigmoid(x)); the sigmoid is kept for the backward."""
+    """(x * sigmoid(x), sigmoid(x)); the sigmoid is kept for the backward.
+    The sigmoid is n / (1 + e) with e = exp(-|x|) and numerator n = 1 for
+    x >= 0, e otherwise. Since e <= 1, n is max(e, x >= 0): bit for bit
+    np.where(x >= 0, 1.0, e), NaN included, in one cheaper call."""
     e = np.exp(-np.abs(xd))
-    s = np.where(xd >= 0, 1.0, e) / (1.0 + e)
+    s = np.maximum(e, xd >= 0) / (1.0 + e)
     return _finite(xd * s, "silu"), s
 
 
@@ -579,22 +589,28 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def row_scatter_add_data(base: np.ndarray, idx: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Copy of base (..., T, d) with delta added at (unique) row indices idx."""
-    if base.ndim < 2 or delta.shape != base.shape[:-2] + (idx.size, base.shape[-1]):
-        raise NumericsError("row_scatter_add shape mismatch")
-    out = base.copy()
-    out[..., idx, :] += delta
-    return _finite(out, "row_scatter_add")
-
-
 # -----------------------------------------------------------------------------
-# Fused ops: one tape entry for a chain of the ops above. The forward calls
-# the chain's array helpers in the chain's order, so an overflow names the
-# step that made it, as the chain does; the backward applies each step's
+# Fused ops: one tape entry for a chain of the ops above. The forward runs
+# the chain's steps in the chain's order, as its array helpers or as the same
+# IEEE operations in place, so an overflow names the step that made it, as
+# the chain does; the backward applies each step's
 # own backward expression in reverse. Outputs and gradients are byte-equal
 # to the chain's, which is their test oracle.
 # -----------------------------------------------------------------------------
+
+
+def lora_put_data(base: np.ndarray, rows: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A copy of base (..., T, out) holding d + base[..., rows, :] at its
+    unique `rows`, for d (..., R, out), which is overwritten. These are the
+    sums of row_scatter_add's fancy in-place add (IEEE addition commutes),
+    formed with a `take` and an add in place, and an overflow is named as
+    that step's."""
+    if base.ndim < 2 or d.shape != base.shape[:-2] + (rows.size, base.shape[-1]):
+        raise NumericsError("row_scatter_add shape mismatch")
+    d += base.take(rows, axis=-2)
+    out = base.copy()
+    out[..., rows, :] = d
+    return _finite(out, "row_scatter_add")
 
 
 def lora_delta_data(
@@ -602,13 +618,37 @@ def lora_delta_data(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """base + scatter(rows, ((xd[..., rows, :] @ ad) @ bd) * c), for unique
     in-range `rows` of xd (..., T, in) and base (..., T, out); ad (in, r)
-    and bd (r, out) are shared by every leading index. Returns (output,
-    xd[..., rows, :], that @ ad), the last two for the backward."""
+    and bd (r, out) are shared by every leading index. The product is
+    scaled in place (named `scale` if it overflows) and put by
+    `lora_put_data`. Returns (output, xd[..., rows, :], that @ ad), the
+    last two for the backward."""
     if xd.ndim < 2 or base.shape[:-1] != xd.shape[:-1]:
         raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
     xr = xd.take(rows, axis=-2)
     h = matmul_data(xr, ad)
-    return row_scatter_add_data(base, rows, scale_data(matmul_data(h, bd), c)), xr, h
+    d = matmul_data(h, bd)
+    d *= float(c)
+    return lora_put_data(base, rows, _finite(d, "scale")), xr, h
+
+
+def lora_deltas_data(xd: np.ndarray, ads: list, bds: list, rows: np.ndarray, c: float) -> np.ndarray:
+    """The scaled corrections ((xd[..., rows, :] @ ad) @ bd) * c of n
+    adapters that read one input xd (..., T, in), as one (n, ..., R, out)
+    array: the rows are gathered once, and the factors copied per call into
+    (n, in, r) and (n, r, out) stacks, so two batched products serve all n. A
+    batched product runs each slice as the 2-D product run alone, so slice
+    i has the bytes that `lora_delta_data` forms for adapter i (tested); a
+    concatenated (in, n r) product would round differently. Each slice goes
+    to `lora_put_data`. Overflows are named as in `lora_delta_data`."""
+    a, b = np.array(ads), np.array(bds)
+    if xd.ndim < 2 or a.shape[-2] != xd.shape[-1] or b.shape[-2] != a.shape[-1]:
+        raise NumericsError(f"lora_delta shape mismatch {xd.shape} x {a.shape} x {b.shape}")
+    if xd.ndim > 2:  # one factor per adapter, shared by every leading index
+        lead = (1,) * (xd.ndim - 2)
+        a, b = a.reshape(a.shape[:1] + lead + a.shape[1:]), b.reshape(b.shape[:1] + lead + b.shape[1:])
+    d = _finite(_finite(xd.take(rows, axis=-2) @ a, "matmul") @ b, "matmul")
+    d *= float(c)
+    return _finite(d, "scale")
 
 
 def lora_delta(
@@ -731,7 +771,9 @@ class ArrayOps:
     over an op namespace and run with no tape. Activations are plain arrays;
     weights stay Tensors and are read through `.data`; each returns the op's
     output array. So the untaped pass runs each op's own forward math, and
-    gives the taped pass's bytes. `Tensor` leaves an input a plain array."""
+    gives the taped pass's bytes. `Tensor` leaves an input a plain array.
+    `lora_put` puts a correction from `lora_deltas_data`'s stacked product,
+    which only the untaped pass runs."""
 
     Tensor = staticmethod(np.asarray)
     add = staticmethod(add_data)
@@ -746,6 +788,11 @@ class ArrayOps:
     @staticmethod
     def lora_delta(base, x, a, b, rows, c, residual=None):
         y = lora_delta_data(base, x, a.data, b.data, rows, c)[0]
+        return y if residual is None else add_data(residual, y)
+
+    @staticmethod
+    def lora_put(base, rows, d, residual=None):
+        y = lora_put_data(base, rows, d)
         return y if residual is None else add_data(residual, y)
 
 

@@ -1,9 +1,10 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
 replace, the out-of-place softmax that the in-place one replaces, the
 per-sequence training loop that the stacked training step replaces,
-the pair-by-pair consistency loss that `lcm_loss` replaces, and the
+the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
-sampler table replaces. Each
+sampler table replaces, and the `np.where` sigmoid numerator that
+`silu_data`'s `np.maximum` replaces. Each
 is its replacement's oracle: values and gradients must match it byte for
 byte. The elementary ops that only these chains and the tests use are
 written here too, on the engine's helpers and tape."""
@@ -42,10 +43,19 @@ def reshape(x, shape):
     return _record(out, (x,), lambda g, s=x.data.shape: (g.reshape(s),))
 
 
+def row_scatter_add_data(base, idx, delta):
+    """Copy of base (..., T, d) with delta added at (unique) row indices idx."""
+    if base.ndim < 2 or delta.shape != base.shape[:-2] + (idx.size, base.shape[-1]):
+        raise NumericsError("row_scatter_add shape mismatch")
+    out = base.copy()
+    out[..., idx, :] += delta
+    return tz._finite(out, "row_scatter_add")
+
+
 def row_scatter_add(base, idx, delta):
     """Tensor form of `row_scatter_add_data`."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = _out(tz.row_scatter_add_data(base.data, idx, delta.data))
+    out = _out(row_scatter_add_data(base.data, idx, delta.data))
     return _record(out, (base, delta), lambda g: (g, g.take(idx, axis=-2)))
 
 
@@ -89,6 +99,13 @@ def context_chain(p, v):
 def attention_chain(q, k, v, allowed, n_heads):
     """The multi-head attention core, (T, D) q, k, v -> (T, D)."""
     return context_chain(tz.masked_softmax_rows(scores_chain(q, k, n_heads), allowed), v)
+
+
+def silu_where(xd):
+    """silu_data with its sigmoid numerator from np.where(x >= 0, 1.0, e)."""
+    e = np.exp(-np.abs(xd))
+    s = np.where(xd >= 0, 1.0, e) / (1.0 + e)
+    return xd * s, s
 
 
 def softmax_chain(xd, allowed=None):

@@ -399,6 +399,49 @@ def test_no_decode_steps_is_usage_error(untrained_ckpt, capsys, monkeypatch, com
     assert "--max-steps must be >= 1" in capsys.readouterr().err
 
 
+def test_probe_empty_future_is_usage_error_before_loading(untrained_ckpt, capsys, monkeypatch):
+    # An empty --future has no rank to report: the median of none is NaN.
+    def no_load(path):
+        raise AssertionError("probe loaded the checkpoint before checking --future")
+
+    monkeypatch.setattr("specmtp.cli._load", no_load)
+    code = main(["probe", "--ckpt", str(untrained_ckpt), "--prompt", "abcd", "--future", ""])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--future" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "k_range, message",
+    [
+        ("0-2", "must have 1 <= lo <= hi"),
+        ("3-1", "must have 1 <= lo <= hi"),
+        ("a-b", "is not lo-hi in integers"),
+        ("-2", "is not lo-hi in integers"),
+    ],
+)
+def test_bench_k_range_is_checked_before_loading(untrained_ckpt, capsys, monkeypatch, k_range, message):
+    def no_load(path):
+        raise AssertionError("bench loaded the checkpoint before checking --k-range")
+
+    monkeypatch.setattr("specmtp.cli._load", no_load)
+    argv = ["bench", "--ckpt", str(untrained_ckpt), "--prompts", "2", "--k-range", k_range]
+    assert main(argv) == EXIT_USAGE
+    assert f"--k-range {k_range!r} {message}" in capsys.readouterr().err
+
+
+def test_bench_k_range_past_the_masks_is_usage_error_naming_the_flag(untrained_ckpt, capsys, monkeypatch):
+    # The upper bound is the checkpoint's k_masks (4), checked once it loads
+    # and before any decoding.
+    def no_decode(*args, **kwargs):
+        raise AssertionError("bench decoded before checking --k-range")
+
+    monkeypatch.setattr("specmtp.cli.speculative_decode", no_decode)
+    argv = ["bench", "--ckpt", str(untrained_ckpt), "--prompts", "2", "--k-range", "1-9"]
+    assert main(argv) == EXIT_USAGE
+    assert "--k-range '1-9' must stay within 1..4" in capsys.readouterr().err
+
+
 def test_probe_prompt_without_room_for_its_masks_is_usage_error(short_context_ckpt, capsys):
     # With its BOS, a 12-character prompt is 13 tokens: inside max_position
     # 16, but 4 masks after it are not.

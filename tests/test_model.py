@@ -14,7 +14,15 @@ from specmtp.batching import (
 )
 from specmtp import tensor as tz
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
-from specmtp.model import LORA_ALPHA_OVER_RANK, ModelConfig, _check_gate, forward, gated_lora_apply, init_model
+from specmtp.model import (
+    LORA_ALPHA_OVER_RANK,
+    ModelConfig,
+    SharedInput,
+    _check_gate,
+    forward,
+    gated_lora_apply,
+    init_model,
+)
 from specmtp.sampler import init_sampler
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
 
@@ -135,6 +143,35 @@ def test_gated_apply_mixed_rows_match_dense_reference():
             assert np.max(np.abs(out.data[t] - dense[t])) < 1e-6
         else:
             assert np.array_equal(out.data[t], base[t])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_shared_input_gives_each_adapter_its_own_bytes(dtype):
+    # q, k and v from one stacked product equal each adapter run alone, on
+    # arrays. Their factors differ, so a swapped slice fails. A tape
+    # ignores the group: each adapter records its own lora_delta.
+    with precision(dtype):
+        model = make_model(rank=4, seed=3)
+    randomize_adapters(model, seed=3)
+    lw = model.layers[1]
+    rng = np.random.default_rng(3)
+    for lead in ((), (2,)):
+        x = rng.normal(size=lead + (7, CFG["d_model"])).astype(dtype)
+        for gate in ([0] * 7, [0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 1], [1] * 7):
+            rows = np.flatnonzero(gate)
+            shared = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), x, rows)
+            outs = []
+            for g in shared.layers:
+                want = gated_lora_apply(g, x, gate, rows)
+                got = gated_lora_apply(g, x, gate, rows, shared=shared)
+                assert got.dtype == want.dtype == np.dtype(dtype)
+                assert got.tobytes() == want.tobytes()
+                with Tape() as tape:
+                    taped = gated_lora_apply(g, Tensor(x), gate, rows, shared=shared)
+                assert taped.data.tobytes() == want.tobytes()
+                assert len(tape) == (1 if rows.size else 0)  # its own lora_delta
+                outs.append(got)
+            assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
 
 
 def test_gate_invariance_bitwise_vs_rank_zero():

@@ -10,6 +10,7 @@ from chains import (
     matmul,
     row_scatter_add,
     scores_chain,
+    silu_where,
     softmax_backward_chain,
     softmax_chain,
     softmax_rows,
@@ -280,6 +281,34 @@ def test_layer_norm_gradient():
 
 def test_silu_zero():
     assert silu(Tensor(np.zeros((1, 1)))).data[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_silu_numerator_is_bitwise_the_where_form(dtype, bits):
+    # max(e, x >= 0) for np.where(x >= 0, 1.0, e): the output and the kept
+    # sigmoid, on special values, on random bit patterns (NaN payloads,
+    # subnormals and every exponent), and on normal draws of every scale.
+    info = np.finfo(dtype)
+    specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 30.0, -30.0, 750.0, -750.0]
+    for v in (info.smallest_subnormal, info.tiny, info.eps, info.max, np.sqrt(info.max)):
+        specials += [v, -v]
+    rng = np.random.default_rng(21)
+    x = np.concatenate([
+        np.array(specials, dtype=dtype),
+        rng.integers(0, np.iinfo(bits).max, size=4096, dtype=bits, endpoint=True).view(dtype),
+        (rng.normal(size=4096) * 10.0 ** rng.integers(-8, 9, size=4096)).astype(dtype),
+    ])
+    assert np.isnan(x).any() and (np.abs(x) < info.tiny).any() and np.isinf(x).any()
+    for xd in (x, x[: x.size // 8 * 8].reshape(2, -1, 4)):
+        token = tz._scan_per_op.set(False)  # silu of -inf is NaN
+        try:
+            with np.errstate(all="ignore"):
+                got, want = tz.silu_data(xd), silu_where(xd)
+        finally:
+            tz._scan_per_op.reset(token)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.shape == xd.shape
+            assert g.tobytes() == w.tobytes()
 
 
 def test_cross_entropy_uniform_logits():
@@ -823,3 +852,55 @@ STACKED_MISMATCHES = {
 def test_stacked_shape_mismatch_is_numerics_error_too(case):
     with pytest.raises(NumericsError):
         STACKED_MISMATCHES[case]()
+
+
+# ---------------------------------------------------------------------------
+# Stacked adapter corrections: adapters that read one input run their
+# low-rank products as one batched product, each slice with the bytes of
+# its own `lora_delta_data`.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stack"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 20, 156])
+@pytest.mark.parametrize("d", [32, 96])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n_rows, lead):
+    rng = np.random.default_rng([d, n_rows, len(lead)])
+    t_len, rank = 160, 8
+
+    def draw(*shape, std=1.0):
+        return rng.normal(0.0, std, size=shape).astype(dtype)
+
+    x = draw(*lead, t_len, d)
+    rows = np.sort(rng.choice(t_len, n_rows, replace=False))
+    # Each adapter its own factors, so a swapped slice fails.
+    a = [draw(d, rank, std=0.3) for _ in range(3)]
+    b = [draw(rank, d, std=0.3) for _ in range(3)]
+    bases = [draw(*lead, t_len, d) for _ in range(3)]
+    stacked = tz.lora_deltas_data(x, a, b, rows, 2.0)
+    assert stacked.dtype == np.dtype(dtype) and stacked.shape == (3, *lead, n_rows, d)
+    outs = []
+    for i in range(3):
+        want = tz.lora_delta_data(bases[i], x, a[i], b[i], rows, 2.0)[0]
+        got = tz.lora_put_data(bases[i], rows, stacked[i])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        outs.append(got)
+    if n_rows:
+        assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
+
+
+def test_stacked_lora_deltas_name_their_overflow_as_lora_delta_does():
+    x, rows = np.ones((2, 2)), np.array([0])
+    cases = {"matmul": (np.full((2, 1), BIG), np.ones((1, 2)), 1.0), "scale": (np.ones((2, 1)), np.ones((1, 2)), BIG)}
+    for step, (a, b, c) in cases.items():
+        for run in (
+            lambda: tz.lora_deltas_data(x, [np.ones((2, 1)), a], [np.ones((1, 2)), b], rows, c),
+            lambda: tz.lora_delta_data(np.zeros((2, 2)), x, a, b, rows, c),
+        ):
+            with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
+                run()
+    with pytest.raises(NumericsError, match="lora_delta shape mismatch"):
+        tz.lora_deltas_data(x, [np.ones((3, 1))], [np.ones((1, 2))], rows, 1.0)
+    with pytest.raises(NumericsError, match="row_scatter_add shape mismatch"):
+        tz.lora_put_data(np.zeros((2, 2)), rows, np.ones((1, 3)))
