@@ -19,6 +19,7 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint
 from .decoding import STRATEGIES, future_rank_probe, greedy_autoregressive, speculative_decode
 from .training import (
+    CORPUS_TASKS,
     MODEL_FIELDS,
     CorpusSpec,
     DivergenceError,
@@ -161,10 +162,17 @@ def _load(ckpt_path: str):
 
 
 def _check_max_steps(max_steps: int) -> None:
-    """bench and verify report on decoded steps: with none, bench has no
-    acceptance rate and verify compares no token."""
+    """decode, bench and verify report on decoded steps: with none, decode
+    prints nothing, bench has no acceptance rate and verify compares no
+    token."""
     if max_steps < 1:
         raise UsageError("--max-steps must be >= 1")
+
+
+def _check_k(k: int, model) -> None:
+    """`--k` of decode and verify, once the checkpoint gives its masks."""
+    if not 1 <= k <= model.config.k_masks:
+        raise UsageError(f"--k {k} must stay within 1..{model.config.k_masks}")
 
 
 def _k_range(raw: str) -> tuple[int, int]:
@@ -224,11 +232,7 @@ def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: 
 
 
 def cmd_gen_data(args) -> int:
-    spec = CorpusSpec(
-        task=args.task, size=args.size, seed=args.seed, seq_len=args.seq_len,
-        period=args.period, alphabet=args.alphabet, digits=args.digits,
-        path=args.path,
-    )
+    spec = CorpusSpec(**{name: getattr(args, name) for name, _ in _SECTIONS["corpus"].values()})
     vocab = spec.vocab(k_masks=1)
     corpus = generate_corpus(spec, k_masks=1)
     payload = {
@@ -264,6 +268,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    _check_max_steps(args.max_steps)
+    if args.max_new < 1:
+        raise UsageError("--max-new must be >= 1")
     model, sampler, vocab, _ = _load(args.ckpt)
     prompt = vocab.encode(args.prompt).tolist()
     if args.no_sampler:
@@ -273,14 +280,13 @@ def cmd_decode(args) -> int:
         print(vocab.decode(out[len(prompt):]))
         print(f"tokens={len(out) - len(prompt)} steps={len(out) - len(prompt)} rate=1.0")
         return EXIT_OK
+    _check_k(args.k, model)
     out, stats = speculative_decode(
         model, sampler, prompt, args.k, args.strategy,
         max_steps=args.max_steps, eos=vocab.eos,
     )
     print(vocab.decode(out[len(prompt):]))
-    # No step runs when the prompt leaves no room below max_position.
-    rate = f"{stats.rate:.4f}" if stats.steps else "n/a"
-    print(f"tokens={stats.generated} steps={stats.steps} rate={rate}")
+    print(f"tokens={stats.generated} steps={stats.steps} rate={stats.rate:.4f}")
     return EXIT_OK
 
 
@@ -399,6 +405,7 @@ def cmd_probe(args) -> int:
 def cmd_verify(args) -> int:
     _check_max_steps(args.max_steps)
     model, sampler, vocab, _ = _load(args.ckpt)
+    _check_k(args.k, model)
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)
     checked = 0
     for strategy in ("linear", "quadratic"):
@@ -432,14 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic corpus as JSON")
-    p.add_argument("--task", required=True, choices=["pattern", "arithmetic", "file"])
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seq-len", dest="seq_len", type=int, default=24)
-    p.add_argument("--period", type=int, default=4)
-    p.add_argument("--alphabet", default="abcdef")
-    p.add_argument("--digits", type=int, default=2)
-    p.add_argument("--path", default="")
+    # One flag per CorpusSpec field, its default and type read off the
+    # dataclass, as the config file's [corpus] keys are.
+    corpus_defaults = CorpusSpec()
+    for key, (name, typ) in _SECTIONS["corpus"].items():
+        if name == "task":
+            p.add_argument("--task", required=True, choices=CORPUS_TASKS)
+        else:
+            p.add_argument("--" + key.replace("_", "-"), dest=name, type=typ, default=getattr(corpus_defaults, name))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 

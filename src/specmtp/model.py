@@ -11,52 +11,43 @@ and shared, and hidden and logits get the leading axis. A stack runs every
 op once, on stacked operands, with each sequence's bytes (see tensor.py).
 It checks the layout and the gate once per batch, then runs the pass,
 written once (`_pass`) over an op namespace that the tape picks. Under
-an active `Tape` that is the autodiff ops (training, and the test
-oracle): one fused `lora_delta` per adapter, and per layer
+an active `Tape` that is the autodiff ops of `tensor.py` (training, and
+the test oracle): one fused `lora_delta` per adapter, and per layer
 `attention_scores`, `masked_softmax_rows` and `attention_context`. With
 no tape it is their array helpers (`ArrayOps`): the same math in the
 same order on plain arrays, with only `hidden` and `logits` wrapped as
 Tensors, so both give the same bytes. On both, every adapter goes
-through `gated_lora_apply`, which runs the ops matching its input. On
-arrays, a layer's q, k and v, which read one input, gather their gated
-rows once and run their low-rank products as one stacked product
-(`SharedInput`); each slice has its own `lora_delta`'s bytes, so the
-taped pass, which runs one `lora_delta` per adapter, gives the same.
-Either runs with per-op finiteness scans off and scans its attention
-scores and logits; a failed scan replays the pass on arrays with per-op
-scans on to name the op (`scanned_once` in tensor.py).
+through `gated_lora_apply` and every softmax through
+`masked_softmax_rows`, this module's globals, which run the op matching
+their input; every adapter correction comes from one stacked product
+(`lora_deltas_data`). A layer's q, k and v read one input, so they share
+one (`SharedInput`); any other adapter runs a stack of one. Each slice
+has the bytes of the adapter's own chain. Either pass runs with per-op
+finiteness scans off and scans its attention scores and logits; a failed
+scan replays the pass on arrays with per-op scans on to name the op
+(`scanned_once` in tensor.py).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-# The autodiff ops below are also the taped pass's namespace (`_TAPED`):
-# the pass looks them up as attributes of this module.
+from . import tensor
 from .tensor import (
     ArrayOps,
     NumericsError,
     Tensor,
     _out,
     active_tape,
-    add,
-    attention_context,
-    attention_scores,
     concat_rows,
     default_dtype,
     derive_rng,
-    layer_norm,
-    linear,
-    lora_delta,
     lora_deltas_data,
-    masked_softmax_rows,
+    masked_softmax_data,
     scanned_once,
-    silu,
-    take_rows,
 )
 
 LORA_ALPHA_OVER_RANK = 2.0  # constant adapter multiplier (alpha = 2r)
@@ -268,27 +259,28 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
 
 class SharedInput:
     """Adapters that read one input `x`, with the checked gate's 1-rows
-    `rows` (a layer's q, k and v read its first norm's output). On arrays,
-    the first of them that `gated_lora_apply` runs forms the low-rank
-    corrections of all of them as one stacked product
-    (`lora_deltas_data`), and each adapter puts its own slice. A taped
-    pass ignores it, so each adapter records its own `lora_delta`."""
+    `rows` (a layer's q, k and v read its first norm's output). The first
+    of them that `gated_lora_apply` runs forms the low-rank corrections of
+    all of them as one stacked product (`lora_deltas_data`), on either
+    pass, and each adapter takes its own slice of the parts."""
 
-    __slots__ = ("layers", "x", "rows", "_deltas")
+    __slots__ = ("layers", "x", "rows", "_parts")
 
     def __init__(self, layers: tuple[GatedLoraLinear, ...], x, rows: np.ndarray):
-        self.layers, self.x, self.rows, self._deltas = layers, x, rows, None
+        self.layers, self.x, self.rows, self._parts = layers, x, rows, None
 
-    def delta(self, layer: GatedLoraLinear) -> np.ndarray:
-        """`layer`'s scaled correction at `rows`. Taken once: the put
-        overwrites it."""
-        if self._deltas is None:
-            stacked = lora_deltas_data(
-                self.x, [g.A.data for g in self.layers], [g.B.data for g in self.layers],
+    def parts(self, layer: GatedLoraLinear) -> tuple:
+        """`layer`'s (scaled correction at `rows`, x[..., rows, :], product
+        with A), as `lora_delta` takes them. Handed out once: the put
+        overwrites the correction."""
+        if self._parts is None:
+            x = self.x.data if isinstance(self.x, Tensor) else self.x
+            d, xr, h = lora_deltas_data(
+                x, [g.A.data for g in self.layers], [g.B.data for g in self.layers],
                 self.rows, LORA_ALPHA_OVER_RANK,
             )
-            self._deltas = {id(g): d for g, d in zip(self.layers, stacked)}
-        return self._deltas.pop(id(layer))
+            self._parts = {id(g): (d[i], xr, h[i]) for i, g in enumerate(self.layers)}
+        return self._parts.pop(id(layer))
 
 
 def gated_lora_apply(
@@ -305,29 +297,31 @@ def gated_lora_apply(
     x and the residual are Tensors, run through the autodiff ops, or plain
     arrays, run through their array helpers (`ArrayOps`). `rows` are the
     gate's 1-rows when the caller has checked the gate already (`forward`
-    does, once per pass); otherwise the gate is checked here. On arrays, a
-    `shared` group that holds `layer`, x and rows supplies the correction
-    from its stacked product; its slices have the bytes of the per-adapter
-    `lora_delta`. Gate-0 rows are returned untouched (no add of a zero), so
-    they are bit-identical to the plain frozen linear.
+    does, once per pass); otherwise the gate is checked here. The
+    correction comes from `shared`, a group that holds `layer`, x and rows,
+    or else from a stack of one; either slice has the bytes of the
+    adapter's own chain. Gate-0 rows are returned untouched (no add of a
+    zero), so they are bit-identical to the plain frozen linear.
     """
     if rows is None:
         gate = np.asarray(gate)
         _check_gate(gate, x.shape[-2])
         rows = np.flatnonzero(gate)
-    ops = _TAPED if isinstance(x, Tensor) else ArrayOps
+    ops = tensor if isinstance(x, Tensor) else ArrayOps
     base = ops.linear(x, layer.W)
     if layer.A is None or not rows.size:
         return base if residual is None else ops.add(residual, base)
-    if shared is None or ops is _TAPED:
-        return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual)
-    return ops.lora_put(base, rows, shared.delta(layer), residual)
+    parts = None if shared is None else shared.parts(layer)
+    return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual, parts)
 
 
-# The taped pass's op namespace is this module, so the pass looks
-# `masked_softmax_rows` up here at call time (perfbench times the taped pass
-# by replacing it). The untaped one is `ArrayOps`.
-_TAPED = sys.modules[__name__]
+def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Tensor | np.ndarray:
+    """The attention softmax of both passes: the autodiff op for Tensor
+    scores, `masked_softmax_data` for arrays. Both passes call it as this
+    module's global, so a replacement (a profiler's, say) sees both."""
+    if isinstance(scores, Tensor):
+        return tensor.masked_softmax_rows(scores, allowed)
+    return masked_softmax_data(scores, allowed)
 
 
 def _attends_ahead(allowed: np.ndarray) -> bool:
@@ -390,24 +384,25 @@ def forward(
     def fast():
         if active_tape() is None:
             return ForwardResult(*map(_out, run(ArrayOps)))
-        return ForwardResult(*run(_TAPED))
+        return ForwardResult(*run(tensor))
 
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
 def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
-    """The pass over op namespace `ops`, the autodiff ops (`_TAPED`) or
+    """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `rows` are the checked gate's 1-rows.
-    Every adapter goes through this module's `gated_lora_apply`, looked up
-    at call time on both paths; it picks the ops matching its input.
-    Returns (hidden, logits) as the namespace's values."""
+    Every adapter goes through this module's `gated_lora_apply`, and every
+    softmax through its `masked_softmax_rows`, looked up at call time on
+    both paths; each picks the op matching its input. Returns (hidden,
+    logits) as the namespace's values."""
     c = model.config
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         qkv = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), h, rows)
         q, k, v = (gated_lora_apply(g, h, gate, rows, shared=qkv) for g in qkv.layers)
-        weights = ops.masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
+        weights = masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
         heads = ops.attention_context(weights, v)
         x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)

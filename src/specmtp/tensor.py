@@ -61,13 +61,13 @@ attention ops stays `masked_softmax_rows`. Each fused op runs its
 chain's array helpers in order and its backward applies the chain's
 backward expressions in reverse, so values and gradients are byte-equal
 to the chain's. The chains, in the tests, are their oracle.
-`lora_delta` scales its product in place and puts d + base[rows] into a
-copy of base (`lora_put_data`), the chain's sums, since IEEE addition
-commutes. Adapters that read one input form their corrections in one
-stacked product (`lora_deltas_data`, on arrays only): the rows gathered
-once, the factors stacked per call, and one batched matmul per side, whose
-slices have each adapter's own bytes. A concatenated (in, n r) product
-would not.
+Every adapter correction, taped or not, comes from one stacked product
+(`lora_deltas_data`) over the adapters that read one input, a stack of
+one for an adapter alone: the rows gathered once, the factors stacked
+per call, one batched matmul per side whose slices have each adapter's
+own bytes (a concatenated (in, n r) product would not), and the product
+scaled in place. `lora_delta` puts d + base[rows] into a copy of base
+(`lora_put_data`), the chain's sums, since IEEE addition commutes.
 
 The attention steps over (..., H, T, T) cells (the scores, the masked
 softmax and its backward) each allocate one float array of that size, and
@@ -613,42 +613,29 @@ def lora_put_data(base: np.ndarray, rows: np.ndarray, d: np.ndarray) -> np.ndarr
     return _finite(out, "row_scatter_add")
 
 
-def lora_delta_data(
-    base: np.ndarray, xd: np.ndarray, ad: np.ndarray, bd: np.ndarray, rows: np.ndarray, c: float
+def lora_deltas_data(
+    xd: np.ndarray, ads: list, bds: list, rows: np.ndarray, c: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """base + scatter(rows, ((xd[..., rows, :] @ ad) @ bd) * c), for unique
-    in-range `rows` of xd (..., T, in) and base (..., T, out); ad (in, r)
-    and bd (r, out) are shared by every leading index. The product is
-    scaled in place (named `scale` if it overflows) and put by
-    `lora_put_data`. Returns (output, xd[..., rows, :], that @ ad), the
-    last two for the backward."""
-    if xd.ndim < 2 or base.shape[:-1] != xd.shape[:-1]:
-        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
-    xr = xd.take(rows, axis=-2)
-    h = matmul_data(xr, ad)
-    d = matmul_data(h, bd)
-    d *= float(c)
-    return lora_put_data(base, rows, _finite(d, "scale")), xr, h
-
-
-def lora_deltas_data(xd: np.ndarray, ads: list, bds: list, rows: np.ndarray, c: float) -> np.ndarray:
     """The scaled corrections ((xd[..., rows, :] @ ad) @ bd) * c of n
     adapters that read one input xd (..., T, in), as one (n, ..., R, out)
-    array: the rows are gathered once, and the factors copied per call into
-    (n, in, r) and (n, r, out) stacks, so two batched products serve all n. A
-    batched product runs each slice as the 2-D product run alone, so slice
-    i has the bytes that `lora_delta_data` forms for adapter i (tested); a
-    concatenated (in, n r) product would round differently. Each slice goes
-    to `lora_put_data`. Overflows are named as in `lora_delta_data`."""
-    a, b = np.array(ads), np.array(bds)
+    array from two batched products: the rows are gathered once, and the
+    factors, each shared by every leading index, are stacked per call (a
+    stack of one is a view). A batched product runs each slice as the 2-D
+    product alone, so slice i has adapter i's own bytes (tested); a
+    concatenated (in, n r) product would not. Each step names its overflow.
+    Returns (corrections, xd[..., rows, :], the (n, ..., R, r) products
+    with A), the last two for the backward."""
+    a, b = (ads[0][None], bds[0][None]) if len(ads) == 1 else (np.array(ads), np.array(bds))
     if xd.ndim < 2 or a.shape[-2] != xd.shape[-1] or b.shape[-2] != a.shape[-1]:
         raise NumericsError(f"lora_delta shape mismatch {xd.shape} x {a.shape} x {b.shape}")
     if xd.ndim > 2:  # one factor per adapter, shared by every leading index
         lead = (1,) * (xd.ndim - 2)
         a, b = a.reshape(a.shape[:1] + lead + a.shape[1:]), b.reshape(b.shape[:1] + lead + b.shape[1:])
-    d = _finite(_finite(xd.take(rows, axis=-2) @ a, "matmul") @ b, "matmul")
+    xr = xd.take(rows, axis=-2)
+    h = _finite(xr @ a, "matmul")
+    d = _finite(h @ b, "matmul")
     d *= float(c)
-    return _finite(d, "scale")
+    return _finite(d, "scale"), xr, h
 
 
 def lora_delta(
@@ -659,16 +646,25 @@ def lora_delta(
     rows: np.ndarray,
     c: float,
     residual: Tensor | None = None,
+    parts: tuple | None = None,
 ) -> Tensor:
-    """Tensor form of `lora_delta_data`: the chain take_rows -> matmul ->
-    matmul -> scale -> row_scatter_add as one op. With a `residual`, the
-    chain's trailing add(residual, .) is part of the op too."""
+    """The chain take_rows -> matmul -> matmul -> scale -> row_scatter_add
+    as one op; with a `residual`, its trailing add(residual, .) too.
+    `parts` are this adapter's slice of `lora_deltas_data`'s output for a
+    group that holds it, whose correction the put overwrites; with none, a
+    stack of one forms them."""
     rows = np.asarray(rows, dtype=np.int64)
     xd = x.data
-    if rows.size and xd.ndim >= 2 and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
+    if xd.ndim < 2 or base.data.shape[:-1] != xd.shape[:-1]:
+        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.data.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
         raise NumericsError("lora_delta row index out of range")
     c = float(c)
-    y, xr, h = lora_delta_data(base.data, xd, a.data, b.data, rows, c)
+    if parts is None:
+        d, xr, h = lora_deltas_data(xd, [a.data], [b.data], rows, c)
+        parts = d[0], xr, h[0]
+    d, xr, h = parts
+    y = lora_put_data(base.data, rows, d)
     inputs = (base, x, a, b)
     if residual is not None:
         y = add_data(residual.data, y)
@@ -772,8 +768,8 @@ class ArrayOps:
     weights stay Tensors and are read through `.data`; each returns the op's
     output array. So the untaped pass runs each op's own forward math, and
     gives the taped pass's bytes. `Tensor` leaves an input a plain array.
-    `lora_put` puts a correction from `lora_deltas_data`'s stacked product,
-    which only the untaped pass runs."""
+    `lora_delta` takes the parts and the fallback of the autodiff op, and
+    only puts the correction in."""
 
     Tensor = staticmethod(np.asarray)
     add = staticmethod(add_data)
@@ -782,16 +778,11 @@ class ArrayOps:
     silu = staticmethod(lambda x: silu_data(x)[0])
     layer_norm = staticmethod(lambda x, gain, bias: layer_norm_data(x, gain.data, bias.data)[0])
     attention_scores = staticmethod(lambda q, k, n_heads: attention_scores_data(q, k, n_heads)[0])
-    masked_softmax_rows = staticmethod(masked_softmax_data)
     attention_context = staticmethod(lambda p, v: attention_context_data(p, v)[0])
 
     @staticmethod
-    def lora_delta(base, x, a, b, rows, c, residual=None):
-        y = lora_delta_data(base, x, a.data, b.data, rows, c)[0]
-        return y if residual is None else add_data(residual, y)
-
-    @staticmethod
-    def lora_put(base, rows, d, residual=None):
+    def lora_delta(base, x, a, b, rows, c, residual=None, parts=None):
+        d = lora_deltas_data(x, [a.data], [b.data], rows, c)[0][0] if parts is None else parts[0]
         y = lora_put_data(base, rows, d)
         return y if residual is None else add_data(residual, y)
 

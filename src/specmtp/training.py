@@ -107,6 +107,9 @@ class Vocab:
         return "".join(pieces)
 
 
+CORPUS_TASKS = ("pattern", "arithmetic", "file")
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """What text to synthesize: repeating motifs, char-level addition, or a
@@ -122,6 +125,10 @@ class CorpusSpec:
     path: str = ""  # file task
 
     def __post_init__(self):
+        if self.task not in CORPUS_TASKS:
+            raise ValueError(f"unknown corpus task {self.task!r} (choose from {', '.join(CORPUS_TASKS)})")
+        if self.task == "file" and not self.path:
+            raise ValueError("corpus task 'file' needs a path")
         if self.size < 1 or self.period < 1:
             raise ValueError("corpus size and period must be >= 1")
 
@@ -130,10 +137,8 @@ class CorpusSpec:
             return self.alphabet
         if self.task == "arithmetic":
             return "0123456789+="
-        if self.task == "file":
-            text = Path(self.path).read_text(encoding="utf-8")
-            return "".join(sorted(set(text)))
-        raise ValueError(f"unknown corpus task {self.task!r}")
+        text = Path(self.path).read_text(encoding="utf-8")
+        return "".join(sorted(set(text)))
 
     def vocab(self, k_masks: int) -> Vocab:
         return Vocab(self.charset(), k_masks)
@@ -165,7 +170,7 @@ def generate_corpus(spec: CorpusSpec, k_masks: int = 1) -> list[tuple[np.ndarray
             flags = np.zeros(len(ids), dtype=np.int64)
             flags[eq_pos : len(ids) - 1] = 1  # loss on the answer span and eos
             out.append((ids, flags))
-    elif spec.task == "file":
+    else:  # file
         text = Path(spec.path).read_text(encoding="utf-8")
         if len(text) < spec.seq_len:
             raise ValueError("file shorter than one window")
@@ -176,8 +181,6 @@ def generate_corpus(spec: CorpusSpec, k_masks: int = 1) -> list[tuple[np.ndarray
             flags = np.ones(len(ids), dtype=np.int64)
             flags[-1] = 0
             out.append((ids, flags))
-    else:
-        raise ValueError(f"unknown corpus task {spec.task!r}")
     return out
 
 

@@ -3,8 +3,9 @@ replace, the out-of-place softmax that the in-place one replaces, the
 per-sequence training loop that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
-sampler table replaces, and the `np.where` sigmoid numerator that
-`silu_data`'s `np.maximum` replaces. Each
+sampler table replaces, the `np.where` sigmoid numerator that
+`silu_data`'s `np.maximum` replaces, and the per-adapter correction that
+`lora_deltas_data`'s stacked product replaces. Each
 is its replacement's oracle: values and gradients must match it byte for
 byte. The elementary ops that only these chains and the tests use are
 written here too, on the engine's helpers and tape."""
@@ -69,6 +70,19 @@ def softmax_rows(x):
 def sum_all(x):
     out = _out(np.asarray(x.data.sum(), dtype=x.data.dtype), "sum_all")
     return _record(out, (x,), lambda g, d=x.data: (np.full(d.shape, g, dtype=d.dtype),))
+
+
+def lora_delta_data(base, xd, ad, bd, rows, c):
+    """base + scatter(rows, ((xd[..., rows, :] @ ad) @ bd) * c) for one
+    adapter, with 2-D products, scaled in place and put by
+    `lora_put_data`. Returns (output, xd[..., rows, :], that @ ad)."""
+    if xd.ndim < 2 or base.shape[:-1] != xd.shape[:-1]:
+        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
+    xr = xd.take(rows, axis=-2)
+    h = tz.matmul_data(xr, ad)
+    d = tz.matmul_data(h, bd)
+    d *= float(c)
+    return tz.lora_put_data(base, rows, tz._finite(d, "scale")), xr, h
 
 
 def lora_chain(base, x, a, b, rows, c, residual=None):

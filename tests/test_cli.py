@@ -11,6 +11,7 @@ from specmtp.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    build_parser,
     main,
     parse_config_text,
     render_config,
@@ -189,6 +190,38 @@ def test_gen_data_arithmetic_recompute(tmp_path):
         lhs, ans = body.split("=")
         a, b = lhs.split("+")
         assert int(a) + int(b) == int(ans)
+
+
+def test_gen_data_flags_are_the_corpus_spec_fields():
+    # One flag per CorpusSpec field, with the dataclass default and type.
+    args = build_parser().parse_args(["gen-data", "--task", "pattern", "--out", "c.json"])
+    default = CorpusSpec()
+    for f in fields(CorpusSpec):
+        if f.name != "task":
+            assert getattr(args, f.name) == getattr(default, f.name), f.name
+    args = build_parser().parse_args(["gen-data", "--task", "file", "--seq-len", "7", "--path", "a.txt", "--out", "c"])
+    assert (args.task, args.seq_len, args.path) == ("file", 7, "a.txt")
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        pytest.param("task = file", "corpus task 'file' needs a path", id="file-without-path"),
+        pytest.param("task = poem", "unknown corpus task 'poem'", id="unknown-task"),
+    ],
+)
+def test_corpus_task_without_its_input_is_usage_error_before_writing(tmp_path, capsys, corpus, message):
+    out = tmp_path / "corpus.json"
+    if corpus == "task = file":
+        assert main(["gen-data", "--task", "file", "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"[corpus]\n{corpus}\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run_dir), "--quiet"]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--size", "--period"])
@@ -386,17 +419,31 @@ def test_bench_strategy_list_is_checked_before_decoding(untrained_ckpt, capsys, 
 
 
 @pytest.mark.parametrize("steps", ["0", "-1"])
-@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("command", ["verify", "bench", "decode"])
 def test_no_decode_steps_is_usage_error(untrained_ckpt, capsys, monkeypatch, command, steps):
-    # With no step bench has no acceptance rate and verify compares no
-    # token: both stop before the checkpoint loads.
+    # With no step bench has no acceptance rate, verify compares no token
+    # and decode prints nothing: each stops before the checkpoint loads.
+    # decode checks greedy's --max-new as well.
     def no_load(path):
-        raise AssertionError(f"{command} loaded the checkpoint before checking --max-steps")
+        raise AssertionError(f"{command} loaded the checkpoint before checking its counts")
 
     monkeypatch.setattr("specmtp.cli._load", no_load)
-    argv = [command, "--ckpt", str(untrained_ckpt), "--prompts", "2", "--max-steps", steps]
-    assert main(argv) == EXIT_USAGE
-    assert "--max-steps must be >= 1" in capsys.readouterr().err
+    if command == "decode":
+        runs = [(["--prompt", "ab", flag, steps], flag) for flag in ("--max-steps", "--max-new")]
+    else:
+        runs = [(["--prompts", "2", "--max-steps", steps], "--max-steps")]
+    for extra, flag in runs:
+        assert main([command, "--ckpt", str(untrained_ckpt)] + extra) == EXIT_USAGE
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["5", "0"])
+@pytest.mark.parametrize("command", ["decode", "verify"])
+def test_k_past_the_masks_is_usage_error_naming_the_flag(untrained_ckpt, capsys, command, k):
+    extra = ["--prompt", "ab"] if command == "decode" else ["--prompts", "2"]
+    assert main([command, "--ckpt", str(untrained_ckpt), "--k", k] + extra) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"--k {k} must stay within 1..4" in captured.err and captured.out == ""
 
 
 def test_probe_empty_future_is_usage_error_before_loading(untrained_ckpt, capsys, monkeypatch):

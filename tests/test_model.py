@@ -147,9 +147,10 @@ def test_gated_apply_mixed_rows_match_dense_reference():
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_shared_input_gives_each_adapter_its_own_bytes(dtype):
-    # q, k and v from one stacked product equal each adapter run alone, on
-    # arrays. Their factors differ, so a swapped slice fails. A tape
-    # ignores the group: each adapter records its own lora_delta.
+    # q, k and v from one stacked product equal each adapter run alone.
+    # Their factors differ, so a swapped slice fails. A group hands out each
+    # slice once, so the taped call takes a fresh one; each adapter still
+    # records its own lora_delta.
     with precision(dtype):
         model = make_model(rank=4, seed=3)
     randomize_adapters(model, seed=3)
@@ -167,7 +168,8 @@ def test_shared_input_gives_each_adapter_its_own_bytes(dtype):
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 assert got.tobytes() == want.tobytes()
                 with Tape() as tape:
-                    taped = gated_lora_apply(g, Tensor(x), gate, rows, shared=shared)
+                    xt = Tensor(x)
+                    taped = gated_lora_apply(g, xt, gate, rows, shared=SharedInput(shared.layers, xt, rows))
                 assert taped.data.tobytes() == want.tobytes()
                 assert len(tape) == (1 if rows.size else 0)  # its own lora_delta
                 outs.append(got)
@@ -358,6 +360,29 @@ def test_both_passes_call_the_module_gated_lora_apply(monkeypatch):
     with Tape():
         run_batch(model, batch)
     assert calls == [True] * 6 * CFG["n_layers"]
+
+
+def test_both_passes_call_the_module_masked_softmax_rows(monkeypatch):
+    # Likewise a replacement of specmtp.model.masked_softmax_rows sees the
+    # softmax of every layer on both passes, and its place in the layer.
+    import specmtp.model as model_mod
+
+    calls = []
+    for name in ("gated_lora_apply", "masked_softmax_rows"):
+
+        def recording(*args, _name=name, _original=getattr(model_mod, name), **kwargs):
+            calls.append((_name, any(isinstance(a, Tensor) for a in args)))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, name, recording)
+    model = make_model(rank=4)
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    for taped in (False, True):
+        calls.clear()
+        with Tape() if taped else contextlib.nullcontext():
+            run_batch(model, batch)
+        layer = ["gated_lora_apply"] * 3 + ["masked_softmax_rows"] + ["gated_lora_apply"] * 3
+        assert calls == [(name, taped) for name in layer * CFG["n_layers"]]
 
 
 @pytest.mark.parametrize(

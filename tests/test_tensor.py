@@ -7,6 +7,7 @@ from chains import (
     attention_chain,
     context_chain,
     lora_chain,
+    lora_delta_data,
     matmul,
     row_scatter_add,
     scores_chain,
@@ -878,13 +879,18 @@ def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n
     a = [draw(d, rank, std=0.3) for _ in range(3)]
     b = [draw(rank, d, std=0.3) for _ in range(3)]
     bases = [draw(*lead, t_len, d) for _ in range(3)]
-    stacked = tz.lora_deltas_data(x, a, b, rows, 2.0)
+    stacked, xr, h = tz.lora_deltas_data(x, a, b, rows, 2.0)
     assert stacked.dtype == np.dtype(dtype) and stacked.shape == (3, *lead, n_rows, d)
     outs = []
     for i in range(3):
-        want = tz.lora_delta_data(bases[i], x, a[i], b[i], rows, 2.0)[0]
+        want, want_xr, want_h = lora_delta_data(bases[i], x, a[i], b[i], rows, 2.0)
         got = tz.lora_put_data(bases[i], rows, stacked[i])
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # The backward's parts, and a stack of one, have the same bytes.
+        assert xr.tobytes() == want_xr.tobytes() and h[i].tobytes() == want_h.tobytes()
+        alone, _, alone_h = tz.lora_deltas_data(x, [a[i]], [b[i]], rows, 2.0)
+        assert tz.lora_put_data(bases[i], rows, alone[0]).tobytes() == want.tobytes()
+        assert alone_h[0].tobytes() == want_h.tobytes()
         outs.append(got)
     if n_rows:
         assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
@@ -896,7 +902,7 @@ def test_stacked_lora_deltas_name_their_overflow_as_lora_delta_does():
     for step, (a, b, c) in cases.items():
         for run in (
             lambda: tz.lora_deltas_data(x, [np.ones((2, 1)), a], [np.ones((1, 2)), b], rows, c),
-            lambda: tz.lora_delta_data(np.zeros((2, 2)), x, a, b, rows, c),
+            lambda: lora_delta_data(np.zeros((2, 2)), x, a, b, rows, c),
         ):
             with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
                 run()
