@@ -1,14 +1,18 @@
 """What a masked training batch looks like, and why regular rows cannot
 tell it apart from a plain causal pass.
 
-For a sequence x_1..x_n, a block of k mask tokens is interleaved after
-every loss-bearing token. Each block asks "and what comes after prefix
-i?", so one forward answers n such prompts at once. Attention keeps the
-regular rows blind to every mask row."""
+For a sequence x_1..x_n, a block of k mask tokens extends every
+loss-bearing token. Each block asks "and what comes after prefix i?", so
+one forward answers n such prompts at once. The layout puts the regular
+rows first and the blocks after them, and `forward` reads the attention
+off the block anchors alone: the regular rows run as one causal stream,
+blind to every mask row, and each block attends to the regular rows up to
+its anchor and to itself."""
 
 import numpy as np
 
 from specmtp import ModelConfig, build_training_batch, causal_rows, forward, init_model
+from specmtp.model import layout_streams
 
 SEQ = [0, 1, 2]  # think "a b c"
 MASKS = np.array([5, 6])
@@ -27,11 +31,20 @@ for r in range(batch.size):
         f"  anchor {batch.block_anchor[r]}"
     )
 
-print("\nattention (row may look at column):")
-print("     " + " ".join(f"{names[int(t)]:>2}" for t in batch.tokens))
-for r in range(batch.size):
-    marks = " ".join(" x" if batch.attention_allowed[r, c] else " ." for c in range(batch.size))
-    print(f"  {names[int(batch.tokens[r])]:>2} {marks}")
+# The two streams forward derives from the anchors: the regular rows'
+# causal attention, then each mask row over the regular keys and its block.
+streams = layout_streams(batch.block_anchor, batch.size)
+n = streams.n_reg
+print(f"\nregular stream: the first {n} rows, causal (row may look at column):")
+print("     " + " ".join(f"{names[int(t)]:>2}" for t in batch.tokens[:n]))
+for r in range(n):
+    print(f"  {names[int(batch.tokens[r])]:>2} " + " ".join(" x" if c else " ." for c in streams.causal[r]))
+print(f"mask stream: blocks of {streams.block}, each row over the regular keys, then its own block:")
+print("     " + " ".join(f"{names[int(t)]:>2}" for t in batch.tokens[:n]) + "  |" + " ".join(f"{'m' + str(j + 1):>2}" for j in range(streams.block)))
+for i, allowed in enumerate(streams.mask_allowed):
+    marks = [" x" if c else " ." for c in allowed]
+    row = " ".join(marks[:n]) + "  |" + " ".join(marks[n:])
+    print(f"  {names[int(batch.tokens[n + i])]:>2} {row}  (anchor row {batch.block_anchor[n + i]})")
 
 print("\nconsistency couples (mask row, anchor row):", batch.lcm_pairs)
 
@@ -44,11 +57,11 @@ for lw in model.layers:
         g.A.data = rng.normal(0, 0.3, g.A.data.shape).astype(np.float32)
         g.B.data = rng.normal(0, 0.3, g.B.data.shape).astype(np.float32)
 
-masked = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+masked = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
 plain_batch = causal_rows(SEQ)
 plain = forward(
     model, plain_batch.tokens, plain_batch.position_ids,
-    plain_batch.attention_allowed, plain_batch.gate,
+    plain_batch.block_anchor, plain_batch.gate,
 )
 diff = np.max(np.abs(masked.logits.data[batch.ntp_rows] - plain.logits.data))
 print(f"\nregular-row logits vs plain causal forward, max abs diff: {diff:.2e}")

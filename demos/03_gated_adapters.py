@@ -55,8 +55,12 @@ claim("gate-1 rows moved by the adapter", np.abs(out.data[[1, 3]] - base[[1, 3]]
 # so their logits match the rank-0 model exactly.
 seq = np.random.default_rng(2).integers(0, 11, size=8)
 batch = build_training_batch(seq, np.ones(8, dtype=int), adapted.config.mask_ids)
-got = forward(adapted, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
-ref = forward(reference, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+n_reg = int((batch.gate == 0).sum())
+print(f"layout: {n_reg} regular rows first, then {batch.size - n_reg} mask rows in blocks of 3;")
+print("  gate:", "".join(map(str, batch.gate)))
+print("  block anchors of the mask rows:", batch.block_anchor[n_reg:].tolist())
+got = forward(adapted, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+ref = forward(reference, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
 rows = batch.ntp_rows
 claim(
     "regular-row logits bitwise equal to the rank-0 model",

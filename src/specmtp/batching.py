@@ -1,20 +1,22 @@
 """Masked-input construction for training and for speculative inference.
 
-A training batch interleaves a block of mask tokens after every
-loss-bearing input token, so one pass answers "what comes after prefix i"
-for every i at once. Every layout here is a token list plus a gate
-(1 on mask rows), and one visibility rule gives all of them their
-positions, anchors and attention:
+A training batch adds a block of k mask tokens for every loss-bearing
+input token, so one pass answers "what comes after prefix i" for every i
+at once. Every layout here puts its regular rows first, in sequence
+order, and its mask blocks after them: each block is one run of k rows
+that extends one regular row, its anchor. One visibility rule gives all
+of them their positions and attention:
 
-- each mask block directly follows the regular row it extends (its anchor);
 - a regular row sees every earlier regular row and itself, never a mask;
 - a mask row sees every regular row up to its anchor, plus its own block
   up to and including itself;
-- a row's position is the count of regular rows before its anchor, plus
-  its 1-based index in the block (0 on the anchor itself).
+- regular row i has position i; mask m_j of the block anchored at row a
+  has position a + j (j = 1..k).
 
-So regular rows compute exactly what a plain causal pass computes, and
-mask blocks never see each other.
+So the regular rows compute exactly what a plain causal pass over them
+computes, and mask blocks never see each other. A layout carries the rule
+as its (T,) `block_anchor` array: `forward` derives the attention from it
+(two streams, see model.py), and no (T, T) matrix is built.
 
 Every sequence of a built-in corpus has the same length and loss flags,
 so all of them share one training layout. `build_training_stack` builds
@@ -36,13 +38,14 @@ NO_TOKEN = -1
 
 @dataclass
 class MaskedBatch:
-    """One flattened layout: ids, positions, labels, gates, allowed sets.
+    """One flattened layout: ids, positions, labels, gates, block anchors.
 
-    gate[i] == 1 exactly on mask rows. block_anchor maps each mask row to
-    the row index of the real token its block extends (NO_ANCHOR on real
-    rows). lcm_pairs lists (mask_row, anchor_row) couples whose hidden
-    states are pulled together by the consistency loss. prev_token holds
-    the gold token that precedes each row's target (for the sampler).
+    Regular rows come first, then the mask blocks. gate[i] == 1 exactly on
+    mask rows. block_anchor maps each mask row to the row index of the
+    real token its block extends (NO_ANCHOR on real rows). lcm_pairs
+    lists (mask_row, anchor_row) couples whose hidden states are pulled
+    together by the consistency loss. prev_token holds the gold token that
+    precedes each row's target (for the sampler).
 
     In a stack of sequences that share the layout, tokens, base_labels
     and prev_token are (N, T); every other field is the shared (T,) one.
@@ -52,7 +55,6 @@ class MaskedBatch:
     position_ids: np.ndarray
     gate: np.ndarray
     base_labels: np.ndarray
-    attention_allowed: np.ndarray
     block_anchor: np.ndarray
     lcm_pairs: list[tuple[int, int]]
     prev_token: np.ndarray
@@ -89,30 +91,31 @@ class MaskedBatch:
         return np.flatnonzero(self.block_anchor == anchor_row)
 
 
-def _layout(tokens, gate) -> MaskedBatch:
-    """Apply the module's visibility rule to a token list and its gate.
-
-    Row 0 must be regular. Labels and previous tokens come back unset
-    (IGNORE_ID / NO_TOKEN) and lcm_pairs empty.
-    """
-    gate = np.asarray(gate, dtype=np.int8)
-    regular = gate == 0
-    rows = np.arange(gate.shape[0])
-    block = np.cumsum(regular)
-    anchor = np.flatnonzero(regular)[block - 1]
-    allowed = block[:, None] == block[None, :]
-    allowed |= regular
-    allowed &= rows[:, None] >= rows
-    return MaskedBatch(
-        tokens=np.asarray(tokens, dtype=np.int64),
-        position_ids=block - 1 + rows - anchor,
-        gate=gate,
-        base_labels=np.full(rows.shape, IGNORE_ID, dtype=np.int64),
-        attention_allowed=allowed,
-        block_anchor=np.where(regular, NO_ANCHOR, anchor),
+def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
+    """Regular rows holding `tokens`, then one block of `mask_ids` for each
+    regular row in `anchors`, in that order, under the module's visibility
+    rule. Labels and previous tokens come back unset (IGNORE_ID /
+    NO_TOKEN) and lcm_pairs empty."""
+    anchors = np.asarray(anchors, dtype=np.int64)
+    mask_ids = np.asarray(mask_ids, dtype=np.int64)
+    n, nb, k = len(tokens), anchors.size, mask_ids.size
+    t_len = n + nb * k
+    out = MaskedBatch(
+        tokens=np.empty(t_len, dtype=np.int64),
+        position_ids=np.arange(t_len),
+        gate=np.zeros(t_len, dtype=np.int8),
+        base_labels=np.full(t_len, IGNORE_ID, dtype=np.int64),
+        block_anchor=np.full(t_len, NO_ANCHOR, dtype=np.int64),
         lcm_pairs=[],
-        prev_token=np.full(rows.shape, NO_TOKEN, dtype=np.int64),
+        prev_token=np.full(t_len, NO_TOKEN, dtype=np.int64),
     )
+    out.tokens[:n] = tokens
+    out.gate[n:] = 1
+    # Each block's rows, one row of these (nb, k) views.
+    out.tokens[n:].reshape(nb, k)[...] = mask_ids
+    out.block_anchor[n:].reshape(nb, k)[...] = anchors[:, None]
+    out.position_ids[n:].reshape(nb, k)[...] = anchors[:, None] + np.arange(1, k + 1)
+    return out
 
 
 def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
@@ -121,13 +124,13 @@ def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
 
 
 def build_training_stack(corpus, mask_ids) -> MaskedBatch:
-    """Interleave a k-mask block after every loss-bearing token, for every
-    (seq, loss_flags) pair of a corpus.
+    """A k-mask block for every loss-bearing token, for every (seq,
+    loss_flags) pair of a corpus: the n regular rows, then the blocks.
 
     seq holds token ids (n >= 2); loss_flags[p] == 1 gives the row of
     seq[p] a next-token label and, unless p is the last position, a mask
     block. The sequences must share their length and loss flags, so that
-    they share one layout: positions, gate, attention and lcm_pairs are
+    they share one layout: positions, gate, anchors and lcm_pairs are
     built once, and tokens, base_labels and prev_token are (N, T), row b
     of each sequence b's own. A ValueError names the first sequence whose
     length or flags differ from sequence 0's.
@@ -162,15 +165,7 @@ def build_training_stack(corpus, mask_ids) -> MaskedBatch:
     if k < 1:
         raise ValueError("need at least one mask id")
 
-    tokens: list[int] = []
-    gate: list[int] = []
-    for p in range(n):
-        tokens.append(seqs[0, p])
-        gate.append(0)
-        if flags[p] == 1 and p < n - 1:
-            tokens.extend(mask_ids)
-            gate.extend([1] * k)
-    layout = _layout(tokens, gate)
+    layout = _layout(seqs[0], np.flatnonzero(flags[:-1] == 1), mask_ids)
 
     pos, regular = layout.position_ids, layout.gate == 0
     at, after = np.minimum(pos, n - 1), np.minimum(pos + 1, n - 1)
@@ -201,11 +196,12 @@ def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
         raise ValueError("more speculated tokens than masks")
 
     real = verified + speculated
-    return _layout(real + list(mask_ids), [0] * len(real) + [1] * k)
+    return _layout(real, [len(real) - 1], mask_ids)
 
 
 def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
-    """verified + [masks] + [s_1, masks] + ... + [s_k, masks].
+    """verified + s_1..s_k, then k + 1 mask blocks, anchored at the last
+    verified token and at each s_j.
 
     Chain token s_j sees the verified prefix and s_1..s_j, never a mask.
     Mask m_l of the block anchored at chain token c sees verified, the
@@ -222,15 +218,10 @@ def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBat
     if len(speculated) != k:
         raise ValueError(f"quadratic layout needs exactly {k} speculated tokens")
 
-    tokens = verified + list(mask_ids)
-    gate = [0] * len(verified) + [1] * k
-    for tok in speculated:
-        tokens += [tok] + list(mask_ids)
-        gate += [0] + [1] * k
-    return _layout(tokens, gate)
+    real = verified + speculated
+    return _layout(real, np.arange(len(verified) - 1, len(real)), mask_ids)
 
 
 def causal_rows(tokens) -> MaskedBatch:
     """Plain causal layout over real tokens: the reference configuration."""
-    tokens = list(tokens)
-    return _layout(tokens, [0] * len(tokens))
+    return _layout(list(tokens), [], [])

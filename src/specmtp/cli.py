@@ -250,6 +250,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+    # A corpus that cannot be built (a file shorter than one window) fails
+    # here, before the run directory exists.
+    generate_corpus(cfg.corpus, cfg.k_masks)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")

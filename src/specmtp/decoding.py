@@ -43,7 +43,7 @@ def acceptance_rate(stats: AcceptanceStats) -> float:
 
 
 def _run(model: ModelBundle, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
 
 
 def _check_prompt(model: ModelBundle, prompt) -> list[int]:
@@ -143,8 +143,9 @@ def speculative_decode(
         out = _run(model, batch)
         logits = out.logits.data
 
-        # The last verified row, then each speculated token's row.
-        chain_rows = n_ver - 1 + np.flatnonzero(batch.gate[n_ver - 1 :] == 0)
+        # The last verified row, then each speculated token's row: the
+        # regular rows from there on.
+        chain_rows = batch.ntp_rows[n_ver - 1 :]
         accepted, emitted = verify_speculated(logits[chain_rows].argmax(axis=1), speculated)
         block = batch.block_rows(int(chain_rows[accepted]))
 

@@ -1,28 +1,45 @@
 """Decoder-only transformer with a gated low-rank adapter on every linear.
 
 Rows whose gate is 0 follow the frozen base weights exactly; rows whose
-gate is 1 additionally go through the rank-r adapter path. Attention is
-driven by an explicit allowed-set matrix so excluded keys get exactly
-zero weight, which is what makes the gate-off guarantee bitwise.
+gate is 1 additionally go through the rank-r adapter path. Keys outside
+a row's visibility get exactly zero attention weight, which is what makes
+the gate-off guarantee bitwise.
+
+`forward` takes a layout in batching.py's form, regular rows first and
+mask blocks after them, as its (T,) block anchors, and derives the
+attention from them with O(T) checks (`layout_streams`). It runs in two
+streams, after XLNet's content and query streams (arXiv 1906.08237): the
+regular stream is the causal attention of the regular rows alone, the
+ops of a causal pass (`attention_scores`, `masked_softmax_rows`,
+`attention_context`) over the first n_reg rows; the mask stream scores each
+block's queries against the regular keys and its own block's keys (one
+product and one batched (nb, k, k) product, `mask_attention_scores`),
+runs `masked_softmax_rows` over those n_reg + k columns, and forms its
+context from the matching two products (`mask_attention_context`). A
+causal layout, and a linear one whose single block extends the last
+regular row, sees the lower triangle of its rows and runs as one causal
+stream. Every row-wise op (norms, linears, adapters) runs over all T rows.
 
 `forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
-that share one layout: positions, attention mask and gate are (T,)-shaped
-and shared, and hidden and logits get the leading axis. A stack runs every
+that share one layout: positions, anchors and gate are (T,)-shaped and
+shared, and hidden and logits get the leading axis. A stack runs every
 op once, on stacked operands, with each sequence's bytes (see tensor.py).
 It checks the layout and the gate once per batch, then runs the pass,
 written once (`_pass`) over an op namespace that the tape picks. Under
 an active `Tape` that is the autodiff ops of `tensor.py` (training, and
-the test oracle): one fused `lora_delta` per adapter, and per layer
-`attention_scores`, `masked_softmax_rows` and `attention_context`. With
-no tape it is their array helpers (`ArrayOps`): the same math in the
-same order on plain arrays, with only `hidden` and `logits` wrapped as
-Tensors, so both give the same bytes. On both, every adapter goes
-through `gated_lora_apply` and every softmax through
+the test oracle): one fused `lora_delta` per adapter and the fused
+attention ops. With no tape it is their array helpers (`ArrayOps`): the
+same math in the same order on plain arrays, with only `hidden` and
+`logits` wrapped as Tensors, so both give the same bytes. On both, every
+adapter goes through `gated_lora_apply` and every softmax through
 `masked_softmax_rows`, this module's globals, which run the op matching
 their input; every adapter correction comes from one stacked product
-(`lora_deltas_data`). A layer's q, k and v read one input, so they share
-one (`SharedInput`); any other adapter runs a stack of one. Each slice
-has the bytes of the adapter's own chain. Either pass runs with per-op
+(`lora_deltas_data`). The gate's 1-rows reach the adapters as a numpy
+index: the slice of the mask rows for a layout's own gate, of every row
+for the ungated ablation, or the row numbers of any other gate. A
+layer's q, k and v read one input, so they share one product
+(`SharedInput`); any other adapter runs a stack of one. Each slice has
+the bytes of the adapter's own chain. Either pass runs with per-op
 finiteness scans off and scans its attention scores and logits; a failed
 scan replays the pass on arrays with per-op scans on to name the op
 (`scanned_once` in tensor.py).
@@ -36,6 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor
+from .batching import NO_ANCHOR
 from .tensor import (
     ArrayOps,
     NumericsError,
@@ -47,6 +65,7 @@ from .tensor import (
     derive_rng,
     lora_deltas_data,
     masked_softmax_data,
+    row_count,
     scanned_once,
 )
 
@@ -259,20 +278,20 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
 
 class SharedInput:
     """Adapters that read one input `x`, with the checked gate's 1-rows
-    `rows` (a layer's q, k and v read its first norm's output). The first
-    of them that `gated_lora_apply` runs forms the low-rank corrections of
-    all of them as one stacked product (`lora_deltas_data`), on either
-    pass, and each adapter takes its own slice of the parts."""
+    `rows`, a slice or row numbers (a layer's q, k and v read its first
+    norm's output). The first of them that `gated_lora_apply` runs forms
+    the low-rank corrections of all of them as one stacked product
+    (`lora_deltas_data`), on either pass, and each adapter takes its own
+    slice of the parts."""
 
     __slots__ = ("layers", "x", "rows", "_parts")
 
-    def __init__(self, layers: tuple[GatedLoraLinear, ...], x, rows: np.ndarray):
+    def __init__(self, layers: tuple[GatedLoraLinear, ...], x, rows):
         self.layers, self.x, self.rows, self._parts = layers, x, rows, None
 
     def parts(self, layer: GatedLoraLinear) -> tuple:
         """`layer`'s (scaled correction at `rows`, x[..., rows, :], product
-        with A), as `lora_delta` takes them. Handed out once: the put
-        overwrites the correction."""
+        with A), as `lora_delta` takes them; handed out once."""
         if self._parts is None:
             x = self.x.data if isinstance(self.x, Tensor) else self.x
             d, xr, h = lora_deltas_data(
@@ -287,7 +306,7 @@ def gated_lora_apply(
     layer: GatedLoraLinear,
     x: Tensor | np.ndarray,
     gate: np.ndarray,
-    rows: np.ndarray | None = None,
+    rows=None,
     residual: Tensor | np.ndarray | None = None,
     shared: SharedInput | None = None,
 ) -> Tensor | np.ndarray:
@@ -295,12 +314,12 @@ def gated_lora_apply(
     plus residual_t when a residual is given.
 
     x and the residual are Tensors, run through the autodiff ops, or plain
-    arrays, run through their array helpers (`ArrayOps`). `rows` are the
-    gate's 1-rows when the caller has checked the gate already (`forward`
-    does, once per pass); otherwise the gate is checked here. The
-    correction comes from `shared`, a group that holds `layer`, x and rows,
-    or else from a stack of one; either slice has the bytes of the
-    adapter's own chain. Gate-0 rows are returned untouched (no add of a
+    arrays, run through their array helpers (`ArrayOps`). `rows` index the
+    gate's 1-rows, a slice or row numbers, when the caller has checked the
+    gate already (`forward` does, once per pass); otherwise the gate is
+    checked here. The correction comes from `shared`, a group that holds
+    `layer`, x and rows, or else from a stack of one; either slice has the
+    bytes of the adapter's own chain. Gate-0 rows are returned untouched (no add of a
     zero), so they are bit-identical to the plain frozen linear.
     """
     if rows is None:
@@ -309,7 +328,7 @@ def gated_lora_apply(
         rows = np.flatnonzero(gate)
     ops = tensor if isinstance(x, Tensor) else ArrayOps
     base = ops.linear(x, layer.W)
-    if layer.A is None or not rows.size:
+    if layer.A is None or not row_count(rows, x.shape[-2]):
         return base if residual is None else ops.add(residual, base)
     parts = None if shared is None else shared.parts(layer)
     return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual, parts)
@@ -324,15 +343,71 @@ def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Ten
     return masked_softmax_data(scores, allowed)
 
 
-def _attends_ahead(allowed: np.ndarray) -> bool:
-    """Whether some row of a (T, T) `allowed` admits a key after itself.
-    Row i's later keys are one run of the flattened matrix, from just past
-    its diagonal to the end of its row. `reduceat` ORs each run and each
-    span between two runs; [::2] keeps the runs. O(T) memory."""
-    t_len = allowed.shape[0]
-    rows = np.arange(t_len - 1)
-    runs = np.stack([rows * (t_len + 1) + 1, (rows + 1) * t_len], axis=1).ravel()
-    return bool(np.logical_or.reduceat(allowed.ravel(), runs)[::2].any())
+class Streams(NamedTuple):
+    """The attention that `forward` derives from a layout's (T,) anchors.
+
+    The first n_reg rows are the regular stream: each sees the regular
+    rows up to itself (`causal`, (n_reg, n_reg)). The M rows after them
+    are mask blocks of `block` rows; each mask row scores against the
+    n_reg regular keys and then its own block's keys, and `mask_allowed`
+    (M, n_reg + block) admits the regular keys up to its anchor and the
+    block's keys up to itself.
+
+    A layout with no mask rows, or one block that extends the last regular
+    row (a linear layout), sees the lower triangle of all T rows: it runs
+    as one causal stream over them, `causal` is (T, T) and mask_allowed
+    None."""
+
+    n_reg: int
+    block: int
+    causal: np.ndarray
+    mask_allowed: np.ndarray | None
+
+
+def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
+    """The two streams of a layout, from O(T) checks of its anchor array:
+    the regular rows (NO_ANCHOR) form a prefix, every anchor is a regular
+    row, and the mask rows form runs of one length, each with one anchor."""
+    anchor = np.asarray(block_anchor)
+    if anchor.shape != (t_len,):
+        raise NumericsError(f"block_anchor must hold one anchor per row: shape {anchor.shape} for {t_len} rows")
+    masked = anchor != NO_ANCHOR
+    n_reg = t_len - int(np.count_nonzero(masked))
+    if np.count_nonzero(masked[:n_reg]):
+        raise NumericsError("a mask row comes before a regular row: regular rows must come first")
+    if n_reg == t_len:
+        return Streams(n_reg, 0, np.tri(n_reg, dtype=bool), None)
+    mask = anchor[n_reg:]
+    # A negative anchor wraps past every row count as an unsigned integer.
+    if np.count_nonzero(mask.astype(np.uint64, copy=False) >= n_reg):
+        raise NumericsError("every block anchor must be a regular row")
+    # The block length is the first run's; every other run ends at a
+    # multiple of it.
+    ends = mask[1:] != mask[:-1]
+    runs = int(np.count_nonzero(ends)) + 1
+    block = int(ends.argmax()) + 1 if runs > 1 else mask.size
+    if mask.size != runs * block or np.count_nonzero(ends[block - 1 :: block]) != runs - 1:
+        raise NumericsError("ragged mask blocks: each block must be one run of rows with one anchor, all of one length")
+    if runs == 1 and mask[0] == n_reg - 1:
+        return Streams(n_reg, block, np.tri(t_len, dtype=bool), None)
+    # Row a of the triangle admits the keys up to a: the regular keys up to
+    # each anchor, and the block's keys up to each row's place in its block.
+    causal = np.tri(n_reg, dtype=bool)
+    allowed = np.empty((mask.size, n_reg + block), dtype=bool)
+    allowed[:, :n_reg] = causal.take(mask, axis=0)
+    allowed[:, n_reg:].reshape(runs, block, block)[...] = np.tri(block, dtype=bool)
+    return Streams(n_reg, block, causal, allowed)
+
+
+def _adapter_rows(gate: np.ndarray, n_reg: int):
+    """The checked gate's 1-rows as an index: the slice of the mask rows
+    when the gate is the layout's own, every row when it is all 1 (the
+    ungated ablation), else the rows' numbers."""
+    if not gate[:n_reg].any() and gate[n_reg:].all():
+        return slice(n_reg, None)
+    if gate.all():
+        return slice(0, None)
+    return np.flatnonzero(gate)
 
 
 class ForwardResult(NamedTuple):
@@ -344,16 +419,18 @@ def forward(
     model: ModelBundle,
     tokens,
     position_ids,
-    attention_allowed: np.ndarray,
+    block_anchor,
     gate,
 ) -> ForwardResult:
-    """One pass over an arbitrary token/position/attention layout.
+    """One pass over a layout of batching.py's form: regular rows first,
+    then mask blocks, described by their (T,) anchors (NO_ANCHOR on
+    regular rows). Visibility follows from the anchors (`layout_streams`);
+    keys outside it get exactly zero attention weight. The gate picks the
+    rows that run the adapters, independently of the anchors.
 
-    tokens are (T,), or (B, T) for B sequences sharing the layout.
-    attention_allowed[i, j] == 1 admits key j for query i; it must be
-    lower-triangular with a full diagonal. Excluded keys get exactly zero
-    attention weight. With no active tape the pass runs on plain arrays,
-    with the same result. An empty layout is an error.
+    tokens are (T,), or (B, T) for B sequences sharing the layout. With no
+    active tape the pass runs on plain arrays, with the same result. An
+    empty layout is an error.
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -362,13 +439,7 @@ def forward(
     t_len = tokens.shape[-1]
     if tokens.size == 0:
         raise NumericsError(f"empty layout: tokens of shape {tokens.shape} give no rows")
-    allowed = np.asarray(attention_allowed).astype(bool, copy=False)
-    if allowed.shape != (t_len, t_len):
-        raise NumericsError("attention_allowed must be T x T")
-    if _attends_ahead(allowed):
-        raise NumericsError("attention to future rows is not allowed")
-    if not allowed.diagonal().all():
-        raise NumericsError("every row must attend to itself")
+    streams = layout_streams(block_anchor, t_len)
     if position_ids.shape != (t_len,):
         raise NumericsError("position_ids must hold one position per row")
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
@@ -376,10 +447,10 @@ def forward(
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
     _check_gate(gate, t_len)
-    rows = np.flatnonzero(gate)
+    rows = _adapter_rows(gate, streams.n_reg)
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, allowed, gate, rows)
+        return _pass(ops, model, tokens, position_ids, streams, gate, rows)
 
     def fast():
         if active_tape() is None:
@@ -389,21 +460,20 @@ def forward(
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, gate, rows) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
-    their array helpers (`ArrayOps`); `rows` are the checked gate's 1-rows.
-    Every adapter goes through this module's `gated_lora_apply`, and every
-    softmax through its `masked_softmax_rows`, looked up at call time on
-    both paths; each picks the op matching its input. Returns (hidden,
-    logits) as the namespace's values."""
+    their array helpers (`ArrayOps`); `rows` index the checked gate's
+    1-rows. Every adapter goes through this module's `gated_lora_apply`,
+    and every softmax through its `masked_softmax_rows`, looked up at call
+    time on both paths; each picks the op matching its input. Returns
+    (hidden, logits) as the namespace's values."""
     c = model.config
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         qkv = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), h, rows)
         q, k, v = (gated_lora_apply(g, h, gate, rows, shared=qkv) for g in qkv.layers)
-        weights = masked_softmax_rows(ops.attention_scores(q, k, c.n_heads), allowed)
-        heads = ops.attention_context(weights, v)
+        heads = _attention(ops, q, k, v, streams, c.n_heads)
         x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         ff = ops.silu(gated_lora_apply(lw.ff_in, h2, gate, rows))
@@ -411,3 +481,19 @@ def _pass(ops, model, tokens, position_ids, allowed, gate, rows) -> tuple:
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     return hidden, ops.linear(hidden, model.unembed)
+
+
+def _attention(ops, q, k, v, streams: Streams, n_heads: int):
+    """Both streams' attention over all T rows of q, k and v. The regular
+    stream is the causal attention of the first n_reg rows (of all rows
+    when the layout is causal). The mask stream scores each block against
+    the regular keys and its own keys, and its context is joined under the
+    regular rows'."""
+    n = streams.n_reg
+    if streams.mask_allowed is None:
+        return ops.attention_context(masked_softmax_rows(ops.attention_scores(q, k, n_heads), streams.causal), v)
+    qr, kr, vr = (ops.first_rows(t, n) for t in (q, k, v))
+    regular = ops.attention_context(masked_softmax_rows(ops.attention_scores(qr, kr, n_heads), streams.causal), vr)
+    scores = ops.mask_attention_scores(q, k, n_heads, n, streams.block)
+    mask = ops.mask_attention_context(masked_softmax_rows(scores, streams.mask_allowed), v)
+    return ops.concat_rows([regular, mask])

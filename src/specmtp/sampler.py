@@ -14,12 +14,14 @@ same bytes as the batched head over the same rows. So decoding makes no
 Tensors.
 
 Sampler table. The head sees the previous token only through its
-embedding row, so `sampler_chain` runs the head once per step over every
-(position, previous token) pair and reads its k picks off the resulting
-(k, V) argmax table, starting from the seed token; it does not run k
-one-row passes, each waiting for the last pick. The table scans the logits
-of every cell once, so a non-finite logit in any cell, on the chain or
-off it, raises `NumericsError` naming the op that overflowed.
+embedding row, so `sampler_chain` runs the head once per step, over the
+seed token's pair with the first position and every (position, previous
+token) pair of the other k - 1 positions: 1 + (k - 1) V rows
+(`sampler_logits` with a seed token). It reads its k picks off that
+table, starting from the seed token; it does not run k one-row passes,
+each waiting for the last pick. The table scans the logits of every row once, so a non-finite logit
+in any row, on the chain or off it, raises `NumericsError` naming the op
+that overflowed.
 """
 
 from __future__ import annotations
@@ -93,30 +95,42 @@ def sampler_logits_rows(
 
 
 def sampler_logits(
-    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_tokens, zs
+    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_tokens, zs, seed_token: int | None = None
 ) -> Tensor:
     """Logits for every pair of a hidden row in zs (..., d), a Tensor or a
     plain array, and a previous token id in prev_tokens (an id or an array
-    of ids): shape zs.shape[:-1] + shape(prev_tokens) + (V,). The pairs run
-    as the rows [E[prev] | z] of one (n_z * n_p, 2d) array, z-major, so the
-    result has the bytes of `sampler_logits_rows` over those rows. Not
-    differentiable; training uses sampler_logits_rows."""
+    of ids): shape zs.shape[:-1] + shape(prev_tokens) + (V,). With a
+    `seed_token`, zs (k, d) are a chain's rows: the first pairs with the
+    seed token alone and every other with each id, 1 + (k - 1) n_p pairs
+    of shape (1 + (k - 1) n_p, V). The pairs run as the rows [E[prev] | z]
+    of one array, z-major, so the result has the bytes of
+    `sampler_logits_rows` over those rows. Not differentiable; training
+    uses sampler_logits_rows."""
     prev = np.asarray(prev_tokens, dtype=np.int64)
     emb = embeddings.data
     outside = (prev < 0) | (prev >= emb.shape[0])
     if outside.any():
         raise ValueError(f"prev_token {prev[outside].flat[0]} outside the vocabulary")
+    if seed_token is not None and not 0 <= seed_token < emb.shape[0]:
+        raise ValueError(f"seed_token {seed_token} outside the vocabulary")
     zd = zs.data if isinstance(zs, Tensor) else np.asarray(zs)
-    d, n_p = zd.shape[-1], prev.size
+    d = zd.shape[-1]
+    lead = 0 if seed_token is None else 1  # the seed's one pair comes first
+    rows = zd.reshape(-1, d)[lead:]  # the rows paired with every id
 
     def run():
-        x = np.empty((zd.size // d, n_p, emb.shape[1] + d), dtype=np.result_type(emb, zd))
-        x[..., :-d] = emb.take(prev.ravel(), axis=0)
-        x[..., -d:] = zd.reshape(-1, 1, d)
-        return ArrayOps.linear(sampler_features(head, x.reshape(-1, x.shape[-1]), ArrayOps), unembed)
+        width = emb.shape[1] + d
+        x = np.empty((lead + rows.shape[0] * prev.size, width), dtype=np.result_type(emb, zd))
+        if lead:
+            x[0, :-d], x[0, -d:] = emb[seed_token], zd[0]
+        pairs = x[lead:].reshape(rows.shape[0], prev.size, width)
+        pairs[..., :-d] = emb.take(prev.ravel(), axis=0)
+        pairs[..., -d:] = rows[:, None]
+        return ArrayOps.linear(sampler_features(head, x, ArrayOps), unembed)
 
     logits = scanned_once(run, run)
-    return _out(logits.reshape(zd.shape[:-1] + prev.shape + logits.shape[-1:]))
+    shape = logits.shape[:1] if lead else zd.shape[:-1] + prev.shape
+    return _out(logits.reshape(shape + logits.shape[-1:]))
 
 
 def sampler_chain(
@@ -125,21 +139,18 @@ def sampler_chain(
     """Greedy left-to-right pick: each step conditions on the previous pick.
 
     zs holds one hidden row per position: Tensors, or the rows of one
-    array. One head run gives the picks for every (position, previous
-    token) pair; the chain looks its picks up from seed_token. Ties break
-    to the lowest token id (np.argmax convention).
+    array. One head run (`sampler_logits` with the seed token) gives the
+    first pick, from the seed token, and the picks for every (position,
+    previous token) pair after it; the chain looks its picks up. Ties
+    break to the lowest token id (np.argmax convention).
     """
     if len(zs) == 0:
         raise ValueError("sampler_chain needs at least one hidden state")
     vocab = embeddings.data.shape[0]
-    if not 0 <= seed_token < vocab:
-        raise ValueError(f"seed_token {seed_token} outside the vocabulary")
     if not isinstance(zs, np.ndarray):
         zs = np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in zs])
-    table = sampler_logits(head, unembed, embeddings, np.arange(vocab), zs).data.argmax(axis=-1)
-    out: list[int] = []
-    prev = seed_token
-    for picks in table:
-        prev = int(picks[prev])
-        out.append(prev)
+    picks = sampler_logits(head, unembed, embeddings, np.arange(vocab), zs, seed_token=seed_token).data.argmax(axis=-1)
+    out = [int(picks[0])]
+    for j in range(1, len(zs)):
+        out.append(int(picks[1 + (j - 1) * vocab + out[-1]]))
     return out

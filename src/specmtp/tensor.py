@@ -50,32 +50,37 @@ over an op namespace: the autodiff ops when a tape is active, `ArrayOps`
 (the helpers under the ops' names) when none is. So its taped and untaped
 runs give the same bytes by construction.
 
-Three fused ops record one tape entry where a chain of elementary ops
+Five fused ops record one tape entry where a chain of elementary ops
 would record several: `lora_delta` (a gated adapter's rank-r correction,
 for take_rows -> matmul -> matmul -> scale -> row_scatter_add, and
 optionally the residual add after it), `attention_scores` (the heads'
-scaled q k^T, for reshape/transpose x2 -> matmul -> scale) and
+scaled q k^T, for reshape/transpose x2 -> matmul -> scale),
 `attention_context` (weights times values, for reshape/transpose ->
-matmul -> transpose -> reshape). The masked softmax between the two
-attention ops stays `masked_softmax_rows`. Each fused op runs its
-chain's array helpers in order and its backward applies the chain's
-backward expressions in reverse, so values and gradients are byte-equal
-to the chain's. The chains, in the tests, are their oracle.
+matmul -> transpose -> reshape), and the mask stream's
+`mask_attention_scores` and `mask_attention_context` (each a product
+over the regular rows and a batched product over the mask blocks, with
+the slices, reshapes and the concat or add that join them). The masked
+softmax between a scores op and its context op stays
+`masked_softmax_rows`. Each fused op runs its chain's array helpers in
+order and its backward applies the chain's backward expressions in
+reverse, so values and gradients are byte-equal to the chain's. The
+chains, in the tests, are their oracle.
 Every adapter correction, taped or not, comes from one stacked product
 (`lora_deltas_data`) over the adapters that read one input, a stack of
-one for an adapter alone: the rows gathered once, the factors stacked
-per call, one batched matmul per side whose slices have each adapter's
-own bytes (a concatenated (in, n r) product would not), and the product
-scaled in place. `lora_delta` puts d + base[rows] into a copy of base
-(`lora_put_data`), the chain's sums, since IEEE addition commutes.
+one for an adapter alone: the rows read once (a view for a slice of
+rows), the factors stacked per call, one batched matmul per side whose
+slices have each adapter's own bytes (a concatenated (in, n r) product
+would not), and the product scaled in place. `lora_delta` adds d into
+base's rows of a copy of base (`lora_put_data`), the chain's own sums;
+on arrays it adds into base itself, which the pass made for it.
 
-The attention steps over (..., H, T, T) cells (the scores, the masked
-softmax and its backward) each allocate one float array of that size, and
-do their other steps in place on it, never in an input; the scores scan
-adds one boolean array. An in-place step is the same IEEE operation on
-the same values, so the bytes do not change.
-`attention_scores` scales its product in place and scans it once, under
-the name `matmul`, the only step of its chain that can overflow.
+The attention steps over their (..., H, rows, keys) cells (the scores,
+the masked softmax and its backward) each allocate one float array of
+that size, and do their other steps in place on it, never in an input;
+the scores scan adds one boolean array. An in-place step is the same IEEE
+operation on the same values, so the bytes do not change. Each scores op
+scales its product in place and scans it once, under the name `matmul`,
+the only step of its chain that can overflow.
 """
 
 from __future__ import annotations
@@ -524,16 +529,17 @@ def _softmax_core(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     size of xd; the max shift, exp and division run in place on it, the same
     operations on the same values as out-of-place."""
     x = _exclude(xd, allowed)
-    x -= x.max(axis=-1, keepdims=True)
+    # The ufunc reductions that .max and .sum call, without their wrappers.
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
 
 
 def _softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p * (g - (p * g).sum(-1)) in one new array, leaving g and p as they are."""
     d = p * g
-    s = d.sum(axis=-1, keepdims=True)
+    s = np.add.reduce(d, axis=-1, keepdims=True)
     np.subtract(g, s, out=d)
     d *= p
     return d
@@ -599,30 +605,35 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def lora_put_data(base: np.ndarray, rows: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A copy of base (..., T, out) holding d + base[..., rows, :] at its
-    unique `rows`, for d (..., R, out), which is overwritten. These are the
-    sums of row_scatter_add's fancy in-place add (IEEE addition commutes),
-    formed with a `take` and an add in place, and an overflow is named as
-    that step's."""
-    if base.ndim < 2 or d.shape != base.shape[:-2] + (rows.size, base.shape[-1]):
+def row_count(rows, t_len: int) -> int:
+    """How many of t_len rows a row index picks: a slice, or an array of
+    unique row numbers."""
+    return len(range(t_len)[rows]) if isinstance(rows, slice) else int(np.size(rows))
+
+
+def lora_put_data(base: np.ndarray, rows, d: np.ndarray, own_base: bool = False) -> np.ndarray:
+    """base (..., T, out) plus d (..., R, out) at its `rows` (a slice or
+    unique row numbers): row_scatter_add's fancy in-place add, into a copy
+    of base, or into base itself when the caller owns it (`own_base`), and
+    an overflow is named as that step's."""
+    if base.ndim < 2 or d.shape != base.shape[:-2] + (row_count(rows, base.shape[-2]), base.shape[-1]):
         raise NumericsError("row_scatter_add shape mismatch")
-    d += base.take(rows, axis=-2)
-    out = base.copy()
-    out[..., rows, :] = d
+    out = base if own_base else base.copy()
+    out[..., rows, :] += d
     return _finite(out, "row_scatter_add")
 
 
 def lora_deltas_data(
-    xd: np.ndarray, ads: list, bds: list, rows: np.ndarray, c: float
+    xd: np.ndarray, ads: list, bds: list, rows, c: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scaled corrections ((xd[..., rows, :] @ ad) @ bd) * c of n
     adapters that read one input xd (..., T, in), as one (n, ..., R, out)
-    array from two batched products: the rows are gathered once, and the
-    factors, each shared by every leading index, are stacked per call (a
-    stack of one is a view). A batched product runs each slice as the 2-D
-    product alone, so slice i has adapter i's own bytes (tested); a
-    concatenated (in, n r) product would not. Each step names its overflow.
+    array from two batched products: the rows (a slice, read as a view, or
+    unique row numbers, gathered) are read once, and the factors, each
+    shared by every leading index, are stacked per call (a stack of one is
+    a view). A batched product runs each slice as the 2-D product alone, so
+    slice i has adapter i's own bytes (tested); a concatenated (in, n r)
+    product would not. Each step names its overflow.
     Returns (corrections, xd[..., rows, :], the (n, ..., R, r) products
     with A), the last two for the backward."""
     a, b = (ads[0][None], bds[0][None]) if len(ads) == 1 else (np.array(ads), np.array(bds))
@@ -631,7 +642,7 @@ def lora_deltas_data(
     if xd.ndim > 2:  # one factor per adapter, shared by every leading index
         lead = (1,) * (xd.ndim - 2)
         a, b = a.reshape(a.shape[:1] + lead + a.shape[1:]), b.reshape(b.shape[:1] + lead + b.shape[1:])
-    xr = xd.take(rows, axis=-2)
+    xr = xd[..., rows, :]
     h = _finite(xr @ a, "matmul")
     d = _finite(h @ b, "matmul")
     d *= float(c)
@@ -643,22 +654,23 @@ def lora_delta(
     x: Tensor,
     a: Tensor,
     b: Tensor,
-    rows: np.ndarray,
+    rows,
     c: float,
     residual: Tensor | None = None,
     parts: tuple | None = None,
 ) -> Tensor:
     """The chain take_rows -> matmul -> matmul -> scale -> row_scatter_add
     as one op; with a `residual`, its trailing add(residual, .) too.
-    `parts` are this adapter's slice of `lora_deltas_data`'s output for a
-    group that holds it, whose correction the put overwrites; with none, a
-    stack of one forms them."""
-    rows = np.asarray(rows, dtype=np.int64)
+    `rows` are a slice or unique row numbers. `parts` are this adapter's
+    slice of `lora_deltas_data`'s output for a group that holds it; with
+    none, a stack of one forms them."""
     xd = x.data
     if xd.ndim < 2 or base.data.shape[:-1] != xd.shape[:-1]:
         raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.data.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
-        raise NumericsError("lora_delta row index out of range")
+    if not isinstance(rows, slice):
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
+            raise NumericsError("lora_delta row index out of range")
     c = float(c)
     if parts is None:
         d, xr, h = lora_deltas_data(xd, [a.data], [b.data], rows, c)
@@ -672,7 +684,7 @@ def lora_delta(
     out = _out(y)
 
     def bw(g, rows=rows, xr=xr, h=h, ad=a.data, bd=b.data, shape=xd.shape, dtype=xd.dtype):
-        gd = g.take(rows, axis=-2) * c
+        gd = g[..., rows, :] * c
         gh = gd @ bd.swapaxes(-1, -2)
         gxr = gh @ ad.swapaxes(-1, -2)
         gx = np.zeros(shape, dtype=dtype)
@@ -762,6 +774,129 @@ def attention_context(p: Tensor, v: Tensor) -> Tensor:
     return _record(out, (p, v), bw)
 
 
+def first_rows(x: Tensor, n: int) -> Tensor:
+    """The first n rows x[..., :n, :] (a view); backward puts g into zeros,
+    as take_rows of those rows does."""
+    out = _out(x.data[..., :n, :])
+
+    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
+        gx = np.zeros(shape, dtype=dtype)
+        gx[..., :n, :] += g
+        return (gx,)
+
+    return _record(out, (x,), bw)
+
+
+def _blocks(xd: np.ndarray, block: int) -> np.ndarray:
+    """(..., M, c) -> (..., M / block, block, c): the rows in runs of `block`."""
+    return xd.reshape(xd.shape[:-2] + (xd.shape[-2] // block, block, xd.shape[-1]))
+
+
+def mask_attention_scores_data(
+    qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask stream's scores. Rows after the first n_reg of (..., T, D)
+    queries and keys are mask blocks of `block` rows each; every mask query
+    scores against the n_reg regular keys, then against the `block` keys of
+    its own block: (..., H, M, n_reg + block) for M = T - n_reg, scaled by
+    1 / sqrt(d_h), from one product over the regular keys and one batched
+    (nb, block, block) product over the blocks. Returns (scores, mask
+    queries (..., H, M, d_h), every key (..., H, d_h, T)), the last two for
+    the backward."""
+    t_len = qd.shape[-2] if qd.ndim >= 2 else 0
+    m = t_len - n_reg
+    ok = n_heads >= 1 and qd.ndim >= 2 and kd.shape == qd.shape and not qd.shape[-1] % n_heads
+    if not ok or n_reg < 1 or block < 1 or m < block or m % block:
+        raise NumericsError(
+            f"mask_attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads, "
+            f"{n_reg} regular rows and blocks of {block}"
+        )
+    q = _heads(qd[..., n_reg:, :], n_heads)
+    kt = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
+    s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
+    np.matmul(q, kt[..., :n_reg], out=s[..., :n_reg])
+    np.matmul(_blocks(q, block), _key_blocks(kt, n_reg, block), out=_blocks(s[..., n_reg:], block))
+    s *= 1.0 / math.sqrt(q.shape[-1])
+    return _scan(s, "matmul"), q, kt
+
+
+def _key_blocks(kt: np.ndarray, n_reg: int, block: int) -> np.ndarray:
+    """The block keys of kt (..., H, d_h, T) as a (..., H, nb, d_h, block) view."""
+    kb = kt[..., n_reg:]
+    return kb.reshape(kb.shape[:-1] + (kb.shape[-1] // block, block)).swapaxes(-3, -2)
+
+
+def mask_attention_scores(q: Tensor, k: Tensor, n_heads: int, n_reg: int, block: int) -> Tensor:
+    """Tensor form of `mask_attention_scores_data`: the chain take_rows,
+    reshape/transpose, the two products, concat_cols and scale as one op."""
+    s, qh, kt = mask_attention_scores_data(q.data, k.data, n_heads, n_reg, block)
+    out = _out(s)
+    c = 1.0 / math.sqrt(qh.shape[-1])
+
+    def bw(g, qh=qh, kt=kt, shape=q.data.shape, dtype=q.data.dtype):
+        gs = g * c
+        gr, gb = gs[..., :n_reg], _blocks(gs[..., n_reg:], block)
+        kb = _key_blocks(kt, n_reg, block)
+        gq = gr @ kt[..., :n_reg].swapaxes(-1, -2)
+        gq += (gb @ kb.swapaxes(-1, -2)).reshape(gq.shape)
+        gkr = (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
+        gkb = (_blocks(qh, block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2).reshape(qh.shape)
+        m_shape = shape[:-2] + (shape[-2] - n_reg, shape[-1])
+        gqx, gkx = np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
+        gqx[..., n_reg:, :] += _join_heads(gq, m_shape)
+        gkx[..., :n_reg, :] += _join_heads(gkr, shape[:-2] + (n_reg, shape[-1]))
+        gkx[..., n_reg:, :] += _join_heads(gkb, m_shape)
+        return gqx, gkx
+
+    return _record(out, (q, k), bw)
+
+
+def mask_attention_context_data(pd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask stream's context: weights pd (..., H, M, n + k), as
+    `mask_attention_scores_data` lays them out, times the values vd (..., T,
+    D) of T = n + M rows split into H heads: the n regular values by one
+    product, each block's k values by one batched (nb, k, k) product, the
+    two added, the heads joined to (..., M, D). Returns (output, every value
+    (..., H, T, d_h)), the last for the backward."""
+    n_heads, m = (pd.shape[-3], pd.shape[-2]) if pd.ndim >= 3 else (0, 0)
+    n = vd.shape[-2] - m if vd.ndim >= 2 else 0
+    block = pd.shape[-1] - n
+    ok = vd.ndim >= 2 and pd.ndim == vd.ndim + 1 and pd.shape[:-3] == vd.shape[:-2] and n_heads >= 1
+    if not ok or n < 1 or block < 1 or m % block or vd.shape[-1] % n_heads:
+        raise NumericsError(f"mask_attention_context shape mismatch {pd.shape} x {vd.shape}")
+    vh = _heads(vd, n_heads)
+    out = _finite(pd[..., :n] @ vh[..., :n, :], "matmul")
+    by_block = _finite(_blocks(pd[..., n:], block) @ _blocks(vh[..., n:, :], block), "matmul")
+    out += by_block.reshape(out.shape)
+    return _join_heads(_finite(out, "add"), vd.shape[:-2] + (m, vd.shape[-1])), vh
+
+
+def mask_attention_context(p: Tensor, v: Tensor) -> Tensor:
+    """Tensor form of `mask_attention_context_data`: the chain of column
+    and row slices, reshape/transpose, the two products, add and
+    transpose/reshape as one op."""
+    y, vh = mask_attention_context_data(p.data, v.data)
+    out = _out(y)
+
+    def bw(g, pd=p.data, vh=vh, shape=v.data.shape, dtype=v.data.dtype):
+        m = g.shape[-2]
+        n, block = shape[-2] - m, pd.shape[-1] - (shape[-2] - m)
+        vr, vb = vh[..., :n, :], _blocks(vh[..., n:, :], block)
+        go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
+        gob = _blocks(go, block)
+        gp = np.zeros(pd.shape, dtype=dtype)
+        gp[..., :n] += go @ vr.swapaxes(-1, -2)
+        _blocks(gp[..., n:], block)[...] += gob @ vb.swapaxes(-1, -2)
+        gvr = pd[..., :n].swapaxes(-1, -2) @ go
+        gvb = (_blocks(pd[..., n:], block).swapaxes(-1, -2) @ gob).reshape(go.shape)
+        gv = np.zeros(shape, dtype=dtype)
+        gv[..., :n, :] += _join_heads(gvr, shape[:-2] + (n, shape[-1]))
+        gv[..., n:, :] += _join_heads(gvb, g.shape)
+        return gp, gv
+
+    return _record(out, (p, v), bw)
+
+
 class ArrayOps:
     """The array helpers under their ops' names, for a pass written once
     over an op namespace and run with no tape. Activations are plain arrays;
@@ -769,7 +904,7 @@ class ArrayOps:
     output array. So the untaped pass runs each op's own forward math, and
     gives the taped pass's bytes. `Tensor` leaves an input a plain array.
     `lora_delta` takes the parts and the fallback of the autodiff op, and
-    only puts the correction in."""
+    only adds the correction in, into its own `base`."""
 
     Tensor = staticmethod(np.asarray)
     add = staticmethod(add_data)
@@ -779,11 +914,15 @@ class ArrayOps:
     layer_norm = staticmethod(lambda x, gain, bias: layer_norm_data(x, gain.data, bias.data)[0])
     attention_scores = staticmethod(lambda q, k, n_heads: attention_scores_data(q, k, n_heads)[0])
     attention_context = staticmethod(lambda p, v: attention_context_data(p, v)[0])
+    first_rows = staticmethod(lambda x, n: x[..., :n, :])
+    mask_attention_scores = staticmethod(lambda q, k, *shape: mask_attention_scores_data(q, k, *shape)[0])
+    mask_attention_context = staticmethod(lambda p, v: mask_attention_context_data(p, v)[0])
+    concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=-2))
 
     @staticmethod
     def lora_delta(base, x, a, b, rows, c, residual=None, parts=None):
         d = lora_deltas_data(x, [a.data], [b.data], rows, c)[0][0] if parts is None else parts[0]
-        y = lora_put_data(base, rows, d)
+        y = lora_put_data(base, rows, d, own_base=True)  # base is the caller's fresh linear output
         return y if residual is None else add_data(residual, y)
 
 
@@ -803,13 +942,14 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
-    out = _out(np.concatenate([p.data for p in parts], axis=0))
-    heights = [p.data.shape[0] for p in parts]
+    """Join (..., T_i, d) parts along their row axis."""
+    out = _out(np.concatenate([p.data for p in parts], axis=-2))
+    heights = [p.data.shape[-2] for p in parts]
 
     def bw(g, heights=heights):
         pieces, i = [], 0
         for h in heights:
-            pieces.append(g[i : i + h].copy())
+            pieces.append(g[..., i : i + h, :].copy())
             i += h
         return tuple(pieces)
 

@@ -131,6 +131,12 @@ class CorpusSpec:
             raise ValueError("corpus task 'file' needs a path")
         if self.size < 1 or self.period < 1:
             raise ValueError("corpus size and period must be >= 1")
+        if self.seq_len < 1:
+            raise ValueError(f"corpus seq_len (--seq-len) must be >= 1, got {self.seq_len}")
+        if not self.alphabet:
+            raise ValueError("corpus alphabet (--alphabet) must not be empty")
+        if self.digits < 1:
+            raise ValueError(f"corpus digits (--digits) must be >= 1, got {self.digits}")
 
     def charset(self) -> str:
         if self.task == "pattern":
@@ -330,7 +336,7 @@ class TrainResult:
 
 def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool):
     gate = batch.gate if gated else np.ones(batch.size, dtype=np.int8)
-    return forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
 
 
 def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:

@@ -4,16 +4,19 @@ per-sequence training loop that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
-`silu_data`'s `np.maximum` replaces, and the per-adapter correction that
-`lora_deltas_data`'s stacked product replaces. Each
-is its replacement's oracle: values and gradients must match it byte for
-byte. The elementary ops that only these chains and the tests use are
-written here too, on the engine's helpers and tape."""
+`silu_data`'s `np.maximum` replaces, the per-adapter correction that
+`lora_deltas_data`'s stacked product replaces, and the two-stream
+attention written with elementary ops. Each is its replacement's oracle:
+values and gradients must match it byte for byte. The visibility rule's
+(T, T) matrix, which `forward` no longer builds, is the oracle of the
+streams it derives. The elementary ops that only these chains and the
+tests use are written here too, on the engine's helpers and tape."""
 
 import numpy as np
 from conftest import run_batch
 
 from specmtp import tensor as tz
+from specmtp.batching import NO_ANCHOR
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward
 from specmtp.sampler import sampler_features
@@ -115,6 +118,91 @@ def attention_chain(q, k, v, allowed, n_heads):
     return context_chain(tz.masked_softmax_rows(scores_chain(q, k, n_heads), allowed), v)
 
 
+def cols(x, lo, hi):
+    """The columns x[..., lo:hi] as a copy; backward adds g into zeros."""
+    out = _out(x.data[..., lo:hi].copy())
+
+    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
+        gx = np.zeros(shape, dtype=dtype)
+        gx[..., lo:hi] += g
+        return (gx,)
+
+    return _record(out, (x,), bw)
+
+
+def mask_scores_chain(q, k, n_heads, n_reg, block):
+    """mask_attention_scores over (T, D) q and k as take_rows, reshape/
+    transpose, a product with the regular keys, a batched product with each
+    block's keys, concat_cols and scale."""
+    t_len, d = q.shape
+    m, dh = t_len - n_reg, d // n_heads
+    blocks = (n_heads, m // block, block, dh)
+    qh = _split_heads(tz.take_rows(q, np.arange(n_reg, t_len)), n_heads, (1, 0, 2))
+    kr = _split_heads(tz.take_rows(k, np.arange(n_reg)), n_heads, (1, 2, 0))
+    kb = transpose(reshape(_split_heads(tz.take_rows(k, np.arange(n_reg, t_len)), n_heads, (1, 0, 2)), blocks), (0, 1, 3, 2))
+    by_block = reshape(matmul(reshape(qh, blocks), kb), (n_heads, m, block))
+    return tz.scale(tz.concat_cols([matmul(qh, kr), by_block]), 1.0 / np.sqrt(dh))
+
+
+def mask_context_chain(p, v):
+    """mask_attention_context over (H, M, n + k) weights and (T, D) values
+    as take_rows, reshape/transpose, column slices, the two products, add
+    and transpose/reshape."""
+    n_heads, m, width = p.shape
+    t_len, d = v.shape
+    n = t_len - m
+    block, dh = width - n, d // n_heads
+    blocks = (n_heads, m // block, block)
+    vr = _split_heads(tz.take_rows(v, np.arange(n)), n_heads, (1, 0, 2))
+    vb = reshape(_split_heads(tz.take_rows(v, np.arange(n, t_len)), n_heads, (1, 0, 2)), blocks + (dh,))
+    ctx = tz.add(
+        matmul(cols(p, 0, n), vr),
+        reshape(matmul(reshape(cols(p, n, width), blocks + (block,)), vb), (n_heads, m, dh)),
+    )
+    return reshape(transpose(ctx, (1, 0, 2)), (m, d))
+
+
+def two_stream_attention_chain(q, k, v, streams, n_heads):
+    """The attention of `model._attention` over (T, D) q, k, v, as
+    elementary ops: the causal attention of the regular rows, then each
+    mask block scored against the regular keys and its own keys, one
+    softmax over both, and the context from the two products added."""
+    if streams.mask_allowed is None:  # a causal layout: one stream
+        return attention_chain(q, k, v, streams.causal, n_heads)
+    reg = np.arange(streams.n_reg)
+    regular = attention_chain(*(tz.take_rows(t, reg) for t in (q, k, v)), streams.causal, n_heads)
+    scores = mask_scores_chain(q, k, n_heads, streams.n_reg, streams.block)
+    mask = mask_context_chain(tz.masked_softmax_rows(scores, streams.mask_allowed), v)
+    return tz.concat_rows([regular, mask])
+
+
+def visibility_rule(block_anchor):
+    """batching.py's visibility rule as a (T, T) matrix: allowed[i, j] iff
+    row i sees row j. A regular row (NO_ANCHOR) sees the regular rows up to
+    itself; a mask row sees the regular rows up to its anchor and the rows
+    of its block (a run of rows with one anchor) up to itself."""
+    anchor = np.asarray(block_anchor)
+    rows = np.arange(anchor.size)
+    regular = anchor == NO_ANCHOR
+    reach = np.where(regular, rows, anchor)
+    run = np.cumsum(np.r_[True, anchor[1:] != anchor[:-1]]) if anchor.size else rows
+    own_block = ~regular[:, None] & (run[:, None] == run[None, :]) & (rows[None, :] <= rows[:, None])
+    return (regular[None, :] & (rows[None, :] <= reach[:, None])) | own_block
+
+
+def streams_matrix(streams, t_len):
+    """The (T, T) visibility that `layout_streams`' output describes."""
+    if streams.mask_allowed is None:
+        return streams.causal.copy()
+    n, blk = streams.n_reg, streams.block
+    allowed = np.zeros((t_len, t_len), dtype=bool)
+    allowed[:n, :n] = streams.causal
+    allowed[n:, :n] = streams.mask_allowed[:, :n]
+    for lo in range(n, t_len, blk):
+        allowed[lo : lo + blk, lo : lo + blk] = streams.mask_allowed[lo - n : lo - n + blk, n:]
+    return allowed
+
+
 def silu_where(xd):
     """silu_data with its sigmoid numerator from np.where(x >= 0, 1.0, e)."""
     e = np.exp(-np.abs(xd))
@@ -165,7 +253,7 @@ def per_sequence_step(model, sampler, batches, picks, config):
         for si in picks:
             batch = batches[si]
             gate = batch.gate if config.gated else np.ones(batch.size, dtype=np.int8)
-            out = forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+            out = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
             )

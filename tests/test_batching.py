@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from chains import streams_matrix, visibility_rule
 from conftest import run_batch
 
 from specmtp.batching import (
@@ -12,40 +13,41 @@ from specmtp.batching import (
     causal_rows,
     _layout,
 )
-from specmtp.model import ModelConfig, forward, init_model
+from specmtp.model import ModelConfig, forward, init_model, layout_streams
 from specmtp.tensor import IGNORE_ID, precision
 
 MASKS2 = np.array([5, 6])
 
 
 def allowed_set(batch, row):
-    return set(np.flatnonzero(batch.attention_allowed[row]).tolist())
+    return set(np.flatnonzero(visibility_rule(batch.block_anchor)[row]).tolist())
 
 
 def test_training_batch_frozen_example():
     # seq [a, b, c] = [0, 1, 2], all loss flags on, two masks.
+    # Regular rows a, b, c first, then the blocks anchored at a and b.
     batch = build_training_batch([0, 1, 2], [1, 1, 1], MASKS2)
-    assert batch.tokens.tolist() == [0, 5, 6, 1, 5, 6, 2]
-    assert batch.position_ids.tolist() == [0, 1, 2, 1, 2, 3, 2]
+    assert batch.tokens.tolist() == [0, 1, 2, 5, 6, 5, 6]
+    assert batch.position_ids.tolist() == [0, 1, 2, 1, 2, 2, 3]
     assert batch.base_labels.tolist() == [1, 2, IGNORE_ID, 2, IGNORE_ID, IGNORE_ID, IGNORE_ID]
-    assert batch.gate.tolist() == [0, 1, 1, 0, 1, 1, 0]
-    assert batch.block_anchor.tolist() == [NO_ANCHOR, 0, 0, NO_ANCHOR, 3, 3, NO_ANCHOR]
-    assert batch.prev_token.tolist() == [0, 1, 2, 1, 2, -1, 2]
-    assert batch.lcm_pairs == [(1, 3)]
+    assert batch.gate.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, NO_ANCHOR, 0, 0, 1, 1]
+    assert batch.prev_token.tolist() == [0, 1, 2, 1, 2, 2, -1]
+    assert batch.lcm_pairs == [(3, 1)]
     assert allowed_set(batch, 0) == {0}
     assert allowed_set(batch, 1) == {0, 1}
     assert allowed_set(batch, 2) == {0, 1, 2}
     assert allowed_set(batch, 3) == {0, 3}
     assert allowed_set(batch, 4) == {0, 3, 4}
-    assert allowed_set(batch, 5) == {0, 3, 4, 5}
-    assert allowed_set(batch, 6) == {0, 3, 6}
+    assert allowed_set(batch, 5) == {0, 1, 5}
+    assert allowed_set(batch, 6) == {0, 1, 5, 6}
 
 
 def test_training_batch_no_flags_is_plain_causal():
     batch = build_training_batch([3, 1, 4, 1], [0, 0, 0, 0], MASKS2)
     plain = causal_rows([3, 1, 4, 1])
     assert batch.tokens.tolist() == plain.tokens.tolist()
-    assert np.array_equal(batch.attention_allowed, plain.attention_allowed)
+    assert np.array_equal(batch.block_anchor, plain.block_anchor)
     assert np.all(batch.base_labels == IGNORE_ID)
     assert np.all(batch.gate == 0)
 
@@ -83,7 +85,7 @@ def test_linear_input_cold_step():
     assert batch.gate.tolist() == [0, 0, 1, 1, 1]
     assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, 1, 1, 1]
     tri = np.tril(np.ones((5, 5), dtype=bool))
-    assert np.array_equal(batch.attention_allowed, tri)
+    assert np.array_equal(visibility_rule(batch.block_anchor), tri)
 
 
 def test_linear_input_sizes_and_positions():
@@ -100,27 +102,30 @@ def test_linear_input_rejects_excess_speculation():
 
 def test_quadratic_layout_k1():
     batch = build_quadratic_inference_input([1, 2], [3], np.array([5]))
-    assert batch.tokens.tolist() == [1, 2, 5, 3, 5]
+    assert batch.tokens.tolist() == [1, 2, 3, 5, 5]
+    assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, NO_ANCHOR, 1, 2]
     # Pre-block mask and chain block never see each other.
     assert allowed_set(batch, 2) == {0, 1, 2}
     assert allowed_set(batch, 3) == {0, 1, 3}
-    assert allowed_set(batch, 4) == {0, 1, 3, 4}
+    assert allowed_set(batch, 4) == {0, 1, 2, 4}
 
 
 def test_quadratic_layout_k3_frozen_attention():
     verified = [1, 2, 3, 4]
     batch = build_quadratic_inference_input(verified, [7, 8, 9], np.array([10, 11, 12]))
     assert batch.size == 4 + 3 + 3 + 9
-    # The first block (rows 4-6) extends the last verified row; s_1 (row 7)
+    assert batch.tokens.tolist() == [1, 2, 3, 4, 7, 8, 9] + [10, 11, 12] * 4
+    # The first block (rows 7-9) extends the last verified row; s_1 (row 4)
     # never sees it.
-    assert allowed_set(batch, 6) == {0, 1, 2, 3, 4, 5, 6}
-    assert allowed_set(batch, 7) == {0, 1, 2, 3, 7}
-    # Block 2's m_1 (row 12): all verified rows, s_1 (row 7), s_2 (row 11), itself.
-    assert batch.tokens[11:13].tolist() == [8, 10]
-    assert allowed_set(batch, 12) == {0, 1, 2, 3, 7, 11, 12}
+    assert allowed_set(batch, 9) == {0, 1, 2, 3, 7, 8, 9}
+    assert allowed_set(batch, 4) == {0, 1, 2, 3, 4}
+    # Block 2's m_1 (row 10): all verified rows, s_1 (row 4), itself; s_2
+    # (row 5) anchors block 3, whose m_2 (row 14) sees s_1 and s_2.
+    assert allowed_set(batch, 10) == {0, 1, 2, 3, 4, 10}
+    assert allowed_set(batch, 14) == {0, 1, 2, 3, 4, 5, 13, 14}
     # Positions: s_j continues the count; block masks continue their anchor.
     assert batch.position_ids.tolist() == [
-        0, 1, 2, 3, 4, 5, 6, 4, 5, 6, 7, 5, 6, 7, 8, 6, 7, 8, 9
+        0, 1, 2, 3, 4, 5, 6, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 9
     ]
 
 
@@ -129,12 +134,14 @@ def test_quadratic_attention_is_lower_triangular_and_block_isolated():
     batch = build_quadratic_inference_input(
         rng.integers(0, 5, size=6).tolist(), [1, 2, 3], np.array([10, 11, 12])
     )
-    assert not np.triu(batch.attention_allowed, 1).any()
-    assert batch.attention_allowed.diagonal().all()
+    allowed = visibility_rule(batch.block_anchor)
+    assert not np.triu(allowed, 1).any()
+    assert allowed.diagonal().all()
     mask_rows = batch.mtp_rows
     for r in mask_rows:
         others = [m for m in mask_rows if batch.block_anchor[m] != batch.block_anchor[r]]
-        assert not batch.attention_allowed[r, others].any()
+        assert not allowed[r, others].any()
+    assert np.array_equal(streams_matrix(layout_streams(batch.block_anchor, batch.size), batch.size), allowed)
     assert batch.size == 6 + 3 + 9 + 3
 
 
@@ -144,34 +151,36 @@ def test_quadratic_rejects_wrong_speculation_length():
 
 
 def _check_visibility(batch):
-    """Walk the rows and check the visibility rule with plain sets."""
-    regular_seen: list[int] = []
-    anchor, block = None, []
+    """Walk the rows and check the visibility rule with plain sets: the
+    regular rows first, then runs of mask rows, one run per anchor."""
+    n_reg = int((batch.gate == 0).sum())
+    block: list[int] = []
     for r in range(batch.size):
         seen = allowed_set(batch, r)
         assert max(seen) == r  # sees itself, never a later row
-        if batch.gate[r] == 0:
-            assert seen == set(regular_seen) | {r}
-            assert batch.position_ids[r] == len(regular_seen)
+        if r < n_reg:
+            assert batch.gate[r] == 0
+            assert seen == set(range(r + 1))
+            assert batch.position_ids[r] == r
             assert batch.block_anchor[r] == NO_ANCHOR
-            regular_seen.append(r)
-            anchor, block = r, []
-        else:
-            block.append(r)
-            assert seen == set(regular_seen) | set(block)
-            assert batch.block_anchor[r] == anchor
-            assert batch.position_ids[r] == batch.position_ids[anchor] + len(block)
+            continue
+        anchor = int(batch.block_anchor[r])
+        assert batch.gate[r] == 1 and 0 <= anchor < n_reg
+        if not block or batch.block_anchor[block[-1]] != anchor:
+            block = []
+        block.append(r)
+        assert seen == set(range(anchor + 1)) | set(block)
+        assert batch.position_ids[r] == anchor + len(block)
 
 
 def _check_training_rows(batch, seq, flags, mask_block):
     """Walk one sequence's training rows and check tokens, labels, previous
     tokens and lcm_pairs against the rule of `build_training_stack`."""
     n, k = len(seq), len(mask_block)
-    expect_tokens, rows = [], {}  # rows[(i, j)]: row of m_j after x_i; j = 0 is x_i
-    for i in range(1, n + 1):
-        rows[(i, 0)] = len(expect_tokens)
-        expect_tokens.append(seq[i - 1])
-        if flags[i - 1] == 1 and i < n:
+    expect_tokens = list(seq)
+    rows = {(i, 0): i - 1 for i in range(1, n + 1)}  # rows[(i, j)]: row of m_j after x_i; j = 0 is x_i
+    for i in range(1, n):
+        if flags[i - 1] == 1:
             for j in range(1, k + 1):
                 rows[(i, j)] = len(expect_tokens)
                 expect_tokens.append(mask_block[j - 1])
@@ -185,7 +194,7 @@ def _check_training_rows(batch, seq, flags, mask_block):
     assert batch.base_labels.tolist() == labels
     assert batch.prev_token.tolist() == prev
     pairs = [
-        (r, rows[(i + j, 0)]) for (i, j), r in sorted(rows.items())
+        (r, rows[(i + j, 0)]) for (i, j), r in sorted(rows.items(), key=lambda item: item[1])
         if j > 0 and labels[r] != IGNORE_ID and labels[rows[(i + j, 0)]] != IGNORE_ID
     ]
     assert batch.lcm_pairs == pairs
@@ -219,8 +228,7 @@ def test_random_layouts_follow_the_visibility_rule():
         assert linear.tokens.tolist() == verified + spec + mask_block
         spec = rng.integers(0, 30, size=k).tolist()
         quadratic = build_quadratic_inference_input(verified, spec, masks)
-        chain = [tok for s in spec for tok in [s] + mask_block]
-        assert quadratic.tokens.tolist() == verified + mask_block + chain
+        assert quadratic.tokens.tolist() == verified + spec + mask_block * (k + 1)
         causal = causal_rows(verified + spec)
         assert not causal.gate.any()
         for batch in (linear, quadratic, causal):
@@ -231,16 +239,44 @@ def test_random_layouts_follow_the_visibility_rule():
 
 
 def test_layout_allowed_is_the_lower_triangle_of_the_visibility_rule():
+    # Blocks anchored at any regular rows, in any order: the rule's matrix
+    # is lower-triangular with a full diagonal (regular rows come first),
+    # and the streams that forward derives from the anchors are that matrix.
     rng = np.random.default_rng(17)
-    for t_len in list(range(1, 6)) + [int(n) for n in rng.integers(6, 80, size=40)]:
-        gate = (rng.random(t_len) < 0.6).astype(np.int8)
-        gate[0] = 0
-        regular = gate == 0
-        block = np.cumsum(regular)
-        want = np.tril(regular[None, :] | (block[:, None] == block[None, :]))
-        got = _layout(np.zeros(t_len), gate).attention_allowed
-        assert got.dtype == want.dtype == bool
+    for n in list(range(1, 6)) + [int(n) for n in rng.integers(6, 60, size=40)]:
+        k = int(rng.integers(1, 5))
+        anchors = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        batch = _layout(np.zeros(n), anchors, np.arange(40, 40 + k))
+        want = visibility_rule(batch.block_anchor)
+        assert want.dtype == bool
+        assert not np.triu(want, 1).any() and want.diagonal().all()
+        _check_visibility(batch)
+        got = streams_matrix(layout_streams(batch.block_anchor, batch.size), batch.size)
         assert np.array_equal(got, want)
+
+
+def test_derived_visibility_is_the_rule_on_every_layout_kind():
+    # Training layouts from random loss flags (one sequence and stacks),
+    # linear, quadratic and causal layouts.
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        masks = np.arange(40, 40 + k)
+        n = int(rng.integers(2, 14))
+        flags = rng.integers(0, 2, size=n)
+        verified = rng.integers(0, 30, size=int(rng.integers(1, 10))).tolist()
+        layouts = [
+            build_training_batch(rng.integers(0, 30, size=n), flags, masks),
+            build_training_stack([(rng.integers(0, 30, size=n), flags) for _ in range(3)], masks),
+            build_linear_inference_input(verified, verified[: int(rng.integers(0, k + 1))], masks),
+            build_quadratic_inference_input(verified, rng.integers(0, 30, size=k).tolist(), masks),
+            causal_rows(verified),
+        ]
+        for batch in layouts:
+            streams = layout_streams(batch.block_anchor, batch.size)
+            assert streams.n_reg == int((batch.gate == 0).sum())
+            got = streams_matrix(streams, batch.size)
+            assert np.array_equal(got, visibility_rule(batch.block_anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +313,28 @@ def test_ntp_rows_reproduce_plain_causal_forward():
             assert np.max(np.abs(got - ref)) < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["training", "linear", "quadratic"])
+def test_regular_rows_of_every_layout_match_a_causal_pass(kind):
+    # The regular stream is a causal pass over the regular tokens, but the
+    # row-wise products run over all T rows, so equal to tolerance, not bytes.
+    with precision("float64"):
+        for seed in range(10):
+            model = _random_model_with_adapters(seed + 30)
+            rng = np.random.default_rng(seed)
+            k = model.config.k_masks
+            real = rng.integers(0, model.config.first_mask_id, size=int(rng.integers(2, 14))).tolist()
+            batch = {
+                "training": lambda: build_training_batch(real, np.ones(len(real), dtype=int), model.config.mask_ids),
+                "linear": lambda: build_linear_inference_input(real[:-2], real[-2:], model.config.mask_ids),
+                "quadratic": lambda: build_quadratic_inference_input(real[: len(real) - k], real[-k:], model.config.mask_ids)
+                if len(real) > k else build_quadratic_inference_input(real, real[:k], model.config.mask_ids),
+            }[kind]()
+            rows = batch.ntp_rows
+            got = run_batch(model, batch).logits.data[rows]
+            ref = run_batch(model, causal_rows(batch.tokens[rows])).logits.data
+            assert np.max(np.abs(got - ref)) < 1e-6
+
+
 def test_mask_blocks_reproduce_standalone_prompts():
     with precision("float64"):
         for seed in range(6):
@@ -306,9 +364,8 @@ def test_deleting_a_block_leaves_other_rows_unchanged():
         arow = np.flatnonzero(batch.gate == 0)[1]
         drop = batch.block_rows(arow)
         keep = np.setdiff1d(np.arange(batch.size), drop)
-        sub = batch.attention_allowed[np.ix_(keep, keep)]
         got = forward(
-            model, batch.tokens[keep], batch.position_ids[keep], sub, batch.gate[keep]
+            model, batch.tokens[keep], batch.position_ids[keep], batch.block_anchor[keep], batch.gate[keep]
         ).logits.data
         assert np.max(np.abs(got - full[keep])) < 1e-6
 
@@ -318,7 +375,7 @@ def test_deleting_a_block_leaves_other_rows_unchanged():
 # labels and previous tokens.
 # ---------------------------------------------------------------------------
 
-SHARED_FIELDS = ("position_ids", "gate", "attention_allowed", "block_anchor", "lcm_pairs")
+SHARED_FIELDS = ("position_ids", "gate", "block_anchor", "lcm_pairs")
 
 
 def _assert_stack_is_its_sequences(stack, corpus, mask_ids):

@@ -233,6 +233,42 @@ def test_gen_data_zero_size_or_period_is_usage_error(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--task", "pattern", "--seq-len", "0"], "corpus seq_len (--seq-len) must be >= 1, got 0"),
+        (["--task", "pattern", "--alphabet", ""], "corpus alphabet (--alphabet) must not be empty"),
+        (["--task", "arithmetic", "--digits", "-1"], "corpus digits (--digits) must be >= 1, got -1"),
+        (["--task", "arithmetic", "--digits", "0"], "corpus digits (--digits) must be >= 1, got 0"),
+    ],
+    ids=["seq-len-0", "empty-alphabet", "digits-negative", "digits-0"],
+)
+def test_gen_data_bad_corpus_field_is_usage_error_naming_its_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "corpus.json"
+    assert main(["gen-data", *argv, "--size", "2", "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ("task = pattern\nseq_len = 0", "corpus seq_len (--seq-len) must be >= 1, got 0"),
+        ("task = file\npath = {short}\nseq_len = 8", "file shorter than one window"),
+    ],
+    ids=["seq-len-0", "file-shorter-than-seq-len"],
+)
+def test_train_checks_its_corpus_before_making_the_run_directory(tmp_path, capsys, corpus, message):
+    short = tmp_path / "short.txt"
+    short.write_text("abc", encoding="utf-8")
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"[corpus]\n{corpus.format(short=short)}\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run_dir), "--quiet"]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_train_run_dir_and_reproducible_metrics(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)

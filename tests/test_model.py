@@ -2,10 +2,11 @@ import contextlib
 
 import numpy as np
 import pytest
-from chains import attention_chain, lora_chain
+from chains import lora_chain, two_stream_attention_chain
 from conftest import run_batch
 
 from specmtp.batching import (
+    NO_ANCHOR,
     build_linear_inference_input,
     build_quadratic_inference_input,
     build_training_batch,
@@ -18,10 +19,12 @@ from specmtp.model import (
     LORA_ALPHA_OVER_RANK,
     ModelConfig,
     SharedInput,
+    _adapter_rows,
     _check_gate,
     forward,
     gated_lora_apply,
     init_model,
+    layout_streams,
 )
 from specmtp.sampler import init_sampler
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
@@ -114,7 +117,7 @@ def test_zero_init_adapters_do_not_change_logits():
     batch = causal_rows(tokens)
     base = run_batch(model, batch).logits.data
     for gate in ([1, 1, 1, 1], [0, 1, 0, 1]):
-        got = forward(model, tokens, batch.position_ids, batch.attention_allowed, gate)
+        got = forward(model, tokens, batch.position_ids, batch.block_anchor, gate)
         assert np.array_equal(got.logits.data, base)
 
 
@@ -195,7 +198,7 @@ def test_gate_invariance_bitwise_vs_rank_zero():
 
 def test_single_token_prompt_shapes():
     model = make_model()
-    out = forward(model, [1], [0], np.ones((1, 1), dtype=bool), [0])
+    out = forward(model, [1], [0], [NO_ANCHOR], [0])
     assert out.logits.data.shape == (1, CFG["vocab_size"])
     p = np.exp(out.logits.data[0] - out.logits.data[0].max())
     assert abs(p.sum() / p.sum() - 1.0) < 1e-6
@@ -203,76 +206,112 @@ def test_single_token_prompt_shapes():
 
 def test_forward_rejects_bad_layouts():
     model = make_model()
-    ok = np.ones((2, 2), dtype=bool)
-    with pytest.raises(NumericsError):
-        forward(model, [1, 2], [0, 600], ok, [0, 0])  # position beyond table
-    with pytest.raises(NumericsError):
-        forward(model, [1, 2], [0, 1], np.triu(np.ones((2, 2), dtype=bool)), [0, 0])
-    no_diag = np.tril(np.ones((2, 2), dtype=bool))
-    no_diag[1, 1] = False
-    with pytest.raises(NumericsError):
-        forward(model, [1, 2], [0, 1], no_diag, [0, 0])
+    regular = [NO_ANCHOR, NO_ANCHOR]
+    with pytest.raises(NumericsError, match="^position id exceeds max_position$"):
+        forward(model, [1, 2], [0, 600], regular, [0, 0])
+    with pytest.raises(NumericsError, match="^token id out of range$"):
+        forward(model, [1, CFG["vocab_size"]], [0, 1], regular, [0, 0])
 
 
 @pytest.mark.parametrize("taped", [False, True])
 def test_forward_rejects_an_empty_layout(taped):
     model = make_model()
-    causal3 = np.tril(np.ones((3, 3), dtype=bool))
+    causal3 = [NO_ANCHOR] * 3
     with Tape() if taped else contextlib.nullcontext():
         with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0,\) give no rows$"):
-            forward(model, [], [], np.zeros((0, 0), dtype=bool), [])
+            forward(model, [], [], [], [])
         with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0, 3\) give no rows$"):
             forward(model, np.zeros((0, 3), dtype=np.int64), [0, 1, 2], causal3, [0, 0, 0])
         with pytest.raises(NumericsError, match="^position_ids must hold one position per row$"):
             forward(model, [1, 2, 3], [], causal3, [0, 0, 0])
 
 
-def _quadratic_allowed(model):
-    """A 22-row quadratic layout's attention: causal with holes."""
-    batch = build_quadratic_inference_input([1, 2, 3, 4, 5, 6, 7], [8, 9, 10], model.config.mask_ids)
-    return batch, batch.attention_allowed.copy()
+def _quadratic_layout(model):
+    """A 22-row quadratic layout: 10 regular rows, then 4 blocks of 3."""
+    return build_quadratic_inference_input([1, 2, 3, 4, 5, 6, 7], [8, 9, 10], model.config.mask_ids)
 
 
 # Rows of the 22-row layout: the first, a middle one and the last with a
-# later row to attend to; the later key is the next row or the last.
+# later row to attend to; the later key is the next row or the last. An
+# anchor array says that row i attends to row j > i only by anchoring
+# row i at row j: row 0 then becomes a mask row ahead of the regular rows,
+# and a mask row's anchor a mask row.
 AHEAD = {"first-next": (0, 1), "first-last": (0, 21), "middle": (11, 12), "last": (20, 21)}
+AHEAD_ERRORS = {
+    "first-next": "^a mask row comes before a regular row: regular rows must come first$",
+    "first-last": "^a mask row comes before a regular row: regular rows must come first$",
+    "middle": "^every block anchor must be a regular row$",
+    "last": "^every block anchor must be a regular row$",
+}
 
 
 @pytest.mark.parametrize("taped", [False, True])
 @pytest.mark.parametrize("cell", sorted(AHEAD))
 def test_forward_rejects_attention_to_a_later_row(cell, taped):
     model = make_model()
-    batch, allowed = _quadratic_allowed(model)
-    allowed[AHEAD[cell]] = True
+    batch = _quadratic_layout(model)
+    row, key = AHEAD[cell]
+    anchors = batch.block_anchor.copy()
+    anchors[row] = key
     with Tape() if taped else contextlib.nullcontext():
-        with pytest.raises(NumericsError, match="^attention to future rows is not allowed$"):
-            forward(model, batch.tokens, batch.position_ids, allowed, batch.gate)
+        with pytest.raises(NumericsError, match=AHEAD_ERRORS[cell]):
+            forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+
+
+RAGGED = "^ragged mask blocks: each block must be one run of rows with one anchor, all of one length$"
+
+
+def _bad_anchors(model):
+    """Anchor arrays of the 22-row quadratic layout that break each of
+    forward's layout checks."""
+    anchors = _quadratic_layout(model).block_anchor
+    mask_first = np.concatenate([anchors[-3:], anchors[:-3]])
+    not_regular = anchors.copy()
+    not_regular[13:16] = 12
+    negative = anchors.copy()
+    negative[19:] = -2
+    ragged = anchors.copy()
+    ragged[13] = 6  # the first block gains a row, the second loses one
+    split = anchors.copy()
+    split[11] = 5  # block 3 is no longer one run
+    return {
+        "mask-row-first": (mask_first, "^a mask row comes before a regular row: regular rows must come first$"),
+        "anchor-on-a-mask-row": (not_regular, "^every block anchor must be a regular row$"),
+        "anchor-below-zero": (negative, "^every block anchor must be a regular row$"),
+        "ragged-block": (ragged, RAGGED),
+        "block-in-two-runs": (split, RAGGED),
+        "short-anchor-array": (anchors[:-1], r"^block_anchor must hold one anchor per row: shape \(21,\) for 22 rows$"),
+        "long-anchor-array": (np.append(anchors, 6), r"^block_anchor must hold one anchor per row: shape \(23,\) for 22 rows$"),
+        "anchor-matrix": (np.tri(22, dtype=bool), r"^block_anchor must hold one anchor per row: shape \(22, 22\) for 22 rows$"),
+    }
+
+
+BAD_ANCHORS = sorted(_bad_anchors(make_model()))
 
 
 @pytest.mark.parametrize("taped", [False, True])
-@pytest.mark.parametrize("row", [0, 11, 21])
-def test_forward_rejects_a_row_that_does_not_attend_to_itself(row, taped):
+@pytest.mark.parametrize("case", BAD_ANCHORS)
+def test_forward_rejects_a_bad_anchor_array(case, taped):
+    # The O(T) layout checks: regular rows form a prefix, every anchor is a
+    # regular row, every block is one run of the same length, one anchor a row.
     model = make_model()
-    batch, allowed = _quadratic_allowed(model)
-    allowed[row, row] = False
+    batch = _quadratic_layout(model)
+    anchors, message = _bad_anchors(model)[case]
     with Tape() if taped else contextlib.nullcontext():
-        with pytest.raises(NumericsError, match="^every row must attend to itself$"):
-            forward(model, batch.tokens, batch.position_ids, allowed, batch.gate)
+        with pytest.raises(NumericsError, match=message):
+            forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
 
 
 def test_padded_tail_permutation_is_invisible():
     # Rows never attended by anyone else can hold any token without
-    # changing the attended rows' outputs.
+    # changing the attended rows' outputs: two one-row blocks, anchored at
+    # rows 2 and 1, see only the regular rows and themselves.
     model = make_model(rank=4, seed=4)
     randomize_adapters(model)
-    tokens = np.array([1, 2, 3, 9, 10])
-    allowed = np.zeros((5, 5), dtype=bool)
-    allowed[np.tril_indices(3)] = True
-    allowed[3, 3] = allowed[4, 4] = True
+    anchors = [NO_ANCHOR] * 3 + [2, 1]
     gate = np.zeros(5, dtype=int)
-    a = forward(model, tokens, [0, 1, 2, 3, 4], allowed, gate).logits.data[:3]
-    tokens2 = np.array([1, 2, 3, 10, 9])
-    b = forward(model, tokens2, [0, 1, 2, 3, 4], allowed, gate).logits.data[:3]
+    a = forward(model, [1, 2, 3, 9, 10], [0, 1, 2, 3, 2], anchors, gate).logits.data[:3]
+    b = forward(model, [1, 2, 3, 10, 9], [0, 1, 2, 3, 2], anchors, gate).logits.data[:3]
     assert np.array_equal(a, b)
 
 
@@ -381,7 +420,8 @@ def test_both_passes_call_the_module_masked_softmax_rows(monkeypatch):
         calls.clear()
         with Tape() if taped else contextlib.nullcontext():
             run_batch(model, batch)
-        layer = ["gated_lora_apply"] * 3 + ["masked_softmax_rows"] + ["gated_lora_apply"] * 3
+        # One softmax per stream: the regular rows', then the mask blocks'.
+        layer = ["gated_lora_apply"] * 3 + ["masked_softmax_rows"] * 2 + ["gated_lora_apply"] * 3
         assert calls == [(name, taped) for name in layer * CFG["n_layers"]]
 
 
@@ -392,7 +432,7 @@ def test_both_passes_call_the_module_masked_softmax_rows(monkeypatch):
 def test_untaped_forward_rejects_bad_gate_like_taped(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
-    args = (model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
     with pytest.raises(NumericsError, match=message):
         forward(*args)
     with Tape(), pytest.raises(NumericsError, match=message):
@@ -441,7 +481,7 @@ def test_untaped_forward_names_the_overflowing_op(weight, op):
     params = dict(model.named_params())
     params[weight].data = params[weight].data * np.float32(3e37)
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
-    args = (model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match=f"produced by {op}$"):
             forward(*args)
@@ -478,7 +518,7 @@ def chain_forward(model, batch, gate=None):
     for lw in model.layers:
         h = tz.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         q, k, v = (chain_lora(g, h, gate) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        heads = attention_chain(q, k, v, batch.attention_allowed, c.n_heads)
+        heads = two_stream_attention_chain(q, k, v, layout_streams(batch.block_anchor, batch.size), c.n_heads)
         x = tz.add(x, chain_lora(lw.attn_o, heads, gate))
         h2 = tz.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         x = tz.add(x, chain_lora(lw.ff_out, tz.silu(chain_lora(lw.ff_in, h2, gate)), gate))
@@ -529,16 +569,61 @@ def test_taped_forward_is_bytewise_its_elementary_chain(dtype):
         assert any(g.any() for g in b_grads)
 
 
+GATE_INDEXES = {
+    # The layout's own gate runs its mask rows as a slice, the ungated
+    # ablation every row as a slice, any other gate its row numbers.
+    "layout": (lambda batch, rng: batch.gate, slice),
+    "ungated": (lambda batch, rng: np.ones(batch.size, dtype=np.int8), slice),
+    "random": (lambda batch, rng: np.r_[1, rng.integers(0, 2, size=batch.size - 1)].astype(np.int8), np.ndarray),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("kind", sorted(GATE_INDEXES))
+def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
+    make_gate, index_type = GATE_INDEXES[kind]
+    with precision(dtype):
+        model = make_model(rank=4, seed=12)
+        randomize_adapters(model, seed=12)
+        sampler = init_sampler(CFG["d_model"], 12)
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            batch = random_layout("training", rng, model.config.mask_ids)
+            gate = make_gate(batch, rng)
+            streams = layout_streams(batch.block_anchor, batch.size)
+            assert isinstance(_adapter_rows(gate, streams.n_reg), index_type)
+            runs = [
+                taped_training_pass(model, sampler, batch, run)
+                for run in (
+                    lambda: forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate),
+                    lambda: chain_forward(model, batch, gate),
+                )
+            ]
+            (f_hidden, f_logits, f_grads, _), (c_hidden, c_logits, c_grads, _) = runs
+            assert f_hidden.tobytes() == c_hidden.tobytes() and f_logits.tobytes() == c_logits.tobytes()
+            for name, got in f_grads.items():
+                want = c_grads[name]
+                assert (got is None) == (want is None), name
+                assert got is None or got.tobytes() == want.tobytes(), name
+
+
 def test_training_forward_records_one_entry_per_fused_op():
     # The embedding (table concat, lookup, position add), then 2 layers of:
     # 2 layer norms, 6 adapters (a linear plus a lora_delta each, the
-    # residual adds inside the attn.o and ff.out deltas), attention scores,
-    # softmax and context, and silu; then the final norm and the unembedding.
+    # residual adds inside the attn.o and ff.out deltas), the regular
+    # stream's first rows of q, k and v, scores, softmax and context, the
+    # mask stream's scores, softmax and context, the join of the two, and
+    # silu; then the final norm and the unembedding. A causal layout with
+    # its gate off has no lora_delta (each residual is an add of its own)
+    # and no mask stream: its attention is 3 entries.
     model = make_model(rank=4, seed=9)
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
     with Tape() as tape:
         run_batch(model, batch)
-    assert len(tape) == 3 + 2 * (2 + 6 * 2 + 3 + 1) + 2
+    assert len(tape) == 3 + 2 * (2 + 6 * 2 + 10 + 1) + 2
+    with Tape() as tape:
+        run_batch(model, causal_rows([1, 2, 3, 4, 5]))
+    assert len(tape) == 3 + 2 * (2 + 6 + 2 + 3 + 1) + 2
 
 
 @pytest.mark.parametrize(
@@ -549,7 +634,7 @@ def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
     with Tape(), pytest.raises(NumericsError, match=message):
-        forward(model, batch.tokens, batch.position_ids, batch.attention_allowed, gate)
+        forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
     with Tape(), pytest.raises(NumericsError, match=message):
         chain_forward(model, batch, gate)
     with Tape(), pytest.raises(NumericsError, match=message):
@@ -599,4 +684,4 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
     for batch in (stack, stack.select(0)):
         with Tape() as tape:
             run_batch(model, batch)
-        assert len(tape) == 3 + 2 * (2 + 6 * 2 + 3 + 1) + 2
+        assert len(tape) == 3 + 2 * (2 + 6 * 2 + 10 + 1) + 2

@@ -153,6 +153,19 @@ def taped_rows(head, model, prev_ids, z_rows):
         return sampler_logits_rows(head, model.unembed, model.embedding_table(), prev_ids, Tensor(z_rows)).data
 
 
+def chain_pairs(seed_token, zs, vocab):
+    """The (previous token, hidden row) pairs of a chain's table, in order:
+    the seed with the first row, then every token with each other row."""
+    prev_ids = np.concatenate([[seed_token], np.tile(np.arange(vocab), len(zs) - 1)])
+    return prev_ids, np.concatenate([zs[:1], np.repeat(zs[1:], vocab, axis=0)])
+
+
+def chain_table(head, model, seed_token, zs):
+    """The logits `sampler_chain` reads its picks from."""
+    emb = model.embedding_table()
+    return sampler_logits(head, model.unembed, emb, np.arange(CFG.vocab_size), zs, seed_token=seed_token).data
+
+
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_table_is_bytewise_the_taped_rows(dtype):
     # Every (hidden row, previous token) pair of the table is one row of a
@@ -178,6 +191,12 @@ def test_table_is_bytewise_the_taped_rows(dtype):
             got = sampler_logits(head, model.unembed, emb, 5, zs).data
             assert got.shape == (k, V)
             assert got.tobytes() == taped_rows(head, model, np.full(k, 5), zs).tobytes()
+            # The chain's table: the seed's row at the first position, then
+            # every previous token at each later one.
+            seed_token = int(rng.integers(0, V))
+            got = chain_table(head, model, seed_token, zs)
+            assert got.shape == (1 + (k - 1) * V, V)
+            assert got.tobytes() == taped_rows(head, model, *chain_pairs(seed_token, zs, V)).tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -190,15 +209,14 @@ def test_chain_picks_are_lookups_in_the_taped_table(dtype):
         for _ in range(30):
             k = int(rng.integers(1, 5))
             zs = draw_zs(rng, k, dtype)
-            table = taped_rows(head, model, np.tile(np.arange(V), k), np.repeat(zs, V, axis=0))
-            picks = table.reshape(k, V, V).argmax(axis=-1)
-            varied += sum(len(set(row)) > 1 for row in picks)
             prev = int(rng.integers(0, V))
+            table = taped_rows(head, model, *chain_pairs(prev, zs, V)).argmax(axis=-1)
+            picks = table[1:].reshape(k - 1, V)
+            varied += sum(len(set(row)) > 1 for row in picks)
             got = sampler_chain(head, model.unembed, emb, prev, zs)
-            expect = []
-            for j in range(k):
-                prev = int(picks[j, prev])
-                expect.append(prev)
+            expect = [int(table[0])]
+            for j in range(k - 1):
+                expect.append(int(picks[j, expect[-1]]))
             assert got == expect
         # The lookups matter: at these positions the pick depends on the
         # previous token.
@@ -227,13 +245,13 @@ def test_chain_equals_the_serial_chain_away_from_near_ties(dtype):
             k = int(rng.integers(1, 5))
             zs = draw_zs(rng, k, dtype)
             seed_token = int(rng.integers(0, V))
-            table = sampler_logits(head, model.unembed, emb, np.arange(V), zs).data
+            table = chain_table(head, model, seed_token, zs)
             serial, rows = serial_sampler_chain(head, model.unembed, emb, seed_token, zs)
             got = sampler_chain(head, model.unembed, emb, seed_token, zs)
             prev = seed_token
             for j, one in enumerate(rows):
                 bound = ROUNDING_ULPS * eps * np.abs(one).max()
-                assert np.abs(table[j, prev] - one).max() <= bound
+                assert np.abs(table[0 if j == 0 else 1 + (j - 1) * V + prev] - one).max() <= bound
                 runner_up, top = np.sort(one)[-2:]
                 if top - runner_up <= 2 * bound:
                     near_ties += 1

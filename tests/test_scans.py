@@ -67,7 +67,7 @@ SUBJECTS = ("untaped", "taped", "sampler_chain")
 def run_subject(subject, model, head, batch, zs):
     if subject == "sampler_chain":
         return np.array(sampler_chain(head, model.unembed, model.embedding_table(), 0, zs))
-    args = (model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate)
+    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
     with Tape() if subject == "taped" else contextlib.nullcontext():
         out = forward(*args)
     return out.logits.data
@@ -184,7 +184,8 @@ def test_a_clean_pass_scans_only_its_scores(monkeypatch):
     for taped in (False, True):
         with Tape() if taped else contextlib.nullcontext():
             run_batch(model, batch)
-    assert scanned == ["matmul"] * (2 * CFG.n_layers)
+    # Per pass and layer, the regular stream's scores and the mask stream's.
+    assert scanned == ["matmul"] * (2 * 2 * CFG.n_layers)
     scanned.clear()
     sampler_chain(head, model.unembed, model.embedding_table(), 0, np.ones((3, CFG.d_model), np.float32))
     assert scanned == []

@@ -8,6 +8,8 @@ from chains import (
     context_chain,
     lora_chain,
     lora_delta_data,
+    mask_context_chain,
+    mask_scores_chain,
     matmul,
     row_scatter_add,
     scores_chain,
@@ -455,10 +457,24 @@ OVERFLOWS = {
     "lora_delta": lambda: tz.lora_delta(_big(2, 2), _big(2, 2), _big(2, 1), _big(1, 2), np.array([1]), 1.0),
     "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1),
     "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2)),
+    # One regular row, then one block of 2 mask rows.
+    "mask_attention_scores": lambda: tz.mask_attention_scores(_big(3, 2), _big(3, 2), 1, 1, 2),
+    "mask_attention_context": lambda: tz.mask_attention_context(_big(1, 2, 3), _big(3, 2)),
+    # Both products finite, their sum not.
+    "mask_attention_context_sum": lambda: tz.mask_attention_context(
+        Tensor(np.full((1, 2, 3), 0.5)), Tensor(np.full((3, 2), 0.9 * BIG))
+    ),
 }
 # A fused op runs its chain's array helpers, so the step that made the
 # value names itself, as it would in the chain.
-FUSED_STEP = {"lora_delta": "matmul", "attention_scores": "matmul", "attention_context": "matmul"}
+FUSED_STEP = {
+    "lora_delta": "matmul",
+    "attention_scores": "matmul",
+    "attention_context": "matmul",
+    "mask_attention_scores": "matmul",
+    "mask_attention_context": "matmul",
+    "mask_attention_context_sum": "add",
+}
 
 
 @pytest.mark.parametrize("op", sorted(OVERFLOWS))
@@ -558,6 +574,9 @@ ROW_SETS = {
     "subset": np.array([1, 2, 4]),
     "all": np.arange(T_ROWS),
     "none": np.array([], dtype=np.int64),
+    # The slices that `forward` passes: a layout's mask rows, or every row.
+    "tail-slice": slice(2, None),
+    "all-slice": slice(0, None),
 }
 
 
@@ -581,7 +600,7 @@ def fused_case(op, case, dtype, seed=12):
             return tz.lora_delta(*t[:4], rows, 2.0, *t[4:])
 
         def chain(*t):
-            return lora_chain(*t[:4], rows, 2.0, *t[4:])
+            return lora_chain(*t[:4], np.arange(T_ROWS)[rows], 2.0, *t[4:])
 
         inputs = [leaf(T_ROWS, 5), leaf(T_ROWS, 4), leaf(4, 3), leaf(3, 5)]
         if residual:
@@ -591,6 +610,18 @@ def fused_case(op, case, dtype, seed=12):
         fused, chain = partial(tz.attention_scores, n_heads=2), partial(scores_chain, n_heads=2)
         inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
         shape = (2, T_ROWS, T_ROWS)
+    elif op == "mask_attention_scores":
+        # 2 regular rows, then 2 blocks of 2 mask rows.
+        shape_args = dict(n_heads=2, n_reg=2, block=2)
+        fused, chain = partial(tz.mask_attention_scores, **shape_args), partial(mask_scores_chain, **shape_args)
+        inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
+        shape = (2, 4, 4)
+    elif op == "mask_attention_context":
+        allowed = np.array([[1, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2, 4, 4))), allowed).data
+        fused, chain = tz.mask_attention_context, mask_context_chain
+        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS, 4)]
+        shape = (4, 4)
     else:
         # Rows of attention weights: a softmax over a random causal mask.
         allowed = random_allowed(rng, T_ROWS)
@@ -605,7 +636,10 @@ FUSED_CASES = [
     pytest.param("lora_delta", (rows, residual), id=f"lora_delta-{rows}" + ("-residual" if residual else ""))
     for rows in sorted(ROW_SETS)
     for residual in (False, True)
-] + [pytest.param(op, None, id=op) for op in ("attention_scores", "attention_context")]
+] + [
+    pytest.param(op, None, id=op)
+    for op in ("attention_scores", "attention_context", "mask_attention_scores", "mask_attention_context")
+]
 
 
 @pytest.mark.parametrize("op, case", FUSED_CASES)

@@ -243,7 +243,7 @@ def test_full_loop_gradient_check_64bit():
 
         def f():
             out = forward(
-                model, batch.tokens, batch.position_ids, batch.attention_allowed, batch.gate
+                model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate
             )
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
