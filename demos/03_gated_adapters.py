@@ -1,8 +1,9 @@
 """The gate guarantee: rows with gate 0 behave exactly like the base model
 no matter what the adapters contain.
 
-Every linear layer computes W x_t and adds the rank-r correction only on
-rows the gate selects. Gate-off rows are returned untouched, so a model
+Every linear layer computes W x_t, and on the rows the gate selects it
+runs the merged weight W + c (A B)^T in place of W. Gate-off rows are
+returned untouched, so a model
 stuffed with arbitrary adapter values is bit-identical to a rank-0 model
 wherever the gate is off. Exits 1 if any printed claim is false."""
 
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 
 from specmtp import ModelConfig, build_training_batch, forward, gated_lora_apply, init_model
-from specmtp.tensor import Tensor
+from specmtp.model import LORA_ALPHA_OVER_RANK
+from specmtp.tensor import Tensor, merge_data
 
 failed = []
 
@@ -42,7 +44,7 @@ same_base = all(
 )
 claim("frozen base tensors identical across ranks", same_base)
 
-# One layer, mixed gate: gate-0 rows untouched, gate-1 rows corrected.
+# One layer, mixed gate: gate-0 rows untouched, gate-1 rows merged.
 lin = adapted.layers[0].attn_q
 x = Tensor(np.random.default_rng(1).normal(size=(4, 16)).astype(np.float32))
 gate = np.array([0, 1, 0, 1])
@@ -50,6 +52,8 @@ out = gated_lora_apply(lin, x, gate)
 base = x.data @ lin.W.data.T
 claim("gate-0 rows bitwise equal to W x", np.array_equal(out.data[[0, 2]], base[[0, 2]]))
 claim("gate-1 rows moved by the adapter", np.abs(out.data[[1, 3]] - base[[1, 3]]).max() > 0)
+merged = merge_data(lin.W.data, lin.A.data, lin.B.data, LORA_ALPHA_OVER_RANK)
+claim("gate-1 rows bitwise equal to (W + c (A B)^T) x", np.array_equal(out.data[[1, 3]], x.data[[1, 3]] @ merged.T))
 
 # Whole model: a masked batch keeps regular rows inside a gate-0 world,
 # so their logits match the rank-0 model exactly.

@@ -18,7 +18,7 @@ from .batching import (
     build_quadratic_inference_input,
     causal_rows,
 )
-from .model import ModelBundle, forward
+from .model import ModelBundle, forward, merge_adapters
 from .sampler import SamplerHead, sampler_chain
 
 STRATEGIES = ("linear", "quadratic")
@@ -122,6 +122,9 @@ def speculative_decode(
         raise ValueError(f"k_eval must be in 1..{cfg.k_masks}")
     mask_ids = cfg.mask_ids[:k_eval]
     verified = _check_prompt(model, prompt)
+    # Every pass of this call reads each adapter's merged weight from one
+    # copy, formed here from the factors as they are now.
+    model = merge_adapters(model)
     speculated: list[int] = []
     stats = AcceptanceStats(generated=0, steps=0)
 

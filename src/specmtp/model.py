@@ -1,9 +1,10 @@
 """Decoder-only transformer with a gated low-rank adapter on every linear.
 
 Rows whose gate is 0 follow the frozen base weights exactly; rows whose
-gate is 1 additionally go through the rank-r adapter path. Keys outside
-a row's visibility get exactly zero attention weight, which is what makes
-the gate-off guarantee bitwise.
+gate is 1 run the merged weight W + c (A B)^T in place of W, LoRA's merge
+(arXiv 2106.09685) kept to the gated rows. Keys outside a row's
+visibility get exactly zero attention weight, which is what makes the
+gate-off guarantee bitwise.
 
 `forward` takes a layout in batching.py's form, regular rows first and
 mask blocks after them, as its (T,) block anchors, and derives the
@@ -27,27 +28,26 @@ op once, on stacked operands, with each sequence's bytes (see tensor.py).
 It checks the layout and the gate once per batch, then runs the pass,
 written once (`_pass`) over an op namespace that the tape picks. Under
 an active `Tape` that is the autodiff ops of `tensor.py` (training, and
-the test oracle): one fused `lora_delta` per adapter and the fused
+the test oracle): one fused `gated_linear` per adapter and the fused
 attention ops. With no tape it is their array helpers (`ArrayOps`): the
 same math in the same order on plain arrays, with only `hidden` and
 `logits` wrapped as Tensors, so both give the same bytes. On both, every
 adapter goes through `gated_lora_apply` and every softmax through
 `masked_softmax_rows`, this module's globals, which run the op matching
-their input; every adapter correction comes from one stacked product
-(`lora_deltas_data`). The gate's 1-rows reach the adapters as a numpy
-index: the slice of the mask rows for a layout's own gate, of every row
-for the ungated ablation, or the row numbers of any other gate. A
-layer's q, k and v read one input, so they share one product
-(`SharedInput`); any other adapter runs a stack of one. Each slice has
-the bytes of the adapter's own chain. Either pass runs with per-op
-finiteness scans off and scans its attention scores and logits; a failed
-scan replays the pass on arrays with per-op scans on to name the op
+their input. The gate's 1-rows reach the adapters as a numpy index: the
+slice of the mask rows for a layout's own gate, of every row for the
+ungated ablation, or the row numbers of any other gate. Each call merges
+the weight from the live factors, except in a decode call, whose passes
+read a copy of the model that carries every merged weight, formed once
+per call (`merge_adapters`). Either pass runs with per-op finiteness
+scans off and scans its attention scores and logits; a failed scan
+replays the pass on arrays with per-op scans on to name the op
 (`scanned_once` in tensor.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -63,9 +63,8 @@ from .tensor import (
     concat_rows,
     default_dtype,
     derive_rng,
-    lora_deltas_data,
     masked_softmax_data,
-    row_count,
+    merge_data,
     scanned_once,
 )
 
@@ -118,12 +117,19 @@ class GatedLoraLinear:
     """Frozen weight W (out, in) plus trainable factors A (in, r), B (r, out).
 
     With rank 0 the factors are absent and the layer is the plain frozen
-    linear for every row.
+    linear for every row. `merged`, the weight W + c (A B)^T (out, in) of
+    the gated rows, is set only on the copy that `merge_adapters` makes
+    for one decode call; elsewhere each call forms it from A and B.
     """
 
     W: Tensor
     A: Tensor | None = None
     B: Tensor | None = None
+    merged: np.ndarray | None = None
+
+
+# The gated linears of a layer, as LayerWeights fields.
+ADAPTERS = ("attn_q", "attn_k", "attn_v", "attn_o", "ff_in", "ff_out")
 
 
 @dataclass
@@ -163,14 +169,8 @@ class ModelBundle:
         """All weight tensors in a stable order (checkpoint order)."""
         out = [("embed.base", self.embed_base), ("embed.mask", self.embed_mask)]
         for i, lw in enumerate(self.layers):
-            for part, g in (
-                ("attn.q", lw.attn_q),
-                ("attn.k", lw.attn_k),
-                ("attn.v", lw.attn_v),
-                ("attn.o", lw.attn_o),
-                ("ff.in", lw.ff_in),
-                ("ff.out", lw.ff_out),
-            ):
+            for name in ADAPTERS:
+                g, part = getattr(lw, name), name.replace("_", ".")
                 out.append((f"layers.{i}.{part}.W", g.W))
                 if g.A is not None:
                     out.append((f"layers.{i}.{part}.A", g.A))
@@ -276,62 +276,45 @@ def _check_gate(gate: np.ndarray, t_len: int) -> None:
         raise NumericsError("gate entries must be 0 or 1")
 
 
-class SharedInput:
-    """Adapters that read one input `x`, with the checked gate's 1-rows
-    `rows`, a slice or row numbers (a layer's q, k and v read its first
-    norm's output). The first of them that `gated_lora_apply` runs forms
-    the low-rank corrections of all of them as one stacked product
-    (`lora_deltas_data`), on either pass, and each adapter takes its own
-    slice of the parts."""
-
-    __slots__ = ("layers", "x", "rows", "_parts")
-
-    def __init__(self, layers: tuple[GatedLoraLinear, ...], x, rows):
-        self.layers, self.x, self.rows, self._parts = layers, x, rows, None
-
-    def parts(self, layer: GatedLoraLinear) -> tuple:
-        """`layer`'s (scaled correction at `rows`, x[..., rows, :], product
-        with A), as `lora_delta` takes them; handed out once."""
-        if self._parts is None:
-            x = self.x.data if isinstance(self.x, Tensor) else self.x
-            d, xr, h = lora_deltas_data(
-                x, [g.A.data for g in self.layers], [g.B.data for g in self.layers],
-                self.rows, LORA_ALPHA_OVER_RANK,
-            )
-            self._parts = {id(g): (d[i], xr, h[i]) for i, g in enumerate(self.layers)}
-        return self._parts.pop(id(layer))
-
-
 def gated_lora_apply(
     layer: GatedLoraLinear,
     x: Tensor | np.ndarray,
-    gate: np.ndarray,
+    gate: np.ndarray | None,
     rows=None,
     residual: Tensor | np.ndarray | None = None,
-    shared: SharedInput | None = None,
 ) -> Tensor | np.ndarray:
-    """Row t gets W x_t, plus the scaled rank-r correction iff gate[t] == 1,
-    plus residual_t when a residual is given.
+    """Row t gets W x_t, or M x_t with the merged weight M = W + c (A B)^T
+    iff gate[t] == 1, plus residual_t when a residual is given.
 
-    x and the residual are Tensors, run through the autodiff ops, or plain
-    arrays, run through their array helpers (`ArrayOps`). `rows` index the
-    gate's 1-rows, a slice or row numbers, when the caller has checked the
-    gate already (`forward` does, once per pass); otherwise the gate is
-    checked here. The correction comes from `shared`, a group that holds
-    `layer`, x and rows, or else from a stack of one; either slice has the
-    bytes of the adapter's own chain. Gate-0 rows are returned untouched (no add of a
-    zero), so they are bit-identical to the plain frozen linear.
+    x and the residual are Tensors, run through the autodiff op, or plain
+    arrays, run through its array helper (`ArrayOps`). A caller that has
+    checked the gate already (`forward` does, once per pass) passes None
+    for it and the 1-rows as `rows`: a slice, row numbers, or None when
+    there are none; otherwise the gate is checked here. M is the layer's
+    own when `merge_adapters` set it, else formed in the call. Gate-0 rows
+    are the plain frozen linear's, bit for bit.
     """
-    if rows is None:
+    if gate is not None:
         gate = np.asarray(gate)
         _check_gate(gate, x.shape[-2])
-        rows = np.flatnonzero(gate)
+        rows = _adapter_rows(gate, 0)
     ops = tensor if isinstance(x, Tensor) else ArrayOps
-    base = ops.linear(x, layer.W)
-    if layer.A is None or not row_count(rows, x.shape[-2]):
+    if layer.A is None or rows is None:
+        base = ops.linear(x, layer.W)
         return base if residual is None else ops.add(residual, base)
-    parts = None if shared is None else shared.parts(layer)
-    return ops.lora_delta(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual, parts)
+    return ops.gated_linear(x, layer.W, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual, layer.merged)
+
+
+def merge_adapters(model: ModelBundle) -> ModelBundle:
+    """A copy of `model` whose gated linears carry their merged weight
+    (`merge_data`), formed once, for the passes of one decode call; every
+    other field is the model's own object. A copy made before the factors
+    change holds a stale weight, so it must not outlive the call."""
+
+    def merged(g: GatedLoraLinear) -> GatedLoraLinear:
+        return g if g.A is None else replace(g, merged=merge_data(g.W.data, g.A.data, g.B.data, LORA_ALPHA_OVER_RANK))
+
+    return replace(model, layers=[replace(lw, **{n: merged(getattr(lw, n)) for n in ADAPTERS}) for lw in model.layers])
 
 
 def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Tensor | np.ndarray:
@@ -402,7 +385,9 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
 def _adapter_rows(gate: np.ndarray, n_reg: int):
     """The checked gate's 1-rows as an index: the slice of the mask rows
     when the gate is the layout's own, every row when it is all 1 (the
-    ungated ablation), else the rows' numbers."""
+    ungated ablation), else the rows' numbers; None when it has none."""
+    if not gate.any():
+        return None
     if not gate[:n_reg].any() and gate[n_reg:].all():
         return slice(n_reg, None)
     if gate.all():
@@ -450,7 +435,7 @@ def forward(
     rows = _adapter_rows(gate, streams.n_reg)
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, streams, gate, rows)
+        return _pass(ops, model, tokens, position_ids, streams, rows)
 
     def fast():
         if active_tape() is None:
@@ -460,24 +445,23 @@ def forward(
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, streams, gate, rows) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, rows) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `rows` index the checked gate's
-    1-rows. Every adapter goes through this module's `gated_lora_apply`,
-    and every softmax through its `masked_softmax_rows`, looked up at call
-    time on both paths; each picks the op matching its input. Returns
-    (hidden, logits) as the namespace's values."""
+    1-rows (None for none). Every adapter goes through this module's
+    `gated_lora_apply`, and every softmax through its `masked_softmax_rows`,
+    looked up at call time on both paths; each picks the op matching its
+    input. Returns (hidden, logits) as the namespace's values."""
     c = model.config
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        qkv = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), h, rows)
-        q, k, v = (gated_lora_apply(g, h, gate, rows, shared=qkv) for g in qkv.layers)
+        q, k, v = (gated_lora_apply(g, h, None, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
         heads = _attention(ops, q, k, v, streams, c.n_heads)
-        x = gated_lora_apply(lw.attn_o, heads, gate, rows, residual=x)
+        x = gated_lora_apply(lw.attn_o, heads, None, rows, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
-        ff = ops.silu(gated_lora_apply(lw.ff_in, h2, gate, rows))
-        x = gated_lora_apply(lw.ff_out, ff, gate, rows, residual=x)
+        ff = ops.silu(gated_lora_apply(lw.ff_in, h2, None, rows))
+        x = gated_lora_apply(lw.ff_out, ff, None, rows, residual=x)
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     return hidden, ops.linear(hidden, model.unembed)

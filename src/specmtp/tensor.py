@@ -32,9 +32,13 @@ and gives the warnings, of a pass checked op by op. A noted error that
 the caller's errstate reports is replayed too, so the caller gets its
 warnings. This is exact because:
 - every other computing op of a pass (matmul and linear, the adds,
-  layer_norm, silu, the LoRA scatter) turns a non-finite input row into a
+  layer_norm, silu, the gated linear) turns a non-finite input row into a
   non-finite output row, all the way to the logits; layer_norm also turns
-  a finite row whose variance overflows into a NaN row;
+  a finite row whose variance overflows into a NaN row. One value reaches
+  no output: the frozen product of a gated linear's 1-rows, which the
+  merged product overwrites. An overflow there alone is noted, so under
+  an errstate that reports it the replay names `linear`, and under one
+  that ignores it the pass returns its finite result;
 - `@` forms every product, so 0 * inf = NaN: a non-finite value row
   reaches every context row, even through attention weights that are
   exactly 0 (tested: a BLAS that skipped zero operands would fail);
@@ -51,12 +55,12 @@ over an op namespace: the autodiff ops when a tape is active, `ArrayOps`
 runs give the same bytes by construction.
 
 Five fused ops record one tape entry where a chain of elementary ops
-would record several: `lora_delta` (a gated adapter's rank-r correction,
-for take_rows -> matmul -> matmul -> scale -> row_scatter_add, and
-optionally the residual add after it), `attention_scores` (the heads'
-scaled q k^T, for reshape/transpose x2 -> matmul -> scale),
-`attention_context` (weights times values, for reshape/transpose ->
-matmul -> transpose -> reshape), and the mask stream's
+would record several: `gated_linear` (a gated adapter: linear over every
+row, the merged weight M = W + (c A B)^T, take_rows -> linear with M ->
+row put into the 1-rows, and optionally the residual add after it),
+`attention_scores` (the heads' scaled q k^T, for reshape/transpose x2 ->
+matmul -> scale), `attention_context` (weights times values, for
+reshape/transpose -> matmul -> transpose -> reshape), and the mask stream's
 `mask_attention_scores` and `mask_attention_context` (each a product
 over the regular rows and a batched product over the mask blocks, with
 the slices, reshapes and the concat or add that join them). The masked
@@ -65,14 +69,15 @@ softmax between a scores op and its context op stays
 order and its backward applies the chain's backward expressions in
 reverse, so values and gradients are byte-equal to the chain's. The
 chains, in the tests, are their oracle.
-Every adapter correction, taped or not, comes from one stacked product
-(`lora_deltas_data`) over the adapters that read one input, a stack of
-one for an adapter alone: the rows read once (a view for a slice of
-rows), the factors stacked per call, one batched matmul per side whose
-slices have each adapter's own bytes (a concatenated (in, n r) product
-would not), and the product scaled in place. `lora_delta` adds d into
-base's rows of a copy of base (`lora_put_data`), the chain's own sums;
-on arrays it adds into base itself, which the pass made for it.
+A gated linear, taped or not, runs `gated_linear_data`: the frozen
+product over every row, so a 0-row keeps the bytes of the plain linear,
+then the 1-rows (a view for a slice of rows) times the merged weight,
+put into that product's own fresh array. M is stored like W, so both
+products are linear's; zero factors give M == W. The merge
+(`merge_data`) runs per call, or once for a decode call, whose copy of
+the model carries M (`model.merge_adapters`). The backward forms M's
+gradient per sequence, and the factors' gradients from it per sequence,
+summed by `_sum_lead`, so a stack keeps the per-sequence bytes.
 
 The attention steps over their (..., H, rows, keys) cells (the scores,
 the masked softmax and its backward) each allocate one float array of
@@ -584,7 +589,10 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     def bw(g, idx=idx, shape=xd.shape, dtype=xd.dtype):
         if idx.ndim < 2:
             gx = np.zeros(shape, dtype=dtype)
-            np.add.at(gx, (..., idx, slice(None)), g)
+            if idx.size < 2 or np.bincount(idx).max() < 2:
+                gx[..., idx, :] += g  # np.add.at's bytes, where no row repeats
+            else:
+                np.add.at(gx, (..., idx, slice(None)), g)
             return (gx,)
         per_seq = idx.reshape(-1, idx.shape[-1])
         n = per_seq.shape[0]
@@ -605,96 +613,76 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 # -----------------------------------------------------------------------------
 
 
-def row_count(rows, t_len: int) -> int:
-    """How many of t_len rows a row index picks: a slice, or an array of
-    unique row numbers."""
-    return len(range(t_len)[rows]) if isinstance(rows, slice) else int(np.size(rows))
+def merge_data(wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, c: float) -> np.ndarray:
+    """The merged gated weight M = W + (c A B)^T of a frozen W (out, in)
+    and factors A (in, r), B (r, out), stored like W, so that x M^T is
+    linear's product (LoRA's merge, arXiv 2106.09685): the chain matmul ->
+    scale -> transpose -> add(W, .), on one new array for the product and
+    one for the sum, each step naming its overflow."""
+    r = ad.shape[-1] if ad.ndim else 0
+    if wd.ndim != 2 or ad.shape != (wd.shape[1], r) or bd.shape != (r, wd.shape[0]):
+        raise NumericsError(f"gated_linear shape mismatch W {wd.shape}, A {ad.shape}, B {bd.shape}")
+    s = _finite(ad @ bd, "matmul")
+    s *= float(c)
+    return _finite(np.add(wd, _finite(s, "scale").T, order="C"), "add")
 
 
-def lora_put_data(base: np.ndarray, rows, d: np.ndarray, own_base: bool = False) -> np.ndarray:
-    """base (..., T, out) plus d (..., R, out) at its `rows` (a slice or
-    unique row numbers): row_scatter_add's fancy in-place add, into a copy
-    of base, or into base itself when the caller owns it (`own_base`), and
-    an overflow is named as that step's."""
-    if base.ndim < 2 or d.shape != base.shape[:-2] + (row_count(rows, base.shape[-2]), base.shape[-1]):
-        raise NumericsError("row_scatter_add shape mismatch")
-    out = base if own_base else base.copy()
-    out[..., rows, :] += d
-    return _finite(out, "row_scatter_add")
-
-
-def lora_deltas_data(
-    xd: np.ndarray, ads: list, bds: list, rows, c: float
+def gated_linear_data(
+    xd: np.ndarray, wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, rows, c: float,
+    residual: np.ndarray | None = None, merged: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scaled corrections ((xd[..., rows, :] @ ad) @ bd) * c of n
-    adapters that read one input xd (..., T, in), as one (n, ..., R, out)
-    array from two batched products: the rows (a slice, read as a view, or
-    unique row numbers, gathered) are read once, and the factors, each
-    shared by every leading index, are stacked per call (a stack of one is
-    a view). A batched product runs each slice as the 2-D product alone, so
-    slice i has adapter i's own bytes (tested); a concatenated (in, n r)
-    product would not. Each step names its overflow.
-    Returns (corrections, xd[..., rows, :], the (n, ..., R, r) products
-    with A), the last two for the backward."""
-    a, b = (ads[0][None], bds[0][None]) if len(ads) == 1 else (np.array(ads), np.array(bds))
-    if xd.ndim < 2 or a.shape[-2] != xd.shape[-1] or b.shape[-2] != a.shape[-1]:
-        raise NumericsError(f"lora_delta shape mismatch {xd.shape} x {a.shape} x {b.shape}")
-    if xd.ndim > 2:  # one factor per adapter, shared by every leading index
-        lead = (1,) * (xd.ndim - 2)
-        a, b = a.reshape(a.shape[:1] + lead + a.shape[1:]), b.reshape(b.shape[:1] + lead + b.shape[1:])
+    """linear(xd, wd) for xd (..., T, in), with its `rows` (a slice, or
+    unique row numbers) replaced by linear(xd[..., rows, :], M), M the
+    merged weight (`merge_data`), or `merged` when the caller formed it
+    already; then the residual added, when one is given. The steps run in
+    the chain's order (linear, the merge, take rows, linear, row put, add),
+    each naming its overflow; the put only moves values. Returns (output,
+    xd[..., rows, :], M), the last two for the backward."""
+    y = linear_data(xd, wd)
+    md = merge_data(wd, ad, bd, c) if merged is None else merged
     xr = xd[..., rows, :]
-    h = _finite(xr @ a, "matmul")
-    d = _finite(h @ b, "matmul")
-    d *= float(c)
-    return _finite(d, "scale"), xr, h
+    y[..., rows, :] = linear_data(xr, md)
+    return (y if residual is None else add_data(residual, y)), xr, md
 
 
-def lora_delta(
-    base: Tensor,
-    x: Tensor,
-    a: Tensor,
-    b: Tensor,
-    rows,
-    c: float,
-    residual: Tensor | None = None,
-    parts: tuple | None = None,
+def gated_linear(
+    x: Tensor, w: Tensor, a: Tensor, b: Tensor, rows, c: float,
+    residual: Tensor | None = None, merged: np.ndarray | None = None,
 ) -> Tensor:
-    """The chain take_rows -> matmul -> matmul -> scale -> row_scatter_add
-    as one op; with a `residual`, its trailing add(residual, .) too.
-    `rows` are a slice or unique row numbers. `parts` are this adapter's
-    slice of `lora_deltas_data`'s output for a group that holds it; with
-    none, a stack of one forms them."""
+    """Tensor form of `gated_linear_data`: the chain linear, the merge
+    (matmul, scale, transpose, add to W), take_rows, linear, row put and,
+    with a `residual`, add(residual, .) as one op. `rows` are a slice or
+    unique row numbers."""
     xd = x.data
-    if xd.ndim < 2 or base.data.shape[:-1] != xd.shape[:-1]:
-        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.data.shape}")
+    if xd.ndim < 2:
+        raise NumericsError(f"gated_linear shape mismatch x {xd.shape} for W {w.data.shape}")
     if not isinstance(rows, slice):
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
-            raise NumericsError("lora_delta row index out of range")
+            raise NumericsError("gated_linear row index out of range")
     c = float(c)
-    if parts is None:
-        d, xr, h = lora_deltas_data(xd, [a.data], [b.data], rows, c)
-        parts = d[0], xr, h[0]
-    d, xr, h = parts
-    y = lora_put_data(base.data, rows, d)
-    inputs = (base, x, a, b)
-    if residual is not None:
-        y = add_data(residual.data, y)
-        inputs += (residual,)
-    out = _out(y)
+    y, xr, md = gated_linear_data(xd, w.data, a.data, b.data, rows, c, getattr(residual, "data", None), merged)
+    inputs = (x, w, a, b) + (() if residual is None else (residual,))
 
-    def bw(g, rows=rows, xr=xr, h=h, ad=a.data, bd=b.data, shape=xd.shape, dtype=xd.dtype):
-        gd = g[..., rows, :] * c
-        gh = gd @ bd.swapaxes(-1, -2)
-        gxr = gh @ ad.swapaxes(-1, -2)
-        gx = np.zeros(shape, dtype=dtype)
-        gx[..., rows, :] += gxr  # take_rows' np.add.at, for unique rows
-        ga = _sum_lead(xr.swapaxes(-1, -2) @ gh, 2) if _tracked(a) else None
-        gb = _sum_lead(h.swapaxes(-1, -2) @ gd, 2) if _tracked(b) else None
-        # add's backward: the residual takes g, the chain below a copy.
-        return (g, gx, ga, gb) if residual is None else (g.copy(), gx, ga, gb, g)
+    def bw(g, rows=rows, xr=xr, md=md, wd=w.data, ad=a.data, bd=b.data):
+        gr = g[..., rows, :]
+        gx = g @ wd
+        gx[..., rows, :] = gr @ md  # the put gave linear(x, W) zeros there
+        dm = gr.swapaxes(-1, -2) @ xr  # M's gradient, per sequence
+        gw = None
+        if _tracked(w):
+            # M's gradient, plus linear's from the rows that the put kept.
+            g_kept = g.copy()
+            g_kept[..., rows, :] = 0
+            gw = _sum_lead(dm + g_kept.swapaxes(-1, -2) @ xd, 2)
+        ds = np.ascontiguousarray(dm.swapaxes(-1, -2))  # (c A B)'s gradient
+        ds *= c
+        ga = _sum_lead(ds @ bd.T, 2) if _tracked(a) else None
+        gb = _sum_lead(ad.T @ ds, 2) if _tracked(b) else None
+        # add's backward: the residual takes g.
+        return (gx, gw, ga, gb) + (() if residual is None else (g,))
 
-    return _record(out, inputs, bw)
+    return _record(_out(y), inputs, bw)
 
 
 def _heads(xd: np.ndarray, n_heads: int) -> np.ndarray:
@@ -903,8 +891,7 @@ class ArrayOps:
     weights stay Tensors and are read through `.data`; each returns the op's
     output array. So the untaped pass runs each op's own forward math, and
     gives the taped pass's bytes. `Tensor` leaves an input a plain array.
-    `lora_delta` takes the parts and the fallback of the autodiff op, and
-    only adds the correction in, into its own `base`."""
+    `gated_linear` takes the autodiff op's arguments."""
 
     Tensor = staticmethod(np.asarray)
     add = staticmethod(add_data)
@@ -918,12 +905,11 @@ class ArrayOps:
     mask_attention_scores = staticmethod(lambda q, k, *shape: mask_attention_scores_data(q, k, *shape)[0])
     mask_attention_context = staticmethod(lambda p, v: mask_attention_context_data(p, v)[0])
     concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=-2))
-
-    @staticmethod
-    def lora_delta(base, x, a, b, rows, c, residual=None, parts=None):
-        d = lora_deltas_data(x, [a.data], [b.data], rows, c)[0][0] if parts is None else parts[0]
-        y = lora_put_data(base, rows, d, own_base=True)  # base is the caller's fresh linear output
-        return y if residual is None else add_data(residual, y)
+    gated_linear = staticmethod(
+        lambda x, w, a, b, rows, c, residual=None, merged=None: gated_linear_data(
+            x, w.data, a.data, b.data, rows, c, residual, merged
+        )[0]
+    )
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

@@ -4,9 +4,8 @@ per-sequence training loop that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
-`silu_data`'s `np.maximum` replaces, the per-adapter correction that
-`lora_deltas_data`'s stacked product replaces, and the two-stream
-attention written with elementary ops. Each is its replacement's oracle:
+`silu_data`'s `np.maximum` replaces, and the two-stream attention
+written with elementary ops. Each is its replacement's oracle:
 values and gradients must match it byte for byte. The visibility rule's
 (T, T) matrix, which `forward` no longer builds, is the oracle of the
 streams it derives. The elementary ops that only these chains and the
@@ -75,24 +74,30 @@ def sum_all(x):
     return _record(out, (x,), lambda g, d=x.data: (np.full(d.shape, g, dtype=d.dtype),))
 
 
-def lora_delta_data(base, xd, ad, bd, rows, c):
-    """base + scatter(rows, ((xd[..., rows, :] @ ad) @ bd) * c) for one
-    adapter, with 2-D products, scaled in place and put by
-    `lora_put_data`. Returns (output, xd[..., rows, :], that @ ad)."""
-    if xd.ndim < 2 or base.shape[:-1] != xd.shape[:-1]:
-        raise NumericsError(f"lora_delta shape mismatch {xd.shape} vs base {base.shape}")
-    xr = xd.take(rows, axis=-2)
-    h = tz.matmul_data(xr, ad)
-    d = tz.matmul_data(h, bd)
-    d *= float(c)
-    return tz.lora_put_data(base, rows, tz._finite(d, "scale")), xr, h
+def row_put(base, rows, value):
+    """Copy of base (..., T, d) with its (unique) rows replaced by value;
+    backward: base takes g with those rows zeroed, value takes g's rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if base.data.ndim < 2 or value.data.shape != base.data.shape[:-2] + (rows.size, base.data.shape[-1]):
+        raise NumericsError("row_put shape mismatch")
+    out = base.data.copy()
+    out[..., rows, :] = value.data
+
+    def bw(g):
+        kept = g.copy()
+        kept[..., rows, :] = 0
+        return kept, g.take(rows, axis=-2)
+
+    return _record(_out(out), (base, value), bw)
 
 
-def lora_chain(base, x, a, b, rows, c, residual=None):
-    """lora_delta as take_rows -> matmul -> matmul -> scale ->
-    row_scatter_add, then add(residual, .) when a residual is given."""
-    delta = tz.scale(matmul(matmul(tz.take_rows(x, rows), a), b), c)
-    out = row_scatter_add(base, rows, delta)
+def gated_linear_chain(x, w, a, b, rows, c, residual=None):
+    """gated_linear over (T, in) x as linear, the merge (matmul, scale,
+    transpose and add to W), take_rows, linear with the merged weight and
+    row_put, then add(residual, .) when a residual is given."""
+    base = tz.linear(x, w)
+    merged = tz.add(w, transpose(tz.scale(matmul(a, b), c)))
+    out = row_put(base, rows, tz.linear(tz.take_rows(x, rows), merged))
     return out if residual is None else tz.add(residual, out)
 
 

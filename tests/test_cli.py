@@ -269,6 +269,41 @@ def test_train_checks_its_corpus_before_making_the_run_directory(tmp_path, capsy
     assert not run_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("[loss]\nbase = -1", "[loss] base must be finite and >= 0, got -1.0"),
+        ("[loss]\nlcm = inf", "[loss] lcm must be finite and >= 0, got inf"),
+        ("[train]\nlearning_rate = nan", "[train] learning_rate must be finite and > 0, got nan"),
+        ("[train]\npretrain_lr = nan", "[train] pretrain_lr must be finite and > 0, got nan"),
+        ("[train]\nadam_eps = 0", "[train] adam_eps must be finite and > 0, got 0.0"),
+        ("[train]\nbeta1 = 1.5", "[train] beta1 must be in [0, 1), got 1.5"),
+        ("[train]\nbeta2 = 1.0", "[train] beta2 must be in [0, 1), got 1.0"),
+        ("[train]\nweight_decay = -5", "[train] weight_decay must be finite and >= 0, got -5.0"),
+        (
+            "[train]\neval_every = 1\neval_prompts = 0",
+            "[train] eval_prompts must be >= 1, got 0",
+        ),
+        ("[train]\neval_every = -2", "[train] eval_every must be finite and >= 0, got -2"),
+        ("[train]\ndivergence_factor = nan", "[train] divergence_factor must be finite and > 0, got nan"),
+    ],
+    ids=[
+        "loss-base-negative", "loss-lcm-inf", "learning-rate-nan", "pretrain-lr-nan", "adam-eps-0",
+        "beta1-above-1", "beta2-1", "weight-decay-negative", "eval-without-prompts",
+        "eval-every-negative", "divergence-factor-nan",
+    ],
+)
+def test_train_rejects_bad_optimizer_and_loss_fields_before_writing(tmp_path, capsys, lines, message):
+    # Each of these trained on, diverged at step 0 or failed mid-run, and
+    # left a run directory behind; a NaN divergence factor never diverged.
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{TINY_CONFIG}\n{lines}\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run_dir), "--quiet"]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_train_run_dir_and_reproducible_metrics(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)

@@ -1,3 +1,4 @@
+import copy
 import threading
 from dataclasses import replace
 
@@ -13,8 +14,14 @@ from specmtp.decoding import (
     speculative_decode,
     verify_speculated,
 )
+import specmtp.model as model_mod
+import specmtp.tensor as tensor_mod
+from specmtp.batching import build_training_batch
+from specmtp.losses import base_and_sampler_ce
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
+from specmtp.tensor import Tape, backward
+from specmtp.training import AdamW
 
 CFG = ModelConfig(
     vocab_size=15, d_model=16, n_layers=2, n_heads=2, d_ff=32, k_masks=3,
@@ -123,6 +130,61 @@ def test_two_decodes_in_two_threads_match_each_alone():
         if isinstance(out, Exception):
             raise out
         assert out == alone[strategy]
+
+
+def _decode_with_mask_logits(model, sampler, prompt):
+    """A quadratic decode that records every step's mask-row logits."""
+    seen = []
+
+    def speculate(verified, last_token, block_logits, block_hidden):
+        seen.append(block_logits.copy())
+        return block_logits.argmax(axis=1)
+
+    out, _ = speculative_decode(model, sampler, prompt, 3, "quadratic", max_steps=6, speculation_override=speculate)
+    return out, seen
+
+
+def test_no_merged_weight_outlives_its_decode_call():
+    # Decode, take one optimizer step on the adapters, decode again: the
+    # second decode reads weights merged from the trained factors, so it
+    # equals a decode of a fresh copy of the trained model, mask rows too.
+    model, sampler, prompt = make_model(7), init_sampler(CFG.d_model, 7), [1, 2, 3, 4, 5]
+    before = _decode_with_mask_logits(model, sampler, prompt)
+    batch = build_training_batch([1, 2, 3, 4, 5, 6, 7], np.ones(7, dtype=int), CFG.mask_ids)
+    opt = AdamW(model.trainable_params())
+    with Tape() as tape:
+        out = run_batch(model, batch)
+        loss = base_and_sampler_ce(batch, out.hidden, out.logits)[0]
+    backward(tape, loss)
+    opt.step(1e-2)
+    after = _decode_with_mask_logits(model, sampler, prompt)
+    fresh = _decode_with_mask_logits(copy.deepcopy(model), sampler, prompt)
+    assert after[0] == fresh[0] == before[0]  # every output is greedy's
+    assert len(after[1]) == len(fresh[1])
+    for got, want in zip(after[1], fresh[1]):
+        assert got.tobytes() == want.tobytes()
+    assert before[1][0].tobytes() != after[1][0].tobytes()
+
+
+def test_each_decode_call_merges_each_adapter_once(monkeypatch):
+    # Speculative decoding merges every adapter once per call, however many
+    # passes it runs; greedy decoding gates no row and merges none.
+    calls = []
+    for owner in (model_mod, tensor_mod):
+
+        def counting(*args, _original=owner.merge_data):
+            calls.append(1)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, "merge_data", counting)
+    model = make_model(8)
+    for steps in (1, 7):
+        calls.clear()
+        speculative_decode(model, init_sampler(CFG.d_model, 8), [1, 2, 3], 3, "quadratic", max_steps=steps)
+        assert len(calls) == 6 * CFG.n_layers
+    calls.clear()
+    greedy_autoregressive(model, [1, 2, 3], 5)
+    assert calls == []
 
 
 def test_adversarial_speculation_rate_exactly_one():

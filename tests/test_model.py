@@ -2,7 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from chains import lora_chain, two_stream_attention_chain
+from chains import gated_linear_chain, two_stream_attention_chain
 from conftest import run_batch
 
 from specmtp.batching import (
@@ -18,13 +18,13 @@ from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import (
     LORA_ALPHA_OVER_RANK,
     ModelConfig,
-    SharedInput,
     _adapter_rows,
     _check_gate,
     forward,
     gated_lora_apply,
     init_model,
     layout_streams,
+    merge_adapters,
 )
 from specmtp.sampler import init_sampler
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
@@ -150,33 +150,66 @@ def test_gated_apply_mixed_rows_match_dense_reference():
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_shared_input_gives_each_adapter_its_own_bytes(dtype):
-    # q, k and v from one stacked product equal each adapter run alone.
-    # Their factors differ, so a swapped slice fails. A group hands out each
-    # slice once, so the taped call takes a fresh one; each adapter still
-    # records its own lora_delta.
+    # q, k and v read one input. Each adapter of the decode copy, whose
+    # weight was merged once, gives the bytes of the same adapter merging
+    # it in the call, untaped and taped; their factors differ, so a
+    # swapped weight fails.
+    # The taped call records one gated_linear, and nothing when no row is
+    # gated: the frozen linear's inputs are not tracked.
     with precision(dtype):
         model = make_model(rank=4, seed=3)
     randomize_adapters(model, seed=3)
-    lw = model.layers[1]
+    lw, merged = model.layers[1], merge_adapters(model).layers[1]
     rng = np.random.default_rng(3)
     for lead in ((), (2,)):
         x = rng.normal(size=lead + (7, CFG["d_model"])).astype(dtype)
         for gate in ([0] * 7, [0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 1], [1] * 7):
-            rows = np.flatnonzero(gate)
-            shared = SharedInput((lw.attn_q, lw.attn_k, lw.attn_v), x, rows)
             outs = []
-            for g in shared.layers:
-                want = gated_lora_apply(g, x, gate, rows)
-                got = gated_lora_apply(g, x, gate, rows, shared=shared)
+            for name in ("attn_q", "attn_k", "attn_v"):
+                g, gm = getattr(lw, name), getattr(merged, name)
+                assert g.merged is None and gm.merged is not None and gm.A is g.A and gm.W is g.W
+                want = gated_lora_apply(g, x, gate)
+                got = gated_lora_apply(gm, x, gate)
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 assert got.tobytes() == want.tobytes()
                 with Tape() as tape:
-                    xt = Tensor(x)
-                    taped = gated_lora_apply(g, xt, gate, rows, shared=SharedInput(shared.layers, xt, rows))
+                    taped = gated_lora_apply(gm, Tensor(x), gate)
                 assert taped.data.tobytes() == want.tobytes()
-                assert len(tape) == (1 if rows.size else 0)  # its own lora_delta
+                assert len(tape) == (1 if any(gate) else 0)  # A and B are tracked
                 outs.append(got)
-            assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
+            if any(gate):
+                assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
+
+
+LAYOUTS = {
+    "causal": lambda ids: causal_rows([1, 2, 3, 4]),
+    "linear": lambda ids: build_linear_inference_input([1, 2, 3], [4, 5], ids),
+    "quadratic": lambda ids: build_quadratic_inference_input([1, 2], [3, 4, 5], ids),
+    "training": lambda ids: build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), ids),
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_forward_on_the_decode_copy_is_bytewise_the_bundle(layout, dtype):
+    # The copy's merged weights are the ones a pass forms per call.
+    with precision(dtype):
+        model = make_model(rank=4, seed=13)
+        randomize_adapters(model, seed=13)
+        copy = merge_adapters(model)
+        batch = LAYOUTS[layout](model.config.mask_ids)
+        want = run_batch(model, batch)
+        for run in (lambda: run_batch(copy, batch), lambda: _taped(run_batch, copy, batch)):
+            got = run()
+            for field in ("hidden", "logits"):
+                a, b = getattr(got, field).data, getattr(want, field).data
+                assert a.dtype == b.dtype == np.dtype(dtype) and a.tobytes() == b.tobytes()
+    assert merge_adapters(make_model(rank=0)).layers[0].attn_q.merged is None
+
+
+def _taped(fn, *args):
+    with Tape():
+        return fn(*args)
 
 
 def test_gate_invariance_bitwise_vs_rank_zero():
@@ -315,14 +348,6 @@ def test_padded_tail_permutation_is_invisible():
     assert np.array_equal(a, b)
 
 
-LAYOUTS = {
-    "causal": lambda ids: causal_rows([1, 2, 3, 4]),
-    "linear": lambda ids: build_linear_inference_input([1, 2, 3], [4, 5], ids),
-    "quadratic": lambda ids: build_quadratic_inference_input([1, 2], [3, 4, 5], ids),
-    "training": lambda ids: build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), ids),
-}
-
-
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_float32_weights_stay_float32(layout):
     # One NumPy float64 constant in the pass (NumPy 2 promotion) would
@@ -355,7 +380,7 @@ def random_layout(kind, rng, mask_ids):
     if kind == "linear":
         return build_linear_inference_input(real, real[: int(rng.integers(0, k + 1))], mask_ids)
     if kind == "quadratic":
-        return build_quadratic_inference_input(real, real[:k], mask_ids)
+        return build_quadratic_inference_input(real, (real * k)[:k], mask_ids)
     return build_training_batch(real, rng.integers(0, 2, size=n), mask_ids)
 
 
@@ -489,8 +514,27 @@ def test_untaped_forward_names_the_overflowing_op(weight, op):
             forward(*args)
 
 
+def test_an_overflow_in_the_gated_product_is_named_on_replay():
+    # layers.0.attn.q's merged weight is finite, but its product with the
+    # gated rows is not. The bundle's pass, taped or not, and the decode
+    # copy's pass name that product, a linear; a causal layout runs no
+    # gated row and stays finite.
+    model = make_model(rank=4, seed=7)
+    randomize_adapters(model)
+    g = model.layers[0].attn_q
+    g.A.data, g.B.data = g.A.data * np.float32(1e19), g.B.data * np.float32(1e19)
+    assert np.isfinite(tz.merge_data(g.W.data, g.A.data, g.B.data, LORA_ALPHA_OVER_RANK)).all()
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bundle, taped in ((model, False), (model, True), (merge_adapters(model), False)):
+            with Tape() if taped else contextlib.nullcontext():
+                with pytest.raises(NumericsError, match="produced by linear$"):
+                    run_batch(bundle, batch)
+        assert np.isfinite(run_batch(model, causal_rows([1, 2, 3, 4, 5])).logits.data).all()
+
+
 # ---------------------------------------------------------------------------
-# Taped training pass: one fused lora_delta per adapter, and per layer
+# Taped training pass: one fused gated_linear per adapter, and per layer
 # the fused attention_scores and attention_context around the softmax. The
 # chain of elementary ops they replace is the oracle, byte for byte,
 # forward and backward.
@@ -498,14 +542,13 @@ def test_untaped_forward_names_the_overflowing_op(weight, op):
 
 
 def chain_lora(layer, x, gate):
-    """gated_lora_apply with its adapter delta as the elementary chain."""
+    """gated_lora_apply with its gated linear as the elementary chain."""
     gate = np.asarray(gate)
     _check_gate(gate, x.data.shape[0])
-    base = tz.linear(x, layer.W)
     rows = np.flatnonzero(gate)
     if rows.size == 0:
-        return base
-    return lora_chain(base, x, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK)
+        return tz.linear(x, layer.W)
+    return gated_linear_chain(x, layer.W, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK)
 
 
 def chain_forward(model, batch, gate=None):
@@ -607,20 +650,42 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
                 assert got is None or got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("kind", sorted(GATE_INDEXES))
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_untaped_forward_is_bitwise_taped_forward_for_every_gate_index(layout, kind, dtype):
+    # Every layout kind under every kind of gate index, on the bundle and
+    # on its decode copy.
+    make_gate = GATE_INDEXES[kind][0]
+    with precision(dtype):
+        model = make_model(rank=4, seed=14, n_heads=4)
+        randomize_adapters(model, seed=14)
+        rng = np.random.default_rng(14)
+        for _ in range(4):
+            batch = random_layout(layout, rng, model.config.mask_ids)
+            args = (batch.tokens, batch.position_ids, batch.block_anchor, make_gate(batch, rng))
+            with Tape():
+                taped = forward(model, *args)
+            for bundle in (model, merge_adapters(model)):
+                untaped = forward(bundle, *args)
+                assert untaped.hidden.data.tobytes() == taped.hidden.data.tobytes()
+                assert untaped.logits.data.tobytes() == taped.logits.data.tobytes()
+
+
 def test_training_forward_records_one_entry_per_fused_op():
     # The embedding (table concat, lookup, position add), then 2 layers of:
-    # 2 layer norms, 6 adapters (a linear plus a lora_delta each, the
-    # residual adds inside the attn.o and ff.out deltas), the regular
+    # 2 layer norms, 6 adapters (a gated_linear each, the residual adds
+    # inside those of attn.o and ff.out), the regular
     # stream's first rows of q, k and v, scores, softmax and context, the
     # mask stream's scores, softmax and context, the join of the two, and
     # silu; then the final norm and the unembedding. A causal layout with
-    # its gate off has no lora_delta (each residual is an add of its own)
+    # its gate off runs each adapter as a linear (each residual an add of its own)
     # and no mask stream: its attention is 3 entries.
     model = make_model(rank=4, seed=9)
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
     with Tape() as tape:
         run_batch(model, batch)
-    assert len(tape) == 3 + 2 * (2 + 6 * 2 + 10 + 1) + 2
+    assert len(tape) == 3 + 2 * (2 + 6 + 10 + 1) + 2
     with Tape() as tape:
         run_batch(model, causal_rows([1, 2, 3, 4, 5]))
     assert len(tape) == 3 + 2 * (2 + 6 + 2 + 3 + 1) + 2
@@ -684,4 +749,4 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
     for batch in (stack, stack.select(0)):
         with Tape() as tape:
             run_batch(model, batch)
-        assert len(tape) == 3 + 2 * (2 + 6 * 2 + 10 + 1) + 2
+        assert len(tape) == 3 + 2 * (2 + 6 + 10 + 1) + 2

@@ -6,8 +6,7 @@ import pytest
 from chains import (
     attention_chain,
     context_chain,
-    lora_chain,
-    lora_delta_data,
+    gated_linear_chain,
     mask_context_chain,
     mask_scores_chain,
     matmul,
@@ -454,7 +453,11 @@ OVERFLOWS = {
     "sum_all": lambda: sum_all(_big(2, 2)),
     "mean_axis1": lambda: tz.mean_axis1(_big(2, 2)),
     "dot_const": lambda: tz.dot_const(_big(2), np.ones(2)),
-    "lora_delta": lambda: tz.lora_delta(_big(2, 2), _big(2, 2), _big(2, 1), _big(1, 2), np.array([1]), 1.0),
+    # The gated adapter op, gated_linear, keyed by the name of the op it
+    # replaced so that the case ids stay: its merge's product overflows.
+    "lora_delta": lambda: tz.gated_linear(
+        Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), _big(2, 1), Tensor(np.full((1, 2), 2.0)), np.array([1]), 1.0
+    ),
     "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1),
     "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2)),
     # One regular row, then one block of 2 mask rows.
@@ -592,17 +595,17 @@ def fused_case(op, case, dtype, seed=12):
     def leaf(*shape):
         return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
 
-    if op == "lora_delta":
+    if op == "lora_delta":  # gated_linear, under the name of the op it replaced
         rows_name, residual = case
         rows = ROW_SETS[rows_name]
 
-        def fused(*t):  # base, x, a, b, then the residual if any
-            return tz.lora_delta(*t[:4], rows, 2.0, *t[4:])
+        def fused(*t):  # x, w, a, b, then the residual if any
+            return tz.gated_linear(*t[:4], rows, 2.0, *t[4:])
 
         def chain(*t):
-            return lora_chain(*t[:4], np.arange(T_ROWS)[rows], 2.0, *t[4:])
+            return gated_linear_chain(*t[:4], np.arange(T_ROWS)[rows], 2.0, *t[4:])
 
-        inputs = [leaf(T_ROWS, 5), leaf(T_ROWS, 4), leaf(4, 3), leaf(3, 5)]
+        inputs = [leaf(T_ROWS, 4), leaf(5, 4), leaf(4, 3), leaf(3, 5)]
         if residual:
             inputs.append(leaf(T_ROWS, 5))
         shape = (T_ROWS, 5)
@@ -691,26 +694,29 @@ def test_attention_ops_are_bytewise_the_attention_chain():
     assert runs[0] == runs[1]
 
 
-def _lora_overflow(step):
-    # Inputs whose first non-finite value appears at `step` of the chain.
-    x, a, b = np.ones((2, 2)), np.ones((2, 1)), np.ones((1, 2))
-    base, c, residual = np.zeros((2, 2)), 1.0, np.zeros((2, 2))
-    if step == "matmul":
-        a = np.full((2, 1), BIG)
+def _gated_overflow(step):
+    # Inputs of gated_linear whose first non-finite value appears at `step`
+    # of its chain: linear, the merge (matmul, scale, add), the 1-row
+    # linear, the residual add. "linear" is the 1-row one: W alone is finite
+    # in x W^T, its merged weight is not.
+    x, w, a, b = np.ones((2, 2)), np.zeros((2, 2)), np.ones((2, 1)), np.ones((1, 2))
+    c, residual = 1.0, np.zeros((2, 2))
+    if step == "linear":
+        b = np.full((1, 2), BIG / 1.5)
+    elif step == "matmul":
+        a, b = np.full((2, 1), BIG), np.full((1, 2), 2.0)
     elif step == "scale":
-        c = BIG
-    elif step == "row_scatter_add":
-        base = np.full((2, 2), BIG)
-        b = np.full((1, 2), BIG / 4)
+        b, c = np.full((1, 2), 2.0), BIG
     else:
-        residual = base = np.full((2, 2), BIG)
-    return [Tensor(t) for t in (base, x, a, b)], np.array([0]), c, Tensor(residual)
+        w, residual = np.full((2, 2), BIG / 4), np.full((2, 2), BIG)
+    return [Tensor(t) for t in (x, w, a, b)], np.array([0]), c, Tensor(residual)
 
 
-@pytest.mark.parametrize("step", ["matmul", "scale", "row_scatter_add", "add"])
+@pytest.mark.parametrize("step", ["linear", "matmul", "scale", "add"])
 def test_lora_delta_overflow_names_the_same_step_as_its_chain(step):
-    inputs, rows, c, residual = _lora_overflow(step)
-    for fn in (tz.lora_delta, lora_chain):
+    # gated_linear, the op that replaced lora_delta.
+    inputs, rows, c, residual = _gated_overflow(step)
+    for fn in (tz.gated_linear, gated_linear_chain):
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
             fn(*inputs, rows, c, residual)
 
@@ -720,15 +726,17 @@ def _t(*shape):
 
 
 FUSED_MISMATCHES = {
-    "lora_x_not_2d": lambda: tz.lora_delta(_t(3, 2), _t(3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_base_rows": lambda: tz.lora_delta(_t(4, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_a_rows": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(2, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_b_rows": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(2, 2), np.array([0]), 1.0),
-    "lora_b_cols": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 3), np.array([0]), 1.0),
-    "lora_row_range": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([3]), 1.0),
-    "lora_negative_row": lambda: tz.lora_delta(_t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([-1]), 1.0),
-    "lora_residual_shape": lambda: tz.lora_delta(
-        _t(3, 2), _t(3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
+    # gated_linear(x, w, a, b, rows, c[, residual]), under the name of the
+    # op it replaced.
+    "lora_x_not_2d": lambda: tz.gated_linear(_t(3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_base_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 4), _t(4, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_a_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(2, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_b_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(2, 2), np.array([0]), 1.0),
+    "lora_b_cols": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 3), np.array([0]), 1.0),
+    "lora_row_range": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([3]), 1.0),
+    "lora_negative_row": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([-1]), 1.0),
+    "lora_residual_shape": lambda: tz.gated_linear(
+        _t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
     ),
     "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2),
     "scores_below_2d": lambda: tz.attention_scores(_t(4), _t(4), 2),
@@ -783,13 +791,14 @@ def _stacked_cases(rng, dtype):
         "linear": (lambda t, s: tz.linear(*t), [x, (arr(3, 4), False)]),
         "matmul": (lambda t, s: matmul(*t), [(arr(N_SEQ, 2, T_ROWS, 3), True), (arr(N_SEQ, 2, 3, 5), True)]),
         "row_scatter_add": (lambda t, s: row_scatter_add(t[0], ROWS, t[1]), [x, (arr(N_SEQ, 3, 4), True)]),
+        # gated_linear, under the name of the op it replaced.
         "lora_delta": (
-            lambda t, s: tz.lora_delta(*t, ROWS, 2.0),
-            [(arr(N_SEQ, T_ROWS, 5), True), x, (arr(4, 3), False), (arr(3, 5), False)],
+            lambda t, s: tz.gated_linear(*t, ROWS, 2.0),
+            [x, (arr(5, 4), False), (arr(4, 3), False), (arr(3, 5), False)],
         ),
         "lora_delta_residual": (
-            lambda t, s: tz.lora_delta(*t[:4], ROWS, 2.0, t[4]),
-            [(arr(N_SEQ, T_ROWS, 5), True), x, (arr(4, 3), False), (arr(3, 5), False), (arr(N_SEQ, T_ROWS, 5), True)],
+            lambda t, s: tz.gated_linear(*t[:4], ROWS, 2.0, t[4]),
+            [x, (arr(5, 4), False), (arr(4, 3), False), (arr(3, 5), False), (arr(N_SEQ, T_ROWS, 5), True)],
         ),
         "attention_scores": (lambda t, s: tz.attention_scores(*t, 2), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
         "masked_softmax_rows": (
@@ -876,7 +885,9 @@ def test_fold_add_is_the_chain_of_adds():
 STACKED_MISMATCHES = {
     "take_rows_stacked_by_stacked": lambda: tz.take_rows(_t(2, 3, 4), np.zeros((2, 2), dtype=int)),
     "cross_entropy_ignores_differ": lambda: tz.cross_entropy(_t(2, 3, 4), np.array([[0, -1, 1], [0, 1, -1]])),
-    "lora_stacks_differ": lambda: tz.lora_delta(_t(2, 3, 2), _t(3, 3, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
+    "lora_stacks_differ": lambda: tz.gated_linear(
+        _t(3, 3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(2, 3, 2)
+    ),
     "scores_stacks_differ": lambda: tz.attention_scores(_t(2, 3, 4), _t(3, 3, 4), 2),
     "context_stacks_differ": lambda: tz.attention_context(_t(2, 2, 3, 3), _t(3, 3, 4)),
     "add_not_trailing": lambda: tz.add(_t(2, 3, 4), _t(2, 4)),
@@ -890,9 +901,9 @@ def test_stacked_shape_mismatch_is_numerics_error_too(case):
 
 
 # ---------------------------------------------------------------------------
-# Stacked adapter corrections: adapters that read one input run their
-# low-rank products as one batched product, each slice with the bytes of
-# its own `lora_delta_data`.
+# The gated product on arrays, as the untaped pass runs it: with its merged
+# weight formed in the call, or carried by a decode copy. The test ids keep
+# the names from the stacked low-rank product that it replaced.
 # ---------------------------------------------------------------------------
 
 
@@ -901,6 +912,10 @@ def test_stacked_shape_mismatch_is_numerics_error_too(case):
 @pytest.mark.parametrize("d", [32, 96])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n_rows, lead):
+    # Three adapters read one input, each with its own factors, so a
+    # swapped weight fails. Each output is bytewise its own chain, with G
+    # formed in the call or merged beforehand, and in a stack each
+    # sequence's bytes are its own call's.
     rng = np.random.default_rng([d, n_rows, len(lead)])
     t_len, rank = 160, 8
 
@@ -909,38 +924,65 @@ def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n
 
     x = draw(*lead, t_len, d)
     rows = np.sort(rng.choice(t_len, n_rows, replace=False))
-    # Each adapter its own factors, so a swapped slice fails.
-    a = [draw(d, rank, std=0.3) for _ in range(3)]
-    b = [draw(rank, d, std=0.3) for _ in range(3)]
-    bases = [draw(*lead, t_len, d) for _ in range(3)]
-    stacked, xr, h = tz.lora_deltas_data(x, a, b, rows, 2.0)
-    assert stacked.dtype == np.dtype(dtype) and stacked.shape == (3, *lead, n_rows, d)
     outs = []
-    for i in range(3):
-        want, want_xr, want_h = lora_delta_data(bases[i], x, a[i], b[i], rows, 2.0)
-        got = tz.lora_put_data(bases[i], rows, stacked[i])
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        # The backward's parts, and a stack of one, have the same bytes.
-        assert xr.tobytes() == want_xr.tobytes() and h[i].tobytes() == want_h.tobytes()
-        alone, _, alone_h = tz.lora_deltas_data(x, [a[i]], [b[i]], rows, 2.0)
-        assert tz.lora_put_data(bases[i], rows, alone[0]).tobytes() == want.tobytes()
-        assert alone_h[0].tobytes() == want_h.tobytes()
+    for _ in range(3):
+        w, a, b = draw(d, d, std=0.2), draw(d, rank, std=0.3), draw(rank, d, std=0.3)
+        got, xr, merged = tz.gated_linear_data(x, w, a, b, rows, 2.0)
+        assert got.dtype == np.dtype(dtype) and got.shape == x.shape
+        assert xr.tobytes() == x[..., rows, :].tobytes()
+        assert merged.tobytes() == tz.merge_data(w, a, b, 2.0).tobytes()
+        assert tz.gated_linear_data(x, w, a, b, rows, 2.0, merged=merged)[0].tobytes() == got.tobytes()
+        for seq in range(lead[0]) if lead else [None]:
+            xs = x if seq is None else x[seq]
+            want = gated_linear_chain(*map(Tensor, (xs, w, a, b)), rows, 2.0).data
+            assert (got if seq is None else got[seq]).tobytes() == want.tobytes()
         outs.append(got)
     if n_rows:
         assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
 
 
 def test_stacked_lora_deltas_name_their_overflow_as_lora_delta_does():
-    x, rows = np.ones((2, 2)), np.array([0])
-    cases = {"matmul": (np.full((2, 1), BIG), np.ones((1, 2)), 1.0), "scale": (np.ones((2, 1)), np.ones((1, 2)), BIG)}
-    for step, (a, b, c) in cases.items():
-        for run in (
-            lambda: tz.lora_deltas_data(x, [np.ones((2, 1)), a], [np.ones((1, 2)), b], rows, c),
-            lambda: lora_delta_data(np.zeros((2, 2)), x, a, b, rows, c),
-        ):
+    # The merge, formed in the call or beforehand, and the gated product on
+    # arrays name the step that overflowed, as their chain does.
+    for step in ("linear", "matmul", "scale", "add"):
+        inputs, rows, c, residual = _gated_overflow(step)
+        x, w, a, b = (t.data for t in inputs)
+        runs = [
+            lambda: tz.gated_linear_data(x, w, a, b, rows, c, residual.data),
+            lambda: gated_linear_chain(*inputs, rows, c, residual),
+        ]
+        for run in runs:
             with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
                 run()
-    with pytest.raises(NumericsError, match="lora_delta shape mismatch"):
-        tz.lora_deltas_data(x, [np.ones((3, 1))], [np.ones((1, 2))], rows, 1.0)
-    with pytest.raises(NumericsError, match="row_scatter_add shape mismatch"):
-        tz.lora_put_data(np.zeros((2, 2)), rows, np.ones((1, 3)))
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
+        tz.gated_linear_data(np.ones((1, 2)), np.full((2, 2), BIG), np.ones((2, 1)), np.ones((1, 2)), [0], 1.0)
+    with pytest.raises(NumericsError, match="gated_linear shape mismatch"):
+        tz.merge_data(np.zeros((2, 2)), np.ones((3, 1)), np.ones((1, 2)), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# take_rows' backward: a gather whose rows do not repeat puts its gradient
+# with one fancy add, a gather whose rows repeat sums it with np.add.at.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stack"])
+def test_take_rows_backward_on_unique_rows_is_bytewise_add_at(lead):
+    # The op's own backward on a g that holds +0.0 and -0.0 (a leaf's
+    # accumulation would turn -0.0 into +0.0 and hide the difference).
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=lead + (7, 4)), requires_grad=True)
+    g = rng.normal(size=lead + (4, 4))
+    g[..., 0, :2] = 0.0
+    g[..., 1, 2:] = -0.0
+    for idx in (np.array([5, 0, 6, 2]), np.array([1, 3, 4, 6]), np.array([3, 1, 3, 3])):
+        with Tape() as tape:
+            tz.take_rows(x, idx)
+        ((_, _, bw),) = tape._entries
+        (got,) = bw(g)
+        want = np.zeros(x.data.shape)
+        np.add.at(want, (..., idx, slice(None)), g)
+        assert got.tobytes() == want.tobytes()
+    # -0.0 + 0.0 is +0.0, as np.add.at gives it; the repeated row 3 sums.
+    assert not np.signbit(got[..., 1, 2:]).any() and np.signbit(g[..., 1, 2:]).all()
+    assert np.array_equal(got[..., 3, :], g[..., 0, :] + g[..., 2, :] + g[..., 3, :])
