@@ -5,9 +5,9 @@ For a sequence x_1..x_n, a block of k mask tokens extends every
 loss-bearing token. Each block asks "and what comes after prefix i?", so
 one forward answers n such prompts at once. The layout puts the regular
 rows first and the blocks after them, and `forward` reads the attention
-off the block anchors alone: the regular rows run as one causal stream,
-blind to every mask row, and each block attends to the regular rows up to
-its anchor and to itself."""
+off the block anchors alone: every row scores the regular keys, a regular
+row those up to itself and no mask row, and each block the regular rows
+up to its anchor and itself."""
 
 import numpy as np
 
@@ -31,20 +31,18 @@ for r in range(batch.size):
         f"  anchor {batch.block_anchor[r]}"
     )
 
-# The two streams forward derives from the anchors: the regular rows'
-# causal attention, then each mask row over the regular keys and its block.
+# The attention forward derives from the anchors: every row over the
+# regular keys, then its own block's keys; a regular row has no block
+# column, so it stays blind to every mask row.
 streams = layout_streams(batch.block_anchor, batch.size)
-n = streams.n_reg
-print(f"\nregular stream: the first {n} rows, causal (row may look at column):")
-print("     " + " ".join(f"{names[int(t)]:>2}" for t in batch.tokens[:n]))
-for r in range(n):
-    print(f"  {names[int(batch.tokens[r])]:>2} " + " ".join(" x" if c else " ." for c in streams.causal[r]))
-print(f"mask stream: blocks of {streams.block}, each row over the regular keys, then its own block:")
-print("     " + " ".join(f"{names[int(t)]:>2}" for t in batch.tokens[:n]) + "  |" + " ".join(f"{'m' + str(j + 1):>2}" for j in range(streams.block)))
-for i, allowed in enumerate(streams.mask_allowed):
+n, block = streams.n_reg, streams.block
+print(f"\nallowed: {n} regular keys, then blocks of {block} (row may look at column):")
+keys = [names[int(t)] for t in batch.tokens[:n]], [f"m{j + 1}" for j in range(block)]
+print("       " + " ".join(f"{c:>2}" for c in keys[0]) + "  |" + " ".join(f"{c:>2}" for c in keys[1]))
+for r, allowed in enumerate(streams.allowed):
     marks = [" x" if c else " ." for c in allowed]
-    row = " ".join(marks[:n]) + "  |" + " ".join(marks[n:])
-    print(f"  {names[int(batch.tokens[n + i])]:>2} {row}  (anchor row {batch.block_anchor[n + i]})")
+    anchor = "" if r < n else f"  (anchor row {batch.block_anchor[r]})"
+    print(f"  {names[int(batch.tokens[r])]:>4} " + " ".join(marks[:n]) + "  |" + " ".join(marks[n:]) + anchor)
 
 print("\nconsistency couples (mask row, anchor row):", batch.lcm_pairs)
 

@@ -169,6 +169,14 @@ def _check_max_steps(max_steps: int) -> None:
         raise UsageError("--max-steps must be >= 1")
 
 
+def _check_prompt_len(prompt_len: int) -> None:
+    """`--prompt-len` of bench and verify, for every suite (as `--prompts`
+    is): a generated suite would pass a negative length on to numpy, or
+    turn it into one digit."""
+    if prompt_len < 0:
+        raise UsageError(f"--prompt-len must be >= 0, got {prompt_len}")
+
+
 def _check_k(k: int, model) -> None:
     """`--k` of decode and verify, once the checkpoint gives its masks."""
     if not 1 <= k <= model.config.k_masks:
@@ -370,6 +378,7 @@ def cmd_bench(args) -> int:
     if unknown:
         raise UsageError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(STRATEGIES)})")
     _check_max_steps(args.max_steps)
+    _check_prompt_len(args.prompt_len)
     k_lo, k_hi = _k_range(args.k_range)
     model, sampler, vocab, meta = _load(args.ckpt)
     if k_hi > model.config.k_masks:
@@ -407,6 +416,7 @@ def cmd_probe(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_max_steps(args.max_steps)
+    _check_prompt_len(args.prompt_len)
     model, sampler, vocab, _ = _load(args.ckpt)
     _check_k(args.k, model)
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)

@@ -8,18 +8,19 @@ gate-off guarantee bitwise.
 
 `forward` takes a layout in batching.py's form, regular rows first and
 mask blocks after them, as its (T,) block anchors, and derives the
-attention from them with O(T) checks (`layout_streams`). It runs in two
-streams, after XLNet's content and query streams (arXiv 1906.08237): the
-regular stream is the causal attention of the regular rows alone, the
-ops of a causal pass (`attention_scores`, `masked_softmax_rows`,
-`attention_context`) over the first n_reg rows; the mask stream scores each
-block's queries against the regular keys and its own block's keys (one
-product and one batched (nb, k, k) product, `mask_attention_scores`),
-runs `masked_softmax_rows` over those n_reg + k columns, and forms its
-context from the matching two products (`mask_attention_context`). A
-causal layout, and a linear one whose single block extends the last
-regular row, sees the lower triangle of its rows and runs as one causal
-stream. Every row-wise op (norms, linears, adapters) runs over all T rows.
+attention from them with O(T) checks (`layout_streams`): n_reg regular
+rows, blocks of `block` mask rows, and one (T, n_reg + block) `allowed`
+matrix. Each layer runs one op pair around one `masked_softmax_rows`:
+`attention_scores` scores every query row against the n_reg regular keys
+(one product) and each mask row against its own block's keys as well
+(one batched (nb, k, k) product), and `attention_context` forms every
+row's context from the regular values and adds each block's own. A
+regular row's block columns are excluded, so it reads the regular rows
+alone, as the content stream of XLNet's two streams (arXiv 1906.08237)
+does. A causal layout, and a linear one whose single block extends the
+last regular row, see the lower triangle of their rows: they are
+n_reg = T, block = 0, the causal attention of one product. Every row-wise
+op (norms, linears, adapters) runs over all T rows.
 
 `forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
 that share one layout: positions, anchors and gate are (T,)-shaped and
@@ -36,7 +37,8 @@ adapter goes through `gated_lora_apply` and every softmax through
 `masked_softmax_rows`, this module's globals, which run the op matching
 their input. The gate's 1-rows reach the adapters as a numpy index: the
 slice of the mask rows for a layout's own gate, of every row for the
-ungated ablation, or the row numbers of any other gate. Each call merges
+ungated ablation (both read off the gate: its 1-rows are the last rows),
+or the row numbers of any other gate. Each call merges
 the weight from the live factors, except in a decode call, whose passes
 read a copy of the model that carries every merged weight, formed once
 per call (`merge_adapters`). Either pass runs with per-op finiteness
@@ -297,7 +299,7 @@ def gated_lora_apply(
     if gate is not None:
         gate = np.asarray(gate)
         _check_gate(gate, x.shape[-2])
-        rows = _adapter_rows(gate, 0)
+        rows = _adapter_rows(gate)
     ops = tensor if isinstance(x, Tensor) else ArrayOps
     if layer.A is None or rows is None:
         base = ops.linear(x, layer.W)
@@ -329,26 +331,24 @@ def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Ten
 class Streams(NamedTuple):
     """The attention that `forward` derives from a layout's (T,) anchors.
 
-    The first n_reg rows are the regular stream: each sees the regular
-    rows up to itself (`causal`, (n_reg, n_reg)). The M rows after them
-    are mask blocks of `block` rows; each mask row scores against the
-    n_reg regular keys and then its own block's keys, and `mask_allowed`
-    (M, n_reg + block) admits the regular keys up to its anchor and the
-    block's keys up to itself.
+    Every row scores against the first n_reg rows' keys, the regular keys;
+    each of the rows after them, mask blocks of `block` rows, also scores
+    against its own block's keys. `allowed` (T, n_reg + block) admits, for
+    a regular row, the regular keys up to itself and no block column; for a
+    mask row, the regular keys up to its anchor and its block's keys up to
+    itself.
 
     A layout with no mask rows, or one block that extends the last regular
-    row (a linear layout), sees the lower triangle of all T rows: it runs
-    as one causal stream over them, `causal` is (T, T) and mask_allowed
-    None."""
+    row (a linear layout), sees the lower triangle of all T rows: it is
+    n_reg = T, block = 0, and `allowed` is that (T, T) triangle."""
 
     n_reg: int
     block: int
-    causal: np.ndarray
-    mask_allowed: np.ndarray | None
+    allowed: np.ndarray
 
 
 def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
-    """The two streams of a layout, from O(T) checks of its anchor array:
+    """The attention of a layout, from O(T) checks of its anchor array:
     the regular rows (NO_ANCHOR) form a prefix, every anchor is a regular
     row, and the mask rows form runs of one length, each with one anchor."""
     anchor = np.asarray(block_anchor)
@@ -359,7 +359,7 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
     if np.count_nonzero(masked[:n_reg]):
         raise NumericsError("a mask row comes before a regular row: regular rows must come first")
     if n_reg == t_len:
-        return Streams(n_reg, 0, np.tri(n_reg, dtype=bool), None)
+        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
     mask = anchor[n_reg:]
     # A negative anchor wraps past every row count as an unsigned integer.
     if np.count_nonzero(mask.astype(np.uint64, copy=False) >= n_reg):
@@ -372,27 +372,28 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
     if mask.size != runs * block or np.count_nonzero(ends[block - 1 :: block]) != runs - 1:
         raise NumericsError("ragged mask blocks: each block must be one run of rows with one anchor, all of one length")
     if runs == 1 and mask[0] == n_reg - 1:
-        return Streams(n_reg, block, np.tri(t_len, dtype=bool), None)
-    # Row a of the triangle admits the keys up to a: the regular keys up to
-    # each anchor, and the block's keys up to each row's place in its block.
+        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
+    # Row a of the triangle admits the regular keys up to a: a regular row's
+    # own, a mask row's anchor's. The block's keys up to each row's place in
+    # its block, and none for a regular row.
     causal = np.tri(n_reg, dtype=bool)
-    allowed = np.empty((mask.size, n_reg + block), dtype=bool)
-    allowed[:, :n_reg] = causal.take(mask, axis=0)
-    allowed[:, n_reg:].reshape(runs, block, block)[...] = np.tri(block, dtype=bool)
-    return Streams(n_reg, block, causal, allowed)
+    allowed = np.zeros((t_len, n_reg + block), dtype=bool)
+    allowed[:n_reg, :n_reg] = causal
+    allowed[n_reg:, :n_reg] = causal.take(mask, axis=0)
+    allowed[n_reg:, n_reg:].reshape(runs, block, block)[...] = np.tri(block, dtype=bool)
+    return Streams(n_reg, block, allowed)
 
 
-def _adapter_rows(gate: np.ndarray, n_reg: int):
-    """The checked gate's 1-rows as an index: the slice of the mask rows
-    when the gate is the layout's own, every row when it is all 1 (the
-    ungated ablation), else the rows' numbers; None when it has none."""
-    if not gate.any():
+def _adapter_rows(gate: np.ndarray):
+    """The checked gate's 1-rows as an index: a slice when they are the
+    last rows (a layout's own gate: its mask rows; the ungated ablation:
+    every row), else the rows' numbers; None when it has none."""
+    rows = np.flatnonzero(gate)
+    if rows.size == 0:
         return None
-    if not gate[:n_reg].any() and gate[n_reg:].all():
-        return slice(n_reg, None)
-    if gate.all():
-        return slice(0, None)
-    return np.flatnonzero(gate)
+    if rows[0] + rows.size == gate.size:
+        return slice(int(rows[0]), None)
+    return rows
 
 
 class ForwardResult(NamedTuple):
@@ -432,7 +433,7 @@ def forward(
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
     _check_gate(gate, t_len)
-    rows = _adapter_rows(gate, streams.n_reg)
+    rows = _adapter_rows(gate)
 
     def run(ops):
         return _pass(ops, model, tokens, position_ids, streams, rows)
@@ -453,11 +454,13 @@ def _pass(ops, model, tokens, position_ids, streams, rows) -> tuple:
     looked up at call time on both paths; each picks the op matching its
     input. Returns (hidden, logits) as the namespace's values."""
     c = model.config
+    n, block, allowed = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         q, k, v = (gated_lora_apply(g, h, None, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        heads = _attention(ops, q, k, v, streams, c.n_heads)
+        scores = ops.attention_scores(q, k, c.n_heads, n, block)
+        heads = ops.attention_context(masked_softmax_rows(scores, allowed), v, n, block)
         x = gated_lora_apply(lw.attn_o, heads, None, rows, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         ff = ops.silu(gated_lora_apply(lw.ff_in, h2, None, rows))
@@ -465,19 +468,3 @@ def _pass(ops, model, tokens, position_ids, streams, rows) -> tuple:
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     return hidden, ops.linear(hidden, model.unembed)
-
-
-def _attention(ops, q, k, v, streams: Streams, n_heads: int):
-    """Both streams' attention over all T rows of q, k and v. The regular
-    stream is the causal attention of the first n_reg rows (of all rows
-    when the layout is causal). The mask stream scores each block against
-    the regular keys and its own keys, and its context is joined under the
-    regular rows'."""
-    n = streams.n_reg
-    if streams.mask_allowed is None:
-        return ops.attention_context(masked_softmax_rows(ops.attention_scores(q, k, n_heads), streams.causal), v)
-    qr, kr, vr = (ops.first_rows(t, n) for t in (q, k, v))
-    regular = ops.attention_context(masked_softmax_rows(ops.attention_scores(qr, kr, n_heads), streams.causal), vr)
-    scores = ops.mask_attention_scores(q, k, n_heads, n, streams.block)
-    mask = ops.mask_attention_context(masked_softmax_rows(scores, streams.mask_allowed), v)
-    return ops.concat_rows([regular, mask])

@@ -40,8 +40,10 @@ warnings. This is exact because:
   an errstate that reports it the replay names `linear`, and under one
   that ignores it the pass returns its finite result;
 - `@` forms every product, so 0 * inf = NaN: a non-finite value row
-  reaches every context row, even through attention weights that are
-  exactly 0 (tested: a BLAS that skipped zero operands would fail);
+  reaches every context row whose product reads it (a regular value
+  every row, a mask block's value its block's rows), even through
+  attention weights that are exactly 0 (tested: a BLAS that skipped zero
+  operands would fail);
 - the softmax can absorb a non-finite score (-inf in an allowed cell gets
   weight 0, an excluded cell is dropped), hence the scores scan; and the
   softmax of finite scores with a full diagonal is finite.
@@ -54,18 +56,19 @@ over an op namespace: the autodiff ops when a tape is active, `ArrayOps`
 (the helpers under the ops' names) when none is. So its taped and untaped
 runs give the same bytes by construction.
 
-Five fused ops record one tape entry where a chain of elementary ops
+Three fused ops record one tape entry where a chain of elementary ops
 would record several: `gated_linear` (a gated adapter: linear over every
 row, the merged weight M = W + (c A B)^T, take_rows -> linear with M ->
 row put into the 1-rows, and optionally the residual add after it),
 `attention_scores` (the heads' scaled q k^T, for reshape/transpose x2 ->
-matmul -> scale), `attention_context` (weights times values, for
-reshape/transpose -> matmul -> transpose -> reshape), and the mask stream's
-`mask_attention_scores` and `mask_attention_context` (each a product
-over the regular rows and a batched product over the mask blocks, with
-the slices, reshapes and the concat or add that join them). The masked
-softmax between a scores op and its context op stays
-`masked_softmax_rows`. Each fused op runs its chain's array helpers in
+matmul -> scale) and `attention_context` (weights times values, for
+reshape/transpose -> matmul -> transpose -> reshape). The attention pair
+takes any layout of n_reg regular rows, then blocks of `block` mask rows:
+every row's product with the regular keys (or values), and one batched
+product of each block with its own keys (or values), with the slices,
+reshapes and the concat or add that join them; a causal layout is
+n_reg = T, block = 0, and runs the single product. The masked softmax
+between the two stays `masked_softmax_rows`. Each fused op runs its chain's array helpers in
 order and its backward applies the chain's backward expressions in
 reverse, so values and gradients are byte-equal to the chain's. The
 chains, in the tests, are their oracle.
@@ -83,9 +86,10 @@ The attention steps over their (..., H, rows, keys) cells (the scores,
 the masked softmax and its backward) each allocate one float array of
 that size, and do their other steps in place on it, never in an input;
 the scores scan adds one boolean array. An in-place step is the same IEEE
-operation on the same values, so the bytes do not change. Each scores op
-scales its product in place and scans it once, under the name `matmul`,
-the only step of its chain that can overflow.
+operation on the same values, so the bytes do not change. The scores op
+writes its products into that array, scales it in place and scans it
+once, under the name `matmul`, the only step of its chain that can
+overflow.
 """
 
 from __future__ import annotations
@@ -696,116 +700,9 @@ def _join_heads(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(g.swapaxes(-3, -2)).reshape(shape)
 
 
-def attention_scores_data(
-    qd: np.ndarray, kd: np.ndarray, n_heads: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled dot-product scores of every head: (..., T, D) queries and
-    keys, split into n_heads heads of D / n_heads columns, give (..., H, T,
-    T) q k^T / sqrt(D / n_heads). Returns (scores, q as (..., H, T, d_h), k
-    as (..., H, d_h, T)), the last two for the backward."""
-    if n_heads < 1 or qd.ndim < 2 or kd.shape != qd.shape or qd.shape[-1] % n_heads:
-        raise NumericsError(f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads")
-    q = np.ascontiguousarray(_heads(qd, n_heads))
-    k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
-    # matmul_data's product, scaled in place and checked once: a factor
-    # 1 / sqrt(d_h) <= 1 cannot make a finite value non-finite, so a
-    # non-finite score can only come from the product. The scan runs in a
-    # fast run too: the softmax can absorb a non-finite score.
-    s = q @ k
-    s *= 1.0 / math.sqrt(q.shape[-1])
-    return _scan(s, "matmul"), q, k
-
-
-def attention_scores(q: Tensor, k: Tensor, n_heads: int) -> Tensor:
-    """Tensor form of `attention_scores_data`: the chain reshape/transpose
-    x2 -> matmul -> scale as one op."""
-    s, qh, kh = attention_scores_data(q.data, k.data, n_heads)
-    out = _out(s)
-    c = 1.0 / math.sqrt(qh.shape[-1])
-
-    def bw(g, qh=qh, kh=kh, shape=q.data.shape):
-        gs = g * c
-        gq = gs @ kh.swapaxes(-1, -2)
-        gk = qh.swapaxes(-1, -2) @ gs
-        return _join_heads(gq, shape), _join_heads(gk.swapaxes(-1, -2), shape)
-
-    return _record(out, (q, k), bw)
-
-
-def attention_context_data(pd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attention weights pd (..., H, T, T) times (..., T, D) values split
-    into H heads, the heads joined back to (..., T, D). Returns (output, v
-    as (..., H, T, d_h)), the last for the backward."""
-    ok = (
-        vd.ndim >= 2
-        and pd.ndim == vd.ndim + 1
-        and pd.shape[-3] >= 1
-        and pd.shape[:-3] == vd.shape[:-2]
-        and pd.shape[-2:] == (vd.shape[-2],) * 2
-    )
-    if not ok or vd.shape[-1] % pd.shape[-3]:
-        raise NumericsError(f"attention_context shape mismatch {pd.shape} x {vd.shape}")
-    v = np.ascontiguousarray(_heads(vd, pd.shape[-3]))
-    return _join_heads(matmul_data(pd, v), vd.shape), v
-
-
-def attention_context(p: Tensor, v: Tensor) -> Tensor:
-    """Tensor form of `attention_context_data`: the chain reshape/transpose
-    -> matmul -> transpose -> reshape as one op."""
-    y, vh = attention_context_data(p.data, v.data)
-    out = _out(y)
-
-    def bw(g, pd=p.data, vh=vh, shape=v.data.shape):
-        go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
-        return go @ vh.swapaxes(-1, -2), _join_heads(pd.swapaxes(-1, -2) @ go, shape)
-
-    return _record(out, (p, v), bw)
-
-
-def first_rows(x: Tensor, n: int) -> Tensor:
-    """The first n rows x[..., :n, :] (a view); backward puts g into zeros,
-    as take_rows of those rows does."""
-    out = _out(x.data[..., :n, :])
-
-    def bw(g, shape=x.data.shape, dtype=x.data.dtype):
-        gx = np.zeros(shape, dtype=dtype)
-        gx[..., :n, :] += g
-        return (gx,)
-
-    return _record(out, (x,), bw)
-
-
 def _blocks(xd: np.ndarray, block: int) -> np.ndarray:
     """(..., M, c) -> (..., M / block, block, c): the rows in runs of `block`."""
     return xd.reshape(xd.shape[:-2] + (xd.shape[-2] // block, block, xd.shape[-1]))
-
-
-def mask_attention_scores_data(
-    qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mask stream's scores. Rows after the first n_reg of (..., T, D)
-    queries and keys are mask blocks of `block` rows each; every mask query
-    scores against the n_reg regular keys, then against the `block` keys of
-    its own block: (..., H, M, n_reg + block) for M = T - n_reg, scaled by
-    1 / sqrt(d_h), from one product over the regular keys and one batched
-    (nb, block, block) product over the blocks. Returns (scores, mask
-    queries (..., H, M, d_h), every key (..., H, d_h, T)), the last two for
-    the backward."""
-    t_len = qd.shape[-2] if qd.ndim >= 2 else 0
-    m = t_len - n_reg
-    ok = n_heads >= 1 and qd.ndim >= 2 and kd.shape == qd.shape and not qd.shape[-1] % n_heads
-    if not ok or n_reg < 1 or block < 1 or m < block or m % block:
-        raise NumericsError(
-            f"mask_attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads, "
-            f"{n_reg} regular rows and blocks of {block}"
-        )
-    q = _heads(qd[..., n_reg:, :], n_heads)
-    kt = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
-    s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
-    np.matmul(q, kt[..., :n_reg], out=s[..., :n_reg])
-    np.matmul(_blocks(q, block), _key_blocks(kt, n_reg, block), out=_blocks(s[..., n_reg:], block))
-    s *= 1.0 / math.sqrt(q.shape[-1])
-    return _scan(s, "matmul"), q, kt
 
 
 def _key_blocks(kt: np.ndarray, n_reg: int, block: int) -> np.ndarray:
@@ -814,73 +711,127 @@ def _key_blocks(kt: np.ndarray, n_reg: int, block: int) -> np.ndarray:
     return kb.reshape(kb.shape[:-1] + (kb.shape[-1] // block, block)).swapaxes(-3, -2)
 
 
-def mask_attention_scores(q: Tensor, k: Tensor, n_heads: int, n_reg: int, block: int) -> Tensor:
-    """Tensor form of `mask_attention_scores_data`: the chain take_rows,
-    reshape/transpose, the two products, concat_cols and scale as one op."""
-    s, qh, kt = mask_attention_scores_data(q.data, k.data, n_heads, n_reg, block)
+def _fits(t_len: int, n_reg: int, block: int) -> bool:
+    """T rows are n_reg regular rows, then blocks of `block` mask rows (none
+    when block is 0): the layouts the attention ops take."""
+    m = t_len - n_reg
+    return 1 <= n_reg <= t_len and block >= 0 and (m == 0 if block == 0 else m > 0 and m % block == 0)
+
+
+def attention_scores_data(
+    qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled dot-product scores of every head. The (..., T, D) queries and
+    keys are split into n_heads heads of d_h = D / n_heads columns. Every
+    query row scores against the first n_reg keys, the regular ones, by one
+    product; each row after them, in blocks of `block` mask rows, also
+    scores against its own block's keys, by one batched (nb, block, block)
+    product. That gives (..., H, T, n_reg + block) q k^T / sqrt(d_h); a
+    regular row's block columns hold 0, for the softmax to exclude. A
+    causal layout is n_reg = T, block = 0: (..., H, T, T). Returns (scores,
+    q as (..., H, T, d_h), k as (..., H, d_h, T)), the last two for the
+    backward."""
+    t_len = qd.shape[-2] if qd.ndim >= 2 else 0
+    ok = n_heads >= 1 and qd.ndim >= 2 and kd.shape == qd.shape and not qd.shape[-1] % n_heads
+    if not ok or not _fits(t_len, n_reg, block):
+        raise NumericsError(
+            f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads, "
+            f"{n_reg} regular rows and blocks of {block}"
+        )
+    q = np.ascontiguousarray(_heads(qd, n_heads))
+    k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
+    if block:
+        s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
+        np.matmul(q, k[..., :n_reg], out=s[..., :n_reg])
+        s[..., :n_reg, n_reg:] = 0
+        by_block = _blocks(s[..., n_reg:, n_reg:], block)
+        np.matmul(_blocks(q[..., n_reg:, :], block), _key_blocks(k, n_reg, block), out=by_block)
+    else:
+        s = q @ k
+    # matmul_data's products, scaled in place and checked once: a factor
+    # 1 / sqrt(d_h) <= 1 cannot make a finite value non-finite, so a
+    # non-finite score can only come from a product. The scan runs in a
+    # fast run too: the softmax can absorb a non-finite score.
+    s *= 1.0 / math.sqrt(q.shape[-1])
+    return _scan(s, "matmul"), q, k
+
+
+def attention_scores(q: Tensor, k: Tensor, n_heads: int, n_reg: int, block: int) -> Tensor:
+    """Tensor form of `attention_scores_data`: the chain reshape/transpose
+    x2 -> matmul -> scale as one op; with mask blocks, the regular keys'
+    product and each block's product over its own rows, joined under a
+    zero filler for the regular rows' block columns, before the scale."""
+    s, qh, kt = attention_scores_data(q.data, k.data, n_heads, n_reg, block)
     out = _out(s)
     c = 1.0 / math.sqrt(qh.shape[-1])
 
-    def bw(g, qh=qh, kt=kt, shape=q.data.shape, dtype=q.data.dtype):
+    def bw(g, qh=qh, kt=kt, shape=q.data.shape):
         gs = g * c
-        gr, gb = gs[..., :n_reg], _blocks(gs[..., n_reg:], block)
-        kb = _key_blocks(kt, n_reg, block)
+        gr = gs[..., :n_reg]
         gq = gr @ kt[..., :n_reg].swapaxes(-1, -2)
-        gq += (gb @ kb.swapaxes(-1, -2)).reshape(gq.shape)
-        gkr = (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
-        gkb = (_blocks(qh, block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2).reshape(qh.shape)
-        m_shape = shape[:-2] + (shape[-2] - n_reg, shape[-1])
-        gqx, gkx = np.zeros(shape, dtype=dtype), np.zeros(shape, dtype=dtype)
-        gqx[..., n_reg:, :] += _join_heads(gq, m_shape)
-        gkx[..., :n_reg, :] += _join_heads(gkr, shape[:-2] + (n_reg, shape[-1]))
-        gkx[..., n_reg:, :] += _join_heads(gkb, m_shape)
-        return gqx, gkx
+        gk = (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
+        if block:
+            # A regular row's block columns were a constant: no gradient.
+            gb, m_shape = _blocks(gs[..., n_reg:, n_reg:], block), gq[..., n_reg:, :].shape
+            gq[..., n_reg:, :] += (gb @ _key_blocks(kt, n_reg, block).swapaxes(-1, -2)).reshape(m_shape)
+            gkb = (_blocks(qh[..., n_reg:, :], block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2)
+            gk = np.concatenate([gk, gkb.reshape(m_shape)], axis=-2)
+        return _join_heads(gq, shape), _join_heads(gk, shape)
 
     return _record(out, (q, k), bw)
 
 
-def mask_attention_context_data(pd: np.ndarray, vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mask stream's context: weights pd (..., H, M, n + k), as
-    `mask_attention_scores_data` lays them out, times the values vd (..., T,
-    D) of T = n + M rows split into H heads: the n regular values by one
-    product, each block's k values by one batched (nb, k, k) product, the
-    two added, the heads joined to (..., M, D). Returns (output, every value
-    (..., H, T, d_h)), the last for the backward."""
-    n_heads, m = (pd.shape[-3], pd.shape[-2]) if pd.ndim >= 3 else (0, 0)
-    n = vd.shape[-2] - m if vd.ndim >= 2 else 0
-    block = pd.shape[-1] - n
-    ok = vd.ndim >= 2 and pd.ndim == vd.ndim + 1 and pd.shape[:-3] == vd.shape[:-2] and n_heads >= 1
-    if not ok or n < 1 or block < 1 or m % block or vd.shape[-1] % n_heads:
-        raise NumericsError(f"mask_attention_context shape mismatch {pd.shape} x {vd.shape}")
-    vh = _heads(vd, n_heads)
-    out = _finite(pd[..., :n] @ vh[..., :n, :], "matmul")
-    by_block = _finite(_blocks(pd[..., n:], block) @ _blocks(vh[..., n:, :], block), "matmul")
-    out += by_block.reshape(out.shape)
-    return _join_heads(_finite(out, "add"), vd.shape[:-2] + (m, vd.shape[-1])), vh
+def attention_context_data(pd: np.ndarray, vd: np.ndarray, n_reg: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Attention weights pd (..., H, T, n_reg + block), laid out as
+    `attention_scores_data` lays out its scores, times the (..., T, D)
+    values split into H heads: every row's weights on the n_reg regular
+    values by one product, and each mask block's weights on its own block's
+    values by one batched (nb, block, block) product, added into that
+    block's rows. A regular row reads the regular values alone. The heads
+    are joined back to (..., T, D). Returns (output, v as (..., H, T,
+    d_h)), the last for the backward."""
+    n_heads = pd.shape[-3] if pd.ndim >= 3 else 0
+    t_len = vd.shape[-2] if vd.ndim >= 2 else 0
+    ok = (
+        vd.ndim >= 2
+        and pd.ndim == vd.ndim + 1
+        and n_heads >= 1
+        and pd.shape[:-3] == vd.shape[:-2]
+        and pd.shape[-2:] == (t_len, n_reg + block)
+    )
+    if not ok or vd.shape[-1] % n_heads or not _fits(t_len, n_reg, block):
+        raise NumericsError(
+            f"attention_context shape mismatch {pd.shape} x {vd.shape} for {n_reg} regular rows and blocks of {block}"
+        )
+    v = np.ascontiguousarray(_heads(vd, n_heads))
+    out = _finite(pd[..., :n_reg] @ v[..., :n_reg, :], "matmul")
+    if block:
+        by_block = _finite(_blocks(pd[..., n_reg:, n_reg:], block) @ _blocks(v[..., n_reg:, :], block), "matmul")
+        out[..., n_reg:, :] += by_block.reshape(out[..., n_reg:, :].shape)
+        _finite(out, "add")
+    return _join_heads(out, vd.shape), v
 
 
-def mask_attention_context(p: Tensor, v: Tensor) -> Tensor:
-    """Tensor form of `mask_attention_context_data`: the chain of column
-    and row slices, reshape/transpose, the two products, add and
-    transpose/reshape as one op."""
-    y, vh = mask_attention_context_data(p.data, v.data)
+def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int) -> Tensor:
+    """Tensor form of `attention_context_data`: the chain reshape/transpose
+    -> matmul -> transpose -> reshape as one op; with mask blocks, each
+    block's product added into its rows before the transpose."""
+    y, vh = attention_context_data(p.data, v.data, n_reg, block)
     out = _out(y)
 
-    def bw(g, pd=p.data, vh=vh, shape=v.data.shape, dtype=v.data.dtype):
-        m = g.shape[-2]
-        n, block = shape[-2] - m, pd.shape[-1] - (shape[-2] - m)
-        vr, vb = vh[..., :n, :], _blocks(vh[..., n:, :], block)
+    def bw(g, pd=p.data, vh=vh, shape=v.data.shape):
         go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
-        gob = _blocks(go, block)
-        gp = np.zeros(pd.shape, dtype=dtype)
-        gp[..., :n] += go @ vr.swapaxes(-1, -2)
-        _blocks(gp[..., n:], block)[...] += gob @ vb.swapaxes(-1, -2)
-        gvr = pd[..., :n].swapaxes(-1, -2) @ go
-        gvb = (_blocks(pd[..., n:], block).swapaxes(-1, -2) @ gob).reshape(go.shape)
-        gv = np.zeros(shape, dtype=dtype)
-        gv[..., :n, :] += _join_heads(gvr, shape[:-2] + (n, shape[-1]))
-        gv[..., n:, :] += _join_heads(gvb, g.shape)
-        return gp, gv
+        gp = go @ vh[..., :n_reg, :].swapaxes(-1, -2)
+        gv = pd[..., :n_reg].swapaxes(-1, -2) @ go
+        if block:
+            gob = _blocks(go[..., n_reg:, :], block)
+            gpb = gob @ _blocks(vh[..., n_reg:, :], block).swapaxes(-1, -2)
+            gvb = _blocks(pd[..., n_reg:, n_reg:], block).swapaxes(-1, -2) @ gob
+            # A regular row reads no block value: its block columns get 0.
+            gp = np.concatenate([gp, np.zeros(gp.shape[:-1] + (block,), dtype=gp.dtype)], axis=-1)
+            gp[..., n_reg:, n_reg:] = gpb.reshape(gp[..., n_reg:, n_reg:].shape)
+            gv = np.concatenate([gv, gvb.reshape(go[..., n_reg:, :].shape)], axis=-2)
+        return gp, _join_heads(gv, shape)
 
     return _record(out, (p, v), bw)
 
@@ -899,12 +850,8 @@ class ArrayOps:
     linear = staticmethod(lambda x, w: linear_data(x, w.data))
     silu = staticmethod(lambda x: silu_data(x)[0])
     layer_norm = staticmethod(lambda x, gain, bias: layer_norm_data(x, gain.data, bias.data)[0])
-    attention_scores = staticmethod(lambda q, k, n_heads: attention_scores_data(q, k, n_heads)[0])
-    attention_context = staticmethod(lambda p, v: attention_context_data(p, v)[0])
-    first_rows = staticmethod(lambda x, n: x[..., :n, :])
-    mask_attention_scores = staticmethod(lambda q, k, *shape: mask_attention_scores_data(q, k, *shape)[0])
-    mask_attention_context = staticmethod(lambda p, v: mask_attention_context_data(p, v)[0])
-    concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=-2))
+    attention_scores = staticmethod(lambda q, k, *layout: attention_scores_data(q, k, *layout)[0])
+    attention_context = staticmethod(lambda p, v, *layout: attention_context_data(p, v, *layout)[0])
     gated_linear = staticmethod(
         lambda x, w, a, b, rows, c, residual=None, merged=None: gated_linear_data(
             x, w.data, a.data, b.data, rows, c, residual, merged

@@ -305,16 +305,18 @@ class TrainConfig:
             raise ValueError("total_steps and batch_size must be >= 1")
         if self.warmup_steps > self.total_steps:
             raise ValueError("warmup_steps must not exceed total_steps")
-        # Each optimizer, loss, eval and divergence field, named by its
-        # config key: a value outside its range would fail only once
-        # training runs, or never stop it.
-        nonnegative = ("weight_decay", "loss_base", "loss_sampler", "loss_lcm", "eval_every")
+        # Each optimizer, schedule, loss, eval and divergence field, named
+        # by its config key: a value outside its range would fail only once
+        # training runs, act as another value, or never stop it.
+        nonnegative = (
+            "weight_decay", "loss_base", "loss_sampler", "loss_lcm", "eval_every", "warmup_steps", "pretrain_steps"
+        )
         evals = ("eval_prompts", "eval_prompt_len", "eval_max_steps") if self.eval_every else ()
         for names, ok, want in (
             (("learning_rate", "pretrain_lr", "adam_eps", "divergence_factor"), lambda v: v > 0, "finite and > 0"),
             (nonnegative, lambda v: v >= 0, "finite and >= 0"),
             (("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)"),
-            (evals, lambda v: v >= 1, ">= 1"),
+            (("divergence_patience",) + evals, lambda v: v >= 1, ">= 1"),
         ):
             for name in names:
                 value = getattr(self, name)

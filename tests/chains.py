@@ -4,12 +4,13 @@ per-sequence training loop that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
-`silu_data`'s `np.maximum` replaces, and the two-stream attention
-written with elementary ops. Each is its replacement's oracle:
-values and gradients must match it byte for byte. The visibility rule's
-(T, T) matrix, which `forward` no longer builds, is the oracle of the
-streams it derives. The elementary ops that only these chains and the
-tests use are written here too, on the engine's helpers and tape."""
+`silu_data`'s `np.maximum` replaces, and a layer's attention, regular
+keys and mask blocks, written with elementary ops. Each is its
+replacement's oracle: values and gradients must match it byte for byte.
+The visibility rule's (T, T) matrix, which `forward` no longer builds, is
+the oracle of the `allowed` matrix it derives. The elementary ops that
+only these chains and the tests use are written here too, on the
+engine's helpers and tape."""
 
 import numpy as np
 from conftest import run_batch
@@ -106,21 +107,27 @@ def _split_heads(x, n_heads, axes):
     return transpose(reshape(x, (t_len, n_heads, d // n_heads)), axes)
 
 
-def scores_chain(q, k, n_heads):
-    """attention_scores as reshape/transpose x2 -> matmul -> scale."""
-    qh, kh = _split_heads(q, n_heads, (1, 0, 2)), _split_heads(k, n_heads, (1, 2, 0))
-    return tz.scale(matmul(qh, kh), 1.0 / np.sqrt(q.shape[1] // n_heads))
-
-
-def context_chain(p, v):
-    """attention_context as reshape/transpose -> matmul -> transpose -> reshape."""
-    vh = _split_heads(v, p.shape[0], (1, 0, 2))
-    return reshape(transpose(matmul(p, vh), (1, 0, 2)), v.shape)
-
-
-def attention_chain(q, k, v, allowed, n_heads):
-    """The multi-head attention core, (T, D) q, k, v -> (T, D)."""
-    return context_chain(tz.masked_softmax_rows(scores_chain(q, k, n_heads), allowed), v)
+def scores_chain(q, k, n_heads, n_reg, block):
+    """attention_scores over (T, D) q and k as reshape/transpose x2 ->
+    matmul -> scale. With mask blocks after the first n_reg rows: every
+    row's product with the regular keys (take_rows, reshape/transpose,
+    matmul), each block's queries times its own keys (take_rows,
+    reshape/transpose, a batched matmul) under a zero filler for the
+    regular rows' block columns (concat_rows), the two joined by
+    concat_cols, then the scale."""
+    t_len, d = q.shape
+    dh = d // n_heads
+    qh = _split_heads(q, n_heads, (1, 0, 2))
+    if not block:
+        return tz.scale(matmul(qh, _split_heads(k, n_heads, (1, 2, 0))), 1.0 / np.sqrt(dh))
+    m, mask = t_len - n_reg, np.arange(n_reg, t_len)
+    blocks = (n_heads, m // block, block, dh)
+    kr = _split_heads(tz.take_rows(k, np.arange(n_reg)), n_heads, (1, 2, 0))
+    qb = reshape(_split_heads(tz.take_rows(q, mask), n_heads, (1, 0, 2)), blocks)
+    kb = transpose(reshape(_split_heads(tz.take_rows(k, mask), n_heads, (1, 0, 2)), blocks), (0, 1, 3, 2))
+    filler = tz.Tensor(np.zeros((n_heads, n_reg, block), dtype=q.data.dtype))
+    by_block = tz.concat_rows([filler, reshape(matmul(qb, kb), (n_heads, m, block))])
+    return tz.scale(tz.concat_cols([matmul(qh, kr), by_block]), 1.0 / np.sqrt(dh))
 
 
 def cols(x, lo, hi):
@@ -135,50 +142,36 @@ def cols(x, lo, hi):
     return _record(out, (x,), bw)
 
 
-def mask_scores_chain(q, k, n_heads, n_reg, block):
-    """mask_attention_scores over (T, D) q and k as take_rows, reshape/
-    transpose, a product with the regular keys, a batched product with each
-    block's keys, concat_cols and scale."""
-    t_len, d = q.shape
-    m, dh = t_len - n_reg, d // n_heads
-    blocks = (n_heads, m // block, block, dh)
-    qh = _split_heads(tz.take_rows(q, np.arange(n_reg, t_len)), n_heads, (1, 0, 2))
-    kr = _split_heads(tz.take_rows(k, np.arange(n_reg)), n_heads, (1, 2, 0))
-    kb = transpose(reshape(_split_heads(tz.take_rows(k, np.arange(n_reg, t_len)), n_heads, (1, 0, 2)), blocks), (0, 1, 3, 2))
-    by_block = reshape(matmul(reshape(qh, blocks), kb), (n_heads, m, block))
-    return tz.scale(tz.concat_cols([matmul(qh, kr), by_block]), 1.0 / np.sqrt(dh))
-
-
-def mask_context_chain(p, v):
-    """mask_attention_context over (H, M, n + k) weights and (T, D) values
-    as take_rows, reshape/transpose, column slices, the two products, add
-    and transpose/reshape."""
-    n_heads, m, width = p.shape
-    t_len, d = v.shape
-    n = t_len - m
-    block, dh = width - n, d // n_heads
+def context_chain(p, v, n_reg, block):
+    """attention_context over (H, T, n_reg + block) weights and (T, D)
+    values as reshape/transpose -> matmul -> transpose -> reshape. With
+    mask blocks: every row's regular columns times the regular values
+    (column slice, take_rows, reshape/transpose, matmul), each block's rows'
+    block columns times its own values (take_rows, column slice,
+    reshape/transpose, a batched matmul), added into those rows (take_rows,
+    add, concat_rows), then the transpose and reshape."""
+    n_heads, t_len, width = p.shape
+    if not block:
+        return reshape(transpose(matmul(p, _split_heads(v, n_heads, (1, 0, 2))), (1, 0, 2)), v.shape)
+    m, reg, mask = t_len - n_reg, np.arange(n_reg), np.arange(n_reg, t_len)
+    dh = v.shape[1] // n_heads
     blocks = (n_heads, m // block, block)
-    vr = _split_heads(tz.take_rows(v, np.arange(n)), n_heads, (1, 0, 2))
-    vb = reshape(_split_heads(tz.take_rows(v, np.arange(n, t_len)), n_heads, (1, 0, 2)), blocks + (dh,))
-    ctx = tz.add(
-        matmul(cols(p, 0, n), vr),
-        reshape(matmul(reshape(cols(p, n, width), blocks + (block,)), vb), (n_heads, m, dh)),
-    )
-    return reshape(transpose(ctx, (1, 0, 2)), (m, d))
+    vr = _split_heads(tz.take_rows(v, reg), n_heads, (1, 0, 2))
+    vb = reshape(_split_heads(tz.take_rows(v, mask), n_heads, (1, 0, 2)), blocks + (dh,))
+    pb = reshape(cols(tz.take_rows(p, mask), n_reg, width), blocks + (block,))
+    ctx = matmul(cols(p, 0, n_reg), vr)
+    by_block = reshape(matmul(pb, vb), (n_heads, m, dh))
+    ctx = tz.concat_rows([tz.take_rows(ctx, reg), tz.add(tz.take_rows(ctx, mask), by_block)])
+    return reshape(transpose(ctx, (1, 0, 2)), v.shape)
 
 
-def two_stream_attention_chain(q, k, v, streams, n_heads):
-    """The attention of `model._attention` over (T, D) q, k, v, as
-    elementary ops: the causal attention of the regular rows, then each
-    mask block scored against the regular keys and its own keys, one
-    softmax over both, and the context from the two products added."""
-    if streams.mask_allowed is None:  # a causal layout: one stream
-        return attention_chain(q, k, v, streams.causal, n_heads)
-    reg = np.arange(streams.n_reg)
-    regular = attention_chain(*(tz.take_rows(t, reg) for t in (q, k, v)), streams.causal, n_heads)
-    scores = mask_scores_chain(q, k, n_heads, streams.n_reg, streams.block)
-    mask = mask_context_chain(tz.masked_softmax_rows(scores, streams.mask_allowed), v)
-    return tz.concat_rows([regular, mask])
+def attention_chain(q, k, v, streams, n_heads):
+    """The attention of a layer over (T, D) q, k, v, as elementary ops:
+    scores, the masked softmax over `streams.allowed`, context. `streams`
+    is a `model.Streams` or any (n_reg, block, allowed) triple."""
+    n_reg, block, allowed = streams
+    p = tz.masked_softmax_rows(scores_chain(q, k, n_heads, n_reg, block), allowed)
+    return context_chain(p, v, n_reg, block)
 
 
 def visibility_rule(block_anchor):
@@ -196,16 +189,17 @@ def visibility_rule(block_anchor):
 
 
 def streams_matrix(streams, t_len):
-    """The (T, T) visibility that `layout_streams`' output describes."""
-    if streams.mask_allowed is None:
-        return streams.causal.copy()
-    n, blk = streams.n_reg, streams.block
-    allowed = np.zeros((t_len, t_len), dtype=bool)
-    allowed[:n, :n] = streams.causal
-    allowed[n:, :n] = streams.mask_allowed[:, :n]
+    """The (T, T) visibility that `layout_streams`' output describes. A
+    regular row's block columns stand for no key, so none may be allowed."""
+    n, blk, allowed = streams
+    if not blk:
+        return allowed.copy()
+    assert not allowed[:n, n:].any(), "a regular row's block column is allowed"
+    out = np.zeros((t_len, t_len), dtype=bool)
+    out[:, :n] = allowed[:, :n]
     for lo in range(n, t_len, blk):
-        allowed[lo : lo + blk, lo : lo + blk] = streams.mask_allowed[lo - n : lo - n + blk, n:]
-    return allowed
+        out[lo : lo + blk, lo : lo + blk] = allowed[lo : lo + blk, n:]
+    return out
 
 
 def silu_where(xd):

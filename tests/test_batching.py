@@ -274,7 +274,10 @@ def test_derived_visibility_is_the_rule_on_every_layout_kind():
         ]
         for batch in layouts:
             streams = layout_streams(batch.block_anchor, batch.size)
-            assert streams.n_reg == int((batch.gate == 0).sum())
+            # A causal or linear layout is one block-free triangle.
+            n_reg = int((batch.gate == 0).sum()) if streams.block else batch.size
+            assert streams.n_reg == n_reg
+            assert streams.allowed.shape == (batch.size, n_reg + streams.block)
             got = streams_matrix(streams, batch.size)
             assert np.array_equal(got, visibility_rule(batch.block_anchor))
 

@@ -286,11 +286,15 @@ def test_train_checks_its_corpus_before_making_the_run_directory(tmp_path, capsy
         ),
         ("[train]\neval_every = -2", "[train] eval_every must be finite and >= 0, got -2"),
         ("[train]\ndivergence_factor = nan", "[train] divergence_factor must be finite and > 0, got nan"),
+        ("[train]\nwarmup_steps = -5", "[train] warmup_steps must be finite and >= 0, got -5"),
+        ("[train]\npretrain_steps = -3", "[train] pretrain_steps must be finite and >= 0, got -3"),
+        ("[train]\ndivergence_patience = 0", "[train] divergence_patience must be >= 1, got 0"),
     ],
     ids=[
         "loss-base-negative", "loss-lcm-inf", "learning-rate-nan", "pretrain-lr-nan", "adam-eps-0",
         "beta1-above-1", "beta2-1", "weight-decay-negative", "eval-without-prompts",
-        "eval-every-negative", "divergence-factor-nan",
+        "eval-every-negative", "divergence-factor-nan", "warmup-steps-negative", "pretrain-steps-negative",
+        "divergence-patience-0",
     ],
 )
 def test_train_rejects_bad_optimizer_and_loss_fields_before_writing(tmp_path, capsys, lines, message):
@@ -466,6 +470,27 @@ def test_negative_prompt_count_is_usage_error(untrained_ckpt, tmp_path, capsys, 
         code = main([command, "--ckpt", str(untrained_ckpt), "--suite", name, "--prompts", "-1"])
         assert code == EXIT_USAGE
         assert "--prompts must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["-1", "-2"])
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_negative_prompt_len_is_usage_error_before_loading(
+    untrained_ckpt, tmp_path, capsys, monkeypatch, command, length
+):
+    # Every suite, the file suite that does not read the length included:
+    # the random and pattern suites passed it on to numpy, the arithmetic
+    # suite made it one digit.
+    def no_load(path):
+        raise AssertionError(f"{command} loaded the checkpoint before checking --prompt-len")
+
+    monkeypatch.setattr("specmtp.cli._load", no_load)
+    suite = tmp_path / "prompts.txt"
+    suite.write_text("abcd\n", encoding="utf-8")
+    for name in ("random", "pattern", "arithmetic", str(suite)):
+        argv = [command, "--ckpt", str(untrained_ckpt), "--suite", name, "--prompts", "2", "--prompt-len", length]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: --prompt-len must be >= 0, got {length}" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize(

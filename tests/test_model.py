@@ -2,7 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from chains import gated_linear_chain, two_stream_attention_chain
+from chains import attention_chain, gated_linear_chain
 from conftest import run_batch
 
 from specmtp.batching import (
@@ -445,8 +445,8 @@ def test_both_passes_call_the_module_masked_softmax_rows(monkeypatch):
         calls.clear()
         with Tape() if taped else contextlib.nullcontext():
             run_batch(model, batch)
-        # One softmax per stream: the regular rows', then the mask blocks'.
-        layer = ["gated_lora_apply"] * 3 + ["masked_softmax_rows"] * 2 + ["gated_lora_apply"] * 3
+        # One softmax per layer, over the regular rows and the mask blocks.
+        layer = ["gated_lora_apply"] * 3 + ["masked_softmax_rows"] + ["gated_lora_apply"] * 3
         assert calls == [(name, taped) for name in layer * CFG["n_layers"]]
 
 
@@ -561,7 +561,7 @@ def chain_forward(model, batch, gate=None):
     for lw in model.layers:
         h = tz.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         q, k, v = (chain_lora(g, h, gate) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        heads = two_stream_attention_chain(q, k, v, layout_streams(batch.block_anchor, batch.size), c.n_heads)
+        heads = attention_chain(q, k, v, layout_streams(batch.block_anchor, batch.size), c.n_heads)
         x = tz.add(x, chain_lora(lw.attn_o, heads, gate))
         h2 = tz.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         x = tz.add(x, chain_lora(lw.ff_out, tz.silu(chain_lora(lw.ff_in, h2, gate)), gate))
@@ -633,8 +633,7 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
         for _ in range(4):
             batch = random_layout("training", rng, model.config.mask_ids)
             gate = make_gate(batch, rng)
-            streams = layout_streams(batch.block_anchor, batch.size)
-            assert isinstance(_adapter_rows(gate, streams.n_reg), index_type)
+            assert isinstance(_adapter_rows(gate), index_type)
             runs = [
                 taped_training_pass(model, sampler, batch, run)
                 for run in (
@@ -675,17 +674,15 @@ def test_untaped_forward_is_bitwise_taped_forward_for_every_gate_index(layout, k
 def test_training_forward_records_one_entry_per_fused_op():
     # The embedding (table concat, lookup, position add), then 2 layers of:
     # 2 layer norms, 6 adapters (a gated_linear each, the residual adds
-    # inside those of attn.o and ff.out), the regular
-    # stream's first rows of q, k and v, scores, softmax and context, the
-    # mask stream's scores, softmax and context, the join of the two, and
-    # silu; then the final norm and the unembedding. A causal layout with
-    # its gate off runs each adapter as a linear (each residual an add of its own)
-    # and no mask stream: its attention is 3 entries.
+    # inside those of attn.o and ff.out), the attention's scores, softmax
+    # and context, and silu; then the final norm and the unembedding. A
+    # causal layout with its gate off runs each adapter as a linear (each
+    # residual an add of its own); its attention is the same 3 entries.
     model = make_model(rank=4, seed=9)
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
     with Tape() as tape:
         run_batch(model, batch)
-    assert len(tape) == 3 + 2 * (2 + 6 + 10 + 1) + 2
+    assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2
     with Tape() as tape:
         run_batch(model, causal_rows([1, 2, 3, 4, 5]))
     assert len(tape) == 3 + 2 * (2 + 6 + 2 + 3 + 1) + 2
@@ -749,4 +746,4 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
     for batch in (stack, stack.select(0)):
         with Tape() as tape:
             run_batch(model, batch)
-        assert len(tape) == 3 + 2 * (2 + 6 + 10 + 1) + 2
+        assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2

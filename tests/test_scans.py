@@ -149,7 +149,7 @@ def causal_allowed(t_len):
 def attention_step(q, k):
     """Scores, then the causal masked softmax: the part of a pass where a
     non-finite score can vanish."""
-    scores = tz.attention_scores_data(q, k, 1)[0]
+    scores = tz.attention_scores_data(q, k, 1, q.shape[0], 0)[0]
     return tz.masked_softmax_data(scores, causal_allowed(q.shape[0]))
 
 
@@ -184,8 +184,9 @@ def test_a_clean_pass_scans_only_its_scores(monkeypatch):
     for taped in (False, True):
         with Tape() if taped else contextlib.nullcontext():
             run_batch(model, batch)
-    # Per pass and layer, the regular stream's scores and the mask stream's.
-    assert scanned == ["matmul"] * (2 * 2 * CFG.n_layers)
+    # Per pass and layer, the one scores array of the regular keys and the
+    # mask blocks.
+    assert scanned == ["matmul"] * (2 * CFG.n_layers)
     scanned.clear()
     sampler_chain(head, model.unembed, model.embedding_table(), 0, np.ones((3, CFG.d_model), np.float32))
     assert scanned == []

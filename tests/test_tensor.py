@@ -7,8 +7,6 @@ from chains import (
     attention_chain,
     context_chain,
     gated_linear_chain,
-    mask_context_chain,
-    mask_scores_chain,
     matmul,
     row_scatter_add,
     scores_chain,
@@ -21,6 +19,8 @@ from chains import (
 )
 
 from specmtp import tensor as tz
+from specmtp.batching import NO_ANCHOR
+from specmtp.model import layout_streams
 from specmtp.tensor import (
     NumericsError,
     Tape,
@@ -229,9 +229,9 @@ def test_attention_ops_leave_their_inputs_unchanged(dtype):
     with precision(dtype):
         q, k, v = (Tensor(rng.normal(size=(2, T_ROWS, 4)), requires_grad=True) for _ in range(3))
         with Tape() as tape:
-            s = tz.attention_scores(q, k, 2)
+            s = tz.attention_scores(q, k, 2, T_ROWS, 0)
             p = masked_softmax_rows(s, allowed)
-            tz.attention_context(p, v)
+            tz.attention_context(p, v, T_ROWS, 0)
     arrays = [q.data, k.data, v.data, s.data, p.data, allowed]
     before = [a.tobytes() for a in arrays]
     assert len(tape) == 3
@@ -458,14 +458,19 @@ OVERFLOWS = {
     "lora_delta": lambda: tz.gated_linear(
         Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), _big(2, 1), Tensor(np.full((1, 2), 2.0)), np.array([1]), 1.0
     ),
-    "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1),
-    "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2)),
-    # One regular row, then one block of 2 mask rows.
-    "mask_attention_scores": lambda: tz.mask_attention_scores(_big(3, 2), _big(3, 2), 1, 1, 2),
-    "mask_attention_context": lambda: tz.mask_attention_context(_big(1, 2, 3), _big(3, 2)),
-    # Both products finite, their sum not.
-    "mask_attention_context_sum": lambda: tz.mask_attention_context(
-        Tensor(np.full((1, 2, 3), 0.5)), Tensor(np.full((3, 2), 0.9 * BIG))
+    "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1, 2, 0),
+    "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2), 2, 0),
+    # The attention ops on one regular row, then one block of 2 mask rows,
+    # under the names of the mask-stream ops they replaced: the block's
+    # product overflows, and, in the context, the sum of two finite products.
+    "mask_attention_scores": lambda: tz.attention_scores(
+        Tensor([[1.0, 1.0], [0.0, 0.0], [BIG, BIG]]), Tensor([[0.0, 0.0], [0.0, 0.0], [BIG, BIG]]), 1, 1, 2
+    ),
+    "mask_attention_context": lambda: tz.attention_context(
+        Tensor(np.ones((1, 3, 3))), Tensor([[1.0, 1.0], [BIG, BIG], [BIG, BIG]]), 1, 2
+    ),
+    "mask_attention_context_sum": lambda: tz.attention_context(
+        Tensor(np.full((1, 3, 3), 0.5)), Tensor(np.full((3, 2), 0.9 * BIG)), 1, 2
     ),
 }
 # A fused op runs its chain's array helpers, so the step that made the
@@ -588,6 +593,13 @@ def random_allowed(rng, t_len):
     return np.tril(rng.random((t_len, t_len)) > 0.4) | np.eye(t_len, dtype=bool)
 
 
+# The allowed matrix of T_ROWS rows as 2 regular rows, then 2 blocks of 2
+# mask rows, anchored at rows 0 and 1: the regular keys, then the block's.
+BLOCK_ALLOWED = np.array(
+    [[1, 0, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool
+)
+
+
 def fused_case(op, case, dtype, seed=12):
     """(fused fn, chain fn, input leaves, loss weights) on random inputs."""
     rng = np.random.default_rng(seed)
@@ -609,27 +621,22 @@ def fused_case(op, case, dtype, seed=12):
         if residual:
             inputs.append(leaf(T_ROWS, 5))
         shape = (T_ROWS, 5)
-    elif op == "attention_scores":
-        fused, chain = partial(tz.attention_scores, n_heads=2), partial(scores_chain, n_heads=2)
+    elif op in ("attention_scores", "mask_attention_scores"):
+        # A causal layout, or (under the name of the mask-stream op it
+        # replaced) 2 regular rows, then 2 blocks of 2 mask rows.
+        layout = dict(n_reg=T_ROWS, block=0) if op == "attention_scores" else dict(n_reg=2, block=2)
+        fused, chain = partial(tz.attention_scores, n_heads=2, **layout), partial(scores_chain, n_heads=2, **layout)
         inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
-        shape = (2, T_ROWS, T_ROWS)
-    elif op == "mask_attention_scores":
-        # 2 regular rows, then 2 blocks of 2 mask rows.
-        shape_args = dict(n_heads=2, n_reg=2, block=2)
-        fused, chain = partial(tz.mask_attention_scores, **shape_args), partial(mask_scores_chain, **shape_args)
-        inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
-        shape = (2, 4, 4)
-    elif op == "mask_attention_context":
-        allowed = np.array([[1, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0], [1, 1, 1, 1]], dtype=bool)
-        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2, 4, 4))), allowed).data
-        fused, chain = tz.mask_attention_context, mask_context_chain
-        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS, 4)]
-        shape = (4, 4)
+        shape = (2, T_ROWS, layout["n_reg"] + layout["block"])
     else:
-        # Rows of attention weights: a softmax over a random causal mask.
-        allowed = random_allowed(rng, T_ROWS)
-        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2, T_ROWS, T_ROWS))), allowed).data
-        fused, chain = tz.attention_context, context_chain
+        # Rows of attention weights: a softmax over a random causal mask, or
+        # over the blocks' layout (2 regular rows, 2 blocks of 2).
+        if op == "attention_context":
+            layout, allowed = dict(n_reg=T_ROWS, block=0), random_allowed(rng, T_ROWS)
+        else:
+            layout, allowed = dict(n_reg=2, block=2), BLOCK_ALLOWED
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2,) + allowed.shape)), allowed).data
+        fused, chain = partial(tz.attention_context, **layout), partial(context_chain, **layout)
         inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS, 4)]
         shape = (T_ROWS, 4)
     return fused, chain, inputs, rng.normal(size=shape).astype(dtype)
@@ -673,16 +680,20 @@ def test_fused_op_is_bytewise_its_chain(op, case, dtype):
         assert f.grad.tobytes() == c.grad.tobytes()
 
 
-def test_attention_ops_are_bytewise_the_attention_chain():
+@pytest.mark.parametrize("layout", ["causal", "blocks"])
+def test_attention_ops_are_bytewise_the_attention_chain(layout):
     # The three ops the model runs per layer, against the whole chain.
     rng = np.random.default_rng(13)
-    allowed = random_allowed(rng, T_ROWS)
+    streams = (T_ROWS, 0, random_allowed(rng, T_ROWS)) if layout == "causal" else (2, 2, BLOCK_ALLOWED)
     q, k, v = (Tensor(rng.normal(size=(T_ROWS, 4)).astype(np.float32), requires_grad=True) for _ in range(3))
     w = rng.normal(size=(T_ROWS, 4)).astype(np.float32)
+    n_reg, block, allowed = streams
     runs = []
     for fn in (
-        lambda: tz.attention_context(masked_softmax_rows(tz.attention_scores(q, k, 2), allowed), v),
-        lambda: attention_chain(q, k, v, allowed, 2),
+        lambda: tz.attention_context(
+            masked_softmax_rows(tz.attention_scores(q, k, 2, n_reg, block), allowed), v, n_reg, block
+        ),
+        lambda: attention_chain(q, k, v, streams, 2),
     ):
         for t in (q, k, v):
             t.grad = None
@@ -692,6 +703,61 @@ def test_attention_ops_are_bytewise_the_attention_chain():
         backward(tape, loss)
         runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (q, k, v)])
     assert runs[0] == runs[1]
+
+
+# 5 regular rows, then 3 blocks of 3 mask rows anchored at rows 1, 4 and 2.
+ISOLATION_ANCHORS = np.r_[[NO_ANCHOR] * 5, [1] * 3, [4] * 3, [2] * 3]
+
+
+def _isolated_attention(q, k, v, taped):
+    """scores -> masked_softmax_rows -> context over ISOLATION_ANCHORS'
+    layout, as the autodiff ops under a tape or as their array helpers."""
+    n_reg, block, allowed = layout_streams(ISOLATION_ANCHORS, ISOLATION_ANCHORS.size)
+    if not taped:
+        s = tz.attention_scores_data(q, k, 2, n_reg, block)[0]
+        return tz.attention_context_data(tz.masked_softmax_data(s, allowed), v, n_reg, block)[0]
+    with Tape():
+        qt, kt, vt = (Tensor(t, requires_grad=True) for t in (q, k, v))
+        s = tz.attention_scores(qt, kt, 2, n_reg, block)
+        return tz.attention_context(masked_softmax_rows(s, allowed), vt, n_reg, block).data
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_mask_rows_reach_no_regular_row_and_blocks_reach_no_other_block(taped):
+    # New q, k and v on every mask row leave the regular rows' bytes; new k
+    # and v on one block leave every other row's. The extreme case's keys
+    # overflow a product with any regular query, so a regular row that
+    # scored a block key, even in an excluded cell, would raise.
+    rng = np.random.default_rng(29)
+    t_len, n_reg, block = ISOLATION_ANCHORS.size, 5, 3
+    m = t_len - n_reg
+    q, k, v = (rng.normal(size=(t_len, 4)).astype(np.float32) for _ in range(3))
+    base = _isolated_attention(q, k, v, taped)
+    assert base.dtype == np.float32 and base.shape == (t_len, 4)
+    # The regular rows are the causal attention of the regular rows alone;
+    # not bitwise, as the softmax sums their block columns' zeros too.
+    alone = tz.attention_scores_data(q[:n_reg], k[:n_reg], 2, n_reg, 0)[0]
+    alone = tz.masked_softmax_data(alone, np.tri(n_reg, dtype=bool))
+    alone = tz.attention_context_data(alone, v[:n_reg], n_reg, 0)[0]
+    np.testing.assert_allclose(base[:n_reg], alone, rtol=1e-6, atol=1e-6)
+    for new in (
+        [rng.normal(0.0, 3.0, size=(m, 4)) for _ in range(3)],
+        [np.zeros((m, 4)), np.full((m, 4), 3e38), np.full((m, 4), 1e37)],
+    ):
+        q2, k2, v2 = q.copy(), k.copy(), v.copy()
+        q2[n_reg:], k2[n_reg:], v2[n_reg:] = new
+        got = _isolated_attention(q2, k2, v2, taped)
+        assert np.isfinite(got).all()
+        assert got[:n_reg].tobytes() == base[:n_reg].tobytes()
+        assert not np.array_equal(got[n_reg:], base[n_reg:])
+    for b in range(m // block):
+        rows = np.arange(n_reg + b * block, n_reg + (b + 1) * block)
+        k2, v2 = k.copy(), v.copy()
+        k2[rows], v2[rows] = rng.normal(0.0, 3.0, size=(2, block, 4))
+        got = _isolated_attention(q, k2, v2, taped)
+        others = np.setdiff1d(np.arange(t_len), rows)
+        assert got[others].tobytes() == base[others].tobytes()
+        assert not np.array_equal(got[rows], base[rows])
 
 
 def _gated_overflow(step):
@@ -738,15 +804,22 @@ FUSED_MISMATCHES = {
     "lora_residual_shape": lambda: tz.gated_linear(
         _t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
     ),
-    "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2),
-    "scores_below_2d": lambda: tz.attention_scores(_t(4), _t(4), 2),
-    "scores_heads_split": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 3),
-    "scores_no_heads": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 0),
-    "context_p_not_3d": lambda: tz.attention_context(_t(3, 3), _t(3, 4)),
-    "context_p_not_t_by_t": lambda: tz.attention_context(_t(2, 3, 2), _t(3, 4)),
-    "context_v_rows": lambda: tz.attention_context(_t(2, 3, 3), _t(2, 4)),
-    "context_heads_split": lambda: tz.attention_context(_t(3, 3, 3), _t(3, 4)),
-    "context_no_heads": lambda: tz.attention_context(_t(0, 3, 3), _t(3, 4)),
+    "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2, 3, 0),
+    "scores_below_2d": lambda: tz.attention_scores(_t(4), _t(4), 2, 1, 0),
+    "scores_heads_split": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 3, 3, 0),
+    "scores_no_heads": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 0, 3, 0),
+    # Layouts that are not n_reg regular rows and then whole blocks.
+    "scores_no_regular_row": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 2, 0, 3),
+    "scores_causal_short": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 2, 2, 0),
+    "scores_ragged_blocks": lambda: tz.attention_scores(_t(6, 4), _t(6, 4), 2, 1, 2),
+    "scores_block_without_rows": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 2, 3, 1),
+    "context_p_not_3d": lambda: tz.attention_context(_t(3, 3), _t(3, 4), 3, 0),
+    "context_p_not_t_by_t": lambda: tz.attention_context(_t(2, 3, 2), _t(3, 4), 3, 0),
+    "context_v_rows": lambda: tz.attention_context(_t(2, 3, 3), _t(2, 4), 3, 0),
+    "context_heads_split": lambda: tz.attention_context(_t(3, 3, 3), _t(3, 4), 3, 0),
+    "context_no_heads": lambda: tz.attention_context(_t(0, 3, 3), _t(3, 4), 3, 0),
+    "context_width_not_layout": lambda: tz.attention_context(_t(2, 5, 4), _t(5, 4), 1, 2),
+    "context_ragged_blocks": lambda: tz.attention_context(_t(2, 6, 3), _t(6, 4), 1, 2),
 }
 
 
@@ -800,11 +873,17 @@ def _stacked_cases(rng, dtype):
             lambda t, s: tz.gated_linear(*t[:4], ROWS, 2.0, t[4]),
             [x, (arr(5, 4), False), (arr(4, 3), False), (arr(3, 5), False), (arr(N_SEQ, T_ROWS, 5), True)],
         ),
-        "attention_scores": (lambda t, s: tz.attention_scores(*t, 2), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
+        "attention_scores": (lambda t, s: tz.attention_scores(*t, 2, T_ROWS, 0), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
+        "attention_scores_blocks": (lambda t, s: tz.attention_scores(*t, 2, 2, 2), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
         "masked_softmax_rows": (
             lambda t, s: tz.masked_softmax_rows(t[0], allowed), [(arr(N_SEQ, 2, T_ROWS, T_ROWS), True)]
         ),
-        "attention_context": (lambda t, s: tz.attention_context(*t), [(arr(N_SEQ, 2, T_ROWS, T_ROWS), True), x]),
+        "attention_context": (
+            lambda t, s: tz.attention_context(*t, T_ROWS, 0), [(arr(N_SEQ, 2, T_ROWS, T_ROWS), True), x]
+        ),
+        "attention_context_blocks": (
+            lambda t, s: tz.attention_context(*t, 2, 2), [(arr(N_SEQ, 2, T_ROWS, 4), True), x]
+        ),
         "concat_cols": (lambda t, s: tz.concat_cols(list(t)), [x, (arr(N_SEQ, T_ROWS, 2), True)]),
         "mean_axis1": (lambda t, s: tz.mean_axis1(t[0]), [x]),
         "dot_const": (lambda t, s: tz.dot_const(t[0], np.arange(1.0, 5.0)), [(arr(N_SEQ, 4), True)]),
@@ -888,8 +967,8 @@ STACKED_MISMATCHES = {
     "lora_stacks_differ": lambda: tz.gated_linear(
         _t(3, 3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(2, 3, 2)
     ),
-    "scores_stacks_differ": lambda: tz.attention_scores(_t(2, 3, 4), _t(3, 3, 4), 2),
-    "context_stacks_differ": lambda: tz.attention_context(_t(2, 2, 3, 3), _t(3, 3, 4)),
+    "scores_stacks_differ": lambda: tz.attention_scores(_t(2, 3, 4), _t(3, 3, 4), 2, 3, 0),
+    "context_stacks_differ": lambda: tz.attention_context(_t(2, 2, 3, 3), _t(3, 3, 4), 3, 0),
     "add_not_trailing": lambda: tz.add(_t(2, 3, 4), _t(2, 4)),
 }
 
