@@ -16,7 +16,9 @@ of them their positions and attention:
 So the regular rows compute exactly what a plain causal pass over them
 computes, and mask blocks never see each other. A layout carries the rule
 as its (T,) `block_anchor` array: `forward` derives the attention from it
-(two streams, see model.py), and no (T, T) matrix is built.
+(one op pair over the regular keys and each row's own block, see
+model.py), and no (T, T) matrix is built. Its gate is 0 on the regular
+rows and 1 on the mask rows, so the gated rows are one trailing run.
 
 Every sequence of a built-in corpus has the same length and loss flags,
 so all of them share one training layout. `build_training_stack` builds

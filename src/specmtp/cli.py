@@ -169,10 +169,13 @@ def _check_max_steps(max_steps: int) -> None:
         raise UsageError("--max-steps must be >= 1")
 
 
-def _check_prompt_len(prompt_len: int) -> None:
-    """`--prompt-len` of bench and verify, for every suite (as `--prompts`
-    is): a generated suite would pass a negative length on to numpy, or
-    turn it into one digit."""
+def _check_suite(count: int, prompt_len: int) -> None:
+    """`--prompts` and `--prompt-len` of bench and verify, for every suite:
+    a file suite would take a negative count as a slice bound, and a
+    generated suite would pass a negative length on to numpy, or turn it
+    into one digit."""
+    if count < 0:
+        raise UsageError("--prompts must be >= 0")
     if prompt_len < 0:
         raise UsageError(f"--prompt-len must be >= 0, got {prompt_len}")
 
@@ -198,9 +201,9 @@ def _k_range(raw: str) -> tuple[int, int]:
 
 def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: int):
     """Prompt id-lists for bench/verify. `suite` is random, pattern,
-    arithmetic, or a path to a text file with one prompt per line."""
-    if count < 0:
-        raise UsageError("--prompts must be >= 0")
+    arithmetic, or a path to a text file with one prompt per line; a
+    count of 0 takes every line of a file (`_check_suite` rejected a
+    negative one)."""
     rng = derive_rng(seed, f"suite.{suite}")
     prompts = []
     if Path(suite).is_file():
@@ -378,7 +381,7 @@ def cmd_bench(args) -> int:
     if unknown:
         raise UsageError(f"unknown strategy {unknown[0]!r} (choose from {', '.join(STRATEGIES)})")
     _check_max_steps(args.max_steps)
-    _check_prompt_len(args.prompt_len)
+    _check_suite(args.prompts, args.prompt_len)
     k_lo, k_hi = _k_range(args.k_range)
     model, sampler, vocab, meta = _load(args.ckpt)
     if k_hi > model.config.k_masks:
@@ -416,7 +419,7 @@ def cmd_probe(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_max_steps(args.max_steps)
-    _check_prompt_len(args.prompt_len)
+    _check_suite(args.prompts, args.prompt_len)
     model, sampler, vocab, _ = _load(args.ckpt)
     _check_k(args.k, model)
     prompts = _suite_prompts(args.suite, vocab, args.prompts, args.prompt_len, args.seed)

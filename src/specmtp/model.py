@@ -35,10 +35,10 @@ same math in the same order on plain arrays, with only `hidden` and
 `logits` wrapped as Tensors, so both give the same bytes. On both, every
 adapter goes through `gated_lora_apply` and every softmax through
 `masked_softmax_rows`, this module's globals, which run the op matching
-their input. The gate's 1-rows reach the adapters as a numpy index: the
-slice of the mask rows for a layout's own gate, of every row for the
-ungated ablation (both read off the gate: its 1-rows are the last rows),
-or the row numbers of any other gate. Each call merges
+their input. The gate is 0s, then 1s (`_gate_start`): a layout's own gate
+is 1 on its mask rows, which come last, and the ungated ablation's on
+every row. So the adapters take the gated rows as one `start` row and run
+the merged weight on the view of the rows from it on. Each call merges
 the weight from the live factors, except in a decode call, whose passes
 read a copy of the model that carries every merged weight, formed once
 per call (`merge_adapters`). Either pass runs with per-op finiteness
@@ -271,40 +271,39 @@ def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     )
 
 
-def _check_gate(gate: np.ndarray, t_len: int) -> None:
+def _gate_start(gate: np.ndarray, t_len: int) -> int | None:
+    """The first gated row of a gate of 0s, then 1s, or None when no row is
+    gated. Any other gate is an error."""
     if gate.shape != (t_len,):
         raise NumericsError("gate length does not match row count")
     if not ((gate == 0) | (gate == 1)).all():
         raise NumericsError("gate entries must be 0 or 1")
+    start = t_len - int(np.count_nonzero(gate))
+    if np.count_nonzero(gate[:start]):
+        raise NumericsError("gate must be 0s, then 1s: the gated rows must be the last rows")
+    return start if start < t_len else None
 
 
 def gated_lora_apply(
     layer: GatedLoraLinear,
     x: Tensor | np.ndarray,
-    gate: np.ndarray | None,
-    rows=None,
+    start: int | None,
     residual: Tensor | np.ndarray | None = None,
 ) -> Tensor | np.ndarray:
-    """Row t gets W x_t, or M x_t with the merged weight M = W + c (A B)^T
-    iff gate[t] == 1, plus residual_t when a residual is given.
+    """Row t gets M x_t with the merged weight M = W + c (A B)^T for
+    t >= start, else W x_t, plus residual_t when a residual is given; a
+    `start` of None gates no row (`_gate_start`).
 
     x and the residual are Tensors, run through the autodiff op, or plain
-    arrays, run through its array helper (`ArrayOps`). A caller that has
-    checked the gate already (`forward` does, once per pass) passes None
-    for it and the 1-rows as `rows`: a slice, row numbers, or None when
-    there are none; otherwise the gate is checked here. M is the layer's
-    own when `merge_adapters` set it, else formed in the call. Gate-0 rows
+    arrays, run through its array helper (`ArrayOps`). M is the layer's
+    own when `merge_adapters` set it, else formed in the call. Ungated rows
     are the plain frozen linear's, bit for bit.
     """
-    if gate is not None:
-        gate = np.asarray(gate)
-        _check_gate(gate, x.shape[-2])
-        rows = _adapter_rows(gate)
     ops = tensor if isinstance(x, Tensor) else ArrayOps
-    if layer.A is None or rows is None:
+    if layer.A is None or start is None:
         base = ops.linear(x, layer.W)
         return base if residual is None else ops.add(residual, base)
-    return ops.gated_linear(x, layer.W, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK, residual, layer.merged)
+    return ops.gated_linear(x, layer.W, layer.A, layer.B, start, LORA_ALPHA_OVER_RANK, residual, layer.merged)
 
 
 def merge_adapters(model: ModelBundle) -> ModelBundle:
@@ -384,18 +383,6 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
     return Streams(n_reg, block, allowed)
 
 
-def _adapter_rows(gate: np.ndarray):
-    """The checked gate's 1-rows as an index: a slice when they are the
-    last rows (a layout's own gate: its mask rows; the ungated ablation:
-    every row), else the rows' numbers; None when it has none."""
-    rows = np.flatnonzero(gate)
-    if rows.size == 0:
-        return None
-    if rows[0] + rows.size == gate.size:
-        return slice(int(rows[0]), None)
-    return rows
-
-
 class ForwardResult(NamedTuple):
     hidden: Tensor  # (..., T, d) last-layer states after the final norm
     logits: Tensor  # (..., T, V)
@@ -411,8 +398,9 @@ def forward(
     """One pass over a layout of batching.py's form: regular rows first,
     then mask blocks, described by their (T,) anchors (NO_ANCHOR on
     regular rows). Visibility follows from the anchors (`layout_streams`);
-    keys outside it get exactly zero attention weight. The gate picks the
-    rows that run the adapters, independently of the anchors.
+    keys outside it get exactly zero attention weight. The gate, 0s then
+    1s, picks the rows that run the adapters, independently of the
+    anchors.
 
     tokens are (T,), or (B, T) for B sequences sharing the layout. With no
     active tape the pass runs on plain arrays, with the same result. An
@@ -432,11 +420,10 @@ def forward(
         raise NumericsError("token id out of range")
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
-    _check_gate(gate, t_len)
-    rows = _adapter_rows(gate)
+    start = _gate_start(gate, t_len)
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, streams, rows)
+        return _pass(ops, model, tokens, position_ids, streams, start)
 
     def fast():
         if active_tape() is None:
@@ -446,25 +433,24 @@ def forward(
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, streams, rows) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, start) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
-    their array helpers (`ArrayOps`); `rows` index the checked gate's
-    1-rows (None for none). Every adapter goes through this module's
-    `gated_lora_apply`, and every softmax through its `masked_softmax_rows`,
-    looked up at call time on both paths; each picks the op matching its
-    input. Returns (hidden, logits) as the namespace's values."""
+    their array helpers (`ArrayOps`); `start` is the first gated row (None
+    for none). Every adapter goes through this module's `gated_lora_apply`,
+    and every softmax through its `masked_softmax_rows`, looked up at call
+    time on both paths; each picks the op matching its input. Returns (hidden, logits) as the namespace's values."""
     c = model.config
     n, block, allowed = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     for lw in model.layers:
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q, k, v = (gated_lora_apply(g, h, None, rows) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        q, k, v = (gated_lora_apply(g, h, start) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
         scores = ops.attention_scores(q, k, c.n_heads, n, block)
         heads = ops.attention_context(masked_softmax_rows(scores, allowed), v, n, block)
-        x = gated_lora_apply(lw.attn_o, heads, None, rows, residual=x)
+        x = gated_lora_apply(lw.attn_o, heads, start, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
-        ff = ops.silu(gated_lora_apply(lw.ff_in, h2, None, rows))
-        x = gated_lora_apply(lw.ff_out, ff, None, rows, residual=x)
+        ff = ops.silu(gated_lora_apply(lw.ff_in, h2, start))
+        x = gated_lora_apply(lw.ff_out, ff, start, residual=x)
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     return hidden, ops.linear(hidden, model.unembed)

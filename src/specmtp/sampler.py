@@ -8,20 +8,19 @@ vocabulary-sized weights of its own.
 The two blocks are written once, in `sampler_features`, over an op
 namespace. `sampler_logits_rows`, the batched head that training uses,
 runs them as autodiff ops. `sampler_logits`, the decode head, runs them as
-the ops' array helpers (`ArrayOps`) on plain arrays, over every pair of a
-hidden row and a previous token at once, and wraps only the logits: the
-same bytes as the batched head over the same rows. So decoding makes no
-Tensors.
+the ops' array helpers (`ArrayOps`) on plain arrays and returns plain
+logits: the same bytes as the batched head over the same rows. So
+decoding makes no Tensors.
 
 Sampler table. The head sees the previous token only through its
-embedding row, so `sampler_chain` runs the head once per step, over the
-seed token's pair with the first position and every (position, previous
-token) pair of the other k - 1 positions: 1 + (k - 1) V rows
-(`sampler_logits` with a seed token). It reads its k picks off that
-table, starting from the seed token; it does not run k one-row passes,
-each waiting for the last pick. The table scans the logits of every row once, so a non-finite logit
-in any row, on the chain or off it, raises `NumericsError` naming the op
-that overflowed.
+embedding row, so `sampler_chain` runs the head once per step
+(`sampler_logits`), over the seed token's pair with the first position
+and every (position, previous token) pair of the other k - 1 positions:
+1 + (k - 1) V rows. It reads its k picks off that table, starting from
+the seed token; it does not run k one-row passes, each waiting for the
+last pick. The table scans the logits of every row once, so a non-finite
+logit in any row, on the chain or off it, raises `NumericsError` naming
+the op that overflowed.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .tensor import ArrayOps, Tensor, _out, concat_cols, default_dtype, derive_rng, linear, scanned_once, take_rows
+from .tensor import ArrayOps, Tensor, concat_cols, default_dtype, derive_rng, linear, scanned_once, take_rows
 
 
 @dataclass
@@ -95,61 +94,45 @@ def sampler_logits_rows(
 
 
 def sampler_logits(
-    head: SamplerHead, unembed: Tensor, embeddings: Tensor, prev_tokens, zs, seed_token: int | None = None
-) -> Tensor:
-    """Logits for every pair of a hidden row in zs (..., d), a Tensor or a
-    plain array, and a previous token id in prev_tokens (an id or an array
-    of ids): shape zs.shape[:-1] + shape(prev_tokens) + (V,). With a
-    `seed_token`, zs (k, d) are a chain's rows: the first pairs with the
-    seed token alone and every other with each id, 1 + (k - 1) n_p pairs
-    of shape (1 + (k - 1) n_p, V). The pairs run as the rows [E[prev] | z]
-    of one array, z-major, so the result has the bytes of
-    `sampler_logits_rows` over those rows. Not differentiable; training
-    uses sampler_logits_rows."""
-    prev = np.asarray(prev_tokens, dtype=np.int64)
+    head: SamplerHead, unembed: Tensor, embeddings: Tensor, seed_token: int, zs: np.ndarray
+) -> np.ndarray:
+    """The chain's table for its (k, d) hidden rows zs: the first row
+    paired with `seed_token`, then every other row with each id of the
+    (V, d) embedding table, the (1 + (k - 1) V, V) logits of those pairs,
+    z-major, as a plain array. The pairs run as the rows [E[prev] | z] of
+    one array, so the table has the bytes of `sampler_logits_rows` over
+    those rows. Not differentiable; training uses sampler_logits_rows."""
     emb = embeddings.data
-    outside = (prev < 0) | (prev >= emb.shape[0])
-    if outside.any():
-        raise ValueError(f"prev_token {prev[outside].flat[0]} outside the vocabulary")
-    if seed_token is not None and not 0 <= seed_token < emb.shape[0]:
+    if not 0 <= seed_token < emb.shape[0]:
         raise ValueError(f"seed_token {seed_token} outside the vocabulary")
-    zd = zs.data if isinstance(zs, Tensor) else np.asarray(zs)
-    d = zd.shape[-1]
-    lead = 0 if seed_token is None else 1  # the seed's one pair comes first
-    rows = zd.reshape(-1, d)[lead:]  # the rows paired with every id
+    v, d = emb.shape[0], zs.shape[-1]
 
     def run():
-        width = emb.shape[1] + d
-        x = np.empty((lead + rows.shape[0] * prev.size, width), dtype=np.result_type(emb, zd))
-        if lead:
-            x[0, :-d], x[0, -d:] = emb[seed_token], zd[0]
-        pairs = x[lead:].reshape(rows.shape[0], prev.size, width)
-        pairs[..., :-d] = emb.take(prev.ravel(), axis=0)
-        pairs[..., -d:] = rows[:, None]
+        x = np.empty((1 + (len(zs) - 1) * v, emb.shape[1] + d), dtype=np.result_type(emb, zs))
+        x[0, :-d], x[0, -d:] = emb[seed_token], zs[0]
+        pairs = x[1:].reshape(len(zs) - 1, v, x.shape[1])
+        pairs[..., :-d] = emb
+        pairs[..., -d:] = zs[1:, None]
         return ArrayOps.linear(sampler_features(head, x, ArrayOps), unembed)
 
-    logits = scanned_once(run, run)
-    shape = logits.shape[:1] if lead else zd.shape[:-1] + prev.shape
-    return _out(logits.reshape(shape + logits.shape[-1:]))
+    return scanned_once(run, run)
 
 
 def sampler_chain(
-    head: SamplerHead, unembed: Tensor, embeddings: Tensor, seed_token: int, zs
+    head: SamplerHead, unembed: Tensor, embeddings: Tensor, seed_token: int, zs: np.ndarray
 ) -> list[int]:
     """Greedy left-to-right pick: each step conditions on the previous pick.
 
-    zs holds one hidden row per position: Tensors, or the rows of one
-    array. One head run (`sampler_logits` with the seed token) gives the
-    first pick, from the seed token, and the picks for every (position,
-    previous token) pair after it; the chain looks its picks up. Ties
-    break to the lowest token id (np.argmax convention).
+    zs (k, d) holds one hidden row per position. One head run
+    (`sampler_logits`) gives the first pick, from the seed token, and the
+    picks for every (position, previous token) pair after it; the chain
+    looks its picks up. Ties break to the lowest token id (np.argmax
+    convention).
     """
     if len(zs) == 0:
         raise ValueError("sampler_chain needs at least one hidden state")
     vocab = embeddings.data.shape[0]
-    if not isinstance(zs, np.ndarray):
-        zs = np.stack([z.data if isinstance(z, Tensor) else np.asarray(z) for z in zs])
-    picks = sampler_logits(head, unembed, embeddings, np.arange(vocab), zs, seed_token=seed_token).data.argmax(axis=-1)
+    picks = sampler_logits(head, unembed, embeddings, seed_token, zs).argmax(axis=-1)
     out = [int(picks[0])]
     for j in range(1, len(zs)):
         out.append(int(picks[1 + (j - 1) * vocab + out[-1]]))

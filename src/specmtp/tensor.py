@@ -35,7 +35,7 @@ warnings. This is exact because:
   layer_norm, silu, the gated linear) turns a non-finite input row into a
   non-finite output row, all the way to the logits; layer_norm also turns
   a finite row whose variance overflows into a NaN row. One value reaches
-  no output: the frozen product of a gated linear's 1-rows, which the
+  no output: the frozen product of a gated linear's gated rows, which the
   merged product overwrites. An overflow there alone is noted, so under
   an errstate that reports it the replay names `linear`, and under one
   that ignores it the pass returns its finite result;
@@ -59,7 +59,7 @@ runs give the same bytes by construction.
 Three fused ops record one tape entry where a chain of elementary ops
 would record several: `gated_linear` (a gated adapter: linear over every
 row, the merged weight M = W + (c A B)^T, take_rows -> linear with M ->
-row put into the 1-rows, and optionally the residual add after it),
+row put into the gated rows, and optionally the residual add after it),
 `attention_scores` (the heads' scaled q k^T, for reshape/transpose x2 ->
 matmul -> scale) and `attention_context` (weights times values, for
 reshape/transpose -> matmul -> transpose -> reshape). The attention pair
@@ -73,14 +73,15 @@ order and its backward applies the chain's backward expressions in
 reverse, so values and gradients are byte-equal to the chain's. The
 chains, in the tests, are their oracle.
 A gated linear, taped or not, runs `gated_linear_data`: the frozen
-product over every row, so a 0-row keeps the bytes of the plain linear,
-then the 1-rows (a view for a slice of rows) times the merged weight,
-put into that product's own fresh array. M is stored like W, so both
-products are linear's; zero factors give M == W. The merge
-(`merge_data`) runs per call, or once for a decode call, whose copy of
-the model carries M (`model.merge_adapters`). The backward forms M's
-gradient per sequence, and the factors' gradients from it per sequence,
-summed by `_sum_lead`, so a stack keeps the per-sequence bytes.
+product over every row, so an ungated row keeps the bytes of the plain
+linear, then the gated rows, the trailing run from a `start` row on (a
+view), times the merged weight, put into that product's own fresh array.
+M is stored like W, so both products are linear's; zero factors give
+M == W. The merge (`merge_data`) runs per call, or once for a decode
+call, whose copy of the model carries M (`model.merge_adapters`). The
+backward forms M's gradient per sequence, and the factors' gradients
+from it per sequence, summed by `_sum_lead`, so a stack keeps the
+per-sequence bytes.
 
 The attention steps over their (..., H, rows, keys) cells (the scores,
 the masked softmax and its backward) each allocate one float array of
@@ -632,52 +633,49 @@ def merge_data(wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, c: float) -> np.n
 
 
 def gated_linear_data(
-    xd: np.ndarray, wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, rows, c: float,
+    xd: np.ndarray, wd: np.ndarray, ad: np.ndarray, bd: np.ndarray, start: int, c: float,
     residual: np.ndarray | None = None, merged: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """linear(xd, wd) for xd (..., T, in), with its `rows` (a slice, or
-    unique row numbers) replaced by linear(xd[..., rows, :], M), M the
+    """linear(xd, wd) for xd (..., T, in), with its rows from `start` on
+    (0 <= start < T) replaced by linear(xd[..., start:, :], M), M the
     merged weight (`merge_data`), or `merged` when the caller formed it
     already; then the residual added, when one is given. The steps run in
     the chain's order (linear, the merge, take rows, linear, row put, add),
     each naming its overflow; the put only moves values. Returns (output,
-    xd[..., rows, :], M), the last two for the backward."""
+    the view xd[..., start:, :], M), the last two for the backward."""
+    if xd.ndim < 2:
+        raise NumericsError(f"gated_linear shape mismatch x {xd.shape} for W {wd.shape}")
+    if not 0 <= start < xd.shape[-2]:
+        raise NumericsError(f"gated_linear start row {start} out of range for {xd.shape[-2]} rows")
     y = linear_data(xd, wd)
     md = merge_data(wd, ad, bd, c) if merged is None else merged
-    xr = xd[..., rows, :]
-    y[..., rows, :] = linear_data(xr, md)
+    xr = xd[..., start:, :]
+    y[..., start:, :] = linear_data(xr, md)
     return (y if residual is None else add_data(residual, y)), xr, md
 
 
 def gated_linear(
-    x: Tensor, w: Tensor, a: Tensor, b: Tensor, rows, c: float,
+    x: Tensor, w: Tensor, a: Tensor, b: Tensor, start: int, c: float,
     residual: Tensor | None = None, merged: np.ndarray | None = None,
 ) -> Tensor:
     """Tensor form of `gated_linear_data`: the chain linear, the merge
     (matmul, scale, transpose, add to W), take_rows, linear, row put and,
-    with a `residual`, add(residual, .) as one op. `rows` are a slice or
-    unique row numbers."""
+    with a `residual`, add(residual, .) as one op."""
     xd = x.data
-    if xd.ndim < 2:
-        raise NumericsError(f"gated_linear shape mismatch x {xd.shape} for W {w.data.shape}")
-    if not isinstance(rows, slice):
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= xd.shape[-2]):
-            raise NumericsError("gated_linear row index out of range")
     c = float(c)
-    y, xr, md = gated_linear_data(xd, w.data, a.data, b.data, rows, c, getattr(residual, "data", None), merged)
+    y, xr, md = gated_linear_data(xd, w.data, a.data, b.data, start, c, getattr(residual, "data", None), merged)
     inputs = (x, w, a, b) + (() if residual is None else (residual,))
 
-    def bw(g, rows=rows, xr=xr, md=md, wd=w.data, ad=a.data, bd=b.data):
-        gr = g[..., rows, :]
+    def bw(g, start=start, xr=xr, md=md, wd=w.data, ad=a.data, bd=b.data):
+        gr = g[..., start:, :]
         gx = g @ wd
-        gx[..., rows, :] = gr @ md  # the put gave linear(x, W) zeros there
+        gx[..., start:, :] = gr @ md  # the put gave linear(x, W) zeros there
         dm = gr.swapaxes(-1, -2) @ xr  # M's gradient, per sequence
         gw = None
         if _tracked(w):
             # M's gradient, plus linear's from the rows that the put kept.
             g_kept = g.copy()
-            g_kept[..., rows, :] = 0
+            g_kept[..., start:, :] = 0
             gw = _sum_lead(dm + g_kept.swapaxes(-1, -2) @ xd, 2)
         ds = np.ascontiguousarray(dm.swapaxes(-1, -2))  # (c A B)'s gradient
         ds *= c
@@ -853,8 +851,8 @@ class ArrayOps:
     attention_scores = staticmethod(lambda q, k, *layout: attention_scores_data(q, k, *layout)[0])
     attention_context = staticmethod(lambda p, v, *layout: attention_context_data(p, v, *layout)[0])
     gated_linear = staticmethod(
-        lambda x, w, a, b, rows, c, residual=None, merged=None: gated_linear_data(
-            x, w.data, a.data, b.data, rows, c, residual, merged
+        lambda x, w, a, b, start, c, residual=None, merged=None: gated_linear_data(
+            x, w.data, a.data, b.data, start, c, residual, merged
         )[0]
     )
 

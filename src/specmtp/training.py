@@ -329,7 +329,7 @@ class TrainConfig:
 
     def model_config(self, charset: str) -> ModelConfig:
         return ModelConfig(
-            vocab_size=len(charset) + 3 + self.k_masks,
+            vocab_size=Vocab(charset, self.k_masks).size,
             **{name: getattr(self, name) for name in MODEL_FIELDS},
         )
 
@@ -424,11 +424,6 @@ def clone_base_with_rank(base: ModelBundle, rank: int, seed: int) -> ModelBundle
     return model
 
 
-def _probe_ntp_logits(model, batch, gated) -> np.ndarray:
-    out = _forward_batch(model, batch, gated)
-    return out.logits.data[batch.ntp_rows].copy()
-
-
 def eval_acceptance(model, sampler, vocab, corpus, config: TrainConfig) -> float:
     """Mean quadratic acceptance rate over a few held-out prompts."""
     rng = derive_rng(config.seed, "eval.prompts")
@@ -479,7 +474,7 @@ def train(
 
     stack = build_training_stack(corpus, mcfg.mask_ids)
     probe = stack.select(0)
-    probe_initial = _probe_ntp_logits(model, probe, config.gated)
+    _, probe_initial = _probe_ntp(model, probe, config.gated)
 
     log_file = None
     if log_path is not None:
@@ -509,7 +504,7 @@ def train(
                     opt.step(lr_t)
                     opt.zero_grad()
                     total_val = step_loss.item()
-                    ntp_val = _ntp_probe_value(model, probe, config)
+                    ntp_val, probe_final = _probe_ntp(model, probe, config.gated)
             except NumericsError as exc:
                 raise DivergenceError(f"non-finite values at step {step}: {exc}") from exc
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -551,7 +546,6 @@ def train(
         if log_file:
             log_file.close()
 
-    probe_final = _probe_ntp_logits(model, probe, config.gated)
     if checkpoint_path is not None:
         save_checkpoint(model, sampler, checkpoint_path, extra_meta=checkpoint_meta(config, vocab))
     return TrainResult(
@@ -591,9 +585,11 @@ def stacked_loss(
     return scale(fold_add(totals), 1.0 / n_seqs), comp
 
 
-def _ntp_probe_value(model, probe, config) -> float:
-    out = _forward_batch(model, probe, config.gated)
-    return ntp_only_ce(probe, out.logits).item()
+def _probe_ntp(model, probe, gated) -> tuple[float, np.ndarray]:
+    """The frozen probe batch's next-token loss and its regular rows'
+    logits, from one pass."""
+    out = _forward_batch(model, probe, gated)
+    return ntp_only_ce(probe, out.logits).item(), out.logits.data[probe.ntp_rows].copy()
 
 
 def _format_metrics_row(row) -> str:

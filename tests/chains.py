@@ -283,7 +283,7 @@ def per_sequence_pretrain_step(model, batches, picks):
 
 def one_position_logits(head, unembed, embeddings, prev_token, z):
     """Sampler logits (V,) for one previous token and one hidden row (d,),
-    run as a one-row pass: the scalar `sampler_logits`'s oracle."""
+    run as a one-row pass: the oracle of `sampler_logits` at one position."""
     if prev_token < 0 or prev_token >= embeddings.data.shape[0]:
         raise ValueError(f"prev_token {prev_token} outside the vocabulary")
     zd = z.data if isinstance(z, tz.Tensor) else np.asarray(z)

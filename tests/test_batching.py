@@ -13,7 +13,7 @@ from specmtp.batching import (
     causal_rows,
     _layout,
 )
-from specmtp.model import ModelConfig, forward, init_model, layout_streams
+from specmtp.model import ModelConfig, _gate_start, forward, init_model, layout_streams
 from specmtp.tensor import IGNORE_ID, precision
 
 MASKS2 = np.array([5, 6])
@@ -255,23 +255,26 @@ def test_layout_allowed_is_the_lower_triangle_of_the_visibility_rule():
         assert np.array_equal(got, want)
 
 
-def test_derived_visibility_is_the_rule_on_every_layout_kind():
-    # Training layouts from random loss flags (one sequence and stacks),
-    # linear, quadratic and causal layouts.
-    rng = np.random.default_rng(23)
-    for _ in range(60):
+def _every_layout_kind(rng, count=60):
+    """(mask ids, layouts) per draw: training layouts from random loss
+    flags (one sequence and stacks), linear, quadratic and causal layouts."""
+    for _ in range(count):
         k = int(rng.integers(1, 5))
         masks = np.arange(40, 40 + k)
         n = int(rng.integers(2, 14))
         flags = rng.integers(0, 2, size=n)
         verified = rng.integers(0, 30, size=int(rng.integers(1, 10))).tolist()
-        layouts = [
+        yield masks, [
             build_training_batch(rng.integers(0, 30, size=n), flags, masks),
             build_training_stack([(rng.integers(0, 30, size=n), flags) for _ in range(3)], masks),
             build_linear_inference_input(verified, verified[: int(rng.integers(0, k + 1))], masks),
             build_quadratic_inference_input(verified, rng.integers(0, 30, size=k).tolist(), masks),
             causal_rows(verified),
         ]
+
+
+def test_derived_visibility_is_the_rule_on_every_layout_kind():
+    for _, layouts in _every_layout_kind(np.random.default_rng(23)):
         for batch in layouts:
             streams = layout_streams(batch.block_anchor, batch.size)
             # A causal or linear layout is one block-free triangle.
@@ -280,6 +283,20 @@ def test_derived_visibility_is_the_rule_on_every_layout_kind():
             assert streams.allowed.shape == (batch.size, n_reg + streams.block)
             got = streams_matrix(streams, batch.size)
             assert np.array_equal(got, visibility_rule(batch.block_anchor))
+
+
+def test_every_layout_gates_exactly_its_mask_rows_and_they_come_last():
+    # The adapters take the gated rows as one start row, so every layout's
+    # gate must be 0s, then 1s, with the 1-rows its mask rows.
+    for masks, layouts in _every_layout_kind(np.random.default_rng(29)):
+        for batch in layouts:
+            mask_rows = batch.block_anchor != NO_ANCHOR
+            n_reg = batch.size - int(mask_rows.sum())
+            assert batch.gate.tolist() == [0] * n_reg + [1] * (batch.size - n_reg)
+            assert np.array_equal(batch.gate == 1, mask_rows)
+            assert np.isin(batch.tokens[..., n_reg:], masks).all()
+            assert not np.isin(batch.tokens[..., :n_reg], masks).any()
+            assert _gate_start(batch.gate, batch.size) == (n_reg if n_reg < batch.size else None)
 
 
 # ---------------------------------------------------------------------------

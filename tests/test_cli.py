@@ -462,8 +462,13 @@ def test_empty_generated_suite_is_usage_error(untrained_ckpt, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])
-def test_negative_prompt_count_is_usage_error(untrained_ckpt, tmp_path, capsys, command):
+def test_negative_prompt_count_is_usage_error(untrained_ckpt, tmp_path, capsys, monkeypatch, command):
     # For a file suite the count must not act as a slice bound (-1 = all but the last).
+    # It is checked before the checkpoint is read, as --prompt-len is.
+    def no_load(path):
+        raise AssertionError(f"{command} loaded the checkpoint before checking --prompts")
+
+    monkeypatch.setattr("specmtp.cli._load", no_load)
     suite = tmp_path / "prompts.txt"
     suite.write_text("abcd\nbcda\ncdab\n", encoding="utf-8")
     for name in (str(suite), "random"):

@@ -18,8 +18,7 @@ from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import (
     LORA_ALPHA_OVER_RANK,
     ModelConfig,
-    _adapter_rows,
-    _check_gate,
+    _gate_start,
     forward,
     gated_lora_apply,
     init_model,
@@ -116,7 +115,7 @@ def test_zero_init_adapters_do_not_change_logits():
     tokens = np.array([1, 2, 3, 4])
     batch = causal_rows(tokens)
     base = run_batch(model, batch).logits.data
-    for gate in ([1, 1, 1, 1], [0, 1, 0, 1]):
+    for gate in ([1, 1, 1, 1], [0, 0, 1, 1]):
         got = forward(model, tokens, batch.position_ids, batch.block_anchor, gate)
         assert np.array_equal(got.logits.data, base)
 
@@ -127,25 +126,32 @@ def test_gated_apply_gate_off_is_bitwise_base():
     lin = model.layers[0].attn_q
     x = Tensor(np.random.default_rng(1).normal(size=(5, CFG["d_model"])))
     base = x.data @ lin.W.data.T
-    out = gated_lora_apply(lin, x, np.zeros(5, dtype=int))
+    out = gated_lora_apply(lin, x, None)
     assert np.array_equal(out.data, base)
 
 
-def test_gated_apply_mixed_rows_match_dense_reference():
+def test_gated_apply_trailing_rows_match_dense_reference():
     model = make_model(rank=4, seed=2)
     randomize_adapters(model)
     lin = model.layers[1].ff_in
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, CFG["d_model"])).astype(np.float32)
-    gate = np.array([0, 1, 1, 0, 1, 0])
-    out = gated_lora_apply(lin, Tensor(x), gate)
+    out = gated_lora_apply(lin, Tensor(x), 3)
     base = x @ lin.W.data.T
     dense = base + 2.0 * (x @ lin.A.data) @ lin.B.data
-    for t in range(6):
-        if gate[t]:
-            assert np.max(np.abs(out.data[t] - dense[t])) < 1e-6
-        else:
-            assert np.array_equal(out.data[t], base[t])
+    assert np.array_equal(out.data[:3], base[:3])
+    assert np.max(np.abs(out.data[3:] - dense[3:])) < 1e-6
+
+
+@pytest.mark.parametrize("start", [-1, 5, 9])
+def test_gated_apply_rejects_a_start_outside_the_rows(start):
+    # On arrays as on Tensors: a negative start would gate the wrong rows,
+    # and one past the last row none, which a start of None says.
+    lin = make_model(rank=4).layers[0].attn_q
+    x = np.ones((5, CFG["d_model"]), dtype=np.float32)
+    for xx in (x, Tensor(x)):
+        with pytest.raises(NumericsError, match=f"start row {start} out of range for 5 rows"):
+            gated_lora_apply(lin, xx, start)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -163,21 +169,21 @@ def test_shared_input_gives_each_adapter_its_own_bytes(dtype):
     rng = np.random.default_rng(3)
     for lead in ((), (2,)):
         x = rng.normal(size=lead + (7, CFG["d_model"])).astype(dtype)
-        for gate in ([0] * 7, [0, 0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 1, 1], [1] * 7):
+        for start in (None, 6, 3, 0):
             outs = []
             for name in ("attn_q", "attn_k", "attn_v"):
                 g, gm = getattr(lw, name), getattr(merged, name)
                 assert g.merged is None and gm.merged is not None and gm.A is g.A and gm.W is g.W
-                want = gated_lora_apply(g, x, gate)
-                got = gated_lora_apply(gm, x, gate)
+                want = gated_lora_apply(g, x, start)
+                got = gated_lora_apply(gm, x, start)
                 assert got.dtype == want.dtype == np.dtype(dtype)
                 assert got.tobytes() == want.tobytes()
                 with Tape() as tape:
-                    taped = gated_lora_apply(gm, Tensor(x), gate)
+                    taped = gated_lora_apply(gm, Tensor(x), start)
                 assert taped.data.tobytes() == want.tobytes()
-                assert len(tape) == (1 if any(gate) else 0)  # A and B are tracked
+                assert len(tape) == (0 if start is None else 1)  # A and B are tracked
                 outs.append(got)
-            if any(gate):
+            if start is not None:
                 assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
 
 
@@ -450,10 +456,16 @@ def test_both_passes_call_the_module_masked_softmax_rows(monkeypatch):
         assert calls == [(name, taped) for name in layer * CFG["n_layers"]]
 
 
-@pytest.mark.parametrize(
-    "gate, message",
-    [([0, 2, 0], "gate entries must be 0 or 1"), ([0, 1], "gate length does not match row count")],
-)
+BAD_GATES = [
+    ([0, 2, 0], "gate entries must be 0 or 1"),
+    ([0, 1], "gate length does not match row count"),
+    # The gated rows are one trailing run: a 1 before a 0 names the rule.
+    ([1, 0, 0], "gate must be 0s, then 1s"),
+    ([0, 1, 0], "gate must be 0s, then 1s"),
+]
+
+
+@pytest.mark.parametrize("gate, message", BAD_GATES)
 def test_untaped_forward_rejects_bad_gate_like_taped(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
@@ -485,10 +497,11 @@ def test_gate_check_accepts_exactly_what_isin_accepts(kind):
     for gate in GATES[kind]:
         want = bool(np.isin(gate, (0, 1)).all())
         try:
-            _check_gate(gate, gate.shape[0])
+            _gate_start(gate, gate.shape[0])
         except NumericsError as e:
-            assert str(e) == "gate entries must be 0 or 1"
-            got = False
+            # Entries that pass may still break the order rule.
+            got = str(e).startswith("gate must be 0s, then 1s")
+            assert got or str(e) == "gate entries must be 0 or 1"
         else:
             got = True
         assert got == want, (kind, gate)
@@ -542,9 +555,8 @@ def test_an_overflow_in_the_gated_product_is_named_on_replay():
 
 
 def chain_lora(layer, x, gate):
-    """gated_lora_apply with its gated linear as the elementary chain."""
-    gate = np.asarray(gate)
-    _check_gate(gate, x.data.shape[0])
+    """gated_lora_apply with its gated linear as the elementary chain, on
+    the gate's 1-rows by number."""
     rows = np.flatnonzero(gate)
     if rows.size == 0:
         return tz.linear(x, layer.W)
@@ -554,7 +566,8 @@ def chain_lora(layer, x, gate):
 def chain_forward(model, batch, gate=None):
     """The taped forward with every fused op written as its elementary chain."""
     c = model.config
-    gate = batch.gate if gate is None else gate
+    gate = batch.gate if gate is None else np.asarray(gate)
+    _gate_start(gate, batch.size)
     x = tz.add(
         tz.take_rows(model.embedding_table(), batch.tokens), Tensor(model.pos_table[batch.position_ids])
     )
@@ -613,18 +626,18 @@ def test_taped_forward_is_bytewise_its_elementary_chain(dtype):
 
 
 GATE_INDEXES = {
-    # The layout's own gate runs its mask rows as a slice, the ungated
-    # ablation every row as a slice, any other gate its row numbers.
-    "layout": (lambda batch, rng: batch.gate, slice),
-    "ungated": (lambda batch, rng: np.ones(batch.size, dtype=np.int8), slice),
-    "random": (lambda batch, rng: np.r_[1, rng.integers(0, 2, size=batch.size - 1)].astype(np.int8), np.ndarray),
+    # The first gated row of the layout's own gate (its mask rows), of the
+    # ungated ablation (every row), and of a trailing gate of random start.
+    "layout": lambda batch, rng: batch.gate,
+    "ungated": lambda batch, rng: np.ones(batch.size, dtype=np.int8),
+    "trailing": lambda batch, rng: (np.arange(batch.size) >= rng.integers(0, batch.size)).astype(np.int8),
 }
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("kind", sorted(GATE_INDEXES))
 def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
-    make_gate, index_type = GATE_INDEXES[kind]
+    make_gate = GATE_INDEXES[kind]
     with precision(dtype):
         model = make_model(rank=4, seed=12)
         randomize_adapters(model, seed=12)
@@ -633,7 +646,7 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
         for _ in range(4):
             batch = random_layout("training", rng, model.config.mask_ids)
             gate = make_gate(batch, rng)
-            assert isinstance(_adapter_rows(gate), index_type)
+            assert _gate_start(gate, batch.size) == int(np.argmax(gate))
             runs = [
                 taped_training_pass(model, sampler, batch, run)
                 for run in (
@@ -655,7 +668,7 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
 def test_untaped_forward_is_bitwise_taped_forward_for_every_gate_index(layout, kind, dtype):
     # Every layout kind under every kind of gate index, on the bundle and
     # on its decode copy.
-    make_gate = GATE_INDEXES[kind][0]
+    make_gate = GATE_INDEXES[kind]
     with precision(dtype):
         model = make_model(rank=4, seed=14, n_heads=4)
         randomize_adapters(model, seed=14)
@@ -688,10 +701,7 @@ def test_training_forward_records_one_entry_per_fused_op():
     assert len(tape) == 3 + 2 * (2 + 6 + 2 + 3 + 1) + 2
 
 
-@pytest.mark.parametrize(
-    "gate, message",
-    [([0, 2, 0], "gate entries must be 0 or 1"), ([0, 1], "gate length does not match row count")],
-)
+@pytest.mark.parametrize("gate, message", BAD_GATES)
 def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
@@ -699,8 +709,6 @@ def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
         forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
     with Tape(), pytest.raises(NumericsError, match=message):
         chain_forward(model, batch, gate)
-    with Tape(), pytest.raises(NumericsError, match=message):
-        gated_lora_apply(model.layers[0].attn_q, Tensor(np.ones((3, CFG["d_model"]))), gate)
 
 
 # ---------------------------------------------------------------------------

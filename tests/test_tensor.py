@@ -456,7 +456,7 @@ OVERFLOWS = {
     # The gated adapter op, gated_linear, keyed by the name of the op it
     # replaced so that the case ids stay: its merge's product overflows.
     "lora_delta": lambda: tz.gated_linear(
-        Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), _big(2, 1), Tensor(np.full((1, 2), 2.0)), np.array([1]), 1.0
+        Tensor(np.ones((2, 2))), Tensor(np.zeros((2, 2))), _big(2, 1), Tensor(np.full((1, 2), 2.0)), 1, 1.0
     ),
     "attention_scores": lambda: tz.attention_scores(_big(2, 2), _big(2, 2), 1, 2, 0),
     "attention_context": lambda: tz.attention_context(_big(1, 2, 2), _big(2, 2), 2, 0),
@@ -578,14 +578,9 @@ def test_row_scatter_add_untouched_rows_bitwise():
 
 
 T_ROWS = 6
-ROW_SETS = {
-    "subset": np.array([1, 2, 4]),
-    "all": np.arange(T_ROWS),
-    "none": np.array([], dtype=np.int64),
-    # The slices that `forward` passes: a layout's mask rows, or every row.
-    "tail-slice": slice(2, None),
-    "all-slice": slice(0, None),
-}
+# The first gated row: a layout's mask rows, its last row alone, or every
+# row (the ungated ablation).
+STARTS = {"tail": 2, "last": T_ROWS - 1, "all": 0}
 
 
 def random_allowed(rng, t_len):
@@ -608,14 +603,14 @@ def fused_case(op, case, dtype, seed=12):
         return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
 
     if op == "lora_delta":  # gated_linear, under the name of the op it replaced
-        rows_name, residual = case
-        rows = ROW_SETS[rows_name]
+        start_name, residual = case
+        start = STARTS[start_name]
 
         def fused(*t):  # x, w, a, b, then the residual if any
-            return tz.gated_linear(*t[:4], rows, 2.0, *t[4:])
+            return tz.gated_linear(*t[:4], start, 2.0, *t[4:])
 
         def chain(*t):
-            return gated_linear_chain(*t[:4], np.arange(T_ROWS)[rows], 2.0, *t[4:])
+            return gated_linear_chain(*t[:4], np.arange(start, T_ROWS), 2.0, *t[4:])
 
         inputs = [leaf(T_ROWS, 4), leaf(5, 4), leaf(4, 3), leaf(3, 5)]
         if residual:
@@ -643,8 +638,8 @@ def fused_case(op, case, dtype, seed=12):
 
 
 FUSED_CASES = [
-    pytest.param("lora_delta", (rows, residual), id=f"lora_delta-{rows}" + ("-residual" if residual else ""))
-    for rows in sorted(ROW_SETS)
+    pytest.param("lora_delta", (start, residual), id=f"lora_delta-{start}" + ("-residual" if residual else ""))
+    for start in sorted(STARTS)
     for residual in (False, True)
 ] + [
     pytest.param(op, None, id=op)
@@ -775,16 +770,16 @@ def _gated_overflow(step):
         b, c = np.full((1, 2), 2.0), BIG
     else:
         w, residual = np.full((2, 2), BIG / 4), np.full((2, 2), BIG)
-    return [Tensor(t) for t in (x, w, a, b)], np.array([0]), c, Tensor(residual)
+    return [Tensor(t) for t in (x, w, a, b)], 0, c, Tensor(residual)
 
 
 @pytest.mark.parametrize("step", ["linear", "matmul", "scale", "add"])
 def test_lora_delta_overflow_names_the_same_step_as_its_chain(step):
     # gated_linear, the op that replaced lora_delta.
-    inputs, rows, c, residual = _gated_overflow(step)
-    for fn in (tz.gated_linear, gated_linear_chain):
+    inputs, start, c, residual = _gated_overflow(step)
+    for fn, gated in ((tz.gated_linear, start), (gated_linear_chain, np.arange(start, 2))):
         with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
-            fn(*inputs, rows, c, residual)
+            fn(*inputs, gated, c, residual)
 
 
 def _t(*shape):
@@ -792,18 +787,16 @@ def _t(*shape):
 
 
 FUSED_MISMATCHES = {
-    # gated_linear(x, w, a, b, rows, c[, residual]), under the name of the
-    # op it replaced.
-    "lora_x_not_2d": lambda: tz.gated_linear(_t(3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_base_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 4), _t(4, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_a_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(2, 1), _t(1, 2), np.array([0]), 1.0),
-    "lora_b_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(2, 2), np.array([0]), 1.0),
-    "lora_b_cols": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 3), np.array([0]), 1.0),
-    "lora_row_range": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([3]), 1.0),
-    "lora_negative_row": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([-1]), 1.0),
-    "lora_residual_shape": lambda: tz.gated_linear(
-        _t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(3, 3)
-    ),
+    # gated_linear(x, w, a, b, start, c[, residual]), under the name of the
+    # op it replaced; a start row outside 0..T-1.
+    "lora_x_not_2d": lambda: tz.gated_linear(_t(3), _t(2, 3), _t(3, 1), _t(1, 2), 0, 1.0),
+    "lora_base_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 4), _t(4, 1), _t(1, 2), 0, 1.0),
+    "lora_a_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(2, 1), _t(1, 2), 0, 1.0),
+    "lora_b_rows": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(2, 2), 0, 1.0),
+    "lora_b_cols": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 3), 0, 1.0),
+    "lora_row_range": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), 3, 1.0),
+    "lora_negative_row": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), -1, 1.0),
+    "lora_residual_shape": lambda: tz.gated_linear(_t(3, 3), _t(2, 3), _t(3, 1), _t(1, 2), 0, 1.0, _t(3, 3)),
     "scores_k_shape": lambda: tz.attention_scores(_t(3, 4), _t(2, 4), 2, 3, 0),
     "scores_below_2d": lambda: tz.attention_scores(_t(4), _t(4), 2, 1, 0),
     "scores_heads_split": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 3, 3, 0),
@@ -866,11 +859,11 @@ def _stacked_cases(rng, dtype):
         "row_scatter_add": (lambda t, s: row_scatter_add(t[0], ROWS, t[1]), [x, (arr(N_SEQ, 3, 4), True)]),
         # gated_linear, under the name of the op it replaced.
         "lora_delta": (
-            lambda t, s: tz.gated_linear(*t, ROWS, 2.0),
+            lambda t, s: tz.gated_linear(*t, 3, 2.0),
             [x, (arr(5, 4), False), (arr(4, 3), False), (arr(3, 5), False)],
         ),
         "lora_delta_residual": (
-            lambda t, s: tz.gated_linear(*t[:4], ROWS, 2.0, t[4]),
+            lambda t, s: tz.gated_linear(*t[:4], 3, 2.0, t[4]),
             [x, (arr(5, 4), False), (arr(4, 3), False), (arr(3, 5), False), (arr(N_SEQ, T_ROWS, 5), True)],
         ),
         "attention_scores": (lambda t, s: tz.attention_scores(*t, 2, T_ROWS, 0), [x, (arr(N_SEQ, T_ROWS, 4), True)]),
@@ -964,9 +957,7 @@ def test_fold_add_is_the_chain_of_adds():
 STACKED_MISMATCHES = {
     "take_rows_stacked_by_stacked": lambda: tz.take_rows(_t(2, 3, 4), np.zeros((2, 2), dtype=int)),
     "cross_entropy_ignores_differ": lambda: tz.cross_entropy(_t(2, 3, 4), np.array([[0, -1, 1], [0, 1, -1]])),
-    "lora_stacks_differ": lambda: tz.gated_linear(
-        _t(3, 3, 3), _t(2, 3), _t(3, 1), _t(1, 2), np.array([0]), 1.0, _t(2, 3, 2)
-    ),
+    "lora_stacks_differ": lambda: tz.gated_linear(_t(3, 3, 3), _t(2, 3), _t(3, 1), _t(1, 2), 0, 1.0, _t(2, 3, 2)),
     "scores_stacks_differ": lambda: tz.attention_scores(_t(2, 3, 4), _t(3, 3, 4), 2, 3, 0),
     "context_stacks_differ": lambda: tz.attention_context(_t(2, 2, 3, 3), _t(3, 3, 4), 3, 0),
     "add_not_trailing": lambda: tz.add(_t(2, 3, 4), _t(2, 4)),
@@ -987,7 +978,7 @@ def test_stacked_shape_mismatch_is_numerics_error_too(case):
 
 
 @pytest.mark.parametrize("lead", [(), (2,)], ids=["rows", "stack"])
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 20, 156])
+@pytest.mark.parametrize("n_rows", [1, 2, 20, 156, 160])
 @pytest.mark.parametrize("d", [32, 96])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n_rows, lead):
@@ -1002,39 +993,39 @@ def test_stacked_lora_deltas_are_bytewise_one_lora_delta_per_adapter(dtype, d, n
         return rng.normal(0.0, std, size=shape).astype(dtype)
 
     x = draw(*lead, t_len, d)
-    rows = np.sort(rng.choice(t_len, n_rows, replace=False))
+    start = t_len - n_rows  # the last n_rows rows are gated
+    rows = np.arange(start, t_len)
     outs = []
     for _ in range(3):
         w, a, b = draw(d, d, std=0.2), draw(d, rank, std=0.3), draw(rank, d, std=0.3)
-        got, xr, merged = tz.gated_linear_data(x, w, a, b, rows, 2.0)
+        got, xr, merged = tz.gated_linear_data(x, w, a, b, start, 2.0)
         assert got.dtype == np.dtype(dtype) and got.shape == x.shape
         assert xr.tobytes() == x[..., rows, :].tobytes()
         assert merged.tobytes() == tz.merge_data(w, a, b, 2.0).tobytes()
-        assert tz.gated_linear_data(x, w, a, b, rows, 2.0, merged=merged)[0].tobytes() == got.tobytes()
+        assert tz.gated_linear_data(x, w, a, b, start, 2.0, merged=merged)[0].tobytes() == got.tobytes()
         for seq in range(lead[0]) if lead else [None]:
             xs = x if seq is None else x[seq]
             want = gated_linear_chain(*map(Tensor, (xs, w, a, b)), rows, 2.0).data
             assert (got if seq is None else got[seq]).tobytes() == want.tobytes()
         outs.append(got)
-    if n_rows:
-        assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
+    assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
 
 
 def test_stacked_lora_deltas_name_their_overflow_as_lora_delta_does():
     # The merge, formed in the call or beforehand, and the gated product on
     # arrays name the step that overflowed, as their chain does.
     for step in ("linear", "matmul", "scale", "add"):
-        inputs, rows, c, residual = _gated_overflow(step)
+        inputs, start, c, residual = _gated_overflow(step)
         x, w, a, b = (t.data for t in inputs)
         runs = [
-            lambda: tz.gated_linear_data(x, w, a, b, rows, c, residual.data),
-            lambda: gated_linear_chain(*inputs, rows, c, residual),
+            lambda: tz.gated_linear_data(x, w, a, b, start, c, residual.data),
+            lambda: gated_linear_chain(*inputs, np.arange(start, 2), c, residual),
         ]
         for run in runs:
             with np.errstate(all="ignore"), pytest.raises(NumericsError, match=f"produced by {step}$"):
                 run()
     with np.errstate(all="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
-        tz.gated_linear_data(np.ones((1, 2)), np.full((2, 2), BIG), np.ones((2, 1)), np.ones((1, 2)), [0], 1.0)
+        tz.gated_linear_data(np.ones((1, 2)), np.full((2, 2), BIG), np.ones((2, 1)), np.ones((1, 2)), 0, 1.0)
     with pytest.raises(NumericsError, match="gated_linear shape mismatch"):
         tz.merge_data(np.zeros((2, 2)), np.ones((3, 1)), np.ones((1, 2)), 1.0)
 

@@ -92,6 +92,9 @@ def test_vocab_layout_and_roundtrip():
     vocab = Vocab("abc", 2)
     assert (vocab.bos, vocab.eos, vocab.pad) == (3, 4, 5)
     assert vocab.first_mask == 6 and vocab.size == 8
+    # The model's vocabulary is this one, mask ids included.
+    mcfg = TrainConfig(k_masks=2).model_config("abc")
+    assert mcfg.vocab_size == vocab.size and mcfg.first_mask_id == vocab.first_mask
     ids = vocab.encode("cab", add_eos=True)
     assert vocab.decode(ids) == "<bos>cab<eos>"
     with pytest.raises(ValueError):
@@ -191,6 +194,15 @@ def test_standard_lora_mode_moves_ntp_logits():
     res = train(cfg)
     drift = np.max(np.abs(res.probe_ntp_logits_final - res.probe_ntp_logits_initial))
     assert drift > 0.0
+    # The final logits, taken from the last step's probe pass, are a fresh
+    # probe pass on the returned model, byte for byte.
+    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    probe = build_training_stack(corpus, res.model.config.mask_ids).select(0)
+    ungated = np.ones(probe.size, dtype=np.int8)
+    fresh = forward(res.model, probe.tokens, probe.position_ids, probe.block_anchor, ungated)
+    want = fresh.logits.data[probe.ntp_rows]
+    assert res.probe_ntp_logits_final.dtype == want.dtype
+    assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
 
 
 def test_metrics_log_deterministic_except_wall_ms(tmp_path):
