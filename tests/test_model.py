@@ -627,9 +627,11 @@ def test_taped_forward_is_bytewise_its_elementary_chain(dtype):
 
 GATE_INDEXES = {
     # The first gated row of the layout's own gate (its mask rows), of the
-    # ungated ablation (every row), and of a trailing gate of random start.
+    # ungated ablation (every row), of a gate with no gated row (a start of
+    # None), and of a trailing gate of random start.
     "layout": lambda batch, rng: batch.gate,
     "ungated": lambda batch, rng: np.ones(batch.size, dtype=np.int8),
+    "none": lambda batch, rng: np.zeros(batch.size, dtype=np.int8),
     "trailing": lambda batch, rng: (np.arange(batch.size) >= rng.integers(0, batch.size)).astype(np.int8),
 }
 
@@ -646,7 +648,7 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
         for _ in range(4):
             batch = random_layout("training", rng, model.config.mask_ids)
             gate = make_gate(batch, rng)
-            assert _gate_start(gate, batch.size) == int(np.argmax(gate))
+            assert _gate_start(gate, batch.size) == (int(np.argmax(gate)) if gate.any() else None)
             runs = [
                 taped_training_pass(model, sampler, batch, run)
                 for run in (
