@@ -9,7 +9,7 @@ speed, never content.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,9 @@ def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | N
     max_position; a prompt longer than max_position is rejected.
     """
     tokens = _check_prompt(model, prompt)
+    # Every pass reads one embedding table. A causal layout gates no row,
+    # so no adapter is merged.
+    model = replace(model, table=model.embedding_table())
     for _ in range(max_new):
         batch = causal_rows(tokens)
         if batch.position_ids.max() >= model.config.max_position:
@@ -122,8 +125,9 @@ def speculative_decode(
         raise ValueError(f"k_eval must be in 1..{cfg.k_masks}")
     mask_ids = cfg.mask_ids[:k_eval]
     verified = _check_prompt(model, prompt)
-    # Every pass of this call reads each adapter's merged weight from one
-    # copy, formed here from the factors as they are now.
+    # Every pass of this call, and each sampler chain, reads the embedding
+    # table and each adapter's merged weight from one copy, formed here
+    # from the weights as they are now.
     model = merge_adapters(model)
     speculated: list[int] = []
     stats = AcceptanceStats(generated=0, steps=0)

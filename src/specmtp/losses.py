@@ -41,8 +41,10 @@ def base_and_sampler_ce(
     """Mean cross-entropies over every labeled row (regular and mask alike).
 
     The sampler term teacher-forces: each row's head input is the gold
-    token preceding that row's target. Without a sampler the second term
-    is a constant zero.
+    token preceding that row's target, a row of `embeddings`. Training
+    passes the frozen base rows, which hold no mask id, so that lookup
+    sends no gradient back. Without a sampler the second term is a
+    constant zero.
     """
     base = cross_entropy(base_logits, batch.base_labels)
     rows = batch.labeled_rows
@@ -51,6 +53,8 @@ def base_and_sampler_ce(
     prev_ids = batch.prev_token[..., rows]
     if (prev_ids < 0).any():
         raise ValueError("labeled row without a preceding gold token")
+    if prev_ids.max() >= len(embeddings.data):
+        raise ValueError(f"previous token {prev_ids.max()} is past the embedding table: a mask id, not a gold token")
     logits = sampler_logits_rows(sampler, unembed, embeddings, prev_ids, take_rows(hidden, rows))
     samp = cross_entropy(logits, batch.base_labels[..., rows])
     return base, samp

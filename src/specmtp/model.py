@@ -166,6 +166,7 @@ class ModelBundle:
     final_ln_bias: Tensor
     unembed: Tensor  # (V, d) frozen
     pos_table: np.ndarray  # (max_position, d) constant
+    table: Tensor | None = None  # (V, d), held only by a decode call's copy
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         """All weight tensors in a stable order (checkpoint order)."""
@@ -190,7 +191,10 @@ class ModelBundle:
         return [(n, t) for n, t in self.named_params() if t.requires_grad]
 
     def embedding_table(self) -> Tensor:
-        """Full (V, d) table: frozen base rows stacked over the mask rows."""
+        """Full (V, d) table: frozen base rows stacked over the mask rows;
+        the one a decode call's copy holds, else a taped concat."""
+        if self.table is not None:
+            return self.table
         return concat_rows([self.embed_base, self.embed_mask])
 
 
@@ -307,15 +311,17 @@ def gated_lora_apply(
 
 
 def merge_adapters(model: ModelBundle) -> ModelBundle:
-    """A copy of `model` whose gated linears carry their merged weight
-    (`merge_data`), formed once, for the passes of one decode call; every
-    other field is the model's own object. A copy made before the factors
-    change holds a stale weight, so it must not outlive the call."""
+    """A copy of `model` that holds its embedding table and whose gated
+    linears carry their merged weight (`merge_data`), each formed once, for
+    the passes of one decode call; every other field is the model's own
+    object. A copy made before the weights change holds stale ones, so it
+    must not outlive the call."""
 
     def merged(g: GatedLoraLinear) -> GatedLoraLinear:
         return g if g.A is None else replace(g, merged=merge_data(g.W.data, g.A.data, g.B.data, LORA_ALPHA_OVER_RANK))
 
-    return replace(model, layers=[replace(lw, **{n: merged(getattr(lw, n)) for n in ADAPTERS}) for lw in model.layers])
+    layers = [replace(lw, **{n: merged(getattr(lw, n)) for n in ADAPTERS}) for lw in model.layers]
+    return replace(model, table=model.embedding_table(), layers=layers)
 
 
 def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Tensor | np.ndarray:

@@ -216,26 +216,57 @@ def adamw_step(p, g, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0
 
 
 class AdamW:
+    """AdamW over one flat array each for the parameters, their grads and
+    the moments m and v (`slices[i]` is params[i]'s part). Each `.data` and
+    `.grad` is a view into the first two, so a step is one `adamw_step`
+    call, `zero_grad` one fill, and backward adds into the views in place.
+    A parameter whose grad is None at a step is not updated; a grad made
+    before the first `zero_grad` is copied into its view. A `.data` or
+    `.grad` rebound away from its view would go untrained unseen, so
+    `step` raises ValueError naming it."""
+
     def __init__(self, params: list[tuple[str, Tensor]], betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         self.params = params
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params}
-        self.v = {n: np.zeros_like(p.data) for n, p in params}
+        dtypes = {p.data.dtype for _, p in params} or {np.dtype(np.float32)}
+        if len(dtypes) > 1:
+            raise ValueError(f"AdamW parameters must share one dtype, got {sorted(d.name for d in dtypes)}")
+        ends = np.cumsum([0] + [p.data.size for _, p in params])
+        self.slices = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+        self.data, self.grad, self.m, self.v = np.zeros((4, ends[-1]), dtypes.pop())
+        self._views = []
+        for (name, p), sl in zip(params, self.slices):
+            data = self.data[sl].reshape(p.data.shape)
+            data[...] = p.data
+            p.data = data
+            self._views.append((name, p, data, self.grad[sl].reshape(data.shape)))
+        self._bound = False  # every grad is its view: set by zero_grad
 
     def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
+        self.grad.fill(0)
+        if not self._bound:
+            for _, p, _, grad in self._views:
+                p.grad = grad
+            self._bound = True
 
     def step(self, lr: float) -> None:
         self.t += 1
-        for name, p in self.params:
-            if p.grad is None:
-                continue
+        live = []
+        for name, p, data, grad in self._views:
+            if p.data is not data:
+                raise ValueError(f"AdamW parameter {name!r}: .data was rebound away from the optimizer's array")
+            if p.grad is not None and p.grad is not grad:
+                if self._bound:
+                    raise ValueError(f"AdamW parameter {name!r}: .grad was rebound away from the optimizer's array")
+                grad[...] = p.grad
+                p.grad = grad
+            live.append(p.grad is not None)
+        for sl in [slice(None)] if all(live) else [sl for sl, on in zip(self.slices, live) if on]:
             adamw_step(
-                p.data, p.grad, self.m[name], self.v[name], self.t,
+                self.data[sl], self.grad[sl], self.m[sl], self.v[sl], self.t,
                 lr, self.betas, self.eps, self.weight_decay,
             )
 
@@ -474,7 +505,13 @@ def train(
 
     stack = build_training_stack(corpus, mcfg.mask_ids)
     probe = stack.select(0)
-    _, probe_initial = _probe_ntp(model, probe, config.gated)
+    # Gated, with only adapter factors, mask rows and the sampler training,
+    # no step can move a regular row: the probe runs before the first step
+    # and after the last, and each step logs the loss a probe would give.
+    probe_every_step = not config.gated or not all(
+        n == "embed.mask" or n.endswith((".A", ".B")) or n.startswith("sampler.") for n, _ in trainable
+    )
+    ntp_initial, probe_initial = _probe_ntp(model, probe, config.gated)
 
     log_file = None
     if log_path is not None:
@@ -504,7 +541,10 @@ def train(
                     opt.step(lr_t)
                     opt.zero_grad()
                     total_val = step_loss.item()
-                    ntp_val, probe_final = _probe_ntp(model, probe, config.gated)
+                    if probe_every_step or step == config.total_steps - 1:
+                        ntp_val, probe_final = _probe_ntp(model, probe, config.gated)
+                    if not probe_every_step:
+                        ntp_val = ntp_initial
             except NumericsError as exc:
                 raise DivergenceError(f"non-finite values at step {step}: {exc}") from exc
             wall_ms = (time.perf_counter() - t0) * 1e3
@@ -572,9 +612,7 @@ def stacked_loss(
     time, as a loop over the sequences would add them.
     """
     out = _forward_batch(model, batch, config.gated)
-    base, samp = base_and_sampler_ce(
-        batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
-    )
+    base, samp = base_and_sampler_ce(batch, out.hidden, out.logits, sampler, model.unembed, model.embed_base)
     lcm = lcm_loss(out.hidden, batch.lcm_pairs)
     totals = total_loss(base, samp, lcm, config.loss_weights)
     n_seqs = totals.data.shape[0]

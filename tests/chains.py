@@ -4,9 +4,11 @@ per-sequence training loop that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
-`silu_data`'s `np.maximum` replaces, and a layer's attention, regular
-keys and mask blocks, written with elementary ops. Each is its
-replacement's oracle: values and gradients must match it byte for byte.
+`silu_data`'s `np.maximum` replaces, a layer's attention, regular
+keys and mask blocks, written with elementary ops, and the AdamW with one
+update and one pair of moment arrays per parameter that the flat AdamW
+replaces. Each is its replacement's oracle: values, gradients and
+optimizer state must match it byte for byte.
 The visibility rule's (T, T) matrix, which `forward` no longer builds, is
 the oracle of the `allowed` matrix it derives. The elementary ops that
 only these chains and the tests use are written here too, on the
@@ -21,6 +23,7 @@ from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward
 from specmtp.sampler import sampler_features
 from specmtp.tensor import ArrayOps, NumericsError, _out, _record, scanned_once
+from specmtp.training import adamw_step
 
 
 def matmul(a, b):
@@ -306,3 +309,32 @@ def serial_sampler_chain(head, unembed, embeddings, seed_token, zs):
         picks.append(prev)
         rows.append(logits)
     return picks, rows
+
+
+class PerArrayAdamW:
+    """AdamW with one `adamw_step` call and one m and v array per
+    parameter, keyed by name; `zero_grad` gives each parameter a fresh
+    zero grad. A parameter whose grad is None at a step is not updated."""
+
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.params = params
+        self.betas = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in params}
+        self.v = {n: np.zeros_like(p.data) for n, p in params}
+
+    def zero_grad(self):
+        for _, p in self.params:
+            p.grad = np.zeros_like(p.data)
+
+    def step(self, lr):
+        self.t += 1
+        for name, p in self.params:
+            if p.grad is None:
+                continue
+            adamw_step(
+                p.data, p.grad, self.m[name], self.v[name], self.t,
+                lr, self.betas, self.eps, self.weight_decay,
+            )

@@ -187,6 +187,28 @@ def test_each_decode_call_merges_each_adapter_once(monkeypatch):
     assert calls == []
 
 
+def test_each_decode_call_builds_the_embedding_table_once(monkeypatch):
+    # Every pass of a decode call, and each sampler chain, reads one (V, d)
+    # table, however many steps the call runs.
+    calls = []
+    concat = model_mod.concat_rows
+
+    def counting(parts):
+        calls.append(1)
+        return concat(parts)
+
+    monkeypatch.setattr(model_mod, "concat_rows", counting)
+    model = make_model(8)
+    for steps in (1, 7):
+        calls.clear()
+        speculative_decode(model, init_sampler(CFG.d_model, 8), [1, 2, 3], 3, "quadratic", max_steps=steps)
+        assert len(calls) == 1
+        calls.clear()
+        greedy_autoregressive(model, [1, 2, 3], steps)
+        assert len(calls) == 1
+    assert model.table is None
+
+
 def test_adversarial_speculation_rate_exactly_one():
     model = make_model(3)
     prompt = [2, 4]

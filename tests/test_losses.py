@@ -27,7 +27,7 @@ def test_all_ignored_labels_give_zero_losses():
     batch = build_training_batch([1, 2, 3], [0, 0, 0], CFG.mask_ids)
     params = [t for _, t in head.trainable_params()]
     for p in params:
-        p.zero_grad()
+        p.grad = np.zeros_like(p.data)
     with Tape() as tape:
         out = run_batch(model, batch)
         base, samp = base_and_sampler_ce(
@@ -86,6 +86,20 @@ def test_losses_match_independent_row_loop():
 
         assert abs(base.item() - np.mean(base_vals)) < 1e-8
         assert abs(samp.item() - np.mean(samp_vals)) < 1e-8
+
+
+def test_sampler_ce_on_the_base_rows_rejects_a_mask_id_previous_token():
+    # Training looks the previous tokens up in the frozen base rows, which
+    # hold every gold token and no mask id.
+    model, head = setup()
+    batch = build_training_batch([1, 2, 3, 4], [1, 1, 1, 0], CFG.mask_ids)
+    out = run_batch(model, batch)
+    args = (out.hidden, out.logits, head, model.unembed)
+    on_base = base_and_sampler_ce(batch, *args, model.embed_base)[1]
+    assert on_base.data.tobytes() == base_and_sampler_ce(batch, *args, model.embedding_table())[1].data.tobytes()
+    batch.prev_token[batch.labeled_rows[1]] = CFG.mask_ids[0]
+    with pytest.raises(ValueError, match=f"previous token {CFG.mask_ids[0]} is past the embedding table: a mask id"):
+        base_and_sampler_ce(batch, *args, model.embed_base)
 
 
 def test_lcm_zero_when_mask_hiddens_equal_anchors():

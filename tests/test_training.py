@@ -3,13 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from chains import per_sequence_pretrain_step, per_sequence_step
+from chains import PerArrayAdamW, per_sequence_pretrain_step, per_sequence_step
 from conftest import pattern_config, run_batch
 from specmtp.batching import build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward, init_model
 from specmtp.sampler import init_sampler
 from specmtp.tensor import Tape, backward, derive_rng, finite_diff_check, precision
+import specmtp.training as training
 from specmtp.training import (
     AdamW,
     CorpusSpec,
@@ -131,6 +132,107 @@ def test_adamw_decoupled_decay():
 def test_adamw_shape_mismatch():
     with pytest.raises(ValueError):
         adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, lr=0.1)
+
+
+def _finetune_pair(dtype):
+    """A small config and two identical fine-tuning set-ups, each a
+    (model with non-zero adapters, sampler, training stack)."""
+    with precision(dtype):
+        cfg = tiny_config(
+            corpus=_oracle_corpus("pattern", None), d_model=16, n_heads=2, d_ff=32, k_masks=3,
+            lora_rank=4, batch_size=3,
+        )
+        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+        out = []
+        for _ in range(2):
+            model = init_model(cfg.model_config(cfg.corpus.charset()), 4)
+            rng = np.random.default_rng(4)
+            for lw in model.layers:
+                for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
+                    g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
+            out.append((model, init_sampler(cfg.d_model, 5), build_training_stack(corpus, model.config.mask_ids)))
+    return cfg, out
+
+
+def _moments(opt, params):
+    """Each parameter's (m, v): the oracle's own arrays, or the flat
+    optimizer's slices."""
+    if isinstance(opt, PerArrayAdamW):
+        return [(opt.m[n], opt.v[n]) for n, _ in params]
+    return [(opt.m[sl], opt.v[sl]) for sl in opt.slices]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_flat_adamw_is_bytewise_the_per_array_oracle(dtype):
+    # Four steps with weight decay. In step 1 the loss leaves out the
+    # sampler, so its parameters have no grad and must not move, decay
+    # included; from step 2 on every parameter has one.
+    cfg, sides = _finetune_pair(dtype)
+    records = []
+    for make_opt, (model, sampler, stack) in zip((AdamW, PerArrayAdamW), sides):
+        params = model.trainable_params() + sampler.trainable_params()
+        opt = make_opt(params, betas=(0.8, 0.99), eps=1e-6, weight_decay=0.1)
+        picks = np.random.default_rng(7)
+        record = []
+        with precision(dtype):
+            for step in range(4):
+                head = None if step == 0 else sampler
+                with Tape() as tape:
+                    loss, _ = stacked_loss(model, head, stack.select(picks.integers(0, 6, size=3)), cfg)
+                backward(tape, loss)
+                record.append([None if t.grad is None else t.grad.tobytes() for _, t in params])
+                opt.step(1e-2 * (step + 1))
+                record.append([t.data.tobytes() for _, t in params])
+                record.append([(m.tobytes(), v.tobytes()) for m, v in _moments(opt, params)])
+                opt.zero_grad()
+        records.append(record)
+    flat, oracle = records
+    assert flat == oracle
+    grads = dict(zip((n for n, _ in sides[0][0].trainable_params() + sides[0][1].trainable_params()), flat[0]))
+    assert {n for n, g in grads.items() if g is None} == {n for n, _ in sides[0][1].trainable_params()}
+    assert all(g is not None for g in flat[3])
+
+
+def test_training_reads_the_concatenated_table_once():
+    # The model's token lookup reads the (V, d) table that carries the mask
+    # rows' gradient; the sampler's previous-token lookup reads the frozen
+    # base rows, so it records no tape entry and no backward scatter-add.
+    cfg, [(model, sampler, stack), _] = _finetune_pair("float32")
+    with Tape() as tape:
+        stacked_loss(model, sampler, stack.select(np.array([0, 1])), cfg)
+    (table,) = [out for out, inputs, _ in tape._entries if any(t is model.embed_mask for t in inputs)]
+    assert sum(any(t is table for t in inputs) for _, inputs, _ in tape._entries) == 1
+
+
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_flat_adamw_rejects_a_parameter_rebound_away_from_its_view(field):
+    model = init_model(tiny_config().model_config("abcdef"), 0)
+    params = model.trainable_params()
+    opt = AdamW(params)
+    for _, t in params:
+        t.grad = np.ones_like(t.data)
+    opt.step(1e-2)
+    opt.zero_grad()
+    name, t = params[3]
+    # A detached copy: the model would read it, the optimizer would not.
+    setattr(t, field, getattr(t, field).copy())
+    with pytest.raises(ValueError, match=rf"{name!r}: \.{field} was rebound"):
+        opt.step(1e-2)
+
+
+def test_flat_adamw_keeps_views_through_backward_and_zero_grad():
+    cfg, [(model, sampler, stack), _] = _finetune_pair("float32")
+    params = model.trainable_params() + sampler.trainable_params()
+    opt = AdamW(params)
+    for _ in range(2):
+        with Tape() as tape:
+            loss, _ = stacked_loss(model, sampler, stack.select(np.array([0, 1, 2])), cfg)
+        backward(tape, loss)
+        opt.step(1e-2)
+        opt.zero_grad()
+        for (_, t), sl in zip(params, opt.slices):
+            assert t.data.ctypes.data == opt.data[sl].ctypes.data and t.grad.ctypes.data == opt.grad[sl].ctypes.data
+        assert not opt.grad.any()
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +370,58 @@ def test_full_loop_gradient_check_64bit():
 
 
 def test_gated_ntp_metric_constant_across_all_steps(trained_full):
-    ntp = np.array([row[5] for row in trained_full.metrics])
-    assert np.max(np.abs(ntp - ntp[0])) / max(abs(ntp[0]), 1e-12) < 1e-10
+    ntp = [row[5] for row in trained_full.metrics]
+    assert ntp == [ntp[0]] * len(ntp)
+
+
+def _probe_after_every_step(monkeypatch, cfg, model):
+    """train() on `model` with a probe pass after each optimizer step, taken
+    by a wrapped `AdamW.step`. Returns the result, those passes' (loss,
+    logits), and the sequence of train()'s own probe passes ("probe") and
+    optimizer steps ("step")."""
+    probe = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids).select(0)
+    probe_ntp, step = training._probe_ntp, AdamW.step
+    probes, events = [], []
+
+    def probed_step(opt, lr):
+        step(opt, lr)
+        events.append("step")
+        probes.append(probe_ntp(model, probe, cfg.gated))
+
+    def counted(*args):
+        events.append("probe")
+        return probe_ntp(*args)
+
+    monkeypatch.setattr(AdamW, "step", probed_step)
+    monkeypatch.setattr(training, "_probe_ntp", counted)
+    res = train(cfg, model=model)
+    monkeypatch.undo()
+    return res, probes, events
+
+
+def test_gated_ntp_column_is_bitwise_a_probe_after_every_step(monkeypatch):
+    cfg = tiny_config(total_steps=8, weight_decay=0.1)
+    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+    res, probes, events = _probe_after_every_step(monkeypatch, cfg, model)
+    assert events == ["probe"] + ["step"] * cfg.total_steps + ["probe"]
+    assert [row[5] for row in res.metrics] == [loss for loss, _ in probes]
+    for _, logits in probes:
+        assert logits.tobytes() == res.probe_ntp_logits_initial.tobytes()
+    assert res.probe_ntp_logits_final.tobytes() == probes[-1][1].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["base-weight", "ungated"])
+def test_a_run_that_moves_regular_rows_keeps_its_per_step_probe(monkeypatch, kind):
+    cfg = tiny_config(total_steps=6, gated=kind == "base-weight")
+    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+    if kind == "base-weight":
+        model.layers[0].ln1_gain.requires_grad = True
+    res, probes, events = _probe_after_every_step(monkeypatch, cfg, model)
+    assert events == ["probe"] + ["step", "probe"] * cfg.total_steps
+    ntp = [row[5] for row in res.metrics]
+    assert ntp == [loss for loss, _ in probes] and len(set(ntp)) > 1
+    assert res.probe_ntp_logits_final.tobytes() == probes[-1][1].tobytes()
+    assert res.probe_ntp_logits_final.tobytes() != res.probe_ntp_logits_initial.tobytes()
 
 
 def test_trained_model_continues_training_patterns(trained_full):
@@ -323,7 +475,8 @@ def _oracle_corpus(task, tmp_path):
 
 def _two_steps(cfg, corpus, stacked):
     """Losses, metric terms, gradients and AdamW state of two steps on a
-    model with non-zero adapters, by the stacked step or by the oracle."""
+    model with non-zero adapters, by the stacked step and the flat AdamW
+    or by the oracles."""
     mcfg = cfg.model_config(cfg.corpus.charset())
     model = init_model(mcfg, 4)
     sampler = init_sampler(cfg.d_model, 5)
@@ -332,7 +485,7 @@ def _two_steps(cfg, corpus, stacked):
         for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
             g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
     params = model.trainable_params() + sampler.trainable_params()
-    opt = AdamW(params, weight_decay=cfg.weight_decay)
+    opt = (AdamW if stacked else PerArrayAdamW)(params, weight_decay=cfg.weight_decay)
     stack = build_training_stack(corpus, mcfg.mask_ids)
     batches = [build_training_batch(seq, flags, mcfg.mask_ids) for seq, flags in corpus]
     order = np.random.default_rng(11)
@@ -349,7 +502,8 @@ def _two_steps(cfg, corpus, stacked):
         record.append({n: t.grad.tobytes() for n, t in params if t.grad is not None})
         opt.step(1e-2)
         opt.zero_grad()
-        record.append([(opt.m[n].tobytes(), opt.v[n].tobytes(), t.data.tobytes()) for n, t in params])
+        moments = _moments(opt, params)
+        record.append([(m.tobytes(), v.tobytes(), t.data.tobytes()) for (m, v), (_, t) in zip(moments, params)])
     return record
 
 
@@ -388,7 +542,7 @@ def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
     base = [(n, t) for n, t in model.named_params() if n.endswith(".W") or n in PRETRAINED]
     for _, t in model.named_params():
         t.requires_grad = any(t is b for _, b in base)
-    opt = AdamW(base, weight_decay=0.0)
+    opt = PerArrayAdamW(base, weight_decay=0.0)
     batches = []
     for seq, flags in corpus:
         batch = causal_rows(seq)
