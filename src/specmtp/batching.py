@@ -88,6 +88,17 @@ class MaskedBatch:
     def mtp_rows(self) -> np.ndarray:
         return np.flatnonzero(self.gate == 1)
 
+    def regular_layout(self) -> "MaskedBatch":
+        """The regular rows alone, as a causal layout (they see no mask row)
+        holding this batch's or stack's tokens, labels and previous tokens."""
+        rows = self.ntp_rows
+        return replace(
+            causal_rows(self.tokens.reshape(-1, self.size)[0, rows]),
+            tokens=self.tokens[..., rows],
+            base_labels=self.base_labels[..., rows],
+            prev_token=self.prev_token[..., rows],
+        )
+
     def block_rows(self, anchor_row: int) -> np.ndarray:
         """Mask rows of the block anchored at anchor_row, in m_1..m_k order."""
         return np.flatnonzero(self.block_anchor == anchor_row)

@@ -22,6 +22,15 @@ last regular row, see the lower triangle of their rows: they are
 n_reg = T, block = 0, the causal attention of one product. Every row-wise
 op (norms, linears, adapters) runs over all T rows.
 
+The regular rows never see a mask row, and at gate 0 they run the frozen
+base, so while no base weight trains their keys, values, hidden rows and
+logits cannot change. `forward` can return them as constants
+(`RegularRows`, `keep_regular`) and take them back (`regular`): that pass
+runs the mask rows alone, as the query stream that reads a content stream
+computed once, and attends to the given keys and values through the same
+op pair. Gated training computes each sequence's regular rows once per
+`train()` call this way.
+
 `forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
 that share one layout: positions, anchors and gate are (T,)-shaped and
 shared, and hidden and logits get the leading axis. A stack runs every
@@ -389,9 +398,25 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
     return Streams(n_reg, block, allowed)
 
 
+class RegularRows(NamedTuple):
+    """A layout's ungated regular rows as constants (`forward`'s
+    `keep_regular`): each layer's keys and values (..., n_reg, D), and the
+    final hidden rows and logits, for a later pass to take as `regular`."""
+
+    kv: tuple[tuple[np.ndarray, np.ndarray], ...]
+    hidden: np.ndarray  # (..., n_reg, d)
+    logits: np.ndarray  # (..., n_reg, V)
+
+    def select(self, picks) -> "RegularRows":
+        """The rows of sequences `picks` of a stack, as `MaskedBatch.select`."""
+        kv = tuple((k[picks], v[picks]) for k, v in self.kv)
+        return RegularRows(kv, self.hidden[picks], self.logits[picks])
+
+
 class ForwardResult(NamedTuple):
     hidden: Tensor  # (..., T, d) last-layer states after the final norm
     logits: Tensor  # (..., T, V)
+    regular: RegularRows | None = None  # set by keep_regular
 
 
 def forward(
@@ -400,6 +425,8 @@ def forward(
     position_ids,
     block_anchor,
     gate,
+    regular: RegularRows | None = None,
+    keep_regular: bool = False,
 ) -> ForwardResult:
     """One pass over a layout of batching.py's form: regular rows first,
     then mask blocks, described by their (T,) anchors (NO_ANCHOR on
@@ -411,6 +438,16 @@ def forward(
     tokens are (T,), or (B, T) for B sequences sharing the layout. With no
     active tape the pass runs on plain arrays, with the same result. An
     empty layout is an error.
+
+    `keep_regular` also returns the regular rows, none of them gated, as
+    constants (`RegularRows`); it takes an untaped pass. Given them as
+    `regular`, a pass over a layout with mask blocks after the same regular
+    rows, none of them gated, runs the mask rows alone: each layer attends
+    to the given keys and values and the mask rows' own, and hidden and
+    logits are the given rows joined over the mask rows'. The given rows
+    take no gradient. When they are the full pass's own, every mask row
+    gets that pass's bytes as long as a product's bytes do not depend on
+    how many rows it runs over (the tests check this at their sizes).
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -427,36 +464,66 @@ def forward(
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
     start = _gate_start(gate, t_len)
+    n = streams.n_reg
+    gated_regular = start is not None and start < n
+    if keep_regular and (regular is not None or active_tape() is not None or gated_regular):
+        raise NumericsError("keep_regular keeps the ungated regular rows of an untaped pass over them")
+    if regular is not None:
+        if regular.hidden.shape[:-1] != tokens.shape[:-1] + (n,) or not streams.block or gated_regular:
+            raise NumericsError(
+                f"regular rows {regular.hidden.shape[:-1]} given for tokens {tokens.shape} with {n} regular "
+                "rows: they must be the layout's ungated regular rows, and mask blocks must follow them"
+            )
+        tokens, position_ids = tokens[..., n:], position_ids[n:]
+        streams = Streams(n, streams.block, streams.allowed[n:])
+        start = None if start is None else start - n
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, streams, start)
+        return _pass(ops, model, tokens, position_ids, streams, start, regular)
 
     def fast():
-        if active_tape() is None:
-            return ForwardResult(*map(_out, run(ArrayOps)))
-        return ForwardResult(*run(tensor))
+        if active_tape() is not None:
+            return ForwardResult(*run(tensor)[:2])
+        hidden, logits, kv = run(ArrayOps)
+        kept = None
+        if keep_regular:
+            kv = tuple((k[..., :n, :], v[..., :n, :]) for k, v in kv)
+            kept = RegularRows(kv, hidden[..., :n, :], logits[..., :n, :])
+        return ForwardResult(_out(hidden), _out(logits), kept)
 
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, streams, start) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, start, regular=None) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `start` is the first gated row (None
-    for none). Every adapter goes through this module's `gated_lora_apply`,
-    and every softmax through its `masked_softmax_rows`, looked up at call
-    time on both paths; each picks the op matching its input. Returns (hidden, logits) as the namespace's values."""
+    for none). With `regular`, the layout's regular rows come from outside
+    the pass: tokens, positions, `streams.allowed` and `start` are those of
+    the mask rows after them, each layer attends to the given keys and
+    values, and hidden and logits are joined under the given ones. Every
+    adapter goes through this module's `gated_lora_apply`, and every
+    softmax through its `masked_softmax_rows`, looked up at call time on
+    both paths; each picks the op matching its input. Returns (hidden,
+    logits, each layer's (keys, values) of the pass's own rows) as the
+    namespace's values."""
     c = model.config
     n, block, allowed = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
-    for lw in model.layers:
+    kv = []
+    for i, lw in enumerate(model.layers):
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         q, k, v = (gated_lora_apply(g, h, start) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        scores = ops.attention_scores(q, k, c.n_heads, n, block)
-        heads = ops.attention_context(masked_softmax_rows(scores, allowed), v, n, block)
+        k_reg, v_reg = (None, None) if regular is None else regular.kv[i]
+        scores = ops.attention_scores(q, k, c.n_heads, n, block, k_reg)
+        heads = ops.attention_context(masked_softmax_rows(scores, allowed), v, n, block, v_reg)
         x = gated_lora_apply(lw.attn_o, heads, start, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         ff = ops.silu(gated_lora_apply(lw.ff_in, h2, start))
         x = gated_lora_apply(lw.ff_out, ff, start, residual=x)
+        kv.append((k, v))
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
-    return hidden, ops.linear(hidden, model.unembed)
+    logits = ops.linear(hidden, model.unembed)
+    if regular is not None:
+        hidden, logits = ops.concat_rows([regular.hidden, hidden]), ops.concat_rows([regular.logits, logits])
+    return hidden, logits, kv

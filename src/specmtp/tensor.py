@@ -36,9 +36,11 @@ warnings. This is exact because:
   non-finite output row, all the way to the logits; layer_norm also turns
   a finite row whose variance overflows into a NaN row. One value reaches
   no output: the frozen product of a gated linear's gated rows, which the
-  merged product overwrites. An overflow there alone is noted, so under
-  an errstate that reports it the replay names `linear`, and under one
-  that ignores it the pass returns its finite result;
+  merged product overwrites when only some rows are gated (start > 0).
+  An overflow there alone is noted, so under an errstate that reports it
+  the replay names `linear`, and under one that ignores it the pass
+  returns its finite result. With every row gated (start 0) the frozen
+  product is not formed, so the fast run and its replay agree;
 - `@` forms every product, so 0 * inf = NaN: a non-finite value row
   reaches every context row whose product reads it (a regular value
   every row, a mask block's value its block's rows), even through
@@ -67,15 +69,20 @@ takes any layout of n_reg regular rows, then blocks of `block` mask rows:
 every row's product with the regular keys (or values), and one batched
 product of each block with its own keys (or values), with the slices,
 reshapes and the concat or add that join them; a causal layout is
-n_reg = T, block = 0, and runs the single product. The masked softmax
-between the two stays `masked_softmax_rows`. Each fused op runs its chain's array helpers in
-order and its backward applies the chain's backward expressions in
-reverse, so values and gradients are byte-equal to the chain's. The
-chains, in the tests, are their oracle.
+n_reg = T, block = 0, and runs the single product. The regular keys and
+values are the pass's own first n_reg rows, or constant arrays from
+outside the pass (a cache of rows that cannot change): then the pass's
+rows are the mask blocks alone, and the constants take no gradient. The
+masked softmax between the two stays `masked_softmax_rows`. Each fused op
+runs its chain's array helpers in order and its backward applies the
+chain's backward expressions in reverse, so values and gradients are
+byte-equal to the chain's. The chains, in the tests, are their oracle.
 A gated linear, taped or not, runs `gated_linear_data`: the frozen
 product over every row, so an ungated row keeps the bytes of the plain
 linear, then the gated rows, the trailing run from a `start` row on (a
 view), times the merged weight, put into that product's own fresh array.
+With every row gated (start 0), the put would overwrite the whole frozen
+product, so the merged product alone is formed, forward and backward.
 M is stored like W, so both products are linear's; zero factors give
 M == W. The merge (`merge_data`) runs per call, or once for a decode
 call, whose copy of the model carries M (`model.merge_adapters`). The
@@ -638,16 +645,21 @@ def gated_linear_data(
     merged weight (`merge_data`), or `merged` when the caller formed it
     already; then the residual added, when one is given. The steps run in
     the chain's order (linear, the merge, take rows, linear, row put, add),
-    each naming its overflow; the put only moves values. Returns (output,
-    the view xd[..., start:, :], M), the last two for the backward."""
+    each naming its overflow; the put only moves values. At start 0 the
+    first linear, whose every row the put would replace, is skipped.
+    Returns (output, the view xd[..., start:, :], M), the last two for the
+    backward."""
     if xd.ndim < 2:
         raise NumericsError(f"gated_linear shape mismatch x {xd.shape} for W {wd.shape}")
     if not 0 <= start < xd.shape[-2]:
         raise NumericsError(f"gated_linear start row {start} out of range for {xd.shape[-2]} rows")
-    y = linear_data(xd, wd)
+    y = linear_data(xd, wd) if start else None
     md = merge_data(wd, ad, bd, c) if merged is None else merged
     xr = xd[..., start:, :]
-    y[..., start:, :] = linear_data(xr, md)
+    if start:
+        y[..., start:, :] = linear_data(xr, md)
+    else:
+        y = linear_data(xr, md)
     return (y if residual is None else add_data(residual, y)), xr, md
 
 
@@ -665,8 +677,11 @@ def gated_linear(
 
     def bw(g, start=start, xr=xr, md=md, wd=w.data, ad=a.data, bd=b.data):
         gr = g[..., start:, :]
-        gx = g @ wd
-        gx[..., start:, :] = gr @ md  # the put gave linear(x, W) zeros there
+        if start:
+            gx = g @ wd
+            gx[..., start:, :] = gr @ md  # the put gave linear(x, W) zeros there
+        else:
+            gx = gr @ md
         dm = gr.swapaxes(-1, -2) @ xr  # M's gradient, per sequence
         gw = None
         if _tracked(w):
@@ -700,47 +715,61 @@ def _blocks(xd: np.ndarray, block: int) -> np.ndarray:
     return xd.reshape(xd.shape[:-2] + (xd.shape[-2] // block, block, xd.shape[-1]))
 
 
-def _key_blocks(kt: np.ndarray, n_reg: int, block: int) -> np.ndarray:
-    """The block keys of kt (..., H, d_h, T) as a (..., H, nb, d_h, block) view."""
-    kb = kt[..., n_reg:]
+def _key_blocks(kt: np.ndarray, lo: int, block: int) -> np.ndarray:
+    """The block keys of kt (..., H, d_h, T), from column lo on, as a
+    (..., H, nb, d_h, block) view."""
+    kb = kt[..., lo:]
     return kb.reshape(kb.shape[:-1] + (kb.shape[-1] // block, block)).swapaxes(-3, -2)
 
 
-def _fits(t_len: int, n_reg: int, block: int) -> bool:
+def _fits(t_len: int, n_reg: int, block: int, outside: bool) -> bool:
     """T rows are n_reg regular rows, then blocks of `block` mask rows (none
-    when block is 0): the layouts the attention ops take."""
-    m = t_len - n_reg
-    return 1 <= n_reg <= t_len and block >= 0 and (m == 0 if block == 0 else m > 0 and m % block == 0)
+    when block is 0): the layouts the attention ops take. With the regular
+    rows `outside` the pass, its T rows are the blocks alone, at least one."""
+    if block == 0:
+        return not outside and 1 <= n_reg == t_len
+    m = t_len if outside else t_len - n_reg
+    return block > 0 and n_reg >= 1 and m > 0 and m % block == 0
 
 
 def attention_scores_data(
-    qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int, kd_reg: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scaled dot-product scores of every head. The (..., T, D) queries and
     keys are split into n_heads heads of d_h = D / n_heads columns. Every
-    query row scores against the first n_reg keys, the regular ones, by one
-    product; each row after them, in blocks of `block` mask rows, also
-    scores against its own block's keys, by one batched (nb, block, block)
-    product. That gives (..., H, T, n_reg + block) q k^T / sqrt(d_h); a
-    regular row's block columns hold 0, for the softmax to exclude. A
-    causal layout is n_reg = T, block = 0: (..., H, T, T). Returns (scores,
-    q as (..., H, T, d_h), k as (..., H, d_h, T)), the last two for the
+    query row scores against the n_reg regular keys by one product; each
+    mask row, in blocks of `block` rows, also scores against its own block's
+    keys, by one batched (nb, block, block) product. That gives (..., H, T,
+    n_reg + block) q k^T / sqrt(d_h); a regular row's block columns hold 0,
+    for the softmax to exclude. A causal layout is n_reg = T, block = 0:
+    (..., H, T, T).
+
+    The regular keys are kd's first n_reg rows, or `kd_reg` (..., n_reg, D)
+    from outside the pass: then qd and kd hold the mask blocks alone.
+    Returns (scores, q as (..., H, T, d_h), k as (..., H, d_h, T), the
+    regular keys as (..., H, d_h, n_reg)), the last three for the
     backward."""
     t_len = qd.shape[-2] if qd.ndim >= 2 else 0
+    outside = kd_reg is not None
     ok = n_heads >= 1 and qd.ndim >= 2 and kd.shape == qd.shape and not qd.shape[-1] % n_heads
-    if not ok or not _fits(t_len, n_reg, block):
+    if outside:
+        ok = ok and kd_reg.shape == qd.shape[:-2] + (n_reg, qd.shape[-1])
+    if not ok or not _fits(t_len, n_reg, block, outside):
         raise NumericsError(
-            f"attention_scores shape mismatch {qd.shape}, {kd.shape} for {n_heads} heads, "
-            f"{n_reg} regular rows and blocks of {block}"
+            f"attention_scores shape mismatch {qd.shape}, {kd.shape}"
+            + (f", regular keys {kd_reg.shape}" if outside else "")
+            + f" for {n_heads} heads, {n_reg} regular rows and blocks of {block}"
         )
     q = np.ascontiguousarray(_heads(qd, n_heads))
     k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
+    kr = np.ascontiguousarray(_heads(kd_reg, n_heads).swapaxes(-1, -2)) if outside else k[..., :n_reg]
     if block:
+        lo = 0 if outside else n_reg  # the pass's first mask row
         s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
-        np.matmul(q, k[..., :n_reg], out=s[..., :n_reg])
-        s[..., :n_reg, n_reg:] = 0
-        by_block = _blocks(s[..., n_reg:, n_reg:], block)
-        np.matmul(_blocks(q[..., n_reg:, :], block), _key_blocks(k, n_reg, block), out=by_block)
+        np.matmul(q, kr, out=s[..., :n_reg])
+        s[..., :lo, n_reg:] = 0
+        by_block = _blocks(s[..., lo:, n_reg:], block)
+        np.matmul(_blocks(q[..., lo:, :], block), _key_blocks(k, lo, block), out=by_block)
     else:
         s = q @ k
     # matmul_data's products, scaled in place and checked once: a factor
@@ -748,84 +777,102 @@ def attention_scores_data(
     # non-finite score can only come from a product. The scan runs in a
     # fast run too: the softmax can absorb a non-finite score.
     s *= 1.0 / math.sqrt(q.shape[-1])
-    return _scan(s, "matmul"), q, k
+    return _scan(s, "matmul"), q, k, kr
 
 
-def attention_scores(q: Tensor, k: Tensor, n_heads: int, n_reg: int, block: int) -> Tensor:
+def attention_scores(
+    q: Tensor, k: Tensor, n_heads: int, n_reg: int, block: int, k_reg: np.ndarray | None = None
+) -> Tensor:
     """Tensor form of `attention_scores_data`: the chain reshape/transpose
     x2 -> matmul -> scale as one op; with mask blocks, the regular keys'
     product and each block's product over its own rows, joined under a
-    zero filler for the regular rows' block columns, before the scale."""
-    s, qh, kt = attention_scores_data(q.data, k.data, n_heads, n_reg, block)
+    zero filler for the regular rows' block columns, before the scale.
+    Regular keys `k_reg` from outside the pass are a constant: no gradient."""
+    s, qh, kt, kr = attention_scores_data(q.data, k.data, n_heads, n_reg, block, k_reg)
     out = _out(s)
     c = 1.0 / math.sqrt(qh.shape[-1])
+    lo = n_reg if k_reg is None else 0
 
-    def bw(g, qh=qh, kt=kt, shape=q.data.shape):
+    def bw(g, qh=qh, kt=kt, kr=kr, shape=q.data.shape):
         gs = g * c
         gr = gs[..., :n_reg]
-        gq = gr @ kt[..., :n_reg].swapaxes(-1, -2)
-        gk = (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
+        gq = gr @ kr.swapaxes(-1, -2)
+        gk = None if k_reg is not None else (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
         if block:
             # A regular row's block columns were a constant: no gradient.
-            gb, m_shape = _blocks(gs[..., n_reg:, n_reg:], block), gq[..., n_reg:, :].shape
-            gq[..., n_reg:, :] += (gb @ _key_blocks(kt, n_reg, block).swapaxes(-1, -2)).reshape(m_shape)
-            gkb = (_blocks(qh[..., n_reg:, :], block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2)
-            gk = np.concatenate([gk, gkb.reshape(m_shape)], axis=-2)
+            gb, m_shape = _blocks(gs[..., lo:, n_reg:], block), gq[..., lo:, :].shape
+            gq[..., lo:, :] += (gb @ _key_blocks(kt, lo, block).swapaxes(-1, -2)).reshape(m_shape)
+            gkb = (_blocks(qh[..., lo:, :], block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2).reshape(m_shape)
+            gk = gkb if gk is None else np.concatenate([gk, gkb], axis=-2)
         return _join_heads(gq, shape), _join_heads(gk, shape)
 
     return _record(out, (q, k), bw)
 
 
-def attention_context_data(pd: np.ndarray, vd: np.ndarray, n_reg: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+def attention_context_data(
+    pd: np.ndarray, vd: np.ndarray, n_reg: int, block: int, vd_reg: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attention weights pd (..., H, T, n_reg + block), laid out as
     `attention_scores_data` lays out its scores, times the (..., T, D)
     values split into H heads: every row's weights on the n_reg regular
     values by one product, and each mask block's weights on its own block's
     values by one batched (nb, block, block) product, added into that
     block's rows. A regular row reads the regular values alone. The heads
-    are joined back to (..., T, D). Returns (output, v as (..., H, T,
-    d_h)), the last for the backward."""
+    are joined back to (..., T, D).
+
+    The regular values are vd's first n_reg rows, or `vd_reg` (..., n_reg,
+    D) from outside the pass: then pd and vd hold the mask blocks alone.
+    Returns (output, v as (..., H, T, d_h), the regular values as (..., H,
+    n_reg, d_h)), the last two for the backward."""
     n_heads = pd.shape[-3] if pd.ndim >= 3 else 0
     t_len = vd.shape[-2] if vd.ndim >= 2 else 0
+    outside = vd_reg is not None
     ok = (
         vd.ndim >= 2
         and pd.ndim == vd.ndim + 1
         and n_heads >= 1
         and pd.shape[:-3] == vd.shape[:-2]
         and pd.shape[-2:] == (t_len, n_reg + block)
+        and (not outside or vd_reg.shape == vd.shape[:-2] + (n_reg, vd.shape[-1]))
     )
-    if not ok or vd.shape[-1] % n_heads or not _fits(t_len, n_reg, block):
+    if not ok or vd.shape[-1] % n_heads or not _fits(t_len, n_reg, block, outside):
         raise NumericsError(
-            f"attention_context shape mismatch {pd.shape} x {vd.shape} for {n_reg} regular rows and blocks of {block}"
+            f"attention_context shape mismatch {pd.shape} x {vd.shape}"
+            + (f", regular values {vd_reg.shape}" if outside else "")
+            + f" for {n_reg} regular rows and blocks of {block}"
         )
     v = np.ascontiguousarray(_heads(vd, n_heads))
-    out = _finite(pd[..., :n_reg] @ v[..., :n_reg, :], "matmul")
+    vr = np.ascontiguousarray(_heads(vd_reg, n_heads)) if outside else v[..., :n_reg, :]
+    out = _finite(pd[..., :n_reg] @ vr, "matmul")
     if block:
-        by_block = _finite(_blocks(pd[..., n_reg:, n_reg:], block) @ _blocks(v[..., n_reg:, :], block), "matmul")
-        out[..., n_reg:, :] += by_block.reshape(out[..., n_reg:, :].shape)
+        lo = 0 if outside else n_reg
+        by_block = _finite(_blocks(pd[..., lo:, n_reg:], block) @ _blocks(v[..., lo:, :], block), "matmul")
+        out[..., lo:, :] += by_block.reshape(out[..., lo:, :].shape)
         _finite(out, "add")
-    return _join_heads(out, vd.shape), v
+    return _join_heads(out, vd.shape), v, vr
 
 
-def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int) -> Tensor:
+def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.ndarray | None = None) -> Tensor:
     """Tensor form of `attention_context_data`: the chain reshape/transpose
     -> matmul -> transpose -> reshape as one op; with mask blocks, each
-    block's product added into its rows before the transpose."""
-    y, vh = attention_context_data(p.data, v.data, n_reg, block)
+    block's product added into its rows before the transpose. Regular
+    values `v_reg` from outside the pass are a constant: no gradient."""
+    y, vh, vr = attention_context_data(p.data, v.data, n_reg, block, v_reg)
     out = _out(y)
+    lo = n_reg if v_reg is None else 0
 
-    def bw(g, pd=p.data, vh=vh, shape=v.data.shape):
+    def bw(g, pd=p.data, vh=vh, vr=vr, shape=v.data.shape):
         go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
-        gp = go @ vh[..., :n_reg, :].swapaxes(-1, -2)
-        gv = pd[..., :n_reg].swapaxes(-1, -2) @ go
+        gp = go @ vr.swapaxes(-1, -2)
+        gv = None if v_reg is not None else pd[..., :n_reg].swapaxes(-1, -2) @ go
         if block:
-            gob = _blocks(go[..., n_reg:, :], block)
-            gpb = gob @ _blocks(vh[..., n_reg:, :], block).swapaxes(-1, -2)
-            gvb = _blocks(pd[..., n_reg:, n_reg:], block).swapaxes(-1, -2) @ gob
+            gob = _blocks(go[..., lo:, :], block)
+            gpb = gob @ _blocks(vh[..., lo:, :], block).swapaxes(-1, -2)
+            gvb = (_blocks(pd[..., lo:, n_reg:], block).swapaxes(-1, -2) @ gob).reshape(go[..., lo:, :].shape)
             # A regular row reads no block value: its block columns get 0.
             gp = np.concatenate([gp, np.zeros(gp.shape[:-1] + (block,), dtype=gp.dtype)], axis=-1)
-            gp[..., n_reg:, n_reg:] = gpb.reshape(gp[..., n_reg:, n_reg:].shape)
-            gv = np.concatenate([gv, gvb.reshape(go[..., n_reg:, :].shape)], axis=-2)
+            gp[..., lo:, n_reg:] = gpb.reshape(gp[..., lo:, n_reg:].shape)
+            gv = gvb if gv is None else np.concatenate([gv, gvb], axis=-2)
         return gp, _join_heads(gv, shape)
 
     return _record(out, (p, v), bw)
@@ -847,6 +894,7 @@ class ArrayOps:
     layer_norm = staticmethod(lambda x, gain, bias: layer_norm_data(x, gain.data, bias.data)[0])
     attention_scores = staticmethod(lambda q, k, *layout: attention_scores_data(q, k, *layout)[0])
     attention_context = staticmethod(lambda p, v, *layout: attention_context_data(p, v, *layout)[0])
+    concat_rows = staticmethod(lambda parts: np.concatenate(parts, axis=-2))
     gated_linear = staticmethod(
         lambda x, w, a, b, start, c, residual=None, merged=None: gated_linear_data(
             x, w.data, a.data, b.data, start, c, residual, merged
@@ -869,15 +917,17 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Join (..., T_i, d) parts along their row axis."""
-    out = _out(np.concatenate([p.data for p in parts], axis=-2))
-    heights = [p.data.shape[-2] for p in parts]
+def concat_rows(parts: list[Tensor | np.ndarray]) -> Tensor:
+    """Join (..., T_i, d) parts along their row axis. A plain array part is
+    a constant: it gets no gradient."""
+    data = [p.data if isinstance(p, Tensor) else p for p in parts]
+    out = _out(np.concatenate(data, axis=-2))
+    heights = [d.shape[-2] for d in data]
 
     def bw(g, heights=heights):
         pieces, i = [], 0
-        for h in heights:
-            pieces.append(g[..., i : i + h, :].copy())
+        for p, h in zip(parts, heights):
+            pieces.append(g[..., i : i + h, :].copy() if _tracked(p) else None)
             i += h
         return tuple(pieces)
 

@@ -10,21 +10,32 @@ A step's sequences go through one taped forward, one set of loss ops and
 one backward, stacked on a leading axis (`build_training_stack`). Losses,
 metrics and gradients are byte-identical to a loop with one pass per
 sequence, which the tests keep as the oracle.
+
+In gated mode, while only adapter factors, mask rows and the sampler
+train, no step can move a regular row. So a `train()` call computes the
+regular rows of every sequence its steps pick once, by one untaped causal
+pass (`regular_rows`), and each step's taped pass runs the mask rows
+alone, attending to those rows' keys and values; the losses read the
+cached rows joined over the mask rows. Those rows come from a pass over
+fewer rows than the training layout's, so their bytes can differ from a
+full pass's in the last bits. The ungated ablation, a run that trains a
+base weight, and `pretrain_base` run the full pass at every step.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .batching import MaskedBatch, build_training_stack, causal_rows
+from .batching import MaskedBatch, build_training_stack
 from .checkpoint import save_checkpoint
 from .decoding import speculative_decode
 from .losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
-from .model import ModelBundle, ModelConfig, forward, init_model
+from .model import ModelBundle, ModelConfig, RegularRows, forward, init_model
 from .sampler import SamplerHead, init_sampler
 from .tensor import (
     NumericsError,
@@ -381,9 +392,30 @@ class TrainResult:
     eval_history: list[tuple[int, float]]  # (step, mean acceptance rate)
 
 
-def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool):
+def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool, regular: RegularRows | None = None):
     gate = batch.gate if gated else np.ones(batch.size, dtype=np.int8)
-    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
+    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate, regular=regular)
+
+
+def regular_rows(model: ModelBundle, stack: MaskedBatch) -> RegularRows:
+    """The regular rows of every sequence of a training stack as constants,
+    from one untaped causal pass over them (`forward`'s `keep_regular`)."""
+    causal = stack.regular_layout()
+    return forward(
+        model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate, keep_regular=True
+    ).regular
+
+
+@contextmanager
+def _diverging(where: str):
+    """Overflow to inf is caught as DivergenceError: the numpy warning on
+    the way there is just noise, and the NumericsError that names the op
+    becomes a DivergenceError that says `where`."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except NumericsError as exc:
+        raise DivergenceError(f"non-finite values {where}: {exc}") from exc
 
 
 def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
@@ -409,14 +441,7 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
 
     # The causal objective: the regular rows of the training stack, which
     # carry each flagged token's next-token label, without the mask blocks.
-    stack = build_training_stack(corpus, mcfg.mask_ids)
-    rows = stack.ntp_rows
-    causal = replace(
-        causal_rows(stack.tokens[0, rows]),
-        tokens=stack.tokens[:, rows],
-        base_labels=stack.base_labels[:, rows],
-        prev_token=stack.prev_token[:, rows],
-    )
+    causal = build_training_stack(corpus, mcfg.mask_ids).regular_layout()
 
     # The mask rows are fitted later: untracked here, they get no gradient
     # through the embedding table's concat.
@@ -506,12 +531,18 @@ def train(
     stack = build_training_stack(corpus, mcfg.mask_ids)
     probe = stack.select(0)
     # Gated, with only adapter factors, mask rows and the sampler training,
-    # no step can move a regular row: the probe runs before the first step
-    # and after the last, and each step logs the loss a probe would give.
+    # no step can move a regular row. So the probe runs before the first
+    # step and after the last, and each step logs the loss a probe would
+    # give. And the regular rows of the sequences the steps pick are
+    # computed once, before the first step (`regular_rows`): each step's
+    # taped pass runs its mask rows alone.
     probe_every_step = not config.gated or not all(
         n == "embed.mask" or n.endswith((".A", ".B")) or n.startswith("sampler.") for n, _ in trainable
     )
     ntp_initial, probe_initial = _probe_ntp(model, probe, config.gated)
+    # Every step's sequences, drawn in the steps' order.
+    order_rng = derive_rng(config.seed, "batch.order")
+    step_picks = [order_rng.integers(0, len(corpus), size=config.batch_size) for _ in range(config.total_steps)]
 
     log_file = None
     if log_path is not None:
@@ -522,31 +553,29 @@ def train(
     eval_history: list[tuple[int, float]] = []
     initial_total = None
     high_streak = 0
-    order_rng = derive_rng(config.seed, "batch.order")
 
     try:
-        for step in range(config.total_steps):
+        if not probe_every_step:
+            used = np.unique(step_picks)
+            with _diverging("in the regular rows"):
+                regular = regular_rows(model, stack.select(used))
+        for step, picks in enumerate(step_picks):
             t0 = time.perf_counter()
             lr_t = warmup_lr(step, config.learning_rate, config.warmup_steps)
-            picks = order_rng.integers(0, len(corpus), size=config.batch_size)
             inv = 1.0 / config.batch_size
+            step_regular = None if probe_every_step else regular.select(np.searchsorted(used, picks))
 
-            try:
-                # Overflow to inf is caught as DivergenceError below; the
-                # numpy warning on the way there is just noise.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    with Tape() as tape:
-                        step_loss, comp = stacked_loss(model, sampler, stack.select(picks), config)
-                    backward(tape, step_loss)
-                    opt.step(lr_t)
-                    opt.zero_grad()
-                    total_val = step_loss.item()
-                    if probe_every_step or step == config.total_steps - 1:
-                        ntp_val, probe_final = _probe_ntp(model, probe, config.gated)
-                    if not probe_every_step:
-                        ntp_val = ntp_initial
-            except NumericsError as exc:
-                raise DivergenceError(f"non-finite values at step {step}: {exc}") from exc
+            with _diverging(f"at step {step}"):
+                with Tape() as tape:
+                    step_loss, comp = stacked_loss(model, sampler, stack.select(picks), config, step_regular)
+                backward(tape, step_loss)
+                opt.step(lr_t)
+                opt.zero_grad()
+                total_val = step_loss.item()
+                if probe_every_step or step == config.total_steps - 1:
+                    ntp_val, probe_final = _probe_ntp(model, probe, config.gated)
+                if not probe_every_step:
+                    ntp_val = ntp_initial
             wall_ms = (time.perf_counter() - t0) * 1e3
             row = (
                 step,
@@ -601,17 +630,22 @@ def train(
 
 
 def stacked_loss(
-    model: ModelBundle, sampler: SamplerHead | None, batch: MaskedBatch, config: TrainConfig
+    model: ModelBundle,
+    sampler: SamplerHead | None,
+    batch: MaskedBatch,
+    config: TrainConfig,
+    regular: RegularRows | None = None,
 ) -> tuple[Tensor, list[float]]:
     """One step's loss over a stack of B sequences: the mean of their
     totals, and the base, sampler and lcm terms each summed over them (the
-    metric columns before the mean).
+    metric columns before the mean). With the batch's `regular` rows as
+    constants (`regular_rows`), its pass runs the mask rows alone.
 
     Every term is a (B,) vector with each sequence's own bytes. The totals
     are summed in sequence order and each metric term one sequence at a
     time, as a loop over the sequences would add them.
     """
-    out = _forward_batch(model, batch, config.gated)
+    out = _forward_batch(model, batch, config.gated, regular)
     base, samp = base_and_sampler_ce(batch, out.hidden, out.logits, sampler, model.unembed, model.embed_base)
     lcm = lcm_loss(out.hidden, batch.lcm_pairs)
     totals = total_loss(base, samp, lcm, config.loss_weights)

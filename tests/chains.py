@@ -1,6 +1,7 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
 replace, the out-of-place softmax that the in-place one replaces, the
-per-sequence training loop that the stacked training step replaces,
+per-sequence training loop, each sequence's regular rows from its own
+causal pass, that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
@@ -18,7 +19,7 @@ import numpy as np
 from conftest import run_batch
 
 from specmtp import tensor as tz
-from specmtp.batching import NO_ANCHOR
+from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import forward
 from specmtp.sampler import sampler_features
@@ -110,25 +111,28 @@ def _split_heads(x, n_heads, axes):
     return transpose(reshape(x, (t_len, n_heads, d // n_heads)), axes)
 
 
-def scores_chain(q, k, n_heads, n_reg, block):
+def scores_chain(q, k, n_heads, n_reg, block, k_reg=None):
     """attention_scores over (T, D) q and k as reshape/transpose x2 ->
     matmul -> scale. With mask blocks after the first n_reg rows: every
     row's product with the regular keys (take_rows, reshape/transpose,
     matmul), each block's queries times its own keys (take_rows,
     reshape/transpose, a batched matmul) under a zero filler for the
     regular rows' block columns (concat_rows), the two joined by
-    concat_cols, then the scale."""
+    concat_cols, then the scale. With a constant (n_reg, D) `k_reg`, the
+    regular keys come from it and q and k are the mask blocks alone."""
     t_len, d = q.shape
     dh = d // n_heads
     qh = _split_heads(q, n_heads, (1, 0, 2))
     if not block:
         return tz.scale(matmul(qh, _split_heads(k, n_heads, (1, 2, 0))), 1.0 / np.sqrt(dh))
-    m, mask = t_len - n_reg, np.arange(n_reg, t_len)
+    lo = n_reg if k_reg is None else 0
+    m, mask = t_len - lo, np.arange(lo, t_len)
     blocks = (n_heads, m // block, block, dh)
-    kr = _split_heads(tz.take_rows(k, np.arange(n_reg)), n_heads, (1, 2, 0))
+    regular = tz.take_rows(k, np.arange(n_reg)) if k_reg is None else tz.Tensor(k_reg)
+    kr = _split_heads(regular, n_heads, (1, 2, 0))
     qb = reshape(_split_heads(tz.take_rows(q, mask), n_heads, (1, 0, 2)), blocks)
     kb = transpose(reshape(_split_heads(tz.take_rows(k, mask), n_heads, (1, 0, 2)), blocks), (0, 1, 3, 2))
-    filler = tz.Tensor(np.zeros((n_heads, n_reg, block), dtype=q.data.dtype))
+    filler = tz.Tensor(np.zeros((n_heads, lo, block), dtype=q.data.dtype))
     by_block = tz.concat_rows([filler, reshape(matmul(qb, kb), (n_heads, m, block))])
     return tz.scale(tz.concat_cols([matmul(qh, kr), by_block]), 1.0 / np.sqrt(dh))
 
@@ -145,21 +149,25 @@ def cols(x, lo, hi):
     return _record(out, (x,), bw)
 
 
-def context_chain(p, v, n_reg, block):
+def context_chain(p, v, n_reg, block, v_reg=None):
     """attention_context over (H, T, n_reg + block) weights and (T, D)
     values as reshape/transpose -> matmul -> transpose -> reshape. With
     mask blocks: every row's regular columns times the regular values
     (column slice, take_rows, reshape/transpose, matmul), each block's rows'
     block columns times its own values (take_rows, column slice,
     reshape/transpose, a batched matmul), added into those rows (take_rows,
-    add, concat_rows), then the transpose and reshape."""
+    add, concat_rows), then the transpose and reshape. With a constant
+    (n_reg, D) `v_reg`, the regular values come from it and p and v are
+    the mask blocks' alone."""
     n_heads, t_len, width = p.shape
     if not block:
         return reshape(transpose(matmul(p, _split_heads(v, n_heads, (1, 0, 2))), (1, 0, 2)), v.shape)
-    m, reg, mask = t_len - n_reg, np.arange(n_reg), np.arange(n_reg, t_len)
+    lo = n_reg if v_reg is None else 0
+    m, reg, mask = t_len - lo, np.arange(lo), np.arange(lo, t_len)
     dh = v.shape[1] // n_heads
     blocks = (n_heads, m // block, block)
-    vr = _split_heads(tz.take_rows(v, reg), n_heads, (1, 0, 2))
+    regular = tz.take_rows(v, np.arange(n_reg)) if v_reg is None else tz.Tensor(v_reg)
+    vr = _split_heads(regular, n_heads, (1, 0, 2))
     vb = reshape(_split_heads(tz.take_rows(v, mask), n_heads, (1, 0, 2)), blocks + (dh,))
     pb = reshape(cols(tz.take_rows(p, mask), n_reg, width), blocks + (block,))
     ctx = matmul(cols(p, 0, n_reg), vr)
@@ -244,18 +252,31 @@ def lcm_chain(hidden, lcm_pairs):
     return tz.dot_const(per_pair, weights)
 
 
+def causal_regular_rows(model, batch):
+    """One sequence's regular rows as constants, from an untaped causal
+    pass over them alone."""
+    causal = causal_rows(batch.tokens[batch.ntp_rows])
+    return forward(
+        model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate, keep_regular=True
+    ).regular
+
+
 def per_sequence_step(model, sampler, batches, picks, config):
     """One training step as a loop with one taped pass per sequence, the
     stacked step's oracle: forward, losses and total per sequence, the
-    totals chained by `add`, their mean differentiated. Returns the loss
-    Tensor and the base, sampler and lcm terms summed over the sequences."""
+    totals chained by `add`, their mean differentiated. Gated, each
+    sequence's regular rows come from its own causal pass before the tape
+    (`causal_regular_rows`), and its taped pass runs the mask rows alone.
+    Returns the loss Tensor and the base, sampler and lcm terms summed over
+    the sequences."""
+    regular = [causal_regular_rows(model, batches[si]) if config.gated else None for si in picks]
     with tz.Tape() as tape:
         acc = None
         comp = [0.0, 0.0, 0.0]
-        for si in picks:
+        for si, rows in zip(picks, regular):
             batch = batches[si]
             gate = batch.gate if config.gated else np.ones(batch.size, dtype=np.int8)
-            out = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
+            out = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate, regular=rows)
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
             )

@@ -19,6 +19,7 @@ from specmtp.model import (
     LORA_ALPHA_OVER_RANK,
     ModelConfig,
     _gate_start,
+    _pass,
     forward,
     gated_lora_apply,
     init_model,
@@ -588,7 +589,7 @@ def taped_training_pass(model, sampler, batch, run):
     for _, t in params:
         t.grad = None
     with Tape() as tape:
-        hidden, logits = run()
+        hidden, logits = run()[:2]
         base, samp = base_and_sampler_ce(
             batch, hidden, logits, sampler, model.unembed, model.embedding_table()
         )
@@ -757,3 +758,111 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
         with Tape() as tape:
             run_batch(model, batch)
         assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2
+
+
+# ---------------------------------------------------------------------------
+# Regular rows from outside the pass: `keep_regular` returns a layout's
+# ungated regular rows as constants, and a pass given them as `regular`
+# runs the mask rows alone, attending to the given keys and values.
+# ---------------------------------------------------------------------------
+
+
+def _own_regular_rows(model, batch):
+    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+    return args, forward(*args, keep_regular=True)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_pass_given_its_own_regular_rows_is_bytewise_the_full_pass(dtype, taped):
+    with precision(dtype):
+        model = make_model(rank=4, seed=11)
+        randomize_adapters(model, seed=11)
+        rng = np.random.default_rng(11)
+        model.embed_mask.data = rng.normal(0, 1.0, model.embed_mask.data.shape).astype(dtype)
+        layouts = [random_stack(rng, model.config.mask_ids) for _ in range(3)]
+        layouts += [random_layout(kind, rng, model.config.mask_ids) for kind in ("training", "quadratic")]
+        for batch in layouts:
+            args, kept = _own_regular_rows(model, batch)
+            n = layout_streams(batch.block_anchor, batch.size).n_reg
+            own = kept.regular
+            # The kept rows are the pass's own first n rows, as arrays.
+            assert own.hidden.tobytes() == kept.hidden.data[..., :n, :].tobytes()
+            assert own.logits.tobytes() == kept.logits.data[..., :n, :].tobytes()
+            assert len(own.kv) == model.config.n_layers
+            assert all(k.shape == v.shape == batch.tokens.shape[:-1] + (n, CFG["d_model"]) for k, v in own.kv)
+            with Tape() if taped else contextlib.nullcontext():
+                got, want = forward(*args, regular=own), forward(*args)
+            assert got.regular is None and want.regular is None
+            for field in ("hidden", "logits"):
+                assert getattr(got, field).data.dtype == np.dtype(dtype)
+                assert getattr(got, field).data.tobytes() == getattr(want, field).data.tobytes()
+
+
+def test_a_pass_given_regular_rows_tapes_only_the_mask_rows():
+    # The entries of a full pass, plus one concat_rows each that joins
+    # hidden and logits under the given rows. Past the embedding table's
+    # concat, every entry runs over the mask rows alone.
+    model = make_model(rank=4, seed=12)
+    batch = random_stack(np.random.default_rng(12), model.config.mask_ids)
+    args, kept = _own_regular_rows(model, batch)
+    with Tape() as tape:
+        forward(*args, regular=kept.regular)
+    assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2 + 2
+    m = batch.size - layout_streams(batch.block_anchor, batch.size).n_reg
+    rows = [out.data.shape[-2] for out, _, _ in tape._entries]
+    assert rows == [CFG["vocab_size"]] + [m] * (len(tape) - 3) + [batch.size] * 2
+
+
+REGULAR_MISUSE = {
+    # keep_regular keeps the ungated regular rows of an untaped pass.
+    "keep_taped": lambda m, b, own: _taped(forward, m, *b, None, True),
+    "keep_given": lambda m, b, own: forward(m, *b, regular=own, keep_regular=True),
+    "keep_gated": lambda m, b, own: forward(m, *b[:3], np.ones(b[0].shape[-1], np.int8), keep_regular=True),
+    # Given rows must be the layout's ungated regular rows before its blocks.
+    "given_gated": lambda m, b, own: forward(m, *b[:3], np.ones(b[0].shape[-1], np.int8), regular=own),
+    "given_other_stack": lambda m, b, own: forward(m, *b, regular=own.select(np.array([0, 1]))),
+    "given_one_sequence": lambda m, b, own: forward(m, b[0][0], *b[1:], regular=own),
+    "given_causal": lambda m, b, own: _given_causal(m, b, own),
+}
+
+
+def _given_causal(model, args, own):
+    n = own.hidden.shape[-2]
+    causal = causal_rows(args[0][0, :n])
+    return forward(model, args[0][:, :n], causal.position_ids, causal.block_anchor, causal.gate, regular=own)
+
+
+@pytest.mark.parametrize("case", sorted(REGULAR_MISUSE))
+def test_forward_rejects_regular_rows_it_cannot_use(case):
+    model = make_model(rank=4, seed=13)
+    batch = random_stack(np.random.default_rng(13), model.config.mask_ids)
+    args, kept = _own_regular_rows(model, batch)
+    with pytest.raises(NumericsError, match="keep_regular|regular rows"):
+        REGULAR_MISUSE[case](model, args[1:], kept.regular)
+
+
+def test_a_pass_with_every_row_gated_forms_no_frozen_product():
+    # layers.0.attn.q's W overflows every product it enters, and its merged
+    # weight is exactly 0. A pass whose every row is gated (the ungated
+    # ablation's) forms no product with W: its fast run notes no overflow,
+    # and the pass checked op by op (its replay) gives its bytes. A
+    # layout's own gate runs W over the regular rows, named on replay.
+    model = make_model(rank=4, seed=14)
+    randomize_adapters(model, seed=14)
+    g = model.layers[0].attn_q
+    big = np.finfo(np.float32).max
+    g.W.data = np.full_like(g.W.data, big)
+    g.A.data, g.B.data = np.zeros_like(g.A.data), np.zeros_like(g.B.data)
+    g.A.data[:, 0], g.B.data[0] = 1.0, -big / LORA_ALPHA_OVER_RANK
+    assert not tz.merge_data(g.W.data, g.A.data, g.B.data, LORA_ALPHA_OVER_RANK).any()
+    batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
+    every_row = np.ones(batch.size, dtype=np.int8)
+    streams = layout_streams(batch.block_anchor, batch.size)
+    with np.errstate(over="raise", invalid="raise"):
+        fast = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, every_row)
+        replay = _pass(tz.ArrayOps, model, batch.tokens, batch.position_ids, streams, 0)
+    assert np.isfinite(fast.logits.data).all()
+    assert fast.logits.data.tobytes() == replay[1].tobytes()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
+        run_batch(model, batch)

@@ -623,6 +623,20 @@ def fused_case(op, case, dtype, seed=12):
         fused, chain = partial(tz.attention_scores, n_heads=2, **layout), partial(scores_chain, n_heads=2, **layout)
         inputs = [leaf(T_ROWS, 4), leaf(T_ROWS, 4)]
         shape = (2, T_ROWS, layout["n_reg"] + layout["block"])
+    elif op == "outside_attention_scores":
+        # The 2 blocks of 2 mask rows alone, their 2 regular keys a constant
+        # from outside.
+        layout = dict(n_heads=2, n_reg=2, block=2, k_reg=rng.normal(size=(2, 4)).astype(dtype))
+        fused, chain = partial(tz.attention_scores, **layout), partial(scores_chain, **layout)
+        inputs = [leaf(T_ROWS - 2, 4), leaf(T_ROWS - 2, 4)]
+        shape = (2, T_ROWS - 2, 4)
+    elif op == "outside_attention_context":
+        # Those mask rows' weights and values, the regular values a constant.
+        layout = dict(n_reg=2, block=2, v_reg=rng.normal(size=(2, 4)).astype(dtype))
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2, T_ROWS - 2, 4))), BLOCK_ALLOWED[2:]).data
+        fused, chain = partial(tz.attention_context, **layout), partial(context_chain, **layout)
+        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS - 2, 4)]
+        shape = (T_ROWS - 2, 4)
     else:
         # Rows of attention weights: a softmax over a random causal mask, or
         # over the blocks' layout (2 regular rows, 2 blocks of 2).
@@ -643,7 +657,10 @@ FUSED_CASES = [
     for residual in (False, True)
 ] + [
     pytest.param(op, None, id=op)
-    for op in ("attention_scores", "attention_context", "mask_attention_scores", "mask_attention_context")
+    for op in (
+        "attention_scores", "attention_context", "mask_attention_scores", "mask_attention_context",
+        "outside_attention_scores", "outside_attention_context",
+    )
 ]
 
 
@@ -813,6 +830,14 @@ FUSED_MISMATCHES = {
     "context_no_heads": lambda: tz.attention_context(_t(0, 3, 3), _t(3, 4), 3, 0),
     "context_width_not_layout": lambda: tz.attention_context(_t(2, 5, 4), _t(5, 4), 1, 2),
     "context_ragged_blocks": lambda: tz.attention_context(_t(2, 6, 3), _t(6, 4), 1, 2),
+    # Regular keys or values from outside the pass: one row per regular
+    # row, the queries' columns, and mask blocks after them.
+    "scores_outside_rows": lambda: tz.attention_scores(_t(4, 4), _t(4, 4), 2, 2, 2, np.zeros((3, 4))),
+    "scores_outside_cols": lambda: tz.attention_scores(_t(4, 4), _t(4, 4), 2, 2, 2, np.zeros((2, 6))),
+    "scores_outside_no_blocks": lambda: tz.attention_scores(_t(2, 4), _t(2, 4), 2, 2, 0, np.zeros((2, 4))),
+    "scores_outside_ragged": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 2, 2, 2, np.zeros((2, 4))),
+    "context_outside_rows": lambda: tz.attention_context(_t(2, 4, 4), _t(4, 4), 2, 2, np.zeros((3, 4))),
+    "context_outside_no_blocks": lambda: tz.attention_context(_t(2, 2, 2), _t(2, 4), 2, 0, np.zeros((2, 4))),
 }
 
 
@@ -1056,3 +1081,24 @@ def test_take_rows_backward_on_unique_rows_is_bytewise_add_at(lead):
     # -0.0 + 0.0 is +0.0, as np.add.at gives it; the repeated row 3 sums.
     assert not np.signbit(got[..., 1, 2:]).any() and np.signbit(g[..., 1, 2:]).all()
     assert np.array_equal(got[..., 3, :], g[..., 0, :] + g[..., 2, :] + g[..., 3, :])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_gated_linear_with_every_row_gated_forms_no_frozen_product(dtype):
+    # W overflows every product it enters, and the merged weight is exactly
+    # 0. With every row gated (start 0), neither the output nor the input's
+    # gradient forms a product with W, so nothing overflows on the way and
+    # both are 0; with a row left ungated, the frozen product overflows and
+    # is named.
+    big = np.finfo(dtype).max
+    x, w = np.ones((3, 2), dtype), np.full((2, 2), big, dtype)
+    a, b = np.ones((2, 1), dtype), np.full((1, 2), -big / 2, dtype)
+    with np.errstate(over="raise", invalid="raise"):
+        leaves = [Tensor(x, requires_grad=True)] + [Tensor(t) for t in (w, a, b)]
+        with Tape() as tape:
+            y = tz.gated_linear(*leaves, 0, 2.0)
+            loss = sum_all(y)
+        backward(tape, loss)
+    assert not y.data.any() and not leaves[0].grad.any()
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
+        tz.gated_linear_data(x, w, a, b, 1, 2.0)

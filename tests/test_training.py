@@ -20,6 +20,7 @@ from specmtp.training import (
     adamw_step,
     generate_corpus,
     pretrain_base,
+    regular_rows,
     stacked_loss,
     train,
     warmup_lr,
@@ -134,24 +135,29 @@ def test_adamw_shape_mismatch():
         adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, lr=0.1)
 
 
+def _oracle_config(task, tmp_path, **over):
+    return tiny_config(
+        corpus=_oracle_corpus(task, tmp_path), d_model=16, n_heads=2, d_ff=32, k_masks=3, lora_rank=4, **over
+    )
+
+
+def _finetune_setup(cfg):
+    """(model with non-zero adapters, sampler, training stack) for `cfg`,
+    the same for every call."""
+    model = init_model(cfg.model_config(cfg.corpus.charset()), 4)
+    rng = np.random.default_rng(4)
+    for lw in model.layers:
+        for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
+            g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
+    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids)
+    return model, init_sampler(cfg.d_model, 5), stack
+
+
 def _finetune_pair(dtype):
-    """A small config and two identical fine-tuning set-ups, each a
-    (model with non-zero adapters, sampler, training stack)."""
+    """A small config and two identical fine-tuning set-ups."""
     with precision(dtype):
-        cfg = tiny_config(
-            corpus=_oracle_corpus("pattern", None), d_model=16, n_heads=2, d_ff=32, k_masks=3,
-            lora_rank=4, batch_size=3,
-        )
-        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
-        out = []
-        for _ in range(2):
-            model = init_model(cfg.model_config(cfg.corpus.charset()), 4)
-            rng = np.random.default_rng(4)
-            for lw in model.layers:
-                for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
-                    g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
-            out.append((model, init_sampler(cfg.d_model, 5), build_training_stack(corpus, model.config.mask_ids)))
-    return cfg, out
+        cfg = _oracle_config("pattern", None, batch_size=3)
+        return cfg, [_finetune_setup(cfg) for _ in range(2)]
 
 
 def _moments(opt, params):
@@ -354,10 +360,13 @@ def test_full_loop_gradient_check_64bit():
             for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
                 g.B.data = rng.normal(0, 0.2, g.B.data.shape)
         batch = build_training_batch(*corpus[0], mcfg.mask_ids)
+        # As train() runs it: the regular rows from one causal pass, and
+        # the differentiated pass over the mask rows alone.
+        regular = regular_rows(model, batch)
 
         def f():
             out = forward(
-                model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate
+                model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate, regular=regular
             )
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
@@ -424,6 +433,85 @@ def test_a_run_that_moves_regular_rows_keeps_its_per_step_probe(monkeypatch, kin
     assert res.probe_ntp_logits_final.tobytes() != res.probe_ntp_logits_initial.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["gated", "ungated", "base-weight"])
+def test_every_training_pass_goes_through_the_module_forward(monkeypatch, kind):
+    # train()'s calls of the module's `forward`, each with forward's five
+    # parameters by position. Gated: the probe, one causal pass over the
+    # regular rows, one pass per step given those rows, the final probe.
+    # The ungated ablation and a run that trains a base weight: the probe,
+    # then a full pass and a probe per step.
+    cfg = tiny_config(total_steps=5, gated=kind != "ungated")
+    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+    model.layers[0].ln1_gain.requires_grad = kind == "base-weight"
+    calls, original = [], training.forward
+
+    def counted(model, tokens, position_ids, block_anchor, gate, **kw):
+        calls.append("regular" if kw.get("keep_regular") else "full" if kw.get("regular") is None else "mask rows")
+        return original(model, tokens, position_ids, block_anchor, gate, **kw)
+
+    monkeypatch.setattr(training, "forward", counted)
+    train(cfg, model=model)
+    if kind == "gated":
+        assert calls == ["full", "regular"] + ["mask rows"] * cfg.total_steps + ["full"]
+    else:
+        assert calls == ["full"] + ["full", "full"] * cfg.total_steps
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_steps_take_their_sequences_in_the_order_of_one_draw_per_step(monkeypatch, gated):
+    # train() draws every step's sequences before the first step, in the
+    # order of one draw per step from the "batch.order" stream.
+    cfg = tiny_config(total_steps=4, batch_size=3, gated=gated)
+    mask_ids = cfg.model_config(cfg.corpus.charset()).mask_ids
+    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), mask_ids)
+    seen, original = [], training.stacked_loss
+
+    def recorded(model, sampler, batch, config, *rest):
+        seen.append(batch.tokens)
+        return original(model, sampler, batch, config, *rest)
+
+    monkeypatch.setattr(training, "stacked_loss", recorded)
+    train(cfg)
+    order = derive_rng(cfg.seed, "batch.order")
+    for tokens in seen:
+        assert np.array_equal(tokens, stack.tokens[order.integers(0, len(stack.tokens), size=cfg.batch_size)])
+    assert len(seen) == cfg.total_steps
+
+
+def test_the_final_probe_is_a_pass_on_the_trained_model(monkeypatch):
+    # The steps read each sequence's regular rows from their causal pass,
+    # here with every logit shifted by 1: the losses read the shift, the
+    # gradients do not. The final probe logits are still a full pass over
+    # the probe layout on the returned model, so they hold no shift.
+    original = training.regular_rows
+
+    def shifted(model, stack):
+        rows = original(model, stack)
+        return rows._replace(logits=rows.logits + 1)
+
+    monkeypatch.setattr(training, "regular_rows", shifted)
+    cfg = tiny_config(total_steps=4)
+    res = train(cfg)
+    probe = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), res.model.config.mask_ids).select(0)
+    want = run_batch(res.model, probe).logits.data[probe.ntp_rows]
+    assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
+    monkeypatch.undo()
+    assert [row[1] for row in train(cfg).metrics] != [row[1] for row in res.metrics]
+
+
+def test_an_overflow_in_the_regular_rows_is_a_divergence():
+    # One huge embedding row of a token that the probe sequence lacks: the
+    # probe passes, and the causal pass over the steps' regular rows
+    # overflows. Its NumericsError comes out as a DivergenceError.
+    cfg = tiny_config(total_steps=3)
+    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+    token = min(set(range(len(cfg.corpus.alphabet))) - set(corpus[0][0].tolist()))
+    model.embed_base.data[token] = np.where(np.arange(cfg.d_model) % 2, 1e30, -1e30)
+    with pytest.raises(DivergenceError, match="non-finite values in the regular rows: .* produced by layer_norm$"):
+        train(cfg, model=model)
+
+
 def test_trained_model_continues_training_patterns(trained_full):
     # Memorized motifs: greedy continuation reproduces the periodic stream.
     corpus = generate_corpus(trained_full.config.corpus, trained_full.config.k_masks)
@@ -477,24 +565,19 @@ def _two_steps(cfg, corpus, stacked):
     """Losses, metric terms, gradients and AdamW state of two steps on a
     model with non-zero adapters, by the stacked step and the flat AdamW
     or by the oracles."""
-    mcfg = cfg.model_config(cfg.corpus.charset())
-    model = init_model(mcfg, 4)
-    sampler = init_sampler(cfg.d_model, 5)
-    rng = np.random.default_rng(4)
-    for lw in model.layers:
-        for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
-            g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
+    model, sampler, stack = _finetune_setup(cfg)
     params = model.trainable_params() + sampler.trainable_params()
     opt = (AdamW if stacked else PerArrayAdamW)(params, weight_decay=cfg.weight_decay)
-    stack = build_training_stack(corpus, mcfg.mask_ids)
-    batches = [build_training_batch(seq, flags, mcfg.mask_ids) for seq, flags in corpus]
+    batches = [build_training_batch(seq, flags, model.config.mask_ids) for seq, flags in corpus]
+    # As train() does: every sequence's regular rows once, for both steps.
+    regular = regular_rows(model, stack) if stacked else None
     order = np.random.default_rng(11)
     record = []
     for _ in range(2):
         picks = order.integers(0, len(corpus), size=cfg.batch_size)
         if stacked:
             with Tape() as tape:
-                loss, comp = stacked_loss(model, sampler, stack.select(picks), cfg)
+                loss, comp = stacked_loss(model, sampler, stack.select(picks), cfg, regular.select(picks))
             backward(tape, loss)
         else:
             loss, comp = per_sequence_step(model, sampler, batches, picks, cfg)
@@ -511,16 +594,38 @@ def _two_steps(cfg, corpus, stacked):
 @pytest.mark.parametrize("task", ["pattern", "arithmetic", "file"])
 def test_stacked_steps_are_bytewise_the_per_sequence_loop(task, dtype, tmp_path):
     with precision(dtype):
-        cfg = tiny_config(
-            corpus=_oracle_corpus(task, tmp_path), d_model=16, n_heads=2, d_ff=32, k_masks=3,
-            lora_rank=4, batch_size=4,
-        )
+        cfg = _oracle_config(task, tmp_path, batch_size=4)
         corpus = generate_corpus(cfg.corpus, cfg.k_masks)
         stacked = _two_steps(cfg, corpus, stacked=True)
         oracle = _two_steps(cfg, corpus, stacked=False)
     assert stacked[0][0] == np.dtype(dtype)
     assert len(stacked[1]) == len(stacked[2]) > 20  # every adapter factor, mask rows, sampler
     assert stacked == oracle
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("task", ["pattern", "arithmetic", "file"])
+def test_mask_row_step_is_bytewise_the_full_layout_step(task, dtype, tmp_path):
+    # Given the regular rows of the training layout's own untaped pass, a
+    # step's taped pass runs the mask rows alone. Its loss, metric terms
+    # and every gradient are the full pass's, byte for byte.
+    with precision(dtype):
+        cfg = _oracle_config(task, tmp_path)
+        model, sampler, stack = _finetune_setup(cfg)
+        params = model.trainable_params() + sampler.trainable_params()
+        batch = stack.select(np.array([0, 3, 1, 3]))
+        args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+        own = forward(*args, keep_regular=True).regular
+        runs = []
+        for regular in (None, own):
+            for _, t in params:
+                t.grad = None
+            with Tape() as tape:
+                loss, comp = stacked_loss(model, sampler, batch, cfg, regular)
+            backward(tape, loss)
+            runs.append((loss.data.dtype, loss.data.tobytes(), comp, [(n, t.grad.tobytes()) for n, t in params]))
+    assert len(runs[0][3]) > 20  # every adapter factor, mask rows, sampler
+    assert runs[0] == runs[1]
 
 
 def test_pretrain_leaves_the_mask_rows_trainable_and_without_gradient():
