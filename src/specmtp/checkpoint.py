@@ -4,14 +4,15 @@ tensor records, and a trailing 64-bit digest of the payload bytes."""
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import ModelBundle, ModelConfig, init_model
-from .sampler import SamplerHead, init_sampler
+from .model import ModelBundle, ModelConfig, build_model, model_params
+from .sampler import SamplerHead, build_sampler, sampler_params
 
 MAGIC = b"SMTP"
 FORMAT_VERSION = 1
@@ -85,6 +86,8 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise CheckpointError(f"negative record length {n}")
         if self.pos + n > len(self.blob):
             raise CheckpointError("truncated checkpoint")
         chunk = self.blob[self.pos : self.pos + n]
@@ -95,7 +98,11 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def string(self) -> str:
-        return self.take(self.u("<H")).decode("utf-8")
+        raw = self.take(self.u("<H"))
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"checkpoint string at byte {self.pos - len(raw)} is not UTF-8") from None
 
 
 def _config_from_kv(kv: dict[str, str]) -> ModelConfig:
@@ -124,9 +131,12 @@ def load_checkpoint(
 ) -> tuple[ModelBundle, SamplerHead | None, dict[str, str]]:
     """Rebuild the bundle (and sampler, if saved). Returns stripped meta too.
 
-    The payload digest is verified before any tensor is accepted, and a
-    tensor holding NaN or +-inf is rejected by name. When expected_config
-    is given, a field-by-field diff is raised on mismatch.
+    The payload digest is verified before any tensor is accepted; a name
+    held twice, a missing or unexpected name, a shape other than the
+    parameter table's, and a tensor holding NaN or +-inf are rejected by
+    name. The bundle is then built from the file's arrays, with no draw.
+    When expected_config is given, a field-by-field diff is raised on
+    mismatch.
     """
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
@@ -151,13 +161,15 @@ def load_checkpoint(
     payloads: list[bytes] = []
     for _ in range(r.u("<I")):
         name = r.string()
+        if name in loaded:
+            raise CheckpointError(f"checkpoint holds tensor {name} twice")
         tag = r.u("<B")
         if tag != DTYPE_F32:
             raise CheckpointError(f"unknown dtype tag {tag} for {name}")
         rank = r.u("<B")
-        shape = tuple(r.u("<I") for _ in range(rank))
-        count = int(np.prod(shape)) if shape else 1
-        payload = r.take(4 * count)
+        shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
+        # Python ints: a product of stored dims can pass int64.
+        payload = r.take(4 * math.prod(shape))
         payloads.append(payload)
         loaded[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     stored = r.u("<Q")
@@ -166,25 +178,22 @@ def load_checkpoint(
     if stored != _digest(payloads):
         raise CheckpointError("payload checksum mismatch")
 
-    model = init_model(config, seed=0)
-    names = dict(model.named_params())
-    sampler = init_sampler(config.d_model, seed=0) if kv.get("sampler") == "1" else None
-    if sampler is not None:
-        names.update(dict(sampler.named_params()))
-    for name, tensor in names.items():
-        if name not in loaded:
-            raise CheckpointError(f"checkpoint is missing tensor {name}")
-        arr = loaded.pop(name)
-        if arr.shape != tensor.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}"
-            )
-        # The digest only proves the bytes are the ones saved; assigning to
-        # .data skips the check a Tensor makes of outside data.
+    has_sampler = kv.get("sampler") == "1"
+    table = model_params(config) + (sampler_params(config.d_model) if has_sampler else ())
+    for p in table:
+        arr = loaded.get(p.name)
+        if arr is None:
+            raise CheckpointError(f"checkpoint is missing tensor {p.name}")
+        if arr.shape != p.shape:
+            raise CheckpointError(f"shape mismatch for {p.name}: {arr.shape} vs {p.shape}")
+        # The digest only proves the bytes are the ones saved; the bundle
+        # takes the arrays with no scan of its own.
         if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {name} holds NaN or infinite values")
-        tensor.data = arr
-    if loaded:
-        raise CheckpointError(f"unexpected tensors in checkpoint: {sorted(loaded)}")
+            raise CheckpointError(f"tensor {p.name} holds NaN or infinite values")
+    extra = loaded.keys() - {p.name for p in table}
+    if extra:
+        raise CheckpointError(f"unexpected tensors in checkpoint: {sorted(extra)}")
+    model = build_model(config, loaded)
+    sampler = build_sampler(config.d_model, loaded) if has_sampler else None
     meta = {k[len("meta.") :]: v for k, v in kv.items() if k.startswith("meta.")}
     return model, sampler, meta

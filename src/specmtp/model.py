@@ -54,10 +54,17 @@ per call (`merge_adapters`). Either pass runs with per-op finiteness
 scans off and scans its attention scores and logits; a failed scan
 replays the pass on arrays with per-op scans on to name the op
 (`scanned_once` in tensor.py).
+
+A bundle is built from named arrays by one path (`build_model`), which
+one table of names, shapes, draws and trainable flags drives
+(`model_params`; the sampler head's is `sampler.sampler_params`). Init
+draws every array, a checkpoint load takes the file's and draws nothing,
+and a clone copies the base's and draws only what it adds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -174,7 +181,7 @@ class ModelBundle:
     final_ln_gain: Tensor
     final_ln_bias: Tensor
     unembed: Tensor  # (V, d) frozen
-    pos_table: np.ndarray  # (max_position, d) constant
+    pos_table: np.ndarray  # (max_position, d) constant, read-only
     table: Tensor | None = None  # (V, d), held only by a decode call's copy
 
     def named_params(self) -> list[tuple[str, Tensor]]:
@@ -207,81 +214,122 @@ class ModelBundle:
         return concat_rows([self.embed_base, self.embed_mask])
 
 
-def sinusoidal_positions(max_position: int, d_model: int) -> np.ndarray:
-    """Absolute sin/cos table, computed in float64 then cast."""
+@functools.cache
+def sinusoidal_positions(max_position: int, d_model: int, dtype: type) -> np.ndarray:
+    """Absolute sin/cos table, computed in float64 then cast: one read-only
+    array per size and dtype, which every bundle shares."""
     pos = np.arange(max_position, dtype=np.float64)[:, None]
     dim = np.arange(d_model // 2, dtype=np.float64)[None, :]
     angles = pos / np.power(10000.0, 2.0 * dim / d_model)
     table = np.zeros((max_position, d_model), dtype=np.float64)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
-    return table.astype(default_dtype())
+    table = table.astype(dtype)
+    table.flags.writeable = False
+    return table
 
 
-def _draw(rng: np.random.Generator, std: float, shape) -> np.ndarray:
-    return (rng.normal(0.0, std, size=shape)).astype(default_dtype())
+class Param(NamedTuple):
+    """One weight of a parameter table: its checkpoint name, its shape, the
+    draw init makes of it, and whether it trains. `init` is "normal" (from
+    the name's own stream, with std `std`), "zeros", "ones", or "unembed"
+    (the two embedding tables drawn before it, stacked)."""
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    std: float = 0.0
+    trainable: bool = False
 
 
-def _gated_linear(seed: int, name: str, out_dim: int, in_dim: int, rank: int) -> GatedLoraLinear:
-    w = Tensor(_draw(derive_rng(seed, name + ".W"), 1.0 / np.sqrt(in_dim), (out_dim, in_dim)))
-    if rank == 0:
-        return GatedLoraLinear(W=w)
-    a = Tensor(
-        _draw(derive_rng(seed, name + ".A"), 1.0 / np.sqrt(rank), (in_dim, rank)),
-        requires_grad=True,
-        name=name + ".A",
+def draw_params(table: tuple[Param, ...], seed: int, given: dict | None = None) -> dict[str, np.ndarray]:
+    """Each array of `table` by name: given[name] where given, else init's
+    draw of it from `seed`. Each name draws from its own stream, so what is
+    given shifts no other draw."""
+    arrays = dict(given or {})
+    for p in table:
+        if p.name in arrays:
+            continue
+        if p.init == "normal":
+            arrays[p.name] = derive_rng(seed, p.name).normal(0.0, p.std, size=p.shape).astype(default_dtype())
+        elif p.init == "unembed":
+            arrays[p.name] = np.concatenate([arrays["embed.base"], arrays["embed.mask"]], axis=0)
+        else:
+            arrays[p.name] = (np.ones if p.init == "ones" else np.zeros)(p.shape, dtype=default_dtype())
+    return arrays
+
+
+def param_tensors(table: tuple[Param, ...], arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """arrays[name] for each weight of `table`, as a Tensor with its name and
+    trainable flag. The arrays are taken as they are, with no scan: init's
+    draws, a clone's copies, or a checkpoint's checked arrays."""
+    out = {}
+    for p in table:
+        t = out[p.name] = _out(arrays[p.name])
+        t.requires_grad, t.name = p.trainable, p.name
+    return out
+
+
+@functools.cache
+def model_params(config: ModelConfig) -> tuple[Param, ...]:
+    """The bundle's weights in `named_params` order. The frozen base draws
+    normal weights, unit gains and zero biases, and an unembedding stacked
+    from the embedding rows; the adapter factors A (normal) and B (zeros)
+    and the mask rows train."""
+    c = config
+    d, r = c.d_model, c.lora_rank
+    table = [
+        Param("embed.base", (c.vocab_size - c.k_masks, d), "normal", 0.02),
+        Param("embed.mask", (c.k_masks, d), "normal", 0.02, trainable=True),
+    ]
+    for i in range(c.n_layers):
+        for name in ADAPTERS:
+            part = f"layers.{i}.{name.replace('_', '.')}"
+            out_dim, in_dim = {"ff_in": (c.d_ff, d), "ff_out": (d, c.d_ff)}.get(name, (d, d))
+            table.append(Param(part + ".W", (out_dim, in_dim), "normal", 1.0 / np.sqrt(in_dim)))
+            if r:
+                table.append(Param(part + ".A", (in_dim, r), "normal", 1.0 / np.sqrt(r), trainable=True))
+                table.append(Param(part + ".B", (r, out_dim), "zeros", trainable=True))
+        for norm in ("ln1", "ln2"):
+            table += [Param(f"layers.{i}.{norm}.gain", (d,), "ones"), Param(f"layers.{i}.{norm}.bias", (d,), "zeros")]
+    table += [
+        Param("final_ln.gain", (d,), "ones"),
+        Param("final_ln.bias", (d,), "zeros"),
+        Param("unembed", (c.vocab_size, d), "unembed"),
+    ]
+    return tuple(table)
+
+
+def build_model(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelBundle:
+    """The bundle whose weights are `arrays` by name (`param_tensors` over
+    `model_params`), plus the position table."""
+    t = param_tensors(model_params(config), arrays)
+
+    def layer(i: int) -> LayerWeights:
+        p = f"layers.{i}."
+        linears = {
+            n: GatedLoraLinear(*(t.get(f"{p}{n.replace('_', '.')}.{w}") for w in "WAB")) for n in ADAPTERS
+        }
+        norms = {f"{n}_{k}": t[f"{p}{n}.{k}"] for n in ("ln1", "ln2") for k in ("gain", "bias")}
+        return LayerWeights(**linears, **norms)
+
+    return ModelBundle(
+        config=config,
+        embed_base=t["embed.base"],
+        embed_mask=t["embed.mask"],
+        layers=[layer(i) for i in range(config.n_layers)],
+        final_ln_gain=t["final_ln.gain"],
+        final_ln_bias=t["final_ln.bias"],
+        unembed=t["unembed"],
+        pos_table=sinusoidal_positions(config.max_position, config.d_model, default_dtype()),
     )
-    b = Tensor(
-        np.zeros((rank, out_dim), dtype=default_dtype()),
-        requires_grad=True,
-        name=name + ".B",
-    )
-    return GatedLoraLinear(W=w, A=a, B=b)
 
 
 def init_model(config: ModelConfig, seed: int) -> ModelBundle:
     """Deterministic init. Each tensor draws from its own name-derived
     stream, so the frozen base is bit-identical across ranks of the same
     seed (rank only adds or removes adapter tensors)."""
-    c = config
-    d, r = c.d_model, c.lora_rank
-    embed_base = Tensor(
-        _draw(derive_rng(seed, "embed.base"), 0.02, (c.vocab_size - c.k_masks, d)),
-        name="embed.base",
-    )
-    embed_mask = Tensor(
-        _draw(derive_rng(seed, "embed.mask"), 0.02, (c.k_masks, d)),
-        requires_grad=True,
-        name="embed.mask",
-    )
-    layers = []
-    for i in range(c.n_layers):
-        p = f"layers.{i}."
-        layers.append(
-            LayerWeights(
-                attn_q=_gated_linear(seed, p + "attn.q", d, d, r),
-                attn_k=_gated_linear(seed, p + "attn.k", d, d, r),
-                attn_v=_gated_linear(seed, p + "attn.v", d, d, r),
-                attn_o=_gated_linear(seed, p + "attn.o", d, d, r),
-                ff_in=_gated_linear(seed, p + "ff.in", c.d_ff, d, r),
-                ff_out=_gated_linear(seed, p + "ff.out", d, c.d_ff, r),
-                ln1_gain=Tensor(np.ones(d, dtype=default_dtype())),
-                ln1_bias=Tensor(np.zeros(d, dtype=default_dtype())),
-                ln2_gain=Tensor(np.ones(d, dtype=default_dtype())),
-                ln2_bias=Tensor(np.zeros(d, dtype=default_dtype())),
-            )
-        )
-    unembed_data = np.concatenate([embed_base.data, embed_mask.data], axis=0).copy()
-    return ModelBundle(
-        config=c,
-        embed_base=embed_base,
-        embed_mask=embed_mask,
-        layers=layers,
-        final_ln_gain=Tensor(np.ones(d, dtype=default_dtype())),
-        final_ln_bias=Tensor(np.zeros(d, dtype=default_dtype())),
-        unembed=Tensor(unembed_data, name="unembed"),
-        pos_table=sinusoidal_positions(c.max_position, d),
-    )
+    return build_model(config, draw_params(model_params(config), seed))
 
 
 def _gate_start(gate: np.ndarray, t_len: int) -> int | None:

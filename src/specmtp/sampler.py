@@ -25,12 +25,14 @@ the op that overflowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor
-from .tensor import ArrayOps, Tensor, concat_cols, default_dtype, derive_rng, linear, scanned_once, take_rows
+from .model import Param, draw_params, param_tensors
+from .tensor import ArrayOps, Tensor, concat_cols, linear, scanned_once, take_rows
 
 
 @dataclass
@@ -43,36 +45,35 @@ class SamplerHead:
     ln2_bias: Tensor
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("sampler.l1", self.l1),
-            ("sampler.ln1.gain", self.ln1_gain),
-            ("sampler.ln1.bias", self.ln1_bias),
-            ("sampler.l2", self.l2),
-            ("sampler.ln2.gain", self.ln2_gain),
-            ("sampler.ln2.bias", self.ln2_bias),
-        ]
+        """Every weight in field order, named sampler.<field> with its
+        underscore as a dot (`sampler_params` order)."""
+        return [(f"sampler.{f.name.replace('_', '.')}", getattr(self, f.name)) for f in fields(self)]
 
     def trainable_params(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self.named_params() if t.requires_grad]
 
 
-def init_sampler(d_model: int, seed: int) -> SamplerHead:
-    def draw(name, shape, std):
-        return Tensor(
-            derive_rng(seed, name).normal(0.0, std, size=shape).astype(default_dtype()),
-            requires_grad=True,
-            name=name,
-        )
-
+@functools.cache
+def sampler_params(d_model: int) -> tuple[Param, ...]:
+    """The head's weights in `named_params` order, every one trainable."""
     d = d_model
-    return SamplerHead(
-        l1=draw("sampler.l1", (d, 2 * d), 1.0 / np.sqrt(2 * d)),
-        ln1_gain=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True, name="sampler.ln1.gain"),
-        ln1_bias=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True, name="sampler.ln1.bias"),
-        l2=draw("sampler.l2", (d, d), 1.0 / np.sqrt(d)),
-        ln2_gain=Tensor(np.ones(d, dtype=default_dtype()), requires_grad=True, name="sampler.ln2.gain"),
-        ln2_bias=Tensor(np.zeros(d, dtype=default_dtype()), requires_grad=True, name="sampler.ln2.bias"),
+    return (
+        Param("sampler.l1", (d, 2 * d), "normal", 1.0 / np.sqrt(2 * d), trainable=True),
+        Param("sampler.ln1.gain", (d,), "ones", trainable=True),
+        Param("sampler.ln1.bias", (d,), "zeros", trainable=True),
+        Param("sampler.l2", (d, d), "normal", 1.0 / np.sqrt(d), trainable=True),
+        Param("sampler.ln2.gain", (d,), "ones", trainable=True),
+        Param("sampler.ln2.bias", (d,), "zeros", trainable=True),
     )
+
+
+def build_sampler(d_model: int, arrays: dict[str, np.ndarray]) -> SamplerHead:
+    """The head whose weights are `arrays` by name (`param_tensors`)."""
+    return SamplerHead(*param_tensors(sampler_params(d_model), arrays).values())
+
+
+def init_sampler(d_model: int, seed: int) -> SamplerHead:
+    return build_sampler(d_model, draw_params(sampler_params(d_model), seed))
 
 
 def sampler_features(head: SamplerHead, x, ops):

@@ -35,7 +35,7 @@ from .batching import MaskedBatch, build_training_stack
 from .checkpoint import save_checkpoint
 from .decoding import speculative_decode
 from .losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
-from .model import ModelBundle, ModelConfig, RegularRows, forward, init_model
+from .model import ModelBundle, ModelConfig, RegularRows, build_model, draw_params, forward, init_model, model_params
 from .sampler import SamplerHead, init_sampler
 from .tensor import (
     NumericsError,
@@ -469,15 +469,11 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
 
 def clone_base_with_rank(base: ModelBundle, rank: int, seed: int) -> ModelBundle:
     """Fresh fine-tuning bundle around an existing frozen base: new adapters
-    at the requested rank, new random mask rows, base weights copied."""
+    at the requested rank and new random mask rows, drawn as init draws
+    them, and copies of the base weights, which draw nothing."""
     cfg = replace(base.config, lora_rank=rank)
-    model = init_model(cfg, seed)
-    fresh = dict(model.named_params())
-    for name, t in base.named_params():
-        if name == "embed.mask" or name.endswith(".A") or name.endswith(".B"):
-            continue
-        fresh[name].data = t.data.copy()
-    return model
+    kept = {n: t.data.copy() for n, t in base.named_params() if n != "embed.mask" and not n.endswith((".A", ".B"))}
+    return build_model(cfg, draw_params(model_params(cfg), seed, kept))
 
 
 def eval_acceptance(model, sampler, vocab, corpus, config: TrainConfig) -> float:
@@ -529,7 +525,9 @@ def train(
     )
 
     stack = build_training_stack(corpus, mcfg.mask_ids)
-    probe = stack.select(0)
+    # The probe reads only the first sequence's regular rows, which see no
+    # mask row: it is one causal pass over them.
+    probe = stack.select(0).regular_layout()
     # Gated, with only adapter factors, mask rows and the sampler training,
     # no step can move a regular row. So the probe runs before the first
     # step and after the last, and each step logs the loss a probe would
@@ -658,10 +656,10 @@ def stacked_loss(
 
 
 def _probe_ntp(model, probe, gated) -> tuple[float, np.ndarray]:
-    """The frozen probe batch's next-token loss and its regular rows'
-    logits, from one pass."""
+    """The probe's next-token loss and logits, from one pass over `probe`,
+    the probe sequence's regular rows as a causal layout."""
     out = _forward_batch(model, probe, gated)
-    return ntp_only_ce(probe, out.logits).item(), out.logits.data[probe.ntp_rows].copy()
+    return ntp_only_ce(probe, out.logits).item(), out.logits.data
 
 
 def _format_metrics_row(row) -> str:

@@ -8,12 +8,17 @@ sampler table replaces, the `np.where` sigmoid numerator that
 `silu_data`'s `np.maximum` replaces, a layer's attention, regular
 keys and mask blocks, written with elementary ops, and the AdamW with one
 update and one pair of moment arrays per parameter that the flat AdamW
-replaces. Each is its replacement's oracle: values, gradients and
-optimizer state must match it byte for byte.
+replaces, init written tensor by tensor, which the parameter table
+replaces, and the clone that drew a whole model and then overwrote its
+base weights, which the clone that draws only what it adds replaces.
+Each is its replacement's oracle: values, gradients, optimizer state and
+weights must match it byte for byte.
 The visibility rule's (T, T) matrix, which `forward` no longer builds, is
 the oracle of the `allowed` matrix it derives. The elementary ops that
 only these chains and the tests use are written here too, on the
 engine's helpers and tape."""
+
+from dataclasses import replace
 
 import numpy as np
 from conftest import run_batch
@@ -21,9 +26,9 @@ from conftest import run_batch
 from specmtp import tensor as tz
 from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
-from specmtp.model import forward
-from specmtp.sampler import sampler_features
-from specmtp.tensor import ArrayOps, NumericsError, _out, _record, scanned_once
+from specmtp.model import GatedLoraLinear, LayerWeights, ModelBundle, forward, init_model, sinusoidal_positions
+from specmtp.sampler import SamplerHead, sampler_features
+from specmtp.tensor import ArrayOps, NumericsError, Tensor, _out, _record, default_dtype, derive_rng, scanned_once
 from specmtp.training import adamw_step
 
 
@@ -359,3 +364,65 @@ class PerArrayAdamW:
                 p.data, p.grad, self.m[name], self.v[name], self.t,
                 lr, self.betas, self.eps, self.weight_decay,
             )
+
+
+def clone_by_overwrite(base, rank, seed):
+    """`clone_base_with_rank` as init of the whole model at `rank`, then
+    every base weight overwritten by a copy of the base's."""
+    model = init_model(replace(base.config, lora_rank=rank), seed)
+    fresh = dict(model.named_params())
+    for name, t in base.named_params():
+        if name == "embed.mask" or name.endswith(".A") or name.endswith(".B"):
+            continue
+        fresh[name].data = t.data.copy()
+    return model
+
+
+def _drawn(seed, name, std, shape, requires_grad=False):
+    data = derive_rng(seed, name).normal(0.0, std, size=shape).astype(default_dtype())
+    return Tensor(data, requires_grad=requires_grad, name=name)
+
+
+def _const(fill, shape, requires_grad=False):
+    return Tensor(np.full(shape, fill, dtype=default_dtype()), requires_grad=requires_grad)
+
+
+def init_by_hand(config, seed):
+    """`init_model` written tensor by tensor: each weight drawn from its
+    name's stream, gains 1, biases 0, B 0, the unembedding a copy of the
+    two embedding tables."""
+    c, d, r = config, config.d_model, config.lora_rank
+
+    def gated(name, out_dim, in_dim):
+        w = _drawn(seed, name + ".W", 1.0 / np.sqrt(in_dim), (out_dim, in_dim))
+        if not r:
+            return GatedLoraLinear(W=w)
+        a = _drawn(seed, name + ".A", 1.0 / np.sqrt(r), (in_dim, r), True)
+        return GatedLoraLinear(W=w, A=a, B=_const(0.0, (r, out_dim), True))
+
+    base = _drawn(seed, "embed.base", 0.02, (c.vocab_size - c.k_masks, d))
+    mask = _drawn(seed, "embed.mask", 0.02, (c.k_masks, d), True)
+    layers = []
+    for i in range(c.n_layers):
+        p = f"layers.{i}."
+        dims = dict(attn_q=(d, d), attn_k=(d, d), attn_v=(d, d), attn_o=(d, d), ff_in=(c.d_ff, d), ff_out=(d, c.d_ff))
+        linears = {n: gated(p + n.replace("_", "."), *dims[n]) for n in dims}
+        norms = {f"ln{j}_{k}": _const(1.0 if k == "gain" else 0.0, d) for j in (1, 2) for k in ("gain", "bias")}
+        layers.append(LayerWeights(**linears, **norms))
+    return ModelBundle(
+        config=c, embed_base=base, embed_mask=mask, layers=layers,
+        final_ln_gain=_const(1.0, d), final_ln_bias=_const(0.0, d),
+        unembed=Tensor(np.concatenate([base.data, mask.data], axis=0)),
+        pos_table=sinusoidal_positions(c.max_position, d, default_dtype()),
+    )
+
+
+def init_sampler_by_hand(d_model, seed):
+    """`init_sampler` written tensor by tensor; every weight trains."""
+    d = d_model
+    return SamplerHead(
+        l1=_drawn(seed, "sampler.l1", 1.0 / np.sqrt(2 * d), (d, 2 * d), True),
+        ln1_gain=_const(1.0, d, True), ln1_bias=_const(0.0, d, True),
+        l2=_drawn(seed, "sampler.l2", 1.0 / np.sqrt(d), (d, d), True),
+        ln2_gain=_const(1.0, d, True), ln2_bias=_const(0.0, d, True),
+    )

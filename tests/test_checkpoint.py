@@ -5,10 +5,14 @@ import pytest
 from conftest import run_batch
 
 from specmtp.batching import causal_rows
-from specmtp.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+import specmtp.model as model_mod
+import specmtp.sampler as sampler_mod
+import specmtp.tensor as tensor_mod
+from specmtp.checkpoint import CheckpointError, _Reader, load_checkpoint, save_checkpoint
 from specmtp.cli import EXIT_IO, main
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
+from specmtp.tensor import Tensor
 
 CFG = ModelConfig(vocab_size=13, d_model=16, n_layers=1, n_heads=2, d_ff=32, k_masks=2, lora_rank=3)
 
@@ -149,3 +153,85 @@ def test_non_finite_tensor_is_checkpoint_error(tmp_path, capsys, value):
     for argv in (["decode", "--prompt", "ab"], ["verify", "--suite", "random", "--prompts", "2"]):
         assert main(argv[:1] + ["--ckpt", str(path)] + argv[1:]) == EXIT_IO
         assert "layers.0.attn.q.W" in capsys.readouterr().err
+
+
+def test_a_load_draws_nothing(tmp_path, monkeypatch):
+    # The bundle is built from the file's arrays alone: with every
+    # generator stream made to raise, a load still gives each saved tensor
+    # bitwise, with the trainable flag that init gives it.
+    model, sampler = make_pair(2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path)
+
+    def no_draw(seed, name):
+        raise AssertionError(f"a load drew {name}")
+
+    for mod in (model_mod, sampler_mod, tensor_mod):
+        monkeypatch.setattr(mod, "derive_rng", no_draw, raising=False)
+    with pytest.raises(AssertionError):
+        init_model(CFG, 0)
+    with pytest.raises(AssertionError):
+        init_sampler(CFG.d_model, 0)
+    loaded, loaded_sampler, _ = load_checkpoint(path)
+    monkeypatch.undo()
+    saved = model.named_params() + sampler.named_params()
+    got = loaded.named_params() + loaded_sampler.named_params()
+    assert [n for n, _ in got] == [n for n, _ in saved]
+    for (name, a), (_, b) in zip(saved, got):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+        assert a.requires_grad == b.requires_grad, name
+    assert loaded.pos_table.tobytes() == model.pos_table.tobytes()
+
+
+def _record_shape_at(blob: bytes, name: str) -> int:
+    """Offset of the first dim of record `name` in a checkpoint's bytes."""
+    field = struct.pack("<H", len(name)) + name.encode()
+    assert blob.count(field) == 1
+    return blob.index(field) + len(field) + 2  # after the dtype tag and rank
+
+
+def test_a_record_whose_dims_pass_int64_is_a_checkpoint_error(tmp_path, capsys):
+    # (2^32 - 1)^2 elements: an int64 product wraps to a negative length,
+    # which read zero bytes and failed the reshape as a usage error.
+    model, sampler = make_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path, extra_meta={"charset": "abcdefgh"})
+    blob = bytearray(path.read_bytes())
+    at = _record_shape_at(bytes(blob), "embed.base")
+    blob[at : at + 8] = struct.pack("<2I", 2**32 - 1, 2**32 - 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+    assert main(["decode", "--ckpt", str(path), "--prompt", "ab"]) == EXIT_IO
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_a_string_that_is_not_utf8_is_a_checkpoint_error(tmp_path, capsys):
+    # The digest does not cover the header; a decode error was a ValueError,
+    # which the CLI reported as a usage error.
+    model, sampler = make_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path, extra_meta={"charset": "abcdefgh"})
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(b"config.d_model")] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_checkpoint(path)
+    assert main(["decode", "--ckpt", str(path), "--prompt", "ab"]) == EXIT_IO
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_a_negative_length_is_a_checkpoint_error():
+    with pytest.raises(CheckpointError, match="negative"):
+        _Reader(b"abcd").take(-1)
+
+
+def test_a_tensor_saved_twice_is_a_checkpoint_error(tmp_path):
+    # Its digest is valid; without the check the later record won.
+    model, sampler = make_pair()
+    params = model.named_params()
+    model.named_params = lambda: params + [("embed.base", Tensor(model.embed_base.data + 1))]
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path)
+    with pytest.raises(CheckpointError, match=r"embed\.base twice"):
+        load_checkpoint(path)

@@ -2,7 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
-from chains import attention_chain, gated_linear_chain
+from chains import attention_chain, gated_linear_chain, init_by_hand, init_sampler_by_hand
 from conftest import run_batch
 
 from specmtp.batching import (
@@ -25,8 +25,9 @@ from specmtp.model import (
     init_model,
     layout_streams,
     merge_adapters,
+    model_params,
 )
-from specmtp.sampler import init_sampler
+from specmtp.sampler import init_sampler, sampler_params
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
 
 
@@ -85,6 +86,36 @@ def reference_causal_logits(model, tokens):
         x = x + _silu(h2 @ lw.ff_in.W.data.T) @ lw.ff_out.W.data.T
     z = _ln(x, model.final_ln_gain.data, model.final_ln_bias.data)
     return z @ model.unembed.data.T
+
+
+@pytest.mark.parametrize("rank", [0, 4])
+def test_the_parameter_tables_are_the_bundles_weights_in_order(rank):
+    model, sampler = make_model(rank), init_sampler(CFG["d_model"], 1)
+    for table, params in (
+        (model_params(model.config), model.named_params()),
+        (sampler_params(CFG["d_model"]), sampler.named_params()),
+    ):
+        assert [(p.name, p.shape, p.trainable) for p in table] == [
+            (n, t.data.shape, t.requires_grad) for n, t in params
+        ]
+    assert [n for n, _ in sampler.named_params()] == [
+        "sampler.l1", "sampler.ln1.gain", "sampler.ln1.bias", "sampler.l2", "sampler.ln2.gain", "sampler.ln2.bias"
+    ]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("rank", [0, 4])
+def test_init_is_bytewise_init_by_hand(rank, dtype):
+    with precision(dtype):
+        pairs = (
+            (make_model(rank, seed=5), init_by_hand(ModelConfig(lora_rank=rank, **CFG), 5)),
+            (init_sampler(CFG["d_model"], 6), init_sampler_by_hand(CFG["d_model"], 6)),
+        )
+    for got, want in pairs:
+        assert [n for n, _ in got.named_params()] == [n for n, _ in want.named_params()]
+        for (name, a), (_, b) in zip(got.named_params(), want.named_params()):
+            assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+            assert a.requires_grad == b.requires_grad, name
 
 
 def test_forward_matches_reference_implementation():

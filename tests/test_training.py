@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from chains import PerArrayAdamW, per_sequence_pretrain_step, per_sequence_step
+from chains import PerArrayAdamW, clone_by_overwrite, per_sequence_pretrain_step, per_sequence_step
 from conftest import pattern_config, run_batch
 from specmtp.batching import build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
+import specmtp.model as model_mod
 from specmtp.model import forward, init_model
 from specmtp.sampler import init_sampler
 from specmtp.tensor import Tape, backward, derive_rng, finite_diff_check, precision
@@ -18,6 +19,7 @@ from specmtp.training import (
     TrainConfig,
     Vocab,
     adamw_step,
+    clone_base_with_rank,
     generate_corpus,
     pretrain_base,
     regular_rows,
@@ -255,6 +257,38 @@ def tiny_config(**over):
     )
 
 
+@pytest.mark.parametrize("rank", [0, 4, 8])
+def test_a_clone_is_bytewise_the_overwritten_init(rank):
+    # Base weights trained away from init, so a copy and a draw differ.
+    base = init_model(tiny_config().model_config("abcdef"), 3)
+    for _, t in base.named_params():
+        t.data += np.float32(0.5)
+    want = clone_by_overwrite(base, rank, 7)
+    got = clone_base_with_rank(base, rank, 7)
+    assert got.config == want.config
+    assert [n for n, _ in got.named_params()] == [n for n, _ in want.named_params()]
+    for (name, a), (_, b) in zip(want.named_params(), got.named_params()):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+        assert a.requires_grad == b.requires_grad, name
+    assert got.pos_table.tobytes() == want.pos_table.tobytes()
+    copied = dict(got.named_params())
+    for name, t in base.named_params():
+        assert name not in copied or not np.shares_memory(copied[name].data, t.data), name
+
+
+def test_a_clone_draws_only_the_tensors_it_adds(monkeypatch):
+    base = init_model(tiny_config().model_config("abcdef"), 3)
+    drawn, original = [], model_mod.derive_rng
+
+    def recorded(seed, name):
+        drawn.append(name)
+        return original(seed, name)
+
+    monkeypatch.setattr(model_mod, "derive_rng", recorded)
+    model = clone_base_with_rank(base, 4, 7)
+    assert drawn == [n for n, _ in model.named_params() if n == "embed.mask" or n.endswith(".A")]
+
+
 def test_trainable_partition_is_exact():
     cfg = tiny_config()
     corpus = generate_corpus(cfg.corpus, cfg.k_masks)
@@ -303,12 +337,13 @@ def test_standard_lora_mode_moves_ntp_logits():
     drift = np.max(np.abs(res.probe_ntp_logits_final - res.probe_ntp_logits_initial))
     assert drift > 0.0
     # The final logits, taken from the last step's probe pass, are a fresh
-    # probe pass on the returned model, byte for byte.
+    # causal pass over the probe sequence's regular rows on the returned
+    # model, byte for byte.
     corpus = generate_corpus(cfg.corpus, cfg.k_masks)
-    probe = build_training_stack(corpus, res.model.config.mask_ids).select(0)
+    probe = build_training_stack(corpus, res.model.config.mask_ids).select(0).regular_layout()
     ungated = np.ones(probe.size, dtype=np.int8)
     fresh = forward(res.model, probe.tokens, probe.position_ids, probe.block_anchor, ungated)
-    want = fresh.logits.data[probe.ntp_rows]
+    want = fresh.logits.data
     assert res.probe_ntp_logits_final.dtype == want.dtype
     assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
 
@@ -388,7 +423,8 @@ def _probe_after_every_step(monkeypatch, cfg, model):
     by a wrapped `AdamW.step`. Returns the result, those passes' (loss,
     logits), and the sequence of train()'s own probe passes ("probe") and
     optimizer steps ("step")."""
-    probe = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids).select(0)
+    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids)
+    probe = stack.select(0).regular_layout()
     probe_ntp, step = training._probe_ntp, AdamW.step
     probes, events = [], []
 
@@ -481,8 +517,9 @@ def test_steps_take_their_sequences_in_the_order_of_one_draw_per_step(monkeypatc
 def test_the_final_probe_is_a_pass_on_the_trained_model(monkeypatch):
     # The steps read each sequence's regular rows from their causal pass,
     # here with every logit shifted by 1: the losses read the shift, the
-    # gradients do not. The final probe logits are still a full pass over
-    # the probe layout on the returned model, so they hold no shift.
+    # gradients do not. The final probe logits are still a causal pass over
+    # the probe sequence's regular rows on the returned model, so they hold
+    # no shift.
     original = training.regular_rows
 
     def shifted(model, stack):
@@ -492,8 +529,8 @@ def test_the_final_probe_is_a_pass_on_the_trained_model(monkeypatch):
     monkeypatch.setattr(training, "regular_rows", shifted)
     cfg = tiny_config(total_steps=4)
     res = train(cfg)
-    probe = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), res.model.config.mask_ids).select(0)
-    want = run_batch(res.model, probe).logits.data[probe.ntp_rows]
+    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), res.model.config.mask_ids)
+    want = run_batch(res.model, stack.select(0).regular_layout()).logits.data
     assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
     monkeypatch.undo()
     assert [row[1] for row in train(cfg).metrics] != [row[1] for row in res.metrics]
