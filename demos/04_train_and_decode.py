@@ -36,9 +36,7 @@ print(f"final losses: total {result.metrics[-1][4]:.3f}, "
       f"regular-row ce drift {abs(result.metrics[-1][5] - result.metrics[0][5]):.1e} (frozen path)")
 
 # A held-out periodic prompt.
-heldout = generate_corpus(
-    CorpusSpec(task="pattern", size=3, seed=123, seq_len=16, period=4, alphabet="abcdef"), 4
-)
+heldout = generate_corpus(CorpusSpec(task="pattern", size=3, seed=123, seq_len=16, period=4, alphabet="abcdef"))
 prompt = heldout[0][0][:9].tolist()
 print("\nprompt:", vocab.decode(prompt))
 
@@ -56,7 +54,7 @@ for strategy in ("linear", "quadratic"):
 
 print("\nacceptance by mask budget (quadratic, 12 held-out prompts):")
 prompts = [seq[:9].tolist() for seq, _ in generate_corpus(
-    CorpusSpec(task="pattern", size=12, seed=99, seq_len=16, period=4, alphabet="abcdef"), 4)]
+    CorpusSpec(task="pattern", size=12, seed=99, seq_len=16, period=4, alphabet="abcdef"))]
 for k_eval in range(1, 5):
     rates = []
     for p in prompts:

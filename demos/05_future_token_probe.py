@@ -31,7 +31,7 @@ base = pretrain_base(config)
 result = train(config, model=clone_base_with_rank(base, config.lora_rank, config.seed))
 vocab = result.vocab
 
-probe_set = generate_corpus(CorpusSpec(task="arithmetic", size=10, seed=7, digits=1), 4)
+probe_set = generate_corpus(CorpusSpec(task="arithmetic", size=10, seed=7, digits=1))
 before, after = [], []
 print("\nprompt -> model continuation, rank of the forecast digit (before / after):")
 for ids, _ in probe_set:

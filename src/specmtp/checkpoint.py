@@ -126,17 +126,13 @@ def _config_from_kv(kv: dict[str, str]) -> ModelConfig:
         raise CheckpointError(f"checkpoint header: {exc}") from exc
 
 
-def load_checkpoint(
-    path, expected_config: ModelConfig | None = None
-) -> tuple[ModelBundle, SamplerHead | None, dict[str, str]]:
+def load_checkpoint(path) -> tuple[ModelBundle, SamplerHead | None, dict[str, str]]:
     """Rebuild the bundle (and sampler, if saved). Returns stripped meta too.
 
     The payload digest is verified before any tensor is accepted; a name
     held twice, a missing or unexpected name, a shape other than the
     parameter table's, and a tensor holding NaN or +-inf are rejected by
     name. The bundle is then built from the file's arrays, with no draw.
-    When expected_config is given, a field-by-field diff is raised on
-    mismatch.
     """
     r = _Reader(Path(path).read_bytes())
     if r.take(4) != MAGIC:
@@ -149,13 +145,6 @@ def load_checkpoint(
         key = r.string()
         kv[key] = r.string()
     config = _config_from_kv(kv)
-    if expected_config is not None and config != expected_config:
-        diffs = [
-            f"{name}: expected {getattr(expected_config, name)}, found {getattr(config, name)}"
-            for name in _CONFIG_FIELDS
-            if getattr(expected_config, name) != getattr(config, name)
-        ]
-        raise CheckpointError("config mismatch: " + "; ".join(diffs))
 
     loaded: dict[str, np.ndarray] = {}
     payloads: list[bytes] = []

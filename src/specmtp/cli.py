@@ -245,7 +245,7 @@ def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: 
 def cmd_gen_data(args) -> int:
     spec = CorpusSpec(**{name: getattr(args, name) for name, _ in _SECTIONS["corpus"].values()})
     vocab = spec.vocab(k_masks=1)
-    corpus = generate_corpus(spec, k_masks=1)
+    corpus = generate_corpus(spec)
     payload = {
         "task": spec.task,
         "charset": vocab.charset,
@@ -263,7 +263,7 @@ def cmd_train(args) -> int:
     cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     # A corpus that cannot be built (a file shorter than one window) fails
     # here, before the run directory exists.
-    generate_corpus(cfg.corpus, cfg.k_masks)
+    generate_corpus(cfg.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")

@@ -134,9 +134,8 @@ def speculative_decode(
 
     for _ in range(max_steps):
         n_ver = len(verified)
-        if not speculated:
-            batch = build_linear_inference_input(verified, [], mask_ids)
-        elif strategy == "linear":
+        # With nothing speculated, both strategies build the linear layout.
+        if strategy == "linear" or not speculated:
             batch = build_linear_inference_input(verified, speculated, mask_ids)
         else:
             batch = build_quadratic_inference_input(verified, speculated, mask_ids)

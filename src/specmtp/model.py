@@ -24,12 +24,13 @@ op (norms, linears, adapters) runs over all T rows.
 
 The regular rows never see a mask row, and at gate 0 they run the frozen
 base, so while no base weight trains their keys, values, hidden rows and
-logits cannot change. `forward` can return them as constants
-(`RegularRows`, `keep_regular`) and take them back (`regular`): that pass
-runs the mask rows alone, as the query stream that reads a content stream
-computed once, and attends to the given keys and values through the same
-op pair. Gated training computes each sequence's regular rows once per
-`train()` call this way.
+logits cannot change. Every pass returns each layer's keys and values
+(`ForwardResult.kv`), so a causal pass's result, as `RegularRows`, holds
+those rows as constants, and `forward` takes them back (`regular`): that
+pass runs the mask rows alone, as the query stream that reads a content
+stream computed once, and attends to the given keys and values through
+the same op pair. Gated training computes each sequence's regular rows
+once per `train()` call this way.
 
 `forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
 that share one layout: positions, anchors and gate are (T,)-shaped and
@@ -168,8 +169,7 @@ class LayerWeights:
 class ModelBundle:
     """Frozen base transformer plus the trainable extras.
 
-    Trainable parameters are exactly: every adapter factor A and B, the
-    mask-token embedding rows, and (externally) the sampler head. The
+    What trains is the parameter table's flag (`model_params`). The
     unembedding is a frozen snapshot taken at init, so training the mask
     rows never perturbs any logit of a gate-0 row.
     """
@@ -447,9 +447,10 @@ def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
 
 
 class RegularRows(NamedTuple):
-    """A layout's ungated regular rows as constants (`forward`'s
-    `keep_regular`): each layer's keys and values (..., n_reg, D), and the
-    final hidden rows and logits, for a later pass to take as `regular`."""
+    """A layout's ungated regular rows as constants, for a pass to take as
+    `regular`: each layer's keys and values (..., n_reg, D), and the final
+    hidden rows and logits, as plain arrays. An untaped causal pass over
+    those rows alone gives all three (`training.regular_rows`)."""
 
     kv: tuple[tuple[np.ndarray, np.ndarray], ...]
     hidden: np.ndarray  # (..., n_reg, d)
@@ -464,7 +465,7 @@ class RegularRows(NamedTuple):
 class ForwardResult(NamedTuple):
     hidden: Tensor  # (..., T, d) last-layer states after the final norm
     logits: Tensor  # (..., T, V)
-    regular: RegularRows | None = None  # set by keep_regular
+    kv: tuple  # per layer, the (keys, values) arrays (..., T, D) of the rows the pass ran
 
 
 def forward(
@@ -474,7 +475,6 @@ def forward(
     block_anchor,
     gate,
     regular: RegularRows | None = None,
-    keep_regular: bool = False,
 ) -> ForwardResult:
     """One pass over a layout of batching.py's form: regular rows first,
     then mask blocks, described by their (T,) anchors (NO_ANCHOR on
@@ -487,15 +487,16 @@ def forward(
     active tape the pass runs on plain arrays, with the same result. An
     empty layout is an error.
 
-    `keep_regular` also returns the regular rows, none of them gated, as
-    constants (`RegularRows`); it takes an untaped pass. Given them as
-    `regular`, a pass over a layout with mask blocks after the same regular
-    rows, none of them gated, runs the mask rows alone: each layer attends
-    to the given keys and values and the mask rows' own, and hidden and
-    logits are the given rows joined over the mask rows'. The given rows
-    take no gradient. When they are the full pass's own, every mask row
-    gets that pass's bytes as long as a product's bytes do not depend on
-    how many rows it runs over (the tests check this at their sizes).
+    The result also holds each layer's keys and values as plain arrays
+    (`kv`), so a pass's regular rows can be kept as constants
+    (`RegularRows`). Given them as `regular`, a pass over a layout with
+    mask blocks after the same regular rows, none of them gated, runs the
+    mask rows alone: each layer attends to the given keys and values and
+    the mask rows' own, hidden and logits are the given rows joined over
+    the mask rows', and `kv` holds the mask rows' own. The given rows take
+    no gradient. When they are the full pass's own, every mask row gets
+    that pass's bytes as long as a product's bytes do not depend on how
+    many rows it runs over (the tests check this at their sizes).
     """
     c = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -513,10 +514,8 @@ def forward(
         raise NumericsError("position id exceeds max_position")
     start = _gate_start(gate, t_len)
     n = streams.n_reg
-    gated_regular = start is not None and start < n
-    if keep_regular and (regular is not None or active_tape() is not None or gated_regular):
-        raise NumericsError("keep_regular keeps the ungated regular rows of an untaped pass over them")
     if regular is not None:
+        gated_regular = start is not None and start < n
         if regular.hidden.shape[:-1] != tokens.shape[:-1] + (n,) or not streams.block or gated_regular:
             raise NumericsError(
                 f"regular rows {regular.hidden.shape[:-1]} given for tokens {tokens.shape} with {n} regular "
@@ -531,13 +530,10 @@ def forward(
 
     def fast():
         if active_tape() is not None:
-            return ForwardResult(*run(tensor)[:2])
+            hidden, logits, kv = run(tensor)
+            return ForwardResult(hidden, logits, tuple((k.data, v.data) for k, v in kv))
         hidden, logits, kv = run(ArrayOps)
-        kept = None
-        if keep_regular:
-            kv = tuple((k[..., :n, :], v[..., :n, :]) for k, v in kv)
-            kept = RegularRows(kv, hidden[..., :n, :], logits[..., :n, :])
-        return ForwardResult(_out(hidden), _out(logits), kept)
+        return ForwardResult(_out(hidden), _out(logits), tuple(kv))
 
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 

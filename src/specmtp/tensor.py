@@ -477,9 +477,10 @@ def silu(x: Tensor) -> Tensor:
     return _record(out, (x,), bw)
 
 
-def layer_norm_data(
-    xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+LN_EPS = 1e-5  # every layer norm's variance floor
+
+
+def layer_norm_data(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row zero mean / unit variance, then affine; xd (..., T, d).
     Returns (output, normalised rows, 1 / std), the last two for the
     backward."""
@@ -491,14 +492,14 @@ def layer_norm_data(
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     # var - var is +0.0 for a finite variance, so inv keeps its bytes; a
     # variance that overflowed to inf makes its row NaN, not the bias.
-    inv = 1.0 / np.sqrt(var + eps) + (var - var)
+    inv = 1.0 / np.sqrt(var + LN_EPS) + (var - var)
     xhat = xc * inv
     return _finite(xhat * gain + bias, "layer_norm"), xhat, inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Tensor form of `layer_norm_data`."""
-    y, xhat, inv = layer_norm_data(x.data, gain.data, bias.data, eps)
+    y, xhat, inv = layer_norm_data(x.data, gain.data, bias.data)
     out = _out(y)
 
     def bw(g, xhat=xhat, inv=inv, gd=gain.data, d=xhat.shape[-1]):
@@ -934,11 +935,11 @@ def concat_rows(parts: list[Tensor | np.ndarray]) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
-IGNORE_ID = -1
+IGNORE_ID = -1  # the label of a row that carries no loss
 
 
-def cross_entropy(logits: Tensor, labels, ignore_id: int = IGNORE_ID) -> Tensor:
-    """Mean -log softmax(logits)[label] over rows whose label != ignore_id.
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean -log softmax(logits)[label] over rows whose label != IGNORE_ID.
 
     logits (..., R, V) and labels (..., R) give one mean per sequence, of
     shape (...); every sequence must ignore the same rows. Returns 0 (with
@@ -949,7 +950,7 @@ def cross_entropy(logits: Tensor, labels, ignore_id: int = IGNORE_ID) -> Tensor:
     lg = logits.data
     if lg.ndim < 2 or labels.shape != lg.shape[:-1]:
         raise NumericsError("cross_entropy expects (..., R, V) logits and (..., R) labels")
-    valid = labels != ignore_id
+    valid = labels != IGNORE_ID
     if not valid.any():
         return _out(np.zeros(labels.shape[:-1], dtype=lg.dtype))
     first = valid.reshape(-1, labels.shape[-1])[0]

@@ -1,32 +1,33 @@
 """Synthetic corpora, the fine-tuning loop, and AdamW.
 
-Only the adapter factors, the mask-token embedding rows, and the sampler
-head ever receive updates; the base transformer stays frozen. The loop
-logs one comma-separated metrics record per step and tracks the regular
-next-token loss on a frozen probe batch, which must not move while the
-gate is honored.
+Only the weights that the parameter tables flag trainable (`model_params`,
+`sampler_params`: the adapter factors, the mask-token embedding rows and
+the sampler head) ever receive updates; the base transformer stays frozen.
+The loop logs one comma-separated metrics record per step and tracks the
+regular next-token loss on a frozen probe batch, which must not move while
+the gate is honored.
 
 A step's sequences go through one taped forward, one set of loss ops and
 one backward, stacked on a leading axis (`build_training_stack`). Losses,
 metrics and gradients are byte-identical to a loop with one pass per
 sequence, which the tests keep as the oracle.
 
-In gated mode, while only adapter factors, mask rows and the sampler
-train, no step can move a regular row. So a `train()` call computes the
-regular rows of every sequence its steps pick once, by one untaped causal
-pass (`regular_rows`), and each step's taped pass runs the mask rows
-alone, attending to those rows' keys and values; the losses read the
-cached rows joined over the mask rows. Those rows come from a pass over
-fewer rows than the training layout's, so their bytes can differ from a
-full pass's in the last bits. The ungated ablation, a run that trains a
-base weight, and `pretrain_base` run the full pass at every step.
+In gated mode, while only those weights train, no step can move a regular
+row. So a `train()` call computes the regular rows of every sequence its
+steps pick once, by one untaped causal pass (`regular_rows`), and each
+step's taped pass runs the mask rows alone, attending to those rows' keys
+and values; the losses read the cached rows joined over the mask rows.
+Those rows come from a pass over fewer rows than the training layout's, so
+their bytes can differ from a full pass's in the last bits. The ungated
+ablation, a run that trains a base weight, and `pretrain_base` run the
+full pass at every step.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .checkpoint import save_checkpoint
 from .decoding import speculative_decode
 from .losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
 from .model import ModelBundle, ModelConfig, RegularRows, build_model, draw_params, forward, init_model, model_params
-from .sampler import SamplerHead, init_sampler
+from .sampler import SamplerHead, init_sampler, sampler_params
 from .tensor import (
     NumericsError,
     Tape,
@@ -161,10 +162,10 @@ class CorpusSpec:
         return Vocab(self.charset(), k_masks)
 
 
-def generate_corpus(spec: CorpusSpec, k_masks: int = 1) -> list[tuple[np.ndarray, np.ndarray]]:
+def generate_corpus(spec: CorpusSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic (token ids, loss flags) pairs. flags[i] == 1 means the
     row of token i carries a next-token loss (and spawns masks)."""
-    vocab = spec.vocab(k_masks)
+    vocab = spec.vocab(1)  # the ids below the mask ids do not depend on their count
     out: list[tuple[np.ndarray, np.ndarray]] = []
     if spec.task == "pattern":
         for idx in range(spec.size):
@@ -228,16 +229,17 @@ def adamw_step(p, g, m, v, t, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0
 
 class AdamW:
     """AdamW over one flat array each for the parameters, their grads and
-    the moments m and v (`slices[i]` is params[i]'s part). Each `.data` and
-    `.grad` is a view into the first two, so a step is one `adamw_step`
-    call, `zero_grad` one fill, and backward adds into the views in place.
-    A parameter whose grad is None at a step is not updated; a grad made
-    before the first `zero_grad` is copied into its view. A `.data` or
-    `.grad` rebound away from its view would go untrained unseen, so
-    `step` raises ValueError naming it."""
+    the moments m and v (`slices[i]` is params[i]'s part). From
+    construction each `.data` and `.grad` is a view into the first two (a
+    grad already present is copied in, else it starts at zero), so every
+    step, the first included, is one `adamw_step` call over every
+    parameter, `zero_grad` is one fill, and backward adds into the views in
+    place. A parameter that backward does not reach gets the update of a
+    zero grad (its weight decay) at every step. A `.data` or `.grad`
+    rebound away from its view would go untrained unseen, so `step` raises
+    ValueError naming it."""
 
     def __init__(self, params: list[tuple[str, Tensor]], betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
-        self.params = params
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
@@ -250,36 +252,23 @@ class AdamW:
         self.data, self.grad, self.m, self.v = np.zeros((4, ends[-1]), dtypes.pop())
         self._views = []
         for (name, p), sl in zip(params, self.slices):
-            data = self.data[sl].reshape(p.data.shape)
+            data, grad = self.data[sl].reshape(p.data.shape), self.grad[sl].reshape(p.data.shape)
             data[...] = p.data
-            p.data = data
-            self._views.append((name, p, data, self.grad[sl].reshape(data.shape)))
-        self._bound = False  # every grad is its view: set by zero_grad
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self._views.append((name, p, data, grad))
 
     def zero_grad(self) -> None:
         self.grad.fill(0)
-        if not self._bound:
-            for _, p, _, grad in self._views:
-                p.grad = grad
-            self._bound = True
 
     def step(self, lr: float) -> None:
         self.t += 1
-        live = []
         for name, p, data, grad in self._views:
-            if p.data is not data:
-                raise ValueError(f"AdamW parameter {name!r}: .data was rebound away from the optimizer's array")
-            if p.grad is not None and p.grad is not grad:
-                if self._bound:
-                    raise ValueError(f"AdamW parameter {name!r}: .grad was rebound away from the optimizer's array")
-                grad[...] = p.grad
-                p.grad = grad
-            live.append(p.grad is not None)
-        for sl in [slice(None)] if all(live) else [sl for sl, on in zip(self.slices, live) if on]:
-            adamw_step(
-                self.data[sl], self.grad[sl], self.m[sl], self.v[sl], self.t,
-                lr, self.betas, self.eps, self.weight_decay,
-            )
+            if p.data is not data or p.grad is not grad:
+                field = "data" if p.data is not data else "grad"
+                raise ValueError(f"AdamW parameter {name!r}: .{field} was rebound away from the optimizer's array")
+        adamw_step(self.data, self.grad, self.m, self.v, self.t, lr, self.betas, self.eps, self.weight_decay)
 
 
 def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:
@@ -399,11 +388,10 @@ def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool, regular:
 
 def regular_rows(model: ModelBundle, stack: MaskedBatch) -> RegularRows:
     """The regular rows of every sequence of a training stack as constants,
-    from one untaped causal pass over them (`forward`'s `keep_regular`)."""
+    from one untaped causal pass over them."""
     causal = stack.regular_layout()
-    return forward(
-        model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate, keep_regular=True
-    ).regular
+    out = forward(model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate)
+    return RegularRows(out.kv, out.hidden.data, out.logits.data)
 
 
 @contextmanager
@@ -426,26 +414,20 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
     trains independently here and is frozen afterwards, so later updates
     to the mask rows never touch it.
     """
-    corpus = generate_corpus(config.corpus, config.k_masks)
+    corpus = generate_corpus(config.corpus)
     mcfg = config.model_config(config.corpus.charset())
     model = init_model(mcfg, config.seed)
-
-    base_names = {"embed.base", "unembed", "final_ln.gain", "final_ln.bias"}
-    base_params = []
-    for name, t in model.named_params():
-        core = name.split(".")[-1] in ("gain", "bias") or name.endswith(".W")
-        if name in base_names or core:
-            t.requires_grad = True
-            base_params.append((name, t))
-    opt = AdamW(base_params, weight_decay=0.0)
+    # The weights the table freezes train here and the ones it trains do
+    # not: the mask rows, untracked, get no gradient through the embedding
+    # table's concat.
+    weights = list(zip(model_params(mcfg), model.named_params()))
+    for p, (_, t) in weights:
+        t.requires_grad = not p.trainable
+    opt = AdamW([nt for p, nt in weights if not p.trainable], weight_decay=0.0)
 
     # The causal objective: the regular rows of the training stack, which
     # carry each flagged token's next-token label, without the mask blocks.
     causal = build_training_stack(corpus, mcfg.mask_ids).regular_layout()
-
-    # The mask rows are fitted later: untracked here, they get no gradient
-    # through the embedding table's concat.
-    model.embed_mask.requires_grad = False
     order_rng = derive_rng(config.seed, "pretrain.order")
     for step in range(config.pretrain_steps):
         picks = order_rng.integers(0, len(corpus), size=config.batch_size)
@@ -460,10 +442,8 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
         if verbose and (step + 1) % 100 == 0:
             print(f"pretrain step {step}: ce {loss.item():.4f}")
 
-    for _, t in base_params:
-        t.requires_grad = False
-        t.grad = None
-    model.embed_mask.requires_grad = True
+    for p, (_, t) in weights:
+        t.requires_grad, t.grad = p.trainable, None
     return model
 
 
@@ -472,7 +452,8 @@ def clone_base_with_rank(base: ModelBundle, rank: int, seed: int) -> ModelBundle
     at the requested rank and new random mask rows, drawn as init draws
     them, and copies of the base weights, which draw nothing."""
     cfg = replace(base.config, lora_rank=rank)
-    kept = {n: t.data.copy() for n, t in base.named_params() if n != "embed.mask" and not n.endswith((".A", ".B"))}
+    weights = dict(base.named_params())
+    kept = {p.name: weights[p.name].data.copy() for p in model_params(base.config) if not p.trainable}
     return build_model(cfg, draw_params(model_params(cfg), seed, kept))
 
 
@@ -501,13 +482,21 @@ def train(
 ) -> TrainResult:
     """Run the fine-tuning loop; returns the trained bundle plus metrics.
 
-    Aborts with DivergenceError when the loss goes non-finite or exceeds
+    A given model must have the config's model sizes over its charset, and
+    a given sampler its width, else ValueError names what differs. Aborts
+    with DivergenceError when the loss goes non-finite or exceeds
     divergence_factor x the initial loss for divergence_patience
     consecutive steps.
     """
-    corpus = generate_corpus(config.corpus, config.k_masks)
+    corpus = generate_corpus(config.corpus)
     vocab = config.corpus.vocab(config.k_masks)
     mcfg = config.model_config(vocab.charset)
+    if model is not None and model.config != mcfg:
+        got, want = asdict(model.config), asdict(mcfg)
+        diffs = "; ".join(f"{k} {got[k]} (config: {want[k]})" for k in want if got[k] != want[k])
+        raise ValueError(f"the model does not fit the training config: {diffs}")
+    if sampler is not None and sampler.l1.data.shape[0] != config.d_model:
+        raise ValueError(f"the sampler's width {sampler.l1.data.shape[0]} does not match d_model {config.d_model}")
     if model is None:
         if config.pretrain_steps > 0:
             model = pretrain_base(config, verbose=verbose)
@@ -528,15 +517,15 @@ def train(
     # The probe reads only the first sequence's regular rows, which see no
     # mask row: it is one causal pass over them.
     probe = stack.select(0).regular_layout()
-    # Gated, with only adapter factors, mask rows and the sampler training,
-    # no step can move a regular row. So the probe runs before the first
-    # step and after the last, and each step logs the loss a probe would
-    # give. And the regular rows of the sequences the steps pick are
-    # computed once, before the first step (`regular_rows`): each step's
-    # taped pass runs its mask rows alone.
-    probe_every_step = not config.gated or not all(
-        n == "embed.mask" or n.endswith((".A", ".B")) or n.startswith("sampler.") for n, _ in trainable
-    )
+    # Gated, with only the weights the tables flag trainable training, no
+    # step can move a regular row. So the probe runs before the first step
+    # and after the last, and each step logs the loss a probe would give.
+    # And the regular rows of the sequences the steps pick are computed
+    # once, before the first step (`regular_rows`): each step's taped pass
+    # runs its mask rows alone.
+    table = model_params(mcfg) + (sampler_params(config.d_model) if sampler else ())
+    flagged = {p.name for p in table if p.trainable}
+    probe_every_step = not config.gated or any(n not in flagged for n, _ in trainable)
     ntp_initial, probe_initial = _probe_ntp(model, probe, config.gated)
     # Every step's sequences, drawn in the steps' order.
     order_rng = derive_rng(config.seed, "batch.order")

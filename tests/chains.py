@@ -26,7 +26,9 @@ from conftest import run_batch
 from specmtp import tensor as tz
 from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
-from specmtp.model import GatedLoraLinear, LayerWeights, ModelBundle, forward, init_model, sinusoidal_positions
+from specmtp.model import (
+    GatedLoraLinear, LayerWeights, ModelBundle, RegularRows, forward, init_model, sinusoidal_positions,
+)
 from specmtp.sampler import SamplerHead, sampler_features
 from specmtp.tensor import ArrayOps, NumericsError, Tensor, _out, _record, default_dtype, derive_rng, scanned_once
 from specmtp.training import adamw_step
@@ -261,9 +263,8 @@ def causal_regular_rows(model, batch):
     """One sequence's regular rows as constants, from an untaped causal
     pass over them alone."""
     causal = causal_rows(batch.tokens[batch.ntp_rows])
-    return forward(
-        model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate, keep_regular=True
-    ).regular
+    out = forward(model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate)
+    return RegularRows(out.kv, out.hidden.data, out.logits.data)
 
 
 def per_sequence_step(model, sampler, batches, picks, config):
@@ -339,8 +340,9 @@ def serial_sampler_chain(head, unembed, embeddings, seed_token, zs):
 
 class PerArrayAdamW:
     """AdamW with one `adamw_step` call and one m and v array per
-    parameter, keyed by name; `zero_grad` gives each parameter a fresh
-    zero grad. A parameter whose grad is None at a step is not updated."""
+    parameter, keyed by name. Construction gives each parameter without a
+    grad a zero one, and `zero_grad` gives each a fresh zero grad, so every
+    step updates every parameter."""
 
     def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
         self.params = params
@@ -350,6 +352,9 @@ class PerArrayAdamW:
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params}
         self.v = {n: np.zeros_like(p.data) for n, p in params}
+        for _, p in params:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
 
     def zero_grad(self):
         for _, p in self.params:
@@ -358,8 +363,6 @@ class PerArrayAdamW:
     def step(self, lr):
         self.t += 1
         for name, p in self.params:
-            if p.grad is None:
-                continue
             adamw_step(
                 p.data, p.grad, self.m[name], self.v[name], self.t,
                 lr, self.betas, self.eps, self.weight_decay,

@@ -4,7 +4,7 @@ base and handed out as a fresh clone."""
 
 import pytest
 
-from specmtp.model import forward
+from specmtp.model import RegularRows, forward
 from specmtp.training import (
     CorpusSpec,
     TrainConfig,
@@ -46,11 +46,18 @@ def run_batch(model, batch):
     return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
 
 
+def sliced_regular_rows(out, n):
+    """The first n rows of a pass's result (its keys and values, hidden
+    rows and logits) as `RegularRows`."""
+    kv = tuple((k[..., :n, :], v[..., :n, :]) for k, v in out.kv)
+    return RegularRows(kv, out.hidden.data[..., :n, :], out.logits.data[..., :n, :])
+
+
 def heldout_prompts(count=12, prompt_len=9, seed=99):
     spec = CorpusSpec(
         task="pattern", size=count, seed=seed, seq_len=16, period=4, alphabet="abcdef"
     )
-    return [seq[:prompt_len].tolist() for seq, _ in generate_corpus(spec, 4)]
+    return [seq[:prompt_len].tolist() for seq, _ in generate_corpus(spec)]
 
 
 @pytest.fixture(scope="session")

@@ -224,7 +224,7 @@ def test_criterion_8_gradient_integrity():
     t0 = time.perf_counter()
     with precision("float64"):
         cfg = pattern_config(total_steps=1, pretrain_steps=0, warmup_steps=0)
-        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+        corpus = generate_corpus(cfg.corpus)
         mcfg = cfg.model_config(cfg.corpus.charset())
         model = init_model(mcfg, 21)
         sampler = init_sampler(cfg.d_model, 22)

@@ -449,7 +449,7 @@ def test_every_corpus_task_has_one_training_layout(task, tmp_path):
         "arithmetic": CorpusSpec(task="arithmetic", size=24, seed=5, digits=2),
         "file": CorpusSpec(task="file", size=24, seed=5, seq_len=11, path=str(doc)),
     }[task]
-    corpus = generate_corpus(spec, 2)
+    corpus = generate_corpus(spec)
     mask_ids = np.array([len(spec.charset()) + 3, len(spec.charset()) + 4])
     layouts = set()
     for seq, flags in corpus:

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 from chains import attention_chain, gated_linear_chain, init_by_hand, init_sampler_by_hand
-from conftest import run_batch
+from conftest import run_batch, sliced_regular_rows
 
 from specmtp.batching import (
     NO_ANCHOR,
@@ -29,6 +29,7 @@ from specmtp.model import (
 )
 from specmtp.sampler import init_sampler, sampler_params
 from specmtp.tensor import NumericsError, Tape, Tensor, backward, cross_entropy, precision
+from specmtp.training import regular_rows
 
 
 CFG = dict(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32, k_masks=3, max_position=64)
@@ -792,15 +793,69 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
 
 
 # ---------------------------------------------------------------------------
-# Regular rows from outside the pass: `keep_regular` returns a layout's
-# ungated regular rows as constants, and a pass given them as `regular`
-# runs the mask rows alone, attending to the given keys and values.
+# Regular rows from outside the pass: every pass returns each layer's keys
+# and values (`kv`), so a layout's ungated regular rows can be kept as
+# constants (`RegularRows`, as `training.regular_rows` keeps them), and a
+# pass given them as `regular` runs the mask rows alone, attending to the
+# given keys and values.
 # ---------------------------------------------------------------------------
 
 
 def _own_regular_rows(model, batch):
+    """forward's arguments over `batch`, and the regular rows of its
+    untaped full pass."""
     args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
-    return args, forward(*args, keep_regular=True)
+    return args, sliced_regular_rows(forward(*args), layout_streams(batch.block_anchor, batch.size).n_reg)
+
+
+@pytest.mark.parametrize("taped", [False, True])
+def test_every_pass_returns_each_layers_keys_and_values(taped):
+    # n_layers (keys, values) pairs of plain arrays (..., T, D) over the rows
+    # the pass ran: every row, or with regular rows given, the mask rows.
+    model = make_model(rank=4, seed=15)
+    rng = np.random.default_rng(15)
+    stack = random_stack(rng, model.config.mask_ids)
+    layouts = [make(model.config.mask_ids) for make in LAYOUTS.values()] + [stack, stack.select(1)]
+    args, own = _own_regular_rows(model, stack)
+    runs = [((model, b.tokens, b.position_ids, b.block_anchor, b.gate), None, b.size) for b in layouts]
+    runs.append((args, own, stack.size - own.hidden.shape[-2]))
+    for a, regular, rows in runs:
+        with Tape() if taped else contextlib.nullcontext():
+            kv = forward(*a, regular=regular).kv
+        assert len(kv) == CFG["n_layers"]
+        for k, v in kv:
+            assert type(k) is type(v) is np.ndarray
+            assert k.shape == v.shape == a[1].shape[:-1] + (rows, CFG["d_model"])
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_regular_rows_of_a_stack_are_each_sequences_causal_pass(dtype):
+    # training.regular_rows runs one causal pass over a stack's regular
+    # rows: each sequence's keys, values, hidden rows and logits are those
+    # of a causal pass over its own regular rows, bit for bit. The full
+    # training layout's pass runs more rows and more attention columns, so
+    # its regular rows agree only to the last bits.
+    with precision(dtype):
+        model = make_model(rank=4, seed=16)
+        randomize_adapters(model, seed=16)
+        rng = np.random.default_rng(16)
+        for stack in [random_stack(rng, model.config.mask_ids) for _ in range(4)]:
+            got = regular_rows(model, stack)
+            n = len(stack.ntp_rows)
+            assert len(got.kv) == CFG["n_layers"]
+            for b in range(stack.tokens.shape[0]):
+                want = sliced_regular_rows(run_batch(model, causal_rows(stack.tokens[b, :n])), n)
+                for a, w in zip(_arrays(got.select(b)), _arrays(want)):
+                    assert a.dtype == np.dtype(dtype) and a.shape == w.shape and a.tobytes() == w.tobytes()
+            full = sliced_regular_rows(run_batch(model, stack), n)
+            for a, w in zip(_arrays(got), _arrays(full)):
+                np.testing.assert_allclose(a, w, rtol=0, atol=1e-5 if dtype == "float32" else 1e-12)
+
+
+def _arrays(rows):
+    """Every array of a RegularRows: each layer's keys and values, then
+    hidden rows and logits."""
+    return [a for kv in rows.kv for a in kv] + [rows.hidden, rows.logits]
 
 
 @pytest.mark.parametrize("taped", [False, True])
@@ -814,17 +869,9 @@ def test_a_pass_given_its_own_regular_rows_is_bytewise_the_full_pass(dtype, tape
         layouts = [random_stack(rng, model.config.mask_ids) for _ in range(3)]
         layouts += [random_layout(kind, rng, model.config.mask_ids) for kind in ("training", "quadratic")]
         for batch in layouts:
-            args, kept = _own_regular_rows(model, batch)
-            n = layout_streams(batch.block_anchor, batch.size).n_reg
-            own = kept.regular
-            # The kept rows are the pass's own first n rows, as arrays.
-            assert own.hidden.tobytes() == kept.hidden.data[..., :n, :].tobytes()
-            assert own.logits.tobytes() == kept.logits.data[..., :n, :].tobytes()
-            assert len(own.kv) == model.config.n_layers
-            assert all(k.shape == v.shape == batch.tokens.shape[:-1] + (n, CFG["d_model"]) for k, v in own.kv)
+            args, own = _own_regular_rows(model, batch)
             with Tape() if taped else contextlib.nullcontext():
                 got, want = forward(*args, regular=own), forward(*args)
-            assert got.regular is None and want.regular is None
             for field in ("hidden", "logits"):
                 assert getattr(got, field).data.dtype == np.dtype(dtype)
                 assert getattr(got, field).data.tobytes() == getattr(want, field).data.tobytes()
@@ -836,9 +883,9 @@ def test_a_pass_given_regular_rows_tapes_only_the_mask_rows():
     # concat, every entry runs over the mask rows alone.
     model = make_model(rank=4, seed=12)
     batch = random_stack(np.random.default_rng(12), model.config.mask_ids)
-    args, kept = _own_regular_rows(model, batch)
+    args, own = _own_regular_rows(model, batch)
     with Tape() as tape:
-        forward(*args, regular=kept.regular)
+        forward(*args, regular=own)
     assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2 + 2
     m = batch.size - layout_streams(batch.block_anchor, batch.size).n_reg
     rows = [out.data.shape[-2] for out, _, _ in tape._entries]
@@ -846,10 +893,6 @@ def test_a_pass_given_regular_rows_tapes_only_the_mask_rows():
 
 
 REGULAR_MISUSE = {
-    # keep_regular keeps the ungated regular rows of an untaped pass.
-    "keep_taped": lambda m, b, own: _taped(forward, m, *b, None, True),
-    "keep_given": lambda m, b, own: forward(m, *b, regular=own, keep_regular=True),
-    "keep_gated": lambda m, b, own: forward(m, *b[:3], np.ones(b[0].shape[-1], np.int8), keep_regular=True),
     # Given rows must be the layout's ungated regular rows before its blocks.
     "given_gated": lambda m, b, own: forward(m, *b[:3], np.ones(b[0].shape[-1], np.int8), regular=own),
     "given_other_stack": lambda m, b, own: forward(m, *b, regular=own.select(np.array([0, 1]))),
@@ -868,9 +911,9 @@ def _given_causal(model, args, own):
 def test_forward_rejects_regular_rows_it_cannot_use(case):
     model = make_model(rank=4, seed=13)
     batch = random_stack(np.random.default_rng(13), model.config.mask_ids)
-    args, kept = _own_regular_rows(model, batch)
-    with pytest.raises(NumericsError, match="keep_regular|regular rows"):
-        REGULAR_MISUSE[case](model, args[1:], kept.regular)
+    args, own = _own_regular_rows(model, batch)
+    with pytest.raises(NumericsError, match="regular rows"):
+        REGULAR_MISUSE[case](model, args[1:], own)
 
 
 def test_a_pass_with_every_row_gated_forms_no_frozen_product():

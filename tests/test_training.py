@@ -1,16 +1,17 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chains import PerArrayAdamW, clone_by_overwrite, per_sequence_pretrain_step, per_sequence_step
-from conftest import pattern_config, run_batch
-from specmtp.batching import build_training_batch, build_training_stack, causal_rows
+from conftest import pattern_config, run_batch, sliced_regular_rows
+from specmtp.batching import NO_ANCHOR, build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 import specmtp.model as model_mod
-from specmtp.model import forward, init_model
+from specmtp.model import forward, init_model, model_params
 from specmtp.sampler import init_sampler
-from specmtp.tensor import Tape, backward, derive_rng, finite_diff_check, precision
+from specmtp.tensor import Tape, Tensor, active_tape, backward, derive_rng, finite_diff_check, fold_add, precision
 import specmtp.training as training
 from specmtp.training import (
     AdamW,
@@ -42,7 +43,7 @@ PRETRAINED = {"embed.base", "unembed", "final_ln.gain", "final_ln.bias"} | {
 def test_pattern_corpus_is_exactly_periodic():
     spec = CorpusSpec(task="pattern", size=8, seed=1, seq_len=16, period=4)
     vocab = spec.vocab(2)
-    for ids, flags in generate_corpus(spec, 2):
+    for ids, flags in generate_corpus(spec):
         assert ids[0] == vocab.bos
         chars = ids[1:]
         motif = chars[:4]
@@ -53,7 +54,7 @@ def test_pattern_corpus_is_exactly_periodic():
 def test_arithmetic_answers_recompute():
     spec = CorpusSpec(task="arithmetic", size=20, seed=3, digits=2)
     vocab = spec.vocab(2)
-    for ids, flags in generate_corpus(spec, 2):
+    for ids, flags in generate_corpus(spec):
         text = vocab.decode(ids)
         body = text.replace("<bos>", "").replace("<eos>", "")
         lhs, answer = body.split("=")
@@ -71,25 +72,25 @@ def test_file_corpus_windows(tmp_path):
     spec = CorpusSpec(task="file", size=6, seed=2, seq_len=12, path=str(doc))
     vocab = spec.vocab(2)
     text = doc.read_text()
-    for ids, flags in generate_corpus(spec, 2):
+    for ids, flags in generate_corpus(spec):
         assert ids[0] == vocab.bos and len(ids) == 13
         window = vocab.decode(ids).replace("<bos>", "")
         assert window in text
         assert flags[-1] == 0 and flags[:-1].all()
     with pytest.raises(ValueError):
-        generate_corpus(CorpusSpec(task="file", size=1, seq_len=999, path=str(doc)), 2)
+        generate_corpus(CorpusSpec(task="file", size=1, seq_len=999, path=str(doc)))
 
 
 def test_corpus_deterministic_under_seed():
     spec = CorpusSpec(task="pattern", size=6, seed=7)
-    a = generate_corpus(spec, 2)
-    b = generate_corpus(spec, 2)
+    a = generate_corpus(spec)
+    b = generate_corpus(spec)
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
 
 
 def test_unknown_task_rejected():
     with pytest.raises(ValueError):
-        generate_corpus(CorpusSpec(task="sudoku"), 2)
+        generate_corpus(CorpusSpec(task="sudoku"))
 
 
 def test_vocab_layout_and_roundtrip():
@@ -151,7 +152,7 @@ def _finetune_setup(cfg):
     for lw in model.layers:
         for g in (lw.attn_q, lw.attn_k, lw.attn_v, lw.attn_o, lw.ff_in, lw.ff_out):
             g.B.data = rng.normal(0, 0.2, g.B.data.shape).astype(g.B.data.dtype)
-    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids)
+    stack = build_training_stack(generate_corpus(cfg.corpus), model.config.mask_ids)
     return model, init_sampler(cfg.d_model, 5), stack
 
 
@@ -173,8 +174,8 @@ def _moments(opt, params):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_flat_adamw_is_bytewise_the_per_array_oracle(dtype):
     # Four steps with weight decay. In step 1 the loss leaves out the
-    # sampler, so its parameters have no grad and must not move, decay
-    # included; from step 2 on every parameter has one.
+    # sampler, so backward does not reach its parameters: their grads stay
+    # zero and they get a zero grad's update, the decay alone.
     cfg, sides = _finetune_pair(dtype)
     records = []
     for make_opt, (model, sampler, stack) in zip((AdamW, PerArrayAdamW), sides):
@@ -188,7 +189,7 @@ def test_flat_adamw_is_bytewise_the_per_array_oracle(dtype):
                 with Tape() as tape:
                     loss, _ = stacked_loss(model, head, stack.select(picks.integers(0, 6, size=3)), cfg)
                 backward(tape, loss)
-                record.append([None if t.grad is None else t.grad.tobytes() for _, t in params])
+                record.append([t.grad.tobytes() for _, t in params])
                 opt.step(1e-2 * (step + 1))
                 record.append([t.data.tobytes() for _, t in params])
                 record.append([(m.tobytes(), v.tobytes()) for m, v in _moments(opt, params)])
@@ -196,9 +197,26 @@ def test_flat_adamw_is_bytewise_the_per_array_oracle(dtype):
         records.append(record)
     flat, oracle = records
     assert flat == oracle
-    grads = dict(zip((n for n, _ in sides[0][0].trainable_params() + sides[0][1].trainable_params()), flat[0]))
-    assert {n for n, g in grads.items() if g is None} == {n for n, _ in sides[0][1].trainable_params()}
-    assert all(g is not None for g in flat[3])
+    names = [n for n, _ in sides[0][0].trainable_params() + sides[0][1].trainable_params()]
+    zero = {n for n, g in zip(names, flat[0]) if not np.frombuffer(g, dtype).any()}
+    assert zero == {n for n, _ in sides[0][1].trainable_params()}
+    assert all(np.frombuffer(g, dtype).any() for n, g in zip(names, flat[3]) if n.startswith("sampler."))
+
+
+def test_flat_adamw_gives_an_unreached_parameter_the_same_update_at_every_step():
+    # Backward reaches the first weight and never the second: the second
+    # gets a zero grad's update, its weight decay, at step 1 as at step 3.
+    reached, unreached = (Tensor(np.ones(2, np.float32), requires_grad=True) for _ in range(2))
+    opt = AdamW([("reached", reached), ("unreached", unreached)], weight_decay=0.5)
+    for _ in range(3):
+        with Tape() as tape:
+            loss = fold_add(reached)
+        backward(tape, loss)
+        before = unreached.data.copy()
+        opt.step(0.1)
+        assert unreached.data.tobytes() == (before * np.float32(1.0 - 0.1 * 0.5)).tobytes()
+        opt.zero_grad()
+    assert not opt.m[opt.slices[1]].any() and not opt.v[opt.slices[1]].any()
 
 
 def test_training_reads_the_concatenated_table_once():
@@ -218,7 +236,7 @@ def test_flat_adamw_rejects_a_parameter_rebound_away_from_its_view(field):
     params = model.trainable_params()
     opt = AdamW(params)
     for _, t in params:
-        t.grad = np.ones_like(t.data)
+        t.grad[...] = 1
     opt.step(1e-2)
     opt.zero_grad()
     name, t = params[3]
@@ -232,6 +250,8 @@ def test_flat_adamw_keeps_views_through_backward_and_zero_grad():
     cfg, [(model, sampler, stack), _] = _finetune_pair("float32")
     params = model.trainable_params() + sampler.trainable_params()
     opt = AdamW(params)
+    for (_, t), sl in zip(params, opt.slices):
+        assert t.grad.ctypes.data == opt.grad[sl].ctypes.data
     for _ in range(2):
         with Tape() as tape:
             loss, _ = stacked_loss(model, sampler, stack.select(np.array([0, 1, 2])), cfg)
@@ -291,7 +311,7 @@ def test_a_clone_draws_only_the_tensors_it_adds(monkeypatch):
 
 def test_trainable_partition_is_exact():
     cfg = tiny_config()
-    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    corpus = generate_corpus(cfg.corpus)
     mcfg = cfg.model_config(cfg.corpus.charset())
     model = init_model(mcfg, 0)
     sampler = init_sampler(cfg.d_model, 1)
@@ -339,7 +359,7 @@ def test_standard_lora_mode_moves_ntp_logits():
     # The final logits, taken from the last step's probe pass, are a fresh
     # causal pass over the probe sequence's regular rows on the returned
     # model, byte for byte.
-    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    corpus = generate_corpus(cfg.corpus)
     probe = build_training_stack(corpus, res.model.config.mask_ids).select(0).regular_layout()
     ungated = np.ones(probe.size, dtype=np.int8)
     fresh = forward(res.model, probe.tokens, probe.position_ids, probe.block_anchor, ungated)
@@ -361,6 +381,30 @@ def test_metrics_log_deterministic_except_wall_ms(tmp_path):
     assert strip_wall(log_a) == strip_wall(log_b)
     header = log_a.read_text().splitlines()[0]
     assert header == "step,base_ce,sampler_ce,lcm,total,ntp_only_ce,lr,wall_ms"
+
+
+MISFIT = {
+    "wider model": r"d_model 64 \(config: 32\)",
+    "one more mask": r"vocab_size 14 \(config: 13\); k_masks 5 \(config: 4\)",
+    "narrower sampler": r"sampler's width 16 does not match d_model 32",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT))
+def test_train_rejects_a_model_or_sampler_that_does_not_fit_the_config(tmp_path, case):
+    cfg = tiny_config()
+    mcfg = cfg.model_config(cfg.corpus.charset())
+    model, sampler = None, None
+    if case == "wider model":
+        model = init_model(replace(mcfg, d_model=64), 0)
+    elif case == "one more mask":
+        model = init_model(replace(mcfg, vocab_size=mcfg.vocab_size + 1, k_masks=5), 0)
+    else:
+        sampler = init_sampler(16, 0)
+    log, ckpt = tmp_path / "metrics.csv", tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=MISFIT[case]):
+        train(cfg, model=model, sampler=sampler, log_path=log, checkpoint_path=ckpt)
+    assert not log.exists() and not ckpt.exists()
 
 
 def test_divergence_aborts_loudly():
@@ -386,7 +430,7 @@ def test_eval_history_recorded(trained_full):
 def test_full_loop_gradient_check_64bit():
     with precision("float64"):
         cfg = tiny_config()
-        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+        corpus = generate_corpus(cfg.corpus)
         mcfg = cfg.model_config(cfg.corpus.charset())
         model = init_model(mcfg, 2)
         sampler = init_sampler(cfg.d_model, 3)
@@ -423,7 +467,7 @@ def _probe_after_every_step(monkeypatch, cfg, model):
     by a wrapped `AdamW.step`. Returns the result, those passes' (loss,
     logits), and the sequence of train()'s own probe passes ("probe") and
     optimizer steps ("step")."""
-    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), model.config.mask_ids)
+    stack = build_training_stack(generate_corpus(cfg.corpus), model.config.mask_ids)
     probe = stack.select(0).regular_layout()
     probe_ntp, step = training._probe_ntp, AdamW.step
     probes, events = [], []
@@ -469,28 +513,48 @@ def test_a_run_that_moves_regular_rows_keeps_its_per_step_probe(monkeypatch, kin
     assert res.probe_ntp_logits_final.tobytes() != res.probe_ntp_logits_initial.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gated", "ungated", "base-weight"])
+def _pass_kind(tokens, block_anchor, regular):
+    """What a `forward` call of train() runs: the probe (one sequence's
+    regular rows), a taped pretraining pass or the untaped cache pass (a
+    stack's regular rows), a pass over the mask rows given the regular
+    ones, or a full training layout."""
+    if regular is not None:
+        return "mask rows"
+    if np.ndim(tokens) == 1:
+        return "probe"
+    if (np.asarray(block_anchor) == NO_ANCHOR).all():
+        return "pretrain" if active_tape() is not None else "regular"
+    return "full"
+
+
+@pytest.mark.parametrize("kind", ["gated", "pretrained", "ungated", "base-weight"])
 def test_every_training_pass_goes_through_the_module_forward(monkeypatch, kind):
     # train()'s calls of the module's `forward`, each with forward's five
     # parameters by position. Gated: the probe, one causal pass over the
-    # regular rows, one pass per step given those rows, the final probe.
-    # The ungated ablation and a run that trains a base weight: the probe,
-    # then a full pass and a probe per step.
-    cfg = tiny_config(total_steps=5, gated=kind != "ungated")
-    model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
-    model.layers[0].ln1_gain.requires_grad = kind == "base-weight"
+    # regular rows, one pass per step given those rows, the final probe;
+    # after pretraining inside train() too. The ungated ablation and a run
+    # that trains a base weight: the probe, then a full pass and a probe
+    # per step.
+    cfg = tiny_config(total_steps=5, gated=kind != "ungated", pretrain_steps=3 if kind == "pretrained" else 0)
+    model = None
+    if kind != "pretrained":
+        model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
+        model.layers[0].ln1_gain.requires_grad = kind == "base-weight"
     calls, original = [], training.forward
 
     def counted(model, tokens, position_ids, block_anchor, gate, **kw):
-        calls.append("regular" if kw.get("keep_regular") else "full" if kw.get("regular") is None else "mask rows")
+        calls.append(_pass_kind(tokens, block_anchor, kw.get("regular")))
         return original(model, tokens, position_ids, block_anchor, gate, **kw)
 
     monkeypatch.setattr(training, "forward", counted)
     train(cfg, model=model)
+    cached = ["probe", "regular"] + ["mask rows"] * cfg.total_steps + ["probe"]
     if kind == "gated":
-        assert calls == ["full", "regular"] + ["mask rows"] * cfg.total_steps + ["full"]
+        assert calls == cached
+    elif kind == "pretrained":
+        assert calls == ["pretrain"] * cfg.pretrain_steps + cached
     else:
-        assert calls == ["full"] + ["full", "full"] * cfg.total_steps
+        assert calls == ["probe"] + ["full", "probe"] * cfg.total_steps
 
 
 @pytest.mark.parametrize("gated", [True, False])
@@ -499,7 +563,7 @@ def test_steps_take_their_sequences_in_the_order_of_one_draw_per_step(monkeypatc
     # order of one draw per step from the "batch.order" stream.
     cfg = tiny_config(total_steps=4, batch_size=3, gated=gated)
     mask_ids = cfg.model_config(cfg.corpus.charset()).mask_ids
-    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), mask_ids)
+    stack = build_training_stack(generate_corpus(cfg.corpus), mask_ids)
     seen, original = [], training.stacked_loss
 
     def recorded(model, sampler, batch, config, *rest):
@@ -529,7 +593,7 @@ def test_the_final_probe_is_a_pass_on_the_trained_model(monkeypatch):
     monkeypatch.setattr(training, "regular_rows", shifted)
     cfg = tiny_config(total_steps=4)
     res = train(cfg)
-    stack = build_training_stack(generate_corpus(cfg.corpus, cfg.k_masks), res.model.config.mask_ids)
+    stack = build_training_stack(generate_corpus(cfg.corpus), res.model.config.mask_ids)
     want = run_batch(res.model, stack.select(0).regular_layout()).logits.data
     assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
     monkeypatch.undo()
@@ -541,7 +605,7 @@ def test_an_overflow_in_the_regular_rows_is_a_divergence():
     # probe passes, and the causal pass over the steps' regular rows
     # overflows. Its NumericsError comes out as a DivergenceError.
     cfg = tiny_config(total_steps=3)
-    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    corpus = generate_corpus(cfg.corpus)
     model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
     token = min(set(range(len(cfg.corpus.alphabet))) - set(corpus[0][0].tolist()))
     model.embed_base.data[token] = np.where(np.arange(cfg.d_model) % 2, 1e30, -1e30)
@@ -551,7 +615,7 @@ def test_an_overflow_in_the_regular_rows_is_a_divergence():
 
 def test_trained_model_continues_training_patterns(trained_full):
     # Memorized motifs: greedy continuation reproduces the periodic stream.
-    corpus = generate_corpus(trained_full.config.corpus, trained_full.config.k_masks)
+    corpus = generate_corpus(trained_full.config.corpus)
     from specmtp.decoding import greedy_autoregressive
 
     hits = 0
@@ -572,7 +636,7 @@ def test_future_rank_probe_improves_with_finetuning(arithmetic_models):
     vocab = result.vocab
     probe_spec = CorpusSpec(task="arithmetic", size=12, seed=7, digits=1)
     before_ranks, after_ranks = [], []
-    for ids, _ in generate_corpus(probe_spec, 4):
+    for ids, _ in generate_corpus(probe_spec):
         text = vocab.decode(ids).replace("<bos>", "").replace("<eos>", "")
         prompt = vocab.encode(text.split("=")[0] + "=").tolist()
         stream = greedy_autoregressive(result.model, prompt, 3)
@@ -632,7 +696,7 @@ def _two_steps(cfg, corpus, stacked):
 def test_stacked_steps_are_bytewise_the_per_sequence_loop(task, dtype, tmp_path):
     with precision(dtype):
         cfg = _oracle_config(task, tmp_path, batch_size=4)
-        corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+        corpus = generate_corpus(cfg.corpus)
         stacked = _two_steps(cfg, corpus, stacked=True)
         oracle = _two_steps(cfg, corpus, stacked=False)
     assert stacked[0][0] == np.dtype(dtype)
@@ -652,7 +716,7 @@ def test_mask_row_step_is_bytewise_the_full_layout_step(task, dtype, tmp_path):
         params = model.trainable_params() + sampler.trainable_params()
         batch = stack.select(np.array([0, 3, 1, 3]))
         args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
-        own = forward(*args, keep_regular=True).regular
+        own = sliced_regular_rows(forward(*args), len(batch.ntp_rows))
         runs = []
         for regular in (None, own):
             for _, t in params:
@@ -673,13 +737,21 @@ def test_pretrain_leaves_the_mask_rows_trainable_and_without_gradient():
     assert model.embed_mask.requires_grad
 
 
+def test_pretrain_leaves_every_weight_with_its_table_flag_and_no_grad():
+    model = pretrain_base(tiny_config(pretrain_steps=3))
+    table = model_params(model.config)
+    assert [p.name for p in table] == [n for n, _ in model.named_params()]
+    for p, (name, t) in zip(table, model.named_params()):
+        assert t.requires_grad == p.trainable and t.grad is None, name
+
+
 def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
     cfg = tiny_config(
         corpus=CorpusSpec(task="arithmetic", size=6, seed=3, digits=1), d_model=16, n_heads=2,
         d_ff=32, k_masks=3, lora_rank=4, batch_size=3, pretrain_steps=2,
     )
     stacked = pretrain_base(cfg)
-    corpus = generate_corpus(cfg.corpus, cfg.k_masks)
+    corpus = generate_corpus(cfg.corpus)
     model = init_model(cfg.model_config(cfg.corpus.charset()), cfg.seed)
     base = [(n, t) for n, t in model.named_params() if n.endswith(".W") or n in PRETRAINED]
     for _, t in model.named_params():
