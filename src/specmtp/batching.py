@@ -35,6 +35,12 @@ import numpy as np
 from .tensor import IGNORE_ID
 
 NO_ANCHOR = -1
+# The anchor of a context row: a regular row whose keys and values a pass
+# computes but whose output no caller reads (see model.forward). A caller
+# marks a leading run of regular rows with it, on a copy of a layout's
+# anchors; the builders here mark none. Every other negative anchor is
+# invalid.
+CONTEXT = -3
 NO_TOKEN = -1
 
 

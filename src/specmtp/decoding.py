@@ -5,6 +5,11 @@ current speculation, and fresh mask blocks. Speculated tokens count only
 after the model's own next-token argmax confirms them, which makes the
 emitted stream identical to plain greedy decoding; speculation changes
 speed, never content.
+
+A pass's rows before the first row it reads are context rows (`_run`):
+greedy reads its last row, a speculative step its rows from the last
+verified one on, the probe its mask rows. Their keys and values are
+computed, their last layer's query side is not (see model.forward).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .batching import (
+    CONTEXT,
     build_linear_inference_input,
     build_quadratic_inference_input,
     causal_rows,
@@ -42,8 +48,13 @@ def acceptance_rate(stats: AcceptanceStats) -> float:
     return stats.generated / stats.steps
 
 
-def _run(model: ModelBundle, batch):
-    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+def _run(model: ModelBundle, batch, first: int):
+    """`forward` over a layout whose rows before `first` are context rows:
+    their keys and values are computed, their logits and hidden rows are not
+    read (zeros). The role goes in a copy of the layout's anchors."""
+    anchor = batch.block_anchor.copy()
+    anchor[:first] = CONTEXT
+    return forward(model, batch.tokens, batch.position_ids, anchor, batch.gate)
 
 
 def _check_prompt(model: ModelBundle, prompt) -> list[int]:
@@ -71,7 +82,8 @@ def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | N
         batch = causal_rows(tokens)
         if batch.position_ids.max() >= model.config.max_position:
             break
-        out = _run(model, batch)
+        # Only the last row's logits are read.
+        out = _run(model, batch, batch.size - 1)
         nxt = int(np.argmax(out.logits.data[-1]))
         tokens.append(nxt)
         if eos is not None and nxt == eos:
@@ -146,7 +158,8 @@ def speculative_decode(
             batch = causal_rows(verified)
             if batch.position_ids.max() >= cfg.max_position:
                 break
-        out = _run(model, batch)
+        # Every row read is from the last verified one on.
+        out = _run(model, batch, n_ver - 1)
         logits = out.logits.data
 
         # The last verified row, then each speculated token's row: the
@@ -212,7 +225,8 @@ def future_rank_probe(model: ModelBundle, prompt, true_future, k: int) -> list[i
     if bad:
         raise ValueError(f"future token {bad[0]} outside the vocabulary of {cfg.vocab_size} ids")
     batch = build_linear_inference_input(prompt, [], cfg.mask_ids[:k])
-    logits = _run(model, batch).logits.data
+    # Only the mask rows are read.
+    logits = _run(model, batch, len(prompt)).logits.data
     ranks = []
     for j, tok in enumerate(true_future):
         row = logits[len(prompt) + j]

@@ -20,7 +20,18 @@ alone, as the content stream of XLNet's two streams (arXiv 1906.08237)
 does. A causal layout, and a linear one whose single block extends the
 last regular row, see the lower triangle of their rows: they are
 n_reg = T, block = 0, the causal attention of one product. Every row-wise
-op (norms, linears, adapters) runs over all T rows.
+op (norms, linears, adapters) runs over all T rows, but in the last layer
+of a pass with context rows.
+
+Context rows are regular rows whose keys and values every layer computes
+but whose output no caller reads: a decode pass reads only the rows from
+its last verified one on. A caller marks a leading run of rows CONTEXT in
+the anchors (`_output_start` finds the first output row). Every layer then
+runs LN1 and the key and value adapters over every row, and the last layer
+runs the rest, from its query adapter to the unembedding, only from the
+first output row on: its attention ops take fewer query rows than keys and
+values, the layout's last rows. The result keeps T rows: a context row's
+hidden row and logits are zeros.
 
 The regular rows never see a mask row, and at gate 0 they run the frozen
 base, so while no base weight trains their keys, values, hidden rows and
@@ -72,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor
-from .batching import NO_ANCHOR
+from .batching import CONTEXT, NO_ANCHOR
 from .tensor import (
     ArrayOps,
     NumericsError,
@@ -409,14 +420,27 @@ class Streams(NamedTuple):
     allowed: np.ndarray
 
 
+def _output_start(anchor: np.ndarray, t_len: int) -> int:
+    """The first output row of a (T,) anchor array that `layout_streams`
+    passed: the count of context rows (CONTEXT anchors), which must be the
+    first rows, and not every row."""
+    first = int(np.count_nonzero(anchor == CONTEXT))
+    if first == t_len:
+        raise NumericsError("every row is a context row: a pass must output at least one row")
+    if first and np.count_nonzero(anchor[:first] != CONTEXT):
+        raise NumericsError("a context row comes after an output row: context rows must come first")
+    return first
+
+
 def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
     """The attention of a layout, from O(T) checks of its anchor array:
-    the regular rows (NO_ANCHOR) form a prefix, every anchor is a regular
-    row, and the mask rows form runs of one length, each with one anchor."""
+    the regular rows (NO_ANCHOR, or CONTEXT on a context row) form a
+    prefix, every anchor is a regular row, and the mask rows form runs of
+    one length, each with one anchor."""
     anchor = np.asarray(block_anchor)
     if anchor.shape != (t_len,):
         raise NumericsError(f"block_anchor must hold one anchor per row: shape {anchor.shape} for {t_len} rows")
-    masked = anchor != NO_ANCHOR
+    masked = (anchor != NO_ANCHOR) & (anchor != CONTEXT)
     n_reg = t_len - int(np.count_nonzero(masked))
     if np.count_nonzero(masked[:n_reg]):
         raise NumericsError("a mask row comes before a regular row: regular rows must come first")
@@ -463,8 +487,8 @@ class RegularRows(NamedTuple):
 
 
 class ForwardResult(NamedTuple):
-    hidden: Tensor  # (..., T, d) last-layer states after the final norm
-    logits: Tensor  # (..., T, V)
+    hidden: Tensor  # (..., T, d) last-layer states after the final norm; 0 on context rows
+    logits: Tensor  # (..., T, V); 0 on context rows
     kv: tuple  # per layer, the (keys, values) arrays (..., T, D) of the rows the pass ran
 
 
@@ -487,6 +511,15 @@ def forward(
     active tape the pass runs on plain arrays, with the same result. An
     empty layout is an error.
 
+    Rows whose anchor is CONTEXT are context rows: regular rows that must
+    come first, and not be every row. Each layer computes their keys and
+    values, but the last layer runs its query side, and the pass its final
+    norm and unembedding, only from the first output row on (`_pass`):
+    their hidden rows and logits come back as zeros, `kv` holds every row.
+    The output rows agree with a pass with no context row up to rounding:
+    a product over fewer rows can give other last bits. A taped pass,
+    whose losses read every row, and a pass given `regular` reject them.
+
     The result also holds each layer's keys and values as plain arrays
     (`kv`), so a pass's regular rows can be kept as constants
     (`RegularRows`). Given them as `regular`, a pass over a layout with
@@ -505,7 +538,9 @@ def forward(
     t_len = tokens.shape[-1]
     if tokens.size == 0:
         raise NumericsError(f"empty layout: tokens of shape {tokens.shape} give no rows")
-    streams = layout_streams(block_anchor, t_len)
+    anchor = np.asarray(block_anchor)
+    streams = layout_streams(anchor, t_len)
+    first = _output_start(anchor, t_len)
     if position_ids.shape != (t_len,):
         raise NumericsError("position_ids must hold one position per row")
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
@@ -514,6 +549,12 @@ def forward(
         raise NumericsError("position id exceeds max_position")
     start = _gate_start(gate, t_len)
     n = streams.n_reg
+    if first and active_tape() is not None:
+        raise NumericsError("context rows under an active tape: a taped pass outputs every row, as training reads them")
+    if first and regular is not None:
+        raise NumericsError(
+            "context rows with regular rows given: a pass given its regular rows outputs every mask row"
+        )
     if regular is not None:
         gated_regular = start is not None and start < n
         if regular.hidden.shape[:-1] != tokens.shape[:-1] + (n,) or not streams.block or gated_regular:
@@ -526,7 +567,7 @@ def forward(
         start = None if start is None else start - n
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, streams, start, regular)
+        return _pass(ops, model, tokens, position_ids, streams, start, regular, first)
 
     def fast():
         if active_tape() is not None:
@@ -538,36 +579,51 @@ def forward(
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, streams, start, regular=None) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, start, regular=None, first=0) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `start` is the first gated row (None
     for none). With `regular`, the layout's regular rows come from outside
     the pass: tokens, positions, `streams.allowed` and `start` are those of
     the mask rows after them, each layer attends to the given keys and
-    values, and hidden and logits are joined under the given ones. Every
-    adapter goes through this module's `gated_lora_apply`, and every
-    softmax through its `masked_softmax_rows`, looked up at call time on
-    both paths; each picks the op matching its input. Returns (hidden,
-    logits, each layer's (keys, values) of the pass's own rows) as the
-    namespace's values."""
+    values, and hidden and logits are joined under the given ones. With
+    `first` > 0 context rows (arrays only), every layer runs LN1 and the
+    key and value adapters over every row, and the last layer runs the rest
+    from row `first` on: its query adapter, its attention, whose queries
+    are those rows and whose keys and values are every row's, then o, LN2,
+    the MLP, the final norm and the unembedding; the context rows' hidden
+    and logits are zeros. Every adapter goes through this module's
+    `gated_lora_apply`, and every softmax through its
+    `masked_softmax_rows`, looked up at call time on both paths; each picks
+    the op matching its input. Returns (hidden, logits, each layer's (keys,
+    values) of the pass's own rows) as the namespace's values."""
     c = model.config
     n, block, allowed = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     kv = []
+    last = len(model.layers) - 1
     for i, lw in enumerate(model.layers):
         h = ops.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
-        q, k, v = (gated_lora_apply(g, h, start) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
+        r = first if i == last else 0  # the layer's first query row
+        q_start = start if start is None or not r else max(start - r, 0)
+        q = gated_lora_apply(lw.attn_q, h[..., r:, :] if r else h, q_start)
+        k, v = (gated_lora_apply(g, h, start) for g in (lw.attn_k, lw.attn_v))
+        kv.append((k, v))
         k_reg, v_reg = (None, None) if regular is None else regular.kv[i]
+        if r:
+            x, allowed, start = x[..., r:, :], allowed[r:], q_start
         scores = ops.attention_scores(q, k, c.n_heads, n, block, k_reg)
         heads = ops.attention_context(masked_softmax_rows(scores, allowed), v, n, block, v_reg)
         x = gated_lora_apply(lw.attn_o, heads, start, residual=x)
         h2 = ops.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         ff = ops.silu(gated_lora_apply(lw.ff_in, h2, start))
         x = gated_lora_apply(lw.ff_out, ff, start, residual=x)
-        kv.append((k, v))
 
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     logits = ops.linear(hidden, model.unembed)
     if regular is not None:
         hidden, logits = ops.concat_rows([regular.hidden, hidden]), ops.concat_rows([regular.logits, logits])
+    elif first:
+        # A context row's last-layer ops did not run: its rows are zeros.
+        zeros = [np.zeros(a.shape[:-2] + (first, a.shape[-1]), a.dtype) for a in (hidden, logits)]
+        hidden, logits = ops.concat_rows([zeros[0], hidden]), ops.concat_rows([zeros[1], logits])
     return hidden, logits, kv

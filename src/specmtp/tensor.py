@@ -42,13 +42,22 @@ warnings. This is exact because:
   returns its finite result. With every row gated (start 0) the frozen
   product is not formed, so the fast run and its replay agree;
 - `@` forms every product, so 0 * inf = NaN: a non-finite value row
-  reaches every context row whose product reads it (a regular value
-  every row, a mask block's value its block's rows), even through
+  reaches every attention output row whose product reads it (a regular
+  value every row, a mask block's value its block's rows), even through
   attention weights that are exactly 0 (tested: a BLAS that skipped zero
   operands would fail);
 - the softmax can absorb a non-finite score (-inf in an allowed cell gets
   weight 0, an excluded cell is dropped), hence the scores scan; and the
-  softmax of finite scores with a full diagonal is finite.
+  softmax of finite scores with a full diagonal is finite;
+- a pass with context rows (model.py) does not run their last layer's
+  query side, o, MLP, final norm or unembedding, so no overflow can arise
+  there. Every op it does run on a context row feeds that row's keys or
+  values in the next layer or in the last one, and a context row's keys and
+  values reach every output row: each is a regular key, scored by every
+  output row (the scores scan), and a regular value, in every output row's
+  context product. So an overflow on a context row still reaches the
+  scores or the logits, and the replay, run with the same context rows,
+  names its op.
 
 The forward math of the ops that a pass uses is written once, as an array
 helper (`linear_data`, `layer_norm_data`, ...) that takes and returns
@@ -70,9 +79,13 @@ every row's product with the regular keys (or values), and one batched
 product of each block with its own keys (or values), with the slices,
 reshapes and the concat or add that join them; a causal layout is
 n_reg = T, block = 0, and runs the single product. The regular keys and
-values are the pass's own first n_reg rows, or constant arrays from
-outside the pass (a cache of rows that cannot change): then the pass's
-rows are the mask blocks alone, and the constants take no gradient. The
+values are the pass's own first n_reg rows, or outside, then own:
+constant arrays of the layout's first r rows from outside the pass (a
+cache of rows that cannot change), then the pass's own first n_reg - r
+rows; the constants take no gradient. The queries, and the weights'
+rows, are the layout's last rows, from a row that does not pass the
+regular rows: every row, the mask blocks alone when every regular row
+comes from outside, or a decode pass's output rows in its last layer. The
 masked softmax between the two stays `masked_softmax_rows`. Each fused op
 runs its chain's array helpers in order and its backward applies the
 chain's backward expressions in reverse, so values and gradients are
@@ -723,14 +736,36 @@ def _key_blocks(kt: np.ndarray, lo: int, block: int) -> np.ndarray:
     return kb.reshape(kb.shape[:-1] + (kb.shape[-1] // block, block)).swapaxes(-3, -2)
 
 
-def _fits(t_len: int, n_reg: int, block: int, outside: bool) -> bool:
-    """T rows are n_reg regular rows, then blocks of `block` mask rows (none
-    when block is 0): the layouts the attention ops take. With the regular
-    rows `outside` the pass, its T rows are the blocks alone, at least one."""
-    if block == 0:
-        return not outside and 1 <= n_reg == t_len
-    m = t_len if outside else t_len - n_reg
-    return block > 0 and n_reg >= 1 and m > 0 and m % block == 0
+def _fits(t_q: int, t_k: int, n_reg: int, block: int, r_out: int) -> bool:
+    """A layout of n_reg regular rows, then blocks of `block` mask rows
+    (none when block is 0), split as the attention ops take it: the keys
+    (or values) of its first r_out rows from outside the pass, its own t_k
+    rows after them, and t_q query rows, its last, from row r on. The first
+    query row r may not pass the regular rows: r_out <= r <= n_reg."""
+    t_len = r_out + t_k
+    r = t_len - t_q
+    m = t_len - n_reg
+    if not (0 <= r_out <= r <= n_reg and n_reg >= 1 and t_q >= 1):
+        return False
+    return m == 0 if block == 0 else block > 0 and m > 0 and m % block == 0
+
+
+def _mask_starts(t_q: int, t_k: int, n_reg: int, r_out: int) -> tuple[int, int]:
+    """The first mask row of the t_q queries and of the t_k own keys (or
+    values) of a layout that `_fits` passed."""
+    m = r_out + t_k - n_reg
+    return t_q - m, t_k - m
+
+
+def _outside_rows(xd: np.ndarray, xd_out: np.ndarray | None) -> int:
+    """The number of rows of `xd_out`, the keys or values (..., r, D) of the
+    rows before the pass's own `xd` (..., T, D): 0 for none, -1 when its
+    leading axes or columns are not xd's."""
+    if xd_out is None:
+        return 0
+    if xd_out.ndim != xd.ndim or xd_out.shape[:-2] != xd.shape[:-2] or xd_out.shape[-1:] != xd.shape[-1:]:
+        return -1
+    return xd_out.shape[-2]
 
 
 def attention_scores_data(
@@ -745,34 +780,47 @@ def attention_scores_data(
     for the softmax to exclude. A causal layout is n_reg = T, block = 0:
     (..., H, T, T).
 
-    The regular keys are kd's first n_reg rows, or `kd_reg` (..., n_reg, D)
-    from outside the pass: then qd and kd hold the mask blocks alone.
-    Returns (scores, q as (..., H, T, d_h), k as (..., H, d_h, T), the
+    The keys are outside, then own: `kd_reg` (..., r_out, D), the keys of
+    the layout's first r_out rows from outside the pass (none when not
+    given), then kd, the keys of the rows after them. The queries qd are
+    the layout's last rows, from a row r >= r_out on that does not pass the
+    regular rows: n_reg - r regular rows, then the mask blocks. So qd and
+    kd hold the whole layout at r = r_out = 0, the mask blocks alone at
+    r = r_out = n_reg, and a decode pass's last layer has r > r_out = 0.
+    Returns (scores, q as (..., H, T_q, d_h), k as (..., H, d_h, T_k), the
     regular keys as (..., H, d_h, n_reg)), the last three for the
     backward."""
-    t_len = qd.shape[-2] if qd.ndim >= 2 else 0
-    outside = kd_reg is not None
-    ok = n_heads >= 1 and qd.ndim >= 2 and kd.shape == qd.shape and not qd.shape[-1] % n_heads
-    if outside:
-        ok = ok and kd_reg.shape == qd.shape[:-2] + (n_reg, qd.shape[-1])
-    if not ok or not _fits(t_len, n_reg, block, outside):
+    t_q = qd.shape[-2] if qd.ndim >= 2 else 0
+    r_out = _outside_rows(kd, kd_reg)
+    ok = (
+        n_heads >= 1
+        and qd.ndim >= 2
+        and kd.shape[:-2] + kd.shape[-1:] == qd.shape[:-2] + qd.shape[-1:]
+        and not qd.shape[-1] % n_heads
+    )
+    if not ok or not _fits(t_q, kd.shape[-2], n_reg, block, r_out):
         raise NumericsError(
             f"attention_scores shape mismatch {qd.shape}, {kd.shape}"
-            + (f", regular keys {kd_reg.shape}" if outside else "")
+            + (f", regular keys {kd_reg.shape}" if kd_reg is not None else "")
             + f" for {n_heads} heads, {n_reg} regular rows and blocks of {block}"
         )
+    lo_q, lo_k = _mask_starts(t_q, kd.shape[-2], n_reg, r_out)
     q = np.ascontiguousarray(_heads(qd, n_heads))
     k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
-    kr = np.ascontiguousarray(_heads(kd_reg, n_heads).swapaxes(-1, -2)) if outside else k[..., :n_reg]
+    if kd_reg is None:
+        kr = k[..., :n_reg]
+    else:
+        kr = np.empty(k.shape[:-1] + (n_reg,), dtype=k.dtype)
+        kr[..., :r_out] = _heads(kd_reg, n_heads).swapaxes(-1, -2)
+        kr[..., r_out:] = k[..., :lo_k]
     if block:
-        lo = 0 if outside else n_reg  # the pass's first mask row
         s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
         np.matmul(q, kr, out=s[..., :n_reg])
-        s[..., :lo, n_reg:] = 0
-        by_block = _blocks(s[..., lo:, n_reg:], block)
-        np.matmul(_blocks(q[..., lo:, :], block), _key_blocks(k, lo, block), out=by_block)
+        s[..., :lo_q, n_reg:] = 0
+        by_block = _blocks(s[..., lo_q:, n_reg:], block)
+        np.matmul(_blocks(q[..., lo_q:, :], block), _key_blocks(k, lo_k, block), out=by_block)
     else:
-        s = q @ k
+        s = q @ kr
     # matmul_data's products, scaled in place and checked once: a factor
     # 1 / sqrt(d_h) <= 1 cannot make a finite value non-finite, so a
     # non-finite score can only come from a product. The scan runs in a
@@ -792,20 +840,22 @@ def attention_scores(
     s, qh, kt, kr = attention_scores_data(q.data, k.data, n_heads, n_reg, block, k_reg)
     out = _out(s)
     c = 1.0 / math.sqrt(qh.shape[-1])
-    lo = n_reg if k_reg is None else 0
+    r_out = _outside_rows(k.data, k_reg)
+    lo_q, lo_k = _mask_starts(qh.shape[-2], kt.shape[-1], n_reg, r_out)
 
-    def bw(g, qh=qh, kt=kt, kr=kr, shape=q.data.shape):
+    def bw(g, qh=qh, kt=kt, kr=kr, q_shape=q.data.shape, k_shape=k.data.shape):
         gs = g * c
         gr = gs[..., :n_reg]
         gq = gr @ kr.swapaxes(-1, -2)
-        gk = None if k_reg is not None else (qh.swapaxes(-1, -2) @ gr).swapaxes(-1, -2)
+        # The own regular keys' gradient: their columns, after the outside ones.
+        gk = (qh.swapaxes(-1, -2) @ gr[..., r_out:]).swapaxes(-1, -2) if lo_k else None
         if block:
             # A regular row's block columns were a constant: no gradient.
-            gb, m_shape = _blocks(gs[..., lo:, n_reg:], block), gq[..., lo:, :].shape
-            gq[..., lo:, :] += (gb @ _key_blocks(kt, lo, block).swapaxes(-1, -2)).reshape(m_shape)
-            gkb = (_blocks(qh[..., lo:, :], block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2).reshape(m_shape)
+            gb, m_shape = _blocks(gs[..., lo_q:, n_reg:], block), gq[..., lo_q:, :].shape
+            gq[..., lo_q:, :] += (gb @ _key_blocks(kt, lo_k, block).swapaxes(-1, -2)).reshape(m_shape)
+            gkb = (_blocks(qh[..., lo_q:, :], block).swapaxes(-1, -2) @ gb).swapaxes(-1, -2).reshape(m_shape)
             gk = gkb if gk is None else np.concatenate([gk, gkb], axis=-2)
-        return _join_heads(gq, shape), _join_heads(gk, shape)
+        return _join_heads(gq, q_shape), _join_heads(gk, k_shape)
 
     return _record(out, (q, k), bw)
 
@@ -821,36 +871,42 @@ def attention_context_data(
     block's rows. A regular row reads the regular values alone. The heads
     are joined back to (..., T, D).
 
-    The regular values are vd's first n_reg rows, or `vd_reg` (..., n_reg,
-    D) from outside the pass: then pd and vd hold the mask blocks alone.
-    Returns (output, v as (..., H, T, d_h), the regular values as (..., H,
-    n_reg, d_h)), the last two for the backward."""
+    The values are outside, then own, and the weights' rows the layout's
+    last rows, as the keys and queries of `attention_scores_data`:
+    `vd_reg` (..., r_out, D) from outside the pass, then vd, and pd's rows
+    from a row r >= r_out on. Returns (output (..., T_q, D), v as (..., H,
+    T_v, d_h), the regular values as (..., H, n_reg, d_h)), the last two
+    for the backward."""
     n_heads = pd.shape[-3] if pd.ndim >= 3 else 0
-    t_len = vd.shape[-2] if vd.ndim >= 2 else 0
-    outside = vd_reg is not None
+    t_q = pd.shape[-2] if pd.ndim >= 3 else 0
+    r_out = _outside_rows(vd, vd_reg)
     ok = (
         vd.ndim >= 2
         and pd.ndim == vd.ndim + 1
         and n_heads >= 1
         and pd.shape[:-3] == vd.shape[:-2]
-        and pd.shape[-2:] == (t_len, n_reg + block)
-        and (not outside or vd_reg.shape == vd.shape[:-2] + (n_reg, vd.shape[-1]))
+        and pd.shape[-1] == n_reg + block
     )
-    if not ok or vd.shape[-1] % n_heads or not _fits(t_len, n_reg, block, outside):
+    if not ok or vd.shape[-1] % n_heads or not _fits(t_q, vd.shape[-2], n_reg, block, r_out):
         raise NumericsError(
             f"attention_context shape mismatch {pd.shape} x {vd.shape}"
-            + (f", regular values {vd_reg.shape}" if outside else "")
+            + (f", regular values {vd_reg.shape}" if vd_reg is not None else "")
             + f" for {n_reg} regular rows and blocks of {block}"
         )
+    lo_q, lo_v = _mask_starts(t_q, vd.shape[-2], n_reg, r_out)
     v = np.ascontiguousarray(_heads(vd, n_heads))
-    vr = np.ascontiguousarray(_heads(vd_reg, n_heads)) if outside else v[..., :n_reg, :]
+    if vd_reg is None:
+        vr = v[..., :n_reg, :]
+    else:
+        vr = np.empty(v.shape[:-2] + (n_reg, v.shape[-1]), dtype=v.dtype)
+        vr[..., :r_out, :] = _heads(vd_reg, n_heads)
+        vr[..., r_out:, :] = v[..., :lo_v, :]
     out = _finite(pd[..., :n_reg] @ vr, "matmul")
     if block:
-        lo = 0 if outside else n_reg
-        by_block = _finite(_blocks(pd[..., lo:, n_reg:], block) @ _blocks(v[..., lo:, :], block), "matmul")
-        out[..., lo:, :] += by_block.reshape(out[..., lo:, :].shape)
+        by_block = _finite(_blocks(pd[..., lo_q:, n_reg:], block) @ _blocks(v[..., lo_v:, :], block), "matmul")
+        out[..., lo_q:, :] += by_block.reshape(out[..., lo_q:, :].shape)
         _finite(out, "add")
-    return _join_heads(out, vd.shape), v, vr
+    return _join_heads(out, vd.shape[:-2] + (t_q, vd.shape[-1])), v, vr
 
 
 def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.ndarray | None = None) -> Tensor:
@@ -860,19 +916,21 @@ def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.nd
     values `v_reg` from outside the pass are a constant: no gradient."""
     y, vh, vr = attention_context_data(p.data, v.data, n_reg, block, v_reg)
     out = _out(y)
-    lo = n_reg if v_reg is None else 0
+    r_out = _outside_rows(v.data, v_reg)
+    lo_q, lo_v = _mask_starts(p.data.shape[-2], vh.shape[-2], n_reg, r_out)
 
     def bw(g, pd=p.data, vh=vh, vr=vr, shape=v.data.shape):
         go = np.ascontiguousarray(_heads(g, vh.shape[-3]))
         gp = go @ vr.swapaxes(-1, -2)
-        gv = None if v_reg is not None else pd[..., :n_reg].swapaxes(-1, -2) @ go
+        # The own regular values' gradient: their columns, after the outside ones.
+        gv = pd[..., r_out:n_reg].swapaxes(-1, -2) @ go if lo_v else None
         if block:
-            gob = _blocks(go[..., lo:, :], block)
-            gpb = gob @ _blocks(vh[..., lo:, :], block).swapaxes(-1, -2)
-            gvb = (_blocks(pd[..., lo:, n_reg:], block).swapaxes(-1, -2) @ gob).reshape(go[..., lo:, :].shape)
+            gob = _blocks(go[..., lo_q:, :], block)
+            gpb = gob @ _blocks(vh[..., lo_v:, :], block).swapaxes(-1, -2)
+            gvb = (_blocks(pd[..., lo_q:, n_reg:], block).swapaxes(-1, -2) @ gob).reshape(vh[..., lo_v:, :].shape)
             # A regular row reads no block value: its block columns get 0.
             gp = np.concatenate([gp, np.zeros(gp.shape[:-1] + (block,), dtype=gp.dtype)], axis=-1)
-            gp[..., lo:, n_reg:] = gpb.reshape(gp[..., lo:, n_reg:].shape)
+            gp[..., lo_q:, n_reg:] = gpb.reshape(gp[..., lo_q:, n_reg:].shape)
             gv = gvb if gv is None else np.concatenate([gv, gvb], axis=-2)
         return gp, _join_heads(gv, shape)
 

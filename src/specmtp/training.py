@@ -150,22 +150,31 @@ class CorpusSpec:
         if self.digits < 1:
             raise ValueError(f"corpus digits (--digits) must be >= 1, got {self.digits}")
 
-    def charset(self) -> str:
+    def text(self) -> str | None:
+        """The file task's text, one read of its file; None for the other
+        tasks, which read nothing."""
+        return Path(self.path).read_text(encoding="utf-8") if self.task == "file" else None
+
+    def charset(self, text: str | None = None) -> str:
+        """The characters of the corpus: the file task's are those of its
+        `text`, read from the file when not given."""
         if self.task == "pattern":
             return self.alphabet
         if self.task == "arithmetic":
             return "0123456789+="
-        text = Path(self.path).read_text(encoding="utf-8")
-        return "".join(sorted(set(text)))
+        return "".join(sorted(set(self.text() if text is None else text)))
 
     def vocab(self, k_masks: int) -> Vocab:
         return Vocab(self.charset(), k_masks)
 
 
-def generate_corpus(spec: CorpusSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+def generate_corpus(spec: CorpusSpec, text: str | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Deterministic (token ids, loss flags) pairs. flags[i] == 1 means the
-    row of token i carries a next-token loss (and spawns masks)."""
-    vocab = spec.vocab(1)  # the ids below the mask ids do not depend on their count
+    row of token i carries a next-token loss (and spawns masks). The file
+    task windows its `text`, read from the file once when not given."""
+    if text is None:
+        text = spec.text()
+    vocab = Vocab(spec.charset(text), 1)  # the ids below the mask ids do not depend on their count
     out: list[tuple[np.ndarray, np.ndarray]] = []
     if spec.task == "pattern":
         for idx in range(spec.size):
@@ -189,7 +198,6 @@ def generate_corpus(spec: CorpusSpec) -> list[tuple[np.ndarray, np.ndarray]]:
             flags[eq_pos : len(ids) - 1] = 1  # loss on the answer span and eos
             out.append((ids, flags))
     else:  # file
-        text = Path(spec.path).read_text(encoding="utf-8")
         if len(text) < spec.seq_len:
             raise ValueError("file shorter than one window")
         rng = derive_rng(spec.seed, "file.windows")
@@ -406,6 +414,12 @@ def _diverging(where: str):
         raise DivergenceError(f"non-finite values {where}: {exc}") from exc
 
 
+def _corpus(spec: CorpusSpec) -> tuple[list[tuple[np.ndarray, np.ndarray]], str]:
+    """The corpus and its charset, from one read of a file task's file."""
+    text = spec.text()
+    return generate_corpus(spec, text), spec.charset(text)
+
+
 def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
     """Fit every base weight on the plain causal objective, then freeze.
 
@@ -414,8 +428,12 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
     trains independently here and is frozen afterwards, so later updates
     to the mask rows never touch it.
     """
-    corpus = generate_corpus(config.corpus)
-    mcfg = config.model_config(config.corpus.charset())
+    corpus, charset = _corpus(config.corpus)
+    return _pretrain(config, corpus, config.model_config(charset), verbose)
+
+
+def _pretrain(config: TrainConfig, corpus, mcfg: ModelConfig, verbose: bool) -> ModelBundle:
+    """`pretrain_base` on a corpus already built, whose model config is `mcfg`."""
     model = init_model(mcfg, config.seed)
     # The weights the table freezes train here and the ones it trains do
     # not: the mask rows, untracked, get no gradient through the embedding
@@ -488,9 +506,9 @@ def train(
     divergence_factor x the initial loss for divergence_patience
     consecutive steps.
     """
-    corpus = generate_corpus(config.corpus)
-    vocab = config.corpus.vocab(config.k_masks)
-    mcfg = config.model_config(vocab.charset)
+    corpus, charset = _corpus(config.corpus)
+    vocab = Vocab(charset, config.k_masks)
+    mcfg = config.model_config(charset)
     if model is not None and model.config != mcfg:
         got, want = asdict(model.config), asdict(mcfg)
         diffs = "; ".join(f"{k} {got[k]} (config: {want[k]})" for k in want if got[k] != want[k])
@@ -499,7 +517,7 @@ def train(
         raise ValueError(f"the sampler's width {sampler.l1.data.shape[0]} does not match d_model {config.d_model}")
     if model is None:
         if config.pretrain_steps > 0:
-            model = pretrain_base(config, verbose=verbose)
+            model = _pretrain(config, corpus, mcfg, verbose)
         else:
             model = init_model(mcfg, config.seed)
     if sampler is None and config.use_sampler:

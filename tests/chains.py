@@ -6,9 +6,10 @@ the pair-by-pair consistency loss that `lcm_loss` replaces, the
 serial sampler chain, one one-row head pass per position, that the
 sampler table replaces, the `np.where` sigmoid numerator that
 `silu_data`'s `np.maximum` replaces, a layer's attention, regular
-keys and mask blocks, written with elementary ops, and the AdamW with one
-update and one pair of moment arrays per parameter that the flat AdamW
-replaces, init written tensor by tensor, which the parameter table
+keys and mask blocks, written with elementary ops, the pass whose last
+layer runs only from its first output row on, written with them, and the
+AdamW with one update and one pair of moment arrays per parameter that
+the flat AdamW replaces, init written tensor by tensor, which the parameter table
 replaces, and the clone that drew a whole model and then overwrote its
 base weights, which the clone that draws only what it adds replaces.
 Each is its replacement's oracle: values, gradients, optimizer state and
@@ -27,7 +28,8 @@ from specmtp import tensor as tz
 from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import (
-    GatedLoraLinear, LayerWeights, ModelBundle, RegularRows, forward, init_model, sinusoidal_positions,
+    LORA_ALPHA_OVER_RANK, GatedLoraLinear, LayerWeights, ModelBundle, RegularRows, forward, init_model,
+    layout_streams, sinusoidal_positions,
 )
 from specmtp.sampler import SamplerHead, sampler_features
 from specmtp.tensor import ArrayOps, NumericsError, Tensor, _out, _record, default_dtype, derive_rng, scanned_once
@@ -118,6 +120,24 @@ def _split_heads(x, n_heads, axes):
     return transpose(reshape(x, (t_len, n_heads, d // n_heads)), axes)
 
 
+def _regular_rows(x, x_reg, n_reg):
+    """The n_reg regular keys (or values) of a layout, outside, then own:
+    x's first n_reg rows (take_rows), or the constant rows x_reg of the
+    layout's first r rows, then x's first n_reg - r (concat_rows)."""
+    if x_reg is None:
+        return tz.take_rows(x, np.arange(n_reg))
+    own = n_reg - x_reg.shape[0]
+    outside = tz.Tensor(x_reg)
+    return tz.concat_rows([outside, tz.take_rows(x, np.arange(own))]) if own else outside
+
+
+def _mask_rows(q, k, n_reg, block, k_reg):
+    """The first mask row of q and of k, for queries that are a layout's
+    last rows and keys that are its rows after the r rows of k_reg."""
+    t_len = (0 if k_reg is None else k_reg.shape[0]) + k.shape[0]
+    return n_reg - (t_len - q.shape[-2]), n_reg - (t_len - k.shape[0])
+
+
 def scores_chain(q, k, n_heads, n_reg, block, k_reg=None):
     """attention_scores over (T, D) q and k as reshape/transpose x2 ->
     matmul -> scale. With mask blocks after the first n_reg rows: every
@@ -125,21 +145,24 @@ def scores_chain(q, k, n_heads, n_reg, block, k_reg=None):
     matmul), each block's queries times its own keys (take_rows,
     reshape/transpose, a batched matmul) under a zero filler for the
     regular rows' block columns (concat_rows), the two joined by
-    concat_cols, then the scale. With a constant (n_reg, D) `k_reg`, the
-    regular keys come from it and q and k are the mask blocks alone."""
-    t_len, d = q.shape
+    concat_cols, then the scale. With a constant (r, D) `k_reg`, the
+    regular keys are its rows, then k's first n_reg - r, and k holds the
+    layout's rows from row r on (`_regular_rows`). q may hold fewer rows
+    than the layout: its last ones."""
+    t_q, d = q.shape
     dh = d // n_heads
     qh = _split_heads(q, n_heads, (1, 0, 2))
     if not block:
-        return tz.scale(matmul(qh, _split_heads(k, n_heads, (1, 2, 0))), 1.0 / np.sqrt(dh))
-    lo = n_reg if k_reg is None else 0
-    m, mask = t_len - lo, np.arange(lo, t_len)
+        keys = k if k_reg is None else _regular_rows(k, k_reg, n_reg)
+        return tz.scale(matmul(qh, _split_heads(keys, n_heads, (1, 2, 0))), 1.0 / np.sqrt(dh))
+    lo_q, lo_k = _mask_rows(q, k, n_reg, block, k_reg)
+    m = t_q - lo_q
     blocks = (n_heads, m // block, block, dh)
-    regular = tz.take_rows(k, np.arange(n_reg)) if k_reg is None else tz.Tensor(k_reg)
-    kr = _split_heads(regular, n_heads, (1, 2, 0))
-    qb = reshape(_split_heads(tz.take_rows(q, mask), n_heads, (1, 0, 2)), blocks)
-    kb = transpose(reshape(_split_heads(tz.take_rows(k, mask), n_heads, (1, 0, 2)), blocks), (0, 1, 3, 2))
-    filler = tz.Tensor(np.zeros((n_heads, lo, block), dtype=q.data.dtype))
+    kr = _split_heads(_regular_rows(k, k_reg, n_reg), n_heads, (1, 2, 0))
+    qb = reshape(_split_heads(tz.take_rows(q, np.arange(lo_q, t_q)), n_heads, (1, 0, 2)), blocks)
+    kb = _split_heads(tz.take_rows(k, np.arange(lo_k, k.shape[0])), n_heads, (1, 0, 2))
+    kb = transpose(reshape(kb, blocks), (0, 1, 3, 2))
+    filler = tz.Tensor(np.zeros((n_heads, lo_q, block), dtype=q.data.dtype))
     by_block = tz.concat_rows([filler, reshape(matmul(qb, kb), (n_heads, m, block))])
     return tz.scale(tz.concat_cols([matmul(qh, kr), by_block]), 1.0 / np.sqrt(dh))
 
@@ -164,23 +187,25 @@ def context_chain(p, v, n_reg, block, v_reg=None):
     block columns times its own values (take_rows, column slice,
     reshape/transpose, a batched matmul), added into those rows (take_rows,
     add, concat_rows), then the transpose and reshape. With a constant
-    (n_reg, D) `v_reg`, the regular values come from it and p and v are
-    the mask blocks' alone."""
-    n_heads, t_len, width = p.shape
+    (r, D) `v_reg`, the regular values are its rows, then v's first
+    n_reg - r, and v holds the layout's rows from row r on. p may hold
+    fewer rows than the layout: its last ones."""
+    n_heads, t_q, width = p.shape
+    shape = (t_q, v.shape[1])
     if not block:
-        return reshape(transpose(matmul(p, _split_heads(v, n_heads, (1, 0, 2))), (1, 0, 2)), v.shape)
-    lo = n_reg if v_reg is None else 0
-    m, reg, mask = t_len - lo, np.arange(lo), np.arange(lo, t_len)
+        values = v if v_reg is None else _regular_rows(v, v_reg, n_reg)
+        return reshape(transpose(matmul(p, _split_heads(values, n_heads, (1, 0, 2))), (1, 0, 2)), shape)
+    lo_q, lo_v = _mask_rows(p, v, n_reg, block, v_reg)
+    m, reg, mask = t_q - lo_q, np.arange(lo_q), np.arange(lo_q, t_q)
     dh = v.shape[1] // n_heads
     blocks = (n_heads, m // block, block)
-    regular = tz.take_rows(v, np.arange(n_reg)) if v_reg is None else tz.Tensor(v_reg)
-    vr = _split_heads(regular, n_heads, (1, 0, 2))
-    vb = reshape(_split_heads(tz.take_rows(v, mask), n_heads, (1, 0, 2)), blocks + (dh,))
+    vr = _split_heads(_regular_rows(v, v_reg, n_reg), n_heads, (1, 0, 2))
+    vb = reshape(_split_heads(tz.take_rows(v, np.arange(lo_v, v.shape[0])), n_heads, (1, 0, 2)), blocks + (dh,))
     pb = reshape(cols(tz.take_rows(p, mask), n_reg, width), blocks + (block,))
     ctx = matmul(cols(p, 0, n_reg), vr)
     by_block = reshape(matmul(pb, vb), (n_heads, m, dh))
     ctx = tz.concat_rows([tz.take_rows(ctx, reg), tz.add(tz.take_rows(ctx, mask), by_block)])
-    return reshape(transpose(ctx, (1, 0, 2)), v.shape)
+    return reshape(transpose(ctx, (1, 0, 2)), shape)
 
 
 def attention_chain(q, k, v, streams, n_heads):
@@ -190,6 +215,49 @@ def attention_chain(q, k, v, streams, n_heads):
     n_reg, block, allowed = streams
     p = tz.masked_softmax_rows(scores_chain(q, k, n_heads, n_reg, block), allowed)
     return context_chain(p, v, n_reg, block)
+
+
+def _lora_chain(layer, x, gate):
+    """gated_lora_apply with its gated linear as the elementary chain, on
+    the gate's 1-rows by number; the frozen linear alone for no gated row
+    or no factors."""
+    rows = np.flatnonzero(gate)
+    if layer.A is None or rows.size == 0:
+        return tz.linear(x, layer.W)
+    return gated_linear_chain(x, layer.W, layer.A, layer.B, rows, LORA_ALPHA_OVER_RANK)
+
+
+def context_pass_chain(model, batch, first):
+    """The pass over one sequence's layout whose rows before `first` are
+    context rows, written with the chain ops under the layout's own gate:
+    every layer runs LN1 and the key and value adapters over every row, and
+    the last layer runs its query adapter, its attention (those rows'
+    queries against every row's keys and values, `scores_chain` /
+    `context_chain`), o, LN2 and the MLP, then the final norm and the
+    unembedding, on the rows from `first` on (take_rows). Returns (hidden, logits), zeros on the
+    context rows, and each layer's keys and values of every row, as
+    arrays."""
+    c = model.config
+    n_reg, block, allowed = layout_streams(batch.block_anchor, batch.size)
+    x = tz.add(tz.take_rows(model.embedding_table(), batch.tokens), tz.Tensor(model.pos_table[batch.position_ids]))
+    kv = []
+    for i, lw in enumerate(model.layers):
+        r = first if i == len(model.layers) - 1 else 0
+        rows, gate = np.arange(r, batch.size), batch.gate[r:]
+        h = tz.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
+        q = _lora_chain(lw.attn_q, tz.take_rows(h, rows) if r else h, gate)
+        k, v = (_lora_chain(g, h, batch.gate) for g in (lw.attn_k, lw.attn_v))
+        kv.append((k.data, v.data))
+        if r:
+            x = tz.take_rows(x, rows)
+        p = tz.masked_softmax_rows(scores_chain(q, k, c.n_heads, n_reg, block), allowed[r:])
+        x = tz.add(x, _lora_chain(lw.attn_o, context_chain(p, v, n_reg, block), gate))
+        h2 = tz.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
+        x = tz.add(x, _lora_chain(lw.ff_out, tz.silu(_lora_chain(lw.ff_in, h2, gate)), gate))
+    hidden = tz.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
+    logits = tz.linear(hidden, model.unembed)
+    hidden, logits = (np.concatenate([np.zeros((first,) + t.shape[1:], t.data.dtype), t.data]) for t in (hidden, logits))
+    return hidden, logits, kv
 
 
 def visibility_rule(block_anchor):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import run_batch
+from conftest import heldout_prompts, run_batch
 
 from specmtp.decoding import (
     AcceptanceStats,
@@ -16,7 +16,7 @@ from specmtp.decoding import (
 )
 import specmtp.model as model_mod
 import specmtp.tensor as tensor_mod
-from specmtp.batching import build_training_batch
+from specmtp.batching import CONTEXT, build_linear_inference_input, build_training_batch, causal_rows
 from specmtp.losses import base_and_sampler_ce
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
@@ -391,3 +391,103 @@ def test_future_rank_probe_checks_its_prompt_and_ids():
     for bad in (CFG.vocab_size, -1):
         with pytest.raises(ValueError, match=f"future token {bad} outside the vocabulary of 15 ids"):
             future_rank_probe(model, [1, 2], [3, bad], 2)
+
+
+# ---------------------------------------------------------------------------
+# Context rows: each decode pass marks the rows it does not read, so the
+# last layer runs only the rows it reads: greedy's last row, a speculative
+# step's rows from the last verified one on, the probe's mask rows.
+# ---------------------------------------------------------------------------
+
+
+def _record_passes(monkeypatch, model):
+    """Wraps decoding's layout builders, forward and model.gated_lora_apply.
+    Returns a list that gets one record per forward call: (layout rows,
+    verified length, context rows, {(layer, adapter): rows})."""
+    import specmtp.decoding as decoding_mod
+
+    names = {id(getattr(lw, n).W): (i, n) for i, lw in enumerate(model.layers) for n in model_mod.ADAPTERS}
+    passes, n_ver = [], []
+
+    def builder(original):
+        def build(verified, *rest):
+            n_ver.append(len(verified))
+            return original(verified, *rest)
+
+        return build
+
+    for name in ("build_linear_inference_input", "build_quadratic_inference_input", "causal_rows"):
+        monkeypatch.setattr(decoding_mod, name, builder(getattr(decoding_mod, name)))
+
+    forward = decoding_mod.forward
+
+    def recording_forward(model, tokens, position_ids, block_anchor, gate):
+        first = int(np.count_nonzero(np.asarray(block_anchor) == CONTEXT))
+        passes.append((len(tokens), n_ver[-1], first, {}))
+        return forward(model, tokens, position_ids, block_anchor, gate)
+
+    apply = model_mod.gated_lora_apply
+
+    def recording_apply(layer, x, *args, **kwargs):
+        passes[-1][3][names[id(layer.W)]] = x.shape[-2]
+        return apply(layer, x, *args, **kwargs)
+
+    monkeypatch.setattr(decoding_mod, "forward", recording_forward)
+    monkeypatch.setattr(model_mod, "gated_lora_apply", recording_apply)
+    return passes
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "linear", "quadratic"])
+def test_the_last_layer_runs_only_the_rows_decoding_reads(monkeypatch, strategy):
+    # The last layer's q, o, ff_in and ff_out adapters see 1 row per greedy
+    # pass and T - (n_ver - 1) rows per speculative pass; its k and v, and
+    # every adapter of the earlier layers, see all T rows.
+    model = make_model(31)
+    passes = _record_passes(monkeypatch, model)
+    prompt = [1, 2, 3, 4, 5, 6, 7]
+    if strategy == "greedy":
+        greedy_autoregressive(model, prompt, 6)
+    else:
+        speculative_decode(model, init_sampler(CFG.d_model, 31), prompt, 3, strategy, max_steps=6)
+    assert len(passes) == 6
+    last = CFG.n_layers - 1
+    for t_len, n_ver, first, rows in passes:
+        assert first == n_ver - 1 and (strategy != "greedy" or first == t_len - 1)
+        assert len(rows) == 6 * CFG.n_layers
+        for (layer, name), got in rows.items():
+            read = layer == last and name not in ("attn_k", "attn_v")
+            assert got == (t_len - first if read else t_len), (layer, name)
+
+
+def test_an_overflow_in_a_context_row_is_named_on_replay():
+    # Token 9 only at row 0, a context row of every pass: its embedding
+    # makes layer 0's first norm overflow on that row alone. The fast run
+    # never runs that row's last-layer query side, but its keys and values
+    # reach every output row, so the pass fails and its replay names the op,
+    # as the pass over the same layout with no context row does.
+    model = make_model(33)
+    model.embed_base.data = model.embed_base.data.copy()
+    model.embed_base.data[9, 0] = np.float32(1e30)
+    prompt = [9, 1, 2, 3, 4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(tensor_mod.NumericsError, match="produced by layer_norm$"):
+            run_batch(model, causal_rows(prompt))
+        with pytest.raises(tensor_mod.NumericsError, match="produced by layer_norm$"):
+            greedy_autoregressive(model, prompt, 3)
+        for strategy in ("linear", "quadratic"):
+            with pytest.raises(tensor_mod.NumericsError, match="produced by layer_norm$"):
+                speculative_decode(model, init_sampler(CFG.d_model, 33), prompt, 3, strategy, max_steps=3)
+
+
+@pytest.mark.parametrize("fixture", ["trained_full", "trained_plain", "trained_sampler_only"])
+def test_future_rank_probe_ranks_are_the_full_passes(request, fixture):
+    # The probe reads only its mask rows; their ranks are those of the
+    # mask rows of a pass that outputs every row.
+    model = request.getfixturevalue(fixture).model
+    k = model.config.k_masks
+    for seq in heldout_prompts(count=8, prompt_len=14):
+        prompt, future = seq[:9], seq[10:14]
+        batch = build_linear_inference_input(prompt, [], model.config.mask_ids[:k])
+        logits = run_batch(model, batch).logits.data
+        want = [1 + int((logits[9 + j] > logits[9 + j][tok]).sum()) for j, tok in enumerate(future)]
+        assert future_rank_probe(model, prompt, future, k) == want

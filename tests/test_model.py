@@ -2,10 +2,11 @@ import contextlib
 
 import numpy as np
 import pytest
-from chains import attention_chain, gated_linear_chain, init_by_hand, init_sampler_by_hand
+from chains import attention_chain, context_pass_chain, gated_linear_chain, init_by_hand, init_sampler_by_hand
 from conftest import run_batch, sliced_regular_rows
 
 from specmtp.batching import (
+    CONTEXT,
     NO_ANCHOR,
     build_linear_inference_input,
     build_quadratic_inference_input,
@@ -940,3 +941,154 @@ def test_a_pass_with_every_row_gated_forms_no_frozen_product():
     assert fast.logits.data.tobytes() == replay[1].tobytes()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
         run_batch(model, batch)
+
+
+# ---------------------------------------------------------------------------
+# Context rows: regular rows whose keys and values every layer computes but
+# whose output no caller reads. Marked CONTEXT in the anchors, they lead the
+# layout; the last layer runs its query side from the first output row on.
+# `chains.context_pass_chain` is the oracle, byte for byte; the full pass
+# stays a tolerance check of the output rows.
+# ---------------------------------------------------------------------------
+
+
+def _with_context(batch, first):
+    """batch's anchors with its rows before `first` marked CONTEXT."""
+    anchors = batch.block_anchor.copy()
+    anchors[:first] = CONTEXT
+    return anchors
+
+
+def _decode_layouts(rng, mask_ids):
+    """(layout, n_ver, first output rows) for causal, linear and quadratic
+    layouts over prompts of 1 to 200 tokens: a first output row of 0,
+    n_ver - 1, n_reg (the mask blocks alone) and T - 1, where the rows
+    before it are regular rows and not all of them."""
+    k = len(mask_ids)
+    for n_ver in (1, 2, 5, 17, 64, 150, 200):
+        verified = rng.integers(0, CFG["vocab_size"] - CFG["k_masks"], size=n_ver).tolist()
+        spec = rng.integers(0, CFG["vocab_size"] - CFG["k_masks"], size=k).tolist()
+        for batch in (
+            causal_rows(verified),
+            build_linear_inference_input(verified, spec[: int(rng.integers(0, k + 1))], mask_ids),
+            build_quadratic_inference_input(verified, spec, mask_ids),
+        ):
+            n_reg = int(np.count_nonzero(batch.block_anchor == NO_ANCHOR))
+            # A causal layout's rows are all regular: every row but one may be context.
+            last = n_reg if n_reg < batch.size else batch.size - 1
+            firsts = {r for r in (0, n_ver - 1, n_reg, batch.size - 1) if r <= last}
+            yield batch, n_ver, sorted(firsts)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_pass_with_context_rows_is_bytewise_its_chain(dtype):
+    # Also: context rows' hidden rows and logits are exact zeros, every
+    # layer's keys and values are the full pass's for every row, and the
+    # output rows are the full pass's to the last bits.
+    tol = 1e-5 if dtype == "float32" else 1e-12
+    with precision(dtype):
+        model = make_model(rank=4, seed=17, max_position=256)
+        randomize_adapters(model, seed=17)
+        rng = np.random.default_rng(17)
+        model.embed_mask.data = rng.normal(0, 1.0, model.embed_mask.data.shape).astype(dtype)
+        seen = set()
+        for batch, n_ver, firsts in _decode_layouts(rng, model.config.mask_ids):
+            full = run_batch(model, batch)
+            for first in firsts:
+                seen.add((first == 0, first == n_ver - 1, first == batch.size - 1))
+                anchors = _with_context(batch, first)
+                got = forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+                hidden, logits, kv = context_pass_chain(model, batch, first)
+                for field, want in (("hidden", hidden), ("logits", logits)):
+                    a = getattr(got, field).data
+                    assert a.dtype == want.dtype == np.dtype(dtype) and a.shape == want.shape
+                    assert a.tobytes() == want.tobytes(), (batch.size, first, field)
+                    assert a[:first].tobytes() == np.zeros_like(a[:first]).tobytes()
+                    b = getattr(full, field).data
+                    np.testing.assert_allclose(a[first:], b[first:], rtol=0, atol=tol)
+                for (k, v), (kc, vc), (kf, vf) in zip(got.kv, kv, full.kv):
+                    assert k.tobytes() == kc.tobytes() == kf.tobytes()
+                    assert v.tobytes() == vc.tobytes() == vf.tobytes()
+        assert {(True, True, False), (False, True, True), (False, False, False)} <= seen
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_pass_with_no_context_row_is_bytewise_the_full_pass(dtype):
+    # The oracle with no context row is the chain pass of the full layout,
+    # and forward runs the same bytes, taped or not.
+    with precision(dtype):
+        model = make_model(rank=4, seed=18, max_position=256)
+        randomize_adapters(model, seed=18)
+        rng = np.random.default_rng(18)
+        for batch, _, _ in _decode_layouts(rng, model.config.mask_ids):
+            hidden, logits, kv = context_pass_chain(model, batch, 0)
+            want = chain_forward(model, batch)
+            assert hidden.tobytes() == want[0].data.tobytes() and logits.tobytes() == want[1].data.tobytes()
+            for run in (lambda: run_batch(model, batch), lambda: _taped(run_batch, model, batch)):
+                got = run()
+                assert got.hidden.data.tobytes() == hidden.tobytes() and got.logits.data.tobytes() == logits.tobytes()
+                for pair, want_pair in zip(got.kv, kv):
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(pair, want_pair))
+
+
+def test_the_last_layer_of_a_pass_with_context_rows_runs_its_output_rows():
+    # A 22-row quadratic layout whose first 6 rows are context rows: LN1's
+    # keys and values of layer 1 over all 22 rows, its query and the rest
+    # over the 16 rows from row 6 on.
+    import specmtp.model as model_mod
+
+    rows = []
+    original = model_mod.gated_lora_apply
+
+    def recording(layer, x, *args, **kwargs):
+        rows.append(x.shape[-2])
+        return original(layer, x, *args, **kwargs)
+
+    model = make_model(rank=4)
+    batch = _quadratic_layout(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "gated_lora_apply", recording)
+        forward(model, batch.tokens, batch.position_ids, _with_context(batch, 6), batch.gate)
+    assert rows == [22] * 6 + [16, 22, 22, 16, 16, 16]
+
+
+CONTEXT_MISUSE = {
+    # A context row after an output row: a regular row, or a mask row (then
+    # a regular row after a mask row).
+    "after-an-output-row": (
+        lambda b: np.r_[CONTEXT, NO_ANCHOR, CONTEXT, b.block_anchor[3:]],
+        "^a context row comes after an output row: context rows must come first$",
+    ),
+    "on-a-mask-row": (
+        lambda b: np.r_[b.block_anchor[:-1], CONTEXT],
+        "^a mask row comes before a regular row: regular rows must come first$",
+    ),
+    "every-row": (
+        lambda b: np.full(b.size, CONTEXT),
+        "^every row is a context row: a pass must output at least one row$",
+    ),
+}
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("case", sorted(CONTEXT_MISUSE))
+def test_forward_rejects_misplaced_context_rows(case, taped):
+    model = make_model()
+    batch = _quadratic_layout(model)
+    make_anchors, message = CONTEXT_MISUSE[case]
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericsError, match=message):
+            forward(model, batch.tokens, batch.position_ids, make_anchors(batch), batch.gate)
+
+
+def test_forward_rejects_context_rows_that_a_caller_would_read():
+    # Under a tape (training reads every row), and with regular rows given
+    # (their pass outputs every mask row).
+    model = make_model(rank=4, seed=13)
+    batch = random_stack(np.random.default_rng(13), model.config.mask_ids)
+    args, own = _own_regular_rows(model, batch)
+    anchors = _with_context(batch, 2)
+    with Tape(), pytest.raises(NumericsError, match="^context rows under an active tape"):
+        forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+    with pytest.raises(NumericsError, match="^context rows with regular rows given"):
+        forward(model, batch.tokens, batch.position_ids, anchors, batch.gate, regular=own)

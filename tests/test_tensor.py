@@ -637,6 +637,46 @@ def fused_case(op, case, dtype, seed=12):
         fused, chain = partial(tz.attention_context, **layout), partial(context_chain, **layout)
         inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS - 2, 4)]
         shape = (T_ROWS - 2, 4)
+    elif op in ("split_attention_scores", "split_causal_attention_scores"):
+        # Outside, then own: the layout's rows from row r on, the keys of
+        # the r rows before them a constant from outside. The blocks' layout
+        # from row 1 on (1 own regular row, then the blocks), or a causal
+        # one from row 3 on.
+        n_reg, block, r = (2, 2, 1) if op == "split_attention_scores" else (T_ROWS, 0, 3)
+        layout = dict(n_heads=2, n_reg=n_reg, block=block, k_reg=rng.normal(size=(r, 4)).astype(dtype))
+        fused, chain = partial(tz.attention_scores, **layout), partial(scores_chain, **layout)
+        inputs = [leaf(T_ROWS - r, 4), leaf(T_ROWS - r, 4)]
+        shape = (2, T_ROWS - r, n_reg + block)
+    elif op in ("tail_attention_scores", "tail_causal_attention_scores"):
+        # The queries of the layout's rows from row r on, the keys of every
+        # row: the blocks' layout from row 1 on, or a causal one from row 3.
+        n_reg, block, r = (2, 2, 1) if op == "tail_attention_scores" else (T_ROWS, 0, 3)
+        layout = dict(n_heads=2, n_reg=n_reg, block=block)
+        fused, chain = partial(tz.attention_scores, **layout), partial(scores_chain, **layout)
+        inputs = [leaf(T_ROWS - r, 4), leaf(T_ROWS, 4)]
+        shape = (2, T_ROWS - r, n_reg + block)
+    elif op in ("tail_attention_context", "tail_causal_attention_context"):
+        # Those rows' weights, and the values of every row.
+        if op == "tail_attention_context":
+            (n_reg, block, r), allowed = (2, 2, 1), BLOCK_ALLOWED[1:]
+        else:
+            (n_reg, block, r), allowed = (T_ROWS, 0, 3), random_allowed(rng, T_ROWS)[3:]
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2,) + allowed.shape)), allowed).data
+        layout = dict(n_reg=n_reg, block=block)
+        fused, chain = partial(tz.attention_context, **layout), partial(context_chain, **layout)
+        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS, 4)]
+        shape = (T_ROWS - r, 4)
+    elif op in ("split_attention_context", "split_causal_attention_context"):
+        # Those rows' weights and values, the values of the r rows before a constant.
+        if op == "split_attention_context":
+            (n_reg, block, r), allowed = (2, 2, 1), BLOCK_ALLOWED[1:]
+        else:
+            (n_reg, block, r), allowed = (T_ROWS, 0, 3), random_allowed(rng, T_ROWS)[3:]
+        layout = dict(n_reg=n_reg, block=block, v_reg=rng.normal(size=(r, 4)).astype(dtype))
+        p = tz.masked_softmax_rows(Tensor(rng.normal(size=(2,) + allowed.shape)), allowed).data
+        fused, chain = partial(tz.attention_context, **layout), partial(context_chain, **layout)
+        inputs = [Tensor(p.astype(dtype), requires_grad=True), leaf(T_ROWS - r, 4)]
+        shape = (T_ROWS - r, 4)
     else:
         # Rows of attention weights: a softmax over a random causal mask, or
         # over the blocks' layout (2 regular rows, 2 blocks of 2).
@@ -660,6 +700,10 @@ FUSED_CASES = [
     for op in (
         "attention_scores", "attention_context", "mask_attention_scores", "mask_attention_context",
         "outside_attention_scores", "outside_attention_context",
+        "split_attention_scores", "split_attention_context",
+        "split_causal_attention_scores", "split_causal_attention_context",
+        "tail_attention_scores", "tail_attention_context",
+        "tail_causal_attention_scores", "tail_causal_attention_context",
     )
 ]
 
@@ -838,6 +882,20 @@ FUSED_MISMATCHES = {
     "scores_outside_ragged": lambda: tz.attention_scores(_t(3, 4), _t(3, 4), 2, 2, 2, np.zeros((2, 4))),
     "context_outside_rows": lambda: tz.attention_context(_t(2, 4, 4), _t(4, 4), 2, 2, np.zeros((3, 4))),
     "context_outside_no_blocks": lambda: tz.attention_context(_t(2, 2, 2), _t(2, 4), 2, 0, np.zeros((2, 4))),
+    # Outside, then own: the own rows are the n_reg - r regular rows after
+    # the r outside ones, then whole blocks; at least one row in all.
+    "scores_split_rows": lambda: tz.attention_scores(_t(4, 4), _t(4, 4), 2, 2, 2, np.zeros((1, 4))),
+    "scores_split_causal_rows": lambda: tz.attention_scores(_t(2, 4), _t(2, 4), 2, 4, 0, np.zeros((1, 4))),
+    "scores_split_stack": lambda: tz.attention_scores(_t(2, 3, 4), _t(2, 3, 4), 2, 4, 0, np.zeros((1, 4))),
+    "context_split_rows": lambda: tz.attention_context(_t(2, 2, 4), _t(2, 4), 4, 0, np.zeros((1, 4))),
+    "context_split_cols": lambda: tz.attention_context(_t(2, 3, 4), _t(3, 4), 4, 0, np.zeros((1, 6))),
+    # Queries of the layout's last rows, from a row that does not pass the
+    # regular rows and does not come before the outside rows.
+    "scores_tail_in_blocks": lambda: tz.attention_scores(_t(1, 4), _t(6, 4), 2, 2, 2),
+    "scores_tail_more_queries": lambda: tz.attention_scores(_t(7, 4), _t(6, 4), 2, 6, 0),
+    "scores_tail_before_outside": lambda: tz.attention_scores(_t(4, 4), _t(3, 4), 2, 6, 0, np.zeros((3, 4))),
+    "context_tail_in_blocks": lambda: tz.attention_context(_t(2, 1, 4), _t(6, 4), 2, 2),
+    "context_tail_more_rows": lambda: tz.attention_context(_t(2, 7, 6), _t(6, 4), 6, 0),
 }
 
 

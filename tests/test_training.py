@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -770,3 +771,40 @@ def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
         opt.zero_grad()
     for (name, got), (_, want) in zip(stacked.named_params(), model.named_params()):
         assert got.data.tobytes() == want.data.tobytes(), name
+
+
+def test_a_pretraining_train_call_generates_its_corpus_once(monkeypatch):
+    # train() with pretraining and no model builds one corpus for both,
+    # and trains what train(model=pretrain_base(config)) trains.
+    calls = []
+    original = training.generate_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "generate_corpus", counting)
+    cfg = tiny_config(pretrain_steps=2, total_steps=2)
+    got = train(cfg)
+    assert len(calls) == 1
+    want = train(cfg, model=pretrain_base(cfg))
+    for (name, a), (_, b) in zip(got.model.named_params(), want.model.named_params()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+    assert [row[:-1] for row in got.metrics] == [row[:-1] for row in want.metrics]
+
+
+def test_a_file_task_train_call_reads_its_file_once(monkeypatch, tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text("the quick brown fox jumps over the lazy dog. " * 4)
+    reads = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self == doc)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    spec = CorpusSpec(task="file", size=8, seed=2, seq_len=12, path=str(doc))
+    result = train(tiny_config(corpus=spec, pretrain_steps=2, total_steps=2))
+    assert reads == [True]
+    assert result.vocab.charset == "".join(sorted(set(doc.read_text())))
