@@ -4,15 +4,14 @@ tell it apart from a plain causal pass.
 For a sequence x_1..x_n, a block of k mask tokens extends every
 loss-bearing token. Each block asks "and what comes after prefix i?", so
 one forward answers n such prompts at once. The layout puts the regular
-rows first and the blocks after them, and `forward` reads the attention
-off the block anchors alone: every row scores the regular keys, a regular
-row those up to itself and no mask row, and each block the regular rows
-up to its anchor and itself."""
+rows first and the blocks after them, and its builder makes the attention
+`forward` takes, the layout's streams: every row scores the regular keys,
+a regular row those up to itself and no mask row, and each block the
+regular rows up to its anchor and itself."""
 
 import numpy as np
 
 from specmtp import ModelConfig, build_training_batch, causal_rows, forward, init_model
-from specmtp.model import layout_streams
 
 SEQ = [0, 1, 2]  # think "a b c"
 MASKS = np.array([5, 6])
@@ -31,12 +30,13 @@ for r in range(batch.size):
         f"  anchor {batch.block_anchor[r]}"
     )
 
-# The attention forward derives from the anchors: every row over the
+# The attention the builder made with the layout: every row over the
 # regular keys, then its own block's keys; a regular row has no block
 # column, so it stays blind to every mask row.
-streams = layout_streams(batch.block_anchor, batch.size)
+streams = batch.streams
 n, block = streams.n_reg, streams.block
-print(f"\nallowed: {n} regular keys, then blocks of {block} (row may look at column):")
+print(f"\nstreams: n_reg {n}, block {block}, first output row {streams.first}")
+print(f"allowed: {n} regular keys, then blocks of {block} (row may look at column):")
 keys = [names[int(t)] for t in batch.tokens[:n]], [f"m{j + 1}" for j in range(block)]
 print("       " + " ".join(f"{c:>2}" for c in keys[0]) + "  |" + " ".join(f"{c:>2}" for c in keys[1]))
 for r, allowed in enumerate(streams.allowed):
@@ -55,11 +55,11 @@ for lw in model.layers:
         g.A.data = rng.normal(0, 0.3, g.A.data.shape).astype(np.float32)
         g.B.data = rng.normal(0, 0.3, g.B.data.shape).astype(np.float32)
 
-masked = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+masked = forward(model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
 plain_batch = causal_rows(SEQ)
 plain = forward(
     model, plain_batch.tokens, plain_batch.position_ids,
-    plain_batch.block_anchor, plain_batch.gate,
+    plain_batch.streams, plain_batch.gate,
 )
 diff = np.max(np.abs(masked.logits.data[batch.ntp_rows] - plain.logits.data))
 print(f"\nregular-row logits vs plain causal forward, max abs diff: {diff:.2e}")

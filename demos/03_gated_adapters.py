@@ -66,8 +66,8 @@ n_reg = int((batch.gate == 0).sum())
 print(f"layout: {n_reg} regular rows first, then {batch.size - n_reg} mask rows in blocks of 3;")
 print("  gate:", "".join(map(str, batch.gate)))
 print("  block anchors of the mask rows:", batch.block_anchor[n_reg:].tolist())
-got = forward(adapted, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
-ref = forward(reference, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+got = forward(adapted, batch.tokens, batch.position_ids, batch.streams, batch.gate)
+ref = forward(reference, batch.tokens, batch.position_ids, batch.streams, batch.gate)
 rows = batch.ntp_rows
 claim(
     "regular-row logits bitwise equal to the rank-0 model",

@@ -14,11 +14,13 @@ of them their positions and attention:
   has position a + j (j = 1..k).
 
 So the regular rows compute exactly what a plain causal pass over them
-computes, and mask blocks never see each other. A layout carries the rule
-as its (T,) `block_anchor` array: `forward` derives the attention from it
-(one op pair over the regular keys and each row's own block, see
-model.py), and no (T, T) matrix is built. Its gate is 0 on the regular
-rows and 1 on the mask rows, so the gated rows are one trailing run.
+computes, and mask blocks never see each other. Every builder goes through
+one constructor (`_layout`), which writes the rule twice: per row, as the
+(T,) `block_anchor` array, and as the layout's `Streams`, the attention
+that `forward` takes (one op pair over the regular keys and each row's own
+block, see model.py). The streams are built once per layout, with the
+layout, and no (T, T) matrix is built. The gate is 0 on the regular rows
+and 1 on the mask rows, so the gated rows are one trailing run.
 
 Every sequence of a built-in corpus has the same length and loss flags,
 so all of them share one training layout. `build_training_stack` builds
@@ -29,34 +31,57 @@ sequence axis; a training step selects its sequences from that stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .tensor import IGNORE_ID
 
 NO_ANCHOR = -1
-# The anchor of a context row: a regular row whose keys and values a pass
-# computes but whose output no caller reads (see model.forward). A caller
-# marks a leading run of regular rows with it, on a copy of a layout's
-# anchors; the builders here mark none. Every other negative anchor is
-# invalid.
-CONTEXT = -3
 NO_TOKEN = -1
+
+
+class Streams(NamedTuple):
+    """A layout's attention, as `forward` takes it.
+
+    Every row scores against the first n_reg rows' keys, the regular keys;
+    each of the rows after them, mask blocks of `block` rows, also scores
+    against its own block's keys. `allowed` (T, n_reg + block) admits, for
+    a regular row, the regular keys up to itself and no block column; for a
+    mask row, the regular keys up to its anchor and its block's keys up to
+    itself.
+
+    A layout with no mask rows, or one block that extends the last regular
+    row (a linear layout), sees the lower triangle of all T rows: it is
+    n_reg = T, block = 0, and `allowed` is that (T, T) triangle.
+
+    `first` is the pass's first output row: the rows before it, at most
+    the regular rows, are context rows, whose keys and values every layer
+    computes but whose output no caller reads (see model.forward). A
+    builder's layout outputs every row; a decode pass sets `first` on it
+    with `_replace`."""
+
+    n_reg: int
+    block: int
+    allowed: np.ndarray
+    first: int = 0
 
 
 @dataclass
 class MaskedBatch:
-    """One flattened layout: ids, positions, labels, gates, block anchors.
+    """One flattened layout: ids, positions, labels, gates, block anchors
+    and attention streams.
 
     Regular rows come first, then the mask blocks. gate[i] == 1 exactly on
     mask rows. block_anchor maps each mask row to the row index of the
-    real token its block extends (NO_ANCHOR on real rows). lcm_pairs
-    lists (mask_row, anchor_row) couples whose hidden states are pulled
-    together by the consistency loss. prev_token holds the gold token that
-    precedes each row's target (for the sampler).
+    real token its block extends (NO_ANCHOR on real rows); streams is the
+    same rule as the attention `forward` takes. lcm_pairs lists (mask_row,
+    anchor_row) couples whose hidden states are pulled together by the
+    consistency loss. prev_token holds the gold token that precedes each
+    row's target (for the sampler).
 
     In a stack of sequences that share the layout, tokens, base_labels
-    and prev_token are (N, T); every other field is the shared (T,) one.
+    and prev_token are (N, T); every other field is the shared one.
     """
 
     tokens: np.ndarray
@@ -64,6 +89,7 @@ class MaskedBatch:
     gate: np.ndarray
     base_labels: np.ndarray
     block_anchor: np.ndarray
+    streams: Streams
     lcm_pairs: list[tuple[int, int]]
     prev_token: np.ndarray
 
@@ -113,11 +139,15 @@ class MaskedBatch:
 def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
     """Regular rows holding `tokens`, then one block of `mask_ids` for each
     regular row in `anchors`, in that order, under the module's visibility
-    rule. Labels and previous tokens come back unset (IGNORE_ID /
-    NO_TOKEN) and lcm_pairs empty."""
+    rule, with its streams. Labels and previous tokens come back unset
+    (IGNORE_ID / NO_TOKEN) and lcm_pairs empty. An anchor that is not a
+    regular row is a ValueError."""
     anchors = np.asarray(anchors, dtype=np.int64)
     mask_ids = np.asarray(mask_ids, dtype=np.int64)
     n, nb, k = len(tokens), anchors.size, mask_ids.size
+    if nb and not (0 <= anchors.min() and anchors.max() < n):
+        bad = anchors[(anchors < 0) | (anchors >= n)][0]
+        raise ValueError(f"block anchor {bad} is not one of the {n} regular rows")
     t_len = n + nb * k
     out = MaskedBatch(
         tokens=np.empty(t_len, dtype=np.int64),
@@ -125,6 +155,7 @@ def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
         gate=np.zeros(t_len, dtype=np.int8),
         base_labels=np.full(t_len, IGNORE_ID, dtype=np.int64),
         block_anchor=np.full(t_len, NO_ANCHOR, dtype=np.int64),
+        streams=_streams(n, anchors, k),
         lcm_pairs=[],
         prev_token=np.full(t_len, NO_TOKEN, dtype=np.int64),
     )
@@ -135,6 +166,25 @@ def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
     out.block_anchor[n:].reshape(nb, k)[...] = anchors[:, None]
     out.position_ids[n:].reshape(nb, k)[...] = anchors[:, None] + np.arange(1, k + 1)
     return out
+
+
+def _streams(n: int, anchors: np.ndarray, k: int) -> Streams:
+    """The streams of n regular rows and one block of k rows for each of
+    `anchors`, regular rows."""
+    nb = anchors.size
+    t_len = n + nb * k
+    if t_len == n or (nb == 1 and anchors[0] == n - 1):
+        # No mask row, or one block after the last regular row: the triangle.
+        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
+    # Row a of the triangle admits the regular keys up to a: a regular row's
+    # own, a mask row's anchor's. The block's keys up to each row's place in
+    # its block, and none for a regular row.
+    causal = np.tri(n, dtype=bool)
+    allowed = np.zeros((t_len, n + k), dtype=bool)
+    allowed[:n, :n] = causal
+    allowed[n:, :n] = causal.take(np.repeat(anchors, k), axis=0)
+    allowed[n:, n:].reshape(nb, k, k)[...] = np.tri(k, dtype=bool)
+    return Streams(n, k, allowed)
 
 
 def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:

@@ -27,6 +27,7 @@ from .training import (
     Vocab,
     derive_rng,
     generate_corpus,
+    load_corpus,
     train,
 )
 
@@ -262,8 +263,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     # A corpus that cannot be built (a file shorter than one window) fails
-    # here, before the run directory exists.
-    generate_corpus(cfg.corpus)
+    # here, before the run directory exists; train() takes it as built.
+    corpus = load_corpus(cfg.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(render_config(cfg), encoding="utf-8")
@@ -272,6 +273,7 @@ def cmd_train(args) -> int:
         log_path=out_dir / "metrics.csv",
         checkpoint_path=out_dir / "model.ckpt",
         verbose=not args.quiet,
+        corpus=corpus,
     )
     last = result.metrics[-1]
     print(

@@ -6,10 +6,11 @@ after the model's own next-token argmax confirms them, which makes the
 emitted stream identical to plain greedy decoding; speculation changes
 speed, never content.
 
-A pass's rows before the first row it reads are context rows (`_run`):
-greedy reads its last row, a speculative step its rows from the last
-verified one on, the probe its mask rows. Their keys and values are
-computed, their last layer's query side is not (see model.forward).
+A pass's rows before the first row it reads are context rows (`_run`
+sets the layout streams' `first` row): greedy reads its last row, a
+speculative step its rows from the last verified one on, the probe its
+mask rows. Their keys and values are computed, their last layer's query
+side is not (see model.forward).
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batching import (
-    CONTEXT,
-    build_linear_inference_input,
-    build_quadratic_inference_input,
-    causal_rows,
-)
+from .batching import build_linear_inference_input, build_quadratic_inference_input, causal_rows
 from .model import ModelBundle, forward, merge_adapters
 from .sampler import SamplerHead, sampler_chain
 
@@ -51,10 +47,8 @@ def acceptance_rate(stats: AcceptanceStats) -> float:
 def _run(model: ModelBundle, batch, first: int):
     """`forward` over a layout whose rows before `first` are context rows:
     their keys and values are computed, their logits and hidden rows are not
-    read (zeros). The role goes in a copy of the layout's anchors."""
-    anchor = batch.block_anchor.copy()
-    anchor[:first] = CONTEXT
-    return forward(model, batch.tokens, batch.position_ids, anchor, batch.gate)
+    read (zeros)."""
+    return forward(model, batch.tokens, batch.position_ids, batch.streams._replace(first=first), batch.gate)
 
 
 def _check_prompt(model: ModelBundle, prompt) -> list[int]:

@@ -7,31 +7,29 @@ visibility get exactly zero attention weight, which is what makes the
 gate-off guarantee bitwise.
 
 `forward` takes a layout in batching.py's form, regular rows first and
-mask blocks after them, as its (T,) block anchors, and derives the
-attention from them with O(T) checks (`layout_streams`): n_reg regular
-rows, blocks of `block` mask rows, and one (T, n_reg + block) `allowed`
-matrix. Each layer runs one op pair around one `masked_softmax_rows`:
-`attention_scores` scores every query row against the n_reg regular keys
-(one product) and each mask row against its own block's keys as well
-(one batched (nb, k, k) product), and `attention_context` forms every
-row's context from the regular values and adds each block's own. A
-regular row's block columns are excluded, so it reads the regular rows
-alone, as the content stream of XLNet's two streams (arXiv 1906.08237)
-does. A causal layout, and a linear one whose single block extends the
-last regular row, see the lower triangle of their rows: they are
-n_reg = T, block = 0, the causal attention of one product. Every row-wise
-op (norms, linears, adapters) runs over all T rows, but in the last layer
-of a pass with context rows.
+mask blocks after them, with the attention its builder made once
+(`batching.Streams`): n_reg regular rows, blocks of `block` mask rows, one
+(T, n_reg + block) `allowed` matrix, and the first output row. Each layer
+runs one op pair around one `masked_softmax_rows`: `attention_scores`
+scores every query row against the n_reg regular keys (one product) and
+each mask row against its own block's keys as well (one batched (nb, k,
+k) product), and `attention_context` forms every row's context from the
+regular values and adds each block's own. A regular row's block columns
+are excluded, so it reads the regular rows alone, as the content stream
+of XLNet's two streams (arXiv 1906.08237) does. A causal layout, and a
+linear one whose single block extends the last regular row, see the lower
+triangle of their rows: they are n_reg = T, block = 0, the causal
+attention of one product. Every row-wise op (norms, linears, adapters)
+runs over all T rows, but in the last layer of a pass with context rows.
 
 Context rows are regular rows whose keys and values every layer computes
 but whose output no caller reads: a decode pass reads only the rows from
-its last verified one on. A caller marks a leading run of rows CONTEXT in
-the anchors (`_output_start` finds the first output row). Every layer then
-runs LN1 and the key and value adapters over every row, and the last layer
-runs the rest, from its query adapter to the unembedding, only from the
-first output row on: its attention ops take fewer query rows than keys and
-values, the layout's last rows. The result keeps T rows: a context row's
-hidden row and logits are zeros.
+its last verified one on, and says so by the streams' `first` row. Every
+layer then runs LN1 and the key and value adapters over every row, and the
+last layer runs the rest, from its query adapter to the unembedding, only
+from the first output row on: its attention ops take fewer query rows than
+keys and values, the layout's last rows. The result keeps T rows: a
+context row's hidden row and logits are zeros.
 
 The regular rows never see a mask row, and at gate 0 they run the frozen
 base, so while no base weight trains their keys, values, hidden rows and
@@ -44,10 +42,10 @@ the same op pair. Gated training computes each sequence's regular rows
 once per `train()` call this way.
 
 `forward` takes one sequence's tokens (T,) or a stack (B, T) of sequences
-that share one layout: positions, anchors and gate are (T,)-shaped and
-shared, and hidden and logits get the leading axis. A stack runs every
-op once, on stacked operands, with each sequence's bytes (see tensor.py).
-It checks the layout and the gate once per batch, then runs the pass,
+that share one layout: positions, streams and gate are shared, and hidden
+and logits get the leading axis. A stack runs every op once, on stacked
+operands, with each sequence's bytes (see tensor.py). It checks that the
+streams fit the tokens, and the gate, once per batch, then runs the pass,
 written once (`_pass`) over an op namespace that the tape picks. Under
 an active `Tape` that is the autodiff ops of `tensor.py` (training, and
 the test oracle): one fused `gated_linear` per adapter and the fused
@@ -83,7 +81,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor
-from .batching import CONTEXT, NO_ANCHOR
 from .tensor import (
     ArrayOps,
     NumericsError,
@@ -401,75 +398,6 @@ def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Ten
     return masked_softmax_data(scores, allowed)
 
 
-class Streams(NamedTuple):
-    """The attention that `forward` derives from a layout's (T,) anchors.
-
-    Every row scores against the first n_reg rows' keys, the regular keys;
-    each of the rows after them, mask blocks of `block` rows, also scores
-    against its own block's keys. `allowed` (T, n_reg + block) admits, for
-    a regular row, the regular keys up to itself and no block column; for a
-    mask row, the regular keys up to its anchor and its block's keys up to
-    itself.
-
-    A layout with no mask rows, or one block that extends the last regular
-    row (a linear layout), sees the lower triangle of all T rows: it is
-    n_reg = T, block = 0, and `allowed` is that (T, T) triangle."""
-
-    n_reg: int
-    block: int
-    allowed: np.ndarray
-
-
-def _output_start(anchor: np.ndarray, t_len: int) -> int:
-    """The first output row of a (T,) anchor array that `layout_streams`
-    passed: the count of context rows (CONTEXT anchors), which must be the
-    first rows, and not every row."""
-    first = int(np.count_nonzero(anchor == CONTEXT))
-    if first == t_len:
-        raise NumericsError("every row is a context row: a pass must output at least one row")
-    if first and np.count_nonzero(anchor[:first] != CONTEXT):
-        raise NumericsError("a context row comes after an output row: context rows must come first")
-    return first
-
-
-def layout_streams(block_anchor: np.ndarray, t_len: int) -> Streams:
-    """The attention of a layout, from O(T) checks of its anchor array:
-    the regular rows (NO_ANCHOR, or CONTEXT on a context row) form a
-    prefix, every anchor is a regular row, and the mask rows form runs of
-    one length, each with one anchor."""
-    anchor = np.asarray(block_anchor)
-    if anchor.shape != (t_len,):
-        raise NumericsError(f"block_anchor must hold one anchor per row: shape {anchor.shape} for {t_len} rows")
-    masked = (anchor != NO_ANCHOR) & (anchor != CONTEXT)
-    n_reg = t_len - int(np.count_nonzero(masked))
-    if np.count_nonzero(masked[:n_reg]):
-        raise NumericsError("a mask row comes before a regular row: regular rows must come first")
-    if n_reg == t_len:
-        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
-    mask = anchor[n_reg:]
-    # A negative anchor wraps past every row count as an unsigned integer.
-    if np.count_nonzero(mask.astype(np.uint64, copy=False) >= n_reg):
-        raise NumericsError("every block anchor must be a regular row")
-    # The block length is the first run's; every other run ends at a
-    # multiple of it.
-    ends = mask[1:] != mask[:-1]
-    runs = int(np.count_nonzero(ends)) + 1
-    block = int(ends.argmax()) + 1 if runs > 1 else mask.size
-    if mask.size != runs * block or np.count_nonzero(ends[block - 1 :: block]) != runs - 1:
-        raise NumericsError("ragged mask blocks: each block must be one run of rows with one anchor, all of one length")
-    if runs == 1 and mask[0] == n_reg - 1:
-        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
-    # Row a of the triangle admits the regular keys up to a: a regular row's
-    # own, a mask row's anchor's. The block's keys up to each row's place in
-    # its block, and none for a regular row.
-    causal = np.tri(n_reg, dtype=bool)
-    allowed = np.zeros((t_len, n_reg + block), dtype=bool)
-    allowed[:n_reg, :n_reg] = causal
-    allowed[n_reg:, :n_reg] = causal.take(mask, axis=0)
-    allowed[n_reg:, n_reg:].reshape(runs, block, block)[...] = np.tri(block, dtype=bool)
-    return Streams(n_reg, block, allowed)
-
-
 class RegularRows(NamedTuple):
     """A layout's ungated regular rows as constants, for a pass to take as
     `regular`: each layer's keys and values (..., n_reg, D), and the final
@@ -496,29 +424,30 @@ def forward(
     model: ModelBundle,
     tokens,
     position_ids,
-    block_anchor,
+    streams,
     gate,
     regular: RegularRows | None = None,
 ) -> ForwardResult:
     """One pass over a layout of batching.py's form: regular rows first,
-    then mask blocks, described by their (T,) anchors (NO_ANCHOR on
-    regular rows). Visibility follows from the anchors (`layout_streams`);
-    keys outside it get exactly zero attention weight. The gate, 0s then
-    1s, picks the rows that run the adapters, independently of the
-    anchors.
+    then mask blocks, whose attention is the layout's `Streams` (a builder
+    makes them with the layout); keys outside it get exactly zero attention
+    weight. The gate, 0s then 1s, picks the rows that run the adapters,
+    independently of the streams.
 
     tokens are (T,), or (B, T) for B sequences sharing the layout. With no
     active tape the pass runs on plain arrays, with the same result. An
-    empty layout is an error.
+    empty layout is an error, and so are streams that do not fit the
+    tokens: `allowed` must have T rows, and `first` must be a row, at most
+    `n_reg`.
 
-    Rows whose anchor is CONTEXT are context rows: regular rows that must
-    come first, and not be every row. Each layer computes their keys and
-    values, but the last layer runs its query side, and the pass its final
-    norm and unembedding, only from the first output row on (`_pass`):
-    their hidden rows and logits come back as zeros, `kv` holds every row.
-    The output rows agree with a pass with no context row up to rounding:
-    a product over fewer rows can give other last bits. A taped pass,
-    whose losses read every row, and a pass given `regular` reject them.
+    The rows before `streams.first`, regular rows of the streams, are
+    context rows. Each layer computes their keys and values, but the last
+    layer runs its query side, and the pass its final norm and unembedding,
+    only from the first output row on (`_pass`): their hidden rows and
+    logits come back as zeros, `kv` holds every row. The output rows agree
+    with a pass with no context row up to rounding: a product over fewer
+    rows can give other last bits. A taped pass, whose losses read every
+    row, and a pass given `regular` reject them.
 
     The result also holds each layer's keys and values as plain arrays
     (`kv`), so a pass's regular rows can be kept as constants
@@ -538,9 +467,14 @@ def forward(
     t_len = tokens.shape[-1]
     if tokens.size == 0:
         raise NumericsError(f"empty layout: tokens of shape {tokens.shape} give no rows")
-    anchor = np.asarray(block_anchor)
-    streams = layout_streams(anchor, t_len)
-    first = _output_start(anchor, t_len)
+    n, first = streams.n_reg, streams.first
+    if streams.allowed.shape[0] != t_len:
+        raise NumericsError(f"streams of {streams.allowed.shape[0]} rows for {t_len} rows of tokens")
+    if not 0 <= first <= min(n, t_len - 1):
+        raise NumericsError(
+            f"first output row {first} outside 0..{min(n, t_len - 1)}: "
+            "context rows are regular rows, and at least one row is output"
+        )
     if position_ids.shape != (t_len,):
         raise NumericsError("position_ids must hold one position per row")
     if tokens.min() < 0 or tokens.max() >= c.vocab_size:
@@ -548,7 +482,6 @@ def forward(
     if position_ids.min() < 0 or position_ids.max() >= c.max_position:
         raise NumericsError("position id exceeds max_position")
     start = _gate_start(gate, t_len)
-    n = streams.n_reg
     if first and active_tape() is not None:
         raise NumericsError("context rows under an active tape: a taped pass outputs every row, as training reads them")
     if first and regular is not None:
@@ -563,11 +496,11 @@ def forward(
                 "rows: they must be the layout's ungated regular rows, and mask blocks must follow them"
             )
         tokens, position_ids = tokens[..., n:], position_ids[n:]
-        streams = Streams(n, streams.block, streams.allowed[n:])
+        streams = streams._replace(allowed=streams.allowed[n:])
         start = None if start is None else start - n
 
     def run(ops):
-        return _pass(ops, model, tokens, position_ids, streams, start, regular, first)
+        return _pass(ops, model, tokens, position_ids, streams, start, regular)
 
     def fast():
         if active_tape() is not None:
@@ -579,16 +512,16 @@ def forward(
     return scanned_once(fast, lambda: run(ArrayOps), lambda out: out.logits.data)
 
 
-def _pass(ops, model, tokens, position_ids, streams, start, regular=None, first=0) -> tuple:
+def _pass(ops, model, tokens, position_ids, streams, start, regular=None) -> tuple:
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `start` is the first gated row (None
     for none). With `regular`, the layout's regular rows come from outside
     the pass: tokens, positions, `streams.allowed` and `start` are those of
     the mask rows after them, each layer attends to the given keys and
     values, and hidden and logits are joined under the given ones. With
-    `first` > 0 context rows (arrays only), every layer runs LN1 and the
-    key and value adapters over every row, and the last layer runs the rest
-    from row `first` on: its query adapter, its attention, whose queries
+    context rows (`streams.first` > 0, arrays only), every layer runs LN1
+    and the key and value adapters over every row, and the last layer runs
+    the rest from row `first` on: its query adapter, its attention, whose queries
     are those rows and whose keys and values are every row's, then o, LN2,
     the MLP, the final norm and the unembedding; the context rows' hidden
     and logits are zeros. Every adapter goes through this module's
@@ -597,7 +530,7 @@ def _pass(ops, model, tokens, position_ids, streams, start, regular=None, first=
     the op matching its input. Returns (hidden, logits, each layer's (keys,
     values) of the pass's own rows) as the namespace's values."""
     c = model.config
-    n, block, allowed = streams
+    n, block, allowed, first = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
     kv = []
     last = len(model.layers) - 1

@@ -49,15 +49,16 @@ warnings. This is exact because:
 - the softmax can absorb a non-finite score (-inf in an allowed cell gets
   weight 0, an excluded cell is dropped), hence the scores scan; and the
   softmax of finite scores with a full diagonal is finite;
-- a pass with context rows (model.py) does not run their last layer's
-  query side, o, MLP, final norm or unembedding, so no overflow can arise
-  there. Every op it does run on a context row feeds that row's keys or
-  values in the next layer or in the last one, and a context row's keys and
-  values reach every output row: each is a regular key, scored by every
-  output row (the scores scan), and a regular value, in every output row's
-  context product. So an overflow on a context row still reaches the
-  scores or the logits, and the replay, run with the same context rows,
-  names its op.
+- a pass whose streams set a first output row (model.py) does not run
+  the last layer's query side, o, MLP, final norm or unembedding on the
+  context rows before it, so no overflow can arise there. Every op it does
+  run on a context row feeds that row's keys or values in the next layer
+  or in the last one, and a context row's keys and values reach every
+  output row: `forward` admits as context rows only rows before the
+  streams' n_reg, so each is a regular key, scored by every output row
+  (the scores scan), and a regular value, in every output row's context
+  product. So an overflow on a context row still reaches the scores or
+  the logits, and the replay, run with the same streams, names its op.
 
 The forward math of the ops that a pass uses is written once, as an array
 helper (`linear_data`, `layer_norm_data`, ...) that takes and returns

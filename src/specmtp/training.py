@@ -391,14 +391,14 @@ class TrainResult:
 
 def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool, regular: RegularRows | None = None):
     gate = batch.gate if gated else np.ones(batch.size, dtype=np.int8)
-    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate, regular=regular)
+    return forward(model, batch.tokens, batch.position_ids, batch.streams, gate, regular=regular)
 
 
 def regular_rows(model: ModelBundle, stack: MaskedBatch) -> RegularRows:
     """The regular rows of every sequence of a training stack as constants,
     from one untaped causal pass over them."""
     causal = stack.regular_layout()
-    out = forward(model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate)
+    out = forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
     return RegularRows(out.kv, out.hidden.data, out.logits.data)
 
 
@@ -414,7 +414,7 @@ def _diverging(where: str):
         raise DivergenceError(f"non-finite values {where}: {exc}") from exc
 
 
-def _corpus(spec: CorpusSpec) -> tuple[list[tuple[np.ndarray, np.ndarray]], str]:
+def load_corpus(spec: CorpusSpec) -> tuple[list[tuple[np.ndarray, np.ndarray]], str]:
     """The corpus and its charset, from one read of a file task's file."""
     text = spec.text()
     return generate_corpus(spec, text), spec.charset(text)
@@ -428,7 +428,7 @@ def pretrain_base(config: TrainConfig, verbose: bool = False) -> ModelBundle:
     trains independently here and is frozen afterwards, so later updates
     to the mask rows never touch it.
     """
-    corpus, charset = _corpus(config.corpus)
+    corpus, charset = load_corpus(config.corpus)
     return _pretrain(config, corpus, config.model_config(charset), verbose)
 
 
@@ -497,16 +497,18 @@ def train(
     log_path=None,
     checkpoint_path=None,
     verbose: bool = False,
+    corpus: tuple | None = None,
 ) -> TrainResult:
     """Run the fine-tuning loop; returns the trained bundle plus metrics.
 
-    A given model must have the config's model sizes over its charset, and
-    a given sampler its width, else ValueError names what differs. Aborts
-    with DivergenceError when the loss goes non-finite or exceeds
-    divergence_factor x the initial loss for divergence_patience
-    consecutive steps.
+    `corpus` is `load_corpus(config.corpus)` when the caller has already
+    built it; else train() builds it. A given model must have the config's
+    model sizes over its charset, and a given sampler its width, else
+    ValueError names what differs. Aborts with DivergenceError when the
+    loss goes non-finite or exceeds divergence_factor x the initial loss
+    for divergence_patience consecutive steps.
     """
-    corpus, charset = _corpus(config.corpus)
+    corpus, charset = load_corpus(config.corpus) if corpus is None else corpus
     vocab = Vocab(charset, config.k_masks)
     mcfg = config.model_config(charset)
     if model is not None and model.config != mcfg:

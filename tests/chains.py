@@ -14,10 +14,10 @@ replaces, and the clone that drew a whole model and then overwrote its
 base weights, which the clone that draws only what it adds replaces.
 Each is its replacement's oracle: values, gradients, optimizer state and
 weights must match it byte for byte.
-The visibility rule's (T, T) matrix, which `forward` no longer builds, is
-the oracle of the `allowed` matrix it derives. The elementary ops that
-only these chains and the tests use are written here too, on the
-engine's helpers and tape."""
+The visibility rule's (T, T) matrix, which no layout builds, is the
+oracle of the `allowed` matrix of the streams a layout's builder makes.
+The elementary ops that only these chains and the tests use are written
+here too, on the engine's helpers and tape."""
 
 from dataclasses import replace
 
@@ -29,7 +29,7 @@ from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import (
     LORA_ALPHA_OVER_RANK, GatedLoraLinear, LayerWeights, ModelBundle, RegularRows, forward, init_model,
-    layout_streams, sinusoidal_positions,
+    sinusoidal_positions,
 )
 from specmtp.sampler import SamplerHead, sampler_features
 from specmtp.tensor import ArrayOps, NumericsError, Tensor, _out, _record, default_dtype, derive_rng, scanned_once
@@ -211,8 +211,9 @@ def context_chain(p, v, n_reg, block, v_reg=None):
 def attention_chain(q, k, v, streams, n_heads):
     """The attention of a layer over (T, D) q, k, v, as elementary ops:
     scores, the masked softmax over `streams.allowed`, context. `streams`
-    is a `model.Streams` or any (n_reg, block, allowed) triple."""
-    n_reg, block, allowed = streams
+    is a layout's `Streams` (its `first` unread) or any (n_reg, block,
+    allowed) triple."""
+    n_reg, block, allowed = streams[:3]
     p = tz.masked_softmax_rows(scores_chain(q, k, n_heads, n_reg, block), allowed)
     return context_chain(p, v, n_reg, block)
 
@@ -238,7 +239,7 @@ def context_pass_chain(model, batch, first):
     context rows, and each layer's keys and values of every row, as
     arrays."""
     c = model.config
-    n_reg, block, allowed = layout_streams(batch.block_anchor, batch.size)
+    n_reg, block, allowed, _ = batch.streams
     x = tz.add(tz.take_rows(model.embedding_table(), batch.tokens), tz.Tensor(model.pos_table[batch.position_ids]))
     kv = []
     for i, lw in enumerate(model.layers):
@@ -260,24 +261,25 @@ def context_pass_chain(model, batch, first):
     return hidden, logits, kv
 
 
-def visibility_rule(block_anchor):
+def visibility_rule(block_anchor, k):
     """batching.py's visibility rule as a (T, T) matrix: allowed[i, j] iff
     row i sees row j. A regular row (NO_ANCHOR) sees the regular rows up to
     itself; a mask row sees the regular rows up to its anchor and the rows
-    of its block (a run of rows with one anchor) up to itself."""
+    of its block up to itself. The mask rows after the regular rows are
+    blocks of k rows each, in order, whatever their anchors."""
     anchor = np.asarray(block_anchor)
     rows = np.arange(anchor.size)
     regular = anchor == NO_ANCHOR
     reach = np.where(regular, rows, anchor)
-    run = np.cumsum(np.r_[True, anchor[1:] != anchor[:-1]]) if anchor.size else rows
-    own_block = ~regular[:, None] & (run[:, None] == run[None, :]) & (rows[None, :] <= rows[:, None])
+    block_of = np.where(regular, -1, (rows - np.count_nonzero(regular)) // max(k, 1))
+    own_block = ~regular[:, None] & (block_of[:, None] == block_of[None, :]) & (rows[None, :] <= rows[:, None])
     return (regular[None, :] & (rows[None, :] <= reach[:, None])) | own_block
 
 
 def streams_matrix(streams, t_len):
-    """The (T, T) visibility that `layout_streams`' output describes. A
-    regular row's block columns stand for no key, so none may be allowed."""
-    n, blk, allowed = streams
+    """The (T, T) visibility that a layout's streams describe. A regular
+    row's block columns stand for no key, so none may be allowed."""
+    n, blk, allowed = streams[:3]
     if not blk:
         return allowed.copy()
     assert not allowed[:n, n:].any(), "a regular row's block column is allowed"
@@ -331,7 +333,7 @@ def causal_regular_rows(model, batch):
     """One sequence's regular rows as constants, from an untaped causal
     pass over them alone."""
     causal = causal_rows(batch.tokens[batch.ntp_rows])
-    out = forward(model, causal.tokens, causal.position_ids, causal.block_anchor, causal.gate)
+    out = forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
     return RegularRows(out.kv, out.hidden.data, out.logits.data)
 
 
@@ -350,7 +352,7 @@ def per_sequence_step(model, sampler, batches, picks, config):
         for si, rows in zip(picks, regular):
             batch = batches[si]
             gate = batch.gate if config.gated else np.ones(batch.size, dtype=np.int8)
-            out = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate, regular=rows)
+            out = forward(model, batch.tokens, batch.position_ids, batch.streams, gate, regular=rows)
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
             )

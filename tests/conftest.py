@@ -43,7 +43,7 @@ def pattern_config(**over) -> TrainConfig:
 
 def run_batch(model, batch):
     """`forward` over a MaskedBatch's layout."""
-    return forward(model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+    return forward(model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
 
 
 def sliced_regular_rows(out, n):

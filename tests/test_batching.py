@@ -13,14 +13,15 @@ from specmtp.batching import (
     causal_rows,
     _layout,
 )
-from specmtp.model import ModelConfig, _gate_start, forward, init_model, layout_streams
+from specmtp.model import ModelConfig, _gate_start, init_model
 from specmtp.tensor import IGNORE_ID, precision
 
 MASKS2 = np.array([5, 6])
 
 
-def allowed_set(batch, row):
-    return set(np.flatnonzero(visibility_rule(batch.block_anchor)[row]).tolist())
+def allowed_set(batch, row, k):
+    """The rows that `row` sees, by the visibility rule over blocks of k."""
+    return set(np.flatnonzero(visibility_rule(batch.block_anchor, k)[row]).tolist())
 
 
 def test_training_batch_frozen_example():
@@ -34,13 +35,13 @@ def test_training_batch_frozen_example():
     assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, NO_ANCHOR, 0, 0, 1, 1]
     assert batch.prev_token.tolist() == [0, 1, 2, 1, 2, 2, -1]
     assert batch.lcm_pairs == [(3, 1)]
-    assert allowed_set(batch, 0) == {0}
-    assert allowed_set(batch, 1) == {0, 1}
-    assert allowed_set(batch, 2) == {0, 1, 2}
-    assert allowed_set(batch, 3) == {0, 3}
-    assert allowed_set(batch, 4) == {0, 3, 4}
-    assert allowed_set(batch, 5) == {0, 1, 5}
-    assert allowed_set(batch, 6) == {0, 1, 5, 6}
+    assert allowed_set(batch, 0, 2) == {0}
+    assert allowed_set(batch, 1, 2) == {0, 1}
+    assert allowed_set(batch, 2, 2) == {0, 1, 2}
+    assert allowed_set(batch, 3, 2) == {0, 3}
+    assert allowed_set(batch, 4, 2) == {0, 3, 4}
+    assert allowed_set(batch, 5, 2) == {0, 1, 5}
+    assert allowed_set(batch, 6, 2) == {0, 1, 5, 6}
 
 
 def test_training_batch_no_flags_is_plain_causal():
@@ -85,7 +86,7 @@ def test_linear_input_cold_step():
     assert batch.gate.tolist() == [0, 0, 1, 1, 1]
     assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, 1, 1, 1]
     tri = np.tril(np.ones((5, 5), dtype=bool))
-    assert np.array_equal(visibility_rule(batch.block_anchor), tri)
+    assert np.array_equal(visibility_rule(batch.block_anchor, 3), tri)
 
 
 def test_linear_input_sizes_and_positions():
@@ -105,9 +106,45 @@ def test_quadratic_layout_k1():
     assert batch.tokens.tolist() == [1, 2, 3, 5, 5]
     assert batch.block_anchor.tolist() == [NO_ANCHOR, NO_ANCHOR, NO_ANCHOR, 1, 2]
     # Pre-block mask and chain block never see each other.
-    assert allowed_set(batch, 2) == {0, 1, 2}
-    assert allowed_set(batch, 3) == {0, 1, 3}
-    assert allowed_set(batch, 4) == {0, 1, 2, 4}
+    assert allowed_set(batch, 2, 1) == {0, 1, 2}
+    assert allowed_set(batch, 3, 1) == {0, 1, 3}
+    assert allowed_set(batch, 4, 1) == {0, 1, 2, 4}
+
+
+# Builders' streams written out by hand: (n_reg, block, allowed rows).
+FROZEN_STREAMS = {
+    # The training example above: blocks of 2 anchored at rows 0 and 1.
+    "training-k2": (
+        lambda: build_training_batch([0, 1, 2], [1, 1, 1], MASKS2),
+        3,
+        2,
+        ["100 00", "110 00", "111 00", "100 10", "100 11", "110 10", "110 11"],
+    ),
+    # The k = 1 quadratic layout: one-row blocks anchored at rows 1 and 2.
+    "quadratic-k1": (
+        lambda: build_quadratic_inference_input([1, 2], [3], np.array([5])),
+        3,
+        1,
+        ["100 0", "110 0", "111 0", "110 1", "111 1"],
+    ),
+    # The cold linear step: one block after the last row is the triangle.
+    "linear-cold": (
+        lambda: build_linear_inference_input([7, 8], [], np.array([5, 6, 9])),
+        5,
+        0,
+        ["10000", "11000", "11100", "11110", "11111"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_STREAMS))
+def test_layout_streams_frozen_example(case):
+    build, n_reg, block, rows = FROZEN_STREAMS[case]
+    streams = build().streams
+    want = np.array([[c == "1" for c in row.replace(" ", "")] for row in rows])
+    assert (streams.n_reg, streams.block, streams.first) == (n_reg, block, 0)
+    assert streams.allowed.dtype == bool
+    assert np.array_equal(streams.allowed, want)
 
 
 def test_quadratic_layout_k3_frozen_attention():
@@ -117,12 +154,12 @@ def test_quadratic_layout_k3_frozen_attention():
     assert batch.tokens.tolist() == [1, 2, 3, 4, 7, 8, 9] + [10, 11, 12] * 4
     # The first block (rows 7-9) extends the last verified row; s_1 (row 4)
     # never sees it.
-    assert allowed_set(batch, 9) == {0, 1, 2, 3, 7, 8, 9}
-    assert allowed_set(batch, 4) == {0, 1, 2, 3, 4}
+    assert allowed_set(batch, 9, 3) == {0, 1, 2, 3, 7, 8, 9}
+    assert allowed_set(batch, 4, 3) == {0, 1, 2, 3, 4}
     # Block 2's m_1 (row 10): all verified rows, s_1 (row 4), itself; s_2
     # (row 5) anchors block 3, whose m_2 (row 14) sees s_1 and s_2.
-    assert allowed_set(batch, 10) == {0, 1, 2, 3, 4, 10}
-    assert allowed_set(batch, 14) == {0, 1, 2, 3, 4, 5, 13, 14}
+    assert allowed_set(batch, 10, 3) == {0, 1, 2, 3, 4, 10}
+    assert allowed_set(batch, 14, 3) == {0, 1, 2, 3, 4, 5, 13, 14}
     # Positions: s_j continues the count; block masks continue their anchor.
     assert batch.position_ids.tolist() == [
         0, 1, 2, 3, 4, 5, 6, 4, 5, 6, 5, 6, 7, 6, 7, 8, 7, 8, 9
@@ -134,14 +171,14 @@ def test_quadratic_attention_is_lower_triangular_and_block_isolated():
     batch = build_quadratic_inference_input(
         rng.integers(0, 5, size=6).tolist(), [1, 2, 3], np.array([10, 11, 12])
     )
-    allowed = visibility_rule(batch.block_anchor)
+    allowed = visibility_rule(batch.block_anchor, 3)
     assert not np.triu(allowed, 1).any()
     assert allowed.diagonal().all()
     mask_rows = batch.mtp_rows
     for r in mask_rows:
         others = [m for m in mask_rows if batch.block_anchor[m] != batch.block_anchor[r]]
         assert not allowed[r, others].any()
-    assert np.array_equal(streams_matrix(layout_streams(batch.block_anchor, batch.size), batch.size), allowed)
+    assert np.array_equal(streams_matrix(batch.streams, batch.size), allowed)
     assert batch.size == 6 + 3 + 9 + 3
 
 
@@ -150,13 +187,13 @@ def test_quadratic_rejects_wrong_speculation_length():
         build_quadratic_inference_input([1], [2], np.array([5, 6]))
 
 
-def _check_visibility(batch):
+def _check_visibility(batch, k):
     """Walk the rows and check the visibility rule with plain sets: the
-    regular rows first, then runs of mask rows, one run per anchor."""
+    regular rows first, then blocks of k mask rows, one anchor per block."""
     n_reg = int((batch.gate == 0).sum())
     block: list[int] = []
     for r in range(batch.size):
-        seen = allowed_set(batch, r)
+        seen = allowed_set(batch, r, k)
         assert max(seen) == r  # sees itself, never a later row
         if r < n_reg:
             assert batch.gate[r] == 0
@@ -166,8 +203,9 @@ def _check_visibility(batch):
             continue
         anchor = int(batch.block_anchor[r])
         assert batch.gate[r] == 1 and 0 <= anchor < n_reg
-        if not block or batch.block_anchor[block[-1]] != anchor:
+        if (r - n_reg) % k == 0:
             block = []
+        assert not block or batch.block_anchor[block[-1]] == anchor
         block.append(r)
         assert seen == set(range(anchor + 1)) | set(block)
         assert batch.position_ids[r] == anchor + len(block)
@@ -211,7 +249,7 @@ def test_random_layouts_follow_the_visibility_rule():
         seq = rng.integers(0, 30, size=n).tolist()
         flags = rng.integers(0, 2, size=n).tolist()
         batch = build_training_batch(seq, flags, masks)
-        _check_visibility(batch)
+        _check_visibility(batch, k)
         _check_training_rows(batch, seq, flags, mask_block)
 
         corpus = [(rng.integers(0, 30, size=n).tolist(), flags) for _ in range(int(rng.integers(1, 5)))]
@@ -219,7 +257,7 @@ def test_random_layouts_follow_the_visibility_rule():
         assert stack.tokens.shape == stack.base_labels.shape == stack.prev_token.shape == (len(corpus), stack.size)
         for b, (seq_b, _) in enumerate(corpus):
             one = stack.select(b)
-            _check_visibility(one)
+            _check_visibility(one, k)
             _check_training_rows(one, seq_b, flags, mask_block)
 
         verified = rng.integers(0, 30, size=int(rng.integers(1, 10))).tolist()
@@ -232,27 +270,40 @@ def test_random_layouts_follow_the_visibility_rule():
         causal = causal_rows(verified + spec)
         assert not causal.gate.any()
         for batch in (linear, quadratic, causal):
-            _check_visibility(batch)
+            _check_visibility(batch, k)
             assert np.all(batch.base_labels == IGNORE_ID)
             assert np.all(batch.prev_token == NO_TOKEN)
             assert batch.lcm_pairs == []
 
 
 def test_layout_allowed_is_the_lower_triangle_of_the_visibility_rule():
-    # Blocks anchored at any regular rows, in any order: the rule's matrix
-    # is lower-triangular with a full diagonal (regular rows come first),
-    # and the streams that forward derives from the anchors are that matrix.
+    # Blocks anchored at any regular rows, in any order and repeated: the
+    # rule's matrix is lower-triangular with a full diagonal (regular rows
+    # come first), and the streams that the layout carries are that matrix.
     rng = np.random.default_rng(17)
+    draws = [(3, [2, 1], 1), (3, [1, 1, 0], 2), (4, [3, 3], 1), (2, [1], 3)]
     for n in list(range(1, 6)) + [int(n) for n in rng.integers(6, 60, size=40)]:
         k = int(rng.integers(1, 5))
-        anchors = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        distinct = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        repeated = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+        draws += [(n, distinct, k), (n, repeated, k)]
+    for n, anchors, k in draws:
         batch = _layout(np.zeros(n), anchors, np.arange(40, 40 + k))
-        want = visibility_rule(batch.block_anchor)
+        want = visibility_rule(batch.block_anchor, k)
         assert want.dtype == bool
         assert not np.triu(want, 1).any() and want.diagonal().all()
-        _check_visibility(batch)
-        got = streams_matrix(layout_streams(batch.block_anchor, batch.size), batch.size)
-        assert np.array_equal(got, want)
+        _check_visibility(batch, k)
+        assert batch.streams.first == 0
+        assert np.array_equal(streams_matrix(batch.streams, batch.size), want)
+
+
+@pytest.mark.parametrize(
+    "anchors", [[-1], [0, -2], [3], [1, 7]], ids=["below-zero", "below-zero-second", "at-n", "past-n-second"]
+)
+def test_layout_rejects_an_anchor_outside_the_regular_rows(anchors):
+    bad = next(a for a in anchors if not 0 <= a < 3)
+    with pytest.raises(ValueError, match=f"^block anchor {bad} is not one of the 3 regular rows$"):
+        _layout([1, 2, 3], anchors, MASKS2)
 
 
 def _every_layout_kind(rng, count=60):
@@ -273,16 +324,35 @@ def _every_layout_kind(rng, count=60):
         ]
 
 
+def _every_builders_layouts(rng):
+    """(k, layout) of every builder for prompts of 1 to 200 tokens and k =
+    1..4: causal, linear with 0..k speculated tokens, quadratic, and a
+    training stack of three sequences with random loss flags."""
+    for n in (1, 2, 3, 7, 17, 64, 150, 200):
+        for k in range(1, 5):
+            masks = np.arange(40, 40 + k)
+            prompt = rng.integers(0, 30, size=n).tolist()
+            spec = rng.integers(0, 30, size=k).tolist()
+            yield k, causal_rows(prompt)
+            for s in range(k + 1):
+                yield k, build_linear_inference_input(prompt, spec[:s], masks)
+            yield k, build_quadratic_inference_input(prompt, spec, masks)
+            m = max(n, 2)
+            flags = rng.integers(0, 2, size=m)
+            yield k, build_training_stack([(rng.integers(0, 30, size=m), flags) for _ in range(3)], masks)
+
+
 def test_derived_visibility_is_the_rule_on_every_layout_kind():
-    for _, layouts in _every_layout_kind(np.random.default_rng(23)):
-        for batch in layouts:
-            streams = layout_streams(batch.block_anchor, batch.size)
-            # A causal or linear layout is one block-free triangle.
-            n_reg = int((batch.gate == 0).sum()) if streams.block else batch.size
-            assert streams.n_reg == n_reg
-            assert streams.allowed.shape == (batch.size, n_reg + streams.block)
-            got = streams_matrix(streams, batch.size)
-            assert np.array_equal(got, visibility_rule(batch.block_anchor))
+    for k, batch in _every_builders_layouts(np.random.default_rng(23)):
+        streams = batch.streams
+        # A causal or linear layout is one block-free triangle.
+        n_reg = int((batch.gate == 0).sum()) if streams.block else batch.size
+        assert streams.n_reg == n_reg and streams.first == 0
+        assert streams.block in (0, k)
+        assert streams.allowed.dtype == bool
+        assert streams.allowed.shape == (batch.size, n_reg + streams.block)
+        got = streams_matrix(streams, batch.size)
+        assert np.array_equal(got, visibility_rule(batch.block_anchor, k))
 
 
 def test_every_layout_gates_exactly_its_mask_rows_and_they_come_last():
@@ -384,9 +454,10 @@ def test_deleting_a_block_leaves_other_rows_unchanged():
         arow = np.flatnonzero(batch.gate == 0)[1]
         drop = batch.block_rows(arow)
         keep = np.setdiff1d(np.arange(batch.size), drop)
-        got = forward(
-            model, batch.tokens[keep], batch.position_ids[keep], batch.block_anchor[keep], batch.gate[keep]
-        ).logits.data
+        smaller = _layout(seq, np.delete(np.arange(4), 1), model.config.mask_ids)
+        for field in ("tokens", "position_ids", "gate", "block_anchor"):
+            assert np.array_equal(getattr(smaller, field), getattr(batch, field)[keep]), field
+        got = run_batch(model, smaller).logits.data
         assert np.max(np.abs(got - full[keep])) < 1e-6
 
 
@@ -403,10 +474,12 @@ def _assert_stack_is_its_sequences(stack, corpus, mask_ids):
     for b, (seq, flags) in enumerate(corpus):
         alone = build_training_batch(seq, flags, mask_ids)
         one = stack.select(b)
-        _check_visibility(one)
+        _check_visibility(one, len(mask_ids))
         _check_training_rows(one, list(seq), list(flags), list(mask_ids))
         for name in ("tokens", "base_labels", "prev_token") + SHARED_FIELDS:
             assert np.array_equal(getattr(one, name), getattr(alone, name)), (b, name)
+        assert one.streams[:2] + one.streams[3:] == alone.streams[:2] + alone.streams[3:]
+        assert np.array_equal(one.streams.allowed, alone.streams.allowed)
         assert np.array_equal(one.labeled_rows, np.flatnonzero(alone.base_labels != IGNORE_ID))
 
 
@@ -420,6 +493,10 @@ def test_training_stack_is_every_sequence_batch():
         _assert_stack_is_its_sequences(stack, corpus, MASKS2)
         picks = rng.integers(0, len(corpus), size=3)
         assert np.array_equal(stack.select(picks).tokens, stack.tokens[picks])
+        # A stack's sequences share its streams; its regular rows are causal.
+        assert stack.select(picks).streams is stack.streams
+        regular = stack.regular_layout().streams
+        assert (regular.n_reg, regular.block) == (n, 0) and np.array_equal(regular.allowed, np.tri(n, dtype=bool))
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,28 @@ def test_train_rejects_bad_optimizer_and_loss_fields_before_writing(tmp_path, ca
     assert not run_dir.exists()
 
 
+def test_train_builds_its_corpus_once(tmp_path, capsys, monkeypatch):
+    # The corpus check before the run directory exists builds the corpus
+    # that train() then trains on, with pretraining too.
+    import specmtp.cli as cli
+    import specmtp.training as training
+
+    calls = []
+    original = training.generate_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (cli, training):
+        monkeypatch.setattr(module, "generate_corpus", counting)
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(TINY_CONFIG)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_train_run_dir_and_reproducible_metrics(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)

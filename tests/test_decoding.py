@@ -16,7 +16,7 @@ from specmtp.decoding import (
 )
 import specmtp.model as model_mod
 import specmtp.tensor as tensor_mod
-from specmtp.batching import CONTEXT, build_linear_inference_input, build_training_batch, causal_rows
+from specmtp.batching import build_linear_inference_input, build_training_batch, causal_rows
 from specmtp.losses import base_and_sampler_ce
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
@@ -421,10 +421,9 @@ def _record_passes(monkeypatch, model):
 
     forward = decoding_mod.forward
 
-    def recording_forward(model, tokens, position_ids, block_anchor, gate):
-        first = int(np.count_nonzero(np.asarray(block_anchor) == CONTEXT))
-        passes.append((len(tokens), n_ver[-1], first, {}))
-        return forward(model, tokens, position_ids, block_anchor, gate)
+    def recording_forward(model, tokens, position_ids, streams, gate):
+        passes.append((len(tokens), n_ver[-1], streams.first, {}))
+        return forward(model, tokens, position_ids, streams, gate)
 
     apply = model_mod.gated_lora_apply
 

@@ -6,8 +6,7 @@ from chains import attention_chain, context_pass_chain, gated_linear_chain, init
 from conftest import run_batch, sliced_regular_rows
 
 from specmtp.batching import (
-    CONTEXT,
-    NO_ANCHOR,
+    _layout,
     build_linear_inference_input,
     build_quadratic_inference_input,
     build_training_batch,
@@ -24,7 +23,6 @@ from specmtp.model import (
     forward,
     gated_lora_apply,
     init_model,
-    layout_streams,
     merge_adapters,
     model_params,
 )
@@ -150,7 +148,7 @@ def test_zero_init_adapters_do_not_change_logits():
     batch = causal_rows(tokens)
     base = run_batch(model, batch).logits.data
     for gate in ([1, 1, 1, 1], [0, 0, 1, 1]):
-        got = forward(model, tokens, batch.position_ids, batch.block_anchor, gate)
+        got = forward(model, tokens, batch.position_ids, batch.streams, gate)
         assert np.array_equal(got.logits.data, base)
 
 
@@ -271,7 +269,7 @@ def test_gate_invariance_bitwise_vs_rank_zero():
 
 def test_single_token_prompt_shapes():
     model = make_model()
-    out = forward(model, [1], [0], [NO_ANCHOR], [0])
+    out = forward(model, [1], [0], causal_rows([1]).streams, [0])
     assert out.logits.data.shape == (1, CFG["vocab_size"])
     p = np.exp(out.logits.data[0] - out.logits.data[0].max())
     assert abs(p.sum() / p.sum() - 1.0) < 1e-6
@@ -279,20 +277,20 @@ def test_single_token_prompt_shapes():
 
 def test_forward_rejects_bad_layouts():
     model = make_model()
-    regular = [NO_ANCHOR, NO_ANCHOR]
+    causal2 = causal_rows([1, 2]).streams
     with pytest.raises(NumericsError, match="^position id exceeds max_position$"):
-        forward(model, [1, 2], [0, 600], regular, [0, 0])
+        forward(model, [1, 2], [0, 600], causal2, [0, 0])
     with pytest.raises(NumericsError, match="^token id out of range$"):
-        forward(model, [1, CFG["vocab_size"]], [0, 1], regular, [0, 0])
+        forward(model, [1, CFG["vocab_size"]], [0, 1], causal2, [0, 0])
 
 
 @pytest.mark.parametrize("taped", [False, True])
 def test_forward_rejects_an_empty_layout(taped):
     model = make_model()
-    causal3 = [NO_ANCHOR] * 3
+    causal3 = causal_rows([1, 2, 3]).streams
     with Tape() if taped else contextlib.nullcontext():
         with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0,\) give no rows$"):
-            forward(model, [], [], [], [])
+            forward(model, [], [], causal_rows([]).streams, [])
         with pytest.raises(NumericsError, match=r"^empty layout: tokens of shape \(0, 3\) give no rows$"):
             forward(model, np.zeros((0, 3), dtype=np.int64), [0, 1, 2], causal3, [0, 0, 0])
         with pytest.raises(NumericsError, match="^position_ids must hold one position per row$"):
@@ -304,75 +302,62 @@ def _quadratic_layout(model):
     return build_quadratic_inference_input([1, 2, 3, 4, 5, 6, 7], [8, 9, 10], model.config.mask_ids)
 
 
-# Rows of the 22-row layout: the first, a middle one and the last with a
-# later row to attend to; the later key is the next row or the last. An
-# anchor array says that row i attends to row j > i only by anchoring
-# row i at row j: row 0 then becomes a mask row ahead of the regular rows,
-# and a mask row's anchor a mask row.
+def _misfits(batch):
+    """Streams that do not fit `batch`'s tokens, and forward's message."""
+    streams, t_len = batch.streams, batch.size
+    rows = r"^streams of {} rows for 22 rows of tokens$"
+    first = r"^first output row {} outside 0\.\.10: context rows are regular rows, and at least one row is output$"
+    return {
+        "one-row-short": (streams._replace(allowed=streams.allowed[:-1]), rows.format(21)),
+        "one-row-long": (streams._replace(allowed=np.tri(23, dtype=bool)), rows.format(23)),
+        "another-layout": (causal_rows(range(10)).streams, rows.format(10)),
+        "first-below-zero": (streams._replace(first=-1), first.format(-1)),
+        "first-at-T": (streams._replace(first=t_len), first.format(t_len)),
+        "first-past-T": (streams._replace(first=t_len + 3), first.format(t_len + 3)),
+        "first-on-a-mask-row": (streams._replace(first=streams.n_reg + 1), first.format(streams.n_reg + 1)),
+    }
+
+
+MISFITS = sorted(_misfits(_quadratic_layout(make_model())))
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("case", MISFITS)
+def test_forward_rejects_streams_that_do_not_fit_the_tokens(case, taped):
+    # The one check of a layout's streams: allowed has T rows, and the first
+    # output row is a row, at most n_reg (here 10).
+    model = make_model()
+    batch = _quadratic_layout(model)
+    streams, message = _misfits(batch)[case]
+    with Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(NumericsError, match=message):
+            forward(model, batch.tokens, batch.position_ids, streams, batch.gate)
+
+
+# Rows of the 22-row layout: the first, a mask row in the middle of a block
+# and the last row but one, each with a later row: the next row or the last.
 AHEAD = {"first-next": (0, 1), "first-last": (0, 21), "middle": (11, 12), "last": (20, 21)}
-AHEAD_ERRORS = {
-    "first-next": "^a mask row comes before a regular row: regular rows must come first$",
-    "first-last": "^a mask row comes before a regular row: regular rows must come first$",
-    "middle": "^every block anchor must be a regular row$",
-    "last": "^every block anchor must be a regular row$",
-}
 
 
 @pytest.mark.parametrize("taped", [False, True])
 @pytest.mark.parametrize("cell", sorted(AHEAD))
-def test_forward_rejects_attention_to_a_later_row(cell, taped):
-    model = make_model()
+def test_a_row_never_sees_a_later_row(cell, taped):
+    # A layout's streams admit no later key: another token at the later row
+    # changes that row's output and leaves the earlier row's, byte for byte.
+    model = make_model(rank=4, seed=5)
+    randomize_adapters(model)
     batch = _quadratic_layout(model)
     row, key = AHEAD[cell]
-    anchors = batch.block_anchor.copy()
-    anchors[row] = key
-    with Tape() if taped else contextlib.nullcontext():
-        with pytest.raises(NumericsError, match=AHEAD_ERRORS[cell]):
-            forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
-
-
-RAGGED = "^ragged mask blocks: each block must be one run of rows with one anchor, all of one length$"
-
-
-def _bad_anchors(model):
-    """Anchor arrays of the 22-row quadratic layout that break each of
-    forward's layout checks."""
-    anchors = _quadratic_layout(model).block_anchor
-    mask_first = np.concatenate([anchors[-3:], anchors[:-3]])
-    not_regular = anchors.copy()
-    not_regular[13:16] = 12
-    negative = anchors.copy()
-    negative[19:] = -2
-    ragged = anchors.copy()
-    ragged[13] = 6  # the first block gains a row, the second loses one
-    split = anchors.copy()
-    split[11] = 5  # block 3 is no longer one run
-    return {
-        "mask-row-first": (mask_first, "^a mask row comes before a regular row: regular rows must come first$"),
-        "anchor-on-a-mask-row": (not_regular, "^every block anchor must be a regular row$"),
-        "anchor-below-zero": (negative, "^every block anchor must be a regular row$"),
-        "ragged-block": (ragged, RAGGED),
-        "block-in-two-runs": (split, RAGGED),
-        "short-anchor-array": (anchors[:-1], r"^block_anchor must hold one anchor per row: shape \(21,\) for 22 rows$"),
-        "long-anchor-array": (np.append(anchors, 6), r"^block_anchor must hold one anchor per row: shape \(23,\) for 22 rows$"),
-        "anchor-matrix": (np.tri(22, dtype=bool), r"^block_anchor must hold one anchor per row: shape \(22, 22\) for 22 rows$"),
-    }
-
-
-BAD_ANCHORS = sorted(_bad_anchors(make_model()))
-
-
-@pytest.mark.parametrize("taped", [False, True])
-@pytest.mark.parametrize("case", BAD_ANCHORS)
-def test_forward_rejects_a_bad_anchor_array(case, taped):
-    # The O(T) layout checks: regular rows form a prefix, every anchor is a
-    # regular row, every block is one run of the same length, one anchor a row.
-    model = make_model()
-    batch = _quadratic_layout(model)
-    anchors, message = _bad_anchors(model)[case]
-    with Tape() if taped else contextlib.nullcontext():
-        with pytest.raises(NumericsError, match=message):
-            forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+    other = batch.tokens.copy()
+    other[key] = (other[key] + 1) % CFG["vocab_size"]
+    outs = []
+    for tokens in (batch.tokens, other):
+        with Tape() if taped else contextlib.nullcontext():
+            got = forward(model, tokens, batch.position_ids, batch.streams, batch.gate)
+        outs.append((got.hidden.data, got.logits.data))
+    for a, b in zip(*outs):
+        assert a[row].tobytes() == b[row].tobytes()
+        assert not np.array_equal(a[key], b[key])
 
 
 def test_padded_tail_permutation_is_invisible():
@@ -381,10 +366,11 @@ def test_padded_tail_permutation_is_invisible():
     # rows 2 and 1, see only the regular rows and themselves.
     model = make_model(rank=4, seed=4)
     randomize_adapters(model)
-    anchors = [NO_ANCHOR] * 3 + [2, 1]
+    layout = _layout([1, 2, 3], [2, 1], [9])
+    assert layout.position_ids.tolist() == [0, 1, 2, 3, 2]
     gate = np.zeros(5, dtype=int)
-    a = forward(model, [1, 2, 3, 9, 10], [0, 1, 2, 3, 2], anchors, gate).logits.data[:3]
-    b = forward(model, [1, 2, 3, 10, 9], [0, 1, 2, 3, 2], anchors, gate).logits.data[:3]
+    a = forward(model, [1, 2, 3, 9, 10], layout.position_ids, layout.streams, gate).logits.data[:3]
+    b = forward(model, [1, 2, 3, 10, 9], layout.position_ids, layout.streams, gate).logits.data[:3]
     assert np.array_equal(a, b)
 
 
@@ -503,7 +489,7 @@ BAD_GATES = [
 def test_untaped_forward_rejects_bad_gate_like_taped(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
-    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
+    args = (model, batch.tokens, batch.position_ids, batch.streams, gate)
     with pytest.raises(NumericsError, match=message):
         forward(*args)
     with Tape(), pytest.raises(NumericsError, match=message):
@@ -553,7 +539,7 @@ def test_untaped_forward_names_the_overflowing_op(weight, op):
     params = dict(model.named_params())
     params[weight].data = params[weight].data * np.float32(3e37)
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
-    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+    args = (model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match=f"produced by {op}$"):
             forward(*args)
@@ -608,7 +594,7 @@ def chain_forward(model, batch, gate=None):
     for lw in model.layers:
         h = tz.layer_norm(x, lw.ln1_gain, lw.ln1_bias)
         q, k, v = (chain_lora(g, h, gate) for g in (lw.attn_q, lw.attn_k, lw.attn_v))
-        heads = attention_chain(q, k, v, layout_streams(batch.block_anchor, batch.size), c.n_heads)
+        heads = attention_chain(q, k, v, batch.streams, c.n_heads)
         x = tz.add(x, chain_lora(lw.attn_o, heads, gate))
         h2 = tz.layer_norm(x, lw.ln2_gain, lw.ln2_bias)
         x = tz.add(x, chain_lora(lw.ff_out, tz.silu(chain_lora(lw.ff_in, h2, gate)), gate))
@@ -686,7 +672,7 @@ def test_taped_forward_is_bytewise_its_chain_for_every_gate_index(kind, dtype):
             runs = [
                 taped_training_pass(model, sampler, batch, run)
                 for run in (
-                    lambda: forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate),
+                    lambda: forward(model, batch.tokens, batch.position_ids, batch.streams, gate),
                     lambda: chain_forward(model, batch, gate),
                 )
             ]
@@ -711,7 +697,7 @@ def test_untaped_forward_is_bitwise_taped_forward_for_every_gate_index(layout, k
         rng = np.random.default_rng(14)
         for _ in range(4):
             batch = random_layout(layout, rng, model.config.mask_ids)
-            args = (batch.tokens, batch.position_ids, batch.block_anchor, make_gate(batch, rng))
+            args = (batch.tokens, batch.position_ids, batch.streams, make_gate(batch, rng))
             with Tape():
                 taped = forward(model, *args)
             for bundle in (model, merge_adapters(model)):
@@ -742,7 +728,7 @@ def test_taped_forward_rejects_bad_gate_like_its_chain(gate, message):
     model = make_model()
     batch = causal_rows([1, 2, 3])
     with Tape(), pytest.raises(NumericsError, match=message):
-        forward(model, batch.tokens, batch.position_ids, batch.block_anchor, gate)
+        forward(model, batch.tokens, batch.position_ids, batch.streams, gate)
     with Tape(), pytest.raises(NumericsError, match=message):
         chain_forward(model, batch, gate)
 
@@ -805,8 +791,8 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
 def _own_regular_rows(model, batch):
     """forward's arguments over `batch`, and the regular rows of its
     untaped full pass."""
-    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
-    return args, sliced_regular_rows(forward(*args), layout_streams(batch.block_anchor, batch.size).n_reg)
+    args = (model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
+    return args, sliced_regular_rows(forward(*args), batch.streams.n_reg)
 
 
 @pytest.mark.parametrize("taped", [False, True])
@@ -818,7 +804,7 @@ def test_every_pass_returns_each_layers_keys_and_values(taped):
     stack = random_stack(rng, model.config.mask_ids)
     layouts = [make(model.config.mask_ids) for make in LAYOUTS.values()] + [stack, stack.select(1)]
     args, own = _own_regular_rows(model, stack)
-    runs = [((model, b.tokens, b.position_ids, b.block_anchor, b.gate), None, b.size) for b in layouts]
+    runs = [((model, b.tokens, b.position_ids, b.streams, b.gate), None, b.size) for b in layouts]
     runs.append((args, own, stack.size - own.hidden.shape[-2]))
     for a, regular, rows in runs:
         with Tape() if taped else contextlib.nullcontext():
@@ -888,7 +874,7 @@ def test_a_pass_given_regular_rows_tapes_only_the_mask_rows():
     with Tape() as tape:
         forward(*args, regular=own)
     assert len(tape) == 3 + 2 * (2 + 6 + 3 + 1) + 2 + 2
-    m = batch.size - layout_streams(batch.block_anchor, batch.size).n_reg
+    m = batch.size - batch.streams.n_reg
     rows = [out.data.shape[-2] for out, _, _ in tape._entries]
     assert rows == [CFG["vocab_size"]] + [m] * (len(tape) - 3) + [batch.size] * 2
 
@@ -905,7 +891,7 @@ REGULAR_MISUSE = {
 def _given_causal(model, args, own):
     n = own.hidden.shape[-2]
     causal = causal_rows(args[0][0, :n])
-    return forward(model, args[0][:, :n], causal.position_ids, causal.block_anchor, causal.gate, regular=own)
+    return forward(model, args[0][:, :n], causal.position_ids, causal.streams, causal.gate, regular=own)
 
 
 @pytest.mark.parametrize("case", sorted(REGULAR_MISUSE))
@@ -933,10 +919,9 @@ def test_a_pass_with_every_row_gated_forms_no_frozen_product():
     assert not tz.merge_data(g.W.data, g.A.data, g.B.data, LORA_ALPHA_OVER_RANK).any()
     batch = build_training_batch([1, 2, 3, 4, 5], np.ones(5, dtype=int), model.config.mask_ids)
     every_row = np.ones(batch.size, dtype=np.int8)
-    streams = layout_streams(batch.block_anchor, batch.size)
     with np.errstate(over="raise", invalid="raise"):
-        fast = forward(model, batch.tokens, batch.position_ids, batch.block_anchor, every_row)
-        replay = _pass(tz.ArrayOps, model, batch.tokens, batch.position_ids, streams, 0)
+        fast = forward(model, batch.tokens, batch.position_ids, batch.streams, every_row)
+        replay = _pass(tz.ArrayOps, model, batch.tokens, batch.position_ids, batch.streams, 0)
     assert np.isfinite(fast.logits.data).all()
     assert fast.logits.data.tobytes() == replay[1].tobytes()
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="produced by linear$"):
@@ -945,25 +930,19 @@ def test_a_pass_with_every_row_gated_forms_no_frozen_product():
 
 # ---------------------------------------------------------------------------
 # Context rows: regular rows whose keys and values every layer computes but
-# whose output no caller reads. Marked CONTEXT in the anchors, they lead the
-# layout; the last layer runs its query side from the first output row on.
+# whose output no caller reads. The layout's streams name the first output
+# row; the last layer runs its query side from it on.
 # `chains.context_pass_chain` is the oracle, byte for byte; the full pass
 # stays a tolerance check of the output rows.
 # ---------------------------------------------------------------------------
 
 
-def _with_context(batch, first):
-    """batch's anchors with its rows before `first` marked CONTEXT."""
-    anchors = batch.block_anchor.copy()
-    anchors[:first] = CONTEXT
-    return anchors
-
-
 def _decode_layouts(rng, mask_ids):
     """(layout, n_ver, first output rows) for causal, linear and quadratic
     layouts over prompts of 1 to 200 tokens: a first output row of 0,
-    n_ver - 1, n_reg (the mask blocks alone) and T - 1, where the rows
-    before it are regular rows and not all of them."""
+    n_ver - 1, the first mask row (the mask blocks alone) and T - 1, where
+    the rows before it are the streams' regular rows (a linear layout's
+    are all its rows) and not all of them."""
     k = len(mask_ids)
     for n_ver in (1, 2, 5, 17, 64, 150, 200):
         verified = rng.integers(0, CFG["vocab_size"] - CFG["k_masks"], size=n_ver).tolist()
@@ -973,10 +952,10 @@ def _decode_layouts(rng, mask_ids):
             build_linear_inference_input(verified, spec[: int(rng.integers(0, k + 1))], mask_ids),
             build_quadratic_inference_input(verified, spec, mask_ids),
         ):
-            n_reg = int(np.count_nonzero(batch.block_anchor == NO_ANCHOR))
-            # A causal layout's rows are all regular: every row but one may be context.
-            last = n_reg if n_reg < batch.size else batch.size - 1
-            firsts = {r for r in (0, n_ver - 1, n_reg, batch.size - 1) if r <= last}
+            # A causal or linear layout's rows are all regular in its
+            # streams: every row but one may be context.
+            last = min(batch.streams.n_reg, batch.size - 1)
+            firsts = {r for r in (0, n_ver - 1, len(batch.ntp_rows), batch.size - 1) if r <= last}
             yield batch, n_ver, sorted(firsts)
 
 
@@ -996,8 +975,7 @@ def test_a_pass_with_context_rows_is_bytewise_its_chain(dtype):
             full = run_batch(model, batch)
             for first in firsts:
                 seen.add((first == 0, first == n_ver - 1, first == batch.size - 1))
-                anchors = _with_context(batch, first)
-                got = forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+                got = forward(model, batch.tokens, batch.position_ids, batch.streams._replace(first=first), batch.gate)
                 hidden, logits, kv = context_pass_chain(model, batch, first)
                 for field, want in (("hidden", hidden), ("logits", logits)):
                     a = getattr(got, field).data
@@ -1048,37 +1026,8 @@ def test_the_last_layer_of_a_pass_with_context_rows_runs_its_output_rows():
     batch = _quadratic_layout(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model_mod, "gated_lora_apply", recording)
-        forward(model, batch.tokens, batch.position_ids, _with_context(batch, 6), batch.gate)
+        forward(model, batch.tokens, batch.position_ids, batch.streams._replace(first=6), batch.gate)
     assert rows == [22] * 6 + [16, 22, 22, 16, 16, 16]
-
-
-CONTEXT_MISUSE = {
-    # A context row after an output row: a regular row, or a mask row (then
-    # a regular row after a mask row).
-    "after-an-output-row": (
-        lambda b: np.r_[CONTEXT, NO_ANCHOR, CONTEXT, b.block_anchor[3:]],
-        "^a context row comes after an output row: context rows must come first$",
-    ),
-    "on-a-mask-row": (
-        lambda b: np.r_[b.block_anchor[:-1], CONTEXT],
-        "^a mask row comes before a regular row: regular rows must come first$",
-    ),
-    "every-row": (
-        lambda b: np.full(b.size, CONTEXT),
-        "^every row is a context row: a pass must output at least one row$",
-    ),
-}
-
-
-@pytest.mark.parametrize("taped", [False, True])
-@pytest.mark.parametrize("case", sorted(CONTEXT_MISUSE))
-def test_forward_rejects_misplaced_context_rows(case, taped):
-    model = make_model()
-    batch = _quadratic_layout(model)
-    make_anchors, message = CONTEXT_MISUSE[case]
-    with Tape() if taped else contextlib.nullcontext():
-        with pytest.raises(NumericsError, match=message):
-            forward(model, batch.tokens, batch.position_ids, make_anchors(batch), batch.gate)
 
 
 def test_forward_rejects_context_rows_that_a_caller_would_read():
@@ -1087,8 +1036,8 @@ def test_forward_rejects_context_rows_that_a_caller_would_read():
     model = make_model(rank=4, seed=13)
     batch = random_stack(np.random.default_rng(13), model.config.mask_ids)
     args, own = _own_regular_rows(model, batch)
-    anchors = _with_context(batch, 2)
+    streams = batch.streams._replace(first=2)
     with Tape(), pytest.raises(NumericsError, match="^context rows under an active tape"):
-        forward(model, batch.tokens, batch.position_ids, anchors, batch.gate)
+        forward(model, batch.tokens, batch.position_ids, streams, batch.gate)
     with pytest.raises(NumericsError, match="^context rows with regular rows given"):
-        forward(model, batch.tokens, batch.position_ids, anchors, batch.gate, regular=own)
+        forward(model, batch.tokens, batch.position_ids, streams, batch.gate, regular=own)

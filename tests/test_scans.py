@@ -67,7 +67,7 @@ SUBJECTS = ("untaped", "taped", "sampler_chain")
 def run_subject(subject, model, head, batch, zs):
     if subject == "sampler_chain":
         return np.array(sampler_chain(head, model.unembed, model.embedding_table(), 0, zs))
-    args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+    args = (model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
     with Tape() if subject == "taped" else contextlib.nullcontext():
         out = forward(*args)
     return out.logits.data

@@ -19,8 +19,7 @@ from chains import (
 )
 
 from specmtp import tensor as tz
-from specmtp.batching import NO_ANCHOR
-from specmtp.model import layout_streams
+from specmtp.batching import _layout
 from specmtp.tensor import (
     NumericsError,
     Tape,
@@ -762,13 +761,13 @@ def test_attention_ops_are_bytewise_the_attention_chain(layout):
 
 
 # 5 regular rows, then 3 blocks of 3 mask rows anchored at rows 1, 4 and 2.
-ISOLATION_ANCHORS = np.r_[[NO_ANCHOR] * 5, [1] * 3, [4] * 3, [2] * 3]
+ISOLATION_LAYOUT = _layout(np.zeros(5), [1, 4, 2], np.zeros(3))
 
 
 def _isolated_attention(q, k, v, taped):
-    """scores -> masked_softmax_rows -> context over ISOLATION_ANCHORS'
-    layout, as the autodiff ops under a tape or as their array helpers."""
-    n_reg, block, allowed = layout_streams(ISOLATION_ANCHORS, ISOLATION_ANCHORS.size)
+    """scores -> masked_softmax_rows -> context over ISOLATION_LAYOUT, as
+    the autodiff ops under a tape or as their array helpers."""
+    n_reg, block, allowed, _ = ISOLATION_LAYOUT.streams
     if not taped:
         s = tz.attention_scores_data(q, k, 2, n_reg, block)[0]
         return tz.attention_context_data(tz.masked_softmax_data(s, allowed), v, n_reg, block)[0]
@@ -785,7 +784,7 @@ def test_mask_rows_reach_no_regular_row_and_blocks_reach_no_other_block(taped):
     # overflow a product with any regular query, so a regular row that
     # scored a block key, even in an excluded cell, would raise.
     rng = np.random.default_rng(29)
-    t_len, n_reg, block = ISOLATION_ANCHORS.size, 5, 3
+    t_len, n_reg, block = ISOLATION_LAYOUT.size, 5, 3
     m = t_len - n_reg
     q, k, v = (rng.normal(size=(t_len, 4)).astype(np.float32) for _ in range(3))
     base = _isolated_attention(q, k, v, taped)

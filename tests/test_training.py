@@ -7,8 +7,9 @@ import pytest
 
 from chains import PerArrayAdamW, clone_by_overwrite, per_sequence_pretrain_step, per_sequence_step
 from conftest import pattern_config, run_batch, sliced_regular_rows
-from specmtp.batching import NO_ANCHOR, build_training_batch, build_training_stack, causal_rows
+from specmtp.batching import build_training_batch, build_training_stack, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
+import specmtp.batching as batching
 import specmtp.model as model_mod
 from specmtp.model import forward, init_model, model_params
 from specmtp.sampler import init_sampler
@@ -363,7 +364,7 @@ def test_standard_lora_mode_moves_ntp_logits():
     corpus = generate_corpus(cfg.corpus)
     probe = build_training_stack(corpus, res.model.config.mask_ids).select(0).regular_layout()
     ungated = np.ones(probe.size, dtype=np.int8)
-    fresh = forward(res.model, probe.tokens, probe.position_ids, probe.block_anchor, ungated)
+    fresh = forward(res.model, probe.tokens, probe.position_ids, probe.streams, ungated)
     want = fresh.logits.data
     assert res.probe_ntp_logits_final.dtype == want.dtype
     assert res.probe_ntp_logits_final.tobytes() == want.tobytes()
@@ -446,7 +447,7 @@ def test_full_loop_gradient_check_64bit():
 
         def f():
             out = forward(
-                model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate, regular=regular
+                model, batch.tokens, batch.position_ids, batch.streams, batch.gate, regular=regular
             )
             base, samp = base_and_sampler_ce(
                 batch, out.hidden, out.logits, sampler, model.unembed, model.embedding_table()
@@ -514,7 +515,7 @@ def test_a_run_that_moves_regular_rows_keeps_its_per_step_probe(monkeypatch, kin
     assert res.probe_ntp_logits_final.tobytes() != res.probe_ntp_logits_initial.tobytes()
 
 
-def _pass_kind(tokens, block_anchor, regular):
+def _pass_kind(tokens, streams, regular):
     """What a `forward` call of train() runs: the probe (one sequence's
     regular rows), a taped pretraining pass or the untaped cache pass (a
     stack's regular rows), a pass over the mask rows given the regular
@@ -523,7 +524,7 @@ def _pass_kind(tokens, block_anchor, regular):
         return "mask rows"
     if np.ndim(tokens) == 1:
         return "probe"
-    if (np.asarray(block_anchor) == NO_ANCHOR).all():
+    if streams.n_reg == np.shape(tokens)[-1]:
         return "pretrain" if active_tape() is not None else "regular"
     return "full"
 
@@ -543,9 +544,9 @@ def test_every_training_pass_goes_through_the_module_forward(monkeypatch, kind):
         model.layers[0].ln1_gain.requires_grad = kind == "base-weight"
     calls, original = [], training.forward
 
-    def counted(model, tokens, position_ids, block_anchor, gate, **kw):
-        calls.append(_pass_kind(tokens, block_anchor, kw.get("regular")))
-        return original(model, tokens, position_ids, block_anchor, gate, **kw)
+    def counted(model, tokens, position_ids, streams, gate, **kw):
+        calls.append(_pass_kind(tokens, streams, kw.get("regular")))
+        return original(model, tokens, position_ids, streams, gate, **kw)
 
     monkeypatch.setattr(training, "forward", counted)
     train(cfg, model=model)
@@ -556,6 +557,35 @@ def test_every_training_pass_goes_through_the_module_forward(monkeypatch, kind):
         assert calls == ["pretrain"] * cfg.pretrain_steps + cached
     else:
         assert calls == ["probe"] + ["full", "probe"] * cfg.total_steps
+
+
+@pytest.mark.parametrize("gated", [True, False])
+def test_a_train_call_builds_its_streams_once_not_per_step(monkeypatch, gated):
+    # Every step's training pass takes the one stack's streams, and a run of
+    # 4 steps builds as many streams as a run of 1.
+    built, passed, original = [], [], training.forward
+
+    def counted_streams(*args):
+        built.append(args)
+        return make_streams(*args)
+
+    def recorded(model, tokens, position_ids, streams, gate, **kw):
+        if _pass_kind(tokens, streams, kw.get("regular")) in ("mask rows", "full"):
+            passed.append(streams)
+        return original(model, tokens, position_ids, streams, gate, **kw)
+
+    make_streams = batching._streams
+    monkeypatch.setattr(batching, "_streams", counted_streams)
+    monkeypatch.setattr(training, "forward", recorded)
+    counts = []
+    for steps in (1, 4):
+        built.clear()
+        passed.clear()
+        train(tiny_config(total_steps=steps, gated=gated))
+        counts.append(len(built))
+        assert len(passed) == steps
+        assert all(s is passed[0] for s in passed) and passed[0].block > 0
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("gated", [True, False])
@@ -716,7 +746,7 @@ def test_mask_row_step_is_bytewise_the_full_layout_step(task, dtype, tmp_path):
         model, sampler, stack = _finetune_setup(cfg)
         params = model.trainable_params() + sampler.trainable_params()
         batch = stack.select(np.array([0, 3, 1, 3]))
-        args = (model, batch.tokens, batch.position_ids, batch.block_anchor, batch.gate)
+        args = (model, batch.tokens, batch.position_ids, batch.streams, batch.gate)
         own = sliced_regular_rows(forward(*args), len(batch.ntp_rows))
         runs = []
         for regular in (None, own):
