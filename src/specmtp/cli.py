@@ -26,7 +26,6 @@ from .training import (
     TrainConfig,
     Vocab,
     derive_rng,
-    generate_corpus,
     load_corpus,
     train,
 )
@@ -182,7 +181,7 @@ def _check_suite(count: int, prompt_len: int) -> None:
 
 
 def _check_k(k: int, model) -> None:
-    """`--k` of decode and verify, once the checkpoint gives its masks."""
+    """`--k` of decode, verify and probe, once the checkpoint gives its masks."""
     if not 1 <= k <= model.config.k_masks:
         raise UsageError(f"--k {k} must stay within 1..{model.config.k_masks}")
 
@@ -245,8 +244,8 @@ def _suite_prompts(suite: str, vocab: Vocab, count: int, prompt_len: int, seed: 
 
 def cmd_gen_data(args) -> int:
     spec = CorpusSpec(**{name: getattr(args, name) for name, _ in _SECTIONS["corpus"].values()})
-    vocab = spec.vocab(k_masks=1)
-    corpus = generate_corpus(spec)
+    corpus, charset = load_corpus(spec)
+    vocab = Vocab(charset, 1)
     payload = {
         "task": spec.task,
         "charset": vocab.charset,
@@ -411,8 +410,9 @@ def cmd_probe(args) -> int:
     model, _, vocab, _ = _load(args.ckpt)
     prompt = vocab.encode(args.prompt).tolist()
     future = vocab.encode(args.future, add_bos=False).tolist()
-    k = args.k or model.config.k_masks
-    ranks = future_rank_probe(model, prompt, future, k)
+    if args.k:
+        _check_k(args.k, model)
+    ranks = future_rank_probe(model, prompt, future, args.k or model.config.k_masks)
     for ch, rank in zip(args.future, ranks):
         print(f"{ch!r}: rank {rank}")
     print(f"median rank: {float(np.median(ranks)):.1f}")

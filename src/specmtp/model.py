@@ -34,8 +34,8 @@ context row's hidden row and logits are zeros.
 The regular rows never see a mask row, and at gate 0 they run the frozen
 base, so while no base weight trains their keys, values, hidden rows and
 logits cannot change. Every pass returns each layer's keys and values
-(`ForwardResult.kv`), so a causal pass's result, as `RegularRows`, holds
-those rows as constants, and `forward` takes them back (`regular`): that
+(`ForwardResult.kv`) beside its hidden rows and logits, so a causal pass's
+result is those rows' cache, and `forward` takes it back (`regular`): that
 pass runs the mask rows alone, as the query stream that reads a content
 stream computed once, and attends to the given keys and values through
 the same op pair. Gated training computes each sequence's regular rows
@@ -398,26 +398,15 @@ def masked_softmax_rows(scores: Tensor | np.ndarray, allowed: np.ndarray) -> Ten
     return masked_softmax_data(scores, allowed)
 
 
-class RegularRows(NamedTuple):
-    """A layout's ungated regular rows as constants, for a pass to take as
-    `regular`: each layer's keys and values (..., n_reg, D), and the final
-    hidden rows and logits, as plain arrays. An untaped causal pass over
-    those rows alone gives all three (`training.regular_rows`)."""
-
-    kv: tuple[tuple[np.ndarray, np.ndarray], ...]
-    hidden: np.ndarray  # (..., n_reg, d)
-    logits: np.ndarray  # (..., n_reg, V)
-
-    def select(self, picks) -> "RegularRows":
-        """The rows of sequences `picks` of a stack, as `MaskedBatch.select`."""
-        kv = tuple((k[picks], v[picks]) for k, v in self.kv)
-        return RegularRows(kv, self.hidden[picks], self.logits[picks])
-
-
 class ForwardResult(NamedTuple):
     hidden: Tensor  # (..., T, d) last-layer states after the final norm; 0 on context rows
     logits: Tensor  # (..., T, V); 0 on context rows
     kv: tuple  # per layer, the (keys, values) arrays (..., T, D) of the rows the pass ran
+
+    def select(self, picks) -> "ForwardResult":
+        """The rows of sequences `picks` of a stack's pass, as `MaskedBatch.select`."""
+        kv = tuple((k[picks], v[picks]) for k, v in self.kv)
+        return ForwardResult(_out(self.hidden.data[picks]), _out(self.logits.data[picks]), kv)
 
 
 def forward(
@@ -426,7 +415,7 @@ def forward(
     position_ids,
     streams,
     gate,
-    regular: RegularRows | None = None,
+    regular: ForwardResult | None = None,
 ) -> ForwardResult:
     """One pass over a layout of batching.py's form: regular rows first,
     then mask blocks, whose attention is the layout's `Streams` (a builder
@@ -450,12 +439,12 @@ def forward(
     row, and a pass given `regular` reject them.
 
     The result also holds each layer's keys and values as plain arrays
-    (`kv`), so a pass's regular rows can be kept as constants
-    (`RegularRows`). Given them as `regular`, a pass over a layout with
-    mask blocks after the same regular rows, none of them gated, runs the
-    mask rows alone: each layer attends to the given keys and values and
-    the mask rows' own, hidden and logits are the given rows joined over
-    the mask rows', and `kv` holds the mask rows' own. The given rows take
+    (`kv`), so the result of a causal pass over a layout's regular rows is
+    their cache. Given it as `regular`, a pass over a layout with mask
+    blocks after the same regular rows, none of them gated, runs the mask
+    rows alone: each layer attends to the given keys and values and the
+    mask rows' own, hidden and logits are the given rows' joined over the
+    mask rows', and `kv` holds the mask rows' own. The given rows take
     no gradient. When they are the full pass's own, every mask row gets
     that pass's bytes as long as a product's bytes do not depend on how
     many rows it runs over (the tests check this at their sizes).
@@ -516,19 +505,20 @@ def _pass(ops, model, tokens, position_ids, streams, start, regular=None) -> tup
     """The pass over op namespace `ops`, the autodiff ops (`tensor`) or
     their array helpers (`ArrayOps`); `start` is the first gated row (None
     for none). With `regular`, the layout's regular rows come from outside
-    the pass: tokens, positions, `streams.allowed` and `start` are those of
-    the mask rows after them, each layer attends to the given keys and
-    values, and hidden and logits are joined under the given ones. With
-    context rows (`streams.first` > 0, arrays only), every layer runs LN1
-    and the key and value adapters over every row, and the last layer runs
-    the rest from row `first` on: its query adapter, its attention, whose queries
-    are those rows and whose keys and values are every row's, then o, LN2,
-    the MLP, the final norm and the unembedding; the context rows' hidden
-    and logits are zeros. Every adapter goes through this module's
-    `gated_lora_apply`, and every softmax through its
-    `masked_softmax_rows`, looked up at call time on both paths; each picks
-    the op matching its input. Returns (hidden, logits, each layer's (keys,
-    values) of the pass's own rows) as the namespace's values."""
+    the pass (a causal pass's result): tokens, positions, `streams.allowed`
+    and `start` are those of the mask rows after them, each layer attends
+    to the given keys and values, and hidden and logits are joined under
+    the given ones' arrays. With context rows (`streams.first` > 0, arrays
+    only), every layer runs LN1 and the key and value adapters over every
+    row, and the last layer runs the rest from row `first` on: its query
+    adapter, its attention, whose queries are those rows and whose keys
+    and values are every row's, then o, LN2, the MLP, the final norm and
+    the unembedding; the context rows' hidden and logits are zeros. Every
+    adapter goes through this module's `gated_lora_apply`, and every
+    softmax through its `masked_softmax_rows`, looked up at call time on
+    both paths; each picks the op matching its input. Returns (hidden,
+    logits, each layer's (keys, values) of the pass's own rows) as the
+    namespace's values."""
     c = model.config
     n, block, allowed, first = streams
     x = ops.add(ops.take_rows(model.embedding_table(), tokens), ops.Tensor(model.pos_table[position_ids]))
@@ -554,7 +544,8 @@ def _pass(ops, model, tokens, position_ids, streams, start, regular=None) -> tup
     hidden = ops.layer_norm(x, model.final_ln_gain, model.final_ln_bias)
     logits = ops.linear(hidden, model.unembed)
     if regular is not None:
-        hidden, logits = ops.concat_rows([regular.hidden, hidden]), ops.concat_rows([regular.logits, logits])
+        hidden = ops.concat_rows([regular.hidden.data, hidden])
+        logits = ops.concat_rows([regular.logits.data, logits])
     elif first:
         # A context row's last-layer ops did not run: its rows are zeros.
         zeros = [np.zeros(a.shape[:-2] + (first, a.shape[-1]), a.dtype) for a in (hidden, logits)]

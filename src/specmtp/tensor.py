@@ -771,7 +771,7 @@ def _outside_rows(xd: np.ndarray, xd_out: np.ndarray | None) -> int:
 
 def attention_scores_data(
     qd: np.ndarray, kd: np.ndarray, n_heads: int, n_reg: int, block: int, kd_reg: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Scaled dot-product scores of every head. The (..., T, D) queries and
     keys are split into n_heads heads of d_h = D / n_heads columns. Every
     query row scores against the n_reg regular keys by one product; each
@@ -789,7 +789,8 @@ def attention_scores_data(
     kd hold the whole layout at r = r_out = 0, the mask blocks alone at
     r = r_out = n_reg, and a decode pass's last layer has r > r_out = 0.
     Returns (scores, q as (..., H, T_q, d_h), k as (..., H, d_h, T_k), the
-    regular keys as (..., H, d_h, n_reg)), the last three for the
+    regular keys as (..., H, d_h, n_reg), and the split (r_out, the first
+    mask query row, the first own mask key row)), the rest for the
     backward."""
     t_q = qd.shape[-2] if qd.ndim >= 2 else 0
     r_out = _outside_rows(kd, kd_reg)
@@ -827,7 +828,7 @@ def attention_scores_data(
     # non-finite score can only come from a product. The scan runs in a
     # fast run too: the softmax can absorb a non-finite score.
     s *= 1.0 / math.sqrt(q.shape[-1])
-    return _scan(s, "matmul"), q, k, kr
+    return _scan(s, "matmul"), q, k, kr, (r_out, lo_q, lo_k)
 
 
 def attention_scores(
@@ -838,11 +839,9 @@ def attention_scores(
     product and each block's product over its own rows, joined under a
     zero filler for the regular rows' block columns, before the scale.
     Regular keys `k_reg` from outside the pass are a constant: no gradient."""
-    s, qh, kt, kr = attention_scores_data(q.data, k.data, n_heads, n_reg, block, k_reg)
+    s, qh, kt, kr, (r_out, lo_q, lo_k) = attention_scores_data(q.data, k.data, n_heads, n_reg, block, k_reg)
     out = _out(s)
     c = 1.0 / math.sqrt(qh.shape[-1])
-    r_out = _outside_rows(k.data, k_reg)
-    lo_q, lo_k = _mask_starts(qh.shape[-2], kt.shape[-1], n_reg, r_out)
 
     def bw(g, qh=qh, kt=kt, kr=kr, q_shape=q.data.shape, k_shape=k.data.shape):
         gs = g * c
@@ -863,7 +862,7 @@ def attention_scores(
 
 def attention_context_data(
     pd: np.ndarray, vd: np.ndarray, n_reg: int, block: int, vd_reg: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Attention weights pd (..., H, T, n_reg + block), laid out as
     `attention_scores_data` lays out its scores, times the (..., T, D)
     values split into H heads: every row's weights on the n_reg regular
@@ -876,8 +875,9 @@ def attention_context_data(
     last rows, as the keys and queries of `attention_scores_data`:
     `vd_reg` (..., r_out, D) from outside the pass, then vd, and pd's rows
     from a row r >= r_out on. Returns (output (..., T_q, D), v as (..., H,
-    T_v, d_h), the regular values as (..., H, n_reg, d_h)), the last two
-    for the backward."""
+    T_v, d_h), the regular values as (..., H, n_reg, d_h), and the split
+    (r_out, the first mask query row, the first own mask value row)), the
+    rest for the backward."""
     n_heads = pd.shape[-3] if pd.ndim >= 3 else 0
     t_q = pd.shape[-2] if pd.ndim >= 3 else 0
     r_out = _outside_rows(vd, vd_reg)
@@ -907,7 +907,7 @@ def attention_context_data(
         by_block = _finite(_blocks(pd[..., lo_q:, n_reg:], block) @ _blocks(v[..., lo_v:, :], block), "matmul")
         out[..., lo_q:, :] += by_block.reshape(out[..., lo_q:, :].shape)
         _finite(out, "add")
-    return _join_heads(out, vd.shape[:-2] + (t_q, vd.shape[-1])), v, vr
+    return _join_heads(out, vd.shape[:-2] + (t_q, vd.shape[-1])), v, vr, (r_out, lo_q, lo_v)
 
 
 def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.ndarray | None = None) -> Tensor:
@@ -915,10 +915,8 @@ def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.nd
     -> matmul -> transpose -> reshape as one op; with mask blocks, each
     block's product added into its rows before the transpose. Regular
     values `v_reg` from outside the pass are a constant: no gradient."""
-    y, vh, vr = attention_context_data(p.data, v.data, n_reg, block, v_reg)
+    y, vh, vr, (r_out, lo_q, lo_v) = attention_context_data(p.data, v.data, n_reg, block, v_reg)
     out = _out(y)
-    r_out = _outside_rows(v.data, v_reg)
-    lo_q, lo_v = _mask_starts(p.data.shape[-2], vh.shape[-2], n_reg, r_out)
 
     def bw(g, pd=p.data, vh=vh, vr=vr, shape=v.data.shape):
         go = np.ascontiguousarray(_heads(g, vh.shape[-3]))

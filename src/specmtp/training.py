@@ -14,9 +14,10 @@ sequence, which the tests keep as the oracle.
 
 In gated mode, while only those weights train, no step can move a regular
 row. So a `train()` call computes the regular rows of every sequence its
-steps pick once, by one untaped causal pass (`regular_rows`), and each
-step's taped pass runs the mask rows alone, attending to those rows' keys
-and values; the losses read the cached rows joined over the mask rows.
+steps pick once, by one untaped causal pass whose result is their cache
+(`regular_rows`), and each step's taped pass runs the mask rows alone,
+attending to those rows' keys and values; the losses read the cached rows
+joined over the mask rows.
 Those rows come from a pass over fewer rows than the training layout's, so
 their bytes can differ from a full pass's in the last bits. The ungated
 ablation, a run that trains a base weight, and `pretrain_base` run the
@@ -36,7 +37,7 @@ from .batching import MaskedBatch, build_training_stack
 from .checkpoint import save_checkpoint
 from .decoding import speculative_decode
 from .losses import base_and_sampler_ce, lcm_loss, ntp_only_ce, total_loss
-from .model import ModelBundle, ModelConfig, RegularRows, build_model, draw_params, forward, init_model, model_params
+from .model import ForwardResult, ModelBundle, ModelConfig, build_model, draw_params, forward, init_model, model_params
 from .sampler import SamplerHead, init_sampler, sampler_params
 from .tensor import (
     NumericsError,
@@ -302,13 +303,13 @@ class TrainConfig:
     order are read off these fields (see cli.py)."""
 
     corpus: CorpusSpec = field(default_factory=CorpusSpec)
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    d_ff: int = 256
-    k_masks: int = 4
-    lora_rank: int = 8
-    max_position: int = 512
+    d_model: int = ModelConfig.d_model
+    n_layers: int = ModelConfig.n_layers
+    n_heads: int = ModelConfig.n_heads
+    d_ff: int = ModelConfig.d_ff
+    k_masks: int = ModelConfig.k_masks
+    lora_rank: int = ModelConfig.lora_rank
+    max_position: int = ModelConfig.max_position
 
     learning_rate: float = 2e-4
     warmup_steps: int = 200
@@ -389,17 +390,16 @@ class TrainResult:
     eval_history: list[tuple[int, float]]  # (step, mean acceptance rate)
 
 
-def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool, regular: RegularRows | None = None):
+def _forward_batch(model: ModelBundle, batch: MaskedBatch, gated: bool, regular: ForwardResult | None = None):
     gate = batch.gate if gated else np.ones(batch.size, dtype=np.int8)
     return forward(model, batch.tokens, batch.position_ids, batch.streams, gate, regular=regular)
 
 
-def regular_rows(model: ModelBundle, stack: MaskedBatch) -> RegularRows:
-    """The regular rows of every sequence of a training stack as constants,
-    from one untaped causal pass over them."""
+def regular_rows(model: ModelBundle, stack: MaskedBatch) -> ForwardResult:
+    """The regular rows of every sequence of a training stack as constants:
+    the result of one untaped causal pass over them."""
     causal = stack.regular_layout()
-    out = forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
-    return RegularRows(out.kv, out.hidden.data, out.logits.data)
+    return forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
 
 
 @contextmanager
@@ -641,7 +641,7 @@ def stacked_loss(
     sampler: SamplerHead | None,
     batch: MaskedBatch,
     config: TrainConfig,
-    regular: RegularRows | None = None,
+    regular: ForwardResult | None = None,
 ) -> tuple[Tensor, list[float]]:
     """One step's loss over a stack of B sequences: the mean of their
     totals, and the base, sampler and lcm terms each summed over them (the
@@ -684,7 +684,6 @@ def checkpoint_meta(config: TrainConfig, vocab: Vocab) -> dict[str, str]:
     return {
         "charset": vocab.charset,
         "task": config.corpus.task,
-        "use_sampler": str(int(config.use_sampler)),
         "gated": str(int(config.gated)),
         "loss_weights": f"{config.loss_base},{config.loss_sampler},{config.loss_lcm}",
     }

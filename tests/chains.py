@@ -28,7 +28,7 @@ from specmtp import tensor as tz
 from specmtp.batching import NO_ANCHOR, causal_rows
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 from specmtp.model import (
-    LORA_ALPHA_OVER_RANK, GatedLoraLinear, LayerWeights, ModelBundle, RegularRows, forward, init_model,
+    LORA_ALPHA_OVER_RANK, GatedLoraLinear, LayerWeights, ModelBundle, forward, init_model,
     sinusoidal_positions,
 )
 from specmtp.sampler import SamplerHead, sampler_features
@@ -333,8 +333,7 @@ def causal_regular_rows(model, batch):
     """One sequence's regular rows as constants, from an untaped causal
     pass over them alone."""
     causal = causal_rows(batch.tokens[batch.ntp_rows])
-    out = forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
-    return RegularRows(out.kv, out.hidden.data, out.logits.data)
+    return forward(model, causal.tokens, causal.position_ids, causal.streams, causal.gate)
 
 
 def per_sequence_step(model, sampler, batches, picks, config):

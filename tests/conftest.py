@@ -4,7 +4,8 @@ base and handed out as a fresh clone."""
 
 import pytest
 
-from specmtp.model import RegularRows, forward
+from specmtp.model import ForwardResult, forward
+from specmtp.tensor import Tensor
 from specmtp.training import (
     CorpusSpec,
     TrainConfig,
@@ -47,10 +48,10 @@ def run_batch(model, batch):
 
 
 def sliced_regular_rows(out, n):
-    """The first n rows of a pass's result (its keys and values, hidden
-    rows and logits) as `RegularRows`."""
+    """The first n rows of a pass's result (its hidden rows, logits, keys
+    and values), in a pass result's form."""
     kv = tuple((k[..., :n, :], v[..., :n, :]) for k, v in out.kv)
-    return RegularRows(kv, out.hidden.data[..., :n, :], out.logits.data[..., :n, :])
+    return ForwardResult(Tensor(out.hidden.data[..., :n, :]), Tensor(out.logits.data[..., :n, :]), kv)
 
 
 def heldout_prompts(count=12, prompt_len=9, seed=99):

@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,27 @@ def test_gen_data_arithmetic_recompute(tmp_path):
         assert int(a) + int(b) == int(ans)
 
 
+def test_gen_data_reads_a_file_task_once(tmp_path, monkeypatch, capsys):
+    # The corpus and its charset come from one read of the file.
+    doc = tmp_path / "doc.txt"
+    doc.write_text("the quick brown fox jumps over the lazy dog. " * 4)
+    reads = []
+    original = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        reads.append(self == doc)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    out = tmp_path / "corpus.json"
+    argv = ["gen-data", "--task", "file", "--path", str(doc), "--size", "4", "--seq-len", "12", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert reads == [True]
+    monkeypatch.undo()
+    assert json.loads(out.read_text())["charset"] == "".join(sorted(set(doc.read_text())))
+    capsys.readouterr()
+
+
 def test_gen_data_flags_are_the_corpus_spec_fields():
     # One flag per CorpusSpec field, with the dataclass default and type.
     args = build_parser().parse_args(["gen-data", "--task", "pattern", "--out", "c.json"])
@@ -311,7 +333,6 @@ def test_train_rejects_bad_optimizer_and_loss_fields_before_writing(tmp_path, ca
 def test_train_builds_its_corpus_once(tmp_path, capsys, monkeypatch):
     # The corpus check before the run directory exists builds the corpus
     # that train() then trains on, with pretraining too.
-    import specmtp.cli as cli
     import specmtp.training as training
 
     calls = []
@@ -321,8 +342,7 @@ def test_train_builds_its_corpus_once(tmp_path, capsys, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (cli, training):
-        monkeypatch.setattr(module, "generate_corpus", counting)
+    monkeypatch.setattr(training, "generate_corpus", counting)
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(TINY_CONFIG)
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
@@ -416,7 +436,7 @@ def test_probe_k_beyond_masks_is_usage_error(untrained_ckpt, capsys):
          "--k", "5"]
     )
     assert code == EXIT_USAGE
-    assert "k must be in 1..4" in capsys.readouterr().err
+    assert "--k 5 must stay within 1..4" in capsys.readouterr().err
 
 
 def test_verify_untrained_checkpoint_exit_zero(untrained_ckpt, capsys):
@@ -560,10 +580,15 @@ def test_no_decode_steps_is_usage_error(untrained_ckpt, capsys, monkeypatch, com
         assert f"{flag} must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", ["5", "0"])
-@pytest.mark.parametrize("command", ["decode", "verify"])
+@pytest.mark.parametrize(
+    "command, k",
+    [(c, k) for c in ("decode", "verify") for k in ("5", "0")] + [("probe", "5"), ("probe", "-1")],
+)
 def test_k_past_the_masks_is_usage_error_naming_the_flag(untrained_ckpt, capsys, command, k):
-    extra = ["--prompt", "ab"] if command == "decode" else ["--prompts", "2"]
+    # probe's --k 0 means every mask, so only a nonzero one is checked.
+    extra = {
+        "decode": ["--prompt", "ab"], "verify": ["--prompts", "2"], "probe": ["--prompt", "ab", "--future", "b"]
+    }[command]
     assert main([command, "--ckpt", str(untrained_ckpt), "--k", k] + extra) == EXIT_USAGE
     captured = capsys.readouterr()
     assert f"--k {k} must stay within 1..4" in captured.err and captured.out == ""

@@ -782,9 +782,9 @@ def test_stacked_training_forward_records_as_many_entries_as_one_sequence():
 # ---------------------------------------------------------------------------
 # Regular rows from outside the pass: every pass returns each layer's keys
 # and values (`kv`), so a layout's ungated regular rows can be kept as
-# constants (`RegularRows`, as `training.regular_rows` keeps them), and a
-# pass given them as `regular` runs the mask rows alone, attending to the
-# given keys and values.
+# constants (a causal pass's result, as `training.regular_rows` keeps it),
+# and a pass given them as `regular` runs the mask rows alone, attending to
+# the given keys and values.
 # ---------------------------------------------------------------------------
 
 
@@ -840,9 +840,9 @@ def test_regular_rows_of_a_stack_are_each_sequences_causal_pass(dtype):
 
 
 def _arrays(rows):
-    """Every array of a RegularRows: each layer's keys and values, then
+    """Every array of a pass's result: each layer's keys and values, then
     hidden rows and logits."""
-    return [a for kv in rows.kv for a in kv] + [rows.hidden, rows.logits]
+    return [a for kv in rows.kv for a in kv] + [rows.hidden.data, rows.logits.data]
 
 
 @pytest.mark.parametrize("taped", [False, True])

@@ -11,7 +11,8 @@ from specmtp.batching import build_training_batch, build_training_stack, causal_
 from specmtp.losses import base_and_sampler_ce, lcm_loss, total_loss
 import specmtp.batching as batching
 import specmtp.model as model_mod
-from specmtp.model import forward, init_model, model_params
+from specmtp.checkpoint import load_checkpoint
+from specmtp.model import ModelConfig, forward, init_model, model_params
 from specmtp.sampler import init_sampler
 from specmtp.tensor import Tape, Tensor, active_tape, backward, derive_rng, finite_diff_check, fold_add, precision
 import specmtp.training as training
@@ -409,6 +410,25 @@ def test_train_rejects_a_model_or_sampler_that_does_not_fit_the_config(tmp_path,
     assert not log.exists() and not ckpt.exists()
 
 
+def test_a_handed_sampler_is_saved_with_no_meta_key_against_it(tmp_path):
+    # Under use_sampler = false, train() still trains a sampler it is
+    # handed and saves it. The header's sampler field records that; no
+    # meta key says otherwise.
+    cfg = tiny_config(use_sampler=False, total_steps=2)
+    ckpt = tmp_path / "model.ckpt"
+    res = train(cfg, sampler=init_sampler(cfg.d_model, 1), checkpoint_path=ckpt)
+    _, sampler, meta = load_checkpoint(ckpt)
+    assert sampler is not None
+    for (name, want), (_, got) in zip(res.sampler.named_params(), sampler.named_params()):
+        assert got.data.tobytes() == want.data.tobytes(), name
+    assert set(meta) == {"charset", "task", "gated", "loss_weights"}
+
+
+def test_train_config_model_sizes_default_to_the_model_config():
+    for charset in ("abcdef", "0123456789+="):
+        assert TrainConfig().model_config(charset) == ModelConfig(vocab_size=Vocab(charset, 4).size)
+
+
 def test_divergence_aborts_loudly():
     cfg = tiny_config(total_steps=200, learning_rate=1e6, warmup_steps=0)
     with pytest.raises(DivergenceError):
@@ -619,7 +639,7 @@ def test_the_final_probe_is_a_pass_on_the_trained_model(monkeypatch):
 
     def shifted(model, stack):
         rows = original(model, stack)
-        return rows._replace(logits=rows.logits + 1)
+        return rows._replace(logits=Tensor(rows.logits.data + 1))
 
     monkeypatch.setattr(training, "regular_rows", shifted)
     cfg = tiny_config(total_steps=4)
