@@ -14,18 +14,28 @@ of them their positions and attention:
   has position a + j (j = 1..k).
 
 So the regular rows compute exactly what a plain causal pass over them
-computes, and mask blocks never see each other. Every builder goes through
-one constructor (`_layout`), which writes the rule twice: per row, as the
-(T,) `block_anchor` array, and as the layout's `Streams`, the attention
-that `forward` takes (one op pair over the regular keys and each row's own
-block, see model.py). The streams are built once per layout, with the
-layout, and no (T, T) matrix is built. The gate is 0 on the regular rows
-and 1 on the mask rows, so the gated rows are one trailing run.
+computes, and mask blocks never see each other. Each layout carries the
+rule twice: per row, as the (T,) `block_anchor` array, and as the layout's
+`Streams`, the attention that `forward` takes (one op pair over the regular
+keys and each row's own block, see model.py). The streams are built once
+per layout, with the layout, and no (T, T) matrix is built. The gate is 0
+on the regular rows and 1 on the mask rows, so the gated rows are one
+trailing run.
 
-Every sequence of a built-in corpus has the same length and loss flags,
-so all of them share one training layout. `build_training_stack` builds
-it once per corpus and gives tokens, labels and previous tokens a leading
-sequence axis; a training step selects its sequences from that stack.
+Training layouts anchor their blocks at any regular rows and go through
+one constructor (`_layout`). Every sequence of a built-in corpus has the
+same length and loss flags, so all of them share one training layout.
+`build_training_stack` builds it once per corpus and gives tokens, labels
+and previous tokens a leading sequence axis; a training step selects its
+sequences from that stack.
+
+A decode layout's blocks extend its last regular rows: none (causal), the
+last one (linear), or the last k + 1 (quadratic). The three inference
+builders cut such a layout from a `DecodeTables`, which a decode call makes
+once for its longest layout: a token buffer, positions, a gate and one
+attention table whose top-left corners are the causal triangles and whose
+bottom-right corners are the quadratic layouts' `allowed`. A decode layout
+fills no training field (labels, previous tokens, lcm pairs).
 """
 
 from __future__ import annotations
@@ -78,7 +88,8 @@ class MaskedBatch:
     same rule as the attention `forward` takes. lcm_pairs lists (mask_row,
     anchor_row) couples whose hidden states are pulled together by the
     consistency loss. prev_token holds the gold token that precedes each
-    row's target (for the sampler).
+    row's target (for the sampler); a decode layout leaves these three
+    training fields None.
 
     In a stack of sequences that share the layout, tokens, base_labels
     and prev_token are (N, T); every other field is the shared one.
@@ -87,11 +98,11 @@ class MaskedBatch:
     tokens: np.ndarray
     position_ids: np.ndarray
     gate: np.ndarray
-    base_labels: np.ndarray
     block_anchor: np.ndarray
     streams: Streams
-    lcm_pairs: list[tuple[int, int]]
-    prev_token: np.ndarray
+    base_labels: np.ndarray | None = None
+    lcm_pairs: list[tuple[int, int]] | None = None
+    prev_token: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -139,8 +150,7 @@ class MaskedBatch:
 def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
     """Regular rows holding `tokens`, then one block of `mask_ids` for each
     regular row in `anchors`, in that order, under the module's visibility
-    rule, with its streams. Labels and previous tokens come back unset
-    (IGNORE_ID / NO_TOKEN) and lcm_pairs empty. An anchor that is not a
+    rule, with its streams and no training field. An anchor that is not a
     regular row is a ValueError."""
     anchors = np.asarray(anchors, dtype=np.int64)
     mask_ids = np.asarray(mask_ids, dtype=np.int64)
@@ -153,11 +163,8 @@ def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
         tokens=np.empty(t_len, dtype=np.int64),
         position_ids=np.arange(t_len),
         gate=np.zeros(t_len, dtype=np.int8),
-        base_labels=np.full(t_len, IGNORE_ID, dtype=np.int64),
         block_anchor=np.full(t_len, NO_ANCHOR, dtype=np.int64),
         streams=_streams(n, anchors, k),
-        lcm_pairs=[],
-        prev_token=np.full(t_len, NO_TOKEN, dtype=np.int64),
     )
     out.tokens[:n] = tokens
     out.gate[n:] = 1
@@ -173,8 +180,8 @@ def _streams(n: int, anchors: np.ndarray, k: int) -> Streams:
     `anchors`, regular rows."""
     nb = anchors.size
     t_len = n + nb * k
-    if t_len == n or (nb == 1 and anchors[0] == n - 1):
-        # No mask row, or one block after the last regular row: the triangle.
+    if t_len == n:
+        # No mask row: the triangle.
         return Streams(t_len, 0, np.tri(t_len, dtype=bool))
     # Row a of the triangle admits the regular keys up to a: a regular row's
     # own, a mask row's anchor's. The block's keys up to each row's place in
@@ -249,26 +256,97 @@ def build_training_stack(corpus, mask_ids) -> MaskedBatch:
     return layout
 
 
-def build_linear_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
+class DecodeTables:
+    """The arrays that one decode call cuts its layouts from, made once for
+    the call's longest layout. Like `merge_adapters`' copy, tables live for
+    one call: nothing is kept across calls.
+
+    `rows` bounds the positions of the call's layouts (a layout with masks
+    ends k past its regular rows); k is the block length. A layout's real
+    tokens are written to end at buffer row `rows`, and its mask blocks
+    follow them there, so its tokens are one run of `tokens` and its gate
+    one run of `gate` (`rows` 0s, then 1s). `allowed` is (rows + (k + 1)k,
+    rows + k): its first `rows` rows are the lower triangle, whose top-left
+    T x T corner is a causal or linear layout's `allowed`; its last (k + 1)k
+    rows are a quadratic layout's mask rows (the verified rows, the chain
+    tokens up to the block's anchor, the block up to the row), set against
+    its last 2k columns, so its bottom-right corner from row and column
+    rows - n on is the `allowed` of a quadratic layout with n regular rows.
+    Each build rewrites the buffer, so a layout's tokens hold until the
+    next build from the same tables."""
+
+    def __init__(self, rows: int, k: int):
+        n_mask = (k + 1) * k
+        self.rows, self.k = rows, k
+        self.tokens = np.empty(rows + n_mask, dtype=np.int64)
+        self.positions = np.arange(rows)
+        self.gate = np.zeros(rows + n_mask, dtype=np.int8)
+        self.gate[rows:] = 1
+        self.allowed = tri = np.tri(rows + n_mask, rows + k, dtype=bool)
+        if n_mask and rows > k:  # tables of k positions or fewer hold no quadratic layout
+            # Block j (0..k) sees the chain tokens s_1..s_j, and its row i
+            # its own m_1..m_i: corners of the triangle.
+            masks = tri[rows:].reshape(k + 1, k, rows + k)
+            masks[..., : rows - k] = True
+            masks[..., rows - k : rows] = tri[: k + 1, None, 1 : k + 1]
+            masks[..., rows:] = tri[:k, :k]
+        self.no_anchor = np.full(rows, NO_ANCHOR, dtype=np.int64)
+        # A quadratic layout's mask rows: block j's m_i (i = 1..k) has anchor
+        # n_ver - 1 + j and position n_ver + j + i - 1.
+        mask_rows = np.arange(n_mask)
+        self.block_of = mask_rows // max(k, 1)
+        self.offsets = self.block_of + mask_rows % max(k, 1)
+        for table in (self.positions, self.gate, self.allowed, self.no_anchor):
+            table.flags.writeable = False
+
+    def layout(self, verified, speculated, mask_ids, quadratic: bool) -> MaskedBatch:
+        """verified + speculated as the regular rows, then blocks of
+        `mask_ids` extending the last regular row (linear; no block when
+        mask_ids is empty) or each regular row from the last verified one on
+        (quadratic, k blocks of the tables' k)."""
+        n_ver, k = len(verified), len(mask_ids)
+        n = n_ver + len(speculated)
+        nb = k + 1 if quadratic else min(k, 1)
+        t_len = n + nb * k
+        if quadratic and k != self.k:
+            raise ValueError(f"quadratic layout of {k} masks from tables of {self.k}")
+        if n + (k if nb else 0) > self.rows or k > self.k:
+            raise ValueError(f"layout of {t_len} rows does not fit decode tables of {self.rows} positions and {self.k} masks")
+        lo, end = self.rows - n, self.rows + nb * k
+        buf = self.tokens
+        buf[lo : lo + n_ver] = verified
+        buf[lo + n_ver : self.rows] = speculated
+        buf[self.rows : end].reshape(nb, k)[...] = mask_ids
+        if not quadratic:
+            anchor = np.concatenate((self.no_anchor[:n], self.block_of[:k] + (n - 1))) if nb else self.no_anchor[:n]
+            positions, streams = self.positions[:t_len], Streams(t_len, 0, self.allowed[:t_len, :t_len])
+        else:
+            anchor = np.concatenate((self.no_anchor[:n], self.block_of + (n_ver - 1)))
+            positions = np.concatenate((self.positions[:n], self.offsets + n_ver))
+            streams = Streams(n, k, self.allowed[lo:, lo:])
+        return MaskedBatch(buf[lo:end], positions, self.gate[lo:end], anchor, streams)
+
+
+def build_linear_inference_input(verified, speculated, mask_ids, tables: DecodeTables | None = None) -> MaskedBatch:
     """verified + speculated + one tail mask block, fully causal.
 
     The tail block extends the last real token; its outputs are the next
-    round of speculation when the whole current speculation verifies.
+    round of speculation when the whole current speculation verifies. With
+    no mask id it is the causal layout of verified + speculated. The layout
+    is cut from `tables` when given, else from tables made for it alone.
     """
-    verified = list(verified)
-    speculated = list(speculated)
     mask_ids = np.asarray(mask_ids, dtype=np.int64)
     k = mask_ids.shape[0]
-    if not verified:
+    if not len(verified):
         raise ValueError("verified must be nonempty")
     if len(speculated) > k:
         raise ValueError("more speculated tokens than masks")
+    if tables is None:
+        tables = DecodeTables(len(verified) + len(speculated) + k, k)
+    return tables.layout(verified, speculated, mask_ids, quadratic=False)
 
-    real = verified + speculated
-    return _layout(real, [len(real) - 1], mask_ids)
 
-
-def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBatch:
+def build_quadratic_inference_input(verified, speculated, mask_ids, tables: DecodeTables | None = None) -> MaskedBatch:
     """verified + s_1..s_k, then k + 1 mask blocks, anchored at the last
     verified token and at each s_j.
 
@@ -276,21 +354,23 @@ def build_quadratic_inference_input(verified, speculated, mask_ids) -> MaskedBat
     Mask m_l of the block anchored at chain token c sees verified, the
     chain through c, and m_1..m_l of its own block only. The first block
     is anchored at the last verified token, so even a first-token
-    rejection leaves fresh speculation.
+    rejection leaves fresh speculation. The layout is cut from `tables`
+    when given, else from tables made for it alone.
     """
-    verified = list(verified)
-    speculated = list(speculated)
     mask_ids = np.asarray(mask_ids, dtype=np.int64)
     k = mask_ids.shape[0]
-    if not verified:
+    if not len(verified):
         raise ValueError("verified must be nonempty")
     if len(speculated) != k:
         raise ValueError(f"quadratic layout needs exactly {k} speculated tokens")
+    if tables is None:
+        tables = DecodeTables(len(verified) + 2 * k, k)
+    return tables.layout(verified, speculated, mask_ids, quadratic=True)
 
-    real = verified + speculated
-    return _layout(real, np.arange(len(verified) - 1, len(real)), mask_ids)
 
-
-def causal_rows(tokens) -> MaskedBatch:
-    """Plain causal layout over real tokens: the reference configuration."""
-    return _layout(list(tokens), [], [])
+def causal_rows(tokens, tables: DecodeTables | None = None) -> MaskedBatch:
+    """Plain causal layout over real tokens: the reference configuration,
+    cut from `tables` when given, else from tables made for it alone."""
+    if tables is None:
+        tables = DecodeTables(len(tokens), 0)
+    return tables.layout(tokens, (), (), quadratic=False)

@@ -11,6 +11,16 @@ sets the layout streams' `first` row): greedy reads its last row, a
 speculative step its rows from the last verified one on, the probe its
 mask rows. Their keys and values are computed, their last layer's query
 side is not (see model.forward).
+
+What holds for every pass of a call is made or checked once per call. A
+call cuts each step's layout from one `DecodeTables` made for its longest
+layout, and reads a step's chain and block rows from the builder's
+arithmetic (blocks extend the layout's last regular rows). It checks the
+prompt's ids once, and an overridden speculation's at its step; every
+other id is an argmax over the vocabulary. It checks that a layout's
+positions fit below max_position before it builds the layout. So its
+passes go through `forward`, model.py's decode entry (`decode_pass`),
+which leaves those checks out.
 """
 
 from __future__ import annotations
@@ -19,9 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .batching import build_linear_inference_input, build_quadratic_inference_input, causal_rows
-from .model import ModelBundle, forward, merge_adapters
+from .batching import DecodeTables, build_linear_inference_input, build_quadratic_inference_input, causal_rows
+from .model import ModelBundle, check_token_range, decode_pass, merge_adapters
 from .sampler import SamplerHead, sampler_chain
+
+# Every pass of a decode call goes through this module global, so a
+# replacement (a profiler's, say) sees each one.
+forward = decode_pass
 
 STRATEGIES = ("linear", "quadratic")
 
@@ -52,6 +66,7 @@ def _run(model: ModelBundle, batch, first: int):
 
 
 def _check_prompt(model: ModelBundle, prompt) -> list[int]:
+    """The prompt's ids as ints, checked once for every pass of the call."""
     tokens = [int(t) for t in prompt]
     if not tokens:
         raise ValueError("prompt must be nonempty")
@@ -59,6 +74,7 @@ def _check_prompt(model: ModelBundle, prompt) -> list[int]:
         raise ValueError(
             f"prompt of {len(tokens)} tokens exceeds max_position {model.config.max_position}"
         )
+    check_token_range(model.config, min(tokens), max(tokens))
     return tokens
 
 
@@ -69,13 +85,16 @@ def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | N
     max_position; a prompt longer than max_position is rejected.
     """
     tokens = _check_prompt(model, prompt)
+    max_position = model.config.max_position
     # Every pass reads one embedding table. A causal layout gates no row,
     # so no adapter is merged.
     model = replace(model, table=model.embedding_table())
+    tables = DecodeTables(min(max_position, len(tokens) + max_new), 0)
     for _ in range(max_new):
-        batch = causal_rows(tokens)
-        if batch.position_ids.max() >= model.config.max_position:
+        # The pass over n tokens uses positions 0..n-1.
+        if len(tokens) > max_position:
             break
+        batch = causal_rows(tokens, tables)
         # Only the last row's logits are read.
         out = _run(model, batch, batch.size - 1)
         nxt = int(np.argmax(out.logits.data[-1]))
@@ -116,13 +135,15 @@ def speculative_decode(
     """Decode up to max_steps forward passes; each pass emits 1..k_eval+1 tokens.
 
     Once a speculative layout would reach max_position, each step runs
-    greedy's causal layout instead, so decoding stops where greedy does,
-    with the same tokens. A prompt longer than max_position is rejected.
+    greedy's causal layout instead (the linear layout with no mask), so
+    decoding stops where greedy does, with the same tokens. Each step builds
+    one layout. A prompt longer than max_position is rejected.
     Without a sampler, mask rows fall back to their base-head argmax.
     speculation_override(verified, last_token, block_logits, block_hidden)
     replaces the speculation source; verified is the token list so far,
     ending with last_token (hook for adversarial-speculation tests;
-    exactness holds for any speculation whatsoever).
+    exactness holds for any speculation whatsoever). An id it returns
+    outside the vocabulary is a NumericsError at that step.
     """
     cfg = model.config
     if strategy not in STRATEGIES:
@@ -135,32 +156,40 @@ def speculative_decode(
     # table and each adapter's merged weight from one copy, formed here
     # from the weights as they are now.
     model = merge_adapters(model)
+    # A step adds at most k_eval + 1 verified tokens, and its layout's
+    # positions end at most 2 k_eval past them.
+    tables = DecodeTables(min(cfg.max_position, len(verified) + max_steps * (k_eval + 1) + k_eval), k_eval)
     speculated: list[int] = []
     stats = AcceptanceStats(generated=0, steps=0)
 
     for _ in range(max_steps):
         n_ver = len(verified)
-        # With nothing speculated, both strategies build the linear layout.
-        if strategy == "linear" or not speculated:
-            batch = build_linear_inference_input(verified, speculated, mask_ids)
-        else:
-            batch = build_quadratic_inference_input(verified, speculated, mask_ids)
-        if batch.position_ids.max() >= cfg.max_position:
-            # No room left to speculate: take greedy's own step, which
-            # emits one exact token.
+        if n_ver > cfg.max_position:
+            break  # not even greedy's pass over the verified tokens fits
+        # Every layout's last position is its last real row's plus its masks.
+        if n_ver + len(speculated) + k_eval > cfg.max_position:
+            # No room left to speculate: take greedy's own step, the linear
+            # layout with no mask, which emits one exact token.
             speculated = []
-            batch = causal_rows(verified)
-            if batch.position_ids.max() >= cfg.max_position:
-                break
+            batch = build_linear_inference_input(verified, speculated, mask_ids[:0], tables)
+        elif strategy == "linear" or not speculated:
+            # With nothing speculated, both strategies build the linear layout.
+            batch = build_linear_inference_input(verified, speculated, mask_ids, tables)
+        else:
+            batch = build_quadratic_inference_input(verified, speculated, mask_ids, tables)
         # Every row read is from the last verified one on.
         out = _run(model, batch, n_ver - 1)
         logits = out.logits.data
 
         # The last verified row, then each speculated token's row: the
-        # regular rows from there on.
-        chain_rows = batch.ntp_rows[n_ver - 1 :]
-        accepted, emitted = verify_speculated(logits[chain_rows].argmax(axis=1), speculated)
-        block = batch.block_rows(int(chain_rows[accepted]))
+        # regular rows from there on. The layout's blocks of k_eval rows
+        # extend its last regular rows, in order (batching.py): take the
+        # block of the last accepted row, or none (it stops at 0).
+        n_real = n_ver + len(speculated)
+        accepted, emitted = verify_speculated(logits[n_ver - 1 : n_real].argmax(axis=1), speculated)
+        first_anchor = n_real - (batch.size - n_real) // k_eval
+        lo = n_real + (n_ver - 1 + accepted - first_anchor) * k_eval
+        block = slice(lo, lo + k_eval) if lo >= n_real else slice(0, 0)
 
         stats.steps += 1
         stats.histogram[accepted] = stats.histogram.get(accepted, 0) + 1
@@ -180,7 +209,9 @@ def speculative_decode(
                 int(t)
                 for t in speculation_override(verified, emitted[-1], logits[block], out.hidden.data[block])
             ]
-        elif block.size:
+            if speculated:
+                check_token_range(cfg, min(speculated), max(speculated))
+        elif block.stop:
             if sampler is not None:
                 speculated = sampler_chain(
                     sampler, model.unembed, model.embedding_table(), emitted[-1],

@@ -45,8 +45,12 @@ once per `train()` call this way.
 that share one layout: positions, streams and gate are shared, and hidden
 and logits get the leading axis. A stack runs every op once, on stacked
 operands, with each sequence's bytes (see tensor.py). It checks that the
-streams fit the tokens, and the gate, once per batch, then runs the pass,
-written once (`_pass`) over an op namespace that the tape picks. Under
+streams fit the tokens, the id and position ranges, and the gate, once per
+batch, then runs the pass, written once (`_pass`) over an op namespace
+that the tape picks. A decode call's passes enter through `decode_pass`,
+which runs the same pass with the same bytes and leaves out the checks the
+call makes once for all of them: the id and position ranges, and the gate
+pattern of its builders' layouts. Under
 an active `Tape` that is the autodiff ops of `tensor.py` (training, and
 the test oracle): one fused `gated_linear` per adapter and the fused
 attention ops. With no tape it is their array helpers (`ArrayOps`): the
@@ -345,12 +349,20 @@ def _gate_start(gate: np.ndarray, t_len: int) -> int | None:
     gated. Any other gate is an error."""
     if gate.shape != (t_len,):
         raise NumericsError("gate length does not match row count")
-    if not ((gate == 0) | (gate == 1)).all():
-        raise NumericsError("gate entries must be 0 or 1")
     start = t_len - int(np.count_nonzero(gate))
-    if np.count_nonzero(gate[:start]):
+    # The last t_len - start rows are all 1 exactly when the nonzero entries
+    # are 1s and are those rows.
+    if not (gate[start:] == 1).all():
+        if not ((gate == 0) | (gate == 1)).all():
+            raise NumericsError("gate entries must be 0 or 1")
         raise NumericsError("gate must be 0s, then 1s: the gated rows must be the last rows")
     return start if start < t_len else None
+
+
+def check_token_range(config: ModelConfig, lowest, highest) -> None:
+    """`forward`'s token id check, given a layout's lowest and highest id."""
+    if lowest < 0 or highest >= config.vocab_size:
+        raise NumericsError("token id out of range")
 
 
 def gated_lora_apply(
@@ -426,8 +438,10 @@ def forward(
     tokens are (T,), or (B, T) for B sequences sharing the layout. With no
     active tape the pass runs on plain arrays, with the same result. An
     empty layout is an error, and so are streams that do not fit the
-    tokens: `allowed` must have T rows, and `first` must be a row, at most
-    `n_reg`.
+    tokens (`allowed` must have T rows, and `first` must be a row, at most
+    `n_reg`), an id outside the vocabulary, a position outside
+    0..max_position - 1, and a gate other than 0s, then 1s. A decode call
+    makes the last three checks once for all its passes (`decode_pass`).
 
     The rows before `streams.first`, regular rows of the streams, are
     context rows. Each layer computes their keys and values, but the last
@@ -453,6 +467,31 @@ def forward(
     tokens = np.asarray(tokens, dtype=np.int64)
     position_ids = np.asarray(position_ids, dtype=np.int64)
     gate = np.asarray(gate)
+    _check_rows(tokens, position_ids, streams)
+    check_token_range(c, tokens.min(), tokens.max())
+    if position_ids.min() < 0 or position_ids.max() >= c.max_position:
+        raise NumericsError("position id exceeds max_position")
+    return _scanned_pass(model, tokens, position_ids, streams, _gate_start(gate, tokens.shape[-1]), regular)
+
+
+def decode_pass(model: ModelBundle, tokens, position_ids, streams, gate) -> ForwardResult:
+    """`forward` for the layouts of a decode call, which reach it as
+    `decoding.forward`: the same pass, bytes and result (T rows by absolute
+    row, context rows zero), less the checks that the call has made once
+    for all its passes. The call checks its prompt's ids, and each
+    speculation that an override gives; every other id it feeds back is an
+    argmax over the vocabulary. It builds only layouts whose positions fit
+    below max_position. Its builders (batching.py) give arrays and a gate
+    of 0s, then 1s, whose first gated row is its count of 0s. The rows and
+    streams are checked as `forward` checks them."""
+    _check_rows(tokens, position_ids, streams)
+    t_len = tokens.shape[-1]
+    start = t_len - int(np.count_nonzero(gate))
+    return _scanned_pass(model, tokens, position_ids, streams, start if start < t_len else None)
+
+
+def _check_rows(tokens: np.ndarray, position_ids: np.ndarray, streams) -> None:
+    """A layout has rows, and its streams and positions fit them."""
     t_len = tokens.shape[-1]
     if tokens.size == 0:
         raise NumericsError(f"empty layout: tokens of shape {tokens.shape} give no rows")
@@ -466,11 +505,12 @@ def forward(
         )
     if position_ids.shape != (t_len,):
         raise NumericsError("position_ids must hold one position per row")
-    if tokens.min() < 0 or tokens.max() >= c.vocab_size:
-        raise NumericsError("token id out of range")
-    if position_ids.min() < 0 or position_ids.max() >= c.max_position:
-        raise NumericsError("position id exceeds max_position")
-    start = _gate_start(gate, t_len)
+
+
+def _scanned_pass(model, tokens, position_ids, streams, start, regular=None) -> ForwardResult:
+    """The pass over checked rows, run under `scanned_once`; `start` is the
+    first gated row (None for none)."""
+    n, first = streams.n_reg, streams.first
     if first and active_tape() is not None:
         raise NumericsError("context rows under an active tape: a taped pass outputs every row, as training reads them")
     if first and regular is not None:

@@ -5,6 +5,7 @@ from conftest import run_batch
 
 from specmtp.batching import (
     NO_ANCHOR,
+    DecodeTables,
     NO_TOKEN,
     build_linear_inference_input,
     build_quadratic_inference_input,
@@ -271,9 +272,8 @@ def test_random_layouts_follow_the_visibility_rule():
         assert not causal.gate.any()
         for batch in (linear, quadratic, causal):
             _check_visibility(batch, k)
-            assert np.all(batch.base_labels == IGNORE_ID)
-            assert np.all(batch.prev_token == NO_TOKEN)
-            assert batch.lcm_pairs == []
+            # A decode layout has no training field.
+            assert batch.base_labels is None and batch.prev_token is None and batch.lcm_pairs is None
 
 
 def test_layout_allowed_is_the_lower_triangle_of_the_visibility_rule():
@@ -304,6 +304,58 @@ def test_layout_rejects_an_anchor_outside_the_regular_rows(anchors):
     bad = next(a for a in anchors if not 0 <= a < 3)
     with pytest.raises(ValueError, match=f"^block anchor {bad} is not one of the 3 regular rows$"):
         _layout([1, 2, 3], anchors, MASKS2)
+
+
+def test_decode_tables_cut_the_layout_of_the_general_constructor():
+    # One call's tables, rebuilt from in any order as a decode call rebuilds
+    # them, give the layout that `_layout` builds from the same anchors: the
+    # regular rows, then blocks at none, the last, or the last k + 1 of them.
+    # Causal and linear streams are the triangle, quadratic ones the two
+    # streams. The tables' own arrays stay read-only.
+    rng = np.random.default_rng(31)
+    for k in range(1, 5):
+        masks = np.arange(40, 40 + k)
+        tables = DecodeTables(60, k)
+        for _ in range(40):
+            n_ver = int(rng.integers(1, 60 - 2 * k))
+            verified = rng.integers(0, 30, size=n_ver).tolist()
+            spec = rng.integers(0, 30, size=k).tolist()
+            s = int(rng.integers(0, k + 1))
+            n = n_ver + s
+            kind = ["causal", "linear", "no-mask", "quadratic"][int(rng.integers(0, 4))]
+            if kind == "causal":
+                got, want = causal_rows(verified, tables), _layout(verified, [], masks)
+            elif kind == "linear":
+                got = build_linear_inference_input(verified, spec[:s], masks, tables)
+                want = _layout(verified + spec[:s], [n - 1], masks)
+            elif kind == "no-mask":
+                got = build_linear_inference_input(verified, [], masks[:0], tables)
+                want = _layout(verified, [], masks)
+            else:
+                got = build_quadratic_inference_input(verified, spec, masks, tables)
+                want = _layout(verified + spec, np.arange(n_ver - 1, n_ver + k), masks)
+            for field in ("tokens", "position_ids", "gate", "block_anchor"):
+                assert getattr(got, field).tolist() == getattr(want, field).tolist(), (kind, field)
+            quadratic = kind == "quadratic"
+            assert got.streams.n_reg == (n_ver + k if quadratic else got.size)
+            assert got.streams.block == (k if quadratic else 0) and got.streams.first == 0
+            assert np.array_equal(streams_matrix(got.streams, got.size), streams_matrix(want.streams, want.size))
+    for table in (tables.positions, tables.gate, tables.allowed):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+def test_a_layout_outside_its_tables_is_rejected():
+    tables = DecodeTables(10, 2)
+    masks = np.array([5, 6])
+    build_linear_inference_input([1] * 6, [2, 3], masks, tables)  # 10 rows
+    build_quadratic_inference_input([1] * 6, [2, 3], masks, tables)  # 8 regular rows, ending at position 9
+    with pytest.raises(ValueError, match="^layout of 11 rows does not fit decode tables of 10 positions and 2 masks$"):
+        build_linear_inference_input([1] * 7, [2, 3], masks, tables)
+    with pytest.raises(ValueError, match="^layout of 15 rows does not fit decode tables of 10 positions and 2 masks$"):
+        build_quadratic_inference_input([1] * 7, [2, 3], masks, tables)
+    with pytest.raises(ValueError, match="^quadratic layout of 1 masks from tables of 2$"):
+        build_quadratic_inference_input([1] * 2, [2], masks[:1], tables)
 
 
 def _every_layout_kind(rng, count=60):

@@ -16,7 +16,7 @@ from specmtp.decoding import (
 )
 import specmtp.model as model_mod
 import specmtp.tensor as tensor_mod
-from specmtp.batching import build_linear_inference_input, build_training_batch, causal_rows
+from specmtp.batching import DecodeTables, build_linear_inference_input, build_training_batch, causal_rows
 from specmtp.losses import base_and_sampler_ce
 from specmtp.model import ModelConfig, init_model
 from specmtp.sampler import init_sampler
@@ -207,6 +207,28 @@ def test_each_decode_call_builds_the_embedding_table_once(monkeypatch):
         greedy_autoregressive(model, [1, 2, 3], steps)
         assert len(calls) == 1
     assert model.table is None
+
+
+def test_each_decode_call_makes_its_tables_once(monkeypatch):
+    # Every step's layout is cut from tables the call makes once; no builder
+    # makes tables of its own inside a call.
+    calls = []
+    init = DecodeTables.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DecodeTables, "__init__", counting)
+    model = make_model(8)
+    for steps in (1, 7):
+        for strategy in ("linear", "quadratic"):
+            calls.clear()
+            speculative_decode(model, init_sampler(CFG.d_model, 8), [1, 2, 3], 3, strategy, max_steps=steps)
+            assert len(calls) == 1
+        calls.clear()
+        greedy_autoregressive(model, [1, 2, 3], steps)
+        assert len(calls) == 1
 
 
 def test_adversarial_speculation_rate_exactly_one():
@@ -400,28 +422,38 @@ def test_future_rank_probe_checks_its_prompt_and_ids():
 # ---------------------------------------------------------------------------
 
 
-def _record_passes(monkeypatch, model):
-    """Wraps decoding's layout builders, forward and model.gated_lora_apply.
-    Returns a list that gets one record per forward call: (layout rows,
-    verified length, context rows, {(layer, adapter): rows})."""
+SPECULATIVE_BUILDERS = ("build_linear_inference_input", "build_quadratic_inference_input")
+
+
+def _record_passes(monkeypatch, model, builds=None):
+    """Wraps decoding's layout builders, forward and model.gated_lora_apply
+    by name, as perfbench's step clock and tracer do, and takes their
+    arguments as those wrappers do: a builder's by position after the
+    verified tokens, forward's five by position alone. Returns a list that
+    gets one record per forward call: (layout rows, verified length,
+    context rows, {(layer, adapter): rows}); `builds`, when given, gets the
+    name of each builder called, and one None per forward call."""
     import specmtp.decoding as decoding_mod
 
     names = {id(getattr(lw, n).W): (i, n) for i, lw in enumerate(model.layers) for n in model_mod.ADAPTERS}
     passes, n_ver = [], []
+    builds = [] if builds is None else builds
 
-    def builder(original):
+    def builder(name, original):
         def build(verified, *rest):
+            builds.append(name)
             n_ver.append(len(verified))
             return original(verified, *rest)
 
         return build
 
-    for name in ("build_linear_inference_input", "build_quadratic_inference_input", "causal_rows"):
-        monkeypatch.setattr(decoding_mod, name, builder(getattr(decoding_mod, name)))
+    for name in SPECULATIVE_BUILDERS + ("causal_rows",):
+        monkeypatch.setattr(decoding_mod, name, builder(name, getattr(decoding_mod, name)))
 
     forward = decoding_mod.forward
 
     def recording_forward(model, tokens, position_ids, streams, gate):
+        builds.append(None)
         passes.append((len(tokens), n_ver[-1], streams.first, {}))
         return forward(model, tokens, position_ids, streams, gate)
 
@@ -434,6 +466,75 @@ def _record_passes(monkeypatch, model):
     monkeypatch.setattr(decoding_mod, "forward", recording_forward)
     monkeypatch.setattr(model_mod, "gated_lora_apply", recording_apply)
     return passes
+
+
+@pytest.mark.parametrize("config", ["roomy", "to-max-position"])
+@pytest.mark.parametrize("strategy", ["greedy", "linear", "quadratic"])
+def test_each_step_builds_one_layout_then_runs_one_pass(monkeypatch, strategy, config):
+    # perfbench's step clock requires one call of a speculative builder per
+    # speculative step (as many as stats.steps), and its tracer opens a step
+    # at each builder call and reads the pass of decoding.forward, five
+    # arguments by position. That holds at max_position too, where a step
+    # takes greedy's causal layout: the linear layout with no mask.
+    cfg = CFG if config == "roomy" else SHORT
+    model = make_model(3, config=cfg)
+    builds = []
+    passes = _record_passes(monkeypatch, model, builds)
+    prompt = [1, 2, 3]
+    if strategy == "greedy":
+        out = greedy_autoregressive(model, prompt, 20)
+        steps, names = len(out) - len(prompt), {"causal_rows"}
+    else:
+        sampler = init_sampler(CFG.d_model, 4)
+        out, stats = speculative_decode(model, sampler, prompt, CFG.k_masks, strategy, max_steps=20)
+        steps, names = stats.steps, set(SPECULATIVE_BUILDERS)
+    assert steps == len(passes) > 0
+    # Builder, pass, builder, pass, ...: no builder call after the last pass.
+    assert len(builds) == 2 * steps and builds[1::2] == [None] * steps
+    assert set(builds[0::2]) <= names
+    if config == "to-max-position":
+        assert len(out) == SHORT.max_position + 1
+        # The last step ran greedy's layout: its rows are the verified tokens.
+        assert passes[-1][0] == passes[-1][1] == SHORT.max_position
+
+
+@pytest.mark.parametrize("bad", [-1, CFG.vocab_size], ids=["below-zero", "at-V"])
+@pytest.mark.parametrize("decode", ["greedy", "linear", "quadratic", "probe"])
+def test_a_prompt_id_outside_the_vocabulary_is_rejected_before_any_pass(monkeypatch, decode, bad):
+    # Each decode call checks its prompt's ids once, with forward's own
+    # error, before it runs a pass; its passes then leave the check out.
+    model = make_model(3)
+    builds = []
+    _record_passes(monkeypatch, model, builds)
+    prompt = [1, 2, bad, 4]
+    with pytest.raises(tensor_mod.NumericsError, match="^token id out of range$"):
+        if decode == "greedy":
+            greedy_autoregressive(model, prompt, 5)
+        elif decode == "probe":
+            future_rank_probe(model, prompt, [1, 2], 2)
+        else:
+            speculative_decode(model, None, prompt, 2, decode, max_steps=5)
+    assert builds == []
+    with pytest.raises(tensor_mod.NumericsError, match="^token id out of range$"):
+        model_mod.forward(model, prompt, range(4), causal_rows(prompt).streams, [0] * 4)
+
+
+@pytest.mark.parametrize("bad", [-1, CFG.vocab_size], ids=["below-zero", "at-V"])
+@pytest.mark.parametrize("strategy", ["linear", "quadratic"])
+def test_an_overridden_speculation_outside_the_vocabulary_is_rejected_at_its_step(monkeypatch, strategy, bad):
+    # An override's ids are checked at every step: the third step's override
+    # gives one past the vocabulary, so the call stops after three passes.
+    model = make_model(3)
+    builds = []
+    passes = _record_passes(monkeypatch, model, builds)
+    k = 2
+
+    def speculate(verified, last_token, block_logits, block_hidden):
+        return [1, bad] if len(passes) == 3 else [1, 2]
+
+    with pytest.raises(tensor_mod.NumericsError, match="^token id out of range$"):
+        speculative_decode(model, None, [1, 2, 3], k, strategy, max_steps=6, speculation_override=speculate)
+    assert len(passes) == 3 and builds[-1] is None
 
 
 @pytest.mark.parametrize("strategy", ["greedy", "linear", "quadratic"])

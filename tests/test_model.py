@@ -6,6 +6,7 @@ from chains import attention_chain, context_pass_chain, gated_linear_chain, init
 from conftest import run_batch, sliced_regular_rows
 
 from specmtp.batching import (
+    DecodeTables,
     _layout,
     build_linear_inference_input,
     build_quadratic_inference_input,
@@ -20,6 +21,7 @@ from specmtp.model import (
     ModelConfig,
     _gate_start,
     _pass,
+    decode_pass,
     forward,
     gated_lora_apply,
     init_model,
@@ -427,6 +429,51 @@ def test_untaped_forward_is_bitwise_taped_forward(dtype, layout):
                 assert isinstance(got, Tensor)
                 assert got.data.dtype == want.data.dtype == np.dtype(dtype)
                 assert got.data.tobytes() == want.data.tobytes()
+
+
+def _decode_call_layouts(model, rng, n, k):
+    """(build, first output row) of each layout a decode call builds for a
+    prompt of n tokens at k masks, with the first output row it sets:
+    greedy's causal layout, the probe's linear one, the linear ones with 0..k
+    speculated tokens and no mask (speculation's fallback), and the
+    quadratic one. All are cut from one call's tables, so each build must
+    run its pass before the next."""
+    tables = DecodeTables(n + 2 * k, k)
+    masks = model.config.mask_ids[:k]
+    prompt = rng.integers(0, model.config.first_mask_id, size=n).tolist()
+    spec = rng.integers(0, model.config.first_mask_id, size=k).tolist()
+    yield (lambda: causal_rows(prompt, tables)), n - 1
+    yield (lambda: build_linear_inference_input(prompt, [], masks, tables)), n
+    for s in range(k + 1):
+        yield (lambda s=s: build_linear_inference_input(prompt, spec[:s], masks, tables)), n - 1
+    yield (lambda: build_linear_inference_input(prompt, [], masks[:0], tables)), n - 1
+    yield (lambda: build_quadratic_inference_input(prompt, spec, masks, tables)), n - 1
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_the_decode_entry_is_bitwise_forward_on_every_decode_layout(dtype):
+    # decode_pass leaves out only the checks a decode call makes once, so on
+    # every layout a call builds it gives forward's bytes: hidden rows and
+    # logits by absolute row, context rows zero, and each layer's keys and
+    # values. Prompts of 1 to 200 tokens, k = 1..4, on a decode call's copy.
+    with precision(dtype):
+        model = make_model(rank=4, seed=8, k_masks=4, max_position=256)
+        randomize_adapters(model, seed=8)
+        model = merge_adapters(model)
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 3, 7, 17, 64, 150, 200):
+            for k in range(1, 5):
+                for build, first in _decode_call_layouts(model, rng, n, k):
+                    batch = build()
+                    args = (model, batch.tokens, batch.position_ids, batch.streams._replace(first=first), batch.gate)
+                    got, want = decode_pass(*args), forward(*args)
+                    assert got.logits.data.shape[-2] == batch.size
+                    assert not got.logits.data[:first].any()
+                    pairs = [(got.hidden.data, want.hidden.data), (got.logits.data, want.logits.data)]
+                    pairs += [(a, b) for kv, kv_want in zip(got.kv, want.kv) for a, b in zip(kv, kv_want)]
+                    for a, b in pairs:
+                        assert a.dtype == b.dtype == np.dtype(dtype)
+                        assert a.tobytes() == b.tobytes(), (n, k, batch.size, first)
 
 
 def test_both_passes_call_the_module_gated_lora_apply(monkeypatch):

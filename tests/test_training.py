@@ -14,7 +14,7 @@ import specmtp.model as model_mod
 from specmtp.checkpoint import load_checkpoint
 from specmtp.model import ModelConfig, forward, init_model, model_params
 from specmtp.sampler import init_sampler
-from specmtp.tensor import Tape, Tensor, active_tape, backward, derive_rng, finite_diff_check, fold_add, precision
+from specmtp.tensor import IGNORE_ID, Tape, Tensor, active_tape, backward, derive_rng, finite_diff_check, fold_add, precision
 import specmtp.training as training
 from specmtp.training import (
     AdamW,
@@ -810,7 +810,8 @@ def test_stacked_pretrain_is_bytewise_the_per_sequence_loop():
     opt = PerArrayAdamW(base, weight_decay=0.0)
     batches = []
     for seq, flags in corpus:
-        batch = causal_rows(seq)
+        # A causal layout carries no labels: the oracle sets its own.
+        batch = replace(causal_rows(seq), base_labels=np.full(len(seq), IGNORE_ID))
         live = np.flatnonzero(flags[:-1] == 1)
         batch.base_labels[live] = seq[live + 1]
         batches.append(batch)
