@@ -22,20 +22,20 @@ per layout, with the layout, and no (T, T) matrix is built. The gate is 0
 on the regular rows and 1 on the mask rows, so the gated rows are one
 trailing run.
 
-Training layouts anchor their blocks at any regular rows and go through
-one constructor (`_layout`). Every sequence of a built-in corpus has the
-same length and loss flags, so all of them share one training layout.
+One constructor (`_layout`) applies the rule. Training layouts anchor
+their blocks at any regular rows. Every sequence of a built-in corpus has
+the same length and loss flags, so all of them share one training layout.
 `build_training_stack` builds it once per corpus and gives tokens, labels
 and previous tokens a leading sequence axis; a training step selects its
 sequences from that stack.
 
 A decode layout's blocks extend its last regular rows: none (causal), the
 last one (linear), or the last k + 1 (quadratic). The three inference
-builders cut such a layout from a `DecodeTables`, which a decode call makes
-once for its longest layout: a token buffer, positions, a gate and one
-attention table whose top-left corners are the causal triangles and whose
-bottom-right corners are the quadratic layouts' `allowed`. A decode layout
-fills no training field (labels, previous tokens, lcm pairs).
+builders cut such a layout from a `DecodeTables`, `_layout`'s layout of
+a decode call's longest quadratic layout, made once per call: a
+quadratic layout is its last rows, a causal or linear one the triangle
+of its first rows. A decode layout fills no training field (labels,
+previous tokens, lcm pairs).
 """
 
 from __future__ import annotations
@@ -132,11 +132,12 @@ class MaskedBatch:
         return np.flatnonzero(self.gate == 1)
 
     def regular_layout(self) -> "MaskedBatch":
-        """The regular rows alone, as a causal layout (they see no mask row)
-        holding this batch's or stack's tokens, labels and previous tokens."""
+        """The regular rows alone, as `_layout`'s causal layout (they see no
+        mask row) holding this batch's or stack's tokens, labels and
+        previous tokens."""
         rows = self.ntp_rows
         return replace(
-            causal_rows(self.tokens.reshape(-1, self.size)[0, rows]),
+            _layout(self.tokens.reshape(-1, self.size)[0, rows], (), ()),
             tokens=self.tokens[..., rows],
             base_labels=self.base_labels[..., rows],
             prev_token=self.prev_token[..., rows],
@@ -151,7 +152,9 @@ def _layout(tokens, anchors, mask_ids) -> MaskedBatch:
     """Regular rows holding `tokens`, then one block of `mask_ids` for each
     regular row in `anchors`, in that order, under the module's visibility
     rule, with its streams and no training field. An anchor that is not a
-    regular row is a ValueError."""
+    regular row is a ValueError. Every layout is this one's or cut from
+    it: training layouts, causal regular rows, and a decode call's
+    `DecodeTables`."""
     anchors = np.asarray(anchors, dtype=np.int64)
     mask_ids = np.asarray(mask_ids, dtype=np.int64)
     n, nb, k = len(tokens), anchors.size, mask_ids.size
@@ -257,46 +260,25 @@ def build_training_stack(corpus, mask_ids) -> MaskedBatch:
 
 
 class DecodeTables:
-    """The arrays that one decode call cuts its layouts from, made once for
+    """The layout that one decode call cuts its layouts from, made once for
     the call's longest layout. Like `merge_adapters`' copy, tables live for
     one call: nothing is kept across calls.
 
-    `rows` bounds the positions of the call's layouts (a layout with masks
-    ends k past its regular rows); k is the block length. A layout's real
-    tokens are written to end at buffer row `rows`, and its mask blocks
-    follow them there, so its tokens are one run of `tokens` and its gate
-    one run of `gate` (`rows` 0s, then 1s). `allowed` is (rows + (k + 1)k,
-    rows + k): its first `rows` rows are the lower triangle, whose top-left
-    T x T corner is a causal or linear layout's `allowed`; its last (k + 1)k
-    rows are a quadratic layout's mask rows (the verified rows, the chain
-    tokens up to the block's anchor, the block up to the row), set against
-    its last 2k columns, so its bottom-right corner from row and column
-    rows - n on is the `allowed` of a quadratic layout with n regular rows.
-    Each build rewrites the buffer, so a layout's tokens hold until the
-    next build from the same tables."""
+    `longest` is `_layout`'s own layout of the call's longest quadratic
+    layout: `rows` regular rows, then blocks of k that extend the last
+    k + 1 of them (every row, when there are fewer). `rows` bounds the
+    positions of the call's layouts (a layout with masks ends k past its
+    regular rows). A quadratic layout with n regular rows is `longest`'s
+    rows from rows - n on, with positions and anchors less rows - n; a
+    causal or linear layout is the triangle of its first rows. A layout's
+    tokens are one run of `longest.tokens`, and only those are written:
+    each build rewrites them, so a layout's tokens hold until the next
+    build from the same tables."""
 
     def __init__(self, rows: int, k: int):
-        n_mask = (k + 1) * k
         self.rows, self.k = rows, k
-        self.tokens = np.empty(rows + n_mask, dtype=np.int64)
-        self.positions = np.arange(rows)
-        self.gate = np.zeros(rows + n_mask, dtype=np.int8)
-        self.gate[rows:] = 1
-        self.allowed = tri = np.tri(rows + n_mask, rows + k, dtype=bool)
-        if n_mask and rows > k:  # tables of k positions or fewer hold no quadratic layout
-            # Block j (0..k) sees the chain tokens s_1..s_j, and its row i
-            # its own m_1..m_i: corners of the triangle.
-            masks = tri[rows:].reshape(k + 1, k, rows + k)
-            masks[..., : rows - k] = True
-            masks[..., rows - k : rows] = tri[: k + 1, None, 1 : k + 1]
-            masks[..., rows:] = tri[:k, :k]
-        self.no_anchor = np.full(rows, NO_ANCHOR, dtype=np.int64)
-        # A quadratic layout's mask rows: block j's m_i (i = 1..k) has anchor
-        # n_ver - 1 + j and position n_ver + j + i - 1.
-        mask_rows = np.arange(n_mask)
-        self.block_of = mask_rows // max(k, 1)
-        self.offsets = self.block_of + mask_rows % max(k, 1)
-        for table in (self.positions, self.gate, self.allowed, self.no_anchor):
+        self.longest = longest = _layout(np.zeros(rows), np.arange(max(rows - k - 1, 0), rows), np.zeros(k))
+        for table in (longest.position_ids, longest.gate, longest.block_anchor, longest.streams.allowed):
             table.flags.writeable = False
 
     def layout(self, verified, speculated, mask_ids, quadratic: bool) -> MaskedBatch:
@@ -312,19 +294,19 @@ class DecodeTables:
             raise ValueError(f"quadratic layout of {k} masks from tables of {self.k}")
         if n + (k if nb else 0) > self.rows or k > self.k:
             raise ValueError(f"layout of {t_len} rows does not fit decode tables of {self.rows} positions and {self.k} masks")
-        lo, end = self.rows - n, self.rows + nb * k
-        buf = self.tokens
-        buf[lo : lo + n_ver] = verified
-        buf[lo + n_ver : self.rows] = speculated
-        buf[self.rows : end].reshape(nb, k)[...] = mask_ids
-        if not quadratic:
-            anchor = np.concatenate((self.no_anchor[:n], self.block_of[:k] + (n - 1))) if nb else self.no_anchor[:n]
-            positions, streams = self.positions[:t_len], Streams(t_len, 0, self.allowed[:t_len, :t_len])
+        longest, lo = self.longest, self.rows - n if quadratic else 0
+        tokens = longest.tokens[lo : lo + t_len]
+        tokens[:n_ver] = verified
+        tokens[n_ver:n] = speculated
+        tokens[n:].reshape(nb, k)[...] = mask_ids
+        if quadratic:
+            gate, positions = longest.gate[lo:], longest.position_ids[lo:] - lo
+            anchor, streams = longest.block_anchor[lo:] - lo, Streams(n, k, longest.streams.allowed[lo:, lo:])
         else:
-            anchor = np.concatenate((self.no_anchor[:n], self.block_of + (n_ver - 1)))
-            positions = np.concatenate((self.positions[:n], self.offsets + n_ver))
-            streams = Streams(n, k, self.allowed[lo:, lo:])
-        return MaskedBatch(buf[lo:end], positions, self.gate[lo:end], anchor, streams)
+            gate, positions = longest.gate[self.rows - n : self.rows + k], longest.position_ids[:t_len]
+            anchor, streams = np.full(t_len, n - 1), Streams(t_len, 0, longest.streams.allowed[:t_len, :t_len])
+        anchor[:n] = NO_ANCHOR
+        return MaskedBatch(tokens, positions, gate, anchor, streams)
 
 
 def build_linear_inference_input(verified, speculated, mask_ids, tables: DecodeTables | None = None) -> MaskedBatch:

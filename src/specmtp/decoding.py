@@ -78,6 +78,14 @@ def _check_prompt(model: ModelBundle, prompt) -> list[int]:
     return tokens
 
 
+def _nothing_to_decode(name: str, count: int) -> bool:
+    """Whether a call asked for `count` passes or tokens asks for none; a
+    negative count is a ValueError that names the argument."""
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    return count == 0
+
+
 def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | None = None) -> list[int]:
     """One token per full-prefix forward pass; the correctness baseline.
 
@@ -85,6 +93,8 @@ def greedy_autoregressive(model: ModelBundle, prompt, max_new: int, eos: int | N
     max_position; a prompt longer than max_position is rejected.
     """
     tokens = _check_prompt(model, prompt)
+    if _nothing_to_decode("max_new", max_new):
+        return tokens
     max_position = model.config.max_position
     # Every pass reads one embedding table. A causal layout gates no row,
     # so no adapter is merged.
@@ -152,6 +162,9 @@ def speculative_decode(
         raise ValueError(f"k_eval must be in 1..{cfg.k_masks}")
     mask_ids = cfg.mask_ids[:k_eval]
     verified = _check_prompt(model, prompt)
+    stats = AcceptanceStats(generated=0, steps=0)
+    if _nothing_to_decode("max_steps", max_steps):
+        return verified, stats
     # Every pass of this call, and each sampler chain, reads the embedding
     # table and each adapter's merged weight from one copy, formed here
     # from the weights as they are now.
@@ -160,7 +173,6 @@ def speculative_decode(
     # positions end at most 2 k_eval past them.
     tables = DecodeTables(min(cfg.max_position, len(verified) + max_steps * (k_eval + 1) + k_eval), k_eval)
     speculated: list[int] = []
-    stats = AcceptanceStats(generated=0, steps=0)
 
     for _ in range(max_steps):
         n_ver = len(verified)

@@ -306,10 +306,42 @@ def test_layout_rejects_an_anchor_outside_the_regular_rows(anchors):
         _layout([1, 2, 3], anchors, MASKS2)
 
 
+def _cut_and_want(tables, kind, verified, spec, masks):
+    """The layout of `kind` cut from `tables`, and `_layout`'s of the same
+    rows and anchors: the regular rows, then blocks at none, the last, or
+    the last k + 1 of them. `spec` is the speculation: any length up to k
+    for a linear layout, k tokens for a quadratic one."""
+    n_ver, k = len(verified), len(masks)
+    if kind == "causal":
+        return causal_rows(verified, tables), _layout(verified, [], masks)
+    if kind == "linear":
+        got = build_linear_inference_input(verified, spec, masks, tables)
+        return got, _layout(verified + spec, [n_ver + len(spec) - 1], masks)
+    if kind == "no-mask":
+        return build_linear_inference_input(verified, [], masks[:0], tables), _layout(verified, [], masks)
+    got = build_quadratic_inference_input(verified, spec, masks, tables)
+    return got, _layout(verified + spec, np.arange(n_ver - 1, n_ver + k), masks)
+
+
+def _check_cut(got, want, kind, k):
+    for field in ("tokens", "position_ids", "gate", "block_anchor"):
+        assert getattr(got, field).tolist() == getattr(want, field).tolist(), (kind, field)
+    quadratic = kind == "quadratic"
+    assert got.streams.n_reg == (want.size - (k + 1) * k if quadratic else got.size)
+    assert got.streams.block == (k if quadratic else 0) and got.streams.first == 0
+    assert np.array_equal(streams_matrix(got.streams, got.size), streams_matrix(want.streams, want.size))
+
+
+def _check_read_only(tables):
+    longest = tables.longest
+    for table in (longest.position_ids, longest.gate, longest.block_anchor, longest.streams.allowed):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 def test_decode_tables_cut_the_layout_of_the_general_constructor():
     # One call's tables, rebuilt from in any order as a decode call rebuilds
-    # them, give the layout that `_layout` builds from the same anchors: the
-    # regular rows, then blocks at none, the last, or the last k + 1 of them.
+    # them, give the layout that `_layout` builds from the same anchors.
     # Causal and linear streams are the triangle, quadratic ones the two
     # streams. The tables' own arrays stay read-only.
     rng = np.random.default_rng(31)
@@ -317,32 +349,37 @@ def test_decode_tables_cut_the_layout_of_the_general_constructor():
         masks = np.arange(40, 40 + k)
         tables = DecodeTables(60, k)
         for _ in range(40):
-            n_ver = int(rng.integers(1, 60 - 2 * k))
-            verified = rng.integers(0, 30, size=n_ver).tolist()
+            verified = rng.integers(0, 30, size=int(rng.integers(1, 60 - 2 * k))).tolist()
             spec = rng.integers(0, 30, size=k).tolist()
-            s = int(rng.integers(0, k + 1))
-            n = n_ver + s
             kind = ["causal", "linear", "no-mask", "quadratic"][int(rng.integers(0, 4))]
-            if kind == "causal":
-                got, want = causal_rows(verified, tables), _layout(verified, [], masks)
-            elif kind == "linear":
-                got = build_linear_inference_input(verified, spec[:s], masks, tables)
-                want = _layout(verified + spec[:s], [n - 1], masks)
-            elif kind == "no-mask":
-                got = build_linear_inference_input(verified, [], masks[:0], tables)
-                want = _layout(verified, [], masks)
-            else:
-                got = build_quadratic_inference_input(verified, spec, masks, tables)
-                want = _layout(verified + spec, np.arange(n_ver - 1, n_ver + k), masks)
-            for field in ("tokens", "position_ids", "gate", "block_anchor"):
-                assert getattr(got, field).tolist() == getattr(want, field).tolist(), (kind, field)
-            quadratic = kind == "quadratic"
-            assert got.streams.n_reg == (n_ver + k if quadratic else got.size)
-            assert got.streams.block == (k if quadratic else 0) and got.streams.first == 0
-            assert np.array_equal(streams_matrix(got.streams, got.size), streams_matrix(want.streams, want.size))
-    for table in (tables.positions, tables.gate, tables.allowed):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 0
+            if kind == "linear":
+                spec = spec[: int(rng.integers(0, k + 1))]
+            _check_cut(*_cut_and_want(tables, kind, verified, spec, masks), kind, k)
+        _check_read_only(tables)
+
+
+def test_small_decode_tables_cut_every_layout_that_fits():
+    # Tables of 1..2k + 1 positions: up to k they hold only layouts with no
+    # mask, from k + 1 a linear block, and from 2k + 1 a quadratic layout.
+    # Every layout that fits is `_layout`'s; every other one is rejected.
+    rng = np.random.default_rng(37)
+    for k in range(1, 5):
+        masks = np.arange(40, 40 + k)
+        for rows in range(1, 2 * k + 2):
+            tables = DecodeTables(rows, k)
+            for n_ver in range(1, rows + 1):
+                verified = rng.integers(0, 30, size=n_ver).tolist()
+                spec = rng.integers(0, 30, size=k).tolist()
+                # (kind, speculation, rows up to the layout's last position)
+                cuts = [("causal", [], n_ver), ("no-mask", [], n_ver), ("quadratic", spec, n_ver + 2 * k)]
+                cuts += [("linear", spec[:s], n_ver + s + k) for s in range(k + 1)]
+                for kind, cut, end in cuts:
+                    if end <= rows:
+                        _check_cut(*_cut_and_want(tables, kind, verified, cut, masks), kind, k)
+                    else:
+                        with pytest.raises(ValueError, match="does not fit decode tables"):
+                            _cut_and_want(tables, kind, verified, cut, masks)
+            _check_read_only(tables)
 
 
 def test_a_layout_outside_its_tables_is_rejected():

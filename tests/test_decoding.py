@@ -211,7 +211,8 @@ def test_each_decode_call_builds_the_embedding_table_once(monkeypatch):
 
 def test_each_decode_call_makes_its_tables_once(monkeypatch):
     # Every step's layout is cut from tables the call makes once; no builder
-    # makes tables of its own inside a call.
+    # makes tables of its own inside a call. A call asked for nothing returns
+    # the prompt with no tables, no layout and no pass.
     calls = []
     init = DecodeTables.__init__
 
@@ -221,14 +222,42 @@ def test_each_decode_call_makes_its_tables_once(monkeypatch):
 
     monkeypatch.setattr(DecodeTables, "__init__", counting)
     model = make_model(8)
-    for steps in (1, 7):
+    builds = []
+    _record_passes(monkeypatch, model, builds)
+    for steps in (0, 1, 7):
         for strategy in ("linear", "quadratic"):
             calls.clear()
-            speculative_decode(model, init_sampler(CFG.d_model, 8), [1, 2, 3], 3, strategy, max_steps=steps)
-            assert len(calls) == 1
+            builds.clear()
+            out, stats = speculative_decode(model, init_sampler(CFG.d_model, 8), [1, 2, 3], 3, strategy, max_steps=steps)
+            assert len(calls) == min(steps, 1) and len(builds) == 2 * stats.steps
+            assert steps or (out == [1, 2, 3] and stats == AcceptanceStats(0, 0))
         calls.clear()
-        greedy_autoregressive(model, [1, 2, 3], steps)
-        assert len(calls) == 1
+        builds.clear()
+        out = greedy_autoregressive(model, [1, 2, 3], steps)
+        assert len(calls) == min(steps, 1) and len(builds) == 2 * steps and len(out) == 3 + steps
+
+
+@pytest.mark.parametrize("count", [-1, -5])
+@pytest.mark.parametrize("decode", ["greedy", "linear", "quadratic"])
+def test_a_negative_count_is_rejected_by_name_after_the_prompt_check(monkeypatch, decode, count):
+    # A bad prompt is reported first; with a good one, a negative count is a
+    # ValueError that names the argument, before any table, layout or pass.
+    model = make_model(3)
+    builds = []
+    _record_passes(monkeypatch, model, builds)
+    monkeypatch.setattr(DecodeTables, "__init__", lambda self, *args: builds.append("tables"))
+
+    def run(prompt):
+        if decode == "greedy":
+            return greedy_autoregressive(model, prompt, count)
+        return speculative_decode(model, None, prompt, 2, decode, max_steps=count)
+
+    with pytest.raises(ValueError, match="^prompt must be nonempty$"):
+        run([])
+    name = "max_new" if decode == "greedy" else "max_steps"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {count}$"):
+        run([1, 2, 3])
+    assert builds == []
 
 
 def test_adversarial_speculation_rate_exactly_one():
