@@ -737,36 +737,30 @@ def _key_blocks(kt: np.ndarray, lo: int, block: int) -> np.ndarray:
     return kb.reshape(kb.shape[:-1] + (kb.shape[-1] // block, block)).swapaxes(-3, -2)
 
 
-def _fits(t_q: int, t_k: int, n_reg: int, block: int, r_out: int) -> bool:
-    """A layout of n_reg regular rows, then blocks of `block` mask rows
-    (none when block is 0), split as the attention ops take it: the keys
-    (or values) of its first r_out rows from outside the pass, its own t_k
-    rows after them, and t_q query rows, its last, from row r on. The first
-    query row r may not pass the regular rows: r_out <= r <= n_reg."""
-    t_len = r_out + t_k
-    r = t_len - t_q
+def _row_split(
+    t_q: int, own: np.ndarray, outside: np.ndarray | None, n_reg: int, block: int
+) -> tuple[int, int, int] | None:
+    """The split of a layout of n_reg regular rows, then blocks of `block`
+    mask rows (none when block is 0), as the attention ops take it: the
+    keys (or values) `outside` (..., r_out, D) of its first r_out rows from
+    outside the pass (none when None), its `own` (..., T, D) after them,
+    and t_q query rows, its last, from row r on. Returns (r_out, the first
+    mask query row, the first own mask row), or None when the rows do not
+    fit: `outside` has other leading axes or columns than `own`, the first
+    query row r passes the regular rows (r_out <= r <= n_reg), or the mask
+    rows are not whole blocks."""
+    r_out = 0
+    if outside is not None:
+        if outside.ndim != own.ndim or outside.shape[:-2] + outside.shape[-1:] != own.shape[:-2] + own.shape[-1:]:
+            return None
+        r_out = outside.shape[-2]
+    t_len = r_out + own.shape[-2]
     m = t_len - n_reg
-    if not (0 <= r_out <= r <= n_reg and n_reg >= 1 and t_q >= 1):
-        return False
-    return m == 0 if block == 0 else block > 0 and m > 0 and m % block == 0
-
-
-def _mask_starts(t_q: int, t_k: int, n_reg: int, r_out: int) -> tuple[int, int]:
-    """The first mask row of the t_q queries and of the t_k own keys (or
-    values) of a layout that `_fits` passed."""
-    m = r_out + t_k - n_reg
-    return t_q - m, t_k - m
-
-
-def _outside_rows(xd: np.ndarray, xd_out: np.ndarray | None) -> int:
-    """The number of rows of `xd_out`, the keys or values (..., r, D) of the
-    rows before the pass's own `xd` (..., T, D): 0 for none, -1 when its
-    leading axes or columns are not xd's."""
-    if xd_out is None:
-        return 0
-    if xd_out.ndim != xd.ndim or xd_out.shape[:-2] != xd.shape[:-2] or xd_out.shape[-1:] != xd.shape[-1:]:
-        return -1
-    return xd_out.shape[-2]
+    if not (r_out <= t_len - t_q <= n_reg and n_reg >= 1 and t_q >= 1):
+        return None
+    if not (m == 0 if block == 0 else block > 0 and m > 0 and m % block == 0):
+        return None
+    return r_out, t_q - m, own.shape[-2] - m
 
 
 def attention_scores_data(
@@ -789,32 +783,32 @@ def attention_scores_data(
     kd hold the whole layout at r = r_out = 0, the mask blocks alone at
     r = r_out = n_reg, and a decode pass's last layer has r > r_out = 0.
     Returns (scores, q as (..., H, T_q, d_h), k as (..., H, d_h, T_k), the
-    regular keys as (..., H, d_h, n_reg), and the split (r_out, the first
-    mask query row, the first own mask key row)), the rest for the
-    backward."""
-    t_q = qd.shape[-2] if qd.ndim >= 2 else 0
-    r_out = _outside_rows(kd, kd_reg)
+    regular keys as (..., H, d_h, n_reg), and `_row_split`'s split (r_out,
+    the first mask query row, the first own mask key row)), the rest for
+    the backward. The regular keys are a view of k's first columns when
+    none come from outside, else one join of the outside keys' heads and
+    k's regular columns."""
     ok = (
         n_heads >= 1
         and qd.ndim >= 2
         and kd.shape[:-2] + kd.shape[-1:] == qd.shape[:-2] + qd.shape[-1:]
         and not qd.shape[-1] % n_heads
     )
-    if not ok or not _fits(t_q, kd.shape[-2], n_reg, block, r_out):
+    split = _row_split(qd.shape[-2], kd, kd_reg, n_reg, block) if ok else None
+    if split is None:
         raise NumericsError(
             f"attention_scores shape mismatch {qd.shape}, {kd.shape}"
             + (f", regular keys {kd_reg.shape}" if kd_reg is not None else "")
             + f" for {n_heads} heads, {n_reg} regular rows and blocks of {block}"
         )
-    lo_q, lo_k = _mask_starts(t_q, kd.shape[-2], n_reg, r_out)
+    _, lo_q, lo_k = split
     q = np.ascontiguousarray(_heads(qd, n_heads))
     k = np.ascontiguousarray(_heads(kd, n_heads).swapaxes(-1, -2))
-    if kd_reg is None:
-        kr = k[..., :n_reg]
-    else:
-        kr = np.empty(k.shape[:-1] + (n_reg,), dtype=k.dtype)
-        kr[..., :r_out] = _heads(kd_reg, n_heads).swapaxes(-1, -2)
-        kr[..., r_out:] = k[..., :lo_k]
+    kr = (
+        k[..., :n_reg]
+        if kd_reg is None
+        else np.concatenate([_heads(kd_reg, n_heads).swapaxes(-1, -2), k[..., :lo_k]], axis=-1)
+    )
     if block:
         s = np.empty(q.shape[:-1] + (n_reg + block,), dtype=q.dtype)
         np.matmul(q, kr, out=s[..., :n_reg])
@@ -828,7 +822,7 @@ def attention_scores_data(
     # non-finite score can only come from a product. The scan runs in a
     # fast run too: the softmax can absorb a non-finite score.
     s *= 1.0 / math.sqrt(q.shape[-1])
-    return _scan(s, "matmul"), q, k, kr, (r_out, lo_q, lo_k)
+    return _scan(s, "matmul"), q, k, kr, split
 
 
 def attention_scores(
@@ -875,39 +869,36 @@ def attention_context_data(
     last rows, as the keys and queries of `attention_scores_data`:
     `vd_reg` (..., r_out, D) from outside the pass, then vd, and pd's rows
     from a row r >= r_out on. Returns (output (..., T_q, D), v as (..., H,
-    T_v, d_h), the regular values as (..., H, n_reg, d_h), and the split
-    (r_out, the first mask query row, the first own mask value row)), the
-    rest for the backward."""
+    T_v, d_h), the regular values as (..., H, n_reg, d_h), and
+    `_row_split`'s split (r_out, the first mask query row, the first own
+    mask value row)), the rest for the backward. The regular values are a
+    view of v's first rows when none come from outside, else one join of
+    the outside values' heads and v's regular rows."""
     n_heads = pd.shape[-3] if pd.ndim >= 3 else 0
-    t_q = pd.shape[-2] if pd.ndim >= 3 else 0
-    r_out = _outside_rows(vd, vd_reg)
     ok = (
         vd.ndim >= 2
         and pd.ndim == vd.ndim + 1
         and n_heads >= 1
         and pd.shape[:-3] == vd.shape[:-2]
         and pd.shape[-1] == n_reg + block
+        and not vd.shape[-1] % n_heads
     )
-    if not ok or vd.shape[-1] % n_heads or not _fits(t_q, vd.shape[-2], n_reg, block, r_out):
+    split = _row_split(pd.shape[-2], vd, vd_reg, n_reg, block) if ok else None
+    if split is None:
         raise NumericsError(
             f"attention_context shape mismatch {pd.shape} x {vd.shape}"
             + (f", regular values {vd_reg.shape}" if vd_reg is not None else "")
             + f" for {n_reg} regular rows and blocks of {block}"
         )
-    lo_q, lo_v = _mask_starts(t_q, vd.shape[-2], n_reg, r_out)
+    _, lo_q, lo_v = split
     v = np.ascontiguousarray(_heads(vd, n_heads))
-    if vd_reg is None:
-        vr = v[..., :n_reg, :]
-    else:
-        vr = np.empty(v.shape[:-2] + (n_reg, v.shape[-1]), dtype=v.dtype)
-        vr[..., :r_out, :] = _heads(vd_reg, n_heads)
-        vr[..., r_out:, :] = v[..., :lo_v, :]
+    vr = v[..., :n_reg, :] if vd_reg is None else np.concatenate([_heads(vd_reg, n_heads), v[..., :lo_v, :]], axis=-2)
     out = _finite(pd[..., :n_reg] @ vr, "matmul")
     if block:
         by_block = _finite(_blocks(pd[..., lo_q:, n_reg:], block) @ _blocks(v[..., lo_v:, :], block), "matmul")
         out[..., lo_q:, :] += by_block.reshape(out[..., lo_q:, :].shape)
         _finite(out, "add")
-    return _join_heads(out, vd.shape[:-2] + (t_q, vd.shape[-1])), v, vr, (r_out, lo_q, lo_v)
+    return _join_heads(out, vd.shape[:-2] + (pd.shape[-2], vd.shape[-1])), v, vr, split
 
 
 def attention_context(p: Tensor, v: Tensor, n_reg: int, block: int, v_reg: np.ndarray | None = None) -> Tensor:

@@ -222,3 +222,85 @@ def test_a_tensor_saved_twice_is_a_checkpoint_error(tmp_path):
     save_checkpoint(model, sampler, path)
     with pytest.raises(CheckpointError, match=r"embed\.base twice"):
         load_checkpoint(path)
+
+
+def _saved_blob(tmp_path, model, sampler):
+    """The path and bytes of a checkpoint of `model` and `sampler`."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path)
+    return path, path.read_bytes()
+
+
+def test_a_header_without_a_model_size_is_a_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path, *make_pair())
+    pair = b"".join(struct.pack("<H", len(s)) + s.encode() for s in ("config.n_layers", "1"))
+    assert blob.count(pair) == 1
+    (count,) = struct.unpack_from("<I", blob, 8)
+    path.write_bytes(blob[:8] + struct.pack("<I", count - 1) + blob[12:].replace(pair, b""))
+    with pytest.raises(CheckpointError, match=r"checkpoint header missing config\.n_layers"):
+        load_checkpoint(path)
+
+
+def test_another_format_version_is_a_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path, *make_pair())
+    path.write_bytes(blob[:4] + struct.pack("<I", 2) + blob[8:])
+    with pytest.raises(CheckpointError, match="unsupported format version 2"):
+        load_checkpoint(path)
+
+
+def test_an_unknown_dtype_tag_is_a_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path, *make_pair())
+    blob = bytearray(blob)
+    blob[_record_shape_at(bytes(blob), "embed.base") - 2] = 1  # the dtype tag, before the rank
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=r"unknown dtype tag 1 for embed\.base"):
+        load_checkpoint(path)
+
+
+def test_a_byte_after_the_checksum_is_a_checkpoint_error(tmp_path):
+    path, blob = _saved_blob(tmp_path, *make_pair())
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing bytes after checksum"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ps: [(n, t) for n, t in ps if n != "unembed"], r"checkpoint is missing tensor unembed"),
+        (
+            lambda ps: [(n, Tensor(t.data[:-1]) if n == "unembed" else t) for n, t in ps],
+            r"shape mismatch for unembed: \(12, 16\) vs \(13, 16\)",
+        ),
+        (
+            lambda ps: ps + [("extra.w", Tensor(np.zeros(2, np.float32)))],
+            r"unexpected tensors in checkpoint: \['extra\.w'\]",
+        ),
+    ],
+    ids=["missing", "other-shape", "extra"],
+)
+def test_a_tensor_set_other_than_the_table_is_a_checkpoint_error(tmp_path, edit, message):
+    # Each file has a valid digest: only the check against the parameter
+    # table can reject it.
+    model, sampler = make_pair()
+    params = edit(model.named_params())
+    model.named_params = lambda: params
+    path, _ = _saved_blob(tmp_path, model, sampler)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({}, "checkpoint carries no charset meta"),
+        ({"charset": "ab"}, "charset does not match the stored vocabulary size"),
+    ],
+    ids=["no-charset", "charset-of-another-size"],
+)
+def test_decode_on_a_checkpoint_without_its_charset_is_an_io_error(tmp_path, capsys, meta, message):
+    model, sampler = make_pair()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, sampler, path, extra_meta=meta)
+    assert main(["decode", "--ckpt", str(path), "--prompt", "ab"]) == EXIT_IO
+    assert f"i/o error: {message}" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -6,11 +7,13 @@ import pytest
 
 from conftest import pattern_config
 from specmtp.checkpoint import save_checkpoint
+import specmtp.cli as cli
 from specmtp.cli import (
     EXIT_DIVERGENCE,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     UsageError,
     build_parser,
     main,
@@ -19,7 +22,7 @@ from specmtp.cli import (
 )
 from specmtp.model import init_model
 from specmtp.sampler import init_sampler
-from specmtp.training import CorpusSpec, TrainConfig, checkpoint_meta
+from specmtp.training import CorpusSpec, DivergenceError, TrainConfig, checkpoint_meta, train
 
 TINY_CONFIG = """
 [corpus]
@@ -145,6 +148,24 @@ def test_config_roundtrip():
     for f in fields(TrainConfig):
         assert getattr(full, f.name) != getattr(default, f.name), f.name
     assert parse_config_text(render_config(full)) == full
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[train]\nlearning_rate 0.1\n", "line 2: expected key = value"),
+        ("learning_rate = 0.1\n[train]\n", "line 1: key outside any [section]"),
+        ("[model]\nd_model = abc\n", "bad value 'abc'"),
+    ],
+    ids=["no-equals", "key-before-section", "not-an-integer"],
+)
+def test_a_malformed_config_line_is_a_usage_error_naming_it(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text, encoding="utf-8")
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run_dir), "--quiet"]) == EXIT_USAGE
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not run_dir.exists()
 
 
 def test_config_unknown_key_is_fatal():
@@ -377,6 +398,19 @@ def test_train_divergence_exit_code(tmp_path):
     cfg_path.write_text(TINY_CONFIG.replace("learning_rate = 0.001", "learning_rate = 1e6")
                         .replace("total_steps = 4", "total_steps = 50"))
     assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--quiet"]) == EXIT_DIVERGENCE
+
+
+def test_a_loss_streak_above_the_bound_is_a_divergence(tmp_path, capsys):
+    # The other divergence rule: no loss halves within two steps, so every
+    # step's loss stays above 0.5x the first one's.
+    text = f"{TINY_CONFIG}\n[train]\ndivergence_factor = 0.5\ndivergence_patience = 2\n"
+    message = r"loss \S+ stayed above 0\.5x initial for 2 steps"
+    with pytest.raises(DivergenceError, match=message):
+        train(parse_config_text(text))
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(text)
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "r"), "--quiet"]) == EXIT_DIVERGENCE
+    assert re.search("divergence: " + message, capsys.readouterr().err)
 
 
 def test_decode_deterministic_output(trained_ckpt, capsys):
@@ -655,3 +689,77 @@ def test_exit_codes_for_bad_invocations(tmp_path, capsys):
 def test_unknown_prompt_characters_are_usage_errors(trained_ckpt, capsys):
     assert main(["decode", "--ckpt", str(trained_ckpt), "--prompt", "zzz!"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_verify_reports_a_speculative_output_that_differs_from_greedy(untrained_ckpt, capsys, monkeypatch):
+    # Its first emitted token changed, the decode differs from greedy at
+    # the first index after the prompt.
+    decode, changed = cli.speculative_decode, []
+
+    def one_token_off(model, sampler, prompt, *args, **kwargs):
+        out, stats = decode(model, sampler, prompt, *args, **kwargs)
+        changed.append(len(prompt))
+        out[len(prompt)] = (out[len(prompt)] + 1) % model.config.vocab_size
+        return out, stats
+
+    monkeypatch.setattr(cli, "speculative_decode", one_token_off)
+    argv = ["verify", "--ckpt", str(untrained_ckpt), "--prompts", "1", "--k", "2", "--max-steps", "4"]
+    assert main(argv) == EXIT_VERIFY
+    assert changed == [9]  # BOS and 8 characters
+    err = capsys.readouterr().err
+    assert "verification failure: linear decoding diverged from greedy at index 9" in err
+
+
+@pytest.mark.parametrize("strategy", ["linear", "quadratic"])
+def test_decode_without_the_sampler_prints_greedy_text(trained_ckpt, capsys, monkeypatch, strategy):
+    decode, samplers = cli.speculative_decode, []
+
+    def recorded(model, sampler, *args, **kwargs):
+        samplers.append(sampler)
+        return decode(model, sampler, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "speculative_decode", recorded)
+    argv = ["decode", "--ckpt", str(trained_ckpt), "--prompt", "abcdabcd", "--strategy", strategy,
+            "--k", "2", "--max-steps", "4", "--no-sampler"]
+    assert main(argv) == EXIT_OK
+    text, counts = capsys.readouterr().out.splitlines()
+    assert samplers == [None]
+    n = int(counts.split()[0].removeprefix("tokens="))
+    argv = ["decode", "--ckpt", str(trained_ckpt), "--prompt", "abcdabcd", "--strategy", "greedy", "--max-new", str(n)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [text, f"tokens={n} steps={n} rate=1.0"]
+
+
+@pytest.fixture(scope="module")
+def tiny_arithmetic_ckpt(tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("tiny-arith")
+    config = run_dir / "tiny-arith.cfg"
+    config.write_text(f"{TINY_CONFIG}\n[corpus]\ntask = arithmetic\n", encoding="utf-8")
+    assert main(["train", "--config", str(config), "--out", str(run_dir / "run"), "--quiet"]) == EXIT_OK
+    return run_dir / "run" / "model.ckpt"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--prompts", "2", "--k-range", "1-2", "--max-steps", "4"],
+        ["verify", "--prompts", "4", "--k", "2", "--max-steps", "4"],
+    ],
+    ids=["bench", "verify"],
+)
+def test_the_arithmetic_suite_runs_on_an_arithmetic_checkpoint(tiny_arithmetic_ckpt, capsys, argv):
+    assert main(argv[:1] + ["--ckpt", str(tiny_arithmetic_ckpt), "--suite", "arithmetic"] + argv[1:]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command, k", [("verify", ["--k", "2"]), ("bench", ["--k-range", "1-2"])])
+def test_a_suite_with_no_prompt_is_a_usage_error_naming_it(untrained_ckpt, tmp_path, capsys, command, k):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n\n\n", encoding="utf-8")
+    for suite, message in (
+        ("nosuch", "unknown suite 'nosuch' (and no such file)"),
+        (str(blank), f"no prompts in {blank}"),
+    ):
+        assert main([command, "--ckpt", str(untrained_ckpt), "--suite", suite, "--prompts", "2"] + k) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"usage error: {message}" in captured.err and captured.out == ""

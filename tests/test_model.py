@@ -40,6 +40,21 @@ def make_model(rank=4, seed=0, **over):
     return init_model(ModelConfig(lora_rank=rank, **{**CFG, **over}), seed)
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(d_model=16, n_heads=3), "d_model must be divisible by n_heads"),
+        (dict(k_masks=0), "k_masks must be >= 1"),
+        (dict(lora_rank=-1), "lora_rank must be >= 0"),
+        (dict(vocab_size=3), "vocab_size must exceed k_masks"),
+    ],
+    ids=["heads-split-d-model", "no-mask", "negative-rank", "vocab-all-masks"],
+)
+def test_a_model_config_out_of_range_is_a_value_error(over, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{**CFG, "lora_rank": 4, **over})
+
+
 def randomize_adapters(model, seed=99):
     rng = np.random.default_rng(seed)
     for lw in model.layers:

@@ -141,6 +141,17 @@ def test_adamw_shape_mismatch():
         adamw_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, lr=0.1)
 
 
+def test_adamw_over_parameters_of_two_dtypes_is_a_value_error():
+    params = [("a", Tensor(np.zeros(2, np.float32))), ("b", Tensor(np.zeros(2, np.float64)))]
+    with pytest.raises(ValueError, match=r"AdamW parameters must share one dtype, got \['float32', 'float64'\]"):
+        AdamW(params)
+
+
+def test_warmup_past_the_last_step_is_a_value_error():
+    with pytest.raises(ValueError, match="warmup_steps must not exceed total_steps"):
+        TrainConfig(warmup_steps=6, total_steps=5)
+
+
 def _oracle_config(task, tmp_path, **over):
     return tiny_config(
         corpus=_oracle_corpus(task, tmp_path), d_model=16, n_heads=2, d_ff=32, k_masks=3, lora_rank=4, **over
