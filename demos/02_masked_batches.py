@@ -32,7 +32,8 @@ for r in range(batch.size):
 
 # The attention the builder made with the layout: every row over the
 # regular keys, then its own block's keys; a regular row has no block
-# column, so it stays blind to every mask row.
+# column, so it stays blind to every mask row. `allowed` is the softmax's
+# float mask: +inf where a row may look at a column, -inf where not.
 streams = batch.streams
 n, block = streams.n_reg, streams.block
 print(f"\nstreams: n_reg {n}, block {block}, first output row {streams.first}")
@@ -40,7 +41,7 @@ print(f"allowed: {n} regular keys, then blocks of {block} (row may look at colum
 keys = [names[int(t)] for t in batch.tokens[:n]], [f"m{j + 1}" for j in range(block)]
 print("       " + " ".join(f"{c:>2}" for c in keys[0]) + "  |" + " ".join(f"{c:>2}" for c in keys[1]))
 for r, allowed in enumerate(streams.allowed):
-    marks = [" x" if c else " ." for c in allowed]
+    marks = [" x" if c > 0 else " ." for c in allowed]
     anchor = "" if r < n else f"  (anchor row {batch.block_anchor[r]})"
     print(f"  {names[int(batch.tokens[r])]:>4} " + " ".join(marks[:n]) + "  |" + " ".join(marks[n:]) + anchor)
 

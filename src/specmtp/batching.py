@@ -34,7 +34,8 @@ last one (linear), or the last k + 1 (quadratic). The three inference
 builders cut such a layout from a `DecodeTables`, `_layout`'s layout of
 a decode call's longest quadratic layout, made once per call: a
 quadratic layout is its last rows, a causal or linear one the triangle
-of its first rows. A decode layout fills no training field (labels,
+of its first rows, and every cut's softmax mask is a view of the
+tables' one mask. A decode layout fills no training field (labels,
 previous tokens, lcm pairs).
 """
 
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import IGNORE_ID
+from .tensor import IGNORE_ID, softmax_mask
 
 NO_ANCHOR = -1
 NO_TOKEN = -1
@@ -59,7 +60,8 @@ class Streams(NamedTuple):
     against its own block's keys. `allowed` (T, n_reg + block) admits, for
     a regular row, the regular keys up to itself and no block column; for a
     mask row, the regular keys up to its anchor and its block's keys up to
-    itself.
+    itself. It is the float32 mask that the softmax applies in one op
+    (`tensor.softmax_mask`): +inf on an admitted cell, -inf on any other.
 
     A layout with no mask rows, or one block that extends the last regular
     row (a linear layout), sees the lower triangle of all T rows: it is
@@ -185,7 +187,7 @@ def _streams(n: int, anchors: np.ndarray, k: int) -> Streams:
     t_len = n + nb * k
     if t_len == n:
         # No mask row: the triangle.
-        return Streams(t_len, 0, np.tri(t_len, dtype=bool))
+        return Streams(t_len, 0, softmax_mask(np.tri(t_len, dtype=bool)))
     # Row a of the triangle admits the regular keys up to a: a regular row's
     # own, a mask row's anchor's. The block's keys up to each row's place in
     # its block, and none for a regular row.
@@ -194,7 +196,7 @@ def _streams(n: int, anchors: np.ndarray, k: int) -> Streams:
     allowed[:n, :n] = causal
     allowed[n:, :n] = causal.take(np.repeat(anchors, k), axis=0)
     allowed[n:, n:].reshape(nb, k, k)[...] = np.tri(k, dtype=bool)
-    return Streams(n, k, allowed)
+    return Streams(n, k, softmax_mask(allowed))
 
 
 def build_training_batch(seq, loss_flags, mask_ids) -> MaskedBatch:
@@ -270,10 +272,11 @@ class DecodeTables:
     positions of the call's layouts (a layout with masks ends k past its
     regular rows). A quadratic layout with n regular rows is `longest`'s
     rows from rows - n on, with positions and anchors less rows - n; a
-    causal or linear layout is the triangle of its first rows. A layout's
-    tokens are one run of `longest.tokens`, and only those are written:
-    each build rewrites them, so a layout's tokens hold until the next
-    build from the same tables."""
+    causal or linear layout is the triangle of its first rows; a causal
+    layout's anchors are a view of the tables' regular rows' own. A
+    layout's tokens are one run of `longest.tokens`, and only those are
+    written: each build rewrites them, so a layout's tokens hold until the
+    next build from the same tables."""
 
     def __init__(self, rows: int, k: int):
         self.rows, self.k = rows, k
@@ -302,10 +305,14 @@ class DecodeTables:
         if quadratic:
             gate, positions = longest.gate[lo:], longest.position_ids[lo:] - lo
             anchor, streams = longest.block_anchor[lo:] - lo, Streams(n, k, longest.streams.allowed[lo:, lo:])
+            anchor[:n] = NO_ANCHOR
         else:
             gate, positions = longest.gate[self.rows - n : self.rows + k], longest.position_ids[:t_len]
-            anchor, streams = np.full(t_len, n - 1), Streams(t_len, 0, longest.streams.allowed[:t_len, :t_len])
-        anchor[:n] = NO_ANCHOR
+            streams = Streams(t_len, 0, longest.streams.allowed[:t_len, :t_len])
+            # The tables' regular rows' anchors, all NO_ANCHOR; a causal cut's are a view.
+            anchor = longest.block_anchor[:n]
+            if nb:
+                anchor = np.concatenate([anchor, np.full(k, n - 1)])
         return MaskedBatch(tokens, positions, gate, anchor, streams)
 
 

@@ -9,7 +9,7 @@ gate-off guarantee bitwise.
 `forward` takes a layout in batching.py's form, regular rows first and
 mask blocks after them, with the attention its builder made once
 (`batching.Streams`): n_reg regular rows, blocks of `block` mask rows, one
-(T, n_reg + block) `allowed` matrix, and the first output row. Each layer
+(T, n_reg + block) `allowed` softmax mask, and the first output row. Each layer
 runs one op pair around one `masked_softmax_rows`: `attention_scores`
 scores every query row against the n_reg regular keys (one product) and
 each mask row against its own block's keys as well (one batched (nb, k,

@@ -94,9 +94,11 @@ byte-equal to the chain's. The chains, in the tests, are their oracle.
 A gated linear, taped or not, runs `gated_linear_data`: the frozen
 product over every row, so an ungated row keeps the bytes of the plain
 linear, then the gated rows, the trailing run from a `start` row on (a
-view), times the merged weight, put into that product's own fresh array.
-With every row gated (start 0), the put would overwrite the whole frozen
-product, so the merged product alone is formed, forward and backward.
+view), times the merged weight, written by that product into the frozen
+product's gated rows (the put), and the residual added into the same
+array. With every row gated (start 0), the put would overwrite the whole
+frozen product, so the merged product alone is formed, forward and
+backward.
 M is stored like W, so both products are linear's; zero factors give
 M == W. The merge (`merge_data`) runs per call, or once for a decode
 call, whose copy of the model carries M (`model.merge_adapters`). The
@@ -111,7 +113,13 @@ the scores scan adds one boolean array. An in-place step is the same IEEE
 operation on the same values, so the bytes do not change. The scores op
 writes its products into that array, scales it in place and scans it
 once, under the name `matmul`, the only step of its chain that can
-overflow.
+overflow. The softmax's array is its exclusion: one `np.fmin` of the
+scores with the layout's float32 mask (+inf on an allowed cell, which
+keeps its score, -inf on an excluded one, which becomes -inf whatever it
+held), made once per layout (`softmax_mask`, batching.py). The row
+kernels work the same way: layer_norm runs its chain on the two row-sized
+arrays it allocates, silu on three, and a gated linear writes into its
+one output array.
 """
 
 from __future__ import annotations
@@ -474,9 +482,15 @@ def silu_data(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x * sigmoid(x), sigmoid(x)); the sigmoid is kept for the backward.
     The sigmoid is n / (1 + e) with e = exp(-|x|) and numerator n = 1 for
     x >= 0, e otherwise. Since e <= 1, n is max(e, x >= 0): bit for bit
-    np.where(x >= 0, 1.0, e), NaN included, in one cheaper call."""
-    e = np.exp(-np.abs(xd))
-    s = np.maximum(e, xd >= 0) / (1.0 + e)
+    np.where(x >= 0, 1.0, e), NaN included, in one cheaper call. The chain
+    runs in place on the arrays it allocates, e, the sigmoid and the
+    output: the same operations in the same order as out-of-place."""
+    e = np.abs(xd)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.maximum(e, xd >= 0)
+    e += 1.0
+    s /= e
     return _finite(xd * s, "silu"), s
 
 
@@ -497,18 +511,30 @@ LN_EPS = 1e-5  # every layer norm's variance floor
 def layer_norm_data(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row zero mean / unit variance, then affine; xd (..., T, d).
     Returns (output, normalised rows, 1 / std), the last two for the
-    backward."""
+    backward. The chain runs in place on the two row-sized arrays it
+    allocates, the centred rows (then xhat) and the squares (then the
+    output), so gain and bias are of xd's dtype: the same operations in
+    the same order as out-of-place."""
     if xd.ndim < 2:
         raise NumericsError("layer_norm expects rows of at least 2-D input")
     # The same bytes as xd.mean and xd.var, without their Python wrappers.
     d = xd.shape[-1]
-    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    mean = np.add.reduce(xd, axis=-1, keepdims=True)
+    mean /= d
+    xhat = np.subtract(xd, mean)
+    y = np.multiply(xhat, xhat)
+    var = np.add.reduce(y, axis=-1, keepdims=True)
+    var /= d
     # var - var is +0.0 for a finite variance, so inv keeps its bytes; a
     # variance that overflowed to inf makes its row NaN, not the bias.
-    inv = 1.0 / np.sqrt(var + LN_EPS) + (var - var)
-    xhat = xc * inv
-    return _finite(xhat * gain + bias, "layer_norm"), xhat, inv
+    inv = var + LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    inv += var - var
+    xhat *= inv
+    np.multiply(xhat, gain, out=y)
+    y += bias
+    return _finite(y, "layer_norm"), xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -532,34 +558,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, gain, bias), bw)
 
 
-# The bits of -inf as the signed integer of each float's width.
-_NEG_INF_BITS = {
-    np.dtype(f): (i, np.array(-np.inf, f).view(i)[()])
-    for f, i in ((np.float32, np.int32), (np.float64, np.int64))
-}
+def softmax_mask(allowed) -> np.ndarray:
+    """The float32 mask that `masked_softmax_data` applies for a boolean
+    `allowed`: +inf where a cell is allowed, -inf where it is excluded."""
+    return np.where(allowed, np.float32(np.inf), np.float32(-np.inf))
 
 
-def _exclude(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of xd with every cell outside `allowed` set to -inf,
-    bit for bit `np.where(allowed, xd, -np.inf)`: on the integer view, xor
-    with the bits of -inf, multiply by `allowed` (1 or 0), xor again. An
-    allowed cell gets its own bits back (NaN and -0.0 included), an excluded
-    one the bits of -inf. NumPy vectorises these integer ops; its masked
-    select and masked copy over a broadcast mask run several times slower."""
-    bits, neg_inf = _NEG_INF_BITS[xd.dtype]
-    x = np.bitwise_xor(xd.view(bits), neg_inf, order="C")
-    x *= allowed
-    x ^= neg_inf
-    return x.view(xd.dtype)
-
-
-def _softmax_core(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Softmax over the `allowed` cells of the last axis. One new array the
-    size of xd; the max shift, exp and division run in place on it, the same
-    operations on the same values as out-of-place."""
-    x = _exclude(xd, allowed)
+def _softmax_core(xd: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the cells of the last axis that the float32 `mask`
+    (`softmax_mask`) allows. One new C-ordered array the size of xd:
+    np.fmin with the mask keeps an allowed cell's value (an allowed NaN
+    becomes +inf, which makes its row NaN as NaN does) and sets an excluded
+    one to -inf, whatever it held, in one pass. No NaN is then left, so the
+    max shift by np.fmax gives np.maximum's values; it, the exp and the
+    division run in place, the same operations on the same values as
+    out-of-place. A float32 mask leaves float64 scores float64."""
+    x = np.fmin(xd, mask, order="C")
     # The ufunc reductions that .max and .sum call, without their wrappers.
-    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    x -= np.fmax.reduce(x, axis=-1, keepdims=True)
     np.exp(x, out=x)
     x /= np.add.reduce(x, axis=-1, keepdims=True)
     return x
@@ -578,12 +594,18 @@ def masked_softmax_data(xd: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     """Softmax over the `allowed` entries of each row; others get exactly 0,
     whatever they hold (NaN and +-inf included).
 
-    `allowed` is a constant boolean array shaped like xd's last two axes;
-    for stacked (H, T, T) scores one (T, T) mask applies to every block.
+    `allowed` is a constant mask shaped like xd's last two axes; for
+    stacked (H, T, T) scores one (T, T) mask applies to every block. It is
+    the float32 mask a layout's streams carry (`softmax_mask`: +inf where
+    allowed, -inf where not), or a boolean matrix, made into that mask.
     """
     if allowed.shape != xd.shape[-2:]:
         raise NumericsError("masked_softmax_rows mask shape mismatch")
-    return _finite(_softmax_core(xd, np.asarray(allowed, dtype=bool)), "masked_softmax_rows")
+    if allowed.dtype == bool:
+        allowed = softmax_mask(allowed)
+    elif allowed.dtype != np.float32:
+        raise NumericsError(f"masked_softmax_rows mask of dtype {allowed.dtype}: boolean or float32 +-inf")
+    return _finite(_softmax_core(xd, allowed), "masked_softmax_rows")
 
 
 def masked_softmax_rows(x: Tensor, allowed: np.ndarray) -> Tensor:
@@ -660,10 +682,12 @@ def gated_linear_data(
     merged weight (`merge_data`), or `merged` when the caller formed it
     already; then the residual added, when one is given. The steps run in
     the chain's order (linear, the merge, take rows, linear, row put, add),
-    each naming its overflow; the put only moves values. At start 0 the
-    first linear, whose every row the put would replace, is skipped.
-    Returns (output, the view xd[..., start:, :], M), the last two for the
-    backward."""
+    each naming its overflow. The second linear writes its product into
+    the first one's gated rows, which is the put, and the residual (of the
+    output's shape) is added into that same array, so the output is the
+    one array the chain needs. At start 0 the first linear, whose every row
+    the put would replace, is skipped. Returns (output, the view
+    xd[..., start:, :], M), the last two for the backward."""
     if xd.ndim < 2:
         raise NumericsError(f"gated_linear shape mismatch x {xd.shape} for W {wd.shape}")
     if not 0 <= start < xd.shape[-2]:
@@ -672,10 +696,17 @@ def gated_linear_data(
     md = merge_data(wd, ad, bd, c) if merged is None else merged
     xr = xd[..., start:, :]
     if start:
-        y[..., start:, :] = linear_data(xr, md)
+        # linear_data's product (xd's width was checked against W, whose
+        # shape M has), written into the frozen product's gated rows.
+        _finite(np.matmul(xr, md.T, out=y[..., start:, :]), "linear")
     else:
         y = linear_data(xr, md)
-    return (y if residual is None else add_data(residual, y)), xr, md
+    if residual is not None:
+        # add_data's sum, written into the array that holds the products.
+        if residual.shape != y.shape:
+            raise NumericsError(f"add shape mismatch {residual.shape} vs {y.shape}")
+        _finite(np.add(residual, y, out=y), "add")
+    return y, xr, md
 
 
 def gated_linear(
@@ -791,6 +822,7 @@ def attention_scores_data(
     ok = (
         n_heads >= 1
         and qd.ndim >= 2
+        and kd.ndim == qd.ndim
         and kd.shape[:-2] + kd.shape[-1:] == qd.shape[:-2] + qd.shape[-1:]
         and not qd.shape[-1] % n_heads
     )

@@ -1,5 +1,8 @@
 """The chains of elementary ops that the fused ops in `specmtp.tensor`
 replace, the out-of-place softmax that the in-place one replaces, the
+xor-trick exclusion that the one-op float mask replaces, the
+out-of-place layer norm, silu and gated linear (its gated rows' product
+put into the frozen one's) that the in-place row kernels replace, the
 per-sequence training loop, each sequence's regular rows from its own
 causal pass, that the stacked training step replaces,
 the pair-by-pair consistency loss that `lcm_loss` replaces, the
@@ -15,7 +18,7 @@ base weights, which the clone that draws only what it adds replaces.
 Each is its replacement's oracle: values, gradients, optimizer state and
 weights must match it byte for byte.
 The visibility rule's (T, T) matrix, which no layout builds, is the
-oracle of the `allowed` matrix of the streams a layout's builder makes.
+oracle of the `allowed` mask of the streams a layout's builder makes.
 The elementary ops that only these chains and the tests use are written
 here too, on the engine's helpers and tape."""
 
@@ -79,7 +82,7 @@ def row_scatter_add(base, idx, delta):
 def softmax_rows(x):
     """Row-stochastic softmax: the masked softmax with every cell allowed,
     so -inf entries are exact exclusions (weight 0)."""
-    p = tz._softmax_core(x.data, np.ones(x.data.shape[-1:], dtype=bool))
+    p = tz._softmax_core(x.data, np.full(x.data.shape[-1:], np.inf, dtype=np.float32))
     return _record(_out(p, "softmax_rows"), (x,), lambda g: (tz._softmax_backward(g, p),))
 
 
@@ -276,10 +279,18 @@ def visibility_rule(block_anchor, k):
     return (regular[None, :] & (rows[None, :] <= reach[:, None])) | own_block
 
 
+def allowed_cells(mask):
+    """The boolean cells that a layout's float32 softmax mask allows; the
+    mask must hold +inf and -inf alone."""
+    assert mask.dtype == np.float32 and np.isinf(mask).all(), "not a float32 mask of +-inf"
+    return mask > 0
+
+
 def streams_matrix(streams, t_len):
     """The (T, T) visibility that a layout's streams describe. A regular
     row's block columns stand for no key, so none may be allowed."""
-    n, blk, allowed = streams[:3]
+    n, blk, mask = streams[:3]
+    allowed = allowed_cells(mask)
     if not blk:
         return allowed.copy()
     assert not allowed[:n, n:].any(), "a regular row's block column is allowed"
@@ -295,6 +306,64 @@ def silu_where(xd):
     e = np.exp(-np.abs(xd))
     s = np.where(xd >= 0, 1.0, e) / (1.0 + e)
     return xd * s, s
+
+
+# The bits of -inf as the signed integer of each float's width.
+_NEG_INF_BITS = {
+    np.dtype(f): (i, np.array(-np.inf, f).view(i)[()])
+    for f, i in ((np.float32, np.int32), (np.float64, np.int64))
+}
+
+
+def exclude_xor(xd, allowed):
+    """A C-ordered copy of xd with every cell outside the boolean `allowed`
+    set to -inf, bit for bit `np.where(allowed, xd, -np.inf)`: on the
+    integer view, xor with the bits of -inf, multiply by `allowed` (1 or
+    0), xor again. An allowed cell gets its own bits back (NaN and -0.0
+    included), an excluded one the bits of -inf."""
+    bits, neg_inf = _NEG_INF_BITS[xd.dtype]
+    x = np.bitwise_xor(xd.view(bits), neg_inf, order="C")
+    x *= allowed
+    x ^= neg_inf
+    return x.view(xd.dtype)
+
+
+def softmax_xor(xd, allowed):
+    """The masked softmax that excludes by `exclude_xor` and shifts by
+    np.maximum, then exps and divides in place: the in-place softmax that
+    the one-op mask of `_softmax_core` replaces."""
+    x = exclude_xor(xd, allowed)
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, axis=-1, keepdims=True)
+    return x
+
+
+def layer_norm_out_of_place(xd, gain, bias):
+    """layer_norm_data with one new array per step."""
+    d = xd.shape[-1]
+    xc = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + tz.LN_EPS) + (var - var)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def silu_out_of_place(xd):
+    """silu_data with one new array per step."""
+    e = np.exp(-np.abs(xd))
+    s = np.maximum(e, xd >= 0) / (1.0 + e)
+    return xd * s, s
+
+
+def gated_linear_out_of_place(xd, wd, ad, bd, start, c, residual=None):
+    """gated_linear_data with the gated rows' product formed in its own
+    array and put into the frozen product's, and the residual added into a
+    new array."""
+    md = tz.merge_data(wd, ad, bd, c)
+    y = xd @ wd.T
+    y[..., start:, :] = xd[..., start:, :] @ md.T
+    return y if residual is None else residual + y
 
 
 def softmax_chain(xd, allowed=None):

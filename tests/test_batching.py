@@ -15,7 +15,7 @@ from specmtp.batching import (
     _layout,
 )
 from specmtp.model import ModelConfig, _gate_start, init_model
-from specmtp.tensor import IGNORE_ID, precision
+from specmtp.tensor import IGNORE_ID, precision, softmax_mask
 
 MASKS2 = np.array([5, 6])
 
@@ -144,8 +144,8 @@ def test_layout_streams_frozen_example(case):
     streams = build().streams
     want = np.array([[c == "1" for c in row.replace(" ", "")] for row in rows])
     assert (streams.n_reg, streams.block, streams.first) == (n_reg, block, 0)
-    assert streams.allowed.dtype == bool
-    assert np.array_equal(streams.allowed, want)
+    assert streams.allowed.dtype == np.float32
+    assert np.array_equal(streams.allowed, softmax_mask(want))
 
 
 def test_quadratic_layout_k3_frozen_attention():
@@ -323,9 +323,15 @@ def _cut_and_want(tables, kind, verified, spec, masks):
     return got, _layout(verified + spec, np.arange(n_ver - 1, n_ver + k), masks)
 
 
-def _check_cut(got, want, kind, k):
+def _check_cut(tables, got, want, kind, k):
     for field in ("tokens", "position_ids", "gate", "block_anchor"):
         assert getattr(got, field).tolist() == getattr(want, field).tolist(), (kind, field)
+    if kind in ("causal", "no-mask"):
+        # A causal cut's anchors are a read-only view of the tables' own.
+        assert np.shares_memory(got.block_anchor, tables.longest.block_anchor), kind
+        assert not got.block_anchor.flags.writeable
+    # Every cut's softmax mask is a view of the tables' one mask.
+    assert np.shares_memory(got.streams.allowed, tables.longest.streams.allowed), kind
     quadratic = kind == "quadratic"
     assert got.streams.n_reg == (want.size - (k + 1) * k if quadratic else got.size)
     assert got.streams.block == (k if quadratic else 0) and got.streams.first == 0
@@ -354,7 +360,7 @@ def test_decode_tables_cut_the_layout_of_the_general_constructor():
             kind = ["causal", "linear", "no-mask", "quadratic"][int(rng.integers(0, 4))]
             if kind == "linear":
                 spec = spec[: int(rng.integers(0, k + 1))]
-            _check_cut(*_cut_and_want(tables, kind, verified, spec, masks), kind, k)
+            _check_cut(tables, *_cut_and_want(tables, kind, verified, spec, masks), kind, k)
         _check_read_only(tables)
 
 
@@ -375,7 +381,7 @@ def test_small_decode_tables_cut_every_layout_that_fits():
                 cuts += [("linear", spec[:s], n_ver + s + k) for s in range(k + 1)]
                 for kind, cut, end in cuts:
                     if end <= rows:
-                        _check_cut(*_cut_and_want(tables, kind, verified, cut, masks), kind, k)
+                        _check_cut(tables, *_cut_and_want(tables, kind, verified, cut, masks), kind, k)
                     else:
                         with pytest.raises(ValueError, match="does not fit decode tables"):
                             _cut_and_want(tables, kind, verified, cut, masks)
@@ -438,7 +444,7 @@ def test_derived_visibility_is_the_rule_on_every_layout_kind():
         n_reg = int((batch.gate == 0).sum()) if streams.block else batch.size
         assert streams.n_reg == n_reg and streams.first == 0
         assert streams.block in (0, k)
-        assert streams.allowed.dtype == bool
+        assert streams.allowed.dtype == np.float32
         assert streams.allowed.shape == (batch.size, n_reg + streams.block)
         got = streams_matrix(streams, batch.size)
         assert np.array_equal(got, visibility_rule(batch.block_anchor, k))
@@ -585,7 +591,8 @@ def test_training_stack_is_every_sequence_batch():
         # A stack's sequences share its streams; its regular rows are causal.
         assert stack.select(picks).streams is stack.streams
         regular = stack.regular_layout().streams
-        assert (regular.n_reg, regular.block) == (n, 0) and np.array_equal(regular.allowed, np.tri(n, dtype=bool))
+        assert (regular.n_reg, regular.block) == (n, 0)
+        assert np.array_equal(regular.allowed, softmax_mask(np.tri(n, dtype=bool)))
 
 
 @pytest.mark.parametrize(

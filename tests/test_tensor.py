@@ -1,25 +1,37 @@
 import threading
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 import pytest
 from chains import (
+    allowed_cells,
     attention_chain,
     context_chain,
     gated_linear_chain,
+    gated_linear_out_of_place,
+    layer_norm_out_of_place,
     matmul,
     row_scatter_add,
     scores_chain,
+    silu_out_of_place,
     silu_where,
     softmax_backward_chain,
     softmax_chain,
     softmax_rows,
+    softmax_xor,
     sum_all,
     transpose,
 )
 
 from specmtp import tensor as tz
-from specmtp.batching import _layout
+from specmtp.batching import (
+    _layout,
+    build_linear_inference_input,
+    build_quadratic_inference_input,
+    build_training_stack,
+    causal_rows,
+)
 from specmtp.tensor import (
     NumericsError,
     Tape,
@@ -189,7 +201,7 @@ def test_in_place_softmax_is_bytewise_the_out_of_place_chain(dtype):
             x = _scores_with_edge_values(rng, shape, dtype)
             for mask in (allowed, None):
                 # With no mask, the in-place core runs with every cell allowed.
-                p = tz._softmax_core(x, np.ones_like(allowed) if mask is None else mask)
+                p = tz._softmax_core(x, tz.softmax_mask(np.ones_like(allowed) if mask is None else mask))
                 want = softmax_chain(x, mask)
                 assert p.dtype == want.dtype == dtype
                 assert p.tobytes() == want.tobytes()
@@ -201,21 +213,88 @@ def test_in_place_softmax_is_bytewise_the_out_of_place_chain(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_masked_softmax_gives_excluded_cells_zero_whatever_they_hold(fill, dtype):
-    # Exclusion replaces a cell; it does not add to it (NaN - inf is NaN).
+    # Exclusion replaces a cell; it does not add to it (NaN - inf is NaN),
+    # under a layout's float32 mask and under the boolean matrix it stands for.
     rng = np.random.default_rng(22)
     allowed = random_allowed(rng, 6)
     clean = rng.normal(size=(2, 6, 6)).astype(dtype)
     x = clean.copy()
     x[:, ~allowed] = fill
-    want = tz.masked_softmax_data(clean, allowed)
-    got = tz.masked_softmax_data(x, allowed)
+    want = softmax_xor(clean, allowed)
     leaf = Tensor(clean)
     leaf.data = x  # Tensor() itself rejects NaN and +inf
-    taped = masked_softmax_rows(leaf, allowed).data
-    for p in (got, taped):
-        assert p.dtype == dtype
-        assert np.all(p[:, ~allowed] == 0.0)
-        assert p.tobytes() == want.tobytes()
+    for mask in (tz.softmax_mask(allowed), allowed):
+        for p in (tz.masked_softmax_data(x, mask), masked_softmax_rows(leaf, mask).data):
+            assert p.dtype == dtype
+            assert np.all(p[:, ~allowed] == 0.0)
+            assert p.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [np.nan, np.inf], ids=["nan", "+inf"])
+def test_an_allowed_nan_or_inf_cell_makes_its_row_nan(fill, dtype):
+    # As with the xor-trick exclusion: the row of an allowed NaN or +inf is
+    # NaN in every cell, every other row keeps its bytes, and the op's scan
+    # names the softmax.
+    rng = np.random.default_rng(24)
+    allowed = random_allowed(rng, 6)
+    x = rng.normal(size=(2, 6, 6)).astype(dtype)
+    x[0, 4, 2] = x[1, 5, 5] = fill
+    allowed[4, 2] = True
+    with np.errstate(invalid="ignore"):
+        got = tz._softmax_core(x, tz.softmax_mask(allowed))
+        want = softmax_xor(x, allowed)
+    bad = np.zeros(x.shape, dtype=bool)
+    bad[0, 4] = bad[1, 5] = True
+    assert np.isnan(got[bad]).all() and np.isnan(want[bad]).all()
+    assert not np.isnan(got[~bad]).any()
+    assert got[~bad].tobytes() == want[~bad].tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="produced by masked_softmax_rows$"):
+        tz.masked_softmax_data(x, tz.softmax_mask(allowed))
+
+
+def _layouts_of_every_kind(rng):
+    """A layout of each builder for 1 to 200 regular rows and k = 1 and 4:
+    causal, linear, quadratic, and a training stack's."""
+    for n in (1, 2, 7, 33, 64, 150, 200):
+        for k in (1, 4):
+            masks = np.arange(40, 40 + k)
+            prompt = rng.integers(0, 30, size=n).tolist()
+            yield causal_rows(prompt)
+            yield build_linear_inference_input(prompt, prompt[:k], masks)
+            yield build_quadratic_inference_input(prompt, rng.integers(0, 30, size=k).tolist(), masks)
+            m = max(n, 2)
+            yield build_training_stack([(rng.integers(0, 30, size=m), rng.integers(0, 2, size=m))], masks)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_is_bytewise_the_xor_oracle_on_every_layout(dtype):
+    # The one-op float mask of a layout's streams against the xor-trick
+    # exclusion on the boolean cells it stands for, over every row and over
+    # the output rows after context rows: scores with -0.0, +0.0 and -inf
+    # in allowed cells (key 0, which every row sees, kept finite) and NaN
+    # and +-inf in excluded ones, in (H, rows, keys) and stacked.
+    rng = np.random.default_rng(25)
+    for batch in _layouts_of_every_kind(rng):
+        mask, n_reg = batch.streams.allowed, batch.streams.n_reg
+        assert mask.dtype == np.float32
+        allowed = allowed_cells(mask)
+        for r in sorted({0, n_reg // 2, min(n_reg, batch.size - 1)}):
+            for lead in ((2,), (2, 2)):
+                x = rng.normal(size=lead + allowed[r:].shape).astype(dtype)
+                for value, share in ((-0.0, 0.1), (0.0, 0.1), (-np.inf, 0.05)):
+                    x[rng.random(x.shape) < share] = value
+                x[..., 0][np.isinf(x[..., 0])] = 1.5
+                for value in (np.nan, np.inf, -np.inf):
+                    x[(rng.random(x.shape) < 0.1) & ~allowed[r:]] = value
+                got = tz.masked_softmax_data(x, mask[r:])
+                assert got.dtype == dtype
+                assert got.tobytes() == softmax_xor(x, allowed[r:]).tobytes()
+
+
+def test_a_softmax_mask_of_another_dtype_is_rejected():
+    with pytest.raises(NumericsError, match="mask of dtype float64"):
+        tz.masked_softmax_data(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -301,15 +380,91 @@ def test_silu_numerator_is_bitwise_the_where_form(dtype, bits):
     ])
     assert np.isnan(x).any() and (np.abs(x) < info.tiny).any() and np.isinf(x).any()
     for xd in (x, x[: x.size // 8 * 8].reshape(2, -1, 4)):
-        token = tz._scan_per_op.set(False)  # silu of -inf is NaN
-        try:
-            with np.errstate(all="ignore"):
-                got, want = tz.silu_data(xd), silu_where(xd)
-        finally:
-            tz._scan_per_op.reset(token)
-        for g, w in zip(got, want):
+        # silu of -inf is NaN. The in-place chain is also bitwise its
+        # out-of-place form on these values.
+        with _per_op_scans_off(), np.errstate(all="ignore"):
+            got, want, out_of_place = tz.silu_data(xd), silu_where(xd), silu_out_of_place(xd)
+        for g, w, o in zip(got, want, out_of_place):
             assert g.dtype == w.dtype == dtype and g.shape == xd.shape
+            assert g.tobytes() == w.tobytes() == o.tobytes()
+
+
+@contextmanager
+def _per_op_scans_off():
+    """Per-op output scans off, as in a pass's fast run: an op returns a
+    non-finite output rather than naming itself."""
+    token = tz._scan_per_op.set(False)
+    try:
+        yield
+    finally:
+        tz._scan_per_op.reset(token)
+
+
+def _row_shapes(d):
+    """Rows of width d, 1 to 200 of them, alone and stacked three deep."""
+    for t_len in (1, 2, 7, 33, 200):
+        yield (t_len, d)
+        yield (3, t_len, d)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_data_is_bytewise_its_out_of_place_chain(dtype):
+    # Output, xhat and 1 / std, on rows of every scale.
+    rng = np.random.default_rng(26)
+    for shape in _row_shapes(32):
+        x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape[:-1] + (1,))).astype(dtype)
+        gain, bias = (rng.normal(size=32).astype(dtype) for _ in range(2))
+        before = x.tobytes()
+        got, want = tz.layer_norm_data(x, gain, bias), layer_norm_out_of_place(x, gain, bias)
+        assert x.tobytes() == before
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+    # A row whose variance overflows comes back NaN, not the bias; every
+    # other row keeps its bytes.
+    big = 4 * np.sqrt(np.finfo(dtype).max)
+    x = rng.normal(size=(3, 4, 32)).astype(dtype)
+    x[1, 2, ::2], x[1, 2, 1::2] = big, -big
+    with _per_op_scans_off(), np.errstate(all="ignore"):
+        got, want = tz.layer_norm_data(x, gain, bias), layer_norm_out_of_place(x, gain, bias)
+    assert np.isnan(got[0][1, 2]).all()
+    rest = np.ones(x.shape[:-1], dtype=bool)
+    rest[1, 2] = False
+    assert not np.isnan(got[0][rest]).any()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    with np.errstate(all="ignore"), pytest.raises(NumericsError, match="produced by layer_norm$"):
+        tz.layer_norm_data(x, gain, bias)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_data_is_bytewise_its_out_of_place_chain(dtype):
+    rng = np.random.default_rng(27)
+    for shape in _row_shapes(48):
+        x = (rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)).astype(dtype)
+        for g, w in zip(tz.silu_data(x), silu_out_of_place(x)):
+            assert g.dtype == w.dtype == dtype and g.shape == shape
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gated_linear_data_is_bytewise_its_out_of_place_chain(dtype):
+    # Every row gated, about half, and the last row alone; with and without
+    # a residual, which keeps its own bytes.
+    rng = np.random.default_rng(28)
+    w, a, b = (rng.normal(0.0, 0.3, size=shape).astype(dtype) for shape in ((48, 32), (32, 4), (4, 48)))
+    for shape in _row_shapes(32):
+        t_len = shape[-2]
+        x = rng.normal(size=shape).astype(dtype)
+        residual = rng.normal(size=shape[:-1] + (48,)).astype(dtype)
+        before = residual.tobytes()
+        for start in sorted({0, t_len // 2, t_len - 1}):
+            for res in (None, residual):
+                got = tz.gated_linear_data(x, w, a, b, start, 2.0, res)[0]
+                want = gated_linear_out_of_place(x, w, a, b, start, 2.0, res)
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (shape, start, res is None)
+        assert residual.tobytes() == before
 
 
 def test_cross_entropy_uniform_logits():
@@ -902,6 +1057,18 @@ FUSED_MISMATCHES = {
 def test_fused_op_shape_mismatch_is_numerics_error(case):
     with pytest.raises(NumericsError):
         FUSED_MISMATCHES[case]()
+
+
+def test_keys_of_one_axis_fewer_than_the_queries_are_the_scores_shape_error():
+    # (D,) keys of 2-D queries: the columns and the leading axes that the
+    # operand check compares agree, so the axis count is checked on its own.
+    message = r"^attention_scores shape mismatch \(4, 4\), \(4,\) for 2 heads, 4 regular rows and blocks of 0$"
+    with pytest.raises(NumericsError, match=message):
+        tz.attention_scores_data(np.zeros((4, 4)), np.zeros(4), 2, 4, 0)
+    q, k = Tensor(np.zeros((4, 4)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+    with Tape() as tape, pytest.raises(NumericsError, match=message):
+        tz.attention_scores(q, k, 2, 4, 0)
+    assert len(tape) == 0
 
 
 # ---------------------------------------------------------------------------
